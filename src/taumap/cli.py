@@ -322,7 +322,7 @@ def _cmd_verify(args) -> int:
         j = sum(s) - i
         if j < 1:
             continue
-        count = bounded_compositions_count(i, s, j, cache)
+        count = bounded_compositions_count(i, s, cache)
         limit = min(_comb(i - 1, m - 1), _comb(j - 1, m - 1))
         if count > limit:
             bad.append(f"P({i},{s}) = {count} > {limit}")

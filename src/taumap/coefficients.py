@@ -18,10 +18,26 @@ layered recursion over compositions and ordered set partitions:
 ``n1_coefficient`` / ``n2_coefficient``
     combine the two sides into the final signed sum.
 
-All values are exact ``Fraction``s.  Every family is memoized in a
-:class:`MemoCache`; computation of a key is deterministic and idempotent,
-so concurrent get-or-compute races are harmless (CPython dict updates are
-atomic and both writers store the same value).
+Two choices keep the recursion cheap while its values stay exact:
+
+* **Grouped placements.**  For a barred list and a width ``m`` the labelled
+  placements of the barred positions into ``m`` non-empty blocks are
+  enumerated once, by a DP over positions, and grouped as
+  ``block sums -> ((block sizes, count), ...)``.  ``n1`` loops only over
+  the block sums that occur, and ``s`` is a weighted sum over one group.
+* **Integer kernels.**  Every ``t1`` denominator at width ``m`` divides
+  ``D_m = m! * lcm(1..m)``.  The kernels carry ``t1 * D_m`` and
+  ``t2 * D_m^(len(i_list) - 1)`` as ``int``s; ``n1`` sums each width in
+  integers and makes one ``Fraction`` per width.  The public ``t1`` and
+  ``t2`` functions divide a kernel value by its ``D``.
+
+All public values are exact ``Fraction``s (``s`` and the composition count
+are ``int``s).  Every family is memoized in a :class:`MemoCache`: ``p``
+holds counts, ``t1`` and ``t2`` the scaled kernel values, ``s`` the
+placement groups and ``n1`` the final coefficients.  Computation of a key is
+deterministic and idempotent, so concurrent get-or-compute races are
+harmless (CPython dict updates are atomic and both writers store the same
+value).
 
 Two variants of the window weight in the ``t2`` contraction are provided,
 selected by the ``weight_rule`` argument:
@@ -29,6 +45,7 @@ selected by the ``weight_rule`` argument:
 * ``"linear"``    -- weight ``l`` (the window surplus itself);
 * ``"multinomial"`` -- weight ``l! / prod((l_r - 1)!)`` over the window.
 
+Both weights are integers, so both run through the same integer kernels.
 The variants agree whenever the contracted index list has length <= 3; they
 first differ at length 4.  The package default is arbitrated by the ellipse
 closed form (see ``potential.ellipse_oracle_check``) and by the bar-exchange
@@ -39,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator
 
 __all__ = [
@@ -145,7 +162,11 @@ def _expand(side: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 
 @dataclass
 class MemoCache:
-    """Per-family memo tables keyed by canonical argument tuples."""
+    """Per-family memo tables keyed by canonical argument tuples.
+
+    ``t1`` and ``t2`` hold the ``D``-scaled integer kernel values and ``s``
+    the placement groups of a ``(barred, width)`` pair, not public values.
+    """
 
     p: dict = field(default_factory=dict)
     t1: dict = field(default_factory=dict)
@@ -206,13 +227,12 @@ def bounded_partitions(
 
 
 def bounded_compositions_count(
-    i: int, s: tuple[int, ...], j: int | None = None, cache: MemoCache = DEFAULT_CACHE
+    i: int, s: tuple[int, ...], cache: MemoCache = DEFAULT_CACHE
 ) -> int:
     """Number of tuples ``(i_1..i_m)`` with ``sum i_r = i``, ``1 <= i_r <= s_r - 1``.
 
-    ``j`` is carried for key symmetry only; whenever ``i + j == sum(s)`` the
-    count is the same whether computed from ``i`` or from ``j`` (replace each
-    ``i_r`` by ``s_r - i_r``), so it never enters the computation.
+    Replacing each ``i_r`` by ``s_r - i_r`` shows the count is the same for
+    ``i`` and for its complement ``sum(s) - i``.
     """
     s = tuple(s)
     key = (i, s)
@@ -237,6 +257,50 @@ def bounded_compositions_count(
     return ways[i]
 
 
+def _denominators(m: int) -> list[int]:
+    """``[D_0, D_1, .., D_m]`` with ``D_w = w! * lcm(1..w)``.
+
+    ``D_m`` is a multiple of every ``t1`` denominator at width ``m``: a
+    grouping of ``m`` slots into ``k`` blocks of sizes ``n_1..n_k`` has
+    denominator ``k * prod n_r!``, and ``D_m / (k * prod n_r!)`` is the
+    multinomial ``m! / prod n_r!`` times ``lcm(1..m) / k``.  ``D_w``
+    divides ``D_m`` for ``w <= m``.
+    """
+    out = [1]
+    fact = 1
+    common = 1
+    for w in range(1, m + 1):
+        fact *= w
+        common = lcm(common, w)
+        out.append(fact * common)
+    return out
+
+
+def _t1_scaled(i: int, s: tuple[int, ...], cache: MemoCache) -> int:
+    """``t1(i, sum(s) - i, s) * D_m`` as an exact integer, ``m = len(s)``."""
+    key = (i, s)
+    hit = cache.t1.get(key)
+    if hit is not None:
+        return hit
+    m = len(s)
+    d = _denominators(m)[-1]
+    total = 0
+    for k in range(1, m + 1):
+        for sizes in compositions(m, k):
+            blocks = []
+            pos = 0
+            denom = k
+            for n in sizes:
+                blocks.append(sum(s[pos : pos + n]))
+                pos += n
+                denom *= factorial(n)
+            count = bounded_compositions_count(i, tuple(blocks), cache)
+            if count:
+                total += count * (d // denom)
+    cache.t1[key] = total
+    return total
+
+
 def t1_coefficient(
     i: int, j: int, s: tuple[int, ...], cache: MemoCache = DEFAULT_CACHE
 ) -> Fraction:
@@ -244,30 +308,11 @@ def t1_coefficient(
 
     Sums ``P(i, j, block sums) / (k * n_1! ... n_k!)`` over all ways of
     splitting the ``m`` slots of ``s`` into ``k`` consecutive blocks of sizes
-    ``n_1..n_k``.  Callers maintain ``sum(s) == i + j``.
+    ``n_1..n_k``.  Callers maintain ``sum(s) == i + j``, so ``j`` does not
+    enter the computation.
     """
     s = tuple(s)
-    key = (i, j, s)
-    hit = cache.t1.get(key)
-    if hit is not None:
-        return hit
-    m = len(s)
-    total = Fraction(0)
-    for k in range(1, m + 1):
-        for sizes in compositions(m, k):
-            blocks = []
-            pos = 0
-            for n in sizes:
-                blocks.append(sum(s[pos : pos + n]))
-                pos += n
-            count = bounded_compositions_count(i, tuple(blocks), j, cache)
-            if count:
-                denom = k
-                for n in sizes:
-                    denom *= factorial(n)
-                total += Fraction(count, denom)
-    cache.t1[key] = total
-    return total
+    return Fraction(_t1_scaled(i, s, cache), _denominators(len(s))[-1])
 
 
 def _window_weight(l_window: tuple[int, ...], rule: str) -> int:
@@ -280,6 +325,63 @@ def _window_weight(l_window: tuple[int, ...], rule: str) -> int:
             w //= factorial(x - 1)
         return w
     raise ValueError(f"unknown weight rule {rule!r}")
+
+
+def _t2_scaled(
+    i_list: tuple[int, ...],
+    s: tuple[int, ...],
+    l: tuple[int, ...],
+    weight_rule: str,
+    cache: MemoCache,
+) -> int:
+    """``t2(i_list, (s, l)) * D_m^(len(i_list) - 1)`` as an exact integer.
+
+    A window of width ``w`` contributes its ``t1`` scaled by ``D_w`` and a
+    tail of width ``m' = m - w + 1`` scaled by ``D_m'^(len(i_list) - 2)``;
+    both are lifted to ``D_m`` by exact integer factors.
+    """
+    key = (i_list, s, l, weight_rule)
+    hit = cache.t2.get(key)
+    if hit is not None:
+        return hit
+    if len(i_list) == 2:
+        value = _t1_scaled(i_list[0], s, cache) if all(x == 1 for x in l) else 0
+    else:
+        head = i_list[:-1]
+        last = i_list[-1]
+        depth = len(head) - 1
+        m = len(s)
+        dens = _denominators(m)
+        d = dens[m]
+        value = 0
+        for a in range(m):
+            s_acc = 0
+            l_acc = 0
+            for b in range(a, m):
+                s_acc += s[b]
+                l_acc += l[b] - 1
+                s_new = s_acc - last
+                if s_new < 1 or l_acc < 1:
+                    continue
+                weight = _window_weight(l[a : b + 1], weight_rule)
+                if not weight:
+                    continue
+                inner = _t1_scaled(s_new, s[a : b + 1], cache)
+                if not inner:
+                    continue
+                tail = _t2_scaled(
+                    head,
+                    s[:a] + (s_new,) + s[b + 1 :],
+                    l[:a] + (l_acc,) + l[b + 1 :],
+                    weight_rule,
+                    cache,
+                )
+                if tail:
+                    width = b - a + 1
+                    lift = (d // dens[width]) * (d // dens[m - width + 1]) ** depth
+                    value += weight * inner * tail * lift
+    cache.t2[key] = value
+    return value
 
 
 def t2_coefficient(
@@ -299,43 +401,60 @@ def t2_coefficient(
     i_list = tuple(i_list)
     if len(i_list) < 2:
         raise ValueError("need at least two indices")
-    key = (i_list, sl.s, sl.l, weight_rule)
-    hit = cache.t2.get(key)
+    scaled = _t2_scaled(i_list, sl.s, sl.l, weight_rule, cache)
+    return Fraction(scaled, _denominators(sl.width)[-1] ** (len(i_list) - 1))
+
+
+def _placements(barred: tuple[int, ...], m: int, cache: MemoCache) -> dict:
+    """Labelled placements of the barred positions into ``m`` non-empty blocks.
+
+    Returns ``{block sums: ((block sizes, count), ...)}``, where ``count``
+    is the number of placements with those block sums and sizes.  A dict
+    DP over positions carries the state (block sums, block sizes); states
+    that can no longer fill every block are dropped.
+    """
+    key = (barred, m)
+    hit = cache.s.get(key)
     if hit is not None:
         return hit
-    if len(i_list) == 2:
-        if all(x == 1 for x in sl.l):
-            value = t1_coefficient(i_list[0], i_list[1], sl.s, cache)
+    kbar = len(barred)
+    states = {((0,) * m, (0,) * m): 1} if m <= kbar else {}
+    for pos, v in enumerate(barred):
+        left = kbar - pos - 1
+        nxt: dict = {}
+        for (sums, sizes), count in states.items():
+            for r in range(m):
+                new_sizes = sizes[:r] + (sizes[r] + 1,) + sizes[r + 1 :]
+                if new_sizes.count(0) > left:
+                    continue
+                state = (sums[:r] + (sums[r] + v,) + sums[r + 1 :], new_sizes)
+                nxt[state] = nxt.get(state, 0) + count
+        states = nxt
+    grouped: dict = {}
+    for (sums, sizes), count in states.items():
+        grouped.setdefault(sums, []).append((sizes, count))
+    groups = {sums: tuple(entries) for sums, entries in grouped.items()}
+    cache.s[key] = groups
+    return groups
+
+
+def _placement_weight(entries, s: tuple[int, ...], l: tuple[int, ...]) -> int:
+    """``sum count * prod (s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)`` over ``entries``.
+
+    A placement contributes only when every slack ``s_r - n_r - l_r + 1``
+    is non-negative.
+    """
+    total = 0
+    for sizes, count in entries:
+        term = count
+        for s_r, n_r, l_r in zip(s, sizes, l):
+            slack = s_r - n_r - l_r + 1
+            if slack < 0:
+                break
+            term *= factorial(s_r - 1) // (factorial(slack) * factorial(l_r - 1))
         else:
-            value = Fraction(0)
-    else:
-        last = i_list[-1]
-        m = sl.width
-        value = Fraction(0)
-        for a in range(m):
-            s_acc = 0
-            l_acc = 0
-            for b in range(a, m):
-                s_acc += sl.s[b]
-                l_acc += sl.l[b] - 1
-                s_new = s_acc - last
-                if s_new < 1 or l_acc < 1:
-                    continue
-                weight = _window_weight(sl.l[a : b + 1], weight_rule)
-                if not weight:
-                    continue
-                inner = t1_coefficient(s_new, last, sl.s[a : b + 1], cache)
-                if not inner:
-                    continue
-                contracted = SLMatrix(
-                    sl.s[:a] + (s_new,) + sl.s[b + 1 :],
-                    sl.l[:a] + (l_acc,) + sl.l[b + 1 :],
-                )
-                tail = t2_coefficient(i_list[:-1], contracted, weight_rule, cache)
-                if tail:
-                    value += weight * inner * tail
-    cache.t2[key] = value
-    return value
+            total += term
+    return total
 
 
 def s_coefficient(
@@ -349,47 +468,8 @@ def s_coefficient(
     size), with weight ``prod (s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)``.
     Repeated values are distinguishable, so the result is an integer.
     """
-    barred = tuple(sorted(barred))
-    key = (barred, sl.s, sl.l)
-    hit = cache.s.get(key)
-    if hit is not None:
-        return hit
-    m = sl.width
-    kbar = len(barred)
-    if m > kbar or sum(barred) != sum(sl.s):
-        cache.s[key] = 0
-        return 0
-
-    sums = [0] * m
-    counts = [0] * m
-    total = 0
-
-    def place(pos: int) -> None:
-        nonlocal total
-        if pos == kbar:
-            term = 1
-            for r in range(m):
-                n_r, l_r, s_r = counts[r], sl.l[r], sl.s[r]
-                if n_r == 0 or sums[r] != s_r:
-                    return
-                slack = s_r - n_r - l_r + 1
-                if slack < 0:
-                    return
-                term *= factorial(s_r - 1) // (factorial(slack) * factorial(l_r - 1))
-            total += term
-            return
-        v = barred[pos]
-        for r in range(m):
-            if sums[r] + v <= sl.s[r]:
-                sums[r] += v
-                counts[r] += 1
-                place(pos + 1)
-                sums[r] -= v
-                counts[r] -= 1
-
-    place(0)
-    cache.s[key] = total
-    return total
+    groups = _placements(tuple(sorted(barred)), sl.width, cache)
+    return _placement_weight(groups.get(sl.s, ()), sl.s, sl.l)
 
 
 def n1_coefficient(
@@ -421,19 +501,23 @@ def n1_coefficient(
         value = Fraction(factorial(i - 1), factorial(i - k + 1))
     else:
         value = Fraction(0)
-        # Blocks are non-empty, so column matrices wider than the barred
-        # list cannot be populated and the s factor kills them.
+        # Only block sums that some placement of the barred list reaches
+        # give a non-zero ``s``; every ``t2`` of width ``m`` shares the
+        # denominator ``D_m^(k-1)``, so each width sums in integers.
         for m in range(1, min(i, kbar) + 1):
-            sign = 1 if m % 2 else -1
-            for s_comp in compositions(i, m):
-                for l_comp in compositions(m + k - 2, m):
-                    sl = SLMatrix(s_comp, l_comp)
-                    s_val = s_coefficient(barred, sl, cache)
+            l_comps = tuple(compositions(m + k - 2, m))
+            scaled = 0
+            for s_comp, entries in _placements(barred, m, cache).items():
+                for l_comp in l_comps:
+                    s_val = _placement_weight(entries, s_comp, l_comp)
                     if not s_val:
                         continue
-                    t_val = t2_coefficient(unbarred, sl, weight_rule, cache)
+                    t_val = _t2_scaled(unbarred, s_comp, l_comp, weight_rule, cache)
                     if t_val:
-                        value += sign * s_val * t_val
+                        scaled += s_val * t_val
+            if scaled:
+                sign = 1 if m % 2 else -1
+                value += Fraction(sign * scaled, _denominators(m)[-1] ** (k - 1))
     cache.n1[key] = value
     return value
 

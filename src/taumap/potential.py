@@ -49,10 +49,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BuildReport:
+    """What a build evaluated and kept, its time, and the memo table sizes.
+
+    ``table_sizes`` is :meth:`MemoCache.sizes` after the build; a cache
+    shared between builds reports its cumulative sizes.
+    """
+
     policy: TruncationPolicy
     keys_evaluated: int
     nonzero_terms: int
     elapsed: float
+    table_sizes: dict[str, int]
 
 
 def default_policy(n_max: int, deg_max: int, t0_max: int | None = None) -> TruncationPolicy:
@@ -121,6 +128,7 @@ def build_potential(
         keys_evaluated=keys_evaluated,
         nonzero_terms=len(regular),
         elapsed=time.perf_counter() - start,
+        table_sizes=cache.sizes(),
     )
     potential = PotentialSeries(
         singular_log_coeff=Fraction(1, 2),

@@ -151,7 +151,7 @@ def test_a06_growth_bounds_on_random_keys():
             continue
         i = rng.randint(1, total - 1)
         j = total - i
-        value = bounded_compositions_count(i, s, j, cache)
+        value = bounded_compositions_count(i, s, cache)
         assert value <= min(comb(i - 1, m - 1), comb(j - 1, m - 1)), (i, j, s)
 
     # grouped average against min(i, j)^(m-1) / m!

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,8 +193,12 @@ def test_byte_identical_reruns(tmp_path):
         "--seed",
         "7",
     ]
-    first = subprocess.run(env_cmd, capture_output=True, cwd=tmp_path)
-    second = subprocess.run(env_cmd, capture_output=True, cwd=tmp_path)
+    # cwd is tmp_path, so a relative PYTHONPATH would not resolve there
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(env_cmd, capture_output=True, cwd=tmp_path, env=env)
+    second = subprocess.run(env_cmd, capture_output=True, cwd=tmp_path, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr

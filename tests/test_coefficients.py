@@ -4,7 +4,7 @@ import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
 import pytest
 
@@ -33,6 +33,124 @@ def brute_count(i, s):
         if sum(tup) == i:
             total += 1
     return total
+
+
+def ref_s(barred, s, l):
+    """Backtracking oracle for ``s``: place each barred position in a block."""
+    barred = tuple(sorted(barred))
+    m = len(s)
+    kbar = len(barred)
+    if m > kbar or sum(barred) != sum(s):
+        return 0
+    sums = [0] * m
+    counts = [0] * m
+    total = 0
+
+    def place(pos):
+        nonlocal total
+        if pos == kbar:
+            term = 1
+            for r in range(m):
+                n_r, l_r, s_r = counts[r], l[r], s[r]
+                if n_r == 0 or sums[r] != s_r:
+                    return
+                slack = s_r - n_r - l_r + 1
+                if slack < 0:
+                    return
+                term *= factorial(s_r - 1) // (factorial(slack) * factorial(l_r - 1))
+            total += term
+            return
+        v = barred[pos]
+        for r in range(m):
+            if sums[r] + v <= s[r]:
+                sums[r] += v
+                counts[r] += 1
+                place(pos + 1)
+                sums[r] -= v
+                counts[r] -= 1
+
+    place(0)
+    return total
+
+
+def ref_t1(i, s):
+    """Grouped average with one ``Fraction`` per grouping."""
+    m = len(s)
+    total = Fraction(0)
+    for k in range(1, m + 1):
+        for sizes in compositions(m, k):
+            blocks = []
+            pos = 0
+            for n in sizes:
+                blocks.append(sum(s[pos : pos + n]))
+                pos += n
+            denom = k
+            for n in sizes:
+                denom *= factorial(n)
+            total += Fraction(brute_count(i, blocks), denom)
+    return total
+
+
+def ref_window_weight(l_window, rule):
+    surplus = sum(x - 1 for x in l_window)
+    if rule == WEIGHT_RULE_LINEAR:
+        return surplus
+    return factorial(surplus) // prod(factorial(x - 1) for x in l_window)
+
+
+def ref_t2(i_list, s, l, rule, memo):
+    """Window contraction in ``Fraction`` arithmetic at every step."""
+    key = (i_list, s, l, rule)
+    if key in memo:
+        return memo[key]
+    if len(i_list) == 2:
+        value = ref_t1(i_list[0], s) if all(x == 1 for x in l) else Fraction(0)
+    else:
+        last = i_list[-1]
+        m = len(s)
+        value = Fraction(0)
+        for a in range(m):
+            for b in range(a, m):
+                s_new = sum(s[a : b + 1]) - last
+                l_acc = sum(x - 1 for x in l[a : b + 1])
+                if s_new < 1 or l_acc < 1:
+                    continue
+                value += (
+                    ref_window_weight(l[a : b + 1], rule)
+                    * ref_t1(s_new, s[a : b + 1])
+                    * ref_t2(
+                        i_list[:-1],
+                        s[:a] + (s_new,) + s[b + 1 :],
+                        l[:a] + (l_acc,) + l[b + 1 :],
+                        rule,
+                        memo,
+                    )
+                )
+    memo[key] = value
+    return value
+
+
+def ref_n1(i, unbarred, barred, rule, memo):
+    """Composition-pair loop: every ``(s, l)`` pair, ``s`` by backtracking."""
+    unbarred = tuple(sorted(unbarred))
+    barred = tuple(sorted(barred))
+    if sum(unbarred) != i or sum(barred) != i:
+        return Fraction(0)
+    k = len(unbarred)
+    kbar = len(barred)
+    if k == 1:
+        return Fraction(factorial(i - 1), factorial(i - kbar + 1))
+    if kbar == 1:
+        return Fraction(factorial(i - 1), factorial(i - k + 1))
+    value = Fraction(0)
+    for m in range(1, min(i, kbar) + 1):
+        sign = 1 if m % 2 else -1
+        for s in compositions(i, m):
+            for l in compositions(m + k - 2, m):
+                s_val = ref_s(barred, s, l)
+                if s_val:
+                    value += sign * s_val * ref_t2(unbarred, s, l, rule, memo)
+    return value
 
 
 def expanded_lists(weight, max_len, max_idx):
@@ -122,19 +240,7 @@ def test_t1_brute_grouping_oracle():
         j = sum(s) - i
         if j < 1:
             continue
-        expected = Fraction(0)
-        for k in range(1, m + 1):
-            for sizes in compositions(m, k):
-                blocks = []
-                pos = 0
-                for n in sizes:
-                    blocks.append(sum(s[pos : pos + n]))
-                    pos += n
-                denom = k
-                for n in sizes:
-                    denom *= factorial(n)
-                expected += Fraction(brute_count(i, blocks), denom)
-        assert t1_coefficient(i, j, s) == expected
+        assert t1_coefficient(i, j, s) == ref_t1(i, s)
 
 
 def test_t1_bound():
@@ -264,6 +370,81 @@ def test_s_brute_force_assignments():
             if ok:
                 expected += term
         assert s_coefficient(barred, SLMatrix(s, l)) == expected
+
+
+def test_t1_scaled_by_common_denominator_is_integer():
+    # every grouping denominator k * prod n_r! divides m! * lcm(1..m)
+    rng = random.Random(139)
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        s = tuple(rng.randint(1, 6) for _ in range(m))
+        i = rng.randint(1, max(1, sum(s) - 1))
+        scaled = t1_coefficient(i, sum(s) - i, s) * factorial(m) * lcm(*range(1, m + 1))
+        assert scaled.denominator == 1, (i, s)
+
+
+# -- references: every key of weight <= 6 with <= 7 factors -----------------------
+
+
+def reference_cases(max_weight=6, max_factors=7):
+    """``(weight, unbarred, barred)`` for every key in range, both sides non-empty."""
+    for w in range(1, max_weight + 1):
+        sides = expanded_lists(w, max_factors - 1, w)
+        for a in sides:
+            for b in sides:
+                if len(a) + len(b) <= max_factors:
+                    yield w, a, b
+
+
+@pytest.mark.parametrize("rule", [WEIGHT_RULE_LINEAR, WEIGHT_RULE_MULTINOMIAL])
+def test_n1_equals_composition_pair_reference(rule):
+    cache = MemoCache()
+    memo: dict = {}
+    checked = 0
+    for w, a, b in reference_cases():
+        assert n1_coefficient(w, a, b, rule, cache) == ref_n1(w, a, b, rule, memo), (
+            w, a, b,
+        )
+        checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("rule", [WEIGHT_RULE_LINEAR, WEIGHT_RULE_MULTINOMIAL])
+def test_s_and_t2_equal_references_on_every_column_matrix(rule):
+    # every (s, l) the composition-pair loop visits for keys in range
+    cache = MemoCache()
+    memo: dict = {}
+    for w, a, b in reference_cases():
+        k = len(a)
+        if k < 2 or len(b) < 2:
+            continue
+        for m in range(1, min(w, len(b)) + 1):
+            for s in compositions(w, m):
+                for l in compositions(m + k - 2, m):
+                    sl = SLMatrix(s, l)
+                    assert s_coefficient(b, sl, cache) == ref_s(b, s, l), (b, s, l)
+                    assert t2_coefficient(a, sl, rule, cache) == ref_t2(
+                        a, s, l, rule, memo
+                    ), (a, s, l)
+
+
+def test_public_wrappers_leave_kernel_tables_intact():
+    # n1 fills the t1/t2 tables with scaled integers and the s table with
+    # placement groups; the public functions read the same tables, and
+    # calling them first on a shared cache must not change any n1 value
+    cases = list(reference_cases(max_weight=5, max_factors=6))
+    expected = [n1_coefficient(w, a, b, cache=MemoCache()) for w, a, b in cases]
+    shared = MemoCache()
+    for w, a, b in cases:
+        if len(a) < 2:
+            continue
+        for m in range(1, min(w, len(b)) + 1):
+            for s in compositions(w, m):
+                t1_coefficient(a[0], w - a[0], s, shared)
+                for l in compositions(m + len(a) - 2, m):
+                    s_coefficient(b, SLMatrix(s, l), shared)
+                    t2_coefficient(a, SLMatrix(s, l), cache=shared)
+    assert [n1_coefficient(w, a, b, cache=shared) for w, a, b in cases] == expected
 
 
 # -- n1 / n2 ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Potential assembly: coefficients, invariants, oracles."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from taumap.potential import (
     ellipse_oracle_check,
     ellipse_regular_series,
 )
-from taumap.series import Monomial, TruncationPolicy
+from taumap.series import Monomial, TruncationPolicy, series_to_json_terms
 from taumap.verify import bar_swap
 
 
@@ -66,6 +68,32 @@ def test_build_report_counts(potential_44):
     assert report.nonzero_terms == len(potential.regular)
     assert report.keys_evaluated >= report.nonzero_terms
     assert report.elapsed >= 0
+
+
+def test_build_report_table_sizes():
+    cache = MemoCache()
+    _, report = build_potential(default_policy(3, 4), cache=cache)
+    assert report.table_sizes == cache.sizes()
+    assert set(report.table_sizes) == {"p", "t1", "t2", "s", "n1"}
+    assert all(size > 0 for size in report.table_sizes.values())
+
+
+# sha256 of the exact (6,6) potential, regular terms plus singular
+# coefficients; any change to a coefficient changes it
+POTENTIAL_66_SHA256 = "efe5a00479efc3a4756071448a27f73477c44c11518e3619b85c33280f5b05e2"
+
+
+def test_potential_66_is_bit_identical_to_pin():
+    potential, _ = build_potential(default_policy(6, 6), cache=MemoCache())
+    payload = {
+        "regular": series_to_json_terms(potential.regular),
+        "singular": [
+            [c.numerator, c.denominator]
+            for c in (potential.singular_log_coeff, potential.singular_quad_coeff)
+        ],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == POTENTIAL_66_SHA256
 
 
 def test_bar_conjugation_symmetry(potential_44):

@@ -7,7 +7,7 @@ import pytest
 
 from taumap.coefficients import MemoCache
 from taumap.confmap import MomentVector
-from taumap.moments import BoundaryCurve, moments_from_curve
+from taumap.moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
 from taumap.potential import build_potential, default_policy
 from taumap.series import Monomial, TruncatedSeries
 from taumap.verify import (
