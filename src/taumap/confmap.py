@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, isfinite, log, sqrt
 
 from .series import PotentialSeries, TruncatedSeries
 
@@ -37,16 +37,16 @@ __all__ = ["MomentVector", "ExteriorMapSeries", "map_from_potential", "evaluate_
 class MomentVector:
     """Numeric harmonic moments ``(t0; t_1..t_n)``.
 
-    ``t0`` is the interior area over pi and must be positive; barred values
-    are taken as conjugates wherever a series is evaluated.
+    ``t0`` is the interior area over pi and must be finite and positive;
+    barred values are taken as conjugates wherever a series is evaluated.
     """
 
     t0: float
     t: tuple[complex, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.t0 > 0:
-            raise ValueError("t0 must be positive")
+        if not (isfinite(self.t0) and self.t0 > 0):
+            raise ValueError(f"t0 must be finite and positive, got {self.t0}")
         object.__setattr__(self, "t", tuple(complex(x) for x in self.t))
         if any(
             x != x or abs(x.real) == float("inf") or abs(x.imag) == float("inf")

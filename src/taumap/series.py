@@ -20,6 +20,22 @@ Design points:
 * The single logarithmic term of the potential (``t0^2 log t0``) is never
   represented inside the ring.  It lives in the two scalar fields of
   :class:`PotentialSeries` and is handled symbolically by consumers.
+* A monomial's factor degree is a value fixed when the monomial is built.
+  The product groups the right operand's terms by degree once, so a left
+  term of degree ``d1`` only meets the buckets of degree at most
+  ``deg_max - d1``: pairs that truncation drops are never visited.  In the
+  pair loop a term is an integer code (one bit field per variable, the
+  ``t0`` power on top; codes add under multiplication) and an integer
+  numerator over its operand's common denominator, so factor tuples are
+  merged and ``Fraction``s made once per distinct output monomial.
+* Validation happens at the boundary.  ``Monomial(...)`` checks canonical
+  order, and ``TruncatedSeries(policy, terms)`` -- through which
+  :meth:`TruncatedSeries.filter`, :meth:`TruncatedSeries.to_policy` and the
+  readers go -- drops zero and inadmissible terms and makes every
+  coefficient a ``Fraction``.  Sums, products, negation, scalar products
+  and derivatives of admissible series produce non-zero ``Fraction``s on
+  admissible monomials by construction, so they build their results
+  through private constructors that skip those checks.
 
 Series are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -28,8 +44,9 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -73,17 +90,20 @@ class TruncationPolicy:
         return all(k <= self.n_max for k, _, _ in m.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """``t0^a * prod t_k^e * prod tbar_k^e`` with canonically ordered factors.
 
     ``factors`` holds ``(index, barred, exponent)`` triples, strictly ordered
     by ``(barred, index)``; exponents are >= 1 and no two triples share the
-    same variable.
+    same variable.  ``degree``, the total factor degree (``t0`` not
+    counted), is set once at construction and takes no part in equality,
+    hashing or ``repr``.
     """
 
     t0_power: int = 0
     factors: tuple[tuple[int, bool, int], ...] = ()
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.t0_power < 0:
@@ -96,11 +116,18 @@ class Monomial:
             if prev is not None and key <= prev:
                 raise ValueError("factors not in canonical order")
             prev = key
+        object.__setattr__(self, "degree", sum(e for _, _, e in self.factors))
 
-    @property
-    def degree(self) -> int:
-        """Total factor degree (t0 not counted)."""
-        return sum(e for _, _, e in self.factors)
+    @classmethod
+    def _trusted(
+        cls, t0_power: int, factors: tuple[tuple[int, bool, int], ...], degree: int
+    ) -> "Monomial":
+        """A monomial from parts the ring already knows to be canonical."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "t0_power", t0_power)
+        object.__setattr__(m, "factors", factors)
+        object.__setattr__(m, "degree", degree)
+        return m
 
     def weight(self, barred: bool) -> int:
         """Sum of index*exponent over one side of the alphabet."""
@@ -164,6 +191,17 @@ class TruncatedSeries:
                 if c and policy.admits(m):
                     clean[m] = Fraction(c)
         self._terms = clean
+
+    @classmethod
+    def _trusted(
+        cls, policy: TruncationPolicy, terms: dict[Monomial, Fraction]
+    ) -> "TruncatedSeries":
+        """Wrap ``terms`` as they are: non-zero ``Fraction``s on admissible
+        monomials, as every ring operation below produces them."""
+        out = object.__new__(cls)
+        out.policy = policy
+        out._terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -239,17 +277,20 @@ class TruncatedSeries:
         self._require_same_policy(other)
         out = dict(self._terms)
         for m, c in other._terms.items():
-            s = out.get(m, 0) + c
+            prev = out.get(m)
+            s = c if prev is None else prev + c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return TruncatedSeries(self.policy, out)
+                del out[m]
+        return TruncatedSeries._trusted(self.policy, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.policy, {m: -c for m, c in self._terms.items()})
+        return TruncatedSeries._trusted(
+            self.policy, {m: -c for m, c in self._terms.items()}
+        )
 
     def __sub__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -264,28 +305,66 @@ class TruncatedSeries:
             c = Fraction(other)
             if not c:
                 return TruncatedSeries.zero(self.policy)
-            return TruncatedSeries(
+            return TruncatedSeries._trusted(
                 self.policy, {m: c * v for m, v in self._terms.items()}
             )
         self._require_same_policy(other)
         pol = self.policy
-        out: dict[Monomial, Fraction] = {}
+        deg_max, t0_max = pol.deg_max, pol.t0_max
+        # A term's code holds one bit field per variable, wide enough for
+        # deg_max, and the t0 power above them: the code of an admissible
+        # product is the sum of the codes.  Coefficients become integer
+        # numerators over one common denominator per operand.
+        bits = max(1, deg_max.bit_length())
+        t0_shift = 2 * pol.n_max * bits
+
+        def code(m: Monomial) -> int:
+            return (m.t0_power << t0_shift) + sum(
+                e << ((k - 1 + (pol.n_max if barred else 0)) * bits)
+                for k, barred, e in m.factors
+            )
+
+        den1 = lcm(*(c.denominator for c in self._terms.values()))
+        den2 = lcm(*(c.denominator for c in other._terms.values()))
+        # The right operand's terms by factor degree: a left term of degree
+        # d1 meets only the buckets d2 <= deg_max - d1.
+        buckets: list[list[tuple]] = [[] for _ in range(deg_max + 1)]
+        for m2, c2 in other._terms.items():
+            buckets[m2.degree].append(
+                (m2.t0_power, code(m2), m2, c2.numerator * (den2 // c2.denominator))
+            )
+        # code -> [numerator, left monomial, right monomial]
+        acc: dict[int, list] = {}
+        get = acc.get
         for m1, c1 in self._terms.items():
             d1 = m1.degree
             a1 = m1.t0_power
-            for m2, c2 in other._terms.items():
-                if d1 + m2.degree > pol.deg_max:
-                    continue
-                a = a1 + m2.t0_power
-                if a > pol.t0_max:
-                    continue
-                m = Monomial(a, _merge_factors(m1.factors, m2.factors))
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return TruncatedSeries(self.policy, out)
+            code1 = code(m1)
+            n1 = c1.numerator * (den1 // c1.denominator)
+            for d2 in range(deg_max - d1 + 1):
+                for a2, code2, m2, n2 in buckets[d2]:
+                    if a1 + a2 > t0_max:
+                        continue
+                    key = code1 + code2
+                    entry = get(key)
+                    if entry is None:
+                        acc[key] = [n1 * n2, m1, m2]
+                    else:
+                        entry[0] += n1 * n2
+        den = den1 * den2
+        trusted = Monomial._trusted
+        return TruncatedSeries._trusted(
+            pol,
+            {
+                trusted(
+                    m1.t0_power + m2.t0_power,
+                    _merge_factors(m1.factors, m2.factors),
+                    m1.degree + m2.degree,
+                ): Fraction(n, den)
+                for n, m1, m2 in acc.values()
+                if n
+            },
+        )
 
     __rmul__ = __mul__
 
@@ -310,11 +389,15 @@ class TruncatedSeries:
     # -- calculus ----------------------------------------------------------
 
     def diff_t0(self) -> "TruncatedSeries":
-        out = {}
-        for m, c in self._terms.items():
-            if m.t0_power:
-                out[Monomial(m.t0_power - 1, m.factors)] = c * m.t0_power
-        return TruncatedSeries(self.policy, out)
+        trusted = Monomial._trusted
+        return TruncatedSeries._trusted(
+            self.policy,
+            {
+                trusted(m.t0_power - 1, m.factors, m.degree): c * m.t0_power
+                for m, c in self._terms.items()
+                if m.t0_power
+            },
+        )
 
     def diff_t(self, k: int, barred: bool = False) -> "TruncatedSeries":
         """Formal partial derivative with respect to ``t_k`` or ``tbar_k``."""
@@ -330,9 +413,9 @@ class TruncatedSeries:
                             + ((idx, b, e - 1),)
                             + m.factors[pos + 1 :]
                         )
-                    out[Monomial(m.t0_power, fac)] = c * e
+                    out[Monomial._trusted(m.t0_power, fac, m.degree - 1)] = c * e
                     break
-        return TruncatedSeries(self.policy, out)
+        return TruncatedSeries._trusted(self.policy, out)
 
     def diff_tbar(self, k: int) -> "TruncatedSeries":
         return self.diff_t(k, barred=True)

@@ -209,6 +209,15 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_map_rejects_infinite_t0(tmp_path, capsys):
+    moments = tmp_path / "m.json"
+    moments.write_text('{"t0": Infinity, "t": []}')
+    code, out, err = run_cli(["map", "--in", str(moments)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: t0 must be finite and positive, got inf" in err
+
+
 def test_missing_file_is_diagnosed(capsys):
     code, _, err = run_cli(["map", "--in", "/nonexistent/m.json"], capsys)
     assert code == 2

@@ -136,3 +136,9 @@ def test_map_rejects_sector_of_another_policy(potential_46):
             map_from_potential(
                 potential_46, MomentVector(t0=1.0), order=8, sector=sector
             )
+
+
+def test_moment_vector_rejects_non_finite_t0():
+    for t0 in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="t0 must be finite and positive"):
+            MomentVector(t0=t0)

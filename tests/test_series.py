@@ -15,6 +15,7 @@ from taumap.series import (
     series_to_json_terms,
     series_to_text,
 )
+from taumap.verify import bar_swap
 
 
 POLICY = TruncationPolicy(n_max=3, deg_max=6, t0_max=6)
@@ -272,3 +273,212 @@ def test_text_form_shape():
         POLICY, {Monomial(2, ((1, False, 1), (2, True, 3))): Fraction(-3, 2)}
     )
     assert series_to_text(s).strip() == "-3/2 * t0^2 * t1^1 * tbar2^3"
+
+
+# -- product against the pairwise reference ----------------------------------------
+
+# Policies under which both the degree bound and the t0 bound cut products.
+CUTTING_POLICIES = [
+    TruncationPolicy(n_max=3, deg_max=4, t0_max=3),
+    TruncationPolicy(n_max=2, deg_max=5, t0_max=2),
+    TruncationPolicy(n_max=4, deg_max=3, t0_max=4),
+    TruncationPolicy(n_max=3, deg_max=6, t0_max=1),
+]
+
+
+def reference_mul(a, b):
+    """The pairwise product: every pair visited, degrees summed per pair."""
+    pol = a.policy
+    out = {}
+    for m1, c1 in a.items():
+        d1 = sum(e for _, _, e in m1.factors)
+        for m2, c2 in b.items():
+            if d1 + sum(e for _, _, e in m2.factors) > pol.deg_max:
+                continue
+            t0_power = m1.t0_power + m2.t0_power
+            if t0_power > pol.t0_max:
+                continue
+            exps = {}
+            for k, barred, e in m1.factors + m2.factors:
+                exps[barred, k] = exps.get((barred, k), 0) + e
+            factors = tuple((k, barred, e) for (barred, k), e in sorted(exps.items()))
+            m = Monomial(t0_power, factors)
+            out[m] = out.get(m, 0) + c1 * c2
+    return TruncatedSeries(pol, out)
+
+
+def reference_exp(s):
+    pol = s.policy
+    result = TruncatedSeries.constant(pol, 1)
+    term = result
+    m = 0
+    while True:
+        m += 1
+        term = reference_mul(term, s)
+        term = TruncatedSeries(pol, {mono: c / m for mono, c in term.items()})
+        if not term:
+            return result
+        result = result + term
+
+
+def rich_series(rng, policy, terms=12, constant=True):
+    """Random terms up to the policy's bounds, with a constant and a pure t0 term."""
+    out = {}
+    if constant:
+        out[Monomial()] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    pure_t0 = Monomial(rng.randint(1, policy.t0_max), ())
+    out[pure_t0] = Fraction(rng.randint(-9, 9) or 1, 7)
+    for _ in range(terms):
+        exps = {}
+        for _ in range(rng.randint(1, policy.deg_max)):
+            var = (rng.random() < 0.5, rng.randint(1, policy.n_max))
+            exps[var] = exps.get(var, 0) + 1
+        factors = tuple((k, barred, e) for (barred, k), e in sorted(exps.items()))
+        mono = Monomial(rng.randint(0, policy.t0_max), factors)
+        out[mono] = Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+    return TruncatedSeries(policy, out)
+
+
+def test_product_equals_pairwise_reference_under_cutting_policies():
+    rng = random.Random(31)
+    for pol in CUTTING_POLICIES:
+        cut_by_degree = cut_by_t0 = 0
+        for _ in range(12):
+            a, b = rich_series(rng, pol), rich_series(rng, pol)
+            for m1, _ in a.items():
+                for m2, _ in b.items():
+                    if m1.degree + m2.degree > pol.deg_max:
+                        cut_by_degree += 1
+                    elif m1.t0_power + m2.t0_power > pol.t0_max:
+                        cut_by_t0 += 1
+            assert a * b == reference_mul(a, b)
+            assert b * a == reference_mul(b, a)
+            assert a * a == reference_mul(a, a)
+            for _, c in (a * b).items():
+                assert type(c) is Fraction and c
+        assert cut_by_degree and cut_by_t0
+
+
+def test_exp_equals_pairwise_reference_under_cutting_policies():
+    rng = random.Random(37)
+    for pol in CUTTING_POLICIES:
+        for _ in range(4):
+            s = rich_series(rng, pol, terms=6, constant=False)
+            assert s.exp_no_constant() == reference_exp(s)
+
+
+def test_product_with_constants_and_pure_t0_terms():
+    pol = TruncationPolicy(n_max=2, deg_max=2, t0_max=2)
+    one_plus_t0 = TruncatedSeries.constant(pol, 1) + TruncatedSeries.t0(pol)
+    sq = one_plus_t0 * one_plus_t0
+    assert sq.coefficient(Monomial()) == 1
+    assert sq.coefficient(Monomial(1, ())) == 2
+    assert sq.coefficient(Monomial(2, ())) == 1
+    assert len(sq) == 3
+    assert not TruncatedSeries.t0(pol, 2) * TruncatedSeries.t0(pol)
+    three_halves = TruncatedSeries.constant(pol, Fraction(3, 2))
+    assert sq * Fraction(3, 2) == reference_mul(sq, three_halves)
+
+
+# -- the cached degree ------------------------------------------------------------
+
+
+def exponent_sum(m):
+    return sum(e for _, _, e in m.factors)
+
+
+def test_degree_is_exponent_sum_on_every_construction_path():
+    rng = random.Random(41)
+    pol = CUTTING_POLICIES[0]
+    for _ in range(10):
+        a, b = rich_series(rng, pol), rich_series(rng, pol)
+        derived = [
+            a,
+            a * b,
+            a.diff_t0(),
+            a.diff_t(1),
+            a.diff_tbar(2),
+            (a * b).diff_t(2).diff_t0(),
+            series_from_json_terms(series_to_json_terms(a * b), pol),
+            bar_swap(a * b),
+            a + b,
+            -a,
+            a * Fraction(2, 3),
+            a.to_policy(TruncationPolicy(2, 3, 2)),
+        ]
+        for s in derived:
+            for m, _ in s.items():
+                assert m.degree == exponent_sum(m)
+    for factors in ((), ((1, False, 3),), ((2, False, 1), (1, True, 2), (3, True, 4))):
+        assert Monomial(2, factors).degree == exponent_sum(Monomial(2, factors))
+
+
+def test_equal_monomials_from_different_paths_compare_and_hash_equal():
+    pol = TruncationPolicy(n_max=3, deg_max=4, t0_max=4)
+    target = Monomial(1, ((1, False, 1), (2, True, 1)))
+    t0 = TruncatedSeries.t0(pol)
+    t1, tbar2 = t(1, pol), tbar(2, pol)
+    t0_t1sq_tbar2 = Monomial(1, ((1, False, 2), (2, True, 1)))
+    t0sq_t1_tbar2 = Monomial(2, ((1, False, 1), (2, True, 1)))
+    built = [
+        t0 * t1 * tbar2,
+        TruncatedSeries(pol, {t0_t1sq_tbar2: Fraction(1)}).diff_t(1),
+        TruncatedSeries(pol, {t0sq_t1_tbar2: Fraction(1)}).diff_t0(),
+        series_from_json_terms(series_to_json_terms(t0 * t1 * tbar2), pol),
+        bar_swap(t0 * tbar(1, pol) * t(2, pol)),
+    ]
+    for s in built:
+        (m, _), = s.items()
+        assert m == target
+        assert hash(m) == hash(target)
+        assert {m: 1}[target] == 1
+        assert m.sort_key() == target.sort_key()
+        assert repr(m) == repr(target)
+        assert repr(m) == "Monomial(t0_power=1, factors=((1, False, 1), (2, True, 1)))"
+
+
+# -- validation at the public boundary ---------------------------------------------
+
+
+def test_bad_monomials_still_raise():
+    for t0_power, factors in [
+        (-1, ()),
+        (0, ((0, False, 1),)),
+        (0, ((1, True, 0),)),
+        (0, ((1, True, 1), (1, False, 1))),
+        (0, ((2, False, 1), (2, False, 1))),
+    ]:
+        with pytest.raises(ValueError):
+            Monomial(t0_power, factors)
+
+
+def test_public_constructor_drops_zero_and_inadmissible_terms():
+    pol = TruncationPolicy(2, 3, 2)
+    kept = Monomial(1, ((1, False, 1), (2, True, 2)))
+    s = TruncatedSeries(
+        pol,
+        {
+            kept: 3,
+            Monomial(0, ((1, False, 1),)): 0,
+            Monomial(0, ((3, True, 1),)): Fraction(1),
+            Monomial(0, ((1, False, 2), (1, True, 2))): Fraction(1),
+            Monomial(3, ()): Fraction(1),
+        },
+    )
+    assert list(s.items()) == [(kept, Fraction(3))]
+    assert type(s.coefficient(kept)) is Fraction
+
+
+def test_to_tighter_policy_truncates_and_commutes_with_products():
+    rng = random.Random(43)
+    roomy = TruncationPolicy(3, 6, 4)
+    tight = TruncationPolicy(2, 3, 2)
+    for _ in range(10):
+        a, b = rich_series(rng, roomy), rich_series(rng, roomy)
+        cut = a.to_policy(tight)
+        assert len(cut) < len(a)
+        assert all(tight.admits(m) for m, _ in cut.items())
+        assert {m: c for m, c in cut.items()} == {
+            m: c for m, c in a.items() if tight.admits(m)
+        }
+        assert (a * b).to_policy(tight) == cut * b.to_policy(tight)
