@@ -3,13 +3,14 @@
 Everything in this package is built on truncated power series in the moment
 variables t0, t1, tbar1, t2, tbar2, ... with exact rational coefficients.
 This script walks through the ring operations: products, exponentials,
-derivatives, numeric evaluation and the two serialization formats.
+derivatives, numeric evaluation and the JSON serialization format.
 """
 
+import json
 from fractions import Fraction
 
 from taumap import MomentVector, TruncatedSeries, TruncationPolicy
-from taumap.series import series_to_json_terms, series_to_text
+from taumap.series import series_to_json_terms
 
 policy = TruncationPolicy(n_max=2, deg_max=4, t0_max=4)
 print(f"policy: {policy}\n")
@@ -35,6 +36,5 @@ pair = t1 * t1b
 point = MomentVector(t0=1.0, t=(0.1 + 0.2j, 0.0))
 print("t1 tbar1 at t1 = 0.1+0.2i  ->", pair.evaluate(point), "(= |t1|^2)")
 
-print("\ntext form of (t1 + tbar2)^2:")
-print(series_to_text(s * s))
-print("JSON terms:", series_to_json_terms(s * s))
+print("\nJSON terms of (t1 + tbar2)^2 (integers only, bit-exact round trip):")
+print(json.dumps(series_to_json_terms(s * s)))

@@ -18,12 +18,9 @@ the dispersionless 2D Toda constraints:
 """
 
 from .coefficients import (
-    DEFAULT_WEIGHT_RULE,
     MemoCache,
     NKey,
     SLMatrix,
-    WEIGHT_RULE_LINEAR,
-    WEIGHT_RULE_MULTINOMIAL,
     bounded_compositions_count,
     n1_coefficient,
     n2_coefficient,
@@ -40,6 +37,7 @@ from .confmap import (
 from .moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
 from .potential import (
     BuildReport,
+    CheckResult,
     build_potential,
     cauchy_data_check,
     default_policy,

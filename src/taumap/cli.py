@@ -28,11 +28,9 @@ import io
 import json
 import random
 import sys
-from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .coefficients import (
-    DEFAULT_WEIGHT_RULE,
     MemoCache,
     NKey,
     bounded_compositions_count,
@@ -48,6 +46,7 @@ from .moments import (
     v_moments_from_curve,
 )
 from .potential import (
+    CheckResult,
     build_potential,
     cauchy_data_check,
     default_policy,
@@ -56,7 +55,6 @@ from .potential import (
 )
 from .series import series_to_json_terms
 from .verify import (
-    convergence_gate,
     factorial_pattern_check,
     roundtrip,
     toda_residual_a,
@@ -165,9 +163,7 @@ def _cmd_coeffs(args) -> int:
                 deg = sum(m for _, m in unbarred) + sum(m for _, m in barred)
                 if deg > args.degmax:
                     continue
-                value = n2_coefficient(
-                    NKey(unbarred, barred, weight), DEFAULT_WEIGHT_RULE, cache
-                )
+                value = n2_coefficient(NKey(unbarred, barred, weight), cache)
                 rows.append((weight, unbarred, barred, value))
 
     def pairs(side) -> str:
@@ -276,60 +272,16 @@ def _cmd_verify(args) -> int:
     cache = MemoCache()
     potential, build = build_potential(policy, cache=cache)
 
-    checks: dict[str, dict] = {}
-
-    cauchy = cauchy_data_check(potential, policy.n_max)
-    checks["cauchy_data"] = {
-        "pass": cauchy.ok,
-        "checked": cauchy.checked,
-        "violations": cauchy.violations,
-    }
-
+    checks = [cauchy_data_check(potential, policy.n_max)]
     if policy.n_max >= 2:
-        ell = ellipse_oracle_check(potential)
-        checks["ellipse_closed_form"] = {
-            "pass": ell.ok,
-            "checked": ell.checked,
-            "violations": ell.mismatches,
-        }
-
-    pattern = factorial_pattern_check(min(6, policy.n_max + 2), cache=cache)
-    checks["factorial_pattern"] = {
-        "pass": pattern.ok,
-        "checked": pattern.checked,
-        "violations": pattern.violations,
-    }
-
-    res_a = toda_residual_a(potential, order)
-    res_c = toda_residual_c(potential, order)
-    res_b = toda_residual_b(potential)
-    checks["residual_a"] = {
-        "pass": res_a.ok,
-        "violations": res_a.cone_violations,
-        "max_abs_out_of_cone": res_a.max_abs_out_of_cone,
-    }
-    checks["residual_c"] = {
-        "pass": res_c.ok,
-        "violations": res_c.cone_violations,
-        "max_abs_out_of_cone": res_c.max_abs_out_of_cone,
-    }
-    checks["residual_b_symmetry"] = {"pass": res_b.ok, "violations": res_b.mismatches}
-
-    # sampled bound check of the composition count: P <= C(i-1, m-1)
-    rng = random.Random(args.seed)
-    bad = []
-    for _ in range(200):
-        m = rng.randint(1, 5)
-        s = tuple(rng.randint(1, 8) for _ in range(m))
-        i = rng.randint(1, max(1, sum(s) - 1))
-        j = sum(s) - i
-        if j < 1:
-            continue
-        count = bounded_compositions_count(i, s, cache)
-        limit = min(_comb(i - 1, m - 1), _comb(j - 1, m - 1))
-        if count > limit:
-            bad.append(f"P({i},{s}) = {count} > {limit}")
-    checks["composition_count_bound"] = {"pass": not bad, "violations": bad}
+        checks.append(ellipse_oracle_check(potential))
+    checks += [
+        factorial_pattern_check(min(6, policy.n_max + 2), cache=cache),
+        toda_residual_a(potential, order),
+        toda_residual_c(potential, order),
+        toda_residual_b(potential),
+        _composition_count_bound(args.seed, cache),
+    ]
 
     if args.in_path:
         curve = curve_from_json(_read_json(args.in_path))
@@ -337,22 +289,34 @@ def _cmd_verify(args) -> int:
             args.order_j if args.order_j is not None else policy.n_max + policy.deg_max
         )
         rt = roundtrip(curve, policy, order_j, 1.25, cache=cache)
-        checks["roundtrip"] = {
-            "pass": rt.sup_error <= args.roundtrip_tol,
-            "sup_error": rt.sup_error,
-            "tolerance": args.roundtrip_tol,
-            "gate_admissible": rt.gate.admissible,
-            "warnings": rt.warnings,
-        }
-        gate = convergence_gate(rt.moments, policy.n_max)
-        checks["convergence_gate"] = {
-            "pass": True,
-            "admissible": gate.admissible,
-            "bound": gate.bound,
-            "offending": gate.offending,
-        }
+        within = rt.sup_error <= args.roundtrip_tol
+        checks.append(
+            CheckResult(
+                "roundtrip",
+                1,
+                [] if within else [f"sup error {rt.sup_error} > {args.roundtrip_tol}"],
+                {
+                    "sup_error": rt.sup_error,
+                    "tolerance": args.roundtrip_tol,
+                    "gate_admissible": rt.gate.admissible,
+                    "warnings": rt.warnings,
+                },
+            )
+        )
+        # reported, not judged: the gate is a sufficient condition only
+        checks.append(
+            CheckResult(
+                "convergence_gate",
+                0,
+                metrics={
+                    "admissible": rt.gate.admissible,
+                    "bound": rt.gate.bound,
+                    "offending": rt.gate.offending,
+                },
+            )
+        )
 
-    ok = all(entry["pass"] for entry in checks.values())
+    ok = all(check.ok for check in checks)
     report = {
         "policy": {
             "n_max": policy.n_max,
@@ -364,20 +328,33 @@ def _cmd_verify(args) -> int:
             "keys_evaluated": build.keys_evaluated,
             "nonzero_terms": build.nonzero_terms,
         },
-        "checks": checks,
+        "checks": {check.name: check.to_json() for check in checks},
         "pass": ok,
     }
     _write_text(args.out, _dump_json(report))
-    for name in sorted(checks):
-        status = "PASS" if checks[name]["pass"] else "FAIL"
-        print(f"{status} {name}", file=sys.stderr)
+    for check in sorted(checks, key=lambda c: c.name):
+        print(f"{'PASS' if check.ok else 'FAIL'} {check.name}", file=sys.stderr)
     return 0 if ok else 1
 
 
-def _comb(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
+def _composition_count_bound(seed: int, cache: MemoCache) -> CheckResult:
+    """Sampled bound on the composition count: ``P <= C(i-1, m-1)``."""
+    rng = random.Random(seed)
+    bad = []
+    checked = 0
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        s = tuple(rng.randint(1, 8) for _ in range(m))
+        i = rng.randint(1, max(1, sum(s) - 1))
+        j = sum(s) - i
+        if j < 1:
+            continue
+        checked += 1
+        count = bounded_compositions_count(i, s, cache)
+        limit = min(comb(i - 1, m - 1), comb(j - 1, m - 1))
+        if count > limit:
+            bad.append(f"P({i},{s}) = {count} > {limit}")
+    return CheckResult("composition_count_bound", checked, bad)
 
 
 def _cmd_ellipse(args) -> int:
@@ -387,12 +364,7 @@ def _cmd_ellipse(args) -> int:
     policy = default_policy(args.nmax, args.degmax, args.t0max)
     potential, _ = build_potential(policy)
     report = ellipse_oracle_check(potential)
-    payload = {
-        "pass": report.ok,
-        "checked": report.checked,
-        "mismatches": report.mismatches,
-    }
-    _write_text(args.out, _dump_json(payload))
+    _write_text(args.out, _dump_json(report.to_json()))
     return 0 if report.ok else 1
 
 

@@ -32,24 +32,22 @@ Two choices keep the recursion cheap while its values stay exact:
   ``t2`` functions divide a kernel value by its ``D``.
 
 All public values are exact ``Fraction``s (``s`` and the composition count
-are ``int``s).  Every family is memoized in a :class:`MemoCache`: ``p``
-holds counts, ``t1`` and ``t2`` the scaled kernel values, ``s`` the
-placement groups and ``n1`` the final coefficients.  Computation of a key is
-deterministic and idempotent, so concurrent get-or-compute races are
+are ``int``s).  Every family is memoized in a :class:`MemoCache` that the
+caller creates and passes; a call without one gets a fresh cache of its
+own, so no table outlives the call that filled it unless the caller keeps
+it.  ``p`` holds counts, ``t1`` and ``t2`` the scaled kernel values, ``s``
+the placement groups and ``n1`` the final coefficients.  Computation of a
+key is deterministic and idempotent, so concurrent get-or-compute races are
 harmless (CPython dict updates are atomic and both writers store the same
 value).
 
-Two variants of the window weight in the ``t2`` contraction are provided,
-selected by the ``weight_rule`` argument:
-
-* ``"linear"``    -- weight ``l`` (the window surplus itself);
-* ``"multinomial"`` -- weight ``l! / prod((l_r - 1)!)`` over the window.
-
-Both weights are integers, so both run through the same integer kernels.
-The variants agree whenever the contracted index list has length <= 3; they
-first differ at length 4.  The package default is arbitrated by the ellipse
-closed form (see ``potential.ellipse_oracle_check``) and by the bar-exchange
-symmetry of the final coefficients.
+The window weight of the ``t2`` contraction is the window surplus
+``sum (l_r - 1)`` (:func:`_window_weight`).  The multinomial alternative
+``l! / prod((l_r - 1)!)`` agrees with it on index lists of length <= 3 and
+first differs at length 4, where it breaks the ellipse closed form, the
+bar-exchange symmetry and the mixed hierarchy residual; the test suite
+keeps it only as an injected negative control
+(``tests/test_verify.py::test_residuals_arbitrate_window_weight_at_degree_six``).
 """
 
 from __future__ import annotations
@@ -63,10 +61,6 @@ __all__ = [
     "SLMatrix",
     "NKey",
     "MemoCache",
-    "DEFAULT_CACHE",
-    "WEIGHT_RULE_LINEAR",
-    "WEIGHT_RULE_MULTINOMIAL",
-    "DEFAULT_WEIGHT_RULE",
     "bounded_compositions_count",
     "t1_coefficient",
     "t2_coefficient",
@@ -76,15 +70,6 @@ __all__ = [
     "compositions",
     "bounded_partitions",
 ]
-
-WEIGHT_RULE_LINEAR = "linear"
-WEIGHT_RULE_MULTINOMIAL = "multinomial"
-# Arbitrated default: the linear window weight reproduces the ellipse closed
-# form at factor degree 7 (index-list length 4, where the variants first
-# differ) and preserves bar-exchange symmetry; the multinomial variant flips
-# the sign of such coefficients and breaks the symmetry.
-DEFAULT_WEIGHT_RULE = WEIGHT_RULE_LINEAR
-
 
 @dataclass(frozen=True)
 class SLMatrix:
@@ -188,9 +173,6 @@ class MemoCache:
         }
 
 
-DEFAULT_CACHE = MemoCache()
-
-
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of ``parts`` positive integers summing to ``total``."""
     if parts < 1 or total < parts:
@@ -227,13 +209,15 @@ def bounded_partitions(
 
 
 def bounded_compositions_count(
-    i: int, s: tuple[int, ...], cache: MemoCache = DEFAULT_CACHE
+    i: int, s: tuple[int, ...], cache: MemoCache | None = None
 ) -> int:
     """Number of tuples ``(i_1..i_m)`` with ``sum i_r = i``, ``1 <= i_r <= s_r - 1``.
 
     Replacing each ``i_r`` by ``s_r - i_r`` shows the count is the same for
     ``i`` and for its complement ``sum(s) - i``.
     """
+    if cache is None:
+        cache = MemoCache()
     s = tuple(s)
     key = (i, s)
     hit = cache.p.get(key)
@@ -302,7 +286,7 @@ def _t1_scaled(i: int, s: tuple[int, ...], cache: MemoCache) -> int:
 
 
 def t1_coefficient(
-    i: int, j: int, s: tuple[int, ...], cache: MemoCache = DEFAULT_CACHE
+    i: int, j: int, s: tuple[int, ...], cache: MemoCache | None = None
 ) -> Fraction:
     """Average of bounded composition counts over consecutive groupings.
 
@@ -312,26 +296,19 @@ def t1_coefficient(
     enter the computation.
     """
     s = tuple(s)
-    return Fraction(_t1_scaled(i, s, cache), _denominators(len(s))[-1])
+    scaled = _t1_scaled(i, s, MemoCache() if cache is None else cache)
+    return Fraction(scaled, _denominators(len(s))[-1])
 
 
-def _window_weight(l_window: tuple[int, ...], rule: str) -> int:
-    surplus = sum(x - 1 for x in l_window)
-    if rule == WEIGHT_RULE_LINEAR:
-        return surplus
-    if rule == WEIGHT_RULE_MULTINOMIAL:
-        w = factorial(surplus)
-        for x in l_window:
-            w //= factorial(x - 1)
-        return w
-    raise ValueError(f"unknown weight rule {rule!r}")
+def _window_weight(l_window: tuple[int, ...]) -> int:
+    """Weight of a contracted window: its surplus ``sum (l_r - 1)``."""
+    return sum(x - 1 for x in l_window)
 
 
 def _t2_scaled(
     i_list: tuple[int, ...],
     s: tuple[int, ...],
     l: tuple[int, ...],
-    weight_rule: str,
     cache: MemoCache,
 ) -> int:
     """``t2(i_list, (s, l)) * D_m^(len(i_list) - 1)`` as an exact integer.
@@ -340,7 +317,7 @@ def _t2_scaled(
     tail of width ``m' = m - w + 1`` scaled by ``D_m'^(len(i_list) - 2)``;
     both are lifted to ``D_m`` by exact integer factors.
     """
-    key = (i_list, s, l, weight_rule)
+    key = (i_list, s, l)
     hit = cache.t2.get(key)
     if hit is not None:
         return hit
@@ -363,7 +340,7 @@ def _t2_scaled(
                 s_new = s_acc - last
                 if s_new < 1 or l_acc < 1:
                     continue
-                weight = _window_weight(l[a : b + 1], weight_rule)
+                weight = _window_weight(l[a : b + 1])
                 if not weight:
                     continue
                 inner = _t1_scaled(s_new, s[a : b + 1], cache)
@@ -373,7 +350,6 @@ def _t2_scaled(
                     head,
                     s[:a] + (s_new,) + s[b + 1 :],
                     l[:a] + (l_acc,) + l[b + 1 :],
-                    weight_rule,
                     cache,
                 )
                 if tail:
@@ -387,8 +363,7 @@ def _t2_scaled(
 def t2_coefficient(
     i_list: tuple[int, ...],
     sl: SLMatrix,
-    weight_rule: str = DEFAULT_WEIGHT_RULE,
-    cache: MemoCache = DEFAULT_CACHE,
+    cache: MemoCache | None = None,
 ) -> Fraction:
     """Window-contraction recursion over ``(s, l)`` columns.
 
@@ -401,7 +376,7 @@ def t2_coefficient(
     i_list = tuple(i_list)
     if len(i_list) < 2:
         raise ValueError("need at least two indices")
-    scaled = _t2_scaled(i_list, sl.s, sl.l, weight_rule, cache)
+    scaled = _t2_scaled(i_list, sl.s, sl.l, MemoCache() if cache is None else cache)
     return Fraction(scaled, _denominators(sl.width)[-1] ** (len(i_list) - 1))
 
 
@@ -458,7 +433,7 @@ def _placement_weight(entries, s: tuple[int, ...], l: tuple[int, ...]) -> int:
 
 
 def s_coefficient(
-    barred: tuple[int, ...], sl: SLMatrix, cache: MemoCache = DEFAULT_CACHE
+    barred: tuple[int, ...], sl: SLMatrix, cache: MemoCache | None = None
 ) -> int:
     """Ordered-set-partition sum over the barred index positions.
 
@@ -468,7 +443,9 @@ def s_coefficient(
     size), with weight ``prod (s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)``.
     Repeated values are distinguishable, so the result is an integer.
     """
-    groups = _placements(tuple(sorted(barred)), sl.width, cache)
+    groups = _placements(
+        tuple(sorted(barred)), sl.width, MemoCache() if cache is None else cache
+    )
     return _placement_weight(groups.get(sl.s, ()), sl.s, sl.l)
 
 
@@ -476,8 +453,7 @@ def n1_coefficient(
     i: int,
     unbarred: tuple[int, ...],
     barred: tuple[int, ...],
-    weight_rule: str = DEFAULT_WEIGHT_RULE,
-    cache: MemoCache = DEFAULT_CACHE,
+    cache: MemoCache | None = None,
 ) -> Fraction:
     """Coefficient for expanded index lists.
 
@@ -489,7 +465,9 @@ def n1_coefficient(
     barred = tuple(sorted(barred))
     if sum(unbarred) != i or sum(barred) != i:
         return Fraction(0)
-    key = (unbarred, barred, weight_rule)
+    if cache is None:
+        cache = MemoCache()
+    key = (unbarred, barred)
     hit = cache.n1.get(key)
     if hit is not None:
         return hit
@@ -512,7 +490,7 @@ def n1_coefficient(
                     s_val = _placement_weight(entries, s_comp, l_comp)
                     if not s_val:
                         continue
-                    t_val = _t2_scaled(unbarred, s_comp, l_comp, weight_rule, cache)
+                    t_val = _t2_scaled(unbarred, s_comp, l_comp, cache)
                     if t_val:
                         scaled += s_val * t_val
             if scaled:
@@ -522,11 +500,7 @@ def n1_coefficient(
     return value
 
 
-def n2_coefficient(
-    key: NKey,
-    weight_rule: str = DEFAULT_WEIGHT_RULE,
-    cache: MemoCache = DEFAULT_CACHE,
-) -> Fraction:
+def n2_coefficient(key: NKey, cache: MemoCache | None = None) -> Fraction:
     """Coefficient for a canonical multiplicity key.
 
     Expands multiplicities into flat index lists and delegates to
@@ -535,5 +509,5 @@ def n2_coefficient(
     if key.i != sum(idx * m for idx, m in key.barred):
         return Fraction(0)
     return n1_coefficient(
-        key.i, key.expanded_unbarred(), key.expanded_barred(), weight_rule, cache
+        key.i, key.expanded_unbarred(), key.expanded_barred(), cache
     )

@@ -23,7 +23,6 @@ that sector those ``B_k`` are taken as zero, with a warning.
 
 from __future__ import annotations
 
-import cmath
 import warnings
 from dataclasses import dataclass
 from math import exp, isfinite, log, sqrt
@@ -182,11 +181,3 @@ def evaluate_map(w: ExteriorMapSeries, z: complex) -> complex:
         acc = acc * zinv + coeff
     return w.p * z + acc
 
-
-def conformal_radius_residual(
-    potential: PotentialSeries, moments: MomentVector, w: ExteriorMapSeries
-) -> float:
-    """|p * t0^(1/2) * exp(A/2) - 1| for the normalization cross-check."""
-    m = moments.padded(potential.regular.policy.n_max)
-    a_val = potential.regular.diff_t0().diff_t0().evaluate(m)
-    return abs(w.p * sqrt(m.t0) * cmath.exp(a_val / 2) - 1.0)

@@ -21,37 +21,57 @@ functions ``B_k = d0 d_k F`` for ``k > n_max`` at a moment vector cut at
 This module also carries the two strong self-checks used as acceptance
 oracles: the restriction of mixed derivatives to the ``t0`` line (Cauchy
 data) and the closed-form potential of the ellipse family (all indices
-<= 2), both as exact rational comparisons.
+<= 2), both as exact rational comparisons.  Every check of the package,
+here and in :mod:`taumap.verify`, reports one :class:`CheckResult`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .coefficients import (
-    DEFAULT_CACHE,
-    DEFAULT_WEIGHT_RULE,
-    MemoCache,
-    NKey,
-    bounded_partitions,
-    n2_coefficient,
-)
+from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 
 __all__ = [
+    "CheckResult",
     "BuildReport",
     "build_potential",
     "default_policy",
     "one_point_sector",
     "cauchy_data_check",
-    "CauchyReport",
     "ellipse_oracle_check",
-    "EllipseReport",
     "ellipse_regular_series",
 ]
+
+
+@dataclass
+class CheckResult:
+    """Outcome of one self-check: it passes iff it found no violations.
+
+    ``checked`` counts the items the check judged; ``metrics`` holds the
+    numbers it reports but does not judge.
+    """
+
+    name: str
+    checked: int
+    violations: list[str] = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def to_json(self) -> dict:
+        """``{"pass", "checked", "violations"}`` with the metrics alongside."""
+        return {
+            "pass": self.ok,
+            "checked": self.checked,
+            "violations": self.violations,
+            **self.metrics,
+        }
 
 
 @dataclass(frozen=True)
@@ -98,27 +118,27 @@ def _evaluate_key(
     terms: dict[Monomial, Fraction],
     key: NKey,
     t0_power: int,
-    weight_rule: str,
     cache: MemoCache,
 ) -> None:
     """Store the potential coefficient of ``key``, if nonzero, in ``terms``."""
-    coeff = n2_coefficient(key, weight_rule, cache)
+    coeff = n2_coefficient(key, cache)
     if coeff:
         coeff *= _side_prefactor(key.unbarred) * _side_prefactor(key.barred)
         terms[_monomial_for(key, t0_power)] = coeff
 
 
 def build_potential(
-    policy: TruncationPolicy,
-    weight_rule: str = DEFAULT_WEIGHT_RULE,
-    cache: MemoCache = DEFAULT_CACHE,
+    policy: TruncationPolicy, cache: MemoCache | None = None
 ) -> tuple[PotentialSeries, BuildReport]:
     """Sum the coefficient recursion over every admissible key.
 
     Keys are enumerated by weight ascending; each side of a key is a bounded
     partition of the weight (indices <= ``n_max``) and the two sides share
     at most ``deg_max`` factors in total, with one factor minimum each.
+    Without a ``cache`` the build fills a fresh one.
     """
+    if cache is None:
+        cache = MemoCache()
     start = time.perf_counter()
     terms: dict[Monomial, Fraction] = {}
     keys_evaluated = 0
@@ -137,9 +157,7 @@ def build_potential(
                 if t0_power < 0 or t0_power > policy.t0_max:
                     continue
                 keys_evaluated += 1
-                _evaluate_key(
-                    terms, NKey(unbarred, barred, weight), t0_power, weight_rule, cache
-                )
+                _evaluate_key(terms, NKey(unbarred, barred, weight), t0_power, cache)
     regular = TruncatedSeries(policy, terms)
     report = BuildReport(
         policy=policy,
@@ -159,8 +177,7 @@ def build_potential(
 def one_point_sector(
     policy: TruncationPolicy,
     k_max: int,
-    weight_rule: str = DEFAULT_WEIGHT_RULE,
-    cache: MemoCache = DEFAULT_CACHE,
+    cache: MemoCache | None = None,
 ) -> TruncatedSeries:
     """Potential terms linear in one ``t_k`` with ``policy.n_max < k <= k_max``.
 
@@ -172,6 +189,8 @@ def one_point_sector(
     this shape, with the same coefficients.  The result lives under that
     wider policy.
     """
+    if cache is None:
+        cache = MemoCache()
     n_max, deg_max = policy.n_max, policy.deg_max
     terms: dict[Monomial, Fraction] = {}
     max_side = deg_max - 1
@@ -191,7 +210,7 @@ def one_point_sector(
                     if t0_power < 0 or t0_power > policy.t0_max:
                         continue
                     key = NKey(unbarred, barred, weight)
-                    _evaluate_key(terms, key, t0_power, weight_rule, cache)
+                    _evaluate_key(terms, key, t0_power, cache)
     wide = TruncationPolicy(max(n_max, k_max), deg_max, policy.t0_max)
     return TruncatedSeries(wide, terms)
 
@@ -199,18 +218,7 @@ def one_point_sector(
 # -- Cauchy data oracle ------------------------------------------------------
 
 
-@dataclass
-class CauchyReport:
-    i_max: int
-    checked: int
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def cauchy_data_check(potential: PotentialSeries, i_max: int) -> CauchyReport:
+def cauchy_data_check(potential: PotentialSeries, i_max: int) -> CheckResult:
     """Compare mixed derivatives on the ``t0`` line with their closed forms.
 
     Three layers, all exact:
@@ -261,7 +269,7 @@ def cauchy_data_check(potential: PotentialSeries, i_max: int) -> CauchyReport:
             if policy.admits(mirror):
                 expect(mirror, target, "one barred index")
 
-    return CauchyReport(i_max=i_max, checked=checked, violations=violations)
+    return CheckResult("cauchy_data", checked, violations)
 
 
 # -- ellipse oracle ----------------------------------------------------------
@@ -303,18 +311,7 @@ def ellipse_regular_series(policy: TruncationPolicy) -> TruncatedSeries:
     return t0 * t0 * log_inv * Fraction(1, 2) + t0 * quad * geom
 
 
-@dataclass
-class EllipseReport:
-    policy: TruncationPolicy
-    checked: int
-    mismatches: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def ellipse_oracle_check(potential: PotentialSeries) -> EllipseReport:
+def ellipse_oracle_check(potential: PotentialSeries) -> CheckResult:
     """Exact comparison of the built potential against the ellipse family.
 
     Every coefficient of the built regular part whose monomial uses only
@@ -328,13 +325,11 @@ def ellipse_oracle_check(potential: PotentialSeries) -> EllipseReport:
     expected = ellipse_regular_series(policy)
     low = reg.filter(lambda m: all(k <= 2 for k, _, _ in m.factors))
 
-    mismatches = []
-    seen = 0
+    violations = []
     keys = set(dict(expected.items())) | set(dict(low.items()))
     for mono in sorted(keys, key=lambda m: m.sort_key()):
-        seen += 1
         a = low.coefficient(mono)
         b = expected.coefficient(mono)
         if a != b:
-            mismatches.append(f"{mono}: built {a}, closed form {b}")
-    return EllipseReport(policy=policy, checked=seen, mismatches=mismatches)
+            violations.append(f"{mono}: built {a}, closed form {b}")
+    return CheckResult("ellipse_closed_form", len(keys), violations)

@@ -43,7 +43,6 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -55,8 +54,6 @@ __all__ = [
     "TruncatedSeries",
     "PotentialSeries",
     "PolicyMismatchError",
-    "series_to_text",
-    "series_from_text",
     "series_to_json_terms",
     "series_from_json_terms",
 ]
@@ -480,51 +477,6 @@ class PotentialSeries:
 
 
 # -- serialization ---------------------------------------------------------
-
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>-?\d+(?:/\d+)?)"
-    r"(?P<rest>(?:\s*\*\s*(?:t0|t\d+|tbar\d+)\^\d+)*)\s*$"
-)
-_FACTOR_RE = re.compile(r"(t0|t(?P<k>\d+)|tbar(?P<kb>\d+))\^(?P<e>\d+)")
-
-
-def series_to_text(s: TruncatedSeries) -> str:
-    """Line-oriented text form ``coeff * t0^a * t{k}^e * tbar{k}^e``."""
-    lines = []
-    for m, c in s.sorted_items():
-        parts = [str(c)]
-        if m.t0_power:
-            parts.append(f"t0^{m.t0_power}")
-        for k, barred, e in m.factors:
-            parts.append(f"{'tbar' if barred else 't'}{k}^{e}")
-        lines.append(" * ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def series_from_text(text: str, policy: TruncationPolicy) -> TruncatedSeries:
-    terms: dict[Monomial, Fraction] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        match = _TERM_RE.match(line)
-        if not match:
-            raise ValueError(f"unparseable series line: {line!r}")
-        coeff = Fraction(match.group("coeff"))
-        t0_power = 0
-        factors = []
-        for fm in _FACTOR_RE.finditer(match.group("rest")):
-            e = int(fm.group("e"))
-            if fm.group(1) == "t0":
-                t0_power += e
-            elif fm.group("k") is not None:
-                factors.append((int(fm.group("k")), False, e))
-            else:
-                factors.append((int(fm.group("kb")), True, e))
-        factors.sort(key=lambda f: (f[1], f[0]))
-        mono = Monomial(t0_power, tuple(factors))
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
-    return TruncatedSeries(policy, terms)
-
 
 def series_to_json_terms(s: TruncatedSeries) -> list[dict]:
     """JSON form: array of ``{t0, factors, num, den}`` objects.

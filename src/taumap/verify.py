@@ -17,11 +17,14 @@ Three layers:
 
 Residuals are only *gated* inside the reliable truncation cone: a residual
 monomial at bidegree ``(a, b)`` with factor degree ``d`` is unaffected by
-series truncation iff ``a + b + d <= deg_max``, because every contribution
-to it comes from potential monomials of factor degree at most
-``d + 2 <= deg_max`` and of index at most ``a + b + d - 1``.  Inside the
-cone residuals must vanish identically in rational arithmetic; outside they
-are reported but not judged.
+series truncation iff ``a + b + d <= min(deg_max, n_max + 1)``, because
+every contribution to it comes from potential monomials of factor degree at
+most ``d + 2 <= deg_max`` and of index at most ``a + b + d - 1 <= n_max``.
+Inside the cone residuals must vanish identically in rational arithmetic;
+outside they are reported (``max_abs_out_of_cone``) but not judged.
+
+Every check returns a :class:`taumap.potential.CheckResult`, re-exported
+here.
 """
 
 from __future__ import annotations
@@ -33,27 +36,19 @@ from math import factorial
 
 import numpy as np
 
-from .coefficients import (
-    DEFAULT_CACHE,
-    DEFAULT_WEIGHT_RULE,
-    MemoCache,
-    NKey,
-    bounded_partitions,
-    n2_coefficient,
-)
+from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from .confmap import ExteriorMapSeries, MomentVector, map_from_potential
 from .moments import BoundaryCurve, moments_from_curve
-from .potential import BuildReport, build_potential, one_point_sector
+from .potential import BuildReport, CheckResult, build_potential, one_point_sector
 from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 
 __all__ = [
-    "ResidualReport",
+    "CheckResult",
     "toda_residual_a",
     "toda_residual_b",
     "toda_residual_c",
     "bar_swap",
     "factorial_pattern_check",
-    "FactorialPatternReport",
     "ConvergenceVerdict",
     "convergence_gate",
     "degree_term_sums",
@@ -147,44 +142,34 @@ class _Bivariate:
             result = result + term
 
 
-# -- residual reports ---------------------------------------------------------
+# -- residual checks ----------------------------------------------------------
 
 
-@dataclass
-class ResidualReport:
-    constraint_id: str
-    orders: tuple[int, int]
-    deg_max: int
-    cone_violations: list[str]
-    max_abs_out_of_cone: float
-    bidegrees_checked: int
+def _split_cone(residual: _Bivariate, name: str) -> CheckResult:
+    """Judge the residual inside the truncation cone, measure it outside.
 
-    @property
-    def ok(self) -> bool:
-        return not self.cone_violations
-
-
-def _split_cone(
-    residual: _Bivariate, deg_max: int, constraint_id: str
-) -> ResidualReport:
+    ``checked`` counts the in-cone cells ``(a, b, d)``: bidegree within the
+    residual's orders and ``a + b + d`` at most the cone bound.
+    """
+    cone = min(residual.policy.deg_max, residual.policy.n_max + 1)
+    amax, bmax = residual.orders
     violations: list[str] = []
     out_max = 0.0
     for (a, b), series in sorted(residual.c.items()):
         for mono, coeff in series.items():
-            if a + b + mono.degree <= deg_max:
+            if a + b + mono.degree <= cone:
                 violations.append(
                     f"bidegree ({a},{b}) term {mono}: residual {coeff}"
                 )
             else:
                 out_max = max(out_max, abs(float(coeff)))
-    return ResidualReport(
-        constraint_id=constraint_id,
-        orders=residual.orders,
-        deg_max=deg_max,
-        cone_violations=violations,
-        max_abs_out_of_cone=out_max,
-        bidegrees_checked=(residual.orders[0] + 1) * (residual.orders[1] + 1),
+    cells = sum(
+        cone - a - b + 1
+        for a in range(amax + 1)
+        for b in range(bmax + 1)
+        if a + b <= cone
     )
+    return CheckResult(name, cells, violations, {"max_abs_out_of_cone": out_max})
 
 
 def _relaxed(series: TruncatedSeries) -> TruncatedSeries:
@@ -195,7 +180,14 @@ def _relaxed(series: TruncatedSeries) -> TruncatedSeries:
     )
 
 
-def toda_residual_a(potential: PotentialSeries, order: int) -> ResidualReport:
+def _check_order(order: int, policy: TruncationPolicy) -> None:
+    if order < 0:
+        raise ValueError(f"residual order must be >= 0, got {order}")
+    if order > policy.n_max:
+        raise ValueError("order exceeds the potential's index bound")
+
+
+def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
     """Residual of the unbarred pair constraint.
 
     In the tail variables ``u = 1/z`` and ``v = 1/xi`` the constraint reads
@@ -208,8 +200,7 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> ResidualReport:
     """
     reg = _relaxed(potential.regular)
     policy = reg.policy
-    if order > policy.n_max:
-        raise ValueError("order exceeds the potential's index bound")
+    _check_order(order, policy)
     amax = order + 1
     orders = (amax, amax)
 
@@ -234,10 +225,10 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> ResidualReport:
     e3 = one_sided(1)
 
     residual = e1.shifted(0, 1) - e1.shifted(1, 0) - e2.shifted(0, 1) + e3.shifted(1, 0)
-    return _split_cone(residual, policy.deg_max, "a")
+    return _split_cone(residual, "residual_a")
 
 
-def toda_residual_c(potential: PotentialSeries, order: int) -> ResidualReport:
+def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     """Residual of the mixed constraint.
 
     With ``u = 1/z`` and ``v = 1/conj(xi)``:
@@ -251,8 +242,7 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> ResidualReport:
     """
     reg = _relaxed(potential.regular)
     policy = reg.policy
-    if order > policy.n_max:
-        raise ValueError("order exceeds the potential's index bound")
+    _check_order(order, policy)
     amax = order + 1
     orders = (amax, amax)
 
@@ -276,7 +266,7 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> ResidualReport:
     rhs.set((1, 1), prefactor)
     rhs = rhs * p_tail.exp() * q_tail.exp()
 
-    return _split_cone(lhs - rhs, policy.deg_max, "c")
+    return _split_cone(lhs - rhs, "residual_c")
 
 
 def bar_swap(series: TruncatedSeries) -> TruncatedSeries:
@@ -290,16 +280,7 @@ def bar_swap(series: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(series.policy, out)
 
 
-@dataclass
-class BarSymmetryReport:
-    mismatches: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def toda_residual_b(potential: PotentialSeries) -> BarSymmetryReport:
+def toda_residual_b(potential: PotentialSeries) -> CheckResult:
     """The barred twin of the pair constraint, via symmetry.
 
     Conjugating every operator in the unbarred constraint turns it into the
@@ -309,52 +290,39 @@ def toda_residual_b(potential: PotentialSeries) -> BarSymmetryReport:
     """
     reg = potential.regular
     swapped = bar_swap(reg)
-    mismatches = []
+    violations = []
     keys = {m for m, _ in reg.items()} | {m for m, _ in swapped.items()}
     for mono in sorted(keys, key=lambda m: m.sort_key()):
         a = reg.coefficient(mono)
         b = swapped.coefficient(mono)
         if a != b:
-            mismatches.append(f"{mono}: {a} vs bar-swapped {b}")
-    return BarSymmetryReport(mismatches=mismatches)
+            violations.append(f"{mono}: {a} vs bar-swapped {b}")
+    return CheckResult("residual_b_symmetry", len(keys), violations)
 
 
 # -- factorial pattern --------------------------------------------------------
 
 
-@dataclass
-class FactorialPatternReport:
-    i_max: int
-    checked: int
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def factorial_pattern_check(
-    i_max: int,
-    weight_rule: str = DEFAULT_WEIGHT_RULE,
-    cache: MemoCache = DEFAULT_CACHE,
-) -> FactorialPatternReport:
+def factorial_pattern_check(i_max: int, cache: MemoCache | None = None) -> CheckResult:
     """Coefficients against the barred side ``(1, 1, ..., 1)``.
 
     For every unbarred shape of weight ``i <= i_max`` the coefficient with
     barred side ``1^i`` is ``(i-1)!`` when the shape is the single index
     ``i`` and zero otherwise.
     """
+    if cache is None:
+        cache = MemoCache()
     violations = []
     checked = 0
     for i in range(1, i_max + 1):
         for shape in bounded_partitions(i, i, i):
             checked += 1
             key = NKey(shape, ((1, i),), i)
-            value = n2_coefficient(key, weight_rule, cache)
+            value = n2_coefficient(key, cache)
             expected = Fraction(factorial(i - 1)) if shape == ((i, 1),) else Fraction(0)
             if value != expected:
                 violations.append(f"shape {shape} weight {i}: {value} != {expected}")
-    return FactorialPatternReport(i_max=i_max, checked=checked, violations=violations)
+    return CheckResult("factorial_pattern", checked, violations)
 
 
 # -- convergence gate ---------------------------------------------------------
@@ -436,8 +404,7 @@ def roundtrip(
     policy: TruncationPolicy,
     order: int,
     test_radius: float,
-    weight_rule: str = DEFAULT_WEIGHT_RULE,
-    cache: MemoCache = DEFAULT_CACHE,
+    cache: MemoCache | None = None,
     n_samples: int = 512,
 ) -> RoundtripReport:
     """Domain -> moments -> potential -> map, composed against the curve.
@@ -445,12 +412,14 @@ def roundtrip(
     Reports ``sup |w(z(u)) - u|`` over ``n_samples`` points of the circle
     ``|u| = test_radius``.  The moments are cut at ``policy.n_max``; the
     one-point functions ``B_k`` beyond it, up to ``order + 1``, come from
-    :func:`taumap.potential.one_point_sector` under the same policy, weight
-    rule and cache.  A failing convergence gate is a warning, not an error:
+    :func:`taumap.potential.one_point_sector` under the same policy and
+    cache (a fresh one when none is given).  A failing convergence gate is a warning, not an error:
     the series may well converge beyond the sufficient condition.
     """
     if test_radius <= 1.0:
         raise ValueError("test radius must exceed 1")
+    if cache is None:
+        cache = MemoCache()
     warnings: list[str] = []
     m = moments_from_curve(curve, policy.n_max)
     gate = convergence_gate(m, policy.n_max)
@@ -459,8 +428,8 @@ def roundtrip(
             "moment vector misses the sufficient convergence bound: "
             + "; ".join(gate.offending)
         )
-    potential, build = build_potential(policy, weight_rule, cache)
-    sector = one_point_sector(policy, order + 1, weight_rule, cache)
+    potential, build = build_potential(policy, cache)
+    sector = one_point_sector(policy, order + 1, cache)
     w = map_from_potential(potential, m, order, sector)
 
     theta = 2 * np.pi * np.arange(n_samples) / n_samples

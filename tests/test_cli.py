@@ -139,7 +139,7 @@ def test_verify_with_curve_fixture(tmp_path, capsys):
     curve.write_text(
         json.dumps({"r": 1.0, "a": [[0.0, 0.0], [0.05, 0.0]], "samples": 256})
     )
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         [
             "verify",
             "--nmax",
@@ -155,14 +155,24 @@ def test_verify_with_curve_fixture(tmp_path, capsys):
     )
     assert code == 0
     assert "PASS roundtrip" in err
+    # every check is written in one shape, and reported on stderr
+    checks = json.loads(out)["checks"]
+    for name, entry in checks.items():
+        assert isinstance(entry["pass"], bool), name
+        assert isinstance(entry["checked"], int), name
+        assert entry["violations"] == [], name
+        assert f"PASS {name}" in err
 
 
 def test_map_and_verify_use_their_own_cache(tmp_path, capsys):
-    # the build and the one-point sector share a fresh cache per command, so
-    # the process-wide default cache stays empty
-    from taumap.coefficients import DEFAULT_CACHE
+    # the build and the one-point sector share a fresh cache per command;
+    # there is no module-level cache they could fall back to
+    import taumap.coefficients as coefficients
 
-    DEFAULT_CACHE.clear()
+    assert not any(
+        isinstance(value, coefficients.MemoCache)
+        for value in vars(coefficients).values()
+    )
     a = 0.05
     moments = tmp_path / "m.json"
     moments.write_text(json.dumps({"t0": 1 - a * a, "t": [[0, 0], [a / 2, 0]]}))
@@ -184,16 +194,41 @@ def test_map_and_verify_use_their_own_cache(tmp_path, capsys):
             capsys,
         )
     assert verify_code == 0, err
-    assert all(size == 0 for size in DEFAULT_CACHE.sizes().values())
     # z^-5 coefficient of the inverse of u + a/u, fed by B_6 beyond n_max
     re, im = json.loads(out)["tail"][5]
     assert abs(complex(re, im) - (-2 * a**3)) <= 1e-7
 
 
+def test_verify_passes_where_index_bound_cuts_the_cone(capsys):
+    # n_max + 1 < deg_max: residual terms whose index exceeds n_max lie
+    # outside the cone and are not judged
+    for args in (
+        ["--nmax", "3", "--degmax", "6"],
+        ["--nmax", "1", "--degmax", "5"],
+        ["--nmax", "2", "--degmax", "5", "--order", "2"],
+    ):
+        code, out, err = run_cli(["verify", *args], capsys)
+        assert code == 0, (args, err)
+        report = json.loads(out)
+        assert report["pass"] is True
+        for name in ("residual_a", "residual_c"):
+            assert report["checks"][name]["checked"] > 0, (args, name)
+
+
+def test_verify_rejects_negative_order(capsys):
+    code, out, err = run_cli(["verify", "--nmax", "2", "--order", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "residual order must be >= 0, got -1" in err
+
+
 def test_ellipse_subcommand(capsys):
     code, out, _ = run_cli(["ellipse", "--nmax", "2", "--degmax", "6"], capsys)
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert report["violations"] == []
+    assert report["checked"] > 0
 
 
 def test_ellipse_needs_two_indices(capsys):

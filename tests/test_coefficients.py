@@ -4,17 +4,16 @@ import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, lcm, prod
 
 import pytest
 
+from taumap import coefficients
 from taumap.coefficients import (
-    DEFAULT_WEIGHT_RULE,
     MemoCache,
     NKey,
     SLMatrix,
-    WEIGHT_RULE_LINEAR,
-    WEIGHT_RULE_MULTINOMIAL,
     bounded_compositions_count,
     bounded_partitions,
     compositions,
@@ -91,11 +90,24 @@ def ref_t1(i, s):
     return total
 
 
+# The engine ships the linear window weight only.  The multinomial one is
+# the rejected alternative; tests that run the engine under it inject it.
+WINDOW_WEIGHTS = ["linear", "multinomial"]
+
+
 def ref_window_weight(l_window, rule):
     surplus = sum(x - 1 for x in l_window)
-    if rule == WEIGHT_RULE_LINEAR:
+    if rule == "linear":
         return surplus
     return factorial(surplus) // prod(factorial(x - 1) for x in l_window)
+
+
+def inject_window_weight(monkeypatch, rule):
+    """Make the engine use ``rule``; its caches must be fresh from here on."""
+    if rule != "linear":
+        monkeypatch.setattr(
+            coefficients, "_window_weight", partial(ref_window_weight, rule=rule)
+        )
 
 
 def ref_t2(i_list, s, l, rule, memo):
@@ -272,8 +284,9 @@ def test_t2_three_indices_hand_value():
     assert t2_coefficient((1, 1, 1), SLMatrix((2, 1), (2, 1))) == 1
 
 
-def test_t2_variants_agree_up_to_three_indices():
+def test_t2_variants_agree_up_to_three_indices(monkeypatch):
     rng = random.Random(113)
+    cases = []
     for _ in range(200):
         k = rng.randint(2, 3)
         i_list = tuple(rng.randint(1, 4) for _ in range(k))
@@ -284,10 +297,10 @@ def test_t2_variants_agree_up_to_three_indices():
         if not lcomps:
             continue
         l = rng.choice(lcomps)
-        sl = SLMatrix(s, l)
-        assert t2_coefficient(i_list, sl, WEIGHT_RULE_LINEAR) == t2_coefficient(
-            i_list, sl, WEIGHT_RULE_MULTINOMIAL
-        )
+        cases.append((i_list, SLMatrix(s, l)))
+    linear = [t2_coefficient(i_list, sl) for i_list, sl in cases]
+    inject_window_weight(monkeypatch, "multinomial")
+    assert [t2_coefficient(i_list, sl) for i_list, sl in cases] == linear
 
 
 def test_t2_bound():
@@ -396,22 +409,24 @@ def reference_cases(max_weight=6, max_factors=7):
                     yield w, a, b
 
 
-@pytest.mark.parametrize("rule", [WEIGHT_RULE_LINEAR, WEIGHT_RULE_MULTINOMIAL])
-def test_n1_equals_composition_pair_reference(rule):
+@pytest.mark.parametrize("rule", WINDOW_WEIGHTS)
+def test_n1_equals_composition_pair_reference(rule, monkeypatch):
+    inject_window_weight(monkeypatch, rule)
     cache = MemoCache()
     memo: dict = {}
     checked = 0
     for w, a, b in reference_cases():
-        assert n1_coefficient(w, a, b, rule, cache) == ref_n1(w, a, b, rule, memo), (
+        assert n1_coefficient(w, a, b, cache) == ref_n1(w, a, b, rule, memo), (
             w, a, b,
         )
         checked += 1
     assert checked > 150
 
 
-@pytest.mark.parametrize("rule", [WEIGHT_RULE_LINEAR, WEIGHT_RULE_MULTINOMIAL])
-def test_s_and_t2_equal_references_on_every_column_matrix(rule):
+@pytest.mark.parametrize("rule", WINDOW_WEIGHTS)
+def test_s_and_t2_equal_references_on_every_column_matrix(rule, monkeypatch):
     # every (s, l) the composition-pair loop visits for keys in range
+    inject_window_weight(monkeypatch, rule)
     cache = MemoCache()
     memo: dict = {}
     for w, a, b in reference_cases():
@@ -423,7 +438,7 @@ def test_s_and_t2_equal_references_on_every_column_matrix(rule):
                 for l in compositions(m + k - 2, m):
                     sl = SLMatrix(s, l)
                     assert s_coefficient(b, sl, cache) == ref_s(b, s, l), (b, s, l)
-                    assert t2_coefficient(a, sl, rule, cache) == ref_t2(
+                    assert t2_coefficient(a, sl, cache) == ref_t2(
                         a, s, l, rule, memo
                     ), (a, s, l)
 
@@ -507,16 +522,16 @@ def test_bar_exchange_symmetry_scan():
             ), (w, a, b)
 
 
-def test_weight_rule_arbitration_key():
-    # the first divergent sector: length-4 lists; the linear window weight
-    # matches the closed form and the swapped evaluation, the multinomial
-    # variant does not
-    val_linear = n1_coefficient(6, (1, 1, 2, 2), (2, 2, 2), WEIGHT_RULE_LINEAR)
-    val_multi = n1_coefficient(6, (1, 1, 2, 2), (2, 2, 2), WEIGHT_RULE_MULTINOMIAL)
+def test_weight_rule_arbitration_key(monkeypatch):
+    # the first divergent sector: length-4 lists; the shipped linear window
+    # weight matches the closed form and the swapped evaluation, the
+    # injected multinomial variant does not
+    val_linear = n1_coefficient(6, (1, 1, 2, 2), (2, 2, 2))
     swapped = n1_coefficient(6, (2, 2, 2), (1, 1, 2, 2))
+    inject_window_weight(monkeypatch, "multinomial")
+    val_multi = n1_coefficient(6, (1, 1, 2, 2), (2, 2, 2))
     assert val_linear == swapped == 12
     assert val_multi != val_linear
-    assert DEFAULT_WEIGHT_RULE == WEIGHT_RULE_LINEAR
 
 
 def test_determinism_across_threads_and_caches():

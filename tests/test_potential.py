@@ -131,14 +131,14 @@ def test_cauchy_examples_explicit(potential_44):
 def test_ellipse_oracle_small_policy():
     potential, _ = build_potential(default_policy(2, 4))
     report = ellipse_oracle_check(potential)
-    assert report.ok, report.mismatches[:5]
+    assert report.ok, report.violations[:5]
 
 
 def test_ellipse_oracle_covers_divergent_sector():
     # degree 7 includes the first keys where the window-weight variants differ
     potential, _ = build_potential(default_policy(2, 8))
     report = ellipse_oracle_check(potential)
-    assert report.ok, report.mismatches[:5]
+    assert report.ok, report.violations[:5]
     assert report.checked >= 14
 
 

@@ -11,9 +11,7 @@ from taumap.series import (
     TruncatedSeries,
     TruncationPolicy,
     series_from_json_terms,
-    series_from_text,
     series_to_json_terms,
-    series_to_text,
 )
 from taumap.verify import bar_swap
 
@@ -252,27 +250,12 @@ def test_no_floating_point_in_coefficients():
 # -- serialization ---------------------------------------------------------------
 
 
-def test_text_round_trip_bit_exact():
-    rng = random.Random(23)
-    for _ in range(20):
-        s = random_series(rng)
-        again = series_from_text(series_to_text(s), POLICY)
-        assert again == s
-
-
 def test_json_round_trip_bit_exact():
     rng = random.Random(29)
     for _ in range(20):
         s = random_series(rng)
         again = series_from_json_terms(series_to_json_terms(s), POLICY)
         assert again == s
-
-
-def test_text_form_shape():
-    s = TruncatedSeries(
-        POLICY, {Monomial(2, ((1, False, 1), (2, True, 3))): Fraction(-3, 2)}
-    )
-    assert series_to_text(s).strip() == "-3/2 * t0^2 * t1^1 * tbar2^3"
 
 
 # -- product against the pairwise reference ----------------------------------------

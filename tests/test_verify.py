@@ -1,11 +1,13 @@
 """Hierarchy residuals, coefficient patterns, gate, roundtrip."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from taumap import coefficients
 from taumap.coefficients import MemoCache
 from taumap.confmap import MomentVector, map_from_potential
 from taumap.moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
@@ -23,10 +25,35 @@ from taumap.verify import (
 )
 
 
+def multinomial_window_weight(l_window):
+    """The rejected window weight ``l! / prod((l_r - 1)!)``, ``l`` the surplus."""
+    weight = math.factorial(sum(x - 1 for x in l_window))
+    for x in l_window:
+        weight //= math.factorial(x - 1)
+    return weight
+
+
 @pytest.fixture(scope="module")
 def potential_44():
     potential, _ = build_potential(default_policy(4, 4))
     return potential
+
+
+@pytest.fixture(scope="module")
+def residuals_order_4():
+    """``(n_max, deg_max) -> (residual_a, residual_c)`` at order 4, each built once."""
+    done = {}
+
+    def get(n_max, deg_max):
+        if (n_max, deg_max) not in done:
+            potential, _ = build_potential(default_policy(n_max, deg_max), MemoCache())
+            done[n_max, deg_max] = (
+                toda_residual_a(potential, 4),
+                toda_residual_c(potential, 4),
+            )
+        return done[n_max, deg_max]
+
+    return get
 
 
 # -- residuals ---------------------------------------------------------------
@@ -34,18 +61,18 @@ def potential_44():
 
 def test_residual_a_vanishes_in_cone(potential_44):
     report = toda_residual_a(potential_44, 4)
-    assert report.ok, report.cone_violations[:5]
-    assert report.constraint_id == "a"
+    assert report.ok, report.violations[:5]
+    assert report.name == "residual_a"
 
 
 def test_residual_c_vanishes_in_cone(potential_44):
     report = toda_residual_c(potential_44, 4)
-    assert report.ok, report.cone_violations[:5]
+    assert report.ok, report.violations[:5]
 
 
 def test_residual_b_by_bar_symmetry(potential_44):
     report = toda_residual_b(potential_44)
-    assert report.ok, report.mismatches[:5]
+    assert report.ok, report.violations[:5]
 
 
 def test_residuals_detect_a_corrupted_potential(potential_44):
@@ -78,6 +105,30 @@ def test_residual_order_capped_by_policy(potential_44):
         toda_residual_a(potential_44, 5)
 
 
+@pytest.mark.parametrize("residual", [toda_residual_a, toda_residual_c])
+def test_residual_rejects_negative_order(potential_44, residual):
+    # order -1 would leave only bidegree (0, 0) and pass vacuously
+    with pytest.raises(ValueError, match="must be >= 0"):
+        residual(potential_44, -1)
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(4, 4), (5, 6), (6, 6)])
+def test_residual_cone_cells_where_degree_binds(residuals_order_4, n_max, deg_max):
+    # with deg_max <= n_max + 1 the index condition of the cone is implied
+    # by the degree condition, so the judged cells are those of a + b + d
+    # <= deg_max, at every bidegree up to (order + 1, order + 1)
+    span = range(4 + 2)
+    cells = sum(
+        1
+        for a, b, d in itertools.product(span, span, range(deg_max + 1))
+        if a + b + d <= deg_max
+    )
+    for report in residuals_order_4(n_max, deg_max):
+        assert report.ok, report.violations[:5]
+        assert report.checked == cells
+        assert report.metrics["max_abs_out_of_cone"] > 0
+
+
 def test_mixed_derivative_restriction_matches_log_series(potential_44):
     # on the t0 line the mixed pair derivatives are diagonal: i * t0^i
     reg = potential_44.regular
@@ -95,19 +146,17 @@ def test_bar_swap_is_involution(potential_44):
     assert bar_swap(bar_swap(reg)) == reg
 
 
-def test_residuals_arbitrate_window_weight_at_degree_six():
+def test_residuals_arbitrate_window_weight_at_degree_six(residuals_order_4, monkeypatch):
     # the degree-6 cone reaches the first coefficient sector where the two
     # window-weight candidates disagree; the mixed constraint accepts the
-    # shipped rule and rejects the alternative
-    from taumap.coefficients import WEIGHT_RULE_MULTINOMIAL
+    # shipped (linear) weight and rejects the multinomial one, injected here
+    # as a negative control
+    good_a, good_c = residuals_order_4(6, 6)
+    assert good_a.ok
+    assert good_c.ok
 
-    good, _ = build_potential(default_policy(6, 6), cache=MemoCache())
-    assert toda_residual_a(good, 4).ok
-    assert toda_residual_c(good, 4).ok
-
-    other, _ = build_potential(
-        default_policy(6, 6), WEIGHT_RULE_MULTINOMIAL, MemoCache()
-    )
+    monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
+    other, _ = build_potential(default_policy(6, 6), cache=MemoCache())
     assert not toda_residual_c(other, 4).ok
 
 
