@@ -53,7 +53,7 @@ from .potential import (
     ellipse_oracle_check,
     one_point_sector,
 )
-from .series import series_to_json_terms
+from .series import TruncationPolicy, series_to_json_terms
 from .verify import (
     factorial_pattern_check,
     roundtrip,
@@ -270,7 +270,7 @@ def _cmd_verify(args) -> int:
     policy = default_policy(args.nmax, args.degmax, args.t0max)
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
     cache = MemoCache()
-    potential, build = build_potential(policy, cache=cache)
+    potential, build = _build_checked_potential(policy, cache)
 
     checks = [cauchy_data_check(potential, policy.n_max)]
     if policy.n_max >= 2:
@@ -337,6 +337,22 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _build_checked_potential(policy: TruncationPolicy, cache: MemoCache):
+    """Build the potential a check runs on; a policy without keys is an error.
+
+    Every check passes on a potential with no terms, so such a PASS would
+    say nothing.
+    """
+    potential, build = build_potential(policy, cache=cache)
+    if not build.keys_evaluated:
+        raise ValueError(
+            f"policy n_max={policy.n_max}, deg_max={policy.deg_max}, "
+            f"t0_max={policy.t0_max} admits no potential term to check "
+            "(needs --nmax >= 1, --degmax >= 2 and a t0 bound that keeps a term)"
+        )
+    return potential, build
+
+
 def _composition_count_bound(seed: int, cache: MemoCache) -> CheckResult:
     """Sampled bound on the composition count: ``P <= C(i-1, m-1)``."""
     rng = random.Random(seed)
@@ -362,7 +378,7 @@ def _cmd_ellipse(args) -> int:
         print("ellipse comparison needs --nmax >= 2", file=sys.stderr)
         return 2
     policy = default_policy(args.nmax, args.degmax, args.t0max)
-    potential, _ = build_potential(policy)
+    potential, _ = _build_checked_potential(policy, MemoCache())
     report = ellipse_oracle_check(potential)
     _write_text(args.out, _dump_json(report.to_json()))
     return 0 if report.ok else 1

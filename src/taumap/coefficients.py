@@ -18,6 +18,11 @@ layered recursion over compositions and ordered set partitions:
 ``n1_coefficient`` / ``n2_coefficient``
     combine the two sides into the final signed sum.
 
+The two sides cost differently: ``t2`` recurses over the unbarred list,
+one level per index, while the widths ``m`` and the placements range over
+the barred list.  The coefficient is symmetric in the two sides, and
+:mod:`taumap.potential` evaluates every key with the longer list unbarred.
+
 Two choices keep the recursion cheap while its values stay exact:
 
 * **Grouped placements.**  For a barred list and a width ``m`` the labelled
@@ -29,7 +34,8 @@ Two choices keep the recursion cheap while its values stay exact:
   ``D_m = m! * lcm(1..m)``.  The kernels carry ``t1 * D_m`` and
   ``t2 * D_m^(len(i_list) - 1)`` as ``int``s; ``n1`` sums each width in
   integers and makes one ``Fraction`` per width.  The public ``t1`` and
-  ``t2`` functions divide a kernel value by its ``D``.
+  ``t2`` functions divide a kernel value by its ``D``.  The list of the
+  ``D_w`` is built once per cache (:meth:`MemoCache.denominators`).
 
 All public values are exact ``Fraction``s (``s`` and the composition count
 are ``int``s).  Every family is memoized in a :class:`MemoCache` that the
@@ -151,6 +157,8 @@ class MemoCache:
 
     ``t1`` and ``t2`` hold the ``D``-scaled integer kernel values and ``s``
     the placement groups of a ``(barred, width)`` pair, not public values.
+    ``dens`` is the list ``[D_0, D_1, ..]`` of the kernels' scales, grown on
+    demand by :meth:`denominators`; it is not a memo table.
     """
 
     p: dict = field(default_factory=dict)
@@ -158,6 +166,13 @@ class MemoCache:
     t2: dict = field(default_factory=dict)
     s: dict = field(default_factory=dict)
     n1: dict = field(default_factory=dict)
+    dens: list = field(default_factory=list)
+
+    def denominators(self, m: int) -> list[int]:
+        """:func:`_denominators` through at least width ``m``."""
+        if len(self.dens) <= m:
+            self.dens = _denominators(m)
+        return self.dens
 
     def clear(self) -> None:
         for d in (self.p, self.t1, self.t2, self.s, self.n1):
@@ -267,7 +282,7 @@ def _t1_scaled(i: int, s: tuple[int, ...], cache: MemoCache) -> int:
     if hit is not None:
         return hit
     m = len(s)
-    d = _denominators(m)[-1]
+    d = cache.denominators(m)[m]
     total = 0
     for k in range(1, m + 1):
         for sizes in compositions(m, k):
@@ -328,7 +343,7 @@ def _t2_scaled(
         last = i_list[-1]
         depth = len(head) - 1
         m = len(s)
-        dens = _denominators(m)
+        dens = cache.denominators(m)
         d = dens[m]
         value = 0
         for a in range(m):
@@ -495,7 +510,7 @@ def n1_coefficient(
                         scaled += s_val * t_val
             if scaled:
                 sign = 1 if m % 2 else -1
-                value += Fraction(sign * scaled, _denominators(m)[-1] ** (k - 1))
+                value += Fraction(sign * scaled, cache.denominators(m)[m] ** (k - 1))
     cache.n1[key] = value
     return value
 

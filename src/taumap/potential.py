@@ -12,6 +12,14 @@ degree, ``pref`` the product of ``index^mult / mult!`` over a side, and
 least one factor on each side enter; the linear summand freedom is fixed to
 zero, so the regular part has no constant or degree-1 terms.
 
+``N`` is invariant under exchanging the two sides of a key (the barred
+twin of the pair constraint, see :func:`taumap.verify.toda_residual_b`),
+but its cost is not, so every key is evaluated in one orientation only:
+the side with more factors goes unbarred, and a tie puts the larger side
+tuple unbarred (:func:`_oriented`).  The prefactors and the ``t0``
+exponent are the same both ways, so a key and its mirror share one
+``n1`` entry and the build is bar-exchange symmetric by construction.
+
 :func:`one_point_sector` evaluates, from the same coefficient path, the keys
 that carry one unbarred ``t_k`` beyond the policy's index bound and nothing
 else beyond it.  They are exactly the keys that fix the map's one-point
@@ -31,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
 from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
@@ -114,16 +123,67 @@ def _monomial_for(key: NKey, t0_power: int) -> Monomial:
     return Monomial(t0_power, factors)
 
 
+def _oriented(key: NKey) -> NKey:
+    """The orientation of ``key`` the engine evaluates.
+
+    ``N`` is invariant under exchanging the two sides, but its cost is not:
+    ``t2`` recurses over the unbarred list and the placements over the
+    barred one, and many unbarred factors against few barred ones is the
+    cheap way round.  So the side with more factors goes unbarred; a tie
+    puts the larger side tuple unbarred.
+    """
+    k = sum(m for _, m in key.unbarred)
+    kbar = sum(m for _, m in key.barred)
+    if (k, key.unbarred) >= (kbar, key.barred):
+        return key
+    return key.swapped()
+
+
+def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
+    """Every key of ``policy`` with its ``t0`` exponent, by weight ascending.
+
+    Each side is a bounded partition of the weight (indices <= ``n_max``);
+    the two sides share at most ``deg_max`` factors in total, with one
+    factor minimum each, and the exponent ``weight - degree + 2`` lies in
+    ``[0, t0_max]``.
+    """
+    max_side = policy.deg_max - 1
+    max_weight = policy.n_max * max_side if max_side > 0 else 0
+    for weight in range(1, max_weight + 1):
+        sides = list(bounded_partitions(weight, policy.n_max, max_side))
+        for unbarred in sides:
+            k = sum(m for _, m in unbarred)
+            for barred in sides:
+                degree = k + sum(m for _, m in barred)
+                if degree > policy.deg_max:
+                    continue
+                t0_power = weight - degree + 2
+                if 0 <= t0_power <= policy.t0_max:
+                    yield NKey(unbarred, barred, weight), t0_power
+
+
+def _term_coefficient(key: NKey, cache: MemoCache) -> Fraction:
+    """``pref(unbarred) * pref(barred) * N(key)``, with ``key`` evaluated as written."""
+    coeff = n2_coefficient(key, cache)
+    if coeff:
+        coeff *= _side_prefactor(key.unbarred) * _side_prefactor(key.barred)
+    return coeff
+
+
 def _evaluate_key(
     terms: dict[Monomial, Fraction],
     key: NKey,
     t0_power: int,
     cache: MemoCache,
 ) -> None:
-    """Store the potential coefficient of ``key``, if nonzero, in ``terms``."""
-    coeff = n2_coefficient(key, cache)
+    """Store the potential coefficient of ``key``, if nonzero, in ``terms``.
+
+    The coefficient is evaluated in the orientation :func:`_oriented` picks;
+    the side prefactors and the ``t0`` exponent are the same both ways, and
+    the mirror of an evaluated key is a hit in ``cache.n1``.
+    """
+    coeff = _term_coefficient(_oriented(key), cache)
     if coeff:
-        coeff *= _side_prefactor(key.unbarred) * _side_prefactor(key.barred)
         terms[_monomial_for(key, t0_power)] = coeff
 
 
@@ -132,32 +192,18 @@ def build_potential(
 ) -> tuple[PotentialSeries, BuildReport]:
     """Sum the coefficient recursion over every admissible key.
 
-    Keys are enumerated by weight ascending; each side of a key is a bounded
-    partition of the weight (indices <= ``n_max``) and the two sides share
-    at most ``deg_max`` factors in total, with one factor minimum each.
-    Without a ``cache`` the build fills a fresh one.
+    The keys are those of :func:`_admissible_keys`; ``keys_evaluated``
+    counts them, mirrors included.  Without a ``cache`` the build fills a
+    fresh one.
     """
     if cache is None:
         cache = MemoCache()
     start = time.perf_counter()
     terms: dict[Monomial, Fraction] = {}
     keys_evaluated = 0
-    max_side = policy.deg_max - 1
-    max_weight = policy.n_max * max_side if max_side > 0 else 0
-    for weight in range(1, max_weight + 1):
-        sides = list(bounded_partitions(weight, policy.n_max, max_side))
-        for unbarred in sides:
-            k = sum(m for _, m in unbarred)
-            for barred in sides:
-                kbar = sum(m for _, m in barred)
-                degree = k + kbar
-                if degree > policy.deg_max:
-                    continue
-                t0_power = weight - degree + 2
-                if t0_power < 0 or t0_power > policy.t0_max:
-                    continue
-                keys_evaluated += 1
-                _evaluate_key(terms, NKey(unbarred, barred, weight), t0_power, cache)
+    for key, t0_power in _admissible_keys(policy):
+        keys_evaluated += 1
+        _evaluate_key(terms, key, t0_power, cache)
     regular = TruncatedSeries(policy, terms)
     report = BuildReport(
         policy=policy,

@@ -5,8 +5,11 @@ Three layers:
 * exact residuals of the two independent hierarchy constraints the potential
   must satisfy, formed as bivariate Laurent tails in ``1/z`` and ``1/xi``
   whose coefficients are exact series (:func:`toda_residual_a`,
-  :func:`toda_residual_c`; the barred twin of the first constraint reduces
-  to bar-exchange symmetry of the potential, :func:`toda_residual_b`);
+  :func:`toda_residual_c`).  The barred twin of the first constraint
+  reduces to bar-exchange symmetry of the potential; since the build
+  evaluates each key and its mirror once, :func:`toda_residual_b` checks
+  that symmetry per coefficient, by evaluating every key the build
+  mirrored in its written orientation;
 * exact coefficient patterns: the factorial vanishing pattern of
   coefficients against an all-ones barred side
   (:func:`factorial_pattern_check`);
@@ -39,7 +42,16 @@ import numpy as np
 from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from .confmap import ExteriorMapSeries, MomentVector, map_from_potential
 from .moments import BoundaryCurve, moments_from_curve
-from .potential import BuildReport, CheckResult, build_potential, one_point_sector
+from .potential import (
+    BuildReport,
+    CheckResult,
+    _admissible_keys,
+    _monomial_for,
+    _oriented,
+    _term_coefficient,
+    build_potential,
+    one_point_sector,
+)
 from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 
 __all__ = [
@@ -281,23 +293,37 @@ def bar_swap(series: TruncatedSeries) -> TruncatedSeries:
 
 
 def toda_residual_b(potential: PotentialSeries) -> CheckResult:
-    """The barred twin of the pair constraint, via symmetry.
+    """The barred twin of the pair constraint, via symmetry, per coefficient.
 
     Conjugating every operator in the unbarred constraint turns it into the
     barred one, so it holds iff the potential's coefficient collection is
-    invariant under exchanging barred and unbarred variables.  That exchange
-    invariance is checked exactly here.
+    invariant under exchanging barred and unbarred variables.  A build
+    evaluates every key in the orientation :func:`taumap.potential._oriented`
+    picks and is symmetric by construction, so comparing the series with its
+    :func:`bar_swap` would judge nothing.  Instead every admissible key that
+    the rule flips is evaluated as written, on a fresh cache, and compared
+    exactly with the built coefficient of its monomial; the built
+    coefficients of the key and of its mirror must also agree.  ``checked``
+    counts the flipped keys.
     """
     reg = potential.regular
-    swapped = bar_swap(reg)
+    cache = MemoCache()
     violations = []
-    keys = {m for m, _ in reg.items()} | {m for m, _ in swapped.items()}
-    for mono in sorted(keys, key=lambda m: m.sort_key()):
-        a = reg.coefficient(mono)
-        b = swapped.coefficient(mono)
-        if a != b:
-            violations.append(f"{mono}: {a} vs bar-swapped {b}")
-    return CheckResult("residual_b_symmetry", len(keys), violations)
+    checked = 0
+    for key, t0_power in _admissible_keys(reg.policy):
+        mirror = _oriented(key)
+        if mirror == key:
+            continue
+        checked += 1
+        mono = _monomial_for(key, t0_power)
+        built = reg.coefficient(mono)
+        as_written = _term_coefficient(key, cache)
+        if built != as_written:
+            violations.append(f"{mono}: built {built}, evaluated as written {as_written}")
+        mirror_mono = _monomial_for(mirror, t0_power)
+        if reg.coefficient(mirror_mono) != built:
+            violations.append(f"{mono}: {built} vs mirror {mirror_mono}")
+    return CheckResult("residual_b_symmetry", checked, violations)
 
 
 # -- factorial pattern --------------------------------------------------------

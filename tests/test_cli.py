@@ -222,6 +222,23 @@ def test_verify_rejects_negative_order(capsys):
     assert "residual order must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--nmax", "0", "--degmax", "3"],
+        ["verify", "--nmax", "2", "--degmax", "1"],
+        ["verify", "--nmax", "2", "--degmax", "3", "--t0max", "0"],
+        ["ellipse", "--nmax", "2", "--degmax", "0"],
+    ],
+)
+def test_checks_reject_a_policy_without_terms(args, capsys):
+    # every check passes on an empty potential, so a PASS there says nothing
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "admits no potential term to check" in err
+
+
 def test_ellipse_subcommand(capsys):
     code, out, _ = run_cli(["ellipse", "--nmax", "2", "--degmax", "6"], capsys)
     assert code == 0

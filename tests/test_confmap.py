@@ -23,6 +23,12 @@ def potential_46():
     return potential
 
 
+@pytest.fixture(scope="module")
+def sector_46():
+    """One-point terms of the ``(4, 6)`` potential for ``k <= 9``: maps of order 8."""
+    return one_point_sector(default_policy(4, 6), 9)
+
+
 def test_disk_map_exact(potential_46):
     for t0 in (0.25, 1.0, 2.0):
         m = MomentVector(t0=t0, t=(0, 0, 0, 0))
@@ -45,9 +51,9 @@ def test_leading_coefficient_positive_required():
         ExteriorMapSeries(p=-1.0, tail=())
 
 
-def test_p_real_positive_for_conjugate_symmetric_moments(potential_46):
+def test_p_real_positive_for_conjugate_symmetric_moments(potential_46, sector_46):
     m = MomentVector(t0=0.8, t=(0.05 + 0.02j, -0.01j, 0.003, 0))
-    w = map_from_potential(potential_46, m, order=8)
+    w = map_from_potential(potential_46, m, order=8, sector=sector_46)
     assert w.p > 0
 
 
@@ -59,11 +65,11 @@ def test_conformal_radius_identity(potential_46):
     assert abs(a_val.imag) <= 1e-12
 
 
-def test_ellipse_moments_give_unit_p(potential_46):
+def test_ellipse_moments_give_unit_p(potential_46, sector_46):
     # interior of u + a/u has t0 = 1 - a^2, t2 = a/2; its map has p = 1
     a = 0.05
     m = MomentVector(t0=1 - a * a, t=(0, a / 2, 0, 0))
-    w = map_from_potential(potential_46, m, order=8)
+    w = map_from_potential(potential_46, m, order=8, sector=sector_46)
     assert abs(w.p - 1.0) <= 1e-9
     # leading tail coefficients of the inverse of u + a/u: p1 = -a, p3 = -a^2
     assert abs(w.tail[1] - (-a)) <= 1e-6
@@ -71,13 +77,13 @@ def test_ellipse_moments_give_unit_p(potential_46):
     assert abs(w.tail[0]) <= 1e-12 and abs(w.tail[2]) <= 1e-12
 
 
-def test_translated_disk_map_reconstruction(potential_46):
+def test_translated_disk_map_reconstruction(potential_46, sector_46):
     # moments of the unit disk centered at c: t0 = 1, t1 = conj(c), rest 0;
     # the one-point functions reproduce w(z) = z - c through the factorial
     # coefficient pattern, up to the index cutoff
     c = 0.1 + 0.05j
     m = MomentVector(t0=1.0, t=(c.conjugate(), 0, 0, 0))
-    w = map_from_potential(potential_46, m, order=8)
+    w = map_from_potential(potential_46, m, order=8, sector=sector_46)
     for z in (2.0 + 0.3j, -1.5 + 1.2j, 3.0j):
         assert abs(evaluate_map(w, z) - (z - c)) <= 5e-7
 

@@ -1,12 +1,14 @@
 """Potential assembly: coefficients, invariants, oracles."""
 
 import hashlib
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from taumap.coefficients import MemoCache
+from taumap.coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from taumap.confmap import MomentVector, map_from_potential
 from taumap.potential import (
     build_potential,
@@ -99,8 +101,97 @@ def test_potential_66_is_bit_identical_to_pin():
 
 
 def test_bar_conjugation_symmetry(potential_44):
+    # true by construction: a key and its mirror share one evaluation;
+    # toda_residual_b judges the symmetry per coefficient
     potential, _ = potential_44
     assert bar_swap(potential.regular) == potential.regular
+
+
+def _prefactor(side):
+    pref = Fraction(1)
+    for idx, mult in side:
+        pref *= Fraction(idx**mult, math.factorial(mult))
+    return pref
+
+
+def _as_written(keys):
+    """``{monomial: coefficient}`` with each key evaluated as written, on a fresh cache."""
+    cache = MemoCache()
+    terms = {}
+    for key, t0_power in keys:
+        coeff = n2_coefficient(key, cache) * _prefactor(key.unbarred) * _prefactor(key.barred)
+        if coeff:
+            factors = tuple((k, False, m) for k, m in key.unbarred) + tuple(
+                (k, True, m) for k, m in key.barred
+            )
+            terms[Monomial(t0_power, factors)] = coeff
+    return terms
+
+
+def _policy_keys(policy):
+    max_side = policy.deg_max - 1
+    for weight in range(1, policy.n_max * max_side + 1):
+        sides = list(bounded_partitions(weight, policy.n_max, max_side))
+        for unbarred, barred in itertools.product(sides, sides):
+            degree = sum(m for _, m in unbarred) + sum(m for _, m in barred)
+            t0_power = weight - degree + 2
+            if degree <= policy.deg_max and 0 <= t0_power <= policy.t0_max:
+                yield NKey(unbarred, barred, weight), t0_power
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        default_policy(4, 5),
+        default_policy(5, 6),
+        default_policy(6, 6),
+        # deg_max binds: a side of 6 factors meets a single factor
+        default_policy(3, 7),
+        TruncationPolicy(4, 6, 2),
+    ],
+    ids=lambda p: f"{p.n_max}-{p.deg_max}-{p.t0_max}",
+)
+def test_build_equals_as_written_reference(policy):
+    # the build evaluates each mirror pair once, in one orientation; every
+    # key evaluated as written gives the same exact terms
+    potential, report = build_potential(policy, cache=MemoCache())
+    expected = _as_written(_policy_keys(policy))
+    got = dict(potential.regular.items())
+    assert got == expected
+    assert all(isinstance(c, Fraction) for c in got.values())
+    assert report.keys_evaluated == sum(1 for _ in _policy_keys(policy))
+
+
+def test_build_and_sector_evaluate_one_orientation():
+    # every coefficient the engine evaluates has at least as many unbarred
+    # factors as barred ones, and each mirror pair costs one n1 entry
+    cache = MemoCache()
+    policy = default_policy(5, 6)
+    _, report = build_potential(policy, cache=cache)
+    assert all(len(u) >= len(b) for u, b in cache.n1)
+    pairs = {frozenset(((key.unbarred, key.barred), (key.barred, key.unbarred)))
+             for key, _ in _policy_keys(policy)}
+    assert len(cache.n1) == len(pairs) < report.keys_evaluated
+    one_point_sector(policy, 12, cache=cache)
+    assert all(len(u) >= len(b) for u, b in cache.n1)
+
+
+def test_one_point_sector_equals_as_written_reference():
+    policy = default_policy(4, 6)
+    keys = []
+    for k in range(5, 10):
+        for weight in range(k, 4 * 5 + 1):
+            for rest in bounded_partitions(weight - k, 4, 4):
+                for barred in bounded_partitions(weight, 4, 5):
+                    key = NKey(rest + ((k, 1),), barred, weight)
+                    degree = sum(m for _, m in key.unbarred) + sum(m for _, m in barred)
+                    t0_power = weight - degree + 2
+                    if degree <= 6 and 0 <= t0_power <= policy.t0_max:
+                        keys.append((key, t0_power))
+    sector = one_point_sector(policy, 9, cache=MemoCache())
+    expected = _as_written(keys)
+    assert expected
+    assert dict(sector.items()) == expected
 
 
 def test_truncation_monotonicity():

@@ -75,6 +75,43 @@ def test_residual_b_by_bar_symmetry(potential_44):
     assert report.ok, report.violations[:5]
 
 
+def test_residual_b_judges_flipped_keys():
+    # 141 of the (5,6) keys are evaluated by the build as their mirror
+    potential, _ = build_potential(default_policy(5, 6), MemoCache())
+    report = toda_residual_b(potential)
+    assert report.ok, report.violations[:5]
+    assert report.checked == 141
+
+
+def test_residual_b_rejects_multinomial_window_weight(monkeypatch):
+    # the multinomial weight breaks bar-exchange symmetry from four indices
+    # on; the build stays symmetric by construction, the check must not
+    monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
+    potential, _ = build_potential(default_policy(5, 6), MemoCache())
+    assert bar_swap(potential.regular) == potential.regular
+    report = toda_residual_b(potential)
+    assert not report.ok
+    assert report.checked == 141
+    assert all("evaluated as written" in v for v in report.violations)
+
+
+def test_residual_b_detects_an_asymmetric_potential(potential_44):
+    from taumap.series import PotentialSeries
+
+    reg = potential_44.regular
+    # t0 t1^2 tbar2 is evaluated as written, t0 t2 tbar1^2 as its mirror
+    for mono in (
+        Monomial(1, ((1, False, 2), (2, True, 1))),
+        Monomial(1, ((2, False, 1), (1, True, 2))),
+    ):
+        bad = PotentialSeries(
+            potential_44.singular_log_coeff,
+            potential_44.singular_quad_coeff,
+            reg + TruncatedSeries(reg.policy, {mono: Fraction(1, 7)}),
+        )
+        assert not toda_residual_b(bad).ok, mono
+
+
 def test_residuals_detect_a_corrupted_potential(potential_44):
     # perturbing coefficients must break the exact identities inside the cone
     from taumap.series import PotentialSeries
