@@ -12,7 +12,7 @@ from fractions import Fraction
 from taumap import MomentVector, TruncatedSeries, TruncationPolicy
 from taumap.series import series_to_json_terms
 
-policy = TruncationPolicy(n_max=2, deg_max=4, t0_max=4)
+policy = TruncationPolicy(n_max=2, deg_max=4)
 print(f"policy: {policy}\n")
 
 t0 = TruncatedSeries.t0(policy)
@@ -23,7 +23,8 @@ t2b = TruncatedSeries.variable(policy, 2, barred=True)
 s = t1 + t2b
 print("(t1 + tbar2)^2 =", s * s)
 
-# the exponential of a constant-free series terminates under truncation
+# the exponential of a series whose every term carries a variable
+# terminates under truncation
 e = (t1 * Fraction(1, 2)).exp_no_constant()
 print("exp(t1/2)      =", e)
 

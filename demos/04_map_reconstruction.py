@@ -30,22 +30,26 @@ from taumap import (
     roundtrip,
 )
 
+cache = MemoCache()
+
+
+def roundtrip_at(curve, n_max, deg_max, order, test_radius):
+    potential, _ = build_potential(default_policy(n_max, deg_max), cache=cache)
+    return roundtrip(curve, potential, order, test_radius, cache=cache)
+
+
 disk = BoundaryCurve(r=1.2, a=(), samples=128)
-report = roundtrip(disk, default_policy(3, 3), order=6, test_radius=1.5)
+report = roundtrip_at(disk, 3, 3, order=6, test_radius=1.5)
 print(f"disk:            sup |w(z(u)) - u| = {report.sup_error:.2e}, p = {report.p:.12f}")
 
 shifted = BoundaryCurve(r=1.0, a=(0.25 + 0.1j,), samples=128)
-report = roundtrip(shifted, default_policy(6, 6), order=10, test_radius=1.5)
+report = roundtrip_at(shifted, 6, 6, order=10, test_radius=1.5)
 print(f"translated disk: sup |w(z(u)) - u| = {report.sup_error:.2e}, p = {report.p:.12f}")
 
 ellipse = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
 print("\nellipse u + 0.05/u, sup error on |u| = 1.25 by truncation policy:")
-cache = MemoCache()
 for n_max, deg_max, order in [(4, 4, 8), (4, 6, 8), (6, 6, 10), (8, 6, 12)]:
-    report = roundtrip(
-        ellipse, default_policy(n_max, deg_max), order=order, test_radius=1.25,
-        cache=cache,
-    )
+    report = roundtrip_at(ellipse, n_max, deg_max, order=order, test_radius=1.25)
     print(
         f"  n_max={n_max}, deg_max={deg_max}, J={order:>2}: "
         f"sup = {report.sup_error:.3e}"

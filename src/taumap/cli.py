@@ -89,12 +89,6 @@ def _dump_json(obj) -> str:
 def _policy_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nmax", type=int, default=4, help="max moment index")
     parser.add_argument("--degmax", type=int, default=4, help="max factor degree")
-    parser.add_argument(
-        "--t0max",
-        type=int,
-        default=None,
-        help="max t0 exponent (default: large enough to never truncate)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +188,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    policy = default_policy(args.nmax, args.degmax, args.t0max)
+    policy = default_policy(args.nmax, args.degmax)
     potential, report = build_potential(policy)
     if args.format == "csv":
         buf = io.StringIO()
@@ -214,11 +208,7 @@ def _cmd_potential(args) -> int:
         _write_text(args.out, buf.getvalue())
         return 0
     payload = {
-        "policy": {
-            "n_max": policy.n_max,
-            "deg_max": policy.deg_max,
-            "t0_max": policy.t0_max,
-        },
+        "policy": {"n_max": policy.n_max, "deg_max": policy.deg_max},
         "singular": {
             "log_t0_coeff": [
                 potential.singular_log_coeff.numerator,
@@ -241,7 +231,7 @@ def _cmd_potential(args) -> int:
 
 def _cmd_map(args) -> int:
     moments = MomentVector.from_json(_read_json(args.in_path))
-    policy = default_policy(args.nmax, args.degmax, args.t0max)
+    policy = default_policy(args.nmax, args.degmax)
     order = args.order_j if args.order_j is not None else policy.n_max + policy.deg_max
     cache = MemoCache()
     potential, _ = build_potential(policy, cache=cache)
@@ -267,7 +257,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    policy = default_policy(args.nmax, args.degmax, args.t0max)
+    policy = default_policy(args.nmax, args.degmax)
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
     cache = MemoCache()
     potential, build = _build_checked_potential(policy, cache)
@@ -288,7 +278,7 @@ def _cmd_verify(args) -> int:
         order_j = (
             args.order_j if args.order_j is not None else policy.n_max + policy.deg_max
         )
-        rt = roundtrip(curve, policy, order_j, 1.25, cache=cache)
+        rt = roundtrip(curve, potential, order_j, 1.25, cache=cache)
         within = rt.sup_error <= args.roundtrip_tol
         checks.append(
             CheckResult(
@@ -318,11 +308,7 @@ def _cmd_verify(args) -> int:
 
     ok = all(check.ok for check in checks)
     report = {
-        "policy": {
-            "n_max": policy.n_max,
-            "deg_max": policy.deg_max,
-            "t0_max": policy.t0_max,
-        },
+        "policy": {"n_max": policy.n_max, "deg_max": policy.deg_max},
         "order": order,
         "build": {
             "keys_evaluated": build.keys_evaluated,
@@ -346,9 +332,8 @@ def _build_checked_potential(policy: TruncationPolicy, cache: MemoCache):
     potential, build = build_potential(policy, cache=cache)
     if not build.keys_evaluated:
         raise ValueError(
-            f"policy n_max={policy.n_max}, deg_max={policy.deg_max}, "
-            f"t0_max={policy.t0_max} admits no potential term to check "
-            "(needs --nmax >= 1, --degmax >= 2 and a t0 bound that keeps a term)"
+            f"policy n_max={policy.n_max}, deg_max={policy.deg_max} admits no "
+            "potential term to check (needs --nmax >= 1 and --degmax >= 2)"
         )
     return potential, build
 
@@ -377,7 +362,7 @@ def _cmd_ellipse(args) -> int:
     if args.nmax < 2:
         print("ellipse comparison needs --nmax >= 2", file=sys.stderr)
         return 2
-    policy = default_policy(args.nmax, args.degmax, args.t0max)
+    policy = default_policy(args.nmax, args.degmax)
     potential, _ = _build_checked_potential(policy, MemoCache())
     report = ellipse_oracle_check(potential)
     _write_text(args.out, _dump_json(report.to_json()))

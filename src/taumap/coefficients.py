@@ -174,10 +174,6 @@ class MemoCache:
             self.dens = _denominators(m)
         return self.dens
 
-    def clear(self) -> None:
-        for d in (self.p, self.t1, self.t2, self.s, self.n1):
-            d.clear()
-
     def sizes(self) -> dict[str, int]:
         return {
             "p": len(self.p),

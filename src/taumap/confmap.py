@@ -125,9 +125,7 @@ def map_from_potential(
         beyond = (
             sum(k > n_max for k, _, _ in mono.factors) for mono, _ in sector.items()
         )
-        if (sp.deg_max, sp.t0_max) != (policy.deg_max, policy.t0_max) or any(
-            count != 1 for count in beyond
-        ):
+        if sp.deg_max != policy.deg_max or any(count != 1 for count in beyond):
             raise ValueError(
                 f"one-point sector under {sp} was not built for the potential's "
                 f"{policy}"

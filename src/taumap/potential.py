@@ -98,15 +98,9 @@ class BuildReport:
     table_sizes: dict[str, int]
 
 
-def default_policy(n_max: int, deg_max: int, t0_max: int | None = None) -> TruncationPolicy:
-    """Policy whose ``t0`` bound never truncates an admissible key.
-
-    The ``t0`` exponent of a key is ``weight - degree + 2`` and the weight is
-    at most ``n_max * (deg_max - 1)``, so ``n_max * deg_max + 2`` is safe.
-    """
-    if t0_max is None:
-        t0_max = n_max * deg_max + 2
-    return TruncationPolicy(n_max=n_max, deg_max=deg_max, t0_max=t0_max)
+def default_policy(n_max: int, deg_max: int) -> TruncationPolicy:
+    """The policy of a build at index bound ``n_max`` and degree bound ``deg_max``."""
+    return TruncationPolicy(n_max=n_max, deg_max=deg_max)
 
 
 def _side_prefactor(side: tuple[tuple[int, int], ...]) -> Fraction:
@@ -144,8 +138,9 @@ def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
 
     Each side is a bounded partition of the weight (indices <= ``n_max``);
     the two sides share at most ``deg_max`` factors in total, with one
-    factor minimum each, and the exponent ``weight - degree + 2`` lies in
-    ``[0, t0_max]``.
+    factor minimum each, and the exponent ``weight - degree + 2`` is
+    non-negative.  The weight is at most ``n_max * (deg_max - 1)``, so the
+    exponent is at most ``n_max * (deg_max - 1)`` too.
     """
     max_side = policy.deg_max - 1
     max_weight = policy.n_max * max_side if max_side > 0 else 0
@@ -158,7 +153,7 @@ def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
                 if degree > policy.deg_max:
                     continue
                 t0_power = weight - degree + 2
-                if 0 <= t0_power <= policy.t0_max:
+                if t0_power >= 0:
                     yield NKey(unbarred, barred, weight), t0_power
 
 
@@ -230,10 +225,9 @@ def one_point_sector(
     A key enters iff its unbarred side holds that ``t_k`` with multiplicity
     1 and every other index, barred or unbarred, is at most ``n_max``; its
     factor degree (``t_k`` counted) is at most ``deg_max`` and its ``t0``
-    exponent ``weight - degree + 2`` lies in ``[0, t0_max]``.  These are
-    exactly the terms of a build under ``(k_max, deg_max, t0_max)`` that have
-    this shape, with the same coefficients.  The result lives under that
-    wider policy.
+    exponent ``weight - degree + 2`` is non-negative.  These are exactly the
+    terms of a build under ``(k_max, deg_max)`` that have this shape, with
+    the same coefficients.  The result lives under that wider policy.
     """
     if cache is None:
         cache = MemoCache()
@@ -253,11 +247,11 @@ def one_point_sector(
                     if degree > deg_max:
                         continue
                     t0_power = weight - degree + 2
-                    if t0_power < 0 or t0_power > policy.t0_max:
+                    if t0_power < 0:
                         continue
                     key = NKey(unbarred, barred, weight)
                     _evaluate_key(terms, key, t0_power, cache)
-    wide = TruncationPolicy(max(n_max, k_max), deg_max, policy.t0_max)
+    wide = TruncationPolicy(max(n_max, k_max), deg_max)
     return TruncatedSeries(wide, terms)
 
 

@@ -8,6 +8,9 @@ with exact rational coefficients, truncated by a fixed
 :class:`TruncationPolicy`.  A monomial is a power of ``t0`` times a product
 of ``t_k`` / ``tbar_k`` factors; the *factor degree* of a monomial counts the
 ``t_k`` and ``tbar_k`` exponents (with multiplicity) and ignores ``t0``.
+The policy bounds the indices and the factor degree only: in the potential
+the ``t0`` exponent of a term is fixed by its factors, so no ``t0`` cut is
+needed.
 
 Design points:
 
@@ -15,8 +18,8 @@ Design points:
   conjugation relation ``tbar_k = conj(t_k)`` enters only through numeric
   :meth:`TruncatedSeries.evaluate`.
 * Truncation is a hard filter.  Every arithmetic operation re-truncates the
-  result to the common policy, so series stay finite and operations such as
-  the exponential of a constant-free series terminate.
+  result to the common policy, so series stay finite and the exponential of
+  a series whose every term carries a variable terminates.
 * The single logarithmic term of the potential (``t0^2 log t0``) is never
   represented inside the ring.  It lives in the two scalar fields of
   :class:`PotentialSeries` and is handled symbolically by consumers.
@@ -67,24 +70,23 @@ class PolicyMismatchError(ValueError):
 class TruncationPolicy:
     """Hard truncation bounds for the series ring.
 
-    A monomial is admissible iff every variable index is at most ``n_max``,
-    its factor degree is at most ``deg_max`` and its ``t0`` exponent is at
-    most ``t0_max``.  Terms outside the policy are silently dropped by all
-    ring operations.
+    A monomial is admissible iff every variable index is at most ``n_max``
+    and its factor degree is at most ``deg_max``; its ``t0`` exponent is not
+    bounded.  Terms outside the policy are silently dropped by all ring
+    operations.
     """
 
     n_max: int
     deg_max: int
-    t0_max: int
 
     def __post_init__(self) -> None:
-        if self.n_max < 0 or self.deg_max < 0 or self.t0_max < 0:
+        if self.n_max < 0 or self.deg_max < 0:
             raise ValueError("policy bounds must be non-negative")
 
     def admits(self, m: Monomial) -> bool:
-        if m.t0_power > self.t0_max or m.degree > self.deg_max:
-            return False
-        return all(k <= self.n_max for k, _, _ in m.factors)
+        return m.degree <= self.deg_max and all(
+            k <= self.n_max for k, _, _ in m.factors
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,7 +309,7 @@ class TruncatedSeries:
             )
         self._require_same_policy(other)
         pol = self.policy
-        deg_max, t0_max = pol.deg_max, pol.t0_max
+        deg_max = pol.deg_max
         # A term's code holds one bit field per variable, wide enough for
         # deg_max, and the t0 power above them: the code of an admissible
         # product is the sum of the codes.  Coefficients become integer
@@ -328,20 +330,17 @@ class TruncatedSeries:
         buckets: list[list[tuple]] = [[] for _ in range(deg_max + 1)]
         for m2, c2 in other._terms.items():
             buckets[m2.degree].append(
-                (m2.t0_power, code(m2), m2, c2.numerator * (den2 // c2.denominator))
+                (code(m2), m2, c2.numerator * (den2 // c2.denominator))
             )
         # code -> [numerator, left monomial, right monomial]
         acc: dict[int, list] = {}
         get = acc.get
         for m1, c1 in self._terms.items():
             d1 = m1.degree
-            a1 = m1.t0_power
             code1 = code(m1)
             n1 = c1.numerator * (den1 // c1.denominator)
             for d2 in range(deg_max - d1 + 1):
-                for a2, code2, m2, n2 in buckets[d2]:
-                    if a1 + a2 > t0_max:
-                        continue
+                for code2, m2, n2 in buckets[d2]:
                     key = code1 + code2
                     entry = get(key)
                     if entry is None:
@@ -366,13 +365,15 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def exp_no_constant(self) -> "TruncatedSeries":
-        """``sum_m self^m / m!`` for a series with zero constant term.
+        """``sum_m self^m / m!`` for a series whose every term carries a variable.
 
-        Terminates because every term of ``self`` carries at least one
-        variable, so powers eventually fall outside the policy.
+        Terminates because every term of ``self`` has factor degree at least
+        1, so ``self^m`` falls outside the policy once ``m > deg_max``.  A
+        term of factor degree 0 (the constant or a pure ``t0`` power) raises
+        ``ValueError``.
         """
-        if self.coefficient(Monomial()):
-            raise ValueError("exp requires a zero constant term")
+        if any(not m.degree for m in self._terms):
+            raise ValueError("exp requires every term to carry a variable")
         result = TruncatedSeries.constant(self.policy, 1)
         term = result
         m = 0

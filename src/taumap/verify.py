@@ -43,13 +43,11 @@ from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from .confmap import ExteriorMapSeries, MomentVector, map_from_potential
 from .moments import BoundaryCurve, moments_from_curve
 from .potential import (
-    BuildReport,
     CheckResult,
     _admissible_keys,
     _monomial_for,
     _oriented,
     _term_coefficient,
-    build_potential,
     one_point_sector,
 )
 from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
@@ -184,14 +182,6 @@ def _split_cone(residual: _Bivariate, name: str) -> CheckResult:
     return CheckResult(name, cells, violations, {"max_abs_out_of_cone": out_max})
 
 
-def _relaxed(series: TruncatedSeries) -> TruncatedSeries:
-    """Same terms under a policy whose t0 bound never bites in products."""
-    pol = series.policy
-    return series.to_policy(
-        TruncationPolicy(pol.n_max, pol.deg_max, 10**9)
-    )
-
-
 def _check_order(order: int, policy: TruncationPolicy) -> None:
     if order < 0:
         raise ValueError(f"residual order must be >= 0, got {order}")
@@ -210,7 +200,7 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
     ``Y(u) = sum u^a d0 d_a F / a``.  Both sides are expanded to bidegree
     ``(order+1, order+1)`` and subtracted.
     """
-    reg = _relaxed(potential.regular)
+    reg = potential.regular
     policy = reg.policy
     _check_order(order, policy)
     amax = order + 1
@@ -252,7 +242,7 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     The factor ``t0`` is the exact contribution of the singular part through
     ``exp(d0^2 (t0^2 log t0 / 2 - 3 t0^2 / 4)) = t0``.
     """
-    reg = _relaxed(potential.regular)
+    reg = potential.regular
     policy = reg.policy
     _check_order(order, policy)
     amax = order + 1
@@ -361,11 +351,6 @@ class ConvergenceVerdict:
     bound: float
     offending: list[str] = field(default_factory=list)
 
-    @property
-    def tail_majorant_base(self) -> float:
-        """Per-degree majorant base: degree-K terms sum to at most 2^-K."""
-        return 0.5
-
 
 def convergence_gate(m: MomentVector, n: int) -> ConvergenceVerdict:
     """Sufficient condition for convergence of the evaluated potential.
@@ -417,7 +402,6 @@ class RoundtripReport:
     moments: MomentVector
     gate: ConvergenceVerdict
     map_series: ExteriorMapSeries
-    build: BuildReport
     warnings: list[str]
 
     @property
@@ -427,7 +411,7 @@ class RoundtripReport:
 
 def roundtrip(
     curve: BoundaryCurve,
-    policy: TruncationPolicy,
+    potential: PotentialSeries,
     order: int,
     test_radius: float,
     cache: MemoCache | None = None,
@@ -436,16 +420,19 @@ def roundtrip(
     """Domain -> moments -> potential -> map, composed against the curve.
 
     Reports ``sup |w(z(u)) - u|`` over ``n_samples`` points of the circle
-    ``|u| = test_radius``.  The moments are cut at ``policy.n_max``; the
-    one-point functions ``B_k`` beyond it, up to ``order + 1``, come from
-    :func:`taumap.potential.one_point_sector` under the same policy and
-    cache (a fresh one when none is given).  A failing convergence gate is a warning, not an error:
-    the series may well converge beyond the sufficient condition.
+    ``|u| = test_radius``.  The moments are cut at the potential's
+    ``n_max``; the one-point functions ``B_k`` beyond it, up to
+    ``order + 1``, come from :func:`taumap.potential.one_point_sector` under
+    the potential's policy, built on ``cache`` (a fresh one when none is
+    given; pass the cache that built the potential to reuse its entries).
+    A failing convergence gate is a warning, not an error: the series may
+    well converge beyond the sufficient condition.
     """
     if test_radius <= 1.0:
         raise ValueError("test radius must exceed 1")
     if cache is None:
         cache = MemoCache()
+    policy = potential.regular.policy
     warnings: list[str] = []
     m = moments_from_curve(curve, policy.n_max)
     gate = convergence_gate(m, policy.n_max)
@@ -454,7 +441,6 @@ def roundtrip(
             "moment vector misses the sufficient convergence bound: "
             + "; ".join(gate.offending)
         )
-    potential, build = build_potential(policy, cache)
     sector = one_point_sector(policy, order + 1, cache)
     w = map_from_potential(potential, m, order, sector)
 
@@ -470,6 +456,5 @@ def roundtrip(
         moments=m,
         gate=gate,
         map_series=w,
-        build=build,
         warnings=warnings,
     )

@@ -227,7 +227,7 @@ def test_verify_rejects_negative_order(capsys):
     [
         ["verify", "--nmax", "0", "--degmax", "3"],
         ["verify", "--nmax", "2", "--degmax", "1"],
-        ["verify", "--nmax", "2", "--degmax", "3", "--t0max", "0"],
+        ["ellipse", "--nmax", "2", "--degmax", "1"],
         ["ellipse", "--nmax", "2", "--degmax", "0"],
     ],
 )
@@ -237,6 +237,15 @@ def test_checks_reject_a_policy_without_terms(args, capsys):
     assert code == 2
     assert out == ""
     assert "admits no potential term to check" in err
+
+
+@pytest.mark.parametrize("command", ["potential", "verify", "ellipse"])
+def test_t0_bound_flag_is_rejected(command, capsys):
+    # a policy is (n_max, deg_max); there is no t0 bound to set
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--t0max", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t0max 3" in capsys.readouterr().err
 
 
 def test_ellipse_subcommand(capsys):

@@ -136,8 +136,7 @@ def test_map_without_sector_warns_and_keeps_zero_one_point_tail(potential_46):
 
 def test_map_rejects_sector_of_another_policy(potential_46):
     cache = MemoCache()
-    t0_max = potential_46.regular.policy.t0_max
-    for policy in (default_policy(4, 5), TruncationPolicy(3, 6, t0_max)):
+    for policy in (default_policy(4, 5), TruncationPolicy(3, 6)):
         sector = one_point_sector(policy, 9, cache=cache)
         with pytest.raises(ValueError, match="was not built for"):
             map_from_potential(

@@ -16,7 +16,7 @@ from taumap.series import (
 from taumap.verify import bar_swap
 
 
-POLICY = TruncationPolicy(n_max=3, deg_max=6, t0_max=6)
+POLICY = TruncationPolicy(n_max=3, deg_max=6)
 
 
 def t(k, policy=POLICY):
@@ -70,13 +70,12 @@ def test_monomial_canonical_order_enforced():
 
 
 def test_policy_filters_terms():
-    pol = TruncationPolicy(2, 2, 1)
+    pol = TruncationPolicy(2, 2)
     s = TruncatedSeries(
         pol,
         {
             Monomial(0, ((3, False, 1),)): Fraction(1),  # index too large
             Monomial(0, ((1, False, 3),)): Fraction(1),  # degree too large
-            Monomial(2, ()): Fraction(1),  # t0 power too large
             Monomial(1, ((2, True, 1),)): Fraction(5),
         },
     )
@@ -108,13 +107,13 @@ def test_square_of_sum():
 
 
 def test_mul_policy_mismatch_rejected():
-    other = TruncationPolicy(2, 2, 2)
+    other = TruncationPolicy(2, 2)
     with pytest.raises(PolicyMismatchError):
         t(1) * TruncatedSeries.variable(other, 1)
 
 
 def test_truncation_is_hard_filter():
-    pol = TruncationPolicy(3, 2, 6)
+    pol = TruncationPolicy(3, 2)
     a = TruncatedSeries.variable(pol, 1)
     cube = a * a * a
     assert not cube  # degree 3 exceeds deg_max = 2
@@ -130,7 +129,7 @@ def test_exp_of_zero():
 
 
 def test_exp_single_variable_matches_taylor():
-    pol = TruncationPolicy(2, 2, 2)
+    pol = TruncationPolicy(2, 2)
     e = TruncatedSeries.variable(pol, 1).exp_no_constant()
     assert e.coefficient(Monomial()) == 1
     assert e.coefficient(Monomial(0, ((1, False, 1),))) == 1
@@ -139,7 +138,7 @@ def test_exp_single_variable_matches_taylor():
 
 
 def test_exp_two_variables_multinomial():
-    pol = TruncationPolicy(2, 2, 2)
+    pol = TruncationPolicy(2, 2)
     e = (
         TruncatedSeries.variable(pol, 1) + TruncatedSeries.variable(pol, 2)
     ).exp_no_constant()
@@ -153,12 +152,19 @@ def test_exp_rejects_constant_term():
         (TruncatedSeries.constant(POLICY, 1) + t(1)).exp_no_constant()
 
 
+def test_exp_rejects_pure_t0_term():
+    # t0 alone carries no variable: its powers never leave the policy
+    for power in (1, 3):
+        with pytest.raises(ValueError, match="every term to carry a variable"):
+            (TruncatedSeries.t0(POLICY, power) + t(1)).exp_no_constant()
+
+
 def test_exp_is_additive_on_random_inputs():
     rng = random.Random(7)
-    pol = TruncationPolicy(2, 4, 4)
+    pol = TruncationPolicy(2, 4)
     for _ in range(20):
-        a = random_series(rng, pol).filter(lambda m: m.degree + m.t0_power > 0)
-        b = random_series(rng, pol).filter(lambda m: m.degree + m.t0_power > 0)
+        a = random_series(rng, pol).filter(lambda m: m.degree > 0)
+        b = random_series(rng, pol).filter(lambda m: m.degree > 0)
         assert (a + b).exp_no_constant() == a.exp_no_constant() * b.exp_no_constant()
 
 
@@ -223,7 +229,7 @@ def test_evaluate_index_out_of_range():
 
 def test_evaluate_is_ring_homomorphism():
     rng = random.Random(17)
-    pol = TruncationPolicy(3, 12, 12)  # roomy: products below never truncate
+    pol = TruncationPolicy(3, 12)  # roomy: products below never truncate
     for _ in range(20):
         a = random_series(rng, pol)
         b = random_series(rng, pol)
@@ -260,12 +266,12 @@ def test_json_round_trip_bit_exact():
 
 # -- product against the pairwise reference ----------------------------------------
 
-# Policies under which both the degree bound and the t0 bound cut products.
+# Policies under which the degree bound cuts products.
 CUTTING_POLICIES = [
-    TruncationPolicy(n_max=3, deg_max=4, t0_max=3),
-    TruncationPolicy(n_max=2, deg_max=5, t0_max=2),
-    TruncationPolicy(n_max=4, deg_max=3, t0_max=4),
-    TruncationPolicy(n_max=3, deg_max=6, t0_max=1),
+    TruncationPolicy(n_max=3, deg_max=4),
+    TruncationPolicy(n_max=2, deg_max=5),
+    TruncationPolicy(n_max=4, deg_max=3),
+    TruncationPolicy(n_max=3, deg_max=6),
 ]
 
 
@@ -279,8 +285,6 @@ def reference_mul(a, b):
             if d1 + sum(e for _, _, e in m2.factors) > pol.deg_max:
                 continue
             t0_power = m1.t0_power + m2.t0_power
-            if t0_power > pol.t0_max:
-                continue
             exps = {}
             for k, barred, e in m1.factors + m2.factors:
                 exps[barred, k] = exps.get((barred, k), 0) + e
@@ -304,20 +308,24 @@ def reference_exp(s):
         result = result + term
 
 
-def rich_series(rng, policy, terms=12, constant=True):
-    """Random terms up to the policy's bounds, with a constant and a pure t0 term."""
+def rich_series(rng, policy, terms=12, factor_free=True, max_t0_power=4):
+    """Random terms up to the policy's bounds, ``t0`` powers up to ``max_t0_power``.
+
+    With ``factor_free`` the series also has a constant and a pure ``t0``
+    term, which ``exp_no_constant`` rejects.
+    """
     out = {}
-    if constant:
+    if factor_free:
         out[Monomial()] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-    pure_t0 = Monomial(rng.randint(1, policy.t0_max), ())
-    out[pure_t0] = Fraction(rng.randint(-9, 9) or 1, 7)
+        pure_t0 = Monomial(rng.randint(1, max_t0_power), ())
+        out[pure_t0] = Fraction(rng.randint(-9, 9) or 1, 7)
     for _ in range(terms):
         exps = {}
         for _ in range(rng.randint(1, policy.deg_max)):
             var = (rng.random() < 0.5, rng.randint(1, policy.n_max))
             exps[var] = exps.get(var, 0) + 1
         factors = tuple((k, barred, e) for (barred, k), e in sorted(exps.items()))
-        mono = Monomial(rng.randint(0, policy.t0_max), factors)
+        mono = Monomial(rng.randint(0, max_t0_power), factors)
         out[mono] = Fraction(rng.randint(-30, 30), rng.randint(1, 40))
     return TruncatedSeries(policy, out)
 
@@ -325,40 +333,41 @@ def rich_series(rng, policy, terms=12, constant=True):
 def test_product_equals_pairwise_reference_under_cutting_policies():
     rng = random.Random(31)
     for pol in CUTTING_POLICIES:
-        cut_by_degree = cut_by_t0 = 0
+        cut_by_degree = 0
         for _ in range(12):
             a, b = rich_series(rng, pol), rich_series(rng, pol)
             for m1, _ in a.items():
                 for m2, _ in b.items():
                     if m1.degree + m2.degree > pol.deg_max:
                         cut_by_degree += 1
-                    elif m1.t0_power + m2.t0_power > pol.t0_max:
-                        cut_by_t0 += 1
             assert a * b == reference_mul(a, b)
             assert b * a == reference_mul(b, a)
             assert a * a == reference_mul(a, a)
             for _, c in (a * b).items():
                 assert type(c) is Fraction and c
-        assert cut_by_degree and cut_by_t0
+        assert cut_by_degree
 
 
 def test_exp_equals_pairwise_reference_under_cutting_policies():
     rng = random.Random(37)
     for pol in CUTTING_POLICIES:
         for _ in range(4):
-            s = rich_series(rng, pol, terms=6, constant=False)
+            s = rich_series(rng, pol, terms=6, factor_free=False)
             assert s.exp_no_constant() == reference_exp(s)
 
 
 def test_product_with_constants_and_pure_t0_terms():
-    pol = TruncationPolicy(n_max=2, deg_max=2, t0_max=2)
+    pol = TruncationPolicy(n_max=2, deg_max=2)
     one_plus_t0 = TruncatedSeries.constant(pol, 1) + TruncatedSeries.t0(pol)
     sq = one_plus_t0 * one_plus_t0
     assert sq.coefficient(Monomial()) == 1
     assert sq.coefficient(Monomial(1, ())) == 2
     assert sq.coefficient(Monomial(2, ())) == 1
     assert len(sq) == 3
-    assert not TruncatedSeries.t0(pol, 2) * TruncatedSeries.t0(pol)
+    # no t0 bound: t0 powers add past any value a policy names
+    assert TruncatedSeries.t0(pol, 2) * TruncatedSeries.t0(pol) == TruncatedSeries.t0(
+        pol, 3
+    )
     three_halves = TruncatedSeries.constant(pol, Fraction(3, 2))
     assert sq * Fraction(3, 2) == reference_mul(sq, three_halves)
 
@@ -387,7 +396,7 @@ def test_degree_is_exponent_sum_on_every_construction_path():
             a + b,
             -a,
             a * Fraction(2, 3),
-            a.to_policy(TruncationPolicy(2, 3, 2)),
+            a.to_policy(TruncationPolicy(2, 3)),
         ]
         for s in derived:
             for m, _ in s.items():
@@ -397,7 +406,7 @@ def test_degree_is_exponent_sum_on_every_construction_path():
 
 
 def test_equal_monomials_from_different_paths_compare_and_hash_equal():
-    pol = TruncationPolicy(n_max=3, deg_max=4, t0_max=4)
+    pol = TruncationPolicy(n_max=3, deg_max=4)
     target = Monomial(1, ((1, False, 1), (2, True, 1)))
     t0 = TruncatedSeries.t0(pol)
     t1, tbar2 = t(1, pol), tbar(2, pol)
@@ -436,7 +445,7 @@ def test_bad_monomials_still_raise():
 
 
 def test_public_constructor_drops_zero_and_inadmissible_terms():
-    pol = TruncationPolicy(2, 3, 2)
+    pol = TruncationPolicy(2, 3)
     kept = Monomial(1, ((1, False, 1), (2, True, 2)))
     s = TruncatedSeries(
         pol,
@@ -445,7 +454,6 @@ def test_public_constructor_drops_zero_and_inadmissible_terms():
             Monomial(0, ((1, False, 1),)): 0,
             Monomial(0, ((3, True, 1),)): Fraction(1),
             Monomial(0, ((1, False, 2), (1, True, 2))): Fraction(1),
-            Monomial(3, ()): Fraction(1),
         },
     )
     assert list(s.items()) == [(kept, Fraction(3))]
@@ -454,8 +462,8 @@ def test_public_constructor_drops_zero_and_inadmissible_terms():
 
 def test_to_tighter_policy_truncates_and_commutes_with_products():
     rng = random.Random(43)
-    roomy = TruncationPolicy(3, 6, 4)
-    tight = TruncationPolicy(2, 3, 2)
+    roomy = TruncationPolicy(3, 6)
+    tight = TruncationPolicy(2, 3)
     for _ in range(10):
         a, b = rich_series(rng, roomy), rich_series(rng, roomy)
         cut = a.to_policy(tight)

@@ -268,10 +268,15 @@ def test_degree_sums_majorized_by_geometric_tail():
 CURVE = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
 
 
+def built(n_max, deg_max, cache=None):
+    potential, _ = build_potential(default_policy(n_max, deg_max), cache=cache)
+    return potential
+
+
 def test_roundtrip_circle_exact():
     report = roundtrip(
         BoundaryCurve(r=1.2, a=(), samples=128),
-        default_policy(3, 3),
+        built(3, 3),
         order=6,
         test_radius=1.5,
     )
@@ -282,7 +287,7 @@ def test_roundtrip_circle_exact():
 def test_roundtrip_small_disk_admissible():
     report = roundtrip(
         BoundaryCurve(r=0.9, a=(), samples=128),
-        default_policy(2, 3),
+        built(2, 3),
         order=4,
         test_radius=1.25,
     )
@@ -296,7 +301,7 @@ def test_roundtrip_ellipse_policy_sweep_and_warning():
     errors = {}
     for deg in (3, 6):
         report = roundtrip(
-            CURVE, default_policy(4, deg), order=8, test_radius=1.25, cache=cache
+            CURVE, built(4, deg, cache), order=8, test_radius=1.25, cache=cache
         )
         errors[deg] = report.sup_error
         assert report.warnings  # t2 exceeds the sufficient bound
@@ -305,8 +310,9 @@ def test_roundtrip_ellipse_policy_sweep_and_warning():
 
 
 def test_roundtrip_error_attains_target_at_higher_index_cutoff():
+    cache = MemoCache()
     report = roundtrip(
-        CURVE, default_policy(8, 6), order=12, test_radius=1.25
+        CURVE, built(8, 6, cache), order=12, test_radius=1.25, cache=cache
     )
     assert report.sup_error <= 1e-5
     assert abs(report.p - 1.0) <= 1e-9
@@ -319,7 +325,7 @@ def test_roundtrip_asymmetric_curve_matches_full_index_build():
     curve = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
     cache = MemoCache()
     report = roundtrip(
-        curve, default_policy(4, 5), order=8, test_radius=1.25, cache=cache
+        curve, built(4, 5, cache), order=8, test_radius=1.25, cache=cache
     )
     full, _ = build_potential(default_policy(9, 5), cache=cache)
     w_full = map_from_potential(full, report.moments, 8)
@@ -333,16 +339,15 @@ def test_roundtrip_rotation_invariance():
     cache = MemoCache()
     base = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
     rotated = base.rotated(complex(math.cos(0.7), math.sin(0.7)))
-    r1 = roundtrip(base, default_policy(4, 5), order=8, test_radius=1.25, cache=cache)
-    r2 = roundtrip(
-        rotated, default_policy(4, 5), order=8, test_radius=1.25, cache=cache
-    )
+    potential = built(4, 5, cache)
+    r1 = roundtrip(base, potential, order=8, test_radius=1.25, cache=cache)
+    r2 = roundtrip(rotated, potential, order=8, test_radius=1.25, cache=cache)
     assert abs(r1.sup_error - r2.sup_error) <= 1e-10
 
 
 def test_roundtrip_radius_validation():
     with pytest.raises(ValueError):
-        roundtrip(CURVE, default_policy(2, 3), order=4, test_radius=0.9)
+        roundtrip(CURVE, built(2, 3), order=4, test_radius=0.9)
 
 
 def test_dual_moments_on_asymmetric_complex_curve():
