@@ -19,15 +19,28 @@ moments cut at ``n_max``, and there ``B_k`` for ``k > n_max`` is fixed by
 the terms linear in ``t_k`` whose other indices are all at most ``n_max``:
 the one-point sector (:func:`taumap.potential.one_point_sector`).  Without
 that sector those ``B_k`` are taken as zero, with a warning.
+
+Serving a domain is one numeric evaluation of fixed series.  The exact
+rows ``d0^2 F_reg`` and ``d0 d_k F_reg`` (``k <= n_max``) are derived once,
+on the first map of a potential, and compiled into a float kernel held on
+that :class:`~taumap.series.PotentialSeries` instance: an exponent array
+and a coefficient matrix that numpy evaluates at each moment vector.  The
+sector's rows are derived and compiled on each call.  The kernel sums in
+another order than :meth:`TruncatedSeries.evaluate`, so the two agree to
+the last few bits only.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
-from math import exp, isfinite, log, sqrt
+from math import exp, isfinite, sqrt
+from typing import Iterable
 
-from .series import PotentialSeries, TruncatedSeries
+import numpy as np
+
+from .series import Monomial, PotentialSeries, TruncatedSeries
 
 __all__ = ["MomentVector", "ExteriorMapSeries", "map_from_potential", "evaluate_map"]
 
@@ -97,6 +110,79 @@ class ExteriorMapSeries:
         )
 
 
+class _Kernel:
+    """Rows of exact series compiled for evaluation in complex binary64.
+
+    The columns are the union of the rows' monomials.  ``exponents`` has one
+    row per variable -- ``t0``, then ``t_k`` and ``tbar_k`` for ``k = 1..n``
+    in turn, ``n`` the largest index the rows use -- holding that variable's
+    exponent in each monomial, in the smallest unsigned dtype that holds the
+    largest one.  ``coeffs`` (rows x monomials) holds every ``Fraction``
+    rounded once.
+    """
+
+    __slots__ = ("n", "exponents", "tops", "coeffs")
+
+    def __init__(self, rows: Iterable[TruncatedSeries]) -> None:
+        # ``rows`` is read once, so a generator holds one exact row at a time
+        column: dict[Monomial, int] = {}
+        var, mon, power = array("l"), array("l"), array("l")
+        row_of, col_of, coeff = array("l"), array("l"), array("d")
+        n_rows = 0
+        for i, row in enumerate(rows):
+            n_rows += 1
+            for mono, c in row.items():
+                j = column.get(mono)
+                if j is None:
+                    j = column[mono] = len(column)
+                    var.append(0)
+                    mon.append(j)
+                    power.append(mono.t0_power)
+                    for k, barred, e in mono.factors:
+                        var.append(2 * k - 1 + barred)
+                        mon.append(j)
+                        power.append(e)
+                row_of.append(i)
+                col_of.append(j)
+                coeff.append(float(c))
+        self.n = (max(var, default=0) + 1) // 2
+        dtype = np.min_scalar_type(max(power, default=0))
+        self.exponents = np.zeros((1 + 2 * self.n, len(column)), dtype=dtype)
+        self.exponents[var, mon] = power
+        self.tops = self.exponents.max(axis=1, initial=0).tolist()
+        self.coeffs = np.zeros((n_rows, len(column)), dtype=np.complex128)
+        self.coeffs[row_of, col_of] = coeff
+
+    def monomials(self, moments: MomentVector) -> np.ndarray:
+        """Every monomial's value at ``moments``, with ``tbar_k = conj(t_k)``.
+
+        A running product over the variables: per variable, a table of its
+        powers up to the largest exponent, indexed by its exponent row.
+        """
+        if len(moments.t) < self.n:
+            raise IndexError(
+                f"kernel uses index {self.n} but only {len(moments.t)} moments given"
+            )
+        variables = [moments.t0]
+        for x in moments.t[: self.n]:
+            variables += (x, x.conjugate())
+        values = np.ones(self.exponents.shape[1], dtype=np.complex128)
+        for x, top, e in zip(variables, self.tops, self.exponents):
+            table = np.full(top + 1, x, dtype=np.complex128)
+            table[0] = 1
+            np.cumprod(table, out=table)
+            values *= table[e]
+        return values
+
+    def __call__(self, moments: MomentVector) -> np.ndarray:
+        """``coeffs @ monomials(moments)``: the value of each row.
+
+        Summed by ``einsum`` in the calling thread: a threaded BLAS product
+        is barely faster at this size and can stall on a busy core.
+        """
+        return np.einsum("ij,j->i", self.coeffs, self.monomials(moments))
+
+
 def map_from_potential(
     potential: PotentialSeries,
     moments: MomentVector,
@@ -131,7 +217,6 @@ def map_from_potential(
                 f"{policy}"
             )
         covered = max(n_max, sp.n_max)
-        sector_d0 = sector.diff_t0()
     if order + 1 > covered:
         warnings.warn(
             f"one-point functions B_k for k > {covered} are taken as zero "
@@ -142,16 +227,18 @@ def map_from_potential(
         )
     m = moments.padded(max(n_max, order + 1))
 
-    d0 = potential.regular.diff_t0()
-    a_val = d0.diff_t0().evaluate(m)
-    b: list[complex] = []
-    for k in range(1, order + 2):
-        if k <= n_max:
-            b.append(d0.diff_t(k).evaluate(m))
-        elif k <= covered:
-            b.append(sector_d0.diff_t(k).evaluate(m))
-        else:
-            b.append(0j)
+    kernel = potential._map_kernel
+    if kernel is None:
+        d0 = potential.regular.diff_t0()
+        kernel = _Kernel(d0.diff_t(k) if k else d0.diff_t0() for k in range(n_max + 1))
+        object.__setattr__(potential, "_map_kernel", kernel)
+    a_val, *b = kernel(m).tolist()
+    del b[order + 1 :]
+    top = min(order + 1, covered)
+    if top > n_max:
+        sector_d0 = sector.diff_t0()
+        b += _Kernel(sector_d0.diff_t(k) for k in range(n_max + 1, top + 1))(m).tolist()
+    b += [0j] * (order + 1 - len(b))
 
     # normalization demands p real positive; for conjugate-symmetric moments
     # A is real up to rounding, so the imaginary residue is dropped
@@ -172,7 +259,10 @@ def map_from_potential(
 
 
 def evaluate_map(w: ExteriorMapSeries, z: complex) -> complex:
-    """``p z + sum_j p_j z^-j`` by Horner evaluation in ``1/z``."""
+    """``p z + sum_j p_j z^-j`` by Horner evaluation in ``1/z``.
+
+    ``z`` may be a numpy array; a Python ``complex`` stays one.
+    """
     zinv = 1.0 / z
     acc = 0j
     for coeff in reversed(w.tail):

@@ -462,6 +462,10 @@ class PotentialSeries:
     singular_log_coeff: Fraction
     singular_quad_coeff: Fraction
     regular: TruncatedSeries
+    # The float kernel of the map's second derivatives, compiled by
+    # ``taumap.confmap.map_from_potential`` on its first call and then only
+    # read; threads that race to compile it build equal kernels.
+    _map_kernel: object = field(default=None, init=False, repr=False, compare=False)
 
     def invariant_violations(self) -> list[str]:
         bad = []

@@ -40,7 +40,7 @@ from math import factorial
 import numpy as np
 
 from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
-from .confmap import ExteriorMapSeries, MomentVector, map_from_potential
+from .confmap import ExteriorMapSeries, MomentVector, _Kernel, map_from_potential
 from .moments import BoundaryCurve, moments_from_curve
 from .potential import (
     CheckResult,
@@ -383,14 +383,11 @@ def degree_term_sums(
     For an admissible vector these sums are majorized by ``2^-K`` at degree
     ``K``, the geometric tail bound behind the convergence gate.
     """
-    mm = m.padded(potential.regular.policy.n_max)
-    sums: dict[int, float] = {}
-    for mono, coeff in potential.regular.items():
-        single = TruncatedSeries(potential.regular.policy, {mono: coeff})
-        value = abs(single.evaluate(mm))
-        k = mono.degree
-        sums[k] = sums.get(k, 0.0) + value
-    return dict(sorted(sums.items()))
+    kernel = _Kernel([potential.regular])
+    terms = np.abs(kernel.coeffs[0] * kernel.monomials(m.padded(kernel.n)))
+    degrees = kernel.exponents[1:].sum(axis=0, dtype=np.int64)
+    sums = np.bincount(degrees, weights=terms)
+    return {int(k): float(sums[k]) for k in np.unique(degrees)}
 
 
 # -- roundtrip ----------------------------------------------------------------
@@ -446,11 +443,7 @@ def roundtrip(
 
     theta = 2 * np.pi * np.arange(n_samples) / n_samples
     u = test_radius * np.exp(1j * theta)
-    sup_error = 0.0
-    for point in u:
-        point = complex(point)
-        z = curve.z_of(point)
-        sup_error = max(sup_error, float(abs(w(z) - point)))
+    sup_error = float(np.max(np.abs(w(curve.z_of(u)) - u)))
     return RoundtripReport(
         sup_error=sup_error,
         moments=m,

@@ -37,6 +37,7 @@ from taumap.potential import (
     cauchy_data_check,
     default_policy,
     ellipse_oracle_check,
+    one_point_sector,
 )
 from taumap.verify import (
     convergence_gate,
@@ -234,10 +235,14 @@ def test_a06_growth_bounds_on_random_keys():
 
 
 def test_a07_disk_map_normalization():
-    potential, _ = build_potential(default_policy(4, 4), cache=MemoCache())
+    cache = MemoCache()
+    policy = default_policy(4, 4)
+    potential, _ = build_potential(policy, cache=cache)
+    sector = one_point_sector(policy, 9, cache=cache)
     ok = True
     for t0 in (0.25, 0.7, 1.0, 3.0):
-        w = map_from_potential(potential, MomentVector(t0=t0, t=(0, 0, 0, 0)), 8)
+        m = MomentVector(t0=t0, t=(0, 0, 0, 0))
+        w = map_from_potential(potential, m, 8, sector)
         ok = ok and abs(w.p - t0**-0.5) <= 1e-12 and all(c == 0 for c in w.tail)
     gate_line("A7", "disk map p = t0^(-1/2) with zero tail", ok)
     assert ok

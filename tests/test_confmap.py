@@ -2,8 +2,11 @@
 
 import cmath
 import math
+import random
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from taumap.coefficients import MemoCache
@@ -13,8 +16,9 @@ from taumap.confmap import (
     evaluate_map,
     map_from_potential,
 )
+from taumap.moments import BoundaryCurve, moments_from_curve
 from taumap.potential import build_potential, default_policy, one_point_sector
-from taumap.series import TruncationPolicy
+from taumap.series import PotentialSeries, TruncatedSeries, TruncationPolicy
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +33,10 @@ def sector_46():
     return one_point_sector(default_policy(4, 6), 9)
 
 
-def test_disk_map_exact(potential_46):
+def test_disk_map_exact(potential_46, sector_46):
     for t0 in (0.25, 1.0, 2.0):
         m = MomentVector(t0=t0, t=(0, 0, 0, 0))
-        w = map_from_potential(potential_46, m, order=6)
+        w = map_from_potential(potential_46, m, order=6, sector=sector_46)
         assert abs(w.p - t0**-0.5) <= 1e-12
         assert all(abs(c) == 0 for c in w.tail)
         z = 2.0 * math.sqrt(t0) * cmath.exp(0.3j)
@@ -148,3 +152,151 @@ def test_moment_vector_rejects_non_finite_t0():
     for t0 in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="t0 must be finite and positive"):
             MomentVector(t0=t0)
+
+
+# -- the compiled second derivatives -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def potential_86():
+    potential, _ = build_potential(default_policy(8, 6), MemoCache())
+    return potential
+
+
+def map_rows(potential):
+    """``[d0^2 F_reg, d0 d_1 F_reg, ..., d0 d_{n_max} F_reg]``, exact."""
+    d0 = potential.regular.diff_t0()
+    n_max = potential.regular.policy.n_max
+    return [d0.diff_t0()] + [d0.diff_t(k) for k in range(1, n_max + 1)]
+
+
+def reference_map(potential, moments, order, sector=None):
+    """The map as computed before the kernel: exact derivatives taken on
+    every call and evaluated term by term with ``TruncatedSeries.evaluate``."""
+    n_max = potential.regular.policy.n_max
+    m = moments.padded(max(n_max, order + 1))
+    d0 = potential.regular.diff_t0()
+    a_val = d0.diff_t0().evaluate(m)
+    b = []
+    for k in range(1, order + 2):
+        if k <= n_max:
+            b.append(d0.diff_t(k).evaluate(m))
+        elif sector is not None and k <= sector.policy.n_max:
+            b.append(sector.diff_t0().diff_t(k).evaluate(m))
+        else:
+            b.append(0j)
+    p = math.exp(-a_val.real / 2) / math.sqrt(m.t0)
+    c = [0j] + [-b[k - 1] / k for k in range(1, order + 2)]
+    h = [1 + 0j]
+    for n in range(1, order + 2):
+        h.append(sum(k * c[k] * h[n - k] for k in range(1, n + 1)) / n)
+    return p, [p * h[j + 1] for j in range(order + 1)]
+
+
+def exact_value(series, t0, t):
+    """``series`` at ``t0`` and Gaussian-rational ``t_k = (re, im)``, exactly."""
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    powers = {}
+
+    def power(k, barred, e):
+        if (k, barred, e) not in powers:
+            re, im = t[k - 1]
+            x = (re, -im) if barred else (re, im)
+            powers[k, barred, e] = x if e == 1 else mul(x, power(k, barred, e - 1))
+        return powers[k, barred, e]
+
+    re = im = Fraction(0)
+    for mono, c in series.items():
+        v = (c * t0**mono.t0_power, Fraction(0))
+        for k, barred, e in mono.factors:
+            v = mul(v, power(k, barred, e))
+        re += v[0]
+        im += v[1]
+    return re, im
+
+
+@pytest.mark.parametrize("n_max, points", [(4, 3), (8, 2)])
+def test_kernel_against_exact_rational_evaluation(
+    n_max, points, potential_46, potential_86
+):
+    # dyadic moments are exact in binary64, so the whole error is the kernel's
+    potential = {4: potential_46, 8: potential_86}[n_max]
+    map_from_potential(potential, MomentVector(t0=1.0), order=n_max - 1)
+    kernel = potential._map_kernel
+    assert kernel.exponents.dtype == np.uint8
+    rows = map_rows(potential)
+    rng = random.Random(20 + n_max)
+    for _ in range(points):
+        t0 = Fraction(rng.randint(2**9, 2**10), 2**10)
+        t = [
+            tuple(Fraction(rng.randint(-(2**10), 2**10), 2 ** (13 + 2 * k)) for _ in "ri")
+            for k in range(1, n_max + 1)
+        ]
+        m = MomentVector(float(t0), tuple(complex(float(a), float(b)) for a, b in t))
+        got = kernel(m)
+        for i, row in enumerate(rows):
+            re, im = exact_value(row, t0, t)
+            exact = complex(float(re), float(im))
+            assert abs(got[i] - exact) <= 1e-13 * abs(exact), (i, got[i], exact)
+
+
+def curve_moments(seed, count, n_max):
+    """Moments of seeded random curves ``u + sum_j a_j u^-j``, ``sum j|a_j| <= 0.2``."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = [0j] + [
+            cmath.rect(0.2 / 6 / j * rng.random(), rng.uniform(0, 2 * math.pi))
+            for j in range(1, 7)
+        ]
+        out.append(moments_from_curve(BoundaryCurve(1.0, tuple(a)), n_max))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_max, order, with_sector", [(4, 8, True), (4, 3, False), (8, 7, False)]
+)
+def test_map_matches_term_by_term_formula(
+    n_max, order, with_sector, potential_46, sector_46, potential_86
+):
+    potential = {4: potential_46, 8: potential_86}[n_max]
+    sector = sector_46 if with_sector else None
+    for m in curve_moments(n_max, 4, n_max):
+        w = map_from_potential(potential, m, order, sector)
+        p, tail = reference_map(potential, m, order, sector)
+        assert abs(w.p - p) <= 1e-12
+        assert len(w.tail) == len(tail)
+        assert all(abs(x - y) <= 1e-12 for x, y in zip(w.tail, tail))
+
+
+def test_second_map_takes_no_derivative(monkeypatch):
+    potential, _ = build_potential(default_policy(3, 4), MemoCache())
+    assert potential._map_kernel is None  # the build does not compile it
+    calls = []
+    for name in ("diff_t0", "diff_t"):
+        original = getattr(TruncatedSeries, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    m = MomentVector(t0=0.9, t=(0.01 + 0.02j, -0.003j, 0.001))
+    first = map_from_potential(potential, m, order=2)
+    assert calls.count("diff_t") == 3 and calls.count("diff_t0") == 2
+    calls.clear()
+    assert map_from_potential(potential, m, order=2) == first
+    assert calls == []
+
+
+def test_potential_without_terms_gives_the_disk_map():
+    empty = PotentialSeries(
+        Fraction(1, 2), Fraction(-3, 4), TruncatedSeries.zero(TruncationPolicy(3, 4))
+    )
+    m = MomentVector(t0=0.7, t=(0.02 + 0.01j, 0.03, -0.01j))
+    w = map_from_potential(empty, m, order=2)
+    assert w.p == 1 / math.sqrt(0.7)
+    assert all(c == 0 for c in w.tail)

@@ -262,6 +262,34 @@ def test_degree_sums_majorized_by_geometric_tail():
         assert total <= 2.0 ** (-degree), (degree, total)
 
 
+def reference_degree_term_sums(potential, m):
+    """The per-monomial loop ``degree_term_sums`` replaced."""
+    mm = m.padded(potential.regular.policy.n_max)
+    sums = {}
+    for mono, coeff in potential.regular.items():
+        single = TruncatedSeries(potential.regular.policy, {mono: coeff})
+        sums[mono.degree] = sums.get(mono.degree, 0.0) + abs(single.evaluate(mm))
+    return dict(sorted(sums.items()))
+
+
+def test_degree_sums_match_per_monomial_loop(potential_44):
+    n = 2
+    bound = 1.0 / (4 * n**3 * 2**n * math.exp(n))
+    potential_28, _ = build_potential(default_policy(2, 8))
+    potential_56, _ = build_potential(default_policy(5, 6))
+    cases = [
+        (potential_28, MomentVector(t0=0.5, t=(bound, bound * 0.9))),
+        (potential_44, MomentVector(t0=0.8, t=(0.05 + 0.02j, -0.01j, 0.003, 0.001))),
+        (potential_56, moments_from_curve(CURVE, 5)),
+    ]
+    for potential, m in cases:
+        got = degree_term_sums(potential, m)
+        want = reference_degree_term_sums(potential, m)
+        assert list(got) == list(want)
+        for degree, total in want.items():
+            assert abs(got[degree] - total) <= 1e-13 * total, (degree, got[degree], total)
+
+
 # -- roundtrip ---------------------------------------------------------------------
 
 
@@ -343,6 +371,19 @@ def test_roundtrip_rotation_invariance():
     r1 = roundtrip(base, potential, order=8, test_radius=1.25, cache=cache)
     r2 = roundtrip(rotated, potential, order=8, test_radius=1.25, cache=cache)
     assert abs(r1.sup_error - r2.sup_error) <= 1e-10
+
+
+def test_roundtrip_array_error_equals_point_loop():
+    curve = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
+    cache = MemoCache()
+    report = roundtrip(curve, built(4, 5, cache), order=8, test_radius=1.25, cache=cache)
+    w = report.map_series
+    u = 1.25 * np.exp(2j * np.pi * np.arange(512) / 512)
+    loop = max(abs(w(curve.z_of(complex(x))) - complex(x)) for x in u)
+    assert abs(report.sup_error - loop) <= 1e-15
+    # scalar calls stay in Python complex arithmetic
+    assert type(curve.z_of(1.25 + 0j)) is complex
+    assert type(w(curve.z_of(1.25 + 0j))) is complex
 
 
 def test_roundtrip_radius_validation():
