@@ -16,26 +16,24 @@ Three domains:
   data: the one-point functions B_k beyond it come from the exact one-point
   sector of the potential (terms linear in t_k), and it is the degree bound
   that sets the attainable accuracy.
+
+A potential serves maps up to the order it was built for: ``map_order``
+makes the build carry the one-point sector those maps need.
 """
 
 from taumap import (
     BoundaryCurve,
-    MemoCache,
-    MomentVector,
     build_potential,
     default_policy,
     map_from_potential,
     moments_from_curve,
-    one_point_sector,
     roundtrip,
 )
 
-cache = MemoCache()
-
 
 def roundtrip_at(curve, n_max, deg_max, order, test_radius):
-    potential, _ = build_potential(default_policy(n_max, deg_max), cache=cache)
-    return roundtrip(curve, potential, order, test_radius, cache=cache)
+    potential, _ = build_potential(default_policy(n_max, deg_max), map_order=order)
+    return roundtrip(curve, potential, order, test_radius)
 
 
 disk = BoundaryCurve(r=1.2, a=(), samples=128)
@@ -58,7 +56,6 @@ print("(the degree bound dominates: B_k beyond n_max come from the one-point sec
 
 moments = moments_from_curve(ellipse, 4)
 print(f"\nquadrature moments: t0 = {moments.t0:.6f}, t2 = {moments.t[1]:.6f}")
-policy = default_policy(4, 6)
-potential, _ = build_potential(policy, cache=cache)
-w = map_from_potential(potential, moments, 8, one_point_sector(policy, 9, cache=cache))
+potential, _ = build_potential(default_policy(4, 6), map_order=8)
+w = map_from_potential(potential, moments, 8)
 print(f"map coefficients: p = {w.p:.9f}, p1 = {w.tail[1]:.6f} (exact ellipse: -0.05)")

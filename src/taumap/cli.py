@@ -51,7 +51,6 @@ from .potential import (
     cauchy_data_check,
     default_policy,
     ellipse_oracle_check,
-    one_point_sector,
 )
 from .series import TruncationPolicy, series_to_json_terms
 from .verify import (
@@ -232,11 +231,9 @@ def _cmd_potential(args) -> int:
 def _cmd_map(args) -> int:
     moments = MomentVector.from_json(_read_json(args.in_path))
     policy = default_policy(args.nmax, args.degmax)
-    order = args.order_j if args.order_j is not None else policy.n_max + policy.deg_max
-    cache = MemoCache()
-    potential, _ = build_potential(policy, cache=cache)
-    sector = one_point_sector(policy, order + 1, cache=cache)
-    w = map_from_potential(potential, moments, order, sector)
+    order = _map_order(args, policy)
+    potential, _ = build_potential(policy, map_order=order)
+    w = map_from_potential(potential, moments, order)
     _write_text(args.out, _dump_json(w.to_json()))
     return 0
 
@@ -259,8 +256,9 @@ def _cmd_moments(args) -> int:
 def _cmd_verify(args) -> int:
     policy = default_policy(args.nmax, args.degmax)
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
+    order_j = _map_order(args, policy) if args.in_path else None
     cache = MemoCache()
-    potential, build = _build_checked_potential(policy, cache)
+    potential, build = _build_checked_potential(policy, cache=cache, map_order=order_j)
 
     checks = [cauchy_data_check(potential, policy.n_max)]
     if policy.n_max >= 2:
@@ -275,10 +273,7 @@ def _cmd_verify(args) -> int:
 
     if args.in_path:
         curve = curve_from_json(_read_json(args.in_path))
-        order_j = (
-            args.order_j if args.order_j is not None else policy.n_max + policy.deg_max
-        )
-        rt = roundtrip(curve, potential, order_j, 1.25, cache=cache)
+        rt = roundtrip(curve, potential, order_j, 1.25)
         within = rt.sup_error <= args.roundtrip_tol
         checks.append(
             CheckResult(
@@ -323,13 +318,18 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _build_checked_potential(policy: TruncationPolicy, cache: MemoCache):
-    """Build the potential a check runs on; a policy without keys is an error.
+def _map_order(args, policy: TruncationPolicy) -> int:
+    """The map order ``--order-J``, by default ``n_max + deg_max``."""
+    return args.order_j if args.order_j is not None else policy.n_max + policy.deg_max
+
+
+def _build_checked_potential(policy: TruncationPolicy, **options):
+    """:func:`build_potential` for a check; a policy without keys is an error.
 
     Every check passes on a potential with no terms, so such a PASS would
     say nothing.
     """
-    potential, build = build_potential(policy, cache=cache)
+    potential, build = build_potential(policy, **options)
     if not build.keys_evaluated:
         raise ValueError(
             f"policy n_max={policy.n_max}, deg_max={policy.deg_max} admits no "
@@ -363,7 +363,7 @@ def _cmd_ellipse(args) -> int:
         print("ellipse comparison needs --nmax >= 2", file=sys.stderr)
         return 2
     policy = default_policy(args.nmax, args.degmax)
-    potential, _ = _build_checked_potential(policy, MemoCache())
+    potential, _ = _build_checked_potential(policy)
     report = ellipse_oracle_check(potential)
     _write_text(args.out, _dump_json(report.to_json()))
     return 0 if report.ok else 1

@@ -352,8 +352,6 @@ def _t2_scaled(
                 if s_new < 1 or l_acc < 1:
                     continue
                 weight = _window_weight(l[a : b + 1])
-                if not weight:
-                    continue
                 inner = _t1_scaled(s_new, s[a : b + 1], cache)
                 if not inner:
                     continue

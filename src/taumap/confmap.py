@@ -17,17 +17,18 @@ The sum over ``k`` runs over every index, not only those of the potential's
 policy.  A potential truncated at index ``n_max`` is evaluated at the
 moments cut at ``n_max``, and there ``B_k`` for ``k > n_max`` is fixed by
 the terms linear in ``t_k`` whose other indices are all at most ``n_max``:
-the one-point sector (:func:`taumap.potential.one_point_sector`).  Without
-that sector those ``B_k`` are taken as zero, with a warning.
+the one-point sector, which the potential carries when it was built for the
+map's order (:func:`taumap.potential.build_potential`).  ``B_k`` beyond
+what the potential carries are taken as zero, with a warning.
 
 Serving a domain is one numeric evaluation of fixed series.  The exact
-rows ``d0^2 F_reg`` and ``d0 d_k F_reg`` (``k <= n_max``) are derived once,
-on the first map of a potential, and compiled into a float kernel held on
-that :class:`~taumap.series.PotentialSeries` instance: an exponent array
-and a coefficient matrix that numpy evaluates at each moment vector.  The
-sector's rows are derived and compiled on each call.  The kernel sums in
-another order than :meth:`TruncatedSeries.evaluate`, so the two agree to
-the last few bits only.
+rows ``d0^2 F_reg``, ``d0 d_k F_reg`` (``k <= n_max``) and ``d0 d_k`` of
+the sector (``n_max < k <= k_max``) are derived once, on the first map of
+a potential, and compiled into a float kernel held on that
+:class:`~taumap.series.PotentialSeries` instance: an exponent array and a
+coefficient matrix that numpy evaluates at each moment vector.  The
+kernel sums in another order than :meth:`TruncatedSeries.evaluate`, so the
+two agree to the last few bits only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass
-from math import exp, isfinite, sqrt
+from math import exp, inf, isfinite, sqrt
 from typing import Iterable
 
 import numpy as np
@@ -184,65 +185,62 @@ class _Kernel:
 
 
 def map_from_potential(
-    potential: PotentialSeries,
-    moments: MomentVector,
-    order: int,
-    sector: TruncatedSeries | None = None,
+    potential: PotentialSeries, moments: MomentVector, order: int
 ) -> ExteriorMapSeries:
     """Exterior map coefficients ``p, p_0..p_J`` from the potential at ``m``.
 
     ``order`` is the truncation order ``J`` of the ``z^-1`` tail, which is
     fed by the one-point functions ``B_k`` for ``k = 1..J+1``.  Indices up
-    to the potential's ``n_max`` are read from the potential.  Beyond it,
-    ``B_k = d0 d_k(sector)`` at the same moments, where ``sector`` is
-    :func:`taumap.potential.one_point_sector` built under the potential's
-    policy with ``k_max >= J+1``; a sector built under another policy raises
-    ``ValueError``.  Moments beyond ``n_max`` are ignored throughout, as the
-    potential has no terms in them.  Any ``B_k`` that neither covers is taken
-    as zero, with one ``UserWarning``.
+    to the potential's ``n_max`` are read from the potential, those up to
+    its ``k_max`` from the one-point sector it carries (build it with
+    ``map_order >= J``).  Moments beyond ``n_max`` are ignored throughout,
+    as the potential has no terms in them.  Any ``B_k`` beyond ``k_max`` is
+    taken as zero, with one ``UserWarning``.
+
+    ``A`` so large either way that ``p`` leaves the floating-point range
+    raises ``ValueError``: such moments lie far outside the region where
+    the series converges.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    policy = potential.regular.policy
-    n_max = policy.n_max
-    covered = n_max
-    if sector is not None:
-        sp = sector.policy
-        beyond = (
-            sum(k > n_max for k, _, _ in mono.factors) for mono, _ in sector.items()
-        )
-        if sp.deg_max != policy.deg_max or any(count != 1 for count in beyond):
-            raise ValueError(
-                f"one-point sector under {sp} was not built for the potential's "
-                f"{policy}"
-            )
-        covered = max(n_max, sp.n_max)
-    if order + 1 > covered:
+    n_max = potential.regular.policy.n_max
+    k_max = potential.k_max
+    if order + 1 > k_max:
         warnings.warn(
-            f"one-point functions B_k for k > {covered} are taken as zero "
-            f"(the map of order {order} needs k <= {order + 1}); pass a "
-            f"one_point_sector with k_max >= {order + 1}",
+            f"one-point functions B_k for k > {k_max} are taken as zero "
+            f"(the map of order {order} needs k <= {order + 1}); build the "
+            f"potential with map_order >= {order}",
             UserWarning,
             stacklevel=2,
         )
-    m = moments.padded(max(n_max, order + 1))
+    m = moments.padded(n_max)
 
     kernel = potential._map_kernel
     if kernel is None:
+        # the rows are streamed: A, then B_k from the regular part or the sector
         d0 = potential.regular.diff_t0()
-        kernel = _Kernel(d0.diff_t(k) if k else d0.diff_t0() for k in range(n_max + 1))
+        d0_sector = None if potential.sector is None else potential.sector.diff_t0()
+        kernel = _Kernel(
+            (d0 if k <= n_max else d0_sector).diff_t(k) if k else d0.diff_t0()
+            for k in range(k_max + 1)
+        )
         object.__setattr__(potential, "_map_kernel", kernel)
     a_val, *b = kernel(m).tolist()
     del b[order + 1 :]
-    top = min(order + 1, covered)
-    if top > n_max:
-        sector_d0 = sector.diff_t0()
-        b += _Kernel(sector_d0.diff_t(k) for k in range(n_max + 1, top + 1))(m).tolist()
     b += [0j] * (order + 1 - len(b))
 
     # normalization demands p real positive; for conjugate-symmetric moments
     # A is real up to rounding, so the imaginary residue is dropped
-    p = exp(-a_val.real / 2) / sqrt(m.t0)
+    try:
+        p = exp(-a_val.real / 2) / sqrt(m.t0)
+    except OverflowError:
+        p = inf
+    if not 0 < p < inf:
+        raise ValueError(
+            f"A = d0^2 F_reg = {a_val.real:.6g} puts p = exp(-A/2) / sqrt(t0) out of "
+            "range: the moments lie far outside the series' convergence region "
+            "(see taumap.verify.convergence_gate)"
+        )
 
     # h = exp(sum c_k z^-k) with c_k = -B_k / k, by the standard recurrence
     # h_n = (1/n) sum_{k<=n} k c_k h_{n-k}.

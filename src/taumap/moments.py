@@ -77,9 +77,9 @@ class BoundaryCurve:
         if n < 64 or n & (n - 1):
             raise ValueError("samples must be a power of two >= 64")
 
-    def boundary(self, n_samples: int | None = None):
-        """Arrays ``(z, dz_du, u)`` on the uniform grid of ``|u| = 1``."""
-        n = self.samples if n_samples is None else n_samples
+    def boundary(self):
+        """Arrays ``(z, dz_du, u)`` on ``samples`` uniform points of ``|u| = 1``."""
+        n = self.samples
         theta = 2 * pi * np.arange(n) / n
         u = np.exp(1j * theta)
         z = self.r * u

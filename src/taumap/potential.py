@@ -25,6 +25,8 @@ that carry one unbarred ``t_k`` beyond the policy's index bound and nothing
 else beyond it.  They are exactly the keys that fix the map's one-point
 functions ``B_k = d0 d_k F`` for ``k > n_max`` at a moment vector cut at
 ``n_max`` (see :func:`taumap.confmap.map_from_potential`).
+:func:`build_potential` evaluates that sector when given the largest map
+order the potential will serve, and the potential carries it to the map.
 
 This module also carries the two strong self-checks used as acceptance
 oracles: the restriction of mixed derivatives to the ``t0`` line (Cauchy
@@ -183,13 +185,22 @@ def _evaluate_key(
 
 
 def build_potential(
-    policy: TruncationPolicy, cache: MemoCache | None = None
+    policy: TruncationPolicy,
+    cache: MemoCache | None = None,
+    map_order: int | None = None,
 ) -> tuple[PotentialSeries, BuildReport]:
     """Sum the coefficient recursion over every admissible key.
 
     The keys are those of :func:`_admissible_keys`; ``keys_evaluated``
     counts them, mirrors included.  Without a ``cache`` the build fills a
     fresh one.
+
+    ``map_order`` is the largest map order ``J`` the potential will serve.
+    A map of order ``J`` reads ``B_k`` for ``k <= J + 1``; when that exceeds
+    ``n_max`` the potential also carries :func:`one_point_sector` up to
+    ``k_max = J + 1``.  The sector is evaluated on a fresh cache of its own,
+    so its tables are freed when the build returns, and it is not counted
+    in the report.
     """
     if cache is None:
         cache = MemoCache()
@@ -207,10 +218,14 @@ def build_potential(
         elapsed=time.perf_counter() - start,
         table_sizes=cache.sizes(),
     )
+    sector = None
+    if map_order is not None and map_order + 1 > policy.n_max:
+        sector = one_point_sector(policy, map_order + 1)
     potential = PotentialSeries(
         singular_log_coeff=Fraction(1, 2),
         singular_quad_coeff=Fraction(-3, 4),
         regular=regular,
+        sector=sector,
     )
     return potential, report
 

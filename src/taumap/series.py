@@ -457,15 +457,25 @@ class PotentialSeries:
 
     where ``regular`` is an ordinary :class:`TruncatedSeries` whose monomials
     each contain at least one unbarred and at least one barred factor.
+
+    ``sector``, when present, is the potential's one-point sector beyond
+    ``n_max`` (:func:`taumap.potential.one_point_sector`): it supplies the
+    map's ``B_k`` for ``n_max < k <= k_max``.
     """
 
     singular_log_coeff: Fraction
     singular_quad_coeff: Fraction
     regular: TruncatedSeries
+    sector: TruncatedSeries | None = None
     # The float kernel of the map's second derivatives, compiled by
     # ``taumap.confmap.map_from_potential`` on its first call and then only
     # read; threads that race to compile it build equal kernels.
     _map_kernel: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def k_max(self) -> int:
+        """The largest ``k`` whose one-point function ``B_k`` the potential supplies."""
+        return (self.regular if self.sector is None else self.sector).policy.n_max
 
     def invariant_violations(self) -> list[str]:
         bad = []

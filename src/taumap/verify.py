@@ -48,7 +48,6 @@ from .potential import (
     _monomial_for,
     _oriented,
     _term_coefficient,
-    one_point_sector,
 )
 from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 
@@ -392,6 +391,9 @@ def degree_term_sums(
 
 # -- roundtrip ----------------------------------------------------------------
 
+# Points on the test circle at which the roundtrip error is taken.
+ROUNDTRIP_SAMPLES = 512
+
 
 @dataclass
 class RoundtripReport:
@@ -411,24 +413,24 @@ def roundtrip(
     potential: PotentialSeries,
     order: int,
     test_radius: float,
-    cache: MemoCache | None = None,
-    n_samples: int = 512,
 ) -> RoundtripReport:
     """Domain -> moments -> potential -> map, composed against the curve.
 
-    Reports ``sup |w(z(u)) - u|`` over ``n_samples`` points of the circle
-    ``|u| = test_radius``.  The moments are cut at the potential's
+    Reports ``sup |w(z(u)) - u|`` over ``ROUNDTRIP_SAMPLES`` points of the
+    circle ``|u| = test_radius``.  The moments are cut at the potential's
     ``n_max``; the one-point functions ``B_k`` beyond it, up to
-    ``order + 1``, come from :func:`taumap.potential.one_point_sector` under
-    the potential's policy, built on ``cache`` (a fresh one when none is
-    given; pass the cache that built the potential to reuse its entries).
-    A failing convergence gate is a warning, not an error: the series may
-    well converge beyond the sufficient condition.
+    ``order + 1``, come from the sector the potential carries, so it must be
+    built with ``map_order >= order`` (else ``ValueError``).  A failing
+    convergence gate is a warning, not an error: the series may well
+    converge beyond the sufficient condition.
     """
     if test_radius <= 1.0:
         raise ValueError("test radius must exceed 1")
-    if cache is None:
-        cache = MemoCache()
+    if order + 1 > potential.k_max:
+        raise ValueError(
+            f"order {order} needs B_k for k <= {order + 1}, the potential covers "
+            f"k <= {potential.k_max}: build it with map_order >= {order}"
+        )
     policy = potential.regular.policy
     warnings: list[str] = []
     m = moments_from_curve(curve, policy.n_max)
@@ -438,10 +440,9 @@ def roundtrip(
             "moment vector misses the sufficient convergence bound: "
             + "; ".join(gate.offending)
         )
-    sector = one_point_sector(policy, order + 1, cache)
-    w = map_from_potential(potential, m, order, sector)
+    w = map_from_potential(potential, m, order)
 
-    theta = 2 * np.pi * np.arange(n_samples) / n_samples
+    theta = 2 * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES
     u = test_radius * np.exp(1j * theta)
     sup_error = float(np.max(np.abs(w(curve.z_of(u)) - u)))
     return RoundtripReport(

@@ -6,7 +6,8 @@ Gate A8 (the ellipse roundtrip at n_max=4, deg_max=6, J=8, tolerance 1e-5)
 needs the exterior-map one-point functions B_k = d0 d_k F up to k = J+1 = 9.
 Those beyond the index bound, such as B_6 = 20 a^3 + O(a^5) and
 B_8 = 70 a^4 + ..., come from the exact one-point sector of the potential
-(taumap.potential.one_point_sector).  When they were taken as zero the gate
+(taumap.potential.one_point_sector), which the potential carries when it is
+built with map_order=8.  When they were taken as zero the gate
 sat on a floor of about 1.5e-4 at every degree bound; with the sector the
 errors fall monotonically to about 6.2e-7.
 """
@@ -37,7 +38,6 @@ from taumap.potential import (
     cauchy_data_check,
     default_policy,
     ellipse_oracle_check,
-    one_point_sector,
 )
 from taumap.verify import (
     convergence_gate,
@@ -235,14 +235,11 @@ def test_a06_growth_bounds_on_random_keys():
 
 
 def test_a07_disk_map_normalization():
-    cache = MemoCache()
-    policy = default_policy(4, 4)
-    potential, _ = build_potential(policy, cache=cache)
-    sector = one_point_sector(policy, 9, cache=cache)
+    potential, _ = build_potential(default_policy(4, 4), map_order=8)
     ok = True
     for t0 in (0.25, 0.7, 1.0, 3.0):
         m = MomentVector(t0=t0, t=(0, 0, 0, 0))
-        w = map_from_potential(potential, m, 8, sector)
+        w = map_from_potential(potential, m, 8)
         ok = ok and abs(w.p - t0**-0.5) <= 1e-12 and all(c == 0 for c in w.tail)
     gate_line("A7", "disk map p = t0^(-1/2) with zero tail", ok)
     assert ok
@@ -269,10 +266,10 @@ def test_a08_roundtrip_at_pinned_policy():
     cache = MemoCache()
     errors = {}
     for deg in (3, 4, 5, 6):
-        potential, _ = build_potential(default_policy(4, deg), cache=cache)
-        report = roundtrip(
-            ELLIPSE_CURVE, potential, order=8, test_radius=1.25, cache=cache
+        potential, _ = build_potential(
+            default_policy(4, deg), cache=cache, map_order=8
         )
+        report = roundtrip(ELLIPSE_CURVE, potential, order=8, test_radius=1.25)
         errors[deg] = report.sup_error
     elapsed = time.perf_counter() - start
 

@@ -165,8 +165,8 @@ def test_verify_with_curve_fixture(tmp_path, capsys):
 
 
 def test_map_and_verify_use_their_own_cache(tmp_path, capsys):
-    # the build and the one-point sector share a fresh cache per command;
-    # there is no module-level cache they could fall back to
+    # each command builds on a fresh cache, and the one-point sector on one
+    # of its own; there is no module-level cache they could fall back to
     import taumap.coefficients as coefficients
 
     assert not any(
@@ -277,6 +277,20 @@ def test_map_rejects_infinite_t0(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error: t0 must be finite and positive, got inf" in err
+
+
+def test_map_rejects_out_of_range_a(tmp_path, capsys):
+    # the (2, 4) potential has A = 4|t2|^2 + 8|t2|^4; at t2 = 10 that is
+    # 80400, and p = exp(-A/2) / sqrt(t0) underflows to zero
+    moments = tmp_path / "m.json"
+    moments.write_text(json.dumps({"t0": 1.0, "t": [[0, 0], [10, 0]]}))
+    code, out, err = run_cli(
+        ["map", "--in", str(moments), "--nmax", "2", "--degmax", "4"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: A = d0^2 F_reg = 80400 " in err
+    assert "taumap.verify.convergence_gate" in err
 
 
 def test_missing_file_is_diagnosed(capsys):

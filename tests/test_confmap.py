@@ -17,8 +17,8 @@ from taumap.confmap import (
     map_from_potential,
 )
 from taumap.moments import BoundaryCurve, moments_from_curve
-from taumap.potential import build_potential, default_policy, one_point_sector
-from taumap.series import PotentialSeries, TruncatedSeries, TruncationPolicy
+from taumap.potential import build_potential, default_policy
+from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 
 
 @pytest.fixture(scope="module")
@@ -28,15 +28,16 @@ def potential_46():
 
 
 @pytest.fixture(scope="module")
-def sector_46():
-    """One-point terms of the ``(4, 6)`` potential for ``k <= 9``: maps of order 8."""
-    return one_point_sector(default_policy(4, 6), 9)
+def potential_46_j8():
+    """The ``(4, 6)`` potential built for maps of order 8: it carries ``k <= 9``."""
+    potential, _ = build_potential(default_policy(4, 6), map_order=8)
+    return potential
 
 
-def test_disk_map_exact(potential_46, sector_46):
+def test_disk_map_exact(potential_46_j8):
     for t0 in (0.25, 1.0, 2.0):
         m = MomentVector(t0=t0, t=(0, 0, 0, 0))
-        w = map_from_potential(potential_46, m, order=6, sector=sector_46)
+        w = map_from_potential(potential_46_j8, m, order=6)
         assert abs(w.p - t0**-0.5) <= 1e-12
         assert all(abs(c) == 0 for c in w.tail)
         z = 2.0 * math.sqrt(t0) * cmath.exp(0.3j)
@@ -55,9 +56,9 @@ def test_leading_coefficient_positive_required():
         ExteriorMapSeries(p=-1.0, tail=())
 
 
-def test_p_real_positive_for_conjugate_symmetric_moments(potential_46, sector_46):
+def test_p_real_positive_for_conjugate_symmetric_moments(potential_46_j8):
     m = MomentVector(t0=0.8, t=(0.05 + 0.02j, -0.01j, 0.003, 0))
-    w = map_from_potential(potential_46, m, order=8, sector=sector_46)
+    w = map_from_potential(potential_46_j8, m, order=8)
     assert w.p > 0
 
 
@@ -69,11 +70,11 @@ def test_conformal_radius_identity(potential_46):
     assert abs(a_val.imag) <= 1e-12
 
 
-def test_ellipse_moments_give_unit_p(potential_46, sector_46):
+def test_ellipse_moments_give_unit_p(potential_46_j8):
     # interior of u + a/u has t0 = 1 - a^2, t2 = a/2; its map has p = 1
     a = 0.05
     m = MomentVector(t0=1 - a * a, t=(0, a / 2, 0, 0))
-    w = map_from_potential(potential_46, m, order=8, sector=sector_46)
+    w = map_from_potential(potential_46_j8, m, order=8)
     assert abs(w.p - 1.0) <= 1e-9
     # leading tail coefficients of the inverse of u + a/u: p1 = -a, p3 = -a^2
     assert abs(w.tail[1] - (-a)) <= 1e-6
@@ -81,13 +82,13 @@ def test_ellipse_moments_give_unit_p(potential_46, sector_46):
     assert abs(w.tail[0]) <= 1e-12 and abs(w.tail[2]) <= 1e-12
 
 
-def test_translated_disk_map_reconstruction(potential_46, sector_46):
+def test_translated_disk_map_reconstruction(potential_46_j8):
     # moments of the unit disk centered at c: t0 = 1, t1 = conj(c), rest 0;
     # the one-point functions reproduce w(z) = z - c through the factorial
     # coefficient pattern, up to the index cutoff
     c = 0.1 + 0.05j
     m = MomentVector(t0=1.0, t=(c.conjugate(), 0, 0, 0))
-    w = map_from_potential(potential_46, m, order=8, sector=sector_46)
+    w = map_from_potential(potential_46_j8, m, order=8)
     for z in (2.0 + 0.3j, -1.5 + 1.2j, 3.0j):
         assert abs(evaluate_map(w, z) - (z - c)) <= 5e-7
 
@@ -118,9 +119,12 @@ def test_map_json_round_trip():
     assert again == w
 
 
-def test_map_without_sector_warns_and_keeps_zero_one_point_tail(potential_46):
-    # order 8 needs B_k up to k = 9; without the one-point sector the B_k
-    # beyond n_max = 4 are zero, so the tail equals that of a map of B_1..B_4
+def test_map_without_sector_warns_and_keeps_zero_one_point_tail(
+    potential_46, potential_46_j8
+):
+    # order 8 needs B_k up to k = 9; a potential built without map_order
+    # has no one-point sector, the B_k beyond n_max = 4 are zero, and the
+    # tail equals that of a map of B_1..B_4
     a = 0.05
     m = MomentVector(t0=1 - a * a, t=(0, a / 2, 0, 0))
     with pytest.warns(UserWarning, match="k > 4 are taken as zero") as record:
@@ -129,23 +133,12 @@ def test_map_without_sector_warns_and_keeps_zero_one_point_tail(potential_46):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         short = map_from_potential(potential_46, m, order=3)
-        sector = one_point_sector(default_policy(4, 6), 9, cache=MemoCache())
-        mended = map_from_potential(potential_46, m, order=8, sector=sector)
+        mended = map_from_potential(potential_46_j8, m, order=8)
     assert w.tail[:4] == short.tail
     # the z^-5 coefficient of the inverse of u + a/u is -2 a^3; it is fed by
     # B_6, which only the sector supplies
     assert abs(mended.tail[5] - (-2 * a**3)) <= 1e-7
     assert abs(w.tail[5] - (-2 * a**3)) > 1e-4
-
-
-def test_map_rejects_sector_of_another_policy(potential_46):
-    cache = MemoCache()
-    for policy in (default_policy(4, 5), TruncationPolicy(3, 6)):
-        sector = one_point_sector(policy, 9, cache=cache)
-        with pytest.raises(ValueError, match="was not built for"):
-            map_from_potential(
-                potential_46, MomentVector(t0=1.0), order=8, sector=sector
-            )
 
 
 def test_moment_vector_rejects_non_finite_t0():
@@ -170,10 +163,11 @@ def map_rows(potential):
     return [d0.diff_t0()] + [d0.diff_t(k) for k in range(1, n_max + 1)]
 
 
-def reference_map(potential, moments, order, sector=None):
+def reference_map(potential, moments, order):
     """The map as computed before the kernel: exact derivatives taken on
     every call and evaluated term by term with ``TruncatedSeries.evaluate``."""
     n_max = potential.regular.policy.n_max
+    sector = potential.sector
     m = moments.padded(max(n_max, order + 1))
     d0 = potential.regular.diff_t0()
     a_val = d0.diff_t0().evaluate(m)
@@ -260,21 +254,22 @@ def curve_moments(seed, count, n_max):
     "n_max, order, with_sector", [(4, 8, True), (4, 3, False), (8, 7, False)]
 )
 def test_map_matches_term_by_term_formula(
-    n_max, order, with_sector, potential_46, sector_46, potential_86
+    n_max, order, with_sector, potential_46, potential_46_j8, potential_86
 ):
-    potential = {4: potential_46, 8: potential_86}[n_max]
-    sector = sector_46 if with_sector else None
+    if with_sector:
+        potential = potential_46_j8
+    else:
+        potential = {4: potential_46, 8: potential_86}[n_max]
     for m in curve_moments(n_max, 4, n_max):
-        w = map_from_potential(potential, m, order, sector)
-        p, tail = reference_map(potential, m, order, sector)
+        w = map_from_potential(potential, m, order)
+        p, tail = reference_map(potential, m, order)
         assert abs(w.p - p) <= 1e-12
         assert len(w.tail) == len(tail)
         assert all(abs(x - y) <= 1e-12 for x, y in zip(w.tail, tail))
 
 
-def test_second_map_takes_no_derivative(monkeypatch):
-    potential, _ = build_potential(default_policy(3, 4), MemoCache())
-    assert potential._map_kernel is None  # the build does not compile it
+def count_derivatives(monkeypatch):
+    """The list to which every later ``diff_t0`` / ``diff_t`` call appends its name."""
     calls = []
     for name in ("diff_t0", "diff_t"):
         original = getattr(TruncatedSeries, name)
@@ -284,12 +279,54 @@ def test_second_map_takes_no_derivative(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(TruncatedSeries, name, counted)
+    return calls
+
+
+def test_second_map_takes_no_derivative(monkeypatch):
+    potential, _ = build_potential(default_policy(3, 4), MemoCache())
+    assert potential._map_kernel is None  # the build does not compile it
+    calls = count_derivatives(monkeypatch)
     m = MomentVector(t0=0.9, t=(0.01 + 0.02j, -0.003j, 0.001))
     first = map_from_potential(potential, m, order=2)
     assert calls.count("diff_t") == 3 and calls.count("diff_t0") == 2
     calls.clear()
     assert map_from_potential(potential, m, order=2) == first
     assert calls == []
+
+
+def test_kernel_holds_the_sector_rows_and_compiles_once(monkeypatch):
+    potential, _ = build_potential(default_policy(3, 4), MemoCache(), map_order=5)
+    assert potential.k_max == 6
+    calls = count_derivatives(monkeypatch)
+    m = MomentVector(t0=0.9, t=(0.01 + 0.02j, -0.003j, 0.001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = map_from_potential(potential, m, order=5)
+    # A and B_1..B_3 from the regular part, B_4..B_6 from the sector
+    kernel = potential._map_kernel
+    assert kernel.coeffs.shape[0] == potential.k_max + 1
+    assert calls.count("diff_t") == 6 and calls.count("diff_t0") == 3
+    calls.clear()
+    assert map_from_potential(potential, m, order=5) == first
+    short = map_from_potential(potential, m, order=2)
+    assert calls == [] and potential._map_kernel is kernel
+    assert short.p == first.p and short.tail == first.tail[:3]
+
+
+def one_term_potential(c):
+    """A potential whose regular part is ``c t0^2 t_1 tbar_1``: ``A = 2c |t_1|^2``."""
+    term = Monomial(2, ((1, False, 1), (1, True, 1)))
+    regular = TruncatedSeries(TruncationPolicy(1, 2), {term: Fraction(c)})
+    return PotentialSeries(Fraction(1, 2), Fraction(-3, 4), regular)
+
+
+@pytest.mark.parametrize("c", [10**4, -(10**4)])
+def test_out_of_range_a_is_named(c):
+    # A = 2e4 makes p underflow to zero, A = -2e4 makes exp(-A/2) overflow
+    m = MomentVector(t0=1.0, t=(1.0,))
+    message = rf"^A = d0\^2 F_reg = {2 * c} .*convergence_gate"
+    with pytest.raises(ValueError, match=message):
+        map_from_potential(one_term_potential(c), m, order=0)
 
 
 def test_potential_without_terms_gives_the_disk_map():

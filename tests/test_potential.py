@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -87,8 +88,8 @@ def test_build_report_table_sizes():
 POTENTIAL_66_SHA256 = "efe5a00479efc3a4756071448a27f73477c44c11518e3619b85c33280f5b05e2"
 
 
-def test_potential_66_is_bit_identical_to_pin():
-    potential, _ = build_potential(default_policy(6, 6), cache=MemoCache())
+def potential_sha256(potential):
+    """sha256 of the regular terms plus the singular coefficients."""
     payload = {
         "regular": series_to_json_terms(potential.regular),
         "singular": [
@@ -97,7 +98,46 @@ def test_potential_66_is_bit_identical_to_pin():
         ],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == POTENTIAL_66_SHA256
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_potential_66_is_bit_identical_to_pin():
+    potential, _ = build_potential(default_policy(6, 6), cache=MemoCache())
+    assert potential_sha256(potential) == POTENTIAL_66_SHA256
+
+
+BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(6, 7), (8, 6)])
+def test_build_without_map_order_matches_benchmark_digest(n_max, deg_max):
+    # the benchmark builds without map_order and checks these digests
+    digests = json.loads(BENCHMARK_DIGESTS.read_text())
+    potential, _ = build_potential(default_policy(n_max, deg_max), cache=MemoCache())
+    assert potential.sector is None
+    assert potential.k_max == n_max
+    assert potential_sha256(potential) == digests[f"{n_max},{deg_max}"]
+
+
+def test_map_order_adds_the_one_point_sector():
+    policy = default_policy(4, 6)
+    plain, plain_report = build_potential(policy)
+    cache = MemoCache()
+    mapped, mapped_report = build_potential(policy, cache, map_order=8)
+    assert mapped.regular == plain.regular
+    assert mapped_report.keys_evaluated == plain_report.keys_evaluated
+    # the sector is evaluated on a cache of its own, not on the build's
+    assert cache.sizes() == mapped_report.table_sizes == plain_report.table_sizes
+    assert mapped.sector == one_point_sector(policy, 9)
+    assert mapped.sector.policy.n_max == mapped.k_max == 9
+
+
+@pytest.mark.parametrize("map_order, k_max", [(0, 4), (3, 4), (4, 5)])
+def test_map_order_within_n_max_builds_no_sector(map_order, k_max):
+    # a map of order J reads B_k for k <= J + 1
+    potential, _ = build_potential(default_policy(4, 4), map_order=map_order)
+    assert (potential.sector is None) == (map_order + 1 <= 4)
+    assert potential.k_max == k_max
 
 
 def test_bar_conjugation_symmetry(potential_44):
@@ -262,19 +302,17 @@ def test_one_point_sector_equals_full_build_terms():
     m = MomentVector(t0=0.9, t=(0.02 + 0.01j, 0.03, 0.015j, 0.01))
     cache = MemoCache()
     for deg in (3, 4, 5):
-        policy = default_policy(4, deg)
-        sector = one_point_sector(policy, 9, cache=cache)
+        potential, _ = build_potential(default_policy(4, deg), cache=cache, map_order=8)
         full, _ = build_potential(default_policy(9, deg), cache=cache)
         expected = {
             mono: c for mono, c in full.regular.items() if _one_point_shape(mono, 4)
         }
-        got = dict(sector.items())
+        got = dict(potential.sector.items())
         assert expected, deg
         assert got == expected, deg
         assert all(isinstance(c, Fraction) for c in got.values())
 
-        potential, _ = build_potential(policy, cache=cache)
-        w = map_from_potential(potential, m, 8, sector)
+        w = map_from_potential(potential, m, 8)
         w_full = map_from_potential(full, m, 8)
         assert abs(w.p - w_full.p) <= 1e-12, deg
         for a, b in zip(w.tail, w_full.tail, strict=True):

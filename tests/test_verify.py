@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -296,15 +297,17 @@ def test_degree_sums_match_per_monomial_loop(potential_44):
 CURVE = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
 
 
-def built(n_max, deg_max, cache=None):
-    potential, _ = build_potential(default_policy(n_max, deg_max), cache=cache)
+def built(n_max, deg_max, cache=None, map_order=None):
+    potential, _ = build_potential(
+        default_policy(n_max, deg_max), cache=cache, map_order=map_order
+    )
     return potential
 
 
 def test_roundtrip_circle_exact():
     report = roundtrip(
         BoundaryCurve(r=1.2, a=(), samples=128),
-        built(3, 3),
+        built(3, 3, map_order=6),
         order=6,
         test_radius=1.5,
     )
@@ -315,7 +318,7 @@ def test_roundtrip_circle_exact():
 def test_roundtrip_small_disk_admissible():
     report = roundtrip(
         BoundaryCurve(r=0.9, a=(), samples=128),
-        built(2, 3),
+        built(2, 3, map_order=4),
         order=4,
         test_radius=1.25,
     )
@@ -329,7 +332,7 @@ def test_roundtrip_ellipse_policy_sweep_and_warning():
     errors = {}
     for deg in (3, 6):
         report = roundtrip(
-            CURVE, built(4, deg, cache), order=8, test_radius=1.25, cache=cache
+            CURVE, built(4, deg, cache, map_order=8), order=8, test_radius=1.25
         )
         errors[deg] = report.sup_error
         assert report.warnings  # t2 exceeds the sufficient bound
@@ -340,7 +343,7 @@ def test_roundtrip_ellipse_policy_sweep_and_warning():
 def test_roundtrip_error_attains_target_at_higher_index_cutoff():
     cache = MemoCache()
     report = roundtrip(
-        CURVE, built(8, 6, cache), order=12, test_radius=1.25, cache=cache
+        CURVE, built(8, 6, cache, map_order=12), order=12, test_radius=1.25
     )
     assert report.sup_error <= 1e-5
     assert abs(report.p - 1.0) <= 1e-9
@@ -353,7 +356,7 @@ def test_roundtrip_asymmetric_curve_matches_full_index_build():
     curve = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
     cache = MemoCache()
     report = roundtrip(
-        curve, built(4, 5, cache), order=8, test_radius=1.25, cache=cache
+        curve, built(4, 5, cache, map_order=8), order=8, test_radius=1.25
     )
     full, _ = build_potential(default_policy(9, 5), cache=cache)
     w_full = map_from_potential(full, report.moments, 8)
@@ -367,16 +370,15 @@ def test_roundtrip_rotation_invariance():
     cache = MemoCache()
     base = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
     rotated = base.rotated(complex(math.cos(0.7), math.sin(0.7)))
-    potential = built(4, 5, cache)
-    r1 = roundtrip(base, potential, order=8, test_radius=1.25, cache=cache)
-    r2 = roundtrip(rotated, potential, order=8, test_radius=1.25, cache=cache)
+    potential = built(4, 5, cache, map_order=8)
+    r1 = roundtrip(base, potential, order=8, test_radius=1.25)
+    r2 = roundtrip(rotated, potential, order=8, test_radius=1.25)
     assert abs(r1.sup_error - r2.sup_error) <= 1e-10
 
 
 def test_roundtrip_array_error_equals_point_loop():
     curve = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
-    cache = MemoCache()
-    report = roundtrip(curve, built(4, 5, cache), order=8, test_radius=1.25, cache=cache)
+    report = roundtrip(curve, built(4, 5, map_order=8), order=8, test_radius=1.25)
     w = report.map_series
     u = 1.25 * np.exp(2j * np.pi * np.arange(512) / 512)
     loop = max(abs(w(curve.z_of(complex(x))) - complex(x)) for x in u)
@@ -389,6 +391,17 @@ def test_roundtrip_array_error_equals_point_loop():
 def test_roundtrip_radius_validation():
     with pytest.raises(ValueError):
         roundtrip(CURVE, built(2, 3), order=4, test_radius=0.9)
+
+
+def test_roundtrip_needs_a_potential_built_for_its_order():
+    # a map of order 4 reads B_5; the potential must carry it
+    for map_order in (None, 3):
+        potential = built(2, 3, map_order=map_order)
+        with pytest.raises(ValueError, match="build it with map_order >= 4"):
+            roundtrip(CURVE, potential, order=4, test_radius=1.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roundtrip(CURVE, built(2, 3, map_order=4), order=4, test_radius=1.25)
 
 
 def test_dual_moments_on_asymmetric_complex_curve():
