@@ -28,7 +28,7 @@ import io
 import json
 import random
 import sys
-from math import comb
+from math import comb, isfinite
 
 from .coefficients import (
     MemoCache,
@@ -254,9 +254,14 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (isfinite(args.roundtrip_tol) and args.roundtrip_tol >= 0):
+        raise ValueError(
+            f"--roundtrip-tol must be finite and >= 0, got {args.roundtrip_tol}"
+        )
+    curve = curve_from_json(_read_json(args.in_path)) if args.in_path else None
     policy = default_policy(args.nmax, args.degmax)
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
-    order_j = _map_order(args, policy) if args.in_path else None
+    order_j = _map_order(args, policy) if curve is not None else None
     cache = MemoCache()
     potential, build = _build_checked_potential(policy, cache=cache, map_order=order_j)
 
@@ -271,8 +276,7 @@ def _cmd_verify(args) -> int:
         _composition_count_bound(args.seed, cache),
     ]
 
-    if args.in_path:
-        curve = curve_from_json(_read_json(args.in_path))
+    if curve is not None:
         rt = roundtrip(curve, potential, order_j, 1.25)
         within = rt.sup_error <= args.roundtrip_tol
         checks.append(

@@ -33,6 +33,7 @@ two agree to the last few bits only.
 
 from __future__ import annotations
 
+import json
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -44,6 +45,60 @@ import numpy as np
 from .series import Monomial, PotentialSeries, TruncatedSeries
 
 __all__ = ["MomentVector", "ExteriorMapSeries", "map_from_potential", "evaluate_map"]
+
+
+# Readers of input JSON name the input and its expected shape in every error.
+
+
+def _json_error(source: str, shape: str, problem: str) -> ValueError:
+    return ValueError(f"{source}: {problem}; expected {shape}")
+
+
+def _json_object(data, source: str, shape: str) -> None:
+    if not isinstance(data, dict):
+        raise _json_error(source, shape, f"got a JSON {_json_kind(data)}")
+
+
+def _json_number(data: dict, key: str, source: str, shape: str, kind: type = float):
+    """The required field ``key``: a number, or an integer when ``kind`` is ``int``."""
+    if key not in data:
+        raise _json_error(source, shape, f"field {key!r} is missing")
+    value = data[key]
+    if _json_kind(value) != "number" or (kind is int and not isinstance(value, int)):
+        noun = "an integer" if kind is int else "a number"
+        raise _json_error(
+            source, shape, f"field {key!r} is a JSON {_json_kind(value)}, not {noun}"
+        )
+    return kind(value)
+
+
+def _json_pairs(data: dict, key: str, source: str, shape: str) -> tuple[complex, ...]:
+    """The optional field ``key``: a list of ``[re, im]`` number pairs."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise _json_error(
+            source,
+            shape,
+            f"field {key!r} is a JSON {_json_kind(value)}, not a list of [re, im] pairs",
+        )
+    for i, pair in enumerate(value):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(_json_kind(x) == "number" for x in pair)
+        ):
+            raise _json_error(
+                source, shape, f"{key}[{i}] = {json.dumps(pair)} is not an [re, im] pair"
+            )
+    return tuple(complex(re, im) for re, im in value)
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {dict: "object", list: "list", str: "string"}.get(type(value), "null")
 
 
 @dataclass(frozen=True)
@@ -78,8 +133,12 @@ class MomentVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "MomentVector":
+        """Read ``{"t0": number, "t": [[re, im], ...]}`` (``t`` optional);
+        ``ValueError`` on any other shape."""
+        source, shape = "moment JSON", 'an object {"t0": number, "t": [[re, im], ...]}'
+        _json_object(data, source, shape)
         return cls(
-            float(data["t0"]), tuple(complex(re, im) for re, im in data.get("t", []))
+            _json_number(data, "t0", source, shape), _json_pairs(data, "t", source, shape)
         )
 
 

@@ -44,7 +44,7 @@ from math import pi
 
 import numpy as np
 
-from .confmap import MomentVector
+from .confmap import MomentVector, _json_number, _json_object, _json_pairs
 
 __all__ = [
     "BoundaryCurve",
@@ -173,10 +173,17 @@ def curve_to_json(curve: BoundaryCurve) -> dict:
 
 
 def curve_from_json(data: dict) -> BoundaryCurve:
+    """Read ``{"r": number, "a": [[re, im], ...], "samples": int}`` (``a`` and
+    ``samples`` optional); ``ValueError`` on any other shape."""
+    source = "curve JSON"
+    shape = 'an object {"r": number, "a": [[re, im], ...], "samples": integer}'
+    _json_object(data, source, shape)
     return BoundaryCurve(
-        r=float(data["r"]),
-        a=tuple(complex(re, im) for re, im in data.get("a", [])),
-        samples=int(data.get("samples", 256)),
+        r=_json_number(data, "r", source, shape),
+        a=_json_pairs(data, "a", source, shape),
+        samples=_json_number(data, "samples", source, shape, int)
+        if "samples" in data
+        else 256,
     )
 
 

@@ -27,10 +27,14 @@ Design points:
   The product groups the right operand's terms by degree once, so a left
   term of degree ``d1`` only meets the buckets of degree at most
   ``deg_max - d1``: pairs that truncation drops are never visited.  In the
-  pair loop a term is an integer code (one bit field per variable, the
-  ``t0`` power on top; codes add under multiplication) and an integer
-  numerator over its operand's common denominator, so factor tuples are
-  merged and ``Fraction``s made once per distinct output monomial.
+  pair loop a term is an integer code and an integer numerator over its
+  operand's common denominator, so monomials are decoded and
+  ``Fraction``s made once per distinct output monomial.
+* The packing of a monomial into its code is one rule, :class:`_Codec`:
+  one bit field per variable, wide enough for ``deg_max``, and the ``t0``
+  power on top, so codes add under any admissible product.  The ring
+  product and the packed residual tails of :mod:`taumap.verify` both use
+  it.
 * Validation happens at the boundary.  ``Monomial(...)`` checks canonical
   order, and ``TruncatedSeries(policy, terms)`` -- through which
   :meth:`TruncatedSeries.filter`, :meth:`TruncatedSeries.to_policy` and the
@@ -144,33 +148,52 @@ class Monomial:
         return " * ".join(parts) if parts else "1"
 
 
-def _merge_factors(
-    f1: tuple[tuple[int, bool, int], ...], f2: tuple[tuple[int, bool, int], ...]
-) -> tuple[tuple[int, bool, int], ...]:
-    """Merge two canonical factor tuples, adding exponents."""
-    if not f1:
-        return f2
-    if not f2:
-        return f1
-    out = []
-    i = j = 0
-    while i < len(f1) and j < len(f2):
-        k1, b1, e1 = f1[i]
-        k2, b2, e2 = f2[j]
-        key1, key2 = (b1, k1), (b2, k2)
-        if key1 == key2:
-            out.append((k1, b1, e1 + e2))
-            i += 1
-            j += 1
-        elif key1 < key2:
-            out.append(f1[i])
-            i += 1
-        else:
-            out.append(f2[j])
-            j += 1
-    out.extend(f1[i:])
-    out.extend(f2[j:])
-    return tuple(out)
+class _Codec:
+    """The packing of a monomial under a policy into one integer code.
+
+    One bit field per variable -- ``t_1..t_n``, then ``tbar_1..tbar_n``,
+    ``n = n_max`` -- each wide enough for ``deg_max``, and the ``t0`` power
+    above them.  The fields run in canonical factor order, so
+    :meth:`decode` rebuilds the factors in order, and the code of an
+    admissible product is the sum of the codes: no field can carry into the
+    next while the factor degree stays within ``deg_max``.
+    """
+
+    __slots__ = ("n_max", "bits", "mask", "t0_shift", "variables")
+
+    def __init__(self, policy: TruncationPolicy) -> None:
+        n = self.n_max = policy.n_max
+        self.bits = max(1, policy.deg_max.bit_length())
+        self.mask = (1 << self.bits) - 1
+        self.t0_shift = 2 * n * self.bits
+        # the variable of each field, from the lowest
+        self.variables = [(k, False) for k in range(1, n + 1)] + [
+            (k, True) for k in range(1, n + 1)
+        ]
+
+    def encode(self, m: Monomial) -> int:
+        bits, n_max = self.bits, self.n_max
+        code = m.t0_power << self.t0_shift
+        for k, barred, e in m.factors:
+            code += e << ((k - 1 + (n_max if barred else 0)) * bits)
+        return code
+
+    def decode(self, code: int) -> Monomial:
+        bits, mask, variables = self.bits, self.mask, self.variables
+        t0_shift = self.t0_shift
+        fields = code & ((1 << t0_shift) - 1)
+        factors = []
+        degree = 0
+        pos = 0
+        while fields:
+            e = fields & mask
+            if e:
+                k, barred = variables[pos]
+                factors.append((k, barred, e))
+                degree += e
+            fields >>= bits
+            pos += 1
+        return Monomial._trusted(code >> t0_shift, tuple(factors), degree)
 
 
 class TruncatedSeries:
@@ -310,56 +333,30 @@ class TruncatedSeries:
         self._require_same_policy(other)
         pol = self.policy
         deg_max = pol.deg_max
-        # A term's code holds one bit field per variable, wide enough for
-        # deg_max, and the t0 power above them: the code of an admissible
-        # product is the sum of the codes.  Coefficients become integer
-        # numerators over one common denominator per operand.
-        bits = max(1, deg_max.bit_length())
-        t0_shift = 2 * pol.n_max * bits
-
-        def code(m: Monomial) -> int:
-            return (m.t0_power << t0_shift) + sum(
-                e << ((k - 1 + (pol.n_max if barred else 0)) * bits)
-                for k, barred, e in m.factors
-            )
-
+        # In the pair loop a term is its code and an integer numerator over
+        # its operand's common denominator.
+        codec = _Codec(pol)
+        encode = codec.encode
         den1 = lcm(*(c.denominator for c in self._terms.values()))
         den2 = lcm(*(c.denominator for c in other._terms.values()))
         # The right operand's terms by factor degree: a left term of degree
         # d1 meets only the buckets d2 <= deg_max - d1.
-        buckets: list[list[tuple]] = [[] for _ in range(deg_max + 1)]
+        buckets: list[list[tuple[int, int]]] = [[] for _ in range(deg_max + 1)]
         for m2, c2 in other._terms.items():
-            buckets[m2.degree].append(
-                (code(m2), m2, c2.numerator * (den2 // c2.denominator))
-            )
-        # code -> [numerator, left monomial, right monomial]
-        acc: dict[int, list] = {}
+            buckets[m2.degree].append((encode(m2), c2.numerator * (den2 // c2.denominator)))
+        acc: dict[int, int] = {}
         get = acc.get
         for m1, c1 in self._terms.items():
-            d1 = m1.degree
-            code1 = code(m1)
+            code1 = encode(m1)
             n1 = c1.numerator * (den1 // c1.denominator)
-            for d2 in range(deg_max - d1 + 1):
-                for code2, m2, n2 in buckets[d2]:
+            for d2 in range(deg_max - m1.degree + 1):
+                for code2, n2 in buckets[d2]:
                     key = code1 + code2
-                    entry = get(key)
-                    if entry is None:
-                        acc[key] = [n1 * n2, m1, m2]
-                    else:
-                        entry[0] += n1 * n2
+                    acc[key] = get(key, 0) + n1 * n2
         den = den1 * den2
-        trusted = Monomial._trusted
+        decode = codec.decode
         return TruncatedSeries._trusted(
-            pol,
-            {
-                trusted(
-                    m1.t0_power + m2.t0_power,
-                    _merge_factors(m1.factors, m2.factors),
-                    m1.degree + m2.degree,
-                ): Fraction(n, den)
-                for n, m1, m2 in acc.values()
-                if n
-            },
+            pol, {decode(code): Fraction(n, den) for code, n in acc.items() if n}
         )
 
     __rmul__ = __mul__

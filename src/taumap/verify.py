@@ -3,9 +3,14 @@
 Three layers:
 
 * exact residuals of the two independent hierarchy constraints the potential
-  must satisfy, formed as bivariate Laurent tails in ``1/z`` and ``1/xi``
+  must satisfy, expanded as Laurent tails in ``u = 1/z`` and ``v = 1/xi``
   whose coefficients are exact series (:func:`toda_residual_a`,
-  :func:`toda_residual_c`).  The barred twin of the first constraint
+  :func:`toda_residual_c`).  The tails are held in packed integer form:
+  each term is the integer code of its monomial (:class:`taumap.series._Codec`)
+  and an integer numerator, filed by bidegree and factor degree, over one
+  denominator per tail, so products are integer sums and products.  The
+  derivative series are encoded once, and only in-cone violations are
+  decoded.  The barred twin of the first constraint
   reduces to bar-exchange symmetry of the potential; since the build
   evaluates each key and its mirror once, :func:`toda_residual_b` checks
   that symmetry per coefficient, by evaluating every key the build
@@ -35,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 import numpy as np
 
@@ -49,7 +54,13 @@ from .potential import (
     _oriented,
     _term_coefficient,
 )
-from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
+from .series import (
+    Monomial,
+    PotentialSeries,
+    TruncatedSeries,
+    TruncationPolicy,
+    _Codec,
+)
 
 __all__ = [
     "CheckResult",
@@ -66,87 +77,139 @@ __all__ = [
 ]
 
 
-# -- bivariate Laurent-tail helper -------------------------------------------
+# -- packed residual tails ----------------------------------------------------
 
 
-class _Bivariate:
-    """Polynomial in two formal tail variables with series coefficients."""
+class _Tail:
+    """Polynomial in the tail variables ``u``, ``v`` and the moment variables.
 
-    __slots__ = ("policy", "orders", "c")
+    ``cells`` maps ``(a, b, d)`` -- the bidegree in ``u, v`` and the factor
+    degree -- to ``{code: numerator}``, the codes of the series'
+    :class:`taumap.series._Codec`; the whole tail has the one denominator
+    ``den``, and numerators and ``den`` share no common factor.  Cells beyond
+    ``orders`` or ``deg_max`` are dropped, so a product visits only the cell
+    pairs whose sum survives, and its pair loop adds integer codes and
+    multiplies integer numerators.  Series enter once, through
+    :meth:`encoded`, and in-cone violations leave through
+    :func:`_split_cone`.
+    """
 
-    def __init__(self, policy: TruncationPolicy, orders: tuple[int, int]):
+    __slots__ = ("codec", "policy", "orders", "cells", "den")
+
+    def __init__(self, codec, policy, orders, cells, den=1):
+        self.codec = codec
         self.policy = policy
         self.orders = orders
-        self.c: dict[tuple[int, int], TruncatedSeries] = {}
+        self.cells: dict[tuple[int, int, int], dict[int, int]] = cells
+        self.den = den
+        self._reduce()
 
-    def set(self, bidegree: tuple[int, int], series: TruncatedSeries) -> None:
-        if series:
-            self.c[bidegree] = series
+    def _like(self, cells, den=1) -> "_Tail":
+        return _Tail(self.codec, self.policy, self.orders, cells, den)
+
+    def _reduce(self) -> None:
+        """Drop zero terms and empty cells; divide out the common factor."""
+        cells = {}
+        g = self.den
+        for key, cell in self.cells.items():
+            if 0 in cell.values():
+                cell = {code: n for code, n in cell.items() if n}
+            if cell:
+                cells[key] = cell
+                if g > 1:
+                    g = gcd(g, *cell.values())
+        if g > 1:
+            cells = {
+                key: {code: n // g for code, n in cell.items()}
+                for key, cell in cells.items()
+            }
+        self.cells = cells
+        self.den //= g
 
     @classmethod
-    def one(cls, policy, orders) -> "_Bivariate":
-        out = cls(policy, orders)
-        out.set((0, 0), TruncatedSeries.constant(policy, 1))
-        return out
+    def encoded(
+        cls,
+        policy: TruncationPolicy,
+        orders: tuple[int, int],
+        series: dict[tuple[int, int], TruncatedSeries],
+    ) -> "_Tail":
+        """The tail ``sum u^a v^b series[a, b]``."""
+        codec = _Codec(policy)
+        encode = codec.encode
+        den = lcm(*(c.denominator for s in series.values() for _, c in s.items()))
+        cells: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (a, b), s in series.items():
+            for mono, c in s.items():
+                cell = cells.setdefault((a, b, mono.degree), {})
+                cell[encode(mono)] = c.numerator * (den // c.denominator)
+        return cls(codec, policy, orders, cells, den)
 
-    def __add__(self, other: "_Bivariate") -> "_Bivariate":
-        out = _Bivariate(self.policy, self.orders)
-        for key in set(self.c) | set(other.c):
-            s = self.c.get(key)
-            t = other.c.get(key)
-            val = s + t if (s is not None and t is not None) else (s or t)
-            out.set(key, val)
-        return out
+    def one(self) -> "_Tail":
+        return self._like({(0, 0, 0): {0: 1}})
 
-    def __sub__(self, other: "_Bivariate") -> "_Bivariate":
+    def __add__(self, other: "_Tail") -> "_Tail":
+        den = lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        cells = {
+            key: {code: n * f1 for code, n in cell.items()}
+            for key, cell in self.cells.items()
+        }
+        for key, cell in other.cells.items():
+            out = cells.setdefault(key, {})
+            get = out.get
+            for code, n in cell.items():
+                out[code] = get(code, 0) + n * f2
+        return self._like(cells, den)
+
+    def __sub__(self, other: "_Tail") -> "_Tail":
         return self + other.scaled(-1)
 
-    def scaled(self, scalar) -> "_Bivariate":
-        out = _Bivariate(self.policy, self.orders)
-        for key, s in self.c.items():
-            out.set(key, s * scalar)
-        return out
+    def scaled(self, q) -> "_Tail":
+        q = Fraction(q)
+        cells = {
+            key: {code: n * q.numerator for code, n in cell.items()}
+            for key, cell in self.cells.items()
+        }
+        return self._like(cells, self.den * q.denominator)
 
-    def shifted(self, da: int, db: int) -> "_Bivariate":
+    def shifted(self, da: int, db: int) -> "_Tail":
         """Multiplication by ``u^da v^db``, dropping overflow."""
         amax, bmax = self.orders
-        out = _Bivariate(self.policy, self.orders)
-        for (a, b), s in self.c.items():
-            if a + da <= amax and b + db <= bmax:
-                out.set((a + da, b + db), s)
-        return out
+        cells = {
+            (a + da, b + db, d): cell
+            for (a, b, d), cell in self.cells.items()
+            if a + da <= amax and b + db <= bmax
+        }
+        return self._like(cells, self.den)
 
-    def __mul__(self, other: "_Bivariate") -> "_Bivariate":
+    def __mul__(self, other: "_Tail") -> "_Tail":
         amax, bmax = self.orders
-        acc: dict[tuple[int, int], TruncatedSeries] = {}
-        for (a1, b1), s1 in self.c.items():
-            for (a2, b2), s2 in other.c.items():
-                a, b = a1 + a2, b1 + b2
-                if a > amax or b > bmax:
+        deg_max = self.policy.deg_max
+        acc: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (a1, b1, d1), left in self.cells.items():
+            for (a2, b2, d2), right in other.cells.items():
+                a, b, d = a1 + a2, b1 + b2, d1 + d2
+                if a > amax or b > bmax or d > deg_max:
                     continue
-                prod = s1 * s2
-                if not prod:
-                    continue
-                if (a, b) in acc:
-                    acc[a, b] = acc[a, b] + prod
-                else:
-                    acc[a, b] = prod
-        out = _Bivariate(self.policy, self.orders)
-        for key, s in acc.items():
-            out.set(key, s)
-        return out
+                out = acc.setdefault((a, b, d), {})
+                get = out.get
+                right_items = right.items()
+                for code1, n1 in left.items():
+                    for code2, n2 in right_items:
+                        key = code1 + code2
+                        out[key] = get(key, 0) + n1 * n2
+        return self._like(acc, self.den * other.den)
 
-    def exp(self) -> "_Bivariate":
+    def exp(self) -> "_Tail":
         """Exponential of a tail with no ``(0, 0)`` component."""
-        if (0, 0) in self.c:
+        if any(a == b == 0 for a, b, _ in self.cells):
             raise ValueError("exp needs a vanishing (0,0) component")
-        result = _Bivariate.one(self.policy, self.orders)
-        term = result
+        result = term = self.one()
         m = 0
         while True:
             m += 1
             term = (term * self).scaled(Fraction(1, m))
-            if not term.c:
+            if not term.cells:
                 return result
             result = result + term
 
@@ -154,31 +217,36 @@ class _Bivariate:
 # -- residual checks ----------------------------------------------------------
 
 
-def _split_cone(residual: _Bivariate, name: str) -> CheckResult:
+def _split_cone(residual: _Tail, name: str) -> CheckResult:
     """Judge the residual inside the truncation cone, measure it outside.
 
     ``checked`` counts the in-cone cells ``(a, b, d)``: bidegree within the
-    residual's orders and ``a + b + d`` at most the cone bound.
+    residual's orders and ``a + b + d`` at most the cone bound.  Only the
+    in-cone terms are decoded; outside, the largest ``|numerator|`` over the
+    common denominator is the largest ``|coefficient|``, and ``int / int``
+    rounds it as ``float(Fraction)`` would.
     """
     cone = min(residual.policy.deg_max, residual.policy.n_max + 1)
     amax, bmax = residual.orders
+    decode = residual.codec.decode
+    den = residual.den
     violations: list[str] = []
-    out_max = 0.0
-    for (a, b), series in sorted(residual.c.items()):
-        for mono, coeff in series.items():
-            if a + b + mono.degree <= cone:
+    out_max = 0
+    for (a, b, d), cell in sorted(residual.cells.items()):
+        if a + b + d <= cone:
+            for code, n in cell.items():
                 violations.append(
-                    f"bidegree ({a},{b}) term {mono}: residual {coeff}"
+                    f"bidegree ({a},{b}) term {decode(code)}: residual {Fraction(n, den)}"
                 )
-            else:
-                out_max = max(out_max, abs(float(coeff)))
+        else:
+            out_max = max(out_max, *map(abs, cell.values()))
     cells = sum(
         cone - a - b + 1
         for a in range(amax + 1)
         for b in range(bmax + 1)
         if a + b <= cone
     )
-    return CheckResult(name, cells, violations, {"max_abs_out_of_cone": out_max})
+    return CheckResult(name, cells, violations, {"max_abs_out_of_cone": out_max / den})
 
 
 def _check_order(order: int, policy: TruncationPolicy) -> None:
@@ -208,19 +276,23 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
     d = {k: reg.diff_t(k) for k in range(1, amax + 1)}
     d0 = reg.diff_t0()
 
-    x = _Bivariate(policy, orders)
-    for a in range(1, amax + 1):
-        for b in range(1, amax + 1):
-            s = d[a].diff_t(b) * Fraction(1, a * b)
-            x.set((a, b), s)
+    x = _Tail.encoded(
+        policy,
+        orders,
+        {
+            (a, b): d[a].diff_t(b) * Fraction(1, a * b)
+            for a in range(1, amax + 1)
+            for b in range(1, amax + 1)
+        },
+    )
     e1 = x.exp()
 
-    def one_sided(axis: int) -> _Bivariate:
-        y = _Bivariate(policy, orders)
-        for a in range(1, amax + 1):
-            s = d0.diff_t(a) * Fraction(-1, a)
-            y.set((a, 0) if axis == 0 else (0, a), s)
-        return y.exp()
+    def one_sided(axis: int) -> _Tail:
+        y = {
+            (a, 0) if axis == 0 else (0, a): d0.diff_t(a) * Fraction(-1, a)
+            for a in range(1, amax + 1)
+        }
+        return _Tail.encoded(policy, orders, y).exp()
 
     e2 = one_sided(0)
     e3 = one_sided(1)
@@ -250,21 +322,28 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     d0 = reg.diff_t0()
     d00 = d0.diff_t0()
 
-    m_tail = _Bivariate(policy, orders)
-    for a in range(1, amax + 1):
-        da = reg.diff_t(a)
-        for b in range(1, amax + 1):
-            m_tail.set((a, b), da.diff_tbar(b) * Fraction(-1, a * b))
-    lhs = _Bivariate.one(policy, orders) - m_tail.exp()
+    d = {a: reg.diff_t(a) for a in range(1, amax + 1)}
+    m_tail = _Tail.encoded(
+        policy,
+        orders,
+        {
+            (a, b): d[a].diff_tbar(b) * Fraction(-1, a * b)
+            for a in range(1, amax + 1)
+            for b in range(1, amax + 1)
+        },
+    )
+    lhs = m_tail.one() - m_tail.exp()
 
-    p_tail = _Bivariate(policy, orders)
-    q_tail = _Bivariate(policy, orders)
-    for a in range(1, amax + 1):
-        p_tail.set((a, 0), d0.diff_t(a) * Fraction(1, a))
-        q_tail.set((0, a), d0.diff_tbar(a) * Fraction(1, a))
+    p_tail = _Tail.encoded(
+        policy, orders, {(a, 0): d0.diff_t(a) * Fraction(1, a) for a in range(1, amax + 1)}
+    )
+    q_tail = _Tail.encoded(
+        policy,
+        orders,
+        {(0, a): d0.diff_tbar(a) * Fraction(1, a) for a in range(1, amax + 1)},
+    )
     prefactor = TruncatedSeries.t0(policy) * d00.exp_no_constant()
-    rhs = _Bivariate(policy, orders)
-    rhs.set((1, 1), prefactor)
+    rhs = _Tail.encoded(policy, orders, {(1, 1): prefactor})
     rhs = rhs * p_tail.exp() * q_tail.exp()
 
     return _split_cone(lhs - rhs, "residual_c")

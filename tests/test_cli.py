@@ -320,3 +320,69 @@ def test_byte_identical_reruns(tmp_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr
+
+
+MOMENTS_SHAPE = 'expected an object {"t0": number, "t": [[re, im], ...]}'
+CURVE_SHAPE = 'expected an object {"r": number, "a": [[re, im], ...], "samples": integer}'
+
+
+@pytest.mark.parametrize(
+    "command, payload, problem, shape",
+    [
+        (
+            "map",
+            {"t0": 0.9, "t": 5},
+            "field 't' is a JSON number, not a list of [re, im] pairs",
+            MOMENTS_SHAPE,
+        ),
+        ("map", [[0.1]], "got a JSON list", MOMENTS_SHAPE),
+        ("map", {"t": []}, "field 't0' is missing", MOMENTS_SHAPE),
+        ("map", {"t0": 0.9, "t": [[0.1]]}, "t[0] = [0.1] is not an [re, im] pair", MOMENTS_SHAPE),
+        ("map", {"t0": "0.9"}, "field 't0' is a JSON string, not a number", MOMENTS_SHAPE),
+        (
+            "moments",
+            {"r": 1.0, "a": 3},
+            "field 'a' is a JSON number, not a list of [re, im] pairs",
+            CURVE_SHAPE,
+        ),
+        ("moments", [[0.1]], "got a JSON list", CURVE_SHAPE),
+        ("moments", {"a": []}, "field 'r' is missing", CURVE_SHAPE),
+        ("moments", {"r": 1.0, "a": [[0.1]]}, "a[0] = [0.1] is not an [re, im] pair", CURVE_SHAPE),
+        (
+            "moments",
+            {"r": 1.0, "samples": 64.0},
+            "field 'samples' is a JSON number, not an integer",
+            CURVE_SHAPE,
+        ),
+        ("verify", {"r": 1.0, "a": [[0.05, 0, 1]]}, "a[0] = [0.05, 0, 1] is not an [re, im] pair", CURVE_SHAPE),
+    ],
+)
+def test_malformed_input_shape_is_named(tmp_path, capsys, command, payload, problem, shape):
+    # a wrong JSON shape is an input error (exit 2) that names the field and
+    # the expected shape, never a traceback
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    args = [command, "--in", str(path)]
+    if command != "moments":
+        args += ["--nmax", "2", "--degmax", "2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    source = "moment JSON" if shape == MOMENTS_SHAPE else "curve JSON"
+    assert err == f"error: {source}: {problem}; {shape}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_rejects_a_roundtrip_tolerance_that_is_not_finite_and_non_negative(
+    tmp_path, capsys, tol
+):
+    # a nan tolerance used to run every check and then fail the roundtrip
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"r": 1.0, "a": [[0.0, 0.0], [0.05, 0.0]]}))
+    code, out, err = run_cli(
+        ["verify", "--nmax", "2", "--degmax", "3", "--in", str(curve), f"--roundtrip-tol={tol}"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --roundtrip-tol must be finite and >= 0, got {float(tol)}\n"

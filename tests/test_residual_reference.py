@@ -1,0 +1,264 @@
+"""The packed Toda residuals against their series-valued reference.
+
+``reference_residual_a`` and ``reference_residual_c`` expand the two
+constraints with a bivariate Laurent tail whose coefficients are
+:class:`TruncatedSeries`: every product goes through the ring's ``*`` and
+every sum through its ``+``.  The residuals in :mod:`taumap.verify` expand
+the same tails over packed integer monomials, and must return an equal
+:class:`CheckResult`: the same cell count, the same violations and the same
+out-of-cone maximum.  The packed residual lists the violations of one
+bidegree by factor degree, each degree in the reference's order; on the
+inputs below that is the reference's order too.
+"""
+
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from taumap import coefficients
+from taumap.coefficients import MemoCache
+from taumap.potential import CheckResult, build_potential, default_policy
+from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
+from taumap.verify import toda_residual_a, toda_residual_c
+
+from test_verify import multinomial_window_weight
+
+
+class Bivariate:
+    """Polynomial in two formal tail variables with series coefficients."""
+
+    def __init__(self, policy: TruncationPolicy, orders: tuple[int, int]):
+        self.policy = policy
+        self.orders = orders
+        self.c: dict[tuple[int, int], TruncatedSeries] = {}
+
+    def set(self, bidegree, series):
+        if series:
+            self.c[bidegree] = series
+
+    @classmethod
+    def one(cls, policy, orders):
+        out = cls(policy, orders)
+        out.set((0, 0), TruncatedSeries.constant(policy, 1))
+        return out
+
+    def __add__(self, other):
+        out = Bivariate(self.policy, self.orders)
+        for key in set(self.c) | set(other.c):
+            s = self.c.get(key)
+            t = other.c.get(key)
+            val = s + t if (s is not None and t is not None) else (s or t)
+            out.set(key, val)
+        return out
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, scalar):
+        out = Bivariate(self.policy, self.orders)
+        for key, s in self.c.items():
+            out.set(key, s * scalar)
+        return out
+
+    def shifted(self, da, db):
+        amax, bmax = self.orders
+        out = Bivariate(self.policy, self.orders)
+        for (a, b), s in self.c.items():
+            if a + da <= amax and b + db <= bmax:
+                out.set((a + da, b + db), s)
+        return out
+
+    def __mul__(self, other):
+        amax, bmax = self.orders
+        acc = {}
+        for (a1, b1), s1 in self.c.items():
+            for (a2, b2), s2 in other.c.items():
+                a, b = a1 + a2, b1 + b2
+                if a > amax or b > bmax:
+                    continue
+                prod = s1 * s2
+                if not prod:
+                    continue
+                if (a, b) in acc:
+                    acc[a, b] = acc[a, b] + prod
+                else:
+                    acc[a, b] = prod
+        out = Bivariate(self.policy, self.orders)
+        for key, s in acc.items():
+            out.set(key, s)
+        return out
+
+    def exp(self):
+        assert (0, 0) not in self.c
+        result = Bivariate.one(self.policy, self.orders)
+        term = result
+        m = 0
+        while True:
+            m += 1
+            term = (term * self).scaled(Fraction(1, m))
+            if not term.c:
+                return result
+            result = result + term
+
+
+def reference_split_cone(residual, name):
+    cone = min(residual.policy.deg_max, residual.policy.n_max + 1)
+    amax, bmax = residual.orders
+    violations = []
+    out_max = 0.0
+    for (a, b), series in sorted(residual.c.items()):
+        for mono, coeff in series.items():
+            if a + b + mono.degree <= cone:
+                violations.append(f"bidegree ({a},{b}) term {mono}: residual {coeff}")
+            else:
+                out_max = max(out_max, abs(float(coeff)))
+    cells = sum(
+        cone - a - b + 1
+        for a in range(amax + 1)
+        for b in range(bmax + 1)
+        if a + b <= cone
+    )
+    return CheckResult(name, cells, violations, {"max_abs_out_of_cone": out_max})
+
+
+def reference_residual_a(potential, order):
+    reg = potential.regular
+    policy = reg.policy
+    amax = order + 1
+    orders = (amax, amax)
+    d = {k: reg.diff_t(k) for k in range(1, amax + 1)}
+    d0 = reg.diff_t0()
+
+    x = Bivariate(policy, orders)
+    for a in range(1, amax + 1):
+        for b in range(1, amax + 1):
+            x.set((a, b), d[a].diff_t(b) * Fraction(1, a * b))
+    e1 = x.exp()
+
+    def one_sided(axis):
+        y = Bivariate(policy, orders)
+        for a in range(1, amax + 1):
+            s = d0.diff_t(a) * Fraction(-1, a)
+            y.set((a, 0) if axis == 0 else (0, a), s)
+        return y.exp()
+
+    e2 = one_sided(0)
+    e3 = one_sided(1)
+    residual = e1.shifted(0, 1) - e1.shifted(1, 0) - e2.shifted(0, 1) + e3.shifted(1, 0)
+    return reference_split_cone(residual, "residual_a")
+
+
+def reference_residual_c(potential, order):
+    reg = potential.regular
+    policy = reg.policy
+    amax = order + 1
+    orders = (amax, amax)
+    d0 = reg.diff_t0()
+    d00 = d0.diff_t0()
+
+    m_tail = Bivariate(policy, orders)
+    for a in range(1, amax + 1):
+        da = reg.diff_t(a)
+        for b in range(1, amax + 1):
+            m_tail.set((a, b), da.diff_tbar(b) * Fraction(-1, a * b))
+    lhs = Bivariate.one(policy, orders) - m_tail.exp()
+
+    p_tail = Bivariate(policy, orders)
+    q_tail = Bivariate(policy, orders)
+    for a in range(1, amax + 1):
+        p_tail.set((a, 0), d0.diff_t(a) * Fraction(1, a))
+        q_tail.set((0, a), d0.diff_tbar(a) * Fraction(1, a))
+    prefactor = TruncatedSeries.t0(policy) * d00.exp_no_constant()
+    rhs = Bivariate(policy, orders)
+    rhs.set((1, 1), prefactor)
+    rhs = rhs * p_tail.exp() * q_tail.exp()
+    return reference_split_cone(lhs - rhs, "residual_c")
+
+
+def assert_same_residuals(potential, order):
+    """Both residuals, packed, after checking them against the reference."""
+    results = []
+    for packed, reference in (
+        (toda_residual_a, reference_residual_a),
+        (toda_residual_c, reference_residual_c),
+    ):
+        got, want = packed(potential, order), reference(potential, order)
+        assert got.name == want.name
+        assert got.checked == want.checked
+        assert got.violations == want.violations
+        assert got.metrics == want.metrics
+        assert type(got.metrics["max_abs_out_of_cone"]) is float
+        results.append(got)
+    return results
+
+
+@pytest.mark.parametrize(
+    "n_max, deg_max, order", [(4, 4, 4), (3, 5, 2), (4, 6, 3), (5, 6, 4)]
+)
+def test_packed_residuals_equal_reference(n_max, deg_max, order):
+    potential, _ = build_potential(default_policy(n_max, deg_max), MemoCache())
+    assert_same_residuals(potential, order)
+
+
+def corrupted(potential, mono):
+    reg = potential.regular
+    return PotentialSeries(
+        potential.singular_log_coeff,
+        potential.singular_quad_coeff,
+        reg + TruncatedSeries(reg.policy, {mono: Fraction(1, 7)}),
+    )
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        Monomial(1, ((1, False, 1), (1, True, 1))),
+        Monomial(1, ((1, False, 2), (2, True, 1))),
+    ],
+    ids=["pair", "twist"],
+)
+def test_packed_residuals_equal_reference_on_corrupted_potentials(mono):
+    # the two perturbations of test_residuals_detect_a_corrupted_potential,
+    # each of which fails a residual
+    potential, _ = build_potential(default_policy(4, 4), MemoCache())
+    residual_a, residual_c = assert_same_residuals(corrupted(potential, mono), 4)
+    assert not (residual_a.ok and residual_c.ok)
+
+
+def test_packed_residuals_equal_reference_on_multinomial_window_weight(monkeypatch):
+    # the (6, 6) potential with the rejected window weight, which the
+    # mixed constraint fails
+    monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
+    potential, _ = build_potential(default_policy(6, 6), MemoCache())
+    _, residual_c = assert_same_residuals(potential, 4)
+    assert not residual_c.ok
+
+
+def bidegree_and_degree(violation):
+    """``(a, b, factor degree)`` of a violation line."""
+    head, mono = violation.split(": ")[0].split(" term ")
+    a, b = map(int, re.fullmatch(r"bidegree \((\d+),(\d+)\)", head).groups())
+    return a, b, sum(int(e) for e in re.findall(r"(?:t|tbar)[1-9]\d*\^(\d+)", mono))
+
+
+def test_packed_violations_are_listed_by_bidegree_then_factor_degree():
+    # with every coefficient rescaled the (5, 6) residual_a fails at several
+    # factor degrees of one bidegree; the reference lists them as its series
+    # products first produced them, the packed residual by factor degree,
+    # each degree in the reference's order
+    potential, _ = build_potential(default_policy(5, 6), MemoCache())
+    rng = random.Random(7)
+    reg = potential.regular
+    bad = PotentialSeries(
+        potential.singular_log_coeff,
+        potential.singular_quad_coeff,
+        TruncatedSeries(
+            reg.policy, {m: c * Fraction(rng.randint(1, 5), 3) for m, c in reg.items()}
+        ),
+    )
+    got, want = toda_residual_a(bad, 4), reference_residual_a(bad, 4)
+    assert got.violations != want.violations
+    assert got.violations == sorted(want.violations, key=bidegree_and_degree)
+    assert got.metrics == want.metrics

@@ -1,5 +1,6 @@
 """Series ring: arithmetic, calculus, evaluation, serialization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from taumap.series import (
     PolicyMismatchError,
     TruncatedSeries,
     TruncationPolicy,
+    _Codec,
     series_from_json_terms,
     series_to_json_terms,
 )
@@ -473,3 +475,67 @@ def test_to_tighter_policy_truncates_and_commutes_with_products():
             m: c for m, c in a.items() if tight.admits(m)
         }
         assert (a * b).to_policy(tight) == cut * b.to_policy(tight)
+
+
+# -- the packed monomial codes ------------------------------------------------
+
+
+def admissible_factor_parts(policy):
+    """Every canonical factor tuple of factor degree at most ``deg_max``."""
+    variables = [(k, False) for k in range(1, policy.n_max + 1)] + [
+        (k, True) for k in range(1, policy.n_max + 1)
+    ]
+
+    def parts(i, budget):
+        if i == len(variables):
+            yield ()
+            return
+        k, barred = variables[i]
+        for e in range(budget + 1):
+            head = ((k, barred, e),) if e else ()
+            for rest in parts(i + 1, budget - e):
+                yield head + rest
+
+    return list(parts(0, policy.deg_max))
+
+
+def product_monomial(m1, m2):
+    exps = {}
+    for k, barred, e in m1.factors + m2.factors:
+        exps[barred, k] = exps.get((barred, k), 0) + e
+    factors = tuple((k, barred, e) for (barred, k), e in sorted(exps.items()))
+    return Monomial(m1.t0_power + m2.t0_power, factors)
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(3, 4), (4, 7)])
+def test_codec_round_trips_every_admissible_monomial(n_max, deg_max):
+    policy = TruncationPolicy(n_max, deg_max)
+    codec = _Codec(policy)
+    parts = admissible_factor_parts(policy)
+    # deg_max in a single field, at the first and the last field
+    assert ((1, False, deg_max),) in parts and ((n_max, True, deg_max),) in parts
+    codes = set()
+    for factors in parts:
+        for t0_power in (0, 1, deg_max, 2**70 + 3):
+            mono = Monomial(t0_power, factors)
+            code = codec.encode(mono)
+            back = codec.decode(code)
+            assert back == mono
+            assert back.degree == mono.degree
+            codes.add(code)
+    assert len(codes) == 4 * len(parts)
+
+
+def test_codec_code_of_an_admissible_product_is_the_sum_of_codes():
+    policy = TruncationPolicy(3, 4)
+    codec = _Codec(policy)
+    rng = random.Random(43)
+    monos = [Monomial(rng.randint(0, 9), f) for f in admissible_factor_parts(policy)]
+    pairs = 0
+    for m1, m2 in itertools.product(monos, repeat=2):
+        if m1.degree + m2.degree <= policy.deg_max:
+            pairs += 1
+            product = product_monomial(m1, m2)
+            assert codec.encode(m1) + codec.encode(m2) == codec.encode(product)
+            assert codec.decode(codec.encode(m1) + codec.encode(m2)) == product
+    assert pairs > 1000
