@@ -30,6 +30,9 @@ Two choices keep the recursion cheap while its values stay exact:
   enumerated once, by a DP over positions, and grouped as
   ``block sums -> ((block sizes, count), ...)``.  ``n1`` loops only over
   the block sums that occur, and ``s`` is a weighted sum over one group.
+  A column's weight ``(s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)`` is taken as
+  ``comb(s_r - n_r, l_r - 1) * perm(s_r - 1, n_r - 1)``, one integer
+  identity, since the slack and ``l_r - 1`` add up to ``s_r - n_r``.
 * **Integer kernels.**  Every ``t1`` denominator at width ``m`` divides
   ``D_m = m! * lcm(1..m)``.  The kernels carry ``t1 * D_m`` and
   ``t2 * D_m^(len(i_list) - 1)`` as ``int``s; ``n1`` sums each width in
@@ -48,7 +51,10 @@ harmless (CPython dict updates are atomic and both writers store the same
 value).
 
 The window weight of the ``t2`` contraction is the window surplus
-``sum (l_r - 1)`` (:func:`_window_weight`).  The multinomial alternative
+``sum (l_r - 1)``.  It enters through one seam,
+:func:`_window_weight` ``(l_window, surplus)``: the contraction passes the
+window's columns and the surplus it already holds, and the shipped rule
+returns the surplus.  The multinomial alternative
 ``l! / prod((l_r - 1)!)`` agrees with it on index lists of length <= 3 and
 first differs at length 4, where it breaks the ellipse closed form, the
 bar-exchange symmetry and the mixed hierarchy residual; the test suite
@@ -60,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm, perm
 from typing import Iterator
 
 __all__ = [
@@ -311,9 +317,13 @@ def t1_coefficient(
     return Fraction(scaled, _denominators(len(s))[-1])
 
 
-def _window_weight(l_window: tuple[int, ...]) -> int:
-    """Weight of a contracted window: its surplus ``sum (l_r - 1)``."""
-    return sum(x - 1 for x in l_window)
+def _window_weight(l_window: tuple[int, ...], surplus: int) -> int:
+    """Weight of a contracted window: its surplus ``sum (l_r - 1)``.
+
+    The caller passes the surplus it already holds; ``l_window`` is there
+    for weight rules that read the columns.
+    """
+    return surplus
 
 
 def _t2_scaled(
@@ -351,7 +361,6 @@ def _t2_scaled(
                 s_new = s_acc - last
                 if s_new < 1 or l_acc < 1:
                     continue
-                weight = _window_weight(l[a : b + 1])
                 inner = _t1_scaled(s_new, s[a : b + 1], cache)
                 if not inner:
                     continue
@@ -364,6 +373,7 @@ def _t2_scaled(
                 if tail:
                     width = b - a + 1
                     lift = (d // dens[width]) * (d // dens[m - width + 1]) ** depth
+                    weight = _window_weight(l[a : b + 1], l_acc)
                     value += weight * inner * tail * lift
     cache.t2[key] = value
     return value
@@ -426,16 +436,17 @@ def _placement_weight(entries, s: tuple[int, ...], l: tuple[int, ...]) -> int:
     """``sum count * prod (s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)`` over ``entries``.
 
     A placement contributes only when every slack ``s_r - n_r - l_r + 1``
-    is non-negative.
+    is non-negative.  Since the slack and ``l_r - 1`` add up to
+    ``s_r - n_r``, each column is ``comb(s_r - n_r, l_r - 1) *
+    perm(s_r - 1, n_r - 1)``.
     """
     total = 0
     for sizes, count in entries:
         term = count
         for s_r, n_r, l_r in zip(s, sizes, l):
-            slack = s_r - n_r - l_r + 1
-            if slack < 0:
+            if s_r - n_r - l_r + 1 < 0:
                 break
-            term *= factorial(s_r - 1) // (factorial(slack) * factorial(l_r - 1))
+            term *= comb(s_r - n_r, l_r - 1) * perm(s_r - 1, n_r - 1)
         else:
             total += term
     return total

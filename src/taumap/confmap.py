@@ -72,8 +72,12 @@ def _json_number(data: dict, key: str, source: str, shape: str, kind: type = flo
     return kind(value)
 
 
-def _json_pairs(data: dict, key: str, source: str, shape: str) -> tuple[complex, ...]:
-    """The optional field ``key``: a list of ``[re, im]`` number pairs."""
+def _json_pairs(
+    data: dict, key: str, source: str, shape: str, required: bool = False
+) -> tuple[complex, ...]:
+    """The field ``key``, optional unless ``required``: a list of ``[re, im]`` number pairs."""
+    if required and key not in data:
+        raise _json_error(source, shape, f"field {key!r} is missing")
     value = data.get(key, [])
     if not isinstance(value, list):
         raise _json_error(
@@ -165,8 +169,13 @@ class ExteriorMapSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExteriorMapSeries":
+        """Read ``{"p": number, "tail": [[re, im], ...]}``; ``ValueError`` on
+        any other shape."""
+        source, shape = "map JSON", 'an object {"p": number, "tail": [[re, im], ...]}'
+        _json_object(data, source, shape)
         return cls(
-            float(data["p"]), tuple(complex(re, im) for re, im in data["tail"])
+            _json_number(data, "p", source, shape),
+            _json_pairs(data, "tail", source, shape, required=True),
         )
 
 

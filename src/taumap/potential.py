@@ -10,7 +10,9 @@ where ``i`` is the common weight of the two sides, ``K`` the total factor
 degree, ``pref`` the product of ``index^mult / mult!`` over a side, and
 ``N`` the coefficient from :mod:`taumap.coefficients`.  Only keys with at
 least one factor on each side enter; the linear summand freedom is fixed to
-zero, so the regular part has no constant or degree-1 terms.
+zero, so the regular part has no constant or degree-1 terms.  Each side's
+prefactor is kept as an integer pair, so a key's term is one ``Fraction``;
+the sides of a weight are enumerated once, each with its factor count.
 
 ``N`` is invariant under exchanging the two sides of a key (the barred
 twin of the pair constraint, see :func:`taumap.verify.toda_residual_b`),
@@ -105,11 +107,13 @@ def default_policy(n_max: int, deg_max: int) -> TruncationPolicy:
     return TruncationPolicy(n_max=n_max, deg_max=deg_max)
 
 
-def _side_prefactor(side: tuple[tuple[int, int], ...]) -> Fraction:
-    pref = Fraction(1)
+def _side_prefactor(side: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """``prod index^mult / mult!`` over ``side`` as an unreduced ``(num, den)``."""
+    num = den = 1
     for idx, mult in side:
-        pref *= Fraction(idx**mult, factorial(mult))
-    return pref
+        num *= idx**mult
+        den *= factorial(mult)
+    return num, den
 
 
 def _monomial_for(key: NKey, t0_power: int) -> Monomial:
@@ -135,6 +139,14 @@ def _oriented(key: NKey) -> NKey:
     return key.swapped()
 
 
+def _counted_sides(weight: int, n_max: int, max_count: int) -> list:
+    """The :func:`bounded_partitions` of ``weight``, each with its factor count."""
+    return [
+        (side, sum(m for _, m in side))
+        for side in bounded_partitions(weight, n_max, max_count)
+    ]
+
+
 def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
     """Every key of ``policy`` with its ``t0`` exponent, by weight ascending.
 
@@ -147,11 +159,10 @@ def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
     max_side = policy.deg_max - 1
     max_weight = policy.n_max * max_side if max_side > 0 else 0
     for weight in range(1, max_weight + 1):
-        sides = list(bounded_partitions(weight, policy.n_max, max_side))
-        for unbarred in sides:
-            k = sum(m for _, m in unbarred)
-            for barred in sides:
-                degree = k + sum(m for _, m in barred)
+        sides = _counted_sides(weight, policy.n_max, max_side)
+        for unbarred, k in sides:
+            for barred, kbar in sides:
+                degree = k + kbar
                 if degree > policy.deg_max:
                     continue
                 t0_power = weight - degree + 2
@@ -163,7 +174,11 @@ def _term_coefficient(key: NKey, cache: MemoCache) -> Fraction:
     """``pref(unbarred) * pref(barred) * N(key)``, with ``key`` evaluated as written."""
     coeff = n2_coefficient(key, cache)
     if coeff:
-        coeff *= _side_prefactor(key.unbarred) * _side_prefactor(key.barred)
+        num_u, den_u = _side_prefactor(key.unbarred)
+        num_b, den_b = _side_prefactor(key.barred)
+        coeff = Fraction(
+            coeff.numerator * num_u * num_b, coeff.denominator * den_u * den_b
+        )
     return coeff
 
 
@@ -250,15 +265,21 @@ def one_point_sector(
     terms: dict[Monomial, Fraction] = {}
     max_side = deg_max - 1
     max_weight = n_max * max_side if max_side > 0 else 0
+    # every side, barred or the rest beside t_k, is a partition of a weight
+    # up to max_weight; the rest has at most max_side - 1 factors, a filter
+    # that keeps the enumeration order
+    sides = [_counted_sides(w, n_max, max_side) for w in range(max_weight + 1)]
     for k in range(n_max + 1, k_max + 1):
         # t_k alone against a barred side is a key, so the weight starts at k
         for weight in range(k, max_weight + 1):
-            barred_sides = list(bounded_partitions(weight, n_max, max_side))
-            for rest in bounded_partitions(weight - k, n_max, max_side - 1):
+            barred_sides = sides[weight]
+            for rest, count in sides[weight - k]:
+                if count >= max_side:
+                    continue
                 unbarred = rest + ((k, 1),)
-                plain_degree = 1 + sum(m for _, m in rest)
-                for barred in barred_sides:
-                    degree = plain_degree + sum(m for _, m in barred)
+                plain_degree = 1 + count
+                for barred, kbar in barred_sides:
+                    degree = plain_degree + kbar
                     if degree > deg_max:
                         continue
                     t0_power = weight - degree + 2

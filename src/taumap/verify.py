@@ -23,13 +23,21 @@ Three layers:
   (:func:`degree_term_sums`), and the domain -> moments -> potential -> map
   roundtrip (:func:`roundtrip`).
 
-Residuals are only *gated* inside the reliable truncation cone: a residual
-monomial at bidegree ``(a, b)`` with factor degree ``d`` is unaffected by
-series truncation iff ``a + b + d <= min(deg_max, n_max + 1)``, because
-every contribution to it comes from potential monomials of factor degree at
-most ``d + 2 <= deg_max`` and of index at most ``a + b + d - 1 <= n_max``.
-Inside the cone residuals must vanish identically in rational arithmetic;
-outside they are reported (``max_abs_out_of_cone``) but not judged.
+Residuals are only *gated* inside the reliable truncation cone, where
+series truncation leaves them exact.  Factor degree is a grading: products
+add degrees and ``d_k`` lowers degree by exactly one, so a residual cell
+``(a, b, d)`` -- bidegree ``(a, b)`` in the tail variables, factor degree
+``d`` -- reads only potential terms of degree at most ``d + 2``.  Setting
+``t_k = tbar_k = 0`` for ``k > n_max`` is a ring map that commutes with
+``d0`` and with ``d_k``, ``dbar_k`` for ``k <= n_max``, so a cell whose
+derivative indices ``a, b`` are at most ``n_max`` is what the untruncated
+potential gives there.  The cone is therefore the union of
+``{max(a, b) <= n_max, d <= deg_max - 2}`` and the degree-and-index cone
+``{a + b + d <= min(deg_max, n_max + 1)}``, whose terms have index at most
+``a + b + d - 1 <= n_max`` (its cells with ``a + b <= 1`` reach
+``d = deg_max - 1`` and ``deg_max``).  Inside the cone
+residuals must vanish identically in rational arithmetic; outside they are
+reported (``max_abs_out_of_cone``) but not judged.
 
 Every check returns a :class:`taumap.potential.CheckResult`, re-exported
 here.
@@ -220,20 +228,20 @@ class _Tail:
 def _split_cone(residual: _Tail, name: str) -> CheckResult:
     """Judge the residual inside the truncation cone, measure it outside.
 
-    ``checked`` counts the in-cone cells ``(a, b, d)``: bidegree within the
-    residual's orders and ``a + b + d`` at most the cone bound.  Only the
-    in-cone terms are decoded; outside, the largest ``|numerator|`` over the
-    common denominator is the largest ``|coefficient|``, and ``int / int``
-    rounds it as ``float(Fraction)`` would.
+    ``checked`` counts the in-cone cells ``(a, b, d)`` with bidegree within
+    the residual's orders (:func:`_cone_depth`).  Only the in-cone terms are
+    decoded; outside, the largest ``|numerator|`` over the common
+    denominator is the largest ``|coefficient|``, and ``int / int`` rounds
+    it as ``float(Fraction)`` would.
     """
-    cone = min(residual.policy.deg_max, residual.policy.n_max + 1)
+    policy = residual.policy
     amax, bmax = residual.orders
     decode = residual.codec.decode
     den = residual.den
     violations: list[str] = []
     out_max = 0
     for (a, b, d), cell in sorted(residual.cells.items()):
-        if a + b + d <= cone:
+        if d < _cone_depth(a, b, policy):
             for code, n in cell.items():
                 violations.append(
                     f"bidegree ({a},{b}) term {decode(code)}: residual {Fraction(n, den)}"
@@ -241,12 +249,21 @@ def _split_cone(residual: _Tail, name: str) -> CheckResult:
         else:
             out_max = max(out_max, *map(abs, cell.values()))
     cells = sum(
-        cone - a - b + 1
-        for a in range(amax + 1)
-        for b in range(bmax + 1)
-        if a + b <= cone
+        _cone_depth(a, b, policy) for a in range(amax + 1) for b in range(bmax + 1)
     )
     return CheckResult(name, cells, violations, {"max_abs_out_of_cone": out_max / den})
+
+
+def _cone_depth(a: int, b: int, policy: TruncationPolicy) -> int:
+    """How many factor degrees ``d = 0, 1, ..`` of bidegree ``(a, b)`` are in the cone.
+
+    The union of ``d <= min(deg_max, n_max + 1) - a - b`` and, when
+    ``max(a, b) <= n_max``, ``d <= deg_max - 2`` (module docstring).
+    """
+    depth = min(policy.deg_max, policy.n_max + 1) - a - b + 1
+    if max(a, b) <= policy.n_max:
+        depth = max(depth, policy.deg_max - 1)
+    return max(depth, 0)
 
 
 def _check_order(order: int, policy: TruncationPolicy) -> None:

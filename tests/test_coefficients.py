@@ -95,8 +95,7 @@ def ref_t1(i, s):
 WINDOW_WEIGHTS = ["linear", "multinomial"]
 
 
-def ref_window_weight(l_window, rule):
-    surplus = sum(x - 1 for x in l_window)
+def ref_window_weight(l_window, surplus, rule):
     if rule == "linear":
         return surplus
     return factorial(surplus) // prod(factorial(x - 1) for x in l_window)
@@ -128,7 +127,7 @@ def ref_t2(i_list, s, l, rule, memo):
                 if s_new < 1 or l_acc < 1:
                     continue
                 value += (
-                    ref_window_weight(l[a : b + 1], rule)
+                    ref_window_weight(l[a : b + 1], l_acc, rule)
                     * ref_t1(s_new, s[a : b + 1])
                     * ref_t2(
                         i_list[:-1],
@@ -383,6 +382,43 @@ def test_s_brute_force_assignments():
             if ok:
                 expected += term
         assert s_coefficient(barred, SLMatrix(s, l)) == expected
+
+
+def factorial_column_weight(s_r, n_r, l_r):
+    """``(s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)``, zero when the slack is negative."""
+    slack = s_r - n_r - l_r + 1
+    if slack < 0:
+        return 0
+    return factorial(s_r - 1) // (factorial(slack) * factorial(l_r - 1))
+
+
+def test_placement_weight_equals_factorial_form():
+    # one column: every block size n_r <= s_r and surplus l_r - 1, with the
+    # slack running from negative to positive
+    seen_negative = 0
+    for s_r in range(1, 13):
+        for n_r in range(1, s_r + 1):
+            for l_r in range(1, s_r + 3):
+                seen_negative += s_r - n_r - l_r + 1 < 0
+                got = coefficients._placement_weight((((n_r,), 3),), (s_r,), (l_r,))
+                assert got == 3 * factorial_column_weight(s_r, n_r, l_r), (s_r, n_r, l_r)
+    assert seen_negative > 100
+    # several columns and entries: a negative slack in any column drops the
+    # entry, and the entries sum
+    rng = random.Random(149)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        s = tuple(rng.randint(1, 9) for _ in range(m))
+        l = tuple(rng.randint(1, 5) for _ in range(m))
+        entries = tuple(
+            (tuple(rng.randint(1, s_r) for s_r in s), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 3))
+        )
+        expected = sum(
+            count * prod(map(factorial_column_weight, s, sizes, l))
+            for sizes, count in entries
+        )
+        assert coefficients._placement_weight(entries, s, l) == expected, (entries, s, l)
 
 
 def test_t1_scaled_by_common_denominator_is_integer():

@@ -119,6 +119,24 @@ def test_map_json_round_trip():
     assert again == w
 
 
+MAP_SHAPE = 'expected an object {"p": number, "tail": [[re, im], ...]}'
+
+
+@pytest.mark.parametrize(
+    "payload, problem",
+    [
+        ({"p": 1, "tail": 5}, "field 'tail' is a JSON number, not a list of [re, im] pairs"),
+        ([1.0, [[0, 0]]], "got a JSON list"),
+        ({"p": 1.0}, "field 'tail' is missing"),
+    ],
+    ids=["tail-not-a-list", "top-level-list", "tail-missing"],
+)
+def test_map_json_malformed_shape_is_named(payload, problem):
+    with pytest.raises(ValueError) as err:
+        ExteriorMapSeries.from_json(payload)
+    assert str(err.value) == f"map JSON: {problem}; {MAP_SHAPE}"
+
+
 def test_map_without_sector_warns_and_keeps_zero_one_point_tail(
     potential_46, potential_46_j8
 ):

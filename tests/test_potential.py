@@ -11,6 +11,7 @@ import pytest
 
 from taumap.coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from taumap.confmap import MomentVector, map_from_potential
+from taumap import potential as potential_module
 from taumap.potential import (
     build_potential,
     cauchy_data_check,
@@ -104,6 +105,28 @@ def potential_sha256(potential):
 def test_potential_66_is_bit_identical_to_pin():
     potential, _ = build_potential(default_policy(6, 6), cache=MemoCache())
     assert potential_sha256(potential) == POTENTIAL_66_SHA256
+
+
+# the same digest where deg_max binds: at (6, 8) sides of up to 7 factors
+# meet and the t2 recursion runs 7 indices deep
+POTENTIAL_68_SHA256 = "fc45e9abc2335df3887d7e24ddb3fd78e301fb88e48ba6b47f73ac1d75fa8163"
+
+
+def test_potential_68_is_bit_identical_to_pin():
+    potential, _ = build_potential(default_policy(6, 8), cache=MemoCache())
+    assert potential_sha256(potential) == POTENTIAL_68_SHA256
+
+
+# sha256 of the terms of the (5, 6) one-point sector with k <= 12
+SECTOR_56_12_SHA256 = "a639be9d05b2f60eace5c4ac104ef5178a422bc5fcfc89bb38839ad97c86050e"
+
+
+def test_one_point_sector_56_is_bit_identical_to_pin():
+    sector = one_point_sector(default_policy(5, 6), 12, cache=MemoCache())
+    blob = json.dumps(series_to_json_terms(sector), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SECTOR_56_12_SHA256
+    assert sector.policy == default_policy(12, 6)
+    assert len(sector) == 577
 
 
 BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -217,22 +240,49 @@ def test_build_and_sector_evaluate_one_orientation():
     assert all(len(u) >= len(b) for u, b in cache.n1)
 
 
-def test_one_point_sector_equals_as_written_reference():
-    policy = default_policy(4, 6)
-    keys = []
-    for k in range(5, 10):
-        for weight in range(k, 4 * 5 + 1):
-            for rest in bounded_partitions(weight - k, 4, 4):
-                for barred in bounded_partitions(weight, 4, 5):
+def _sector_keys(policy, k_max):
+    """The one-point sector's keys, in the order ``one_point_sector`` visits them."""
+    n_max, max_side = policy.n_max, policy.deg_max - 1
+    for k in range(n_max + 1, k_max + 1):
+        for weight in range(k, n_max * max_side + 1):
+            for rest in bounded_partitions(weight - k, n_max, max_side - 1):
+                for barred in bounded_partitions(weight, n_max, max_side):
                     key = NKey(rest + ((k, 1),), barred, weight)
                     degree = sum(m for _, m in key.unbarred) + sum(m for _, m in barred)
                     t0_power = weight - degree + 2
-                    if degree <= 6 and t0_power >= 0:
-                        keys.append((key, t0_power))
+                    if degree <= policy.deg_max and t0_power >= 0:
+                        yield key, t0_power
+
+
+def test_one_point_sector_equals_as_written_reference():
+    policy = default_policy(4, 6)
     sector = one_point_sector(policy, 9, cache=MemoCache())
-    expected = _as_written(keys)
+    expected = _as_written(_sector_keys(policy, 9))
     assert expected
     assert dict(sector.items()) == expected
+
+
+@pytest.mark.parametrize(
+    "policy", [default_policy(3, 7), default_policy(5, 6), default_policy(6, 7)],
+    ids=lambda p: f"{p.n_max}-{p.deg_max}",
+)
+def test_admissible_keys_in_reference_order(policy):
+    assert list(potential_module._admissible_keys(policy)) == list(_policy_keys(policy))
+
+
+@pytest.mark.parametrize("n_max, k_max", [(4, 9), (5, 12)])
+def test_one_point_sector_evaluates_reference_key_sequence(monkeypatch, n_max, k_max):
+    policy = default_policy(n_max, 6)
+    visited = []
+    evaluate = potential_module._evaluate_key
+
+    def recording(terms, key, t0_power, cache):
+        visited.append((key, t0_power))
+        evaluate(terms, key, t0_power, cache)
+
+    monkeypatch.setattr(potential_module, "_evaluate_key", recording)
+    one_point_sector(policy, k_max, cache=MemoCache())
+    assert visited == list(_sector_keys(policy, k_max))
 
 
 def test_truncation_monotonicity():

@@ -11,6 +11,7 @@ bidegree by factor degree, each degree in the reference's order; on the
 inputs below that is the reference's order too.
 """
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -103,22 +104,32 @@ class Bivariate:
             result = result + term
 
 
+def in_reference_cone(a, b, d, policy):
+    """The cell ``(a, b, d)`` is exact under truncation: the union of the
+    degree-and-index cone and the cells whose derivative indices are within
+    ``n_max`` and whose terms read degrees within ``deg_max``."""
+    n_max, deg_max = policy.n_max, policy.deg_max
+    return a + b + d <= min(deg_max, n_max + 1) or (
+        max(a, b) <= n_max and d <= deg_max - 2
+    )
+
+
 def reference_split_cone(residual, name):
-    cone = min(residual.policy.deg_max, residual.policy.n_max + 1)
+    policy = residual.policy
     amax, bmax = residual.orders
     violations = []
     out_max = 0.0
     for (a, b), series in sorted(residual.c.items()):
         for mono, coeff in series.items():
-            if a + b + mono.degree <= cone:
+            if in_reference_cone(a, b, mono.degree, policy):
                 violations.append(f"bidegree ({a},{b}) term {mono}: residual {coeff}")
             else:
                 out_max = max(out_max, abs(float(coeff)))
     cells = sum(
-        cone - a - b + 1
-        for a in range(amax + 1)
-        for b in range(bmax + 1)
-        if a + b <= cone
+        in_reference_cone(a, b, d, policy)
+        for a, b, d in itertools.product(
+            range(amax + 1), range(bmax + 1), range(policy.deg_max + 1)
+        )
     )
     return CheckResult(name, cells, violations, {"max_abs_out_of_cone": out_max})
 

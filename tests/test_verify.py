@@ -13,7 +13,7 @@ from taumap.coefficients import MemoCache
 from taumap.confmap import MomentVector, map_from_potential
 from taumap.moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
 from taumap.potential import build_potential, default_policy
-from taumap.series import Monomial, TruncatedSeries
+from taumap.series import Monomial, PotentialSeries, TruncatedSeries
 from taumap.verify import (
     bar_swap,
     convergence_gate,
@@ -26,9 +26,9 @@ from taumap.verify import (
 )
 
 
-def multinomial_window_weight(l_window):
+def multinomial_window_weight(l_window, surplus):
     """The rejected window weight ``l! / prod((l_r - 1)!)``, ``l`` the surplus."""
-    weight = math.factorial(sum(x - 1 for x in l_window))
+    weight = math.factorial(surplus)
     for x in l_window:
         weight //= math.factorial(x - 1)
     return weight
@@ -97,8 +97,6 @@ def test_residual_b_rejects_multinomial_window_weight(monkeypatch):
 
 
 def test_residual_b_detects_an_asymmetric_potential(potential_44):
-    from taumap.series import PotentialSeries
-
     reg = potential_44.regular
     # t0 t1^2 tbar2 is evaluated as written, t0 t2 tbar1^2 as its mirror
     for mono in (
@@ -115,8 +113,6 @@ def test_residual_b_detects_an_asymmetric_potential(potential_44):
 
 def test_residuals_detect_a_corrupted_potential(potential_44):
     # perturbing coefficients must break the exact identities inside the cone
-    from taumap.series import PotentialSeries
-
     reg = potential_44.regular
 
     pair = Monomial(1, ((1, False, 1), (1, True, 1)))
@@ -152,19 +148,74 @@ def test_residual_rejects_negative_order(potential_44, residual):
 
 @pytest.mark.parametrize("n_max, deg_max", [(4, 4), (5, 6), (6, 6)])
 def test_residual_cone_cells_where_degree_binds(residuals_order_4, n_max, deg_max):
-    # with deg_max <= n_max + 1 the index condition of the cone is implied
-    # by the degree condition, so the judged cells are those of a + b + d
-    # <= deg_max, at every bidegree up to (order + 1, order + 1)
+    # with deg_max <= n_max + 1 the degree-and-index cone is a + b + d <=
+    # deg_max; the judged cells add every d <= deg_max - 2 at the bidegrees
+    # with max(a, b) <= n_max, up to (order + 1, order + 1)
     span = range(4 + 2)
     cells = sum(
         1
         for a, b, d in itertools.product(span, span, range(deg_max + 1))
-        if a + b + d <= deg_max
+        if a + b + d <= deg_max or (max(a, b) <= n_max and d <= deg_max - 2)
     )
     for report in residuals_order_4(n_max, deg_max):
         assert report.ok, report.violations[:5]
         assert report.checked == cells
         assert report.metrics["max_abs_out_of_cone"] > 0
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(3, 6), (4, 6), (5, 6), (3, 7), (2, 8)])
+def test_residual_cone_vanishes_at_every_order(n_max, deg_max):
+    # the cone holds every cell with max(a, b) <= n_max and d <= deg_max - 2;
+    # on a correct build both residuals vanish there at every order
+    potential, _ = build_potential(default_policy(n_max, deg_max), MemoCache())
+    for order in range(n_max + 1):
+        for residual in (toda_residual_a, toda_residual_c):
+            report = residual(potential, order)
+            assert report.ok, (order, report.name, report.violations[:3])
+
+
+def corrupted_once(potential, mono):
+    """``potential`` with the coefficient ``c`` of ``mono`` replaced by ``2c + 1``."""
+    reg = potential.regular
+    terms = dict(reg.items())
+    terms[mono] = 2 * terms[mono] + 1
+    return PotentialSeries(
+        potential.singular_log_coeff,
+        potential.singular_quad_coeff,
+        TruncatedSeries(reg.policy, terms),
+    )
+
+
+def assert_residual_c_catches_every_corruption(n_max, deg_max):
+    # residual_c at order n_max - 1 judges a cell through which every
+    # coefficient of the build enters
+    potential, _ = build_potential(default_policy(n_max, deg_max), MemoCache())
+    monos = [mono for mono, _ in potential.regular.sorted_items()]
+    missed = [
+        mono
+        for mono in monos
+        if toda_residual_c(corrupted_once(potential, mono), n_max - 1).ok
+    ]
+    assert not missed, missed[:5]
+    return len(monos)
+
+
+def test_residual_c_catches_every_single_corruption_at_46():
+    assert assert_residual_c_catches_every_corruption(4, 6) == 141
+
+
+@pytest.mark.slow
+def test_residual_c_catches_every_single_corruption_at_56():
+    assert assert_residual_c_catches_every_corruption(5, 6) == 328
+
+
+def test_residuals_reject_multinomial_window_weight_at_46(monkeypatch):
+    # the negative control fails both residuals at the policy and order of
+    # the corruption sweep; the degree-and-index cone alone passed it there
+    monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
+    potential, _ = build_potential(default_policy(4, 6), MemoCache())
+    assert not toda_residual_a(potential, 3).ok
+    assert not toda_residual_c(potential, 3).ok
 
 
 def test_mixed_derivative_restriction_matches_log_series(potential_44):
