@@ -302,15 +302,12 @@ def _t1_scaled(i: int, s: tuple[int, ...], cache: MemoCache) -> int:
     return total
 
 
-def t1_coefficient(
-    i: int, j: int, s: tuple[int, ...], cache: MemoCache | None = None
-) -> Fraction:
+def t1_coefficient(i: int, s: tuple[int, ...], cache: MemoCache | None = None) -> Fraction:
     """Average of bounded composition counts over consecutive groupings.
 
-    Sums ``P(i, j, block sums) / (k * n_1! ... n_k!)`` over all ways of
-    splitting the ``m`` slots of ``s`` into ``k`` consecutive blocks of sizes
-    ``n_1..n_k``.  Callers maintain ``sum(s) == i + j``, so ``j`` does not
-    enter the computation.
+    Sums ``P(i, j, block sums) / (k * n_1! ... n_k!)``, ``j = sum(s) - i``,
+    over all ways of splitting the ``m`` slots of ``s`` into ``k`` consecutive
+    blocks of sizes ``n_1..n_k``.
     """
     s = tuple(s)
     scaled = _t1_scaled(i, s, MemoCache() if cache is None else cache)

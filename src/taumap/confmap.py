@@ -37,7 +37,8 @@ import json
 import warnings
 from array import array
 from dataclasses import dataclass
-from math import exp, inf, isfinite, sqrt
+from cmath import isfinite
+from math import exp, inf, sqrt
 from typing import Iterable
 
 import numpy as np
@@ -97,6 +98,13 @@ def _json_pairs(
     return tuple(complex(re, im) for re, im in value)
 
 
+def _require_finite(name: str, values: tuple[complex, ...]) -> None:
+    """``ValueError`` naming the first entry of ``values`` that is not finite."""
+    for i, x in enumerate(values):
+        if not isfinite(x):
+            raise ValueError(f"{name}[{i}] = {x} is not finite")
+
+
 def _json_kind(value) -> str:
     if isinstance(value, bool):
         return "boolean"
@@ -120,11 +128,7 @@ class MomentVector:
         if not (isfinite(self.t0) and self.t0 > 0):
             raise ValueError(f"t0 must be finite and positive, got {self.t0}")
         object.__setattr__(self, "t", tuple(complex(x) for x in self.t))
-        if any(
-            x != x or abs(x.real) == float("inf") or abs(x.imag) == float("inf")
-            for x in self.t
-        ):
-            raise ValueError("moments must be finite")
+        _require_finite("t", self.t)
 
     def padded(self, n: int) -> "MomentVector":
         """Same vector with the tail zero-padded to length ``n``."""
@@ -154,8 +158,9 @@ class ExteriorMapSeries:
     tail: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        if not self.p > 0:
-            raise ValueError("leading coefficient must be positive")
+        if not (isfinite(self.p) and self.p > 0):
+            raise ValueError(f"p must be finite and positive, got {self.p}")
+        _require_finite("tail", self.tail)
 
     @property
     def order(self) -> int:

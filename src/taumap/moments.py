@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import csv
 import io
+from cmath import isfinite
 from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
-from .confmap import MomentVector, _json_number, _json_object, _json_pairs
+from .confmap import MomentVector, _json_number, _json_object, _json_pairs, _require_finite
 
 __all__ = [
     "BoundaryCurve",
@@ -54,6 +55,10 @@ __all__ = [
     "curve_from_json",
     "moments_to_csv",
 ]
+
+# The largest quadrature sample count a curve accepts: far beyond spectral
+# accuracy for any univalent curve, and a bound on the arrays a curve asks for.
+MAX_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,17 +70,18 @@ class BoundaryCurve:
     samples: int = 256
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError("leading coefficient r must be positive")
+        if not (isfinite(self.r) and self.r > 0):
+            raise ValueError(f"r must be finite and positive, got {self.r}")
         object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
+        _require_finite("a", self.a)
         margin = sum(j * abs(c) for j, c in enumerate(self.a))
         if self.r <= margin:
             raise ValueError(
                 f"univalence bound violated: r = {self.r} <= sum j|a_j| = {margin}"
             )
         n = self.samples
-        if n < 64 or n & (n - 1):
-            raise ValueError("samples must be a power of two >= 64")
+        if not 64 <= n <= MAX_SAMPLES or n & (n - 1):
+            raise ValueError(f"samples must be a power of two in [64, {MAX_SAMPLES}], got {n}")
 
     def boundary(self):
         """Arrays ``(z, dz_du, u)`` on ``samples`` uniform points of ``|u| = 1``."""

@@ -23,18 +23,20 @@ Design points:
 * The single logarithmic term of the potential (``t0^2 log t0``) is never
   represented inside the ring.  It lives in the two scalar fields of
   :class:`PotentialSeries` and is handled symbolically by consumers.
-* A monomial's factor degree is a value fixed when the monomial is built.
-  The product groups the right operand's terms by degree once, so a left
-  term of degree ``d1`` only meets the buckets of degree at most
-  ``deg_max - d1``: pairs that truncation drops are never visited.  In the
-  pair loop a term is an integer code and an integer numerator over its
-  operand's common denominator, so monomials are decoded and
-  ``Fraction``s made once per distinct output monomial.
 * The packing of a monomial into its code is one rule, :class:`_Codec`:
   one bit field per variable, wide enough for ``deg_max``, and the ``t0``
-  power on top, so codes add under any admissible product.  The ring
-  product and the packed residual tails of :mod:`taumap.verify` both use
-  it.
+  power on top, so codes add under any admissible product.
+* The ring has one packed implementation, :class:`_Tail`: a polynomial in
+  two tail variables whose coefficients are filed by factor degree (a
+  value fixed when a monomial is built) as ``{code: numerator}`` over one
+  common denominator.  Its product meets only the degree pairs that
+  truncation keeps, and its pair loop adds integer codes and multiplies
+  integer numerators.  The product of two
+  series and :meth:`TruncatedSeries.exp_no_constant` pack their operands
+  as tails of orders ``(0, 0)``, run the tail's product or exponential
+  and decode the result, so monomials are decoded and ``Fraction``s made
+  once per output monomial; the Toda residuals of :mod:`taumap.verify`
+  expand their tails with the same class.
 * Validation happens at the boundary.  ``Monomial(...)`` checks canonical
   order, and ``TruncatedSeries(policy, terms)`` -- through which
   :meth:`TruncatedSeries.filter`, :meth:`TruncatedSeries.to_policy` and the
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -196,6 +198,155 @@ class _Codec:
         return Monomial._trusted(code >> t0_shift, tuple(factors), degree)
 
 
+class _Tail:
+    """Polynomial in two tail variables ``u``, ``v`` and the moment variables.
+
+    ``cells`` maps ``(a, b, d)`` -- the bidegree in ``u, v`` and the factor
+    degree -- to ``{code: numerator}``, the codes of the policy's
+    :class:`_Codec`; the whole tail has the one denominator ``den``, and
+    numerators and ``den`` share no common factor.  Cells beyond ``orders``
+    or ``deg_max`` are dropped, so a product visits only the cell pairs whose
+    sum survives, and its pair loop adds integer codes and multiplies integer
+    numerators.  Series enter through :meth:`encoded`; a tail of orders
+    ``(0, 0)`` is a series and leaves through :meth:`series`.
+    """
+
+    __slots__ = ("codec", "policy", "orders", "cells", "den")
+
+    def __init__(self, codec, policy, orders, cells, den=1):
+        self.codec = codec
+        self.policy = policy
+        self.orders = orders
+        self.cells: dict[tuple[int, int, int], dict[int, int]] = cells
+        self.den = den
+        self._reduce()
+
+    def _like(self, cells, den=1) -> "_Tail":
+        return _Tail(self.codec, self.policy, self.orders, cells, den)
+
+    def _reduce(self) -> None:
+        """Drop zero terms and empty cells; divide out the common factor."""
+        cells = {}
+        g = self.den
+        for key, cell in self.cells.items():
+            if 0 in cell.values():
+                cell = {code: n for code, n in cell.items() if n}
+            if cell:
+                cells[key] = cell
+                if g > 1:
+                    g = gcd(g, *cell.values())
+        if g > 1:
+            cells = {
+                key: {code: n // g for code, n in cell.items()}
+                for key, cell in cells.items()
+            }
+        self.cells = cells
+        self.den //= g
+
+    @classmethod
+    def encoded(
+        cls,
+        policy: TruncationPolicy,
+        orders: tuple[int, int],
+        series: dict[tuple[int, int], "TruncatedSeries"],
+    ) -> "_Tail":
+        """The tail ``sum u^a v^b series[a, b]``."""
+        codec = _Codec(policy)
+        encode = codec.encode
+        den = lcm(*(c.denominator for s in series.values() for c in s._terms.values()))
+        cells: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (a, b), s in series.items():
+            for mono, c in s._terms.items():
+                cell = cells.setdefault((a, b, mono.degree), {})
+                cell[encode(mono)] = c.numerator * (den // c.denominator)
+        return cls(codec, policy, orders, cells, den)
+
+    def series(self) -> "TruncatedSeries":
+        """The series of a tail of orders ``(0, 0)``."""
+        decode, den = self.codec.decode, self.den
+        return TruncatedSeries._trusted(
+            self.policy,
+            {
+                decode(code): Fraction(n, den)
+                for cell in self.cells.values()
+                for code, n in cell.items()
+            },
+        )
+
+    def one(self) -> "_Tail":
+        return self._like({(0, 0, 0): {0: 1}})
+
+    def __add__(self, other: "_Tail") -> "_Tail":
+        den = lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        cells = {
+            key: {code: n * f1 for code, n in cell.items()}
+            for key, cell in self.cells.items()
+        }
+        for key, cell in other.cells.items():
+            out = cells.setdefault(key, {})
+            get = out.get
+            for code, n in cell.items():
+                out[code] = get(code, 0) + n * f2
+        return self._like(cells, den)
+
+    def __sub__(self, other: "_Tail") -> "_Tail":
+        return self + other.scaled(-1)
+
+    def scaled(self, q) -> "_Tail":
+        q = Fraction(q)
+        cells = {
+            key: {code: n * q.numerator for code, n in cell.items()}
+            for key, cell in self.cells.items()
+        }
+        return self._like(cells, self.den * q.denominator)
+
+    def shifted(self, da: int, db: int) -> "_Tail":
+        """Multiplication by ``u^da v^db``, dropping overflow."""
+        amax, bmax = self.orders
+        cells = {
+            (a + da, b + db, d): cell
+            for (a, b, d), cell in self.cells.items()
+            if a + da <= amax and b + db <= bmax
+        }
+        return self._like(cells, self.den)
+
+    def __mul__(self, other: "_Tail") -> "_Tail":
+        amax, bmax = self.orders
+        deg_max = self.policy.deg_max
+        acc: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (a1, b1, d1), left in self.cells.items():
+            for (a2, b2, d2), right in other.cells.items():
+                a, b, d = a1 + a2, b1 + b2, d1 + d2
+                if a > amax or b > bmax or d > deg_max:
+                    continue
+                out = acc.setdefault((a, b, d), {})
+                get = out.get
+                right_items = right.items()
+                for code1, n1 in left.items():
+                    for code2, n2 in right_items:
+                        key = code1 + code2
+                        out[key] = get(key, 0) + n1 * n2
+        return self._like(acc, self.den * other.den)
+
+    def exp(self) -> "_Tail":
+        """``sum_m self^m / m!`` for a tail with no term in the cell ``(0, 0, 0)``.
+
+        Every other term raises ``a``, ``b`` or the factor degree, so the
+        powers leave the orders and ``deg_max`` and the sum ends.
+        """
+        if (0, 0, 0) in self.cells:
+            raise ValueError("exp requires every term to carry a variable")
+        result = term = self.one()
+        m = 0
+        while True:
+            m += 1
+            term = (term * self).scaled(Fraction(1, m))
+            if not term.cells:
+                return result
+            result = result + term
+
+
 class TruncatedSeries:
     """Finite formal sum ``{monomial: Fraction}`` under a fixed policy."""
 
@@ -331,33 +482,7 @@ class TruncatedSeries:
                 self.policy, {m: c * v for m, v in self._terms.items()}
             )
         self._require_same_policy(other)
-        pol = self.policy
-        deg_max = pol.deg_max
-        # In the pair loop a term is its code and an integer numerator over
-        # its operand's common denominator.
-        codec = _Codec(pol)
-        encode = codec.encode
-        den1 = lcm(*(c.denominator for c in self._terms.values()))
-        den2 = lcm(*(c.denominator for c in other._terms.values()))
-        # The right operand's terms by factor degree: a left term of degree
-        # d1 meets only the buckets d2 <= deg_max - d1.
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(deg_max + 1)]
-        for m2, c2 in other._terms.items():
-            buckets[m2.degree].append((encode(m2), c2.numerator * (den2 // c2.denominator)))
-        acc: dict[int, int] = {}
-        get = acc.get
-        for m1, c1 in self._terms.items():
-            code1 = encode(m1)
-            n1 = c1.numerator * (den1 // c1.denominator)
-            for d2 in range(deg_max - m1.degree + 1):
-                for code2, n2 in buckets[d2]:
-                    key = code1 + code2
-                    acc[key] = get(key, 0) + n1 * n2
-        den = den1 * den2
-        decode = codec.decode
-        return TruncatedSeries._trusted(
-            pol, {decode(code): Fraction(n, den) for code, n in acc.items() if n}
-        )
+        return (self._tail() * other._tail()).series()
 
     __rmul__ = __mul__
 
@@ -369,17 +494,11 @@ class TruncatedSeries:
         term of factor degree 0 (the constant or a pure ``t0`` power) raises
         ``ValueError``.
         """
-        if any(not m.degree for m in self._terms):
-            raise ValueError("exp requires every term to carry a variable")
-        result = TruncatedSeries.constant(self.policy, 1)
-        term = result
-        m = 0
-        while True:
-            m += 1
-            term = term * self * Fraction(1, m)
-            if not term:
-                return result
-            result = result + term
+        return self._tail().exp().series()
+
+    def _tail(self) -> "_Tail":
+        """The series packed as a tail of orders ``(0, 0)``."""
+        return _Tail.encoded(self.policy, (0, 0), {(0, 0): self})
 
     # -- calculus ----------------------------------------------------------
 

@@ -5,13 +5,11 @@ Three layers:
 * exact residuals of the two independent hierarchy constraints the potential
   must satisfy, expanded as Laurent tails in ``u = 1/z`` and ``v = 1/xi``
   whose coefficients are exact series (:func:`toda_residual_a`,
-  :func:`toda_residual_c`).  The tails are held in packed integer form:
-  each term is the integer code of its monomial (:class:`taumap.series._Codec`)
-  and an integer numerator, filed by bidegree and factor degree, over one
-  denominator per tail, so products are integer sums and products.  The
-  derivative series are encoded once, and only in-cone violations are
-  decoded.  The barred twin of the first constraint
-  reduces to bar-exchange symmetry of the potential; since the build
+  :func:`toda_residual_c`).  The tails are the series ring's packed
+  polynomials (:class:`taumap.series._Tail`), whose products and
+  exponentials are the ring's own.  The derivative series are encoded
+  once, and only in-cone violations are decoded.  The barred twin of the
+  first constraint reduces to bar-exchange symmetry of the potential; since the build
   evaluates each key and its mirror once, :func:`toda_residual_b` checks
   that symmetry per coefficient, by evaluating every key the build
   mirrored in its written orientation;
@@ -48,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial
 
 import numpy as np
 
@@ -67,7 +65,7 @@ from .series import (
     PotentialSeries,
     TruncatedSeries,
     TruncationPolicy,
-    _Codec,
+    _Tail,
 )
 
 __all__ = [
@@ -83,143 +81,6 @@ __all__ = [
     "RoundtripReport",
     "roundtrip",
 ]
-
-
-# -- packed residual tails ----------------------------------------------------
-
-
-class _Tail:
-    """Polynomial in the tail variables ``u``, ``v`` and the moment variables.
-
-    ``cells`` maps ``(a, b, d)`` -- the bidegree in ``u, v`` and the factor
-    degree -- to ``{code: numerator}``, the codes of the series'
-    :class:`taumap.series._Codec`; the whole tail has the one denominator
-    ``den``, and numerators and ``den`` share no common factor.  Cells beyond
-    ``orders`` or ``deg_max`` are dropped, so a product visits only the cell
-    pairs whose sum survives, and its pair loop adds integer codes and
-    multiplies integer numerators.  Series enter once, through
-    :meth:`encoded`, and in-cone violations leave through
-    :func:`_split_cone`.
-    """
-
-    __slots__ = ("codec", "policy", "orders", "cells", "den")
-
-    def __init__(self, codec, policy, orders, cells, den=1):
-        self.codec = codec
-        self.policy = policy
-        self.orders = orders
-        self.cells: dict[tuple[int, int, int], dict[int, int]] = cells
-        self.den = den
-        self._reduce()
-
-    def _like(self, cells, den=1) -> "_Tail":
-        return _Tail(self.codec, self.policy, self.orders, cells, den)
-
-    def _reduce(self) -> None:
-        """Drop zero terms and empty cells; divide out the common factor."""
-        cells = {}
-        g = self.den
-        for key, cell in self.cells.items():
-            if 0 in cell.values():
-                cell = {code: n for code, n in cell.items() if n}
-            if cell:
-                cells[key] = cell
-                if g > 1:
-                    g = gcd(g, *cell.values())
-        if g > 1:
-            cells = {
-                key: {code: n // g for code, n in cell.items()}
-                for key, cell in cells.items()
-            }
-        self.cells = cells
-        self.den //= g
-
-    @classmethod
-    def encoded(
-        cls,
-        policy: TruncationPolicy,
-        orders: tuple[int, int],
-        series: dict[tuple[int, int], TruncatedSeries],
-    ) -> "_Tail":
-        """The tail ``sum u^a v^b series[a, b]``."""
-        codec = _Codec(policy)
-        encode = codec.encode
-        den = lcm(*(c.denominator for s in series.values() for _, c in s.items()))
-        cells: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (a, b), s in series.items():
-            for mono, c in s.items():
-                cell = cells.setdefault((a, b, mono.degree), {})
-                cell[encode(mono)] = c.numerator * (den // c.denominator)
-        return cls(codec, policy, orders, cells, den)
-
-    def one(self) -> "_Tail":
-        return self._like({(0, 0, 0): {0: 1}})
-
-    def __add__(self, other: "_Tail") -> "_Tail":
-        den = lcm(self.den, other.den)
-        f1, f2 = den // self.den, den // other.den
-        cells = {
-            key: {code: n * f1 for code, n in cell.items()}
-            for key, cell in self.cells.items()
-        }
-        for key, cell in other.cells.items():
-            out = cells.setdefault(key, {})
-            get = out.get
-            for code, n in cell.items():
-                out[code] = get(code, 0) + n * f2
-        return self._like(cells, den)
-
-    def __sub__(self, other: "_Tail") -> "_Tail":
-        return self + other.scaled(-1)
-
-    def scaled(self, q) -> "_Tail":
-        q = Fraction(q)
-        cells = {
-            key: {code: n * q.numerator for code, n in cell.items()}
-            for key, cell in self.cells.items()
-        }
-        return self._like(cells, self.den * q.denominator)
-
-    def shifted(self, da: int, db: int) -> "_Tail":
-        """Multiplication by ``u^da v^db``, dropping overflow."""
-        amax, bmax = self.orders
-        cells = {
-            (a + da, b + db, d): cell
-            for (a, b, d), cell in self.cells.items()
-            if a + da <= amax and b + db <= bmax
-        }
-        return self._like(cells, self.den)
-
-    def __mul__(self, other: "_Tail") -> "_Tail":
-        amax, bmax = self.orders
-        deg_max = self.policy.deg_max
-        acc: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (a1, b1, d1), left in self.cells.items():
-            for (a2, b2, d2), right in other.cells.items():
-                a, b, d = a1 + a2, b1 + b2, d1 + d2
-                if a > amax or b > bmax or d > deg_max:
-                    continue
-                out = acc.setdefault((a, b, d), {})
-                get = out.get
-                right_items = right.items()
-                for code1, n1 in left.items():
-                    for code2, n2 in right_items:
-                        key = code1 + code2
-                        out[key] = get(key, 0) + n1 * n2
-        return self._like(acc, self.den * other.den)
-
-    def exp(self) -> "_Tail":
-        """Exponential of a tail with no ``(0, 0)`` component."""
-        if any(a == b == 0 for a, b, _ in self.cells):
-            raise ValueError("exp needs a vanishing (0,0) component")
-        result = term = self.one()
-        m = 0
-        while True:
-            m += 1
-            term = (term * self).scaled(Fraction(1, m))
-            if not term.cells:
-                return result
-            result = result + term
 
 
 # -- residual checks ----------------------------------------------------------

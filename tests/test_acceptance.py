@@ -162,7 +162,7 @@ def test_a06_growth_bounds_on_random_keys():
             continue
         i = rng.randint(1, total - 1)
         j = total - i
-        value = t1_coefficient(i, j, s, cache)
+        value = t1_coefficient(i, s, cache)
         assert 0 <= value <= Fraction(min(i, j) ** (m - 1), factorial(m)), (i, j, s)
 
     # window contraction against I^(m-1) (k-1)^m (k-2)! / m!

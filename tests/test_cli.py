@@ -1,6 +1,7 @@
 """Command-line interface: formats, round trips, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -132,6 +133,17 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     assert report["pass"] is True
     assert report["checks"]["residual_a"]["pass"] is True
     assert "PASS residual_c" in err
+
+
+# sha256 of `taumap verify --nmax 5 --degmax 6 --order 4` stdout, no --in
+VERIFY_56_SHA256 = "f07939127120f5de02d1f8805a6bdf823a1e23611c74f83f13eca0fae33ce952"
+
+
+def test_verify_report_is_pinned(capsys):
+    # every exact count and out-of-cone maximum of the report, byte for byte
+    code, out, _ = run_cli(["verify", "--nmax", "5", "--degmax", "6", "--order", "4"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_56_SHA256
 
 
 def test_verify_with_curve_fixture(tmp_path, capsys):
@@ -386,3 +398,28 @@ def test_verify_rejects_a_roundtrip_tolerance_that_is_not_finite_and_non_negativ
     assert code == 2
     assert out == ""
     assert err == f"error: --roundtrip-tol must be finite and >= 0, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize(
+    "payload, problem",
+    [
+        ('{"r": 1.0, "a": [[NaN, 0.0]]}', "a[0] = (nan+0j) is not finite"),
+        ('{"r": 1.0, "a": [[0.0, 0.0], [0.0, -Infinity]]}', "a[1] = -infj is not finite"),
+        ('{"r": Infinity}', "r must be finite and positive, got inf"),
+        ('{"r": NaN}', "r must be finite and positive, got nan"),
+        (
+            '{"r": 1.0, "samples": 1073741824}',
+            "samples must be a power of two in [64, 65536], got 1073741824",
+        ),
+    ],
+    ids=["nan-a", "infinite-a", "infinite-r", "nan-r", "huge-samples"],
+)
+def test_moments_rejects_non_finite_and_oversized_curves(tmp_path, capsys, payload, problem):
+    # before, non-finite numbers reached the quadrature (numpy warnings, then a
+    # non-finite t0) and a huge sample count died allocating its arrays
+    path = tmp_path / "curve.json"
+    path.write_text(payload)
+    code, out, err = run_cli(["moments", "--in", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {problem}\n"

@@ -235,10 +235,10 @@ def test_bounded_partitions():
 
 
 def test_t1_base_values():
-    assert t1_coefficient(1, 1, (2,)) == 1
-    assert t1_coefficient(1, 1, (1, 1)) == Fraction(1, 2)
-    assert t1_coefficient(2, 1, (3,)) == 1
-    assert t1_coefficient(1, 2, (1, 2)) == Fraction(1, 2)
+    assert t1_coefficient(1, (2,)) == 1
+    assert t1_coefficient(1, (1, 1)) == Fraction(1, 2)
+    assert t1_coefficient(2, (3,)) == 1
+    assert t1_coefficient(1, (1, 2)) == Fraction(1, 2)
 
 
 def test_t1_brute_grouping_oracle():
@@ -251,7 +251,7 @@ def test_t1_brute_grouping_oracle():
         j = sum(s) - i
         if j < 1:
             continue
-        assert t1_coefficient(i, j, s) == ref_t1(i, s)
+        assert t1_coefficient(i, s) == ref_t1(i, s)
 
 
 def test_t1_bound():
@@ -264,7 +264,7 @@ def test_t1_bound():
         if j < 1:
             continue
         bound = Fraction(min(i, j) ** (m - 1), factorial(m))
-        assert 0 <= t1_coefficient(i, j, s) <= bound
+        assert 0 <= t1_coefficient(i, s) <= bound
 
 
 # -- t2 ---------------------------------------------------------------------------
@@ -428,7 +428,7 @@ def test_t1_scaled_by_common_denominator_is_integer():
         m = rng.randint(1, 6)
         s = tuple(rng.randint(1, 6) for _ in range(m))
         i = rng.randint(1, max(1, sum(s) - 1))
-        scaled = t1_coefficient(i, sum(s) - i, s) * factorial(m) * lcm(*range(1, m + 1))
+        scaled = t1_coefficient(i, s) * factorial(m) * lcm(*range(1, m + 1))
         assert scaled.denominator == 1, (i, s)
 
 
@@ -491,7 +491,7 @@ def test_public_wrappers_leave_kernel_tables_intact():
             continue
         for m in range(1, min(w, len(b)) + 1):
             for s in compositions(w, m):
-                t1_coefficient(a[0], w - a[0], s, shared)
+                t1_coefficient(a[0], s, shared)
                 for l in compositions(m + len(a) - 2, m):
                     s_coefficient(b, SLMatrix(s, l), shared)
                     t2_coefficient(a, SLMatrix(s, l), cache=shared)

@@ -165,6 +165,26 @@ def test_moment_vector_rejects_non_finite_t0():
             MomentVector(t0=t0)
 
 
+
+@pytest.mark.parametrize(
+    "payload, problem",
+    [
+        ({"p": math.inf, "tail": []}, "p must be finite and positive, got inf"),
+        ({"p": math.nan, "tail": []}, "p must be finite and positive, got nan"),
+        ({"p": 1.0, "tail": [[0, 0], [math.nan, 0]]}, "tail[1] = (nan+0j) is not finite"),
+        ({"p": 1.0, "tail": [[0, math.inf]]}, "tail[0] = infj is not finite"),
+    ],
+)
+def test_map_json_rejects_non_finite_numbers(payload, problem):
+    with pytest.raises(ValueError) as err:
+        ExteriorMapSeries.from_json(payload)
+    assert str(err.value) == problem
+
+
+def test_moment_vector_names_a_non_finite_moment():
+    with pytest.raises(ValueError, match=r"t\[1\] = \(nan\+0j\) is not finite"):
+        MomentVector(t0=1.0, t=(0.1, complex(math.nan, 0)))
+
 # -- the compiled second derivatives -------------------------------------------
 
 

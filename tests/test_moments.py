@@ -7,6 +7,7 @@ import pytest
 
 from helpers_area import interior_moments_midpoint
 from taumap.moments import (
+    MAX_SAMPLES,
     BoundaryCurve,
     curve_from_json,
     curve_to_json,
@@ -132,6 +133,11 @@ def test_sample_count_validation():
         BoundaryCurve(r=1.0, a=(), samples=100)
     with pytest.raises(ValueError):
         BoundaryCurve(r=1.0, a=(), samples=32)
+    # the upper bound is checked before any array is allocated
+    BoundaryCurve(r=1.0, a=(), samples=MAX_SAMPLES)
+    for samples in (2 * MAX_SAMPLES, 1 << 30):
+        with pytest.raises(ValueError, match=f"got {samples}"):
+            BoundaryCurve(r=1.0, a=(), samples=samples)
 
 
 def test_moment_count_validation():

@@ -2,9 +2,12 @@
 
 ``reference_residual_a`` and ``reference_residual_c`` expand the two
 constraints with a bivariate Laurent tail whose coefficients are
-:class:`TruncatedSeries`: every product goes through the ring's ``*`` and
-every sum through its ``+``.  The residuals in :mod:`taumap.verify` expand
-the same tails over packed integer monomials, and must return an equal
+:class:`TruncatedSeries`: every product of two series goes through
+``series_mul``, a term-by-term product over ``Monomial`` and ``Fraction``,
+every exponential through ``series_exp``, its Taylor sum, and every sum
+through the ring's ``+``.  The residuals in :mod:`taumap.verify` expand
+the same tails over packed integer monomials, the ring's own product and
+exponential, and must return an equal
 :class:`CheckResult`: the same cell count, the same violations and the same
 out-of-cone maximum.  The packed residual lists the violations of one
 bidegree by factor degree, each degree in the reference's order; on the
@@ -25,6 +28,43 @@ from taumap.series import Monomial, PotentialSeries, TruncatedSeries, Truncation
 from taumap.verify import toda_residual_a, toda_residual_c
 
 from test_verify import multinomial_window_weight
+
+
+def monomial_product(m1, m2):
+    exps = {}
+    for k, barred, e in m1.factors + m2.factors:
+        exps[barred, k] = exps.get((barred, k), 0) + e
+    factors = tuple((k, barred, e) for (barred, k), e in sorted(exps.items()))
+    return Monomial(m1.t0_power + m2.t0_power, factors)
+
+
+def series_mul(s1, s2):
+    """``s1 * s2`` term by term, the right operand bucketed by factor degree
+    so that a left term of degree ``d`` meets only degrees ``<= deg_max - d``;
+    products are listed as the left terms, then the degrees, first reach them."""
+    policy = s1.policy
+    buckets = [[] for _ in range(policy.deg_max + 1)]
+    for m2, c2 in s2.items():
+        buckets[m2.degree].append((m2, c2))
+    out = {}
+    for m1, c1 in s1.items():
+        for bucket in buckets[: policy.deg_max - m1.degree + 1]:
+            for m2, c2 in bucket:
+                m = monomial_product(m1, m2)
+                out[m] = out.get(m, 0) + c1 * c2
+    return TruncatedSeries(policy, out)
+
+
+def series_exp(s):
+    """``sum_m s^m / m!`` by :func:`series_mul`."""
+    result = term = TruncatedSeries.constant(s.policy, 1)
+    m = 0
+    while True:
+        m += 1
+        term = series_mul(term, s) * Fraction(1, m)
+        if not term:
+            return result
+        result = result + term
 
 
 class Bivariate:
@@ -79,7 +119,7 @@ class Bivariate:
                 a, b = a1 + a2, b1 + b2
                 if a > amax or b > bmax:
                     continue
-                prod = s1 * s2
+                prod = series_mul(s1, s2)
                 if not prod:
                     continue
                 if (a, b) in acc:
@@ -181,7 +221,7 @@ def reference_residual_c(potential, order):
     for a in range(1, amax + 1):
         p_tail.set((a, 0), d0.diff_t(a) * Fraction(1, a))
         q_tail.set((0, a), d0.diff_tbar(a) * Fraction(1, a))
-    prefactor = TruncatedSeries.t0(policy) * d00.exp_no_constant()
+    prefactor = series_mul(TruncatedSeries.t0(policy), series_exp(d00))
     rhs = Bivariate(policy, orders)
     rhs.set((1, 1), prefactor)
     rhs = rhs * p_tail.exp() * q_tail.exp()
