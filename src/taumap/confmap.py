@@ -70,7 +70,10 @@ def _json_number(data: dict, key: str, source: str, shape: str, kind: type = flo
         raise _json_error(
             source, shape, f"field {key!r} is a JSON {_json_kind(value)}, not {noun}"
         )
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise _json_error(source, shape, f"field {key!r} is too large for a float") from None
 
 
 def _json_pairs(
@@ -86,6 +89,7 @@ def _json_pairs(
             shape,
             f"field {key!r} is a JSON {_json_kind(value)}, not a list of [re, im] pairs",
         )
+    pairs = []
     for i, pair in enumerate(value):
         if not (
             isinstance(pair, list)
@@ -95,7 +99,13 @@ def _json_pairs(
             raise _json_error(
                 source, shape, f"{key}[{i}] = {json.dumps(pair)} is not an [re, im] pair"
             )
-    return tuple(complex(re, im) for re, im in value)
+        try:
+            pairs.append(complex(*pair))
+        except OverflowError:
+            raise _json_error(
+                source, shape, f"{key}[{i}] holds a number too large for a float"
+            ) from None
+    return tuple(pairs)
 
 
 def _require_finite(name: str, values: tuple[complex, ...]) -> None:
@@ -232,6 +242,8 @@ class _Kernel:
 
         A running product over the variables: per variable, a table of its
         powers up to the largest exponent, indexed by its exponent row.
+        Moments far outside the series' range overflow to ``inf`` or ``nan``
+        without a numpy warning; :func:`map_from_potential` reports them.
         """
         if len(moments.t) < self.n:
             raise IndexError(
@@ -241,11 +253,12 @@ class _Kernel:
         for x in moments.t[: self.n]:
             variables += (x, x.conjugate())
         values = np.ones(self.exponents.shape[1], dtype=np.complex128)
-        for x, top, e in zip(variables, self.tops, self.exponents):
-            table = np.full(top + 1, x, dtype=np.complex128)
-            table[0] = 1
-            np.cumprod(table, out=table)
-            values *= table[e]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, top, e in zip(variables, self.tops, self.exponents):
+                table = np.full(top + 1, x, dtype=np.complex128)
+                table[0] = 1
+                np.cumprod(table, out=table)
+                values *= table[e]
         return values
 
     def __call__(self, moments: MomentVector) -> np.ndarray:
@@ -254,7 +267,8 @@ class _Kernel:
         Summed by ``einsum`` in the calling thread: a threaded BLAS product
         is barely faster at this size and can stall on a busy core.
         """
-        return np.einsum("ij,j->i", self.coeffs, self.monomials(moments))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.einsum("ij,j->i", self.coeffs, self.monomials(moments))
 
 
 def map_from_potential(

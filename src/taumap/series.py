@@ -26,25 +26,24 @@ Design points:
 * The packing of a monomial into its code is one rule, :class:`_Codec`:
   one bit field per variable, wide enough for ``deg_max``, and the ``t0``
   power on top, so codes add under any admissible product.
-* The ring has one packed implementation, :class:`_Tail`: a polynomial in
-  two tail variables whose coefficients are filed by factor degree (a
-  value fixed when a monomial is built) as ``{code: numerator}`` over one
-  common denominator.  Its product meets only the degree pairs that
-  truncation keeps, and its pair loop adds integer codes and multiplies
-  integer numerators.  The product of two
-  series and :meth:`TruncatedSeries.exp_no_constant` pack their operands
-  as tails of orders ``(0, 0)``, run the tail's product or exponential
-  and decode the result, so monomials are decoded and ``Fraction``s made
-  once per output monomial; the Toda residuals of :mod:`taumap.verify`
-  expand their tails with the same class.
-* Validation happens at the boundary.  ``Monomial(...)`` checks canonical
-  order, and ``TruncatedSeries(policy, terms)`` -- through which
-  :meth:`TruncatedSeries.filter`, :meth:`TruncatedSeries.to_policy` and the
-  readers go -- drops zero and inadmissible terms and makes every
-  coefficient a ``Fraction``.  Sums, products, negation, scalar products
-  and derivatives of admissible series produce non-zero ``Fraction``s on
-  admissible monomials by construction, so they build their results
-  through private constructors that skip those checks.
+* A series is stored packed, as one :class:`_Tail` of orders ``(0, 0)``:
+  its terms filed by factor degree (a value fixed when a monomial is
+  built) as ``{code: numerator}`` over one common denominator.  Sums,
+  scalar products, products, the exponential and derivatives each have
+  one implementation, on the tail: a product meets only the degree pairs
+  that truncation keeps and its pair loop adds integer codes and
+  multiplies integer numerators, and a derivative reads an exponent field
+  by shift and mask.  The Toda residuals of :mod:`taumap.verify` expand
+  their wider tails with the same class.
+* Validation and decoding happen at the boundary.  ``Monomial(...)``
+  checks canonical order, and ``TruncatedSeries(policy, terms)`` --
+  through which :meth:`TruncatedSeries.filter`,
+  :meth:`TruncatedSeries.to_policy` and the readers go -- drops zero and
+  inadmissible terms, makes every coefficient a ``Fraction`` and encodes
+  the monomials.  Ring operations never leave the packed form; monomials
+  are decoded and ``Fraction``s made only when the terms are read
+  (:meth:`TruncatedSeries.items`, :meth:`TruncatedSeries.coefficient`,
+  :meth:`TruncatedSeries.evaluate`).
 
 Series are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -204,11 +203,12 @@ class _Tail:
     ``cells`` maps ``(a, b, d)`` -- the bidegree in ``u, v`` and the factor
     degree -- to ``{code: numerator}``, the codes of the policy's
     :class:`_Codec`; the whole tail has the one denominator ``den``, and
-    numerators and ``den`` share no common factor.  Cells beyond ``orders``
-    or ``deg_max`` are dropped, so a product visits only the cell pairs whose
-    sum survives, and its pair loop adds integer codes and multiplies integer
-    numerators.  Series enter through :meth:`encoded`; a tail of orders
-    ``(0, 0)`` is a series and leaves through :meth:`series`.
+    numerators and ``den`` share no common factor, so the form is
+    canonical.  Cells beyond ``orders`` or ``deg_max`` are dropped, so a
+    product visits only the cell pairs whose sum survives, and its pair loop
+    adds integer codes and multiplies integer numerators.  A tail of orders
+    ``(0, 0)`` is the storage of a :class:`TruncatedSeries`; series enter a
+    wider tail through :meth:`from_series`.
     """
 
     __slots__ = ("codec", "policy", "orders", "cells", "den")
@@ -244,34 +244,18 @@ class _Tail:
         self.den //= g
 
     @classmethod
-    def encoded(
-        cls,
-        policy: TruncationPolicy,
-        orders: tuple[int, int],
-        series: dict[tuple[int, int], "TruncatedSeries"],
+    def from_series(
+        cls, orders: tuple[int, int], series: dict[tuple[int, int], "TruncatedSeries"]
     ) -> "_Tail":
-        """The tail ``sum u^a v^b series[a, b]``."""
-        codec = _Codec(policy)
-        encode = codec.encode
-        den = lcm(*(c.denominator for s in series.values() for c in s._terms.values()))
+        """The tail ``sum u^a v^b series[a, b]`` of series under one policy."""
+        tails = [s._tail for s in series.values()]
+        den = lcm(*(t.den for t in tails))
         cells: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (a, b), s in series.items():
-            for mono, c in s._terms.items():
-                cell = cells.setdefault((a, b, mono.degree), {})
-                cell[encode(mono)] = c.numerator * (den // c.denominator)
-        return cls(codec, policy, orders, cells, den)
-
-    def series(self) -> "TruncatedSeries":
-        """The series of a tail of orders ``(0, 0)``."""
-        decode, den = self.codec.decode, self.den
-        return TruncatedSeries._trusted(
-            self.policy,
-            {
-                decode(code): Fraction(n, den)
-                for cell in self.cells.values()
-                for code, n in cell.items()
-            },
-        )
+        for (a, b), t in zip(series, tails):
+            f = den // t.den
+            for (_, _, d), cell in t.cells.items():
+                cells[a, b, d] = {code: n * f for code, n in cell.items()}
+        return cls(tails[0].codec, tails[0].policy, orders, cells, den)
 
     def one(self) -> "_Tail":
         return self._like({(0, 0, 0): {0: 1}})
@@ -346,11 +330,40 @@ class _Tail:
                 return result
             result = result + term
 
+    def diff_t0(self) -> "_Tail":
+        """The derivative in ``t0``, whose power is the field above the others."""
+        return self._lowered(self.codec.t0_shift, -1, 0)
+
+    def diff_t(self, k: int, barred: bool = False) -> "_Tail":
+        """The derivative in ``t_k`` or ``tbar_k``; an index outside
+        ``1..n_max`` gives zero."""
+        codec = self.codec
+        if not 1 <= k <= codec.n_max:
+            return self._like({})
+        shift = (k - 1 + (codec.n_max if barred else 0)) * codec.bits
+        return self._lowered(shift, codec.mask, 1)
+
+    def _lowered(self, shift: int, mask: int, drop: int) -> "_Tail":
+        """The derivative in the variable of the field at ``shift``: each
+        term's exponent ``e = (code >> shift) & mask`` (``mask`` -1 reads the
+        ``t0`` power) comes down as a factor and leaves ``code - 2^shift``,
+        ``drop`` factor degrees lower."""
+        unit = 1 << shift
+        cells = {}
+        for (a, b, d), cell in self.cells.items():
+            out = cells[a, b, d - drop] = {}
+            for code, n in cell.items():
+                e = (code >> shift) & mask
+                if e:
+                    out[code - unit] = n * e
+        return self._like(cells, self.den)
+
 
 class TruncatedSeries:
-    """Finite formal sum ``{monomial: Fraction}`` under a fixed policy."""
+    """Finite formal sum of ``Fraction`` multiples of monomials under a fixed
+    policy, stored as one :class:`_Tail` of orders ``(0, 0)``."""
 
-    __slots__ = ("policy", "_terms")
+    __slots__ = ("policy", "_tail")
 
     def __init__(
         self,
@@ -358,22 +371,25 @@ class TruncatedSeries:
         terms: dict[Monomial, Fraction] | None = None,
     ) -> None:
         self.policy = policy
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if c and policy.admits(m):
-                    clean[m] = Fraction(c)
-        self._terms = clean
+        codec = _Codec(policy)
+        clean = [
+            (m, c if type(c) is Fraction else Fraction(c))
+            for m, c in (terms or {}).items()
+            if c and policy.admits(m)
+        ]
+        den = lcm(*(c.denominator for _, c in clean))
+        cells: dict[tuple[int, int, int], dict[int, int]] = {}
+        for m, c in clean:
+            cell = cells.setdefault((0, 0, m.degree), {})
+            cell[codec.encode(m)] = c.numerator * (den // c.denominator)
+        self._tail = _Tail(codec, policy, (0, 0), cells, den)
 
     @classmethod
-    def _trusted(
-        cls, policy: TruncationPolicy, terms: dict[Monomial, Fraction]
-    ) -> "TruncatedSeries":
-        """Wrap ``terms`` as they are: non-zero ``Fraction``s on admissible
-        monomials, as every ring operation below produces them."""
+    def _of(cls, tail: _Tail) -> "TruncatedSeries":
+        """The series a tail of orders ``(0, 0)`` stores."""
         out = object.__new__(cls)
-        out.policy = policy
-        out._terms = terms
+        out.policy = tail.policy
+        out._tail = tail
         return out
 
     # -- constructors ------------------------------------------------------
@@ -400,89 +416,81 @@ class TruncatedSeries:
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        """The terms, decoded, grouped by factor degree."""
+        decode, den = self._tail.codec.decode, self._tail.den
+        for cell in self._tail.cells.values():
+            for code, n in cell.items():
+                yield decode(code), Fraction(n, den)
 
     def sorted_items(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self.items(), key=lambda kv: kv[0].sort_key())
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+        # an inadmissible monomial has no code: t_{n_max+1} would encode
+        # onto the field of tbar_1
+        if not self.policy.admits(m):
+            return Fraction(0)
+        tail = self._tail
+        n = tail.cells.get((0, 0, m.degree), {}).get(tail.codec.encode(m), 0)
+        return Fraction(n, tail.den)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(map(len, self._tail.cells.values()))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._tail.cells)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.policy == other.policy and self._terms == other._terms
+        a, b = self._tail, other._tail
+        return self.policy == other.policy and a.den == b.den and a.cells == b.cells
 
     def __hash__(self):
         raise TypeError("TruncatedSeries is not hashable")
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self:
             return "0"
         return " + ".join(f"({c}) {m}" for m, c in self.sorted_items())
 
     def filter(self, keep: Callable[[Monomial], bool]) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.policy, {m: c for m, c in self._terms.items() if keep(m)}
-        )
+        return TruncatedSeries(self.policy, {m: c for m, c in self.items() if keep(m)})
 
     def to_policy(self, policy: TruncationPolicy) -> "TruncatedSeries":
         """Re-truncate (or relax) under another policy."""
-        return TruncatedSeries(policy, self._terms)
+        return TruncatedSeries(policy, dict(self.items()))
 
     # -- ring operations ---------------------------------------------------
 
-    def _require_same_policy(self, other: "TruncatedSeries") -> None:
-        if self.policy != other.policy:
+    def _operand(self, other) -> "_Tail":
+        """The tail of a series under the same policy, or of a constant."""
+        if not isinstance(other, TruncatedSeries):
+            other = TruncatedSeries.constant(self.policy, other)
+        elif self.policy != other.policy:
             raise PolicyMismatchError(
                 f"policy mismatch: {self.policy} vs {other.policy}"
             )
+        return other._tail
 
     def __add__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return self + TruncatedSeries.constant(self.policy, other)
-        self._require_same_policy(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            prev = out.get(m)
-            s = c if prev is None else prev + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return TruncatedSeries._trusted(self.policy, out)
+        return TruncatedSeries._of(self._tail + self._operand(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._trusted(
-            self.policy, {m: -c for m, c in self._terms.items()}
-        )
+        return TruncatedSeries._of(self._tail.scaled(-1))
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(self.policy, other)
-        return self + (-other)
+        return TruncatedSeries._of(self._tail - self._operand(other))
 
     def __rsub__(self, other) -> "TruncatedSeries":
-        return (-self) + TruncatedSeries.constant(self.policy, other)
+        return TruncatedSeries._of(self._operand(other) - self._tail)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            c = Fraction(other)
-            if not c:
-                return TruncatedSeries.zero(self.policy)
-            return TruncatedSeries._trusted(
-                self.policy, {m: c * v for m, v in self._terms.items()}
-            )
-        self._require_same_policy(other)
-        return (self._tail() * other._tail()).series()
+            return TruncatedSeries._of(self._tail.scaled(other))
+        return TruncatedSeries._of(self._tail * self._operand(other))
 
     __rmul__ = __mul__
 
@@ -494,42 +502,16 @@ class TruncatedSeries:
         term of factor degree 0 (the constant or a pure ``t0`` power) raises
         ``ValueError``.
         """
-        return self._tail().exp().series()
-
-    def _tail(self) -> "_Tail":
-        """The series packed as a tail of orders ``(0, 0)``."""
-        return _Tail.encoded(self.policy, (0, 0), {(0, 0): self})
+        return TruncatedSeries._of(self._tail.exp())
 
     # -- calculus ----------------------------------------------------------
 
     def diff_t0(self) -> "TruncatedSeries":
-        trusted = Monomial._trusted
-        return TruncatedSeries._trusted(
-            self.policy,
-            {
-                trusted(m.t0_power - 1, m.factors, m.degree): c * m.t0_power
-                for m, c in self._terms.items()
-                if m.t0_power
-            },
-        )
+        return TruncatedSeries._of(self._tail.diff_t0())
 
     def diff_t(self, k: int, barred: bool = False) -> "TruncatedSeries":
         """Formal partial derivative with respect to ``t_k`` or ``tbar_k``."""
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            for pos, (idx, b, e) in enumerate(m.factors):
-                if idx == k and b == barred:
-                    if e == 1:
-                        fac = m.factors[:pos] + m.factors[pos + 1 :]
-                    else:
-                        fac = (
-                            m.factors[:pos]
-                            + ((idx, b, e - 1),)
-                            + m.factors[pos + 1 :]
-                        )
-                    out[Monomial._trusted(m.t0_power, fac, m.degree - 1)] = c * e
-                    break
-        return TruncatedSeries._trusted(self.policy, out)
+        return TruncatedSeries._of(self._tail.diff_t(k, barred))
 
     def diff_tbar(self, k: int) -> "TruncatedSeries":
         return self.diff_t(k, barred=True)
@@ -546,7 +528,7 @@ class TruncatedSeries:
         t0 = moments.t0
         t = moments.t
         total = 0j
-        for m, c in self._terms.items():
+        for m, c in self.items():
             v = complex(c) * t0**m.t0_power
             for k, barred, e in m.factors:
                 if k > len(t):

@@ -6,9 +6,9 @@ Three layers:
   must satisfy, expanded as Laurent tails in ``u = 1/z`` and ``v = 1/xi``
   whose coefficients are exact series (:func:`toda_residual_a`,
   :func:`toda_residual_c`).  The tails are the series ring's packed
-  polynomials (:class:`taumap.series._Tail`), whose products and
-  exponentials are the ring's own.  The derivative series are encoded
-  once, and only in-cone violations are decoded.  The barred twin of the
+  polynomials (:class:`taumap.series._Tail`), the storage of every
+  series, so the derivative series enter the tails as they are stored and
+  only in-cone violations are decoded.  The barred twin of the
   first constraint reduces to bar-exchange symmetry of the potential; since the build
   evaluates each key and its mirror once, :func:`toda_residual_b` checks
   that symmetry per coefficient, by evaluating every key the build
@@ -154,8 +154,7 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
     d = {k: reg.diff_t(k) for k in range(1, amax + 1)}
     d0 = reg.diff_t0()
 
-    x = _Tail.encoded(
-        policy,
+    x = _Tail.from_series(
         orders,
         {
             (a, b): d[a].diff_t(b) * Fraction(1, a * b)
@@ -170,7 +169,7 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
             (a, 0) if axis == 0 else (0, a): d0.diff_t(a) * Fraction(-1, a)
             for a in range(1, amax + 1)
         }
-        return _Tail.encoded(policy, orders, y).exp()
+        return _Tail.from_series(orders, y).exp()
 
     e2 = one_sided(0)
     e3 = one_sided(1)
@@ -201,8 +200,7 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     d00 = d0.diff_t0()
 
     d = {a: reg.diff_t(a) for a in range(1, amax + 1)}
-    m_tail = _Tail.encoded(
-        policy,
+    m_tail = _Tail.from_series(
         orders,
         {
             (a, b): d[a].diff_tbar(b) * Fraction(-1, a * b)
@@ -212,16 +210,15 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     )
     lhs = m_tail.one() - m_tail.exp()
 
-    p_tail = _Tail.encoded(
-        policy, orders, {(a, 0): d0.diff_t(a) * Fraction(1, a) for a in range(1, amax + 1)}
+    p_tail = _Tail.from_series(
+        orders, {(a, 0): d0.diff_t(a) * Fraction(1, a) for a in range(1, amax + 1)}
     )
-    q_tail = _Tail.encoded(
-        policy,
+    q_tail = _Tail.from_series(
         orders,
         {(0, a): d0.diff_tbar(a) * Fraction(1, a) for a in range(1, amax + 1)},
     )
     prefactor = TruncatedSeries.t0(policy) * d00.exp_no_constant()
-    rhs = _Tail.encoded(policy, orders, {(1, 1): prefactor})
+    rhs = _Tail.from_series(orders, {(1, 1): prefactor})
     rhs = rhs * p_tail.exp() * q_tail.exp()
 
     return _split_cone(lhs - rhs, "residual_c")

@@ -305,30 +305,39 @@ def test_map_rejects_out_of_range_a(tmp_path, capsys):
     assert "taumap.verify.convergence_gate" in err
 
 
+def taumap_process(args, cwd, *python_options):
+    """Run ``python [options] -m taumap args`` on this checkout's source."""
+    # cwd may be a tmp_path, where a relative PYTHONPATH would not resolve
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    command = [sys.executable, *python_options, "-m", "taumap", *args]
+    return subprocess.run(command, capture_output=True, cwd=cwd, env=env)
+
+
+def test_map_far_outside_the_series_range_warns_nothing(tmp_path):
+    # the monomials overflow to inf and nan; numpy stays silent and the one
+    # message is the out-of-range A, also when warnings are errors
+    moments = tmp_path / "m.json"
+    moments.write_text(json.dumps({"t0": 0.5, "t": [[1e200, 0]]}))
+    args = ["map", "--nmax", "3", "--degmax", "4", "--in", str(moments)]
+    for options in ((), ("-W", "error")):
+        run = taumap_process(args, tmp_path, *options)
+        assert run.returncode == 2
+        assert run.stdout == b""
+        assert run.stderr.startswith(b"error: A = d0^2 F_reg = nan puts p")
+        assert run.stderr.count(b"\n") == 1
+
+
 def test_missing_file_is_diagnosed(capsys):
     code, _, err = run_cli(["map", "--in", "/nonexistent/m.json"], capsys)
     assert code == 2
 
 
 def test_byte_identical_reruns(tmp_path):
-    env_cmd = [
-        sys.executable,
-        "-m",
-        "taumap",
-        "verify",
-        "--nmax",
-        "3",
-        "--degmax",
-        "3",
-        "--seed",
-        "7",
-    ]
-    # cwd is tmp_path, so a relative PYTHONPATH would not resolve there
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    first = subprocess.run(env_cmd, capture_output=True, cwd=tmp_path, env=env)
-    second = subprocess.run(env_cmd, capture_output=True, cwd=tmp_path, env=env)
+    args = ["verify", "--nmax", "3", "--degmax", "3", "--seed", "7"]
+    first = taumap_process(args, tmp_path)
+    second = taumap_process(args, tmp_path)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr
@@ -367,6 +376,14 @@ CURVE_SHAPE = 'expected an object {"r": number, "a": [[re, im], ...], "samples":
             CURVE_SHAPE,
         ),
         ("verify", {"r": 1.0, "a": [[0.05, 0, 1]]}, "a[0] = [0.05, 0, 1] is not an [re, im] pair", CURVE_SHAPE),
+        # JSON integers have no size limit; one with 401 digits is no float
+        ("map", {"t0": 10**400}, "field 't0' is too large for a float", MOMENTS_SHAPE),
+        (
+            "moments",
+            {"r": 1.0, "a": [[0.0, 0.0], [10**400, 0]]},
+            "a[1] holds a number too large for a float",
+            CURVE_SHAPE,
+        ),
     ],
 )
 def test_malformed_input_shape_is_named(tmp_path, capsys, command, payload, problem, shape):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from taumap.coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from taumap.confmap import MomentVector, map_from_potential
-from taumap import potential as potential_module
+from taumap import cli, potential as potential_module
 from taumap.potential import (
     build_potential,
     cauchy_data_check,
@@ -20,7 +21,7 @@ from taumap.potential import (
     ellipse_regular_series,
     one_point_sector,
 )
-from taumap.series import Monomial, series_to_json_terms
+from taumap.series import Monomial, _Codec, series_to_json_terms
 from taumap.verify import bar_swap
 
 
@@ -367,3 +368,33 @@ def test_one_point_sector_equals_full_build_terms():
         assert abs(w.p - w_full.p) <= 1e-12, deg
         for a, b in zip(w.tail, w_full.tail, strict=True):
             assert abs(a - b) <= 1e-12, deg
+
+
+def module_level_caches():
+    """``module.attr`` of every ``taumap`` module attribute that could carry
+    state from one call to the next: a ``MemoCache``, a ``_Codec`` or a
+    memoized function (one with ``cache_info``)."""
+    found = []
+    for name, module in sorted(sys.modules.items()):
+        if name == "taumap" or name.startswith("taumap."):
+            for attr, value in vars(module).items():
+                if isinstance(value, (MemoCache, _Codec)) or hasattr(value, "cache_info"):
+                    found.append(f"{name}.{attr}")
+    return found
+
+
+def test_no_process_global_cache_after_builds_and_verify(capsys, tmp_path):
+    policy = default_policy(4, 5)
+    _, first = build_potential(policy)
+    build_potential(policy, map_order=6)
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"r": 1.0, "a": [[0.0, 0.0], [0.05, 0.0]]}))
+    args = ["verify", "--nmax", "3", "--degmax", "4", "--order", "2", "--in", str(curve)]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    scanned = {name for name in sys.modules if name.startswith("taumap.")}
+    assert {f"taumap.{m}" for m in ("cli", "coefficients", "potential", "series", "verify")} <= scanned
+    assert module_level_caches() == []
+    # a fresh build fills its own tables as the first one did
+    _, again = build_potential(policy)
+    assert again.table_sizes == first.table_sizes

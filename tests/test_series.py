@@ -374,6 +374,91 @@ def test_product_with_constants_and_pure_t0_terms():
     assert sq * Fraction(3, 2) == reference_mul(sq, three_halves)
 
 
+# -- calculus and sums against the term-by-term reference ---------------------------
+
+
+def reference_diff(s, k=None, barred=False):
+    """The derivative term by term over ``Monomial``: in ``t0`` when ``k`` is
+    None, else in ``t_k`` or ``tbar_k``."""
+    out = {}
+    for m, c in s.items():
+        if k is None:
+            if m.t0_power:
+                out[Monomial(m.t0_power - 1, m.factors)] = c * m.t0_power
+            continue
+        for pos, (idx, b, e) in enumerate(m.factors):
+            if (idx, b) == (k, barred):
+                lowered = ((idx, b, e - 1),) if e > 1 else ()
+                factors = m.factors[:pos] + lowered + m.factors[pos + 1 :]
+                out[Monomial(m.t0_power, factors)] = c * e
+    return TruncatedSeries(s.policy, out)
+
+
+def reference_sum(a, b, sign=1):
+    out = dict(a.items())
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return TruncatedSeries(a.policy, out)
+
+
+def reference_scaled(s, q):
+    return TruncatedSeries(s.policy, {m: c * q for m, c in s.items()})
+
+
+def edge_terms(policy):
+    """Terms whose exponent is ``deg_max`` in the first and the last field,
+    and one at index ``n_max`` on each side."""
+    n, deg = policy.n_max, policy.deg_max
+    return TruncatedSeries(
+        policy,
+        {
+            Monomial(deg, ((1, False, deg),)): Fraction(5, 3),
+            Monomial(1, ((n, True, deg),)): Fraction(-2, 7),
+            Monomial(2, ((n, False, 1), (n, True, deg - 1))): Fraction(9, 4),
+        },
+    )
+
+
+def test_calculus_and_sums_equal_termwise_reference_under_cutting_policies():
+    rng = random.Random(47)
+    for pol in CUTTING_POLICIES:
+        zero = TruncatedSeries.zero(pol)
+        for _ in range(6):
+            a = rich_series(rng, pol) + edge_terms(pol)
+            b = rich_series(rng, pol)
+            derived = [(a.diff_t0(), reference_diff(a))]
+            for k in range(pol.n_max + 2):
+                for barred in (False, True):
+                    derived.append((a.diff_t(k, barred), reference_diff(a, k, barred)))
+            derived += [
+                (a + b, reference_sum(a, b)),
+                (a - b, reference_sum(a, b, -1)),
+                (-a, reference_scaled(a, -1)),
+                (a - a, zero),
+            ]
+            for q in (0, 2, Fraction(-3, 5)):
+                derived += [(a * q, reference_scaled(a, q)), (q * a, reference_scaled(a, q))]
+            for got, want in derived:
+                assert got == want
+                assert sorted(got.items(), key=str) == sorted(want.items(), key=str)
+                for _, c in got.items():
+                    assert type(c) is Fraction and c
+            # the index n_max and the exponent deg_max come down exactly
+            n, deg = pol.n_max, pol.deg_max
+            lowered = Monomial(2, ((n, False, 1), (n, True, deg - 2)))
+            assert a.diff_t(1).coefficient(Monomial(deg, ((1, False, deg - 1),))) != 0
+            assert a.diff_tbar(n).coefficient(lowered) != 0
+            assert not a.diff_t(0) and not a.diff_t(n + 1, True)
+
+
+def test_coefficient_of_an_index_beyond_the_policy_is_zero():
+    # t_{n_max+1} would pack onto the field of tbar_1
+    for pol in CUTTING_POLICIES:
+        s = tbar(1, pol) * 3 + t(pol.n_max, pol)
+        assert s.coefficient(Monomial(0, ((1, True, 1),))) == 3
+        assert s.coefficient(Monomial(0, ((pol.n_max + 1, False, 1),))) == 0
+
+
 # -- the cached degree ------------------------------------------------------------
 
 
