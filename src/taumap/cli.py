@@ -265,7 +265,7 @@ def _cmd_verify(args) -> int:
     cache = MemoCache()
     potential, build = _build_checked_potential(policy, cache=cache, map_order=order_j)
 
-    checks = [cauchy_data_check(potential, policy.n_max)]
+    checks = [cauchy_data_check(potential, potential.k_max)]
     if policy.n_max >= 2:
         checks.append(ellipse_oracle_check(potential))
     checks += [

@@ -40,6 +40,12 @@ Two choices keep the recursion cheap while its values stay exact:
   ``t2`` functions divide a kernel value by its ``D``.  The list of the
   ``D_w`` is built once per cache (:meth:`MemoCache.denominators`).
 
+The engine itself calls only the kernels.  The public layer functions
+``t1_coefficient``, ``t2_coefficient`` and ``s_coefficient``, with the
+``SLMatrix`` they take, stay: they are the quantities on which the paper
+states its growth bounds, and acceptance gate A6 checks those bounds on
+exactly these functions.
+
 All public values are exact ``Fraction``s (``s`` and the composition count
 are ``int``s).  Every family is memoized in a :class:`MemoCache` that the
 caller creates and passes; a call without one gets a fresh cache of its
@@ -66,7 +72,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, lcm, perm
+from operator import sub
 from typing import Iterator
 
 __all__ = [
@@ -194,12 +202,13 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of ``parts`` positive integers summing to ``total``."""
     if parts < 1 or total < parts:
         return
-    if parts == 1:
+    if parts == 1:  # the engine's most frequent call, kept free of set-up
         yield (total,)
         return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # the parts are the gaps between 0, the cut points and total, so cut
+    # points in lexicographic order give the compositions in that order
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def bounded_partitions(

@@ -26,9 +26,10 @@ rows ``d0^2 F_reg``, ``d0 d_k F_reg`` (``k <= n_max``) and ``d0 d_k`` of
 the sector (``n_max < k <= k_max``) are derived once, on the first map of
 a potential, and compiled into a float kernel held on that
 :class:`~taumap.series.PotentialSeries` instance: an exponent array and a
-coefficient matrix that numpy evaluates at each moment vector.  The
-kernel sums in another order than :meth:`TruncatedSeries.evaluate`, so the
-two agree to the last few bits only.
+coefficient vector, one block of terms per row, that numpy evaluates at
+each moment vector.  The kernel sums in another order than
+:meth:`TruncatedSeries.evaluate`, so the two agree to the last few bits
+only.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .series import Monomial, PotentialSeries, TruncatedSeries
+from .series import PotentialSeries, TruncatedSeries
 
 __all__ = ["MomentVector", "ExteriorMapSeries", "map_from_potential", "evaluate_map"]
 
@@ -197,45 +198,42 @@ class ExteriorMapSeries:
 class _Kernel:
     """Rows of exact series compiled for evaluation in complex binary64.
 
-    The columns are the union of the rows' monomials.  ``exponents`` has one
-    row per variable -- ``t0``, then ``t_k`` and ``tbar_k`` for ``k = 1..n``
-    in turn, ``n`` the largest index the rows use -- holding that variable's
-    exponent in each monomial, in the smallest unsigned dtype that holds the
-    largest one.  ``coeffs`` (rows x monomials) holds every ``Fraction``
-    rounded once.
+    Each row's terms form one contiguous block of columns, in row order;
+    ``ends`` holds where each block ends.  The rows of the map never share
+    a monomial (``A`` has equal plain and barred weight, ``B_k`` plain
+    weight ``k`` below barred), so no column is stored twice there.
+    ``exponents`` has one row per variable -- ``t0``, then ``t_k`` and
+    ``tbar_k`` for ``k = 1..n`` in turn, ``n`` the largest index the rows
+    use -- holding that variable's exponent in each term, in the smallest
+    unsigned dtype that holds the largest one.  ``coeffs`` holds every
+    (real) ``Fraction`` rounded once.
     """
 
-    __slots__ = ("n", "exponents", "tops", "coeffs")
+    __slots__ = ("n", "exponents", "tops", "coeffs", "ends")
 
     def __init__(self, rows: Iterable[TruncatedSeries]) -> None:
         # ``rows`` is read once, so a generator holds one exact row at a time
-        column: dict[Monomial, int] = {}
-        var, mon, power = array("l"), array("l"), array("l")
-        row_of, col_of, coeff = array("l"), array("l"), array("d")
-        n_rows = 0
-        for i, row in enumerate(rows):
-            n_rows += 1
+        var, col, power = array("l"), array("l"), array("l")
+        coeff, ends = array("d"), []
+        for row in rows:
             for mono, c in row.items():
-                j = column.get(mono)
-                if j is None:
-                    j = column[mono] = len(column)
-                    var.append(0)
-                    mon.append(j)
-                    power.append(mono.t0_power)
-                    for k, barred, e in mono.factors:
-                        var.append(2 * k - 1 + barred)
-                        mon.append(j)
-                        power.append(e)
-                row_of.append(i)
-                col_of.append(j)
+                j = len(coeff)
                 coeff.append(float(c))
+                var.append(0)
+                col.append(j)
+                power.append(mono.t0_power)
+                for k, barred, e in mono.factors:
+                    var.append(2 * k - 1 + barred)
+                    col.append(j)
+                    power.append(e)
+            ends.append(len(coeff))
         self.n = (max(var, default=0) + 1) // 2
         dtype = np.min_scalar_type(max(power, default=0))
-        self.exponents = np.zeros((1 + 2 * self.n, len(column)), dtype=dtype)
-        self.exponents[var, mon] = power
+        self.exponents = np.zeros((1 + 2 * self.n, len(coeff)), dtype=dtype)
+        self.exponents[var, col] = power
         self.tops = self.exponents.max(axis=1, initial=0).tolist()
-        self.coeffs = np.zeros((n_rows, len(column)), dtype=np.complex128)
-        self.coeffs[row_of, col_of] = coeff
+        self.coeffs = np.frombuffer(coeff, dtype=np.float64)
+        self.ends = ends
 
     def monomials(self, moments: MomentVector) -> np.ndarray:
         """Every monomial's value at ``moments``, with ``tbar_k = conj(t_k)``.
@@ -262,13 +260,12 @@ class _Kernel:
         return values
 
     def __call__(self, moments: MomentVector) -> np.ndarray:
-        """``coeffs @ monomials(moments)``: the value of each row.
-
-        Summed by ``einsum`` in the calling thread: a threaded BLAS product
-        is barely faster at this size and can stall on a busy core.
-        """
+        """The value of each row: the sum of its block of terms."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.einsum("ij,j->i", self.coeffs, self.monomials(moments))
+            terms = self.coeffs * self.monomials(moments)
+            return np.array(
+                [terms[start:end].sum() for start, end in zip([0] + self.ends, self.ends)]
+            )
 
 
 def map_from_potential(

@@ -10,9 +10,16 @@ where ``i`` is the common weight of the two sides, ``K`` the total factor
 degree, ``pref`` the product of ``index^mult / mult!`` over a side, and
 ``N`` the coefficient from :mod:`taumap.coefficients`.  Only keys with at
 least one factor on each side enter; the linear summand freedom is fixed to
-zero, so the regular part has no constant or degree-1 terms.  Each side's
-prefactor is kept as an integer pair, so a key's term is one ``Fraction``;
-the sides of a weight are enumerated once, each with its factor count.
+zero, so the regular part has no constant or degree-1 terms.
+
+One walk, :func:`_admissible_keys`, states which keys a potential holds,
+and one loop, :func:`_terms`, orients each key, evaluates it and stores
+its monomial.  :func:`build_potential` runs it over the policy's keys,
+:func:`one_point_sector` over the keys that carry one unbarred ``t_k``
+beyond the index bound and nothing else beyond it: the keys that fix the
+map's ``B_k = d0 d_k F`` for ``k > n_max`` at moments cut at ``n_max``
+(see :func:`taumap.confmap.map_from_potential`).  A build given the
+largest map order it will serve carries that sector to the map.
 
 ``N`` is invariant under exchanging the two sides of a key (the barred
 twin of the pair constraint, see :func:`taumap.verify.toda_residual_b`),
@@ -21,14 +28,6 @@ the side with more factors goes unbarred, and a tie puts the larger side
 tuple unbarred (:func:`_oriented`).  The prefactors and the ``t0``
 exponent are the same both ways, so a key and its mirror share one
 ``n1`` entry and the build is bar-exchange symmetric by construction.
-
-:func:`one_point_sector` evaluates, from the same coefficient path, the keys
-that carry one unbarred ``t_k`` beyond the policy's index bound and nothing
-else beyond it.  They are exactly the keys that fix the map's one-point
-functions ``B_k = d0 d_k F`` for ``k > n_max`` at a moment vector cut at
-``n_max`` (see :func:`taumap.confmap.map_from_potential`).
-:func:`build_potential` evaluates that sector when given the largest map
-order the potential will serve, and the potential carries it to the map.
 
 This module also carries the two strong self-checks used as acceptance
 oracles: the restriction of mixed derivatives to the ``t0`` line (Cauchy
@@ -42,8 +41,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import Iterator
+from math import factorial, prod
+from typing import Iterable, Iterator
 
 from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
@@ -107,15 +106,6 @@ def default_policy(n_max: int, deg_max: int) -> TruncationPolicy:
     return TruncationPolicy(n_max=n_max, deg_max=deg_max)
 
 
-def _side_prefactor(side: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    """``prod index^mult / mult!`` over ``side`` as an unreduced ``(num, den)``."""
-    num = den = 1
-    for idx, mult in side:
-        num *= idx**mult
-        den *= factorial(mult)
-    return num, den
-
-
 def _monomial_for(key: NKey, t0_power: int) -> Monomial:
     factors = tuple((idx, False, mult) for idx, mult in key.unbarred) + tuple(
         (idx, True, mult) for idx, mult in key.barred
@@ -139,64 +129,76 @@ def _oriented(key: NKey) -> NKey:
     return key.swapped()
 
 
-def _counted_sides(weight: int, n_max: int, max_count: int) -> list:
-    """The :func:`bounded_partitions` of ``weight``, each with its factor count."""
-    return [
-        (side, sum(m for _, m in side))
-        for side in bounded_partitions(weight, n_max, max_count)
-    ]
-
-
-def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
-    """Every key of ``policy`` with its ``t0`` exponent, by weight ascending.
+def _admissible_keys(
+    policy: TruncationPolicy, sector: Iterable[int] | None = None
+) -> Iterator[tuple[NKey, int]]:
+    """Every key of ``policy`` with its ``t0`` exponent, by weight ascending;
+    given ``sector``, every key of the one-point sector at those indices.
 
     Each side is a bounded partition of the weight (indices <= ``n_max``);
     the two sides share at most ``deg_max`` factors in total, with one
     factor minimum each, and the exponent ``weight - degree + 2`` is
     non-negative.  The weight is at most ``n_max * (deg_max - 1)``, so the
     exponent is at most ``n_max * (deg_max - 1)`` too.
+
+    A sector key of index ``k > n_max`` has the same shape with ``t_k``
+    once more on its unbarred side, beside a partition of ``weight - k``;
+    the sector's keys come index by index, each by weight ascending.  The
+    sides of every weight are enumerated once per call.
     """
-    max_side = policy.deg_max - 1
-    max_weight = policy.n_max * max_side if max_side > 0 else 0
-    for weight in range(1, max_weight + 1):
-        sides = _counted_sides(weight, policy.n_max, max_side)
-        for unbarred, k in sides:
-            for barred, kbar in sides:
-                degree = k + kbar
-                if degree > policy.deg_max:
-                    continue
-                t0_power = weight - degree + 2
-                if t0_power >= 0:
-                    yield NKey(unbarred, barred, weight), t0_power
+    n_max, deg_max = policy.n_max, policy.deg_max
+    max_side = deg_max - 1
+    max_weight = n_max * max_side if max_side > 0 else 0
+    sides = [
+        [(side, sum(m for _, m in side)) for side in bounded_partitions(w, n_max, max_side)]
+        for w in range(max_weight + 1)
+    ]
+    # the policy's own keys carry no index beyond n_max: k = 0 stands for none
+    for k in (0,) if sector is None else sector:
+        extra = ((k, 1),) if k else ()
+        for weight in range(max(k, 1), max_weight + 1):
+            barred_sides = sides[weight]
+            for rest, count in sides[weight - k]:
+                unbarred = rest + extra
+                plain_degree = count + len(extra)
+                for barred, kbar in barred_sides:
+                    degree = plain_degree + kbar
+                    if degree > deg_max:
+                        continue
+                    t0_power = weight - degree + 2
+                    if t0_power >= 0:
+                        yield NKey(unbarred, barred, weight), t0_power
 
 
 def _term_coefficient(key: NKey, cache: MemoCache) -> Fraction:
     """``pref(unbarred) * pref(barred) * N(key)``, with ``key`` evaluated as written."""
     coeff = n2_coefficient(key, cache)
     if coeff:
-        num_u, den_u = _side_prefactor(key.unbarred)
-        num_b, den_b = _side_prefactor(key.barred)
-        coeff = Fraction(
-            coeff.numerator * num_u * num_b, coeff.denominator * den_u * den_b
-        )
+        num, den = coeff.numerator, coeff.denominator
+        for idx, mult in key.unbarred + key.barred:
+            num *= idx**mult
+            den *= factorial(mult)
+        coeff = Fraction(num, den)
     return coeff
 
 
-def _evaluate_key(
-    terms: dict[Monomial, Fraction],
-    key: NKey,
-    t0_power: int,
-    cache: MemoCache,
-) -> None:
-    """Store the potential coefficient of ``key``, if nonzero, in ``terms``.
+def _terms(
+    keys: Iterable[tuple[NKey, int]], cache: MemoCache
+) -> tuple[dict[Monomial, Fraction], int]:
+    """The nonzero potential terms of ``keys``, and how many keys there were.
 
-    The coefficient is evaluated in the orientation :func:`_oriented` picks;
-    the side prefactors and the ``t0`` exponent are the same both ways, and
-    the mirror of an evaluated key is a hit in ``cache.n1``.
+    Each coefficient is evaluated in the orientation :func:`_oriented`
+    picks; the side prefactors and the ``t0`` exponent are the same both
+    ways, and the mirror of an evaluated key is a hit in ``cache.n1``.
     """
-    coeff = _term_coefficient(_oriented(key), cache)
-    if coeff:
-        terms[_monomial_for(key, t0_power)] = coeff
+    terms: dict[Monomial, Fraction] = {}
+    count = 0
+    for key, t0_power in keys:
+        count += 1
+        coeff = _term_coefficient(_oriented(key), cache)
+        if coeff:
+            terms[_monomial_for(key, t0_power)] = coeff
+    return terms, count
 
 
 def build_potential(
@@ -220,11 +222,7 @@ def build_potential(
     if cache is None:
         cache = MemoCache()
     start = time.perf_counter()
-    terms: dict[Monomial, Fraction] = {}
-    keys_evaluated = 0
-    for key, t0_power in _admissible_keys(policy):
-        keys_evaluated += 1
-        _evaluate_key(terms, key, t0_power, cache)
+    terms, keys_evaluated = _terms(_admissible_keys(policy), cache)
     regular = TruncatedSeries(policy, terms)
     report = BuildReport(
         policy=policy,
@@ -252,43 +250,17 @@ def one_point_sector(
 ) -> TruncatedSeries:
     """Potential terms linear in one ``t_k`` with ``policy.n_max < k <= k_max``.
 
-    A key enters iff its unbarred side holds that ``t_k`` with multiplicity
-    1 and every other index, barred or unbarred, is at most ``n_max``; its
-    factor degree (``t_k`` counted) is at most ``deg_max`` and its ``t0``
-    exponent ``weight - degree + 2`` is non-negative.  These are exactly the
-    terms of a build under ``(k_max, deg_max)`` that have this shape, with
-    the same coefficients.  The result lives under that wider policy.
+    The keys are those :func:`_admissible_keys` walks at these ``k``, and
+    their terms are written as the build writes its own.  They are exactly
+    the terms of a build under ``(k_max, deg_max)`` that hold that ``t_k``
+    once and every other index at most ``n_max``, with the same
+    coefficients.  The result lives under that wider policy.
     """
     if cache is None:
         cache = MemoCache()
-    n_max, deg_max = policy.n_max, policy.deg_max
-    terms: dict[Monomial, Fraction] = {}
-    max_side = deg_max - 1
-    max_weight = n_max * max_side if max_side > 0 else 0
-    # every side, barred or the rest beside t_k, is a partition of a weight
-    # up to max_weight; the rest has at most max_side - 1 factors, a filter
-    # that keeps the enumeration order
-    sides = [_counted_sides(w, n_max, max_side) for w in range(max_weight + 1)]
-    for k in range(n_max + 1, k_max + 1):
-        # t_k alone against a barred side is a key, so the weight starts at k
-        for weight in range(k, max_weight + 1):
-            barred_sides = sides[weight]
-            for rest, count in sides[weight - k]:
-                if count >= max_side:
-                    continue
-                unbarred = rest + ((k, 1),)
-                plain_degree = 1 + count
-                for barred, kbar in barred_sides:
-                    degree = plain_degree + kbar
-                    if degree > deg_max:
-                        continue
-                    t0_power = weight - degree + 2
-                    if t0_power < 0:
-                        continue
-                    key = NKey(unbarred, barred, weight)
-                    _evaluate_key(terms, key, t0_power, cache)
-    wide = TruncationPolicy(max(n_max, k_max), deg_max)
-    return TruncatedSeries(wide, terms)
+    n_max = policy.n_max
+    terms, _ = _terms(_admissible_keys(policy, range(n_max + 1, k_max + 1)), cache)
+    return TruncatedSeries(TruncationPolicy(max(n_max, k_max), policy.deg_max), terms)
 
 
 # -- Cauchy data oracle ------------------------------------------------------
@@ -305,45 +277,47 @@ def cauchy_data_check(potential: PotentialSeries, i_max: int) -> CheckResult:
     * one plain index against a barred multiset ``B`` of weight ``i``
       (and the mirror image): the coefficient of
       ``t0^(i-k+1) t_i * prod tbar`` times the multiplicity factorials
-      equals ``prod(B) * i! / (i-k+1)!`` where ``k = |B|``.
+      equals ``prod(B) * i! / (i-k+1)!`` where ``k = |B|``.  For
+      ``n_max < i <= k_max`` the term is read from the one-point sector,
+      which holds no mirror images.
     """
     reg = potential.regular
     policy = reg.policy
     violations = list(potential.invariant_violations())
     checked = 0
 
-    def expect(mono: Monomial, value: Fraction, label: str) -> None:
+    def expect(series: TruncatedSeries, mono: Monomial, value: Fraction, label: str) -> None:
         nonlocal checked
+        if not series.policy.admits(mono):
+            return
         checked += 1
-        got = reg.coefficient(mono)
+        got = series.coefficient(mono)
         if got != value:
             violations.append(f"{label}: coefficient({mono}) = {got}, expected {value}")
 
     for i in range(1, min(i_max, policy.n_max) + 1):
         mono = Monomial(i, ((i, False, 1), (i, True, 1)))
-        if policy.admits(mono):
-            expect(mono, Fraction(i), "diagonal pair")
+        expect(reg, mono, Fraction(i), "diagonal pair")
 
-    for i in range(1, min(i_max, policy.n_max) + 1):
+    for i in range(1, min(i_max, potential.k_max) + 1):
         for barred_side in bounded_partitions(i, policy.n_max, policy.deg_max - 1):
             k = sum(m for _, m in barred_side)
             t0_power = i - k + 1
-            prod_idx = 1
-            mult_fact = 1
-            for idx, mult in barred_side:
-                prod_idx *= idx**mult
-                mult_fact *= factorial(mult)
-            target = Fraction(prod_idx * factorial(i), factorial(i - k + 1) * mult_fact)
+            target = Fraction(
+                prod(x**m for x, m in barred_side) * factorial(i),
+                factorial(t0_power) * prod(factorial(m) for _, m in barred_side),
+            )
             plain = Monomial(
                 t0_power, ((i, False, 1),) + tuple((x, True, m) for x, m in barred_side)
             )
-            if policy.admits(plain):
-                expect(plain, target, "one plain index")
+            if i > policy.n_max:
+                expect(potential.sector, plain, target, "one plain index (sector)")
+                continue
+            expect(reg, plain, target, "one plain index")
             mirror = Monomial(
                 t0_power, tuple((x, False, m) for x, m in barred_side) + ((i, True, 1),)
             )
-            if policy.admits(mirror):
-                expect(mirror, target, "one barred index")
+            expect(reg, mirror, target, "one barred index")
 
     return CheckResult("cauchy_data", checked, violations)
 

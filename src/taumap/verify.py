@@ -334,13 +334,24 @@ def degree_term_sums(
     """Sum of ``|coefficient * monomial(m)|`` per factor degree.
 
     For an admissible vector these sums are majorized by ``2^-K`` at degree
-    ``K``, the geometric tail bound behind the convergence gate.
+    ``K``, the geometric tail bound behind the convergence gate.  A sum
+    that is not finite raises ``ValueError``: such moments lie far outside
+    the region where the series converges.
     """
     kernel = _Kernel([potential.regular])
-    terms = np.abs(kernel.coeffs[0] * kernel.monomials(m.padded(kernel.n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(kernel.coeffs * kernel.monomials(m.padded(kernel.n)))
     degrees = kernel.exponents[1:].sum(axis=0, dtype=np.int64)
     sums = np.bincount(degrees, weights=terms)
-    return {int(k): float(sums[k]) for k in np.unique(degrees)}
+    out = {int(k): float(sums[k]) for k in np.unique(degrees)}
+    for degree, total in out.items():
+        if not math.isfinite(total):
+            raise ValueError(
+                f"degree {degree} term sum = {total} is not finite: the moments lie "
+                "far outside the series' convergence region "
+                "(see taumap.verify.convergence_gate)"
+            )
+    return out
 
 
 # -- roundtrip ----------------------------------------------------------------

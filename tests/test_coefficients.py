@@ -220,6 +220,27 @@ def test_compositions_generator():
     assert len(list(compositions(6, 3))) == comb(5, 2)
 
 
+def _recursive_compositions(total, parts):
+    """The recursive enumeration ``compositions`` replaced: first part ascending."""
+    if parts < 1 or total < parts:
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_recursive_reference():
+    # parts < 1 and total < parts included: both give nothing there
+    for total in range(-1, 14):
+        for parts in range(-1, 14):
+            assert list(compositions(total, parts)) == list(
+                _recursive_compositions(total, parts)
+            ), (total, parts)
+
+
 def test_bounded_partitions():
     parts = set(bounded_partitions(4, 3, 4))
     assert ((1, 4),) in parts

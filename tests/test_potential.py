@@ -1,5 +1,6 @@
 """Potential assembly: coefficients, invariants, oracles."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -21,7 +22,7 @@ from taumap.potential import (
     ellipse_regular_series,
     one_point_sector,
 )
-from taumap.series import Monomial, _Codec, series_to_json_terms
+from taumap.series import Monomial, TruncatedSeries, _Codec, series_to_json_terms
 from taumap.verify import bar_swap
 
 
@@ -272,18 +273,11 @@ def test_admissible_keys_in_reference_order(policy):
 
 
 @pytest.mark.parametrize("n_max, k_max", [(4, 9), (5, 12)])
-def test_one_point_sector_evaluates_reference_key_sequence(monkeypatch, n_max, k_max):
+def test_one_point_sector_evaluates_reference_key_sequence(n_max, k_max):
+    # one_point_sector evaluates exactly the keys of this walk, in its order
     policy = default_policy(n_max, 6)
-    visited = []
-    evaluate = potential_module._evaluate_key
-
-    def recording(terms, key, t0_power, cache):
-        visited.append((key, t0_power))
-        evaluate(terms, key, t0_power, cache)
-
-    monkeypatch.setattr(potential_module, "_evaluate_key", recording)
-    one_point_sector(policy, k_max, cache=MemoCache())
-    assert visited == list(_sector_keys(policy, k_max))
+    walk = potential_module._admissible_keys(policy, range(n_max + 1, k_max + 1))
+    assert list(walk) == list(_sector_keys(policy, k_max))
 
 
 def test_truncation_monotonicity():
@@ -301,6 +295,25 @@ def test_cauchy_data_exact():
     report = cauchy_data_check(potential, 4)
     assert report.ok, report.violations[:5]
     assert report.checked > 10
+
+
+def test_cauchy_data_judges_the_sector():
+    potential, _ = build_potential(default_policy(5, 6), map_order=11)
+    regular_only = cauchy_data_check(potential, potential.regular.policy.n_max)
+    report = cauchy_data_check(potential, potential.k_max)
+    assert report.ok, report.violations[:5]
+    # every t0^(i-|B|+1) t_i prod tbar_B with 5 < i <= 12 in the sector
+    assert report.checked - regular_only.checked == 107
+
+    # one corrupted sector coefficient fails the check
+    mono = Monomial(6, ((7, False, 1), (2, True, 1), (5, True, 1)))
+    terms = dict(potential.sector.items())
+    terms[mono] = 2 * terms[mono] + 1
+    bad = dataclasses.replace(
+        potential, sector=TruncatedSeries(potential.sector.policy, terms)
+    )
+    report = cauchy_data_check(bad, bad.k_max)
+    assert len(report.violations) == 1 and "= 141, expected 70" in report.violations[0]
 
 
 def test_cauchy_examples_explicit(potential_44):

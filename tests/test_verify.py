@@ -314,6 +314,18 @@ def test_degree_sums_majorized_by_geometric_tail():
         assert total <= 2.0 ** (-degree), (degree, total)
 
 
+def test_degree_sums_reject_moments_outside_the_series_range():
+    # moments far outside the convergence region give non-finite sums;
+    # they are named, not returned as nan (and raise no numpy warning)
+    potential, _ = build_potential(default_policy(3, 4))
+    with pytest.raises(ValueError, match=r"degree 2 term sum = nan is not finite"):
+        degree_term_sums(potential, MomentVector(0.5, (1e200,)))
+    n = 2
+    bound = 1.0 / (4 * n**3 * 2**n * math.exp(n))
+    sums = degree_term_sums(potential, MomentVector(t0=0.5, t=(bound, 0.9 * bound)))
+    assert sums and all(math.isfinite(total) for total in sums.values())
+
+
 def reference_degree_term_sums(potential, m):
     """The per-monomial loop ``degree_term_sums`` replaced."""
     mm = m.padded(potential.regular.policy.n_max)
