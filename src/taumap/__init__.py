@@ -28,12 +28,7 @@ from .coefficients import (
     t1_coefficient,
     t2_coefficient,
 )
-from .confmap import (
-    ExteriorMapSeries,
-    MomentVector,
-    evaluate_map,
-    map_from_potential,
-)
+from .confmap import ExteriorMapSeries, MomentVector, evaluate_map, map_from_potential
 from .moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
 from .potential import (
     BuildReport,
@@ -44,12 +39,7 @@ from .potential import (
     ellipse_oracle_check,
     one_point_sector,
 )
-from .series import (
-    Monomial,
-    PotentialSeries,
-    TruncatedSeries,
-    TruncationPolicy,
-)
+from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 from .verify import (
     ConvergenceVerdict,
     convergence_gate,

@@ -193,17 +193,9 @@ def _cmd_potential(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["degree", "t0_power", "monomial", "num", "den", "abs"])
-        for mono, coeff in potential.regular.sorted_items():
-            writer.writerow(
-                [
-                    mono.degree,
-                    mono.t0_power,
-                    str(mono),
-                    coeff.numerator,
-                    coeff.denominator,
-                    repr(abs(float(coeff))),
-                ]
-            )
+        for mono, c in potential.regular.sorted_items():
+            row = [mono.degree, mono.t0_power, str(mono), c.numerator, c.denominator]
+            writer.writerow(row + [repr(abs(float(c)))])
         _write_text(args.out, buf.getvalue())
         return 0
     payload = {

@@ -25,11 +25,12 @@ Serving a domain is one numeric evaluation of fixed series.  The exact
 rows ``d0^2 F_reg``, ``d0 d_k F_reg`` (``k <= n_max``) and ``d0 d_k`` of
 the sector (``n_max < k <= k_max``) are derived once, on the first map of
 a potential, and compiled into a float kernel held on that
-:class:`~taumap.series.PotentialSeries` instance: an exponent array and a
-coefficient vector, one block of terms per row, that numpy evaluates at
-each moment vector.  The kernel sums in another order than
+:class:`~taumap.series.PotentialSeries` instance.  Per moment vector it
+takes each variable's few powers by repeated multiplication, multiplies
+them into the terms the variable appears in, and sums each row's block of
+terms with one ``np.add.reduceat``: another order than
 :meth:`TruncatedSeries.evaluate`, so the two agree to the last few bits
-only.
+only.  The map, like the curve, is evaluated by Horner's rule in ``1/z``.
 """
 
 from __future__ import annotations
@@ -205,11 +206,15 @@ class _Kernel:
     ``exponents`` has one row per variable -- ``t0``, then ``t_k`` and
     ``tbar_k`` for ``k = 1..n`` in turn, ``n`` the largest index the rows
     use -- holding that variable's exponent in each term, in the smallest
-    unsigned dtype that holds the largest one.  ``coeffs`` holds every
-    (real) ``Fraction`` rounded once.
+    unsigned dtype that holds the largest one; ``support`` holds each
+    variable's columns with a nonzero exponent and those exponents.
+    ``coeffs`` holds every (real) ``Fraction`` rounded once.  ``starts``
+    holds the first column of each row with terms, ``filled`` those rows:
+    ``np.add.reduceat`` reads an empty block as the term at its start, so
+    an empty row is left out of the sum and reads exactly 0.
     """
 
-    __slots__ = ("n", "exponents", "tops", "coeffs", "ends")
+    __slots__ = ("n", "exponents", "support", "tops", "coeffs", "ends", "starts", "filled")
 
     def __init__(self, rows: Iterable[TruncatedSeries]) -> None:
         # ``rows`` is read once, so a generator holds one exact row at a time
@@ -231,17 +236,22 @@ class _Kernel:
         dtype = np.min_scalar_type(max(power, default=0))
         self.exponents = np.zeros((1 + 2 * self.n, len(coeff)), dtype=dtype)
         self.exponents[var, col] = power
+        self.support = [(np.flatnonzero(e), e[e > 0]) for e in self.exponents]
         self.tops = self.exponents.max(axis=1, initial=0).tolist()
         self.coeffs = np.frombuffer(coeff, dtype=np.float64)
         self.ends = ends
+        bounds = np.array([0] + ends)
+        self.filled = np.flatnonzero(np.diff(bounds))
+        self.starts = bounds[self.filled]
 
     def monomials(self, moments: MomentVector) -> np.ndarray:
         """Every monomial's value at ``moments``, with ``tbar_k = conj(t_k)``.
 
-        A running product over the variables: per variable, a table of its
-        powers up to the largest exponent, indexed by its exponent row.
-        Moments far outside the series' range overflow to ``inf`` or ``nan``
-        without a numpy warning; :func:`map_from_potential` reports them.
+        A running product over the variables: per variable, its powers up
+        to the largest exponent by repeated multiplication, read at its
+        exponents into the columns where it appears.  Moments far outside
+        the series' range overflow to ``inf`` or ``nan`` without a numpy
+        warning; :func:`map_from_potential` reports them.
         """
         if len(moments.t) < self.n:
             raise IndexError(
@@ -250,22 +260,22 @@ class _Kernel:
         variables = [moments.t0]
         for x in moments.t[: self.n]:
             variables += (x, x.conjugate())
-        values = np.ones(self.exponents.shape[1], dtype=np.complex128)
+        values = np.ones(len(self.coeffs), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, top, e in zip(variables, self.tops, self.exponents):
-                table = np.full(top + 1, x, dtype=np.complex128)
-                table[0] = 1
-                np.cumprod(table, out=table)
-                values *= table[e]
+            for x, top, (cols, e) in zip(variables, self.tops, self.support):
+                table = [1.0]
+                for _ in range(top):
+                    table.append(table[-1] * x)
+                values[cols] *= np.array(table, dtype=np.complex128).take(e)
         return values
 
     def __call__(self, moments: MomentVector) -> np.ndarray:
         """The value of each row: the sum of its block of terms."""
+        rows = np.zeros(len(self.ends), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self.coeffs * self.monomials(moments)
-            return np.array(
-                [terms[start:end].sum() for start, end in zip([0] + self.ends, self.ends)]
-            )
+            rows[self.filled] = np.add.reduceat(terms, self.starts)
+        return rows
 
 
 def map_from_potential(
@@ -345,9 +355,12 @@ def evaluate_map(w: ExteriorMapSeries, z: complex) -> complex:
 
     ``z`` may be a numpy array; a Python ``complex`` stays one.
     """
-    zinv = 1.0 / z
-    acc = 0j
-    for coeff in reversed(w.tail):
-        acc = acc * zinv + coeff
-    return w.p * z + acc
+    return w.p * z + _horner(w.tail, 1.0 / z)
 
+
+def _horner(coeffs, x):
+    """``sum_j coeffs[j] x^j`` by Horner's rule, for a scalar or an array ``x``."""
+    acc = 0j
+    for coeff in reversed(coeffs):
+        acc = acc * x + coeff
+    return acc

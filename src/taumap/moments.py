@@ -31,8 +31,11 @@ agrees with the convergent cases ``k >= 3`` and with the hierarchy the
 potential satisfies.
 
 Quadrature is the trapezoid rule on ``|u| = 1``, spectrally accurate for
-these analytic integrands.  Sums run in a fixed order so results are
-bitwise reproducible for a fixed sample count.
+these analytic integrands.  ``z`` and ``dz/du`` come from Horner's rule in
+``1/u``; the weight ``conj(z) dz/du u / samples`` is formed once, and each
+moment is one running power of ``1/z`` (of ``z`` for ``v_k``) times it,
+summed, so memory stays linear in the sample count.  Sums run in a fixed
+order so results are bitwise reproducible for a fixed sample count.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ from math import pi
 
 import numpy as np
 
-from .confmap import MomentVector, _json_number, _json_object, _json_pairs, _require_finite
+from .confmap import (
+    MomentVector, _horner, _json_number, _json_object, _json_pairs, _require_finite
+)
 
 __all__ = [
     "BoundaryCurve",
@@ -88,22 +93,17 @@ class BoundaryCurve:
         n = self.samples
         theta = 2 * pi * np.arange(n) / n
         u = np.exp(1j * theta)
-        z = self.r * u
-        dz = np.full(n, self.r, dtype=complex)
         uinv = 1.0 / u
-        upow = np.ones(n, dtype=complex)
-        for j, coeff in enumerate(self.a):
-            z = z + coeff * upow
-            if j >= 1:
-                dz = dz - j * coeff * upow * uinv
-            upow = upow * uinv
-        return z, dz, u
+        # dz/du = r - u^-2 sum_{j>=1} j a_j u^(1-j), by the same Horner rule as z
+        slopes = [j * coeff for j, coeff in enumerate(self.a)][1:]
+        dz = self.r - uinv * uinv * _horner(slopes, uinv)
+        return self.r * u + _horner(self.a, uinv), dz, u
 
-    def z_of(self, u: complex) -> complex:
-        val = self.r * u
-        for j, coeff in enumerate(self.a):
-            val += coeff * u ** (-j)
-        return val
+    def z_of(self, u):
+        """``z(u)`` by Horner evaluation in ``1/u``: one division, then one
+        multiply-add per ``a_j``.  ``u`` may be a numpy array; a Python
+        ``complex`` stays one."""
+        return self.r * u + _horner(self.a, 1.0 / u)
 
     def scaled(self, lam: float) -> "BoundaryCurve":
         return BoundaryCurve(
@@ -123,46 +123,40 @@ class BoundaryCurve:
         )
 
 
-def _contour_mean(values: np.ndarray, dz: np.ndarray, u: np.ndarray) -> complex:
-    """(1/(2 pi i)) oint f dz via the trapezoid rule, as a plain sum."""
-    n = len(u)
-    # oint f dz = int f z'(theta) dtheta with z'(theta) = dz/du * iu
-    return complex(np.sum(values * dz * u)) / n
+def _quadrature(curve: BoundaryCurve, n: int, dual: bool):
+    """``z`` on the grid, the trapezoid weight ``w`` with ``(1/(2 pi i)) oint f
+    conj(z) dz = sum(f w)``, and ``sum(z^(+-k) w)`` for ``k = 0..n``: one
+    running power of ``z`` (dual) or ``1/z`` and one product-sum each."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    z, dz, u = curve.boundary()
+    # oint g dz = int g z'(theta) dtheta with z'(theta) = dz/du * iu
+    weight = np.conj(z) * dz * u / len(u)
+    step = z if dual else 1.0 / z
+    power, sums = np.ones_like(z), [complex(weight.sum())]
+    for _ in range(n):
+        power *= step
+        sums.append(complex((power * weight).sum()))
+    return z, weight, sums
 
 
 def moments_from_curve(curve: BoundaryCurve, n: int) -> MomentVector:
     """Harmonic moments ``t0, t_1..t_n`` of the curve's interior domain."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z, dz, u = curve.boundary()
-    zbar = np.conj(z)
-    t0 = _contour_mean(zbar, dz, u)
-    t = []
-    zk = np.ones_like(z)
-    for k in range(1, n + 1):
-        zk = zk / z
-        t.append(_contour_mean(zk * zbar, dz, u) / k)
+    _, _, (t0, *sums) = _quadrature(curve, n, dual=False)
+    t = [s / k for k, s in enumerate(sums, 1)]
     for name, val in [("t0", t0)] + [(f"t{k}", v) for k, v in enumerate(t, 1)]:
-        if not np.isfinite(val.real) or not np.isfinite(val.imag):
+        if not isfinite(val):
             raise ArithmeticError(f"non-finite quadrature result for {name}")
     return MomentVector(t0=t0.real, t=tuple(t))
 
 
 def v_moments_from_curve(curve: BoundaryCurve, n: int) -> list[complex]:
     """Dual moments ``v_0..v_n`` (interior integrals of ``log|z|`` and ``z^k``)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z, dz, u = curve.boundary()
-    zbar = np.conj(z)
-    integrand0 = 0.5 * zbar * np.log(np.abs(z)) - 0.25 * zbar
-    # (2/pi) Im oint g dz = 4 Re mean(g z' u) on the unit grid
-    v0 = 4.0 * float(np.real(np.sum(integrand0 * dz * u))) / len(u)
-    out: list[complex] = [complex(v0)]
-    zk = np.ones_like(z)
-    for k in range(1, n + 1):
-        zk = zk * z
-        out.append(_contour_mean(zk * zbar, dz, u))
-    if any(not np.isfinite(v.real) or not np.isfinite(v.imag) for v in out):
+    z, weight, (_, *sums) = _quadrature(curve, n, dual=True)
+    # (2/pi) Im oint g conj(z) dz = 4 Re sum(g w)
+    v0 = 4.0 * float(np.real(((0.5 * np.log(np.abs(z)) - 0.25) * weight).sum()))
+    out = [complex(v0)] + sums
+    if not all(isfinite(v) for v in out):
         raise ArithmeticError("non-finite quadrature result in dual moments")
     return out
 

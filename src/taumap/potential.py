@@ -144,7 +144,9 @@ def _admissible_keys(
     A sector key of index ``k > n_max`` has the same shape with ``t_k``
     once more on its unbarred side, beside a partition of ``weight - k``;
     the sector's keys come index by index, each by weight ascending.  The
-    sides of every weight are enumerated once per call.
+    sides of every weight are enumerated once per call, and an unbarred
+    side meets only the barred sides with few enough factors, in their
+    enumeration order: every pair visited is a key.
     """
     n_max, deg_max = policy.n_max, policy.deg_max
     max_side = deg_max - 1
@@ -153,21 +155,22 @@ def _admissible_keys(
         [(side, sum(m for _, m in side)) for side in bounded_partitions(w, n_max, max_side)]
         for w in range(max_weight + 1)
     ]
+    # within[w][c]: the sides of weight w with at most c factors, in order
+    within = [
+        [[(side, n) for side, n in group if n <= c] for c in range(max_side + 1)]
+        for group in sides
+    ]
     # the policy's own keys carry no index beyond n_max: k = 0 stands for none
     for k in (0,) if sector is None else sector:
         extra = ((k, 1),) if k else ()
         for weight in range(max(k, 1), max_weight + 1):
-            barred_sides = sides[weight]
             for rest, count in sides[weight - k]:
                 unbarred = rest + extra
                 plain_degree = count + len(extra)
-                for barred, kbar in barred_sides:
-                    degree = plain_degree + kbar
-                    if degree > deg_max:
-                        continue
-                    t0_power = weight - degree + 2
-                    if t0_power >= 0:
-                        yield NKey(unbarred, barred, weight), t0_power
+                # the degree is at most deg_max and weight + 2 (t0_power >= 0)
+                room = min(deg_max, weight + 2) - plain_degree
+                for barred, kbar in within[weight][max(room, 0)]:
+                    yield NKey(unbarred, barred, weight), weight - plain_degree - kbar + 2
 
 
 def _term_coefficient(key: NKey, cache: MemoCache) -> Fraction:

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -316,19 +316,32 @@ class _Tail:
     def exp(self) -> "_Tail":
         """``sum_m self^m / m!`` for a tail with no term in the cell ``(0, 0, 0)``.
 
-        Every other term raises ``a``, ``b`` or the factor degree, so the
-        powers leave the orders and ``deg_max`` and the sum ends.
+        Every other term raises ``a + b + d`` by ``rise`` or more, so the
+        powers past ``top`` leave the orders and ``deg_max``.  The powers
+        keep integer numerators over ``den^m`` and are added into one sum
+        over ``den^top top!``, reduced once at the end.
         """
         if (0, 0, 0) in self.cells:
             raise ValueError("exp requires every term to carry a variable")
-        result = term = self.one()
-        m = 0
-        while True:
-            m += 1
-            term = (term * self).scaled(Fraction(1, m))
-            if not term.cells:
-                return result
-            result = result + term
+        rise = min((a + b + d for a, b, d in self.cells), default=1)
+        top = (sum(self.orders) + self.policy.deg_max) // rise
+        den = weight = self.den**top * factorial(top)
+        total = {(0, 0, 0): {0: weight}}
+        base, power = self._like(self.cells), self.one()  # over 1: nothing divides
+        for m in range(1, top + 1):
+            power, weight = power * base, weight // (self.den * m)
+            for key, cell in power.cells.items():
+                out = total.setdefault(key, {})
+                for code, n in cell.items():
+                    # a sum that cancels leaves, to come back last, as under ``+``
+                    n = n * weight + out.get(code, 0)
+                    if n:
+                        out[code] = n
+                    else:
+                        del out[code]
+                if not out:
+                    del total[key]
+        return self._like(total, den)
 
     def diff_t0(self) -> "_Tail":
         """The derivative in ``t0``, whose power is the field above the others."""

@@ -410,10 +410,4 @@ def roundtrip(
     theta = 2 * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES
     u = test_radius * np.exp(1j * theta)
     sup_error = float(np.max(np.abs(w(curve.z_of(u)) - u)))
-    return RoundtripReport(
-        sup_error=sup_error,
-        moments=m,
-        gate=gate,
-        map_series=w,
-        warnings=warnings,
-    )
+    return RoundtripReport(sup_error, m, gate, w, warnings)

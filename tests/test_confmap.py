@@ -275,8 +275,8 @@ def test_kernel_against_exact_rational_evaluation(
             assert abs(got[i] - exact) <= 1e-13 * abs(exact), (i, got[i], exact)
 
 
-def curve_moments(seed, count, n_max):
-    """Moments of seeded random curves ``u + sum_j a_j u^-j``, ``sum j|a_j| <= 0.2``."""
+def seeded_curves(seed, count):
+    """Seeded random curves ``u + sum_j a_j u^-j``, ``sum j|a_j| <= 0.2``."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -284,8 +284,13 @@ def curve_moments(seed, count, n_max):
             cmath.rect(0.2 / 6 / j * rng.random(), rng.uniform(0, 2 * math.pi))
             for j in range(1, 7)
         ]
-        out.append(moments_from_curve(BoundaryCurve(1.0, tuple(a)), n_max))
+        out.append(BoundaryCurve(1.0, tuple(a)))
     return out
+
+
+def curve_moments(seed, count, n_max):
+    """Moments of the seeded random curves of :func:`seeded_curves`."""
+    return [moments_from_curve(curve, n_max) for curve in seeded_curves(seed, count)]
 
 
 @pytest.mark.parametrize(
@@ -349,6 +354,23 @@ def test_kernel_holds_the_sector_rows_and_compiles_once(monkeypatch):
     short = map_from_potential(potential, m, order=2)
     assert calls == [] and potential._map_kernel is kernel
     assert short.p == first.p and short.tail == first.tail[:3]
+
+
+def test_empty_kernel_rows_read_exactly_zero():
+    # at (2,3) the sector carries terms for k = 3, 4 only: the rows of
+    # B_5..B_21 are empty blocks at the end of the kernel, which reduceat
+    # alone would read as a term (or index past the end)
+    potential, _ = build_potential(TruncationPolicy(2, 3), map_order=20)
+    assert potential.k_max == 21
+    for m in curve_moments(23, 3, 2):
+        w = map_from_potential(potential, m, order=20)
+        kernel = potential._map_kernel
+        assert len(set(kernel.ends[4:])) == 1 and kernel.ends[3] < kernel.ends[4]
+        rows = kernel(m)
+        assert all(rows[:5] != 0) and all(rows[5:] == 0)
+        p, tail = reference_map(potential, m, 20)
+        assert abs(w.p - p) <= 1e-12
+        assert all(abs(x - y) <= 1e-12 for x, y in zip(w.tail, tail))
 
 
 def one_term_potential(c):

@@ -1,11 +1,13 @@
 """Contour-quadrature moments against closed forms and the area oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers_area import interior_moments_midpoint
+from test_confmap import seeded_curves
 from taumap.moments import (
     MAX_SAMPLES,
     BoundaryCurve,
@@ -164,3 +166,100 @@ def test_determinism_bitwise():
     m1 = moments_from_curve(ELLIPSE, 4)
     m2 = moments_from_curve(ELLIPSE, 4)
     assert m1.t0 == m2.t0 and m1.t == m2.t
+
+
+# -- Horner evaluation and quadrature against their power-loop forms ----------
+
+
+def reference_z(curve, u):
+    """``z(u) = r u + sum_j a_j u^-j`` as a power sum."""
+    val = curve.r * u
+    for j, coeff in enumerate(curve.a):
+        val = val + coeff * u ** (-j)
+    return val
+
+
+def reference_boundary(curve):
+    """``z`` and ``dz/du`` on the quadrature grid by one power loop in ``1/u``."""
+    n = curve.samples
+    u = np.exp(1j * (2 * np.pi * np.arange(n) / n))
+    z = curve.r * u
+    dz = np.full(n, curve.r, dtype=complex)
+    uinv = 1.0 / u
+    upow = np.ones(n, dtype=complex)
+    for j, coeff in enumerate(curve.a):
+        z = z + coeff * upow
+        if j >= 1:
+            dz = dz - j * coeff * upow * uinv
+        upow = upow * uinv
+    return z, dz, u
+
+
+def reference_moments(curve, n):
+    """``t0``, ``t_1..t_n`` and ``v_0..v_n``, each ``k`` its own contour mean."""
+    z, dz, u = reference_boundary(curve)
+    zbar = np.conj(z)
+
+    def mean(f):
+        return complex(np.sum(f * dz * u)) / len(u)
+
+    t, zk = [], np.ones_like(z)
+    for k in range(1, n + 1):
+        zk = zk / z
+        t.append(mean(zk * zbar) / k)
+    integrand0 = 0.5 * zbar * np.log(np.abs(z)) - 0.25 * zbar
+    v0 = 4.0 * float(np.real(np.sum(integrand0 * dz * u))) / len(u)
+    v, zk = [complex(v0)], np.ones_like(z)
+    for k in range(1, n + 1):
+        zk = zk * z
+        v.append(mean(zk * zbar))
+    return mean(zbar).real, t, v
+
+
+def reference_curves():
+    """The seeded curves of the map tests, the A8 ellipse, two at 4096 samples."""
+    curves = seeded_curves(4, 5) + [ELLIPSE]
+    return curves + [BoundaryCurve(c.r, c.a, 4096) for c in curves[:2]]
+
+
+def sup_relative(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_horner_curve_matches_power_sum():
+    u = 1.25 * np.exp(2j * np.pi * np.arange(512) / 512)
+    for curve in reference_curves():
+        want = reference_z(curve, u)
+        assert sup_relative(curve.z_of(u), want) <= 1e-15
+        scalar = [curve.z_of(complex(x)) for x in u[::16]]
+        assert all(type(x) is complex for x in scalar)
+        want = [reference_z(curve, complex(x)) for x in u[::16]]
+        assert sup_relative(scalar, want) <= 1e-15
+        z, dz, grid = curve.boundary()
+        z_ref, dz_ref, grid_ref = reference_boundary(curve)
+        assert np.array_equal(grid, grid_ref)
+        assert sup_relative(z, z_ref) <= 1e-15
+        assert sup_relative(dz, dz_ref) <= 1e-15
+
+
+def test_quadrature_matches_per_moment_contour_means():
+    for curve in reference_curves():
+        t0, t, v = reference_moments(curve, 12)
+        m = moments_from_curve(curve, 12)
+        assert abs(m.t0 - t0) <= 1e-14
+        assert max(abs(x - y) for x, y in zip(m.t, t)) <= 1e-14
+        assert max(abs(x - y) for x, y in zip(v_moments_from_curve(curve, 12), v)) <= 1e-14
+
+
+def test_quadrature_memory_is_linear_in_samples():
+    # many moments at the largest sample count never hold an n x samples array
+    curve = BoundaryCurve(r=1.0, a=(0.0, 0.05, 0.02j), samples=MAX_SAMPLES)
+    tracemalloc.start()
+    try:
+        moments_from_curve(curve, 64)
+        v_moments_from_curve(curve, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * MAX_SAMPLES * 16  # 16 complex arrays; 64 rows would be 64

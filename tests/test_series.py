@@ -12,6 +12,7 @@ from taumap.series import (
     TruncatedSeries,
     TruncationPolicy,
     _Codec,
+    _Tail,
     series_from_json_terms,
     series_to_json_terms,
 )
@@ -356,6 +357,44 @@ def test_exp_equals_pairwise_reference_under_cutting_policies():
         for _ in range(4):
             s = rich_series(rng, pol, terms=6, factor_free=False)
             assert s.exp_no_constant() == reference_exp(s)
+
+
+def taylor_exp(x):
+    """``sum_m x^m / m!`` term by term: each power scaled by ``1/m`` and added."""
+    result = term = x.one()
+    m = 0
+    while True:
+        m += 1
+        term = (term * x).scaled(Fraction(1, m))
+        if not term.cells:
+            return result
+        result = result + term
+
+
+def listed(tail):
+    """A tail's cells and terms in their stored order, and its denominator."""
+    return [(key, list(cell.items())) for key, cell in tail.cells.items()], tail.den
+
+
+def test_tail_exp_equals_taylor_loop_in_value_and_order():
+    pol = TruncationPolicy(n_max=2, deg_max=4)
+    # x = t2 + u t1 + u^2 t1^2 - u^3 t1^3: the sum at u^3 t1^3 cancels after
+    # x^2 / 2 and comes back with x^3 / 6, behind the cells x^2 opened, as under +
+    t1, square = t(1, pol), t(1, pol) * t(1, pol)
+    cancelling = _Tail.from_series(
+        (3, 0), {(0, 0): t(2, pol), (1, 0): t1, (2, 0): square, (3, 0): -square * t1}
+    )
+    cells = list(taylor_exp(cancelling).cells)
+    assert cells.index((3, 0, 3)) > cells.index((1, 0, 2))
+    rng = random.Random(41)
+    tails = [cancelling]
+    tails.append(_Tail.from_series((0, 0), {(0, 0): rich_series(rng, pol, factor_free=False)}))
+    for orders in ((3, 0), (2, 2)):
+        y = rich_series(rng, pol, terms=6, factor_free=False)
+        z = tbar(2, pol) * t1 + rich_series(rng, pol, terms=3, factor_free=False)
+        tails.append(_Tail.from_series(orders, {(0, 1): y, (1, 0): z, (1, 1): y * z}))
+    for tail in tails:
+        assert listed(tail.exp()) == listed(taylor_exp(tail))
 
 
 def test_product_with_constants_and_pure_t0_terms():

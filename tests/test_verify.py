@@ -316,9 +316,9 @@ def test_degree_sums_majorized_by_geometric_tail():
 
 def test_degree_sums_reject_moments_outside_the_series_range():
     # moments far outside the convergence region give non-finite sums;
-    # they are named, not returned as nan (and raise no numpy warning)
+    # they are named, not returned as inf (and raise no numpy warning)
     potential, _ = build_potential(default_policy(3, 4))
-    with pytest.raises(ValueError, match=r"degree 2 term sum = nan is not finite"):
+    with pytest.raises(ValueError, match=r"degree 2 term sum = inf is not finite"):
         degree_term_sums(potential, MomentVector(0.5, (1e200,)))
     n = 2
     bound = 1.0 / (4 * n**3 * 2**n * math.exp(n))
