@@ -37,7 +37,6 @@ from .potential import (
     cauchy_data_check,
     default_policy,
     ellipse_oracle_check,
-    one_point_sector,
 )
 from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 from .verify import (

@@ -254,8 +254,8 @@ def _cmd_verify(args) -> int:
     policy = default_policy(args.nmax, args.degmax)
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
     order_j = _map_order(args, policy) if curve is not None else None
+    potential, build = _build_checked_potential(policy, map_order=order_j)
     cache = MemoCache()
-    potential, build = _build_checked_potential(policy, cache=cache, map_order=order_j)
 
     checks = [cauchy_data_check(potential, potential.k_max)]
     if policy.n_max >= 2:

@@ -21,7 +21,8 @@ layered recursion over compositions and ordered set partitions:
 The two sides cost differently: ``t2`` recurses over the unbarred list,
 one level per index, while the widths ``m`` and the placements range over
 the barred list.  The coefficient is symmetric in the two sides, and
-:mod:`taumap.potential` evaluates every key with the longer list unbarred.
+:func:`taumap.potential._oriented` names the cheap orientation, the longer
+list unbarred.
 
 Two choices keep the recursion cheap while its values stay exact:
 
@@ -218,20 +219,43 @@ def bounded_partitions(
 
     Indices are bounded by ``max_part`` and the total multiplicity by
     ``max_count``; output sides are in canonical (increasing index) order.
+    They come largest index first: by that index descending, then its
+    multiplicity descending, then the same over the rest.  The walk keeps
+    its choices on one stack, largest index at the bottom, and beside each
+    the weight and count left before it; it takes only choices whose
+    remainder the smaller indices can still fill, so it meets no dead end.
     """
-
-    def rec(remaining: int, largest: int, budget: int):
-        if remaining == 0:
-            yield ()
+    parts: list[tuple[int, int]] = []
+    left: list[tuple[int, int]] = []
+    remaining, budget, largest = total, max_count, max_part
+    while True:
+        if not remaining:
+            yield tuple(parts[::-1])
+        elif remaining <= largest * budget:
+            # the greedy choice leaves a remainder the smaller indices fill
+            idx = min(largest, remaining)
+            mult = min(budget, remaining // idx)
+            parts.append((idx, mult))
+            left.append((remaining, budget))
+            remaining, budget, largest = remaining - idx * mult, budget - mult, idx - 1
+            continue
+        # the next choice of the deepest entry that has one
+        while parts:
+            idx, mult = parts.pop()
+            remaining, budget = left[-1]
+            if mult > 1 and remaining - idx * (mult - 1) <= (idx - 1) * (budget - mult + 1):
+                mult -= 1
+            elif idx > 1 and remaining <= (idx - 1) * budget:
+                idx -= 1
+                mult = min(budget, remaining // idx)
+            else:
+                left.pop()
+                continue
+            parts.append((idx, mult))
+            remaining, budget, largest = remaining - idx * mult, budget - mult, idx - 1
+            break
+        else:
             return
-        if budget == 0:
-            return
-        for idx in range(min(largest, remaining), 0, -1):
-            for mult in range(min(budget, remaining // idx), 0, -1):
-                for rest in rec(remaining - idx * mult, idx - 1, budget - mult):
-                    yield rest + ((idx, mult),)
-
-    yield from rec(total, max_part, max_count)
 
 
 def bounded_compositions_count(

@@ -1,4 +1,5 @@
-"""Assembly of the truncated potential series from the coefficient engine.
+"""The truncated potential series: the Toda solver that builds it, the
+recursion it answers to, and its closed-form oracles.
 
 The potential is
 
@@ -12,22 +13,48 @@ degree, ``pref`` the product of ``index^mult / mult!`` over a side, and
 least one factor on each side enter; the linear summand freedom is fixed to
 zero, so the regular part has no constant or degree-1 terms.
 
-One walk, :func:`_admissible_keys`, states which keys a potential holds,
-and one loop, :func:`_terms`, orients each key, evaluates it and stores
-its monomial.  :func:`build_potential` runs it over the policy's keys,
-:func:`one_point_sector` over the keys that carry one unbarred ``t_k``
-beyond the index bound and nothing else beyond it: the keys that fix the
-map's ``B_k = d0 d_k F`` for ``k > n_max`` at moments cut at ``n_max``
-(see :func:`taumap.confmap.map_from_potential`).  A build given the
-largest map order it will serve carries that sector to the map.
+:func:`build_potential` does not evaluate ``N`` key by key.  It solves
+the mixed Toda equation that :func:`taumap.verify.toda_residual_c` checks,
 
-``N`` is invariant under exchanging the two sides of a key (the barred
-twin of the pair constraint, see :func:`taumap.verify.toda_residual_b`),
-but its cost is not, so every key is evaluated in one orientation only:
-the side with more factors goes unbarred, and a tie puts the larger side
-tuple unbarred (:func:`_oriented`).  The prefactors and the ``t0``
-exponent are the same both ways, so a key and its mirror share one
-``n1`` entry and the build is bar-exchange symmetric by construction.
+    1 - exp(-M) = R = u v t0 exp(X),   X = d0^2 F + P(u) + Q(v),
+
+with ``M = sum u^a v^b d_a dbar_b F / (a b)``,
+``P = sum u^a d0 d_a F / a`` and ``Q = sum v^b d0 dbar_b F / b``, one
+factor-degree slice at a time (:class:`_TodaSolver`).  ``X`` has no
+degree-0 part and ``d_a`` lowers the degree by one, so the slice ``M_d``
+needs ``F`` only through degree ``d + 1`` and fixes ``F_{d+2}``:
+
+* ``X_d`` is ``d0^2 F_d`` with ``P`` and ``Q`` from ``F_{d+1}``;
+* ``d E_d = sum_{j=1..d} j X_j E_{d-j}`` for ``E = exp(X)``, and
+  ``R_d = u v t0 E_d``;
+* ``M_0 = sum_{k <= n_max} (u v t0)^k / k``, and for ``d >= 1``
+  ``M_d = (1 - u v t0)^{-1} [R_d + (1/d) sum_{j=1..d-1} (d-j) R_j M_{d-j}]``;
+* a term of ``F_{d+2}`` with least unbarred index ``a`` and least barred
+  index ``b`` is read from the cell ``(a, b)`` of ``M_d``: its coefficient
+  is ``a b c / (n_a m_b)``, ``c`` the cell's coefficient on the monomial
+  less ``t_a tbar_b`` and ``n_a``, ``m_b`` the exponents of ``t_a``,
+  ``tbar_b`` in the term.
+
+Setting ``t_k = 0`` for ``k > n_max`` commutes with the equation's cells
+``a, b <= n_max``, so the slices live on the policy's own monomials, in
+tails (:class:`taumap.series._Tail`) of orders ``(n_max, n_max)``.  The
+map's ``B_k = d0 d_k F`` for ``k > n_max`` at moments cut at ``n_max``
+(see :func:`taumap.confmap.map_from_potential`) need the one-point
+sector: the terms that carry one unbarred ``t_k`` beyond the index bound
+and nothing else beyond it, ``sum_k t_k S_k`` with
+``S_k = d_k F |_{t_j = 0, j > n_max}``.  A build given the largest map
+order it will serve runs the ``u`` orders up to that ``k_max`` in the same
+pass: ``S_a`` enters ``P`` as ``u^a d0 S_a / a``, and the cell ``(a, b)``
+with ``a > n_max`` gives the term of ``S_a`` with least barred index
+``b`` as ``a b c / m_b``.
+
+The recursion for ``N`` stays as the exact oracle the solver answers to.
+:func:`_admissible_keys` is its walk over a policy's keys, and
+:func:`_term_coefficient` evaluates one key as written.  ``N`` is
+invariant under exchanging the two sides of a key, but its cost is not;
+:func:`_oriented` names the cheap orientation, which
+:func:`taumap.verify.toda_residual_b` uses to choose the keys it
+re-evaluates.
 
 This module also carries the two strong self-checks used as acceptance
 oracles: the restriction of mixed derivatives to the ``t0`` line (Cauchy
@@ -41,18 +68,26 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
-from typing import Iterable, Iterator
+from functools import reduce
+from math import factorial, lcm, prod
+from operator import add
+from typing import Iterator
 
 from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
-from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
+from .series import (
+    Monomial,
+    PotentialSeries,
+    TruncatedSeries,
+    TruncationPolicy,
+    _Codec,
+    _Tail,
+)
 
 __all__ = [
     "CheckResult",
     "BuildReport",
     "build_potential",
     "default_policy",
-    "one_point_sector",
     "cauchy_data_check",
     "ellipse_oracle_check",
     "ellipse_regular_series",
@@ -88,17 +123,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class BuildReport:
-    """What a build evaluated and kept, its time, and the memo table sizes.
-
-    ``table_sizes`` is :meth:`MemoCache.sizes` after the build; a cache
-    shared between builds reports its cumulative sizes.
-    """
+    """How many keys the policy admits, how many terms a build kept, and its time."""
 
     policy: TruncationPolicy
     keys_evaluated: int
     nonzero_terms: int
     elapsed: float
-    table_sizes: dict[str, int]
 
 
 def default_policy(n_max: int, deg_max: int) -> TruncationPolicy:
@@ -129,48 +159,59 @@ def _oriented(key: NKey) -> NKey:
     return key.swapped()
 
 
-def _admissible_keys(
-    policy: TruncationPolicy, sector: Iterable[int] | None = None
-) -> Iterator[tuple[NKey, int]]:
-    """Every key of ``policy`` with its ``t0`` exponent, by weight ascending;
-    given ``sector``, every key of the one-point sector at those indices.
+def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
+    """Every key of ``policy`` with its ``t0`` exponent, by weight ascending.
 
     Each side is a bounded partition of the weight (indices <= ``n_max``);
     the two sides share at most ``deg_max`` factors in total, with one
     factor minimum each, and the exponent ``weight - degree + 2`` is
     non-negative.  The weight is at most ``n_max * (deg_max - 1)``, so the
-    exponent is at most ``n_max * (deg_max - 1)`` too.
-
-    A sector key of index ``k > n_max`` has the same shape with ``t_k``
-    once more on its unbarred side, beside a partition of ``weight - k``;
-    the sector's keys come index by index, each by weight ascending.  The
-    sides of every weight are enumerated once per call, and an unbarred
-    side meets only the barred sides with few enough factors, in their
-    enumeration order: every pair visited is a key.
+    exponent is at most ``n_max * (deg_max - 1)`` too.  The sides of every
+    weight are enumerated once, and an unbarred side meets only the barred
+    sides with few enough factors, in their enumeration order: every pair
+    visited is a key.
     """
     n_max, deg_max = policy.n_max, policy.deg_max
     max_side = deg_max - 1
     max_weight = n_max * max_side if max_side > 0 else 0
-    sides = [
-        [(side, sum(m for _, m in side)) for side in bounded_partitions(w, n_max, max_side)]
-        for w in range(max_weight + 1)
-    ]
-    # within[w][c]: the sides of weight w with at most c factors, in order
-    within = [
-        [[(side, n) for side, n in group if n <= c] for c in range(max_side + 1)]
-        for group in sides
-    ]
-    # the policy's own keys carry no index beyond n_max: k = 0 stands for none
-    for k in (0,) if sector is None else sector:
-        extra = ((k, 1),) if k else ()
-        for weight in range(max(k, 1), max_weight + 1):
-            for rest, count in sides[weight - k]:
-                unbarred = rest + extra
-                plain_degree = count + len(extra)
-                # the degree is at most deg_max and weight + 2 (t0_power >= 0)
-                room = min(deg_max, weight + 2) - plain_degree
-                for barred, kbar in within[weight][max(room, 0)]:
-                    yield NKey(unbarred, barred, weight), weight - plain_degree - kbar + 2
+    for weight in range(1, max_weight + 1):
+        sides = [
+            (side, sum(m for _, m in side))
+            for side in bounded_partitions(weight, n_max, max_side)
+        ]
+        # within[c]: the sides with at most c factors, in order
+        within = [[(side, n) for side, n in sides if n <= c] for c in range(max_side + 1)]
+        for unbarred, count in sides:
+            # the degree is at most deg_max and weight + 2 (t0_power >= 0)
+            room = min(deg_max, weight + 2) - count
+            for barred, kbar in within[max(room, 0)]:
+                yield NKey(unbarred, barred, weight), weight - count - kbar + 2
+
+
+def _key_count(policy: TruncationPolicy) -> int:
+    """How many keys :func:`_admissible_keys` yields, from partition counts.
+
+    ``count[c][w]`` is the number of partitions of ``w`` into ``c`` parts of
+    at most ``n_max``; the keys of weight ``w`` pair every side with every
+    side of few enough factors.
+    """
+    n_max, deg_max = policy.n_max, policy.deg_max
+    max_side = deg_max - 1
+    if n_max < 1 or max_side < 1:
+        return 0
+    top = n_max * max_side
+    count = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(max_side)]
+    for part in range(1, n_max + 1):
+        for c in range(1, max_side + 1):
+            row, prev = count[c], count[c - 1]
+            for w in range(part, top + 1):
+                row[w] += prev[w - part]
+    return sum(
+        count[c1][w] * count[c2][w]
+        for w in range(1, top + 1)
+        for c1 in range(1, max_side + 1)
+        for c2 in range(1, min(deg_max, w + 2) - c1 + 1)
+    )
 
 
 def _term_coefficient(key: NKey, cache: MemoCache) -> Fraction:
@@ -185,23 +226,137 @@ def _term_coefficient(key: NKey, cache: MemoCache) -> Fraction:
     return coeff
 
 
-def _terms(
-    keys: Iterable[tuple[NKey, int]], cache: MemoCache
-) -> tuple[dict[Monomial, Fraction], int]:
-    """The nonzero potential terms of ``keys``, and how many keys there were.
+class _TodaSolver:
+    """The regular part and the one-point sector from the mixed Toda equation
+    (module docstring).
 
-    Each coefficient is evaluated in the orientation :func:`_oriented`
-    picks; the side prefactors and the ``t0`` exponent are the same both
-    ways, and the mirror of an evaluated key is a hit in ``cache.n1``.
+    Every slice is a tail of orders ``(k_max, n_max)`` under the policy's
+    codec holding one factor degree: ``X_d``, ``E_d``, ``M_d``, the terms of
+    ``F_d`` in the cell ``(0, 0, d)`` and those of ``S_a`` in the cells
+    ``(a, 0, d)``, ``a > n_max``.
     """
-    terms: dict[Monomial, Fraction] = {}
-    count = 0
-    for key, t0_power in keys:
-        count += 1
-        coeff = _term_coefficient(_oriented(key), cache)
-        if coeff:
-            terms[_monomial_for(key, t0_power)] = coeff
-    return terms, count
+
+    def __init__(self, policy: TruncationPolicy, k_max: int) -> None:
+        self.policy = policy
+        self.codec = codec = _Codec(policy)
+        self.orders = (max(policy.n_max, k_max), policy.n_max)
+        self.t0 = 1 << codec.t0_shift
+        self.one = self._tail({(0, 0, 0): {0: 1}})
+
+    def _tail(self, cells, den=1) -> _Tail:
+        return _Tail(self.codec, self.policy, self.orders, cells, den)
+
+    def solve(self) -> tuple[TruncatedSeries, TruncatedSeries | None]:
+        """The regular part and the sector, each slice computed once."""
+        n, deg_max = self.policy.n_max, self.policy.deg_max
+        one = self.one
+        # M_0 = -log(1 - u v t0), the one slice the recurrence below misses
+        den = lcm(*range(1, n + 1))
+        m = [self._tail({(k, k, 0): {k * self.t0: den // k} for k in range(1, n + 1)}, den)]
+        e, x = [one], [None]
+        f, s = {1: self._tail({})}, {}
+        for d in range(deg_max - 1):
+            if d:
+                x.append(self._sources(f[d], f[d + 1], s[d]))
+                e.append(one.products(
+                    [(Fraction(j, d), x[j], e[d - j]) for j in range(1, d + 1)]
+                ))
+                # M_d = sum_{k >= 1} (u v t0)^k [E_d + (1/d) sum (d-j) E_j M_{d-j}]
+                inner = one.products(
+                    [(1, e[d], one)]
+                    + [(Fraction(d - j, d), e[j], m[d - j]) for j in range(1, d)]
+                )
+                m.append(self._geometric(inner))
+            f[d + 2], s[d + 1] = self._read(m[d], d)
+        return self._series(f, s)
+
+    def _sources(self, lo: _Tail, hi: _Tail, sector: _Tail) -> _Tail:
+        """``X_d``: ``d0^2 F_d``, ``u^a d0 d_a F / a`` and ``v^b d0 dbar_b F / b``
+        from ``F_{d+1}``, and ``u^a d0 S_a / a`` from the sector slice."""
+        one, d0 = self.one, hi.diff_t0()
+        terms = [(1, lo.diff_t0().diff_t0(), one)]
+        for a in range(1, self.policy.n_max + 1):
+            terms.append((Fraction(1, a), d0.diff_t(a).shifted(a, 0), one))
+            terms.append((Fraction(1, a), d0.diff_t(a, barred=True).shifted(0, a), one))
+        for key, cell in sector.cells.items():
+            s_a = self._tail({key: cell}, sector.den)
+            terms.append((Fraction(1, key[0]), s_a.diff_t0(), one))
+        return one.products(terms)
+
+    def _geometric(self, inner: _Tail) -> _Tail:
+        """``sum_{k >= 1} (u v t0)^k inner``, cut at the orders."""
+        amax, bmax = self.orders
+        cells: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (a, b, d), cell in inner.cells.items():
+            for k in range(1, min(amax - a, bmax - b) + 1):
+                out = cells.setdefault((a + k, b + k, d), {})
+                shift = k * self.t0
+                for code, n in cell.items():
+                    out[code + shift] = out.get(code + shift, 0) + n
+        return self._tail(cells, inner.den)
+
+    def _read(self, m: _Tail, d: int) -> tuple[_Tail, _Tail]:
+        """``F_{d+2}`` and ``S`` at degree ``d + 1`` from the cells of ``M_d``.
+
+        A term of ``F`` with least unbarred index ``a`` and least barred
+        index ``b`` sits in cell ``(a, b)`` as ``n_a m_b / (a b)`` times its
+        coefficient, on its monomial less ``t_a tbar_b``; a cell ``a > n_max``
+        holds ``dbar_b S_a / (a b)`` the same way.
+        """
+        codec = self.codec
+        n, bits, mask = codec.n_max, codec.bits, codec.mask
+        scale = lcm(*range(1, self.policy.deg_max + 1)) ** 2
+        regular: dict[int, int] = {}
+        sector: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (a, b, _), cell in m.cells.items():
+            b_pos = (n + b - 1) * bits
+            below = ((1 << (b - 1) * bits) - 1) << n * bits
+            if a > n:
+                out = sector.setdefault((a, 0, d + 1), {})
+                for code, c in cell.items():
+                    if not code & below:
+                        code += 1 << b_pos
+                        out[code] = a * b * c * (scale // ((code >> b_pos) & mask))
+                continue
+            a_pos = (a - 1) * bits
+            below |= (1 << a_pos) - 1
+            step = (1 << a_pos) + (1 << b_pos)
+            for code, c in cell.items():
+                if not code & below:
+                    code += step
+                    na_mb = ((code >> a_pos) & mask) * ((code >> b_pos) & mask)
+                    regular[code] = a * b * c * (scale // na_mb)
+        den = m.den * scale
+        return self._tail({(0, 0, d + 2): regular}, den), self._tail(sector, den)
+
+    def _series(self, f, s) -> tuple[TruncatedSeries, TruncatedSeries | None]:
+        """The regular part, the sum of the ``F`` slices, and past ``n_max``
+        the sector ``sum_a t_a S_a`` under the policy ``(k_max, deg_max)``."""
+        n, deg_max = self.policy.n_max, self.policy.deg_max
+        total = reduce(add, f.values())
+        regular = TruncatedSeries._of(
+            _Tail(self.codec, self.policy, (0, 0), total.cells, total.den)
+        )
+        k_max = self.orders[0]
+        if k_max == n:
+            return regular, None
+        wide = TruncationPolicy(k_max, deg_max)
+        codec = _Codec(wide)
+        low = n * codec.bits
+        side = (1 << low) - 1
+        sector = _Tail(codec, wide, (0, 0), {})
+        for t in s.values():
+            cells: dict[tuple[int, int, int], dict[int, int]] = {}
+            for (a, _, d), cell in t.cells.items():
+                out = cells.setdefault((0, 0, d + 1), {})
+                t_a = 1 << (a - 1) * codec.bits
+                for code, num in cell.items():
+                    # the fields of tbar_1..tbar_n and of t0 move up past t_{n+1}..t_k
+                    barred, t0 = (code >> low) & side, code >> 2 * low
+                    out[(code & side) + t_a + (barred << k_max * codec.bits)
+                        + (t0 << codec.t0_shift)] = num
+            sector += _Tail(codec, wide, (0, 0), cells, t.den)
+        return regular, TruncatedSeries._of(sector)
 
 
 def build_potential(
@@ -209,34 +364,25 @@ def build_potential(
     cache: MemoCache | None = None,
     map_order: int | None = None,
 ) -> tuple[PotentialSeries, BuildReport]:
-    """Sum the coefficient recursion over every admissible key.
-
-    The keys are those of :func:`_admissible_keys`; ``keys_evaluated``
-    counts them, mirrors included.  Without a ``cache`` the build fills a
-    fresh one.
+    """Solve the mixed Toda equation for the potential, one degree slice at a time.
 
     ``map_order`` is the largest map order ``J`` the potential will serve.
     A map of order ``J`` reads ``B_k`` for ``k <= J + 1``; when that exceeds
-    ``n_max`` the potential also carries :func:`one_point_sector` up to
-    ``k_max = J + 1``.  The sector is evaluated on a fresh cache of its own,
-    so its tables are freed when the build returns, and it is not counted
-    in the report.
+    ``n_max`` the same pass also carries the one-point sector up to
+    ``k_max = J + 1``.  ``keys_evaluated`` counts the keys of
+    :func:`_admissible_keys`, the recursion's walk, without walking them.
+    The build reads no memo table: ``cache`` is accepted and not read, for
+    the callers that still pass one, until they stop.
     """
-    if cache is None:
-        cache = MemoCache()
     start = time.perf_counter()
-    terms, keys_evaluated = _terms(_admissible_keys(policy), cache)
-    regular = TruncatedSeries(policy, terms)
+    k_max = policy.n_max if map_order is None else max(policy.n_max, map_order + 1)
+    regular, sector = _TodaSolver(policy, k_max).solve()
     report = BuildReport(
         policy=policy,
-        keys_evaluated=keys_evaluated,
+        keys_evaluated=_key_count(policy),
         nonzero_terms=len(regular),
         elapsed=time.perf_counter() - start,
-        table_sizes=cache.sizes(),
     )
-    sector = None
-    if map_order is not None and map_order + 1 > policy.n_max:
-        sector = one_point_sector(policy, map_order + 1)
     potential = PotentialSeries(
         singular_log_coeff=Fraction(1, 2),
         singular_quad_coeff=Fraction(-3, 4),
@@ -244,26 +390,6 @@ def build_potential(
         sector=sector,
     )
     return potential, report
-
-
-def one_point_sector(
-    policy: TruncationPolicy,
-    k_max: int,
-    cache: MemoCache | None = None,
-) -> TruncatedSeries:
-    """Potential terms linear in one ``t_k`` with ``policy.n_max < k <= k_max``.
-
-    The keys are those :func:`_admissible_keys` walks at these ``k``, and
-    their terms are written as the build writes its own.  They are exactly
-    the terms of a build under ``(k_max, deg_max)`` that hold that ``t_k``
-    once and every other index at most ``n_max``, with the same
-    coefficients.  The result lives under that wider policy.
-    """
-    if cache is None:
-        cache = MemoCache()
-    n_max = policy.n_max
-    terms, _ = _terms(_admissible_keys(policy, range(n_max + 1, k_max + 1)), cache)
-    return TruncatedSeries(TruncationPolicy(max(n_max, k_max), policy.deg_max), terms)
 
 
 # -- Cauchy data oracle ------------------------------------------------------

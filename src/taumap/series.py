@@ -33,8 +33,8 @@ Design points:
   one implementation, on the tail: a product meets only the degree pairs
   that truncation keeps and its pair loop adds integer codes and
   multiplies integer numerators, and a derivative reads an exponent field
-  by shift and mask.  The Toda residuals of :mod:`taumap.verify` expand
-  their wider tails with the same class.
+  by shift and mask.  The Toda residuals of :mod:`taumap.verify` and the
+  potential's Toda solver expand their wider tails with the same class.
 * Validation and decoding happen at the boundary.  ``Monomial(...)``
   checks canonical order, and ``TruncatedSeries(policy, terms)`` --
   through which :meth:`TruncatedSeries.filter`,
@@ -296,22 +296,39 @@ class _Tail:
         return self._like(cells, self.den)
 
     def __mul__(self, other: "_Tail") -> "_Tail":
+        return self.products([(1, self, other)])
+
+    def products(self, terms) -> "_Tail":
+        """``sum q * left * right`` over ``terms`` of ``(q, left, right)``, a
+        tail like ``self``.
+
+        Every product goes into one integer accumulator over one common
+        denominator, each ``q`` folded into its left numerators, and the sum
+        is reduced once.
+        """
         amax, bmax = self.orders
         deg_max = self.policy.deg_max
+        scales = [Fraction(q) / (left.den * right.den) for q, left, right in terms]
+        den = lcm(*(s.denominator for s in scales))
         acc: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (a1, b1, d1), left in self.cells.items():
-            for (a2, b2, d2), right in other.cells.items():
-                a, b, d = a1 + a2, b1 + b2, d1 + d2
-                if a > amax or b > bmax or d > deg_max:
-                    continue
-                out = acc.setdefault((a, b, d), {})
-                get = out.get
-                right_items = right.items()
-                for code1, n1 in left.items():
-                    for code2, n2 in right_items:
-                        key = code1 + code2
-                        out[key] = get(key, 0) + n1 * n2
-        return self._like(acc, self.den * other.den)
+        for s, (_, lhs, rhs) in zip(scales, terms):
+            w = s.numerator * (den // s.denominator)
+            for (a1, b1, d1), left in lhs.cells.items():
+                if w != 1:
+                    left = {c: n * w for c, n in left.items()}
+                left_items = left.items()
+                for (a2, b2, d2), right in rhs.cells.items():
+                    a, b, d = a1 + a2, b1 + b2, d1 + d2
+                    if a > amax or b > bmax or d > deg_max:
+                        continue
+                    out = acc.setdefault((a, b, d), {})
+                    get = out.get
+                    right_items = right.items()
+                    for code1, n1 in left_items:
+                        for code2, n2 in right_items:
+                            key = code1 + code2
+                            out[key] = get(key, 0) + n1 * n2
+        return self._like(acc, den)
 
     def exp(self) -> "_Tail":
         """``sum_m self^m / m!`` for a tail with no term in the cell ``(0, 0, 0)``.
@@ -570,7 +587,7 @@ class PotentialSeries:
     each contain at least one unbarred and at least one barred factor.
 
     ``sector``, when present, is the potential's one-point sector beyond
-    ``n_max`` (:func:`taumap.potential.one_point_sector`): it supplies the
+    ``n_max`` (:func:`taumap.potential.build_potential`): it supplies the
     map's ``B_k`` for ``n_max < k <= k_max``.
     """
 

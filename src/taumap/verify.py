@@ -8,11 +8,12 @@ Three layers:
   :func:`toda_residual_c`).  The tails are the series ring's packed
   polynomials (:class:`taumap.series._Tail`), the storage of every
   series, so the derivative series enter the tails as they are stored and
-  only in-cone violations are decoded.  The barred twin of the
-  first constraint reduces to bar-exchange symmetry of the potential; since the build
-  evaluates each key and its mirror once, :func:`toda_residual_b` checks
-  that symmetry per coefficient, by evaluating every key the build
-  mirrored in its written orientation;
+  only in-cone violations are decoded.  The build solves the mixed
+  constraint itself, so on a built potential :func:`toda_residual_c`
+  tests how its terms fit together rather than the equation (see there).
+  The barred twin of the first constraint reduces to bar-exchange
+  symmetry of the potential; :func:`toda_residual_b` checks it per
+  coefficient against the coefficient recursion;
 * exact coefficient patterns: the factorial vanishing pattern of
   coefficients against an all-ones barred side
   (:func:`factorial_pattern_check`);
@@ -189,6 +190,17 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     ``P(u) = sum u^a d0 d_a F / a`` and ``Q(v) = sum v^b d0 dbar_b F / b``.
     The factor ``t0`` is the exact contribution of the singular part through
     ``exp(d0^2 (t0^2 log t0 / 2 - 3 t0^2 / 4)) = t0``.
+
+    :func:`taumap.potential.build_potential` solves this equation, so on
+    a built potential the cells with ``a, b <= n_max`` hold by
+    construction where the solver read its terms: each term comes from one
+    monomial of one such cell.  The other monomials of those cells meet
+    terms read from other cells, so they still test that the terms fit one
+    potential (that ``M`` is ``d_a dbar_b F`` of one ``F``).  Cells beyond
+    ``n_max`` would be independent evidence, but the cone admits none of
+    them with ``a, b >= 1``.  On a potential not built by the solver, such
+    as a corrupted one or one summed from the recursion, every cone cell
+    is evidence.
     """
     reg = potential.regular
     policy = reg.policy
@@ -240,14 +252,15 @@ def toda_residual_b(potential: PotentialSeries) -> CheckResult:
 
     Conjugating every operator in the unbarred constraint turns it into the
     barred one, so it holds iff the potential's coefficient collection is
-    invariant under exchanging barred and unbarred variables.  A build
-    evaluates every key in the orientation :func:`taumap.potential._oriented`
-    picks and is symmetric by construction, so comparing the series with its
-    :func:`bar_swap` would judge nothing.  Instead every admissible key that
-    the rule flips is evaluated as written, on a fresh cache, and compared
-    exactly with the built coefficient of its monomial; the built
-    coefficients of the key and of its mirror must also agree.  ``checked``
-    counts the flipped keys.
+    invariant under exchanging barred and unbarred variables.  The build
+    reads a term and its mirror from different cells, ``(a, b)`` and
+    ``(b, a)``, of the mixed equation, so the symmetry is not built in.
+    Every admissible key that :func:`taumap.potential._oriented` flips (the
+    cheap orientation of the recursion is its mirror) is evaluated as
+    written, on a fresh cache, and compared exactly with the built
+    coefficient of its monomial; the built coefficients of the key and of
+    its mirror must also agree.  So each flipped key is checked against the
+    recursion and against the symmetry.  ``checked`` counts the flipped keys.
     """
     reg = potential.regular
     cache = MemoCache()

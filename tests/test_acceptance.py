@@ -6,7 +6,7 @@ Gate A8 (the ellipse roundtrip at n_max=4, deg_max=6, J=8, tolerance 1e-5)
 needs the exterior-map one-point functions B_k = d0 d_k F up to k = J+1 = 9.
 Those beyond the index bound, such as B_6 = 20 a^3 + O(a^5) and
 B_8 = 70 a^4 + ..., come from the exact one-point sector of the potential
-(taumap.potential.one_point_sector), which the potential carries when it is
+(taumap.potential.build_potential), which the potential carries when it is
 built with map_order=8.  When they were taken as zero the gate
 sat on a floor of about 1.5e-4 at every degree bound; with the sector the
 errors fall monotonically to about 6.2e-7.

@@ -252,6 +252,30 @@ def test_bounded_partitions():
         assert sum(i * m for i, m in side) == 4
 
 
+def _recursive_bounded_partitions(total, max_part, max_count):
+    """The recursive enumeration ``bounded_partitions`` replaced."""
+    if total == 0:
+        yield ()
+        return
+    if max_count == 0:
+        return
+    for idx in range(min(max_part, total), 0, -1):
+        for mult in range(min(max_count, total // idx), 0, -1):
+            rests = _recursive_bounded_partitions(total - idx * mult, idx - 1, max_count - mult)
+            for rest in rests:
+                yield rest + ((idx, mult),)
+
+
+def test_bounded_partitions_match_recursive_reference():
+    # the key walks and their reference-order tests read this order
+    for total in range(0, 25):
+        for max_part in range(0, 11):
+            for max_count in range(0, 11):
+                assert list(bounded_partitions(total, max_part, max_count)) == list(
+                    _recursive_bounded_partitions(total, max_part, max_count)
+                ), (total, max_part, max_count)
+
+
 # -- t1 ---------------------------------------------------------------------------
 
 

@@ -15,15 +15,17 @@ from taumap.coefficients import MemoCache, NKey, bounded_partitions, n2_coeffici
 from taumap.confmap import MomentVector, map_from_potential
 from taumap import cli, potential as potential_module
 from taumap.potential import (
+    BuildReport,
     build_potential,
     cauchy_data_check,
     default_policy,
     ellipse_oracle_check,
     ellipse_regular_series,
-    one_point_sector,
 )
 from taumap.series import Monomial, TruncatedSeries, _Codec, series_to_json_terms
 from taumap.verify import bar_swap
+
+from helpers_recursion import recursion_potential, recursion_terms
 
 
 def coeff(potential, t0_power, plain, barred):
@@ -79,11 +81,15 @@ def test_build_report_counts(potential_44):
 
 
 def test_build_report_table_sizes():
+    # the report carries no table sizes: the build reads no table, and the
+    # recursion it is checked against fills every family's
+    assert "table_sizes" not in {f.name for f in dataclasses.fields(BuildReport)}
     cache = MemoCache()
-    _, report = build_potential(default_policy(3, 4), cache=cache)
-    assert report.table_sizes == cache.sizes()
-    assert set(report.table_sizes) == {"p", "t1", "t2", "s", "n1"}
-    assert all(size > 0 for size in report.table_sizes.values())
+    potential, _ = build_potential(default_policy(3, 4), cache=cache)
+    assert not any(cache.sizes().values())
+    assert recursion_potential(default_policy(3, 4), cache).regular == potential.regular
+    assert set(cache.sizes()) == {"p", "t1", "t2", "s", "n1"}
+    assert all(size > 0 for size in cache.sizes().values())
 
 
 # sha256 of the exact (6,6) potential, regular terms plus singular
@@ -124,7 +130,7 @@ SECTOR_56_12_SHA256 = "a639be9d05b2f60eace5c4ac104ef5178a422bc5fcfc89bb38839ad97
 
 
 def test_one_point_sector_56_is_bit_identical_to_pin():
-    sector = one_point_sector(default_policy(5, 6), 12, cache=MemoCache())
+    sector = build_potential(default_policy(5, 6), map_order=11)[0].sector
     blob = json.dumps(series_to_json_terms(sector), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == SECTOR_56_12_SHA256
     assert sector.policy == default_policy(12, 6)
@@ -147,13 +153,13 @@ def test_build_without_map_order_matches_benchmark_digest(n_max, deg_max):
 def test_map_order_adds_the_one_point_sector():
     policy = default_policy(4, 6)
     plain, plain_report = build_potential(policy)
-    cache = MemoCache()
-    mapped, mapped_report = build_potential(policy, cache, map_order=8)
+    mapped, mapped_report = build_potential(policy, map_order=8)
     assert mapped.regular == plain.regular
     assert mapped_report.keys_evaluated == plain_report.keys_evaluated
-    # the sector is evaluated on a cache of its own, not on the build's
-    assert cache.sizes() == mapped_report.table_sizes == plain_report.table_sizes
-    assert mapped.sector == one_point_sector(policy, 9)
+    assert mapped_report.nonzero_terms == plain_report.nonzero_terms
+    assert mapped.sector == TruncatedSeries(
+        default_policy(9, 6), recursion_terms(_sector_keys(policy, 9), MemoCache())
+    )
     assert mapped.sector.policy.n_max == mapped.k_max == 9
 
 
@@ -166,8 +172,9 @@ def test_map_order_within_n_max_builds_no_sector(map_order, k_max):
 
 
 def test_bar_conjugation_symmetry(potential_44):
-    # true by construction: a key and its mirror share one evaluation;
-    # toda_residual_b judges the symmetry per coefficient
+    # the solver reads a term and its mirror from the cells (a, b) and
+    # (b, a) of one equation; toda_residual_b judges the symmetry per
+    # coefficient against the recursion
     potential, _ = potential_44
     assert bar_swap(potential.regular) == potential.regular
 
@@ -212,14 +219,18 @@ def _policy_keys(policy):
         default_policy(6, 6),
         # deg_max binds: a side of 6 factors meets a single factor
         default_policy(3, 7),
+        default_policy(4, 8),
+        default_policy(3, 10),
+        pytest.param(default_policy(6, 8), marks=pytest.mark.slow),
+        pytest.param(default_policy(5, 9), marks=pytest.mark.slow),
     ],
     # the third field is the t0 exponent bound n_max * deg_max + 2 these
     # policies once carried; it keeps the test ids stable
     ids=lambda p: f"{p.n_max}-{p.deg_max}-{p.n_max * p.deg_max + 2}",
 )
 def test_build_equals_as_written_reference(policy):
-    # the build evaluates each mirror pair once, in one orientation; every
-    # key evaluated as written gives the same exact terms
+    # the build solves the mixed Toda equation; the paper's recursion, every
+    # key evaluated as written, gives the same exact terms
     potential, report = build_potential(policy, cache=MemoCache())
     expected = _as_written(_policy_keys(policy))
     got = dict(potential.regular.items())
@@ -229,21 +240,22 @@ def test_build_equals_as_written_reference(policy):
 
 
 def test_build_and_sector_evaluate_one_orientation():
-    # every coefficient the engine evaluates has at least as many unbarred
-    # factors as barred ones, and each mirror pair costs one n1 entry
+    # every coefficient the oriented recursion evaluates has at least as many
+    # unbarred factors as barred ones, and each mirror pair costs one n1 entry
     cache = MemoCache()
     policy = default_policy(5, 6)
-    _, report = build_potential(policy, cache=cache)
+    _, report = build_potential(policy)
+    recursion_potential(policy, cache)
     assert all(len(u) >= len(b) for u, b in cache.n1)
     pairs = {frozenset(((key.unbarred, key.barred), (key.barred, key.unbarred)))
              for key, _ in _policy_keys(policy)}
     assert len(cache.n1) == len(pairs) < report.keys_evaluated
-    one_point_sector(policy, 12, cache=cache)
+    recursion_terms(_sector_keys(policy, 12), cache)
     assert all(len(u) >= len(b) for u, b in cache.n1)
 
 
 def _sector_keys(policy, k_max):
-    """The one-point sector's keys, in the order ``one_point_sector`` visits them."""
+    """The one-point sector's keys: ``t_k`` once beyond ``n_max`` on the unbarred side."""
     n_max, max_side = policy.n_max, policy.deg_max - 1
     for k in range(n_max + 1, k_max + 1):
         for weight in range(k, n_max * max_side + 1):
@@ -257,11 +269,36 @@ def _sector_keys(policy, k_max):
 
 
 def test_one_point_sector_equals_as_written_reference():
-    policy = default_policy(4, 6)
-    sector = one_point_sector(policy, 9, cache=MemoCache())
-    expected = _as_written(_sector_keys(policy, 9))
+    assert_sector_equals_as_written_reference(4, 6, 9)
+
+
+@pytest.mark.parametrize(
+    "n_max, deg_max, k_max", [(4, 8, 9), pytest.param(4, 10, 9, marks=pytest.mark.slow)]
+)
+def test_one_point_sector_equals_as_written_reference_where_deg_max_binds(
+    n_max, deg_max, k_max
+):
+    assert_sector_equals_as_written_reference(n_max, deg_max, k_max)
+
+
+def assert_sector_equals_as_written_reference(n_max, deg_max, k_max):
+    policy = default_policy(n_max, deg_max)
+    sector = build_potential(policy, map_order=k_max - 1)[0].sector
+    expected = _as_written(_sector_keys(policy, k_max))
     assert expected
     assert dict(sector.items()) == expected
+
+
+@pytest.mark.parametrize(
+    "n_max, deg_max",
+    [(0, 4), (1, 1), (1, 2), (2, 2), (2, 4), (3, 7), (4, 1), (5, 6), (6, 7), (8, 6)],
+)
+def test_keys_evaluated_counts_the_walk(n_max, deg_max):
+    # the report counts the recursion's keys from partition counts; a policy
+    # with none is the exit-2 case of the potential checks
+    policy = default_policy(n_max, deg_max)
+    _, report = build_potential(policy)
+    assert report.keys_evaluated == sum(1 for _ in _policy_keys(policy))
 
 
 @pytest.mark.parametrize(
@@ -270,14 +307,6 @@ def test_one_point_sector_equals_as_written_reference():
 )
 def test_admissible_keys_in_reference_order(policy):
     assert list(potential_module._admissible_keys(policy)) == list(_policy_keys(policy))
-
-
-@pytest.mark.parametrize("n_max, k_max", [(4, 9), (5, 12)])
-def test_one_point_sector_evaluates_reference_key_sequence(n_max, k_max):
-    # one_point_sector evaluates exactly the keys of this walk, in its order
-    policy = default_policy(n_max, 6)
-    walk = potential_module._admissible_keys(policy, range(n_max + 1, k_max + 1))
-    assert list(walk) == list(_sector_keys(policy, k_max))
 
 
 def test_truncation_monotonicity():
@@ -398,7 +427,8 @@ def module_level_caches():
 
 def test_no_process_global_cache_after_builds_and_verify(capsys, tmp_path):
     policy = default_policy(4, 5)
-    _, first = build_potential(policy)
+    first = MemoCache()
+    recursion_potential(policy, first)
     build_potential(policy, map_order=6)
     curve = tmp_path / "curve.json"
     curve.write_text(json.dumps({"r": 1.0, "a": [[0.0, 0.0], [0.05, 0.0]]}))
@@ -408,6 +438,7 @@ def test_no_process_global_cache_after_builds_and_verify(capsys, tmp_path):
     scanned = {name for name in sys.modules if name.startswith("taumap.")}
     assert {f"taumap.{m}" for m in ("cli", "coefficients", "potential", "series", "verify")} <= scanned
     assert module_level_caches() == []
-    # a fresh build fills its own tables as the first one did
-    _, again = build_potential(policy)
-    assert again.table_sizes == first.table_sizes
+    # a fresh recursion fills its own tables as the first one did
+    again = MemoCache()
+    recursion_potential(policy, again)
+    assert again.sizes() == first.sizes()

@@ -28,6 +28,7 @@ from taumap.potential import CheckResult, build_potential, default_policy
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 from taumap.verify import toda_residual_a, toda_residual_c
 
+from helpers_recursion import recursion_potential
 from test_verify import multinomial_window_weight
 
 
@@ -283,7 +284,7 @@ def test_packed_residuals_equal_reference_on_multinomial_window_weight(monkeypat
     # the (6, 6) potential with the rejected window weight, which the
     # mixed constraint fails
     monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
-    potential, _ = build_potential(default_policy(6, 6), MemoCache())
+    potential = recursion_potential(default_policy(6, 6))
     _, residual_c = assert_same_residuals(potential, 4)
     assert not residual_c.ok
 

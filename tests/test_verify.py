@@ -25,6 +25,8 @@ from taumap.verify import (
     toda_residual_c,
 )
 
+from helpers_recursion import recursion_potential
+
 
 def multinomial_window_weight(l_window, surplus):
     """The rejected window weight ``l! / prod((l_r - 1)!)``, ``l`` the surplus."""
@@ -77,7 +79,7 @@ def test_residual_b_by_bar_symmetry(potential_44):
 
 
 def test_residual_b_judges_flipped_keys():
-    # 141 of the (5,6) keys are evaluated by the build as their mirror
+    # the orientation rule flips 141 of the (5,6) keys
     potential, _ = build_potential(default_policy(5, 6), MemoCache())
     report = toda_residual_b(potential)
     assert report.ok, report.violations[:5]
@@ -86,9 +88,10 @@ def test_residual_b_judges_flipped_keys():
 
 def test_residual_b_rejects_multinomial_window_weight(monkeypatch):
     # the multinomial weight breaks bar-exchange symmetry from four indices
-    # on; the build stays symmetric by construction, the check must not
+    # on; the recursion summed in one orientation per mirror pair stays
+    # symmetric by construction, the check must not
     monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
-    potential, _ = build_potential(default_policy(5, 6), MemoCache())
+    potential = recursion_potential(default_policy(5, 6))
     assert bar_swap(potential.regular) == potential.regular
     report = toda_residual_b(potential)
     assert not report.ok
@@ -213,7 +216,7 @@ def test_residuals_reject_multinomial_window_weight_at_46(monkeypatch):
     # the negative control fails both residuals at the policy and order of
     # the corruption sweep; the degree-and-index cone alone passed it there
     monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
-    potential, _ = build_potential(default_policy(4, 6), MemoCache())
+    potential = recursion_potential(default_policy(4, 6))
     assert not toda_residual_a(potential, 3).ok
     assert not toda_residual_c(potential, 3).ok
 
@@ -245,7 +248,7 @@ def test_residuals_arbitrate_window_weight_at_degree_six(residuals_order_4, monk
     assert good_c.ok
 
     monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
-    other, _ = build_potential(default_policy(6, 6), cache=MemoCache())
+    other = recursion_potential(default_policy(6, 6))
     assert not toda_residual_c(other, 4).ok
 
 
