@@ -8,7 +8,8 @@ the dispersionless 2D Toda constraints:
 
 * :mod:`taumap.series` -- exact truncated series ring in the moments;
 * :mod:`taumap.coefficients` -- the recursive Taylor coefficients;
-* :mod:`taumap.potential` -- assembly of the potential plus closed-form
+* :mod:`taumap.potential` -- the potential from the mixed Toda equation,
+  checked against the paper's combinatorial formula and closed-form
   oracles (Cauchy data, the ellipse family);
 * :mod:`taumap.confmap` -- the exterior map from the potential;
 * :mod:`taumap.moments` -- contour-quadrature moments of a given boundary;
@@ -35,6 +36,7 @@ from .potential import (
     CheckResult,
     build_potential,
     cauchy_data_check,
+    combinatorial_formula_check,
     default_policy,
     ellipse_oracle_check,
 )

@@ -49,6 +49,7 @@ from .potential import (
     CheckResult,
     build_potential,
     cauchy_data_check,
+    combinatorial_formula_check,
     default_policy,
     ellipse_oracle_check,
 )
@@ -147,6 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeffs(args) -> int:
+    if args.imax < 1:
+        raise ValueError(f"--imax must be >= 1, got {args.imax}")
+    if args.degmax < 2:
+        raise ValueError(f"--degmax must be >= 2, got {args.degmax}")
     rows = []
     cache = MemoCache()
     for weight in range(1, args.imax + 1):
@@ -250,6 +255,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(
             f"--roundtrip-tol must be finite and >= 0, got {args.roundtrip_tol}"
         )
+    if args.order_j is not None and args.in_path is None:
+        raise ValueError("--order-J sets the roundtrip's map order: it needs --in")
     curve = curve_from_json(_read_json(args.in_path)) if args.in_path else None
     policy = default_policy(args.nmax, args.degmax)
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
@@ -257,7 +264,10 @@ def _cmd_verify(args) -> int:
     potential, build = _build_checked_potential(policy, map_order=order_j)
     cache = MemoCache()
 
-    checks = [cauchy_data_check(potential, potential.k_max)]
+    checks = [
+        combinatorial_formula_check(potential),
+        cauchy_data_check(potential, potential.k_max),
+    ]
     if policy.n_max >= 2:
         checks.append(ellipse_oracle_check(potential))
     checks += [

@@ -289,7 +289,9 @@ def map_from_potential(
     its ``k_max`` from the one-point sector it carries (build it with
     ``map_order >= J``).  Moments beyond ``n_max`` are ignored throughout,
     as the potential has no terms in them.  Any ``B_k`` beyond ``k_max`` is
-    taken as zero, with one ``UserWarning``.
+    taken as zero, with one ``UserWarning``; it is a warning, not an error,
+    while the benchmark's workloads (``perfbench/workloads.py``) map
+    without a sector.
 
     ``A`` so large either way that ``p`` leaves the floating-point range
     raises ``ValueError``: such moments lie far outside the region where

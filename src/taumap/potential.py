@@ -48,15 +48,15 @@ pass: ``S_a`` enters ``P`` as ``u^a d0 S_a / a``, and the cell ``(a, b)``
 with ``a > n_max`` gives the term of ``S_a`` with least barred index
 ``b`` as ``a b c / m_b``.
 
-The recursion for ``N`` stays as the exact oracle the solver answers to.
-:func:`_admissible_keys` is its walk over a policy's keys, and
-:func:`_term_coefficient` evaluates one key as written.  ``N`` is
-invariant under exchanging the two sides of a key, but its cost is not;
-:func:`_oriented` names the cheap orientation, which
-:func:`taumap.verify.toda_residual_b` uses to choose the keys it
-re-evaluates.
+The recursion for ``N`` stays as the exact oracle the solver answers to:
+the paper's combinatorial formula.  :func:`_admissible_keys` is its walk
+over a policy's keys, :func:`recursion_terms` sums it over given keys and
+:func:`combinatorial_formula_check` requires the regular part to equal that
+sum over every key of the policy.  ``N`` is invariant under exchanging the
+two sides of a key, but its cost is not; :func:`_oriented` names the cheap
+orientation, in which the oracle evaluates each key.
 
-This module also carries the two strong self-checks used as acceptance
+This module also carries two more strong self-checks used as acceptance
 oracles: the restriction of mixed derivatives to the ``t0`` line (Cauchy
 data) and the closed-form potential of the ellipse family (all indices
 <= 2), both as exact rational comparisons.  Every check of the package,
@@ -71,7 +71,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm, prod
 from operator import add
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from .series import (
@@ -88,6 +88,9 @@ __all__ = [
     "BuildReport",
     "build_potential",
     "default_policy",
+    "recursion_terms",
+    "recursion_potential",
+    "combinatorial_formula_check",
     "cauchy_data_check",
     "ellipse_oracle_check",
     "ellipse_regular_series",
@@ -111,6 +114,19 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.violations
 
+    @classmethod
+    def of_terms(cls, name: str, built: dict, expected: dict, label: str) -> CheckResult:
+        """``built`` against ``expected``, two ``{Monomial: Fraction}`` maps,
+        exactly at every monomial of either (a missing one reads 0);
+        ``checked`` counts those monomials."""
+        monos = built.keys() | expected.keys()
+        bad = [m for m in monos if built.get(m, 0) != expected.get(m, 0)]
+        violations = [
+            f"{m}: built {built.get(m, 0)}, {label} {expected.get(m, 0)}"
+            for m in sorted(bad, key=Monomial.sort_key)
+        ]
+        return cls(name, len(monos), violations)
+
     def to_json(self) -> dict:
         """``{"pass", "checked", "violations"}`` with the metrics alongside."""
         return {
@@ -132,19 +148,16 @@ class BuildReport:
 
 
 def default_policy(n_max: int, deg_max: int) -> TruncationPolicy:
-    """The policy of a build at index bound ``n_max`` and degree bound ``deg_max``."""
+    """The policy of a build at index bound ``n_max`` and degree bound ``deg_max``.
+
+    It is ``TruncationPolicy(n_max, deg_max)`` and stays while the
+    benchmark's workloads (``perfbench/workloads.py``) call it.
+    """
     return TruncationPolicy(n_max=n_max, deg_max=deg_max)
 
 
-def _monomial_for(key: NKey, t0_power: int) -> Monomial:
-    factors = tuple((idx, False, mult) for idx, mult in key.unbarred) + tuple(
-        (idx, True, mult) for idx, mult in key.barred
-    )
-    return Monomial(t0_power, factors)
-
-
 def _oriented(key: NKey) -> NKey:
-    """The orientation of ``key`` the engine evaluates.
+    """The orientation of ``key`` the recursion oracle evaluates.
 
     ``N`` is invariant under exchanging the two sides, but its cost is not:
     ``t2`` recurses over the unbarred list and the placements over the
@@ -214,16 +227,37 @@ def _key_count(policy: TruncationPolicy) -> int:
     )
 
 
-def _term_coefficient(key: NKey, cache: MemoCache) -> Fraction:
-    """``pref(unbarred) * pref(barred) * N(key)``, with ``key`` evaluated as written."""
-    coeff = n2_coefficient(key, cache)
-    if coeff:
+def recursion_terms(
+    keys: Iterable[tuple[NKey, int]], cache: MemoCache
+) -> dict[Monomial, Fraction]:
+    """``pref(unbarred) * pref(barred) * N(key)`` for every key, zero or not,
+    by monomial.
+
+    ``keys`` are ``(key, t0 exponent)`` pairs; ``N`` is evaluated in the
+    orientation :func:`_oriented` picks, on ``cache``.
+    """
+    terms = {}
+    for key, t0_power in keys:
+        coeff = n2_coefficient(_oriented(key), cache)
         num, den = coeff.numerator, coeff.denominator
         for idx, mult in key.unbarred + key.barred:
             num *= idx**mult
             den *= factorial(mult)
-        coeff = Fraction(num, den)
-    return coeff
+        factors = tuple((i, False, m) for i, m in key.unbarred)
+        factors += tuple((i, True, m) for i, m in key.barred)
+        terms[Monomial(t0_power, factors)] = Fraction(num, den)
+    return terms
+
+
+def recursion_potential(
+    policy: TruncationPolicy, cache: MemoCache | None = None
+) -> PotentialSeries:
+    """The potential of ``policy`` summed from the recursion over every key,
+    on ``cache`` or a fresh one: the reference the solver is checked against."""
+    if cache is None:
+        cache = MemoCache()
+    terms = recursion_terms(_admissible_keys(policy), cache)
+    return PotentialSeries(Fraction(1, 2), Fraction(-3, 4), TruncatedSeries(policy, terms))
 
 
 class _TodaSolver:
@@ -371,8 +405,9 @@ def build_potential(
     ``n_max`` the same pass also carries the one-point sector up to
     ``k_max = J + 1``.  ``keys_evaluated`` counts the keys of
     :func:`_admissible_keys`, the recursion's walk, without walking them.
-    The build reads no memo table: ``cache`` is accepted and not read, for
-    the callers that still pass one, until they stop.
+    The build reads no memo table: ``cache`` is accepted and not read.  It
+    stays while the benchmark's workloads (``perfbench/workloads.py``) pass
+    one.
     """
     start = time.perf_counter()
     k_max = policy.n_max if map_order is None else max(policy.n_max, map_order + 1)
@@ -390,6 +425,23 @@ def build_potential(
         sector=sector,
     )
     return potential, report
+
+
+# -- combinatorial formula oracle --------------------------------------------
+
+
+def combinatorial_formula_check(potential: PotentialSeries) -> CheckResult:
+    """The regular part against the paper's recursion, term by term.
+
+    Every key of :func:`_admissible_keys` is evaluated on a fresh cache
+    (:func:`recursion_terms`), and the built coefficient of its monomial
+    must equal it exactly; a built term on a monomial that is no key must
+    not exist.  ``checked`` counts the monomials compared: the keys, plus
+    any built term outside them.
+    """
+    reg = potential.regular
+    formula = recursion_terms(_admissible_keys(reg.policy), MemoCache())
+    return CheckResult.of_terms("combinatorial_formula", dict(reg.items()), formula, "formula")
 
 
 # -- Cauchy data oracle ------------------------------------------------------
@@ -503,12 +555,6 @@ def ellipse_oracle_check(potential: PotentialSeries) -> CheckResult:
         raise ValueError("ellipse oracle needs n_max >= 2")
     expected = ellipse_regular_series(policy)
     low = reg.filter(lambda m: all(k <= 2 for k, _, _ in m.factors))
-
-    violations = []
-    keys = set(dict(expected.items())) | set(dict(low.items()))
-    for mono in sorted(keys, key=lambda m: m.sort_key()):
-        a = low.coefficient(mono)
-        b = expected.coefficient(mono)
-        if a != b:
-            violations.append(f"{mono}: built {a}, closed form {b}")
-    return CheckResult("ellipse_closed_form", len(keys), violations)
+    return CheckResult.of_terms(
+        "ellipse_closed_form", dict(low.items()), dict(expected.items()), "closed form"
+    )

@@ -61,7 +61,7 @@ def gate_line(tag: str, name: str, ok: bool, detail: str = "") -> None:
 
 def test_a01_ellipse_closed_form_exact():
     start = time.perf_counter()
-    potential, _ = build_potential(default_policy(2, 4), cache=MemoCache())
+    potential, _ = build_potential(default_policy(2, 4))
     report = ellipse_oracle_check(potential)
     elapsed = time.perf_counter() - start
     ok = report.ok and elapsed <= 10.0
@@ -73,7 +73,7 @@ def test_a01_ellipse_closed_form_exact():
 
 def test_a02_cauchy_data_exact_through_weight_six():
     start = time.perf_counter()
-    potential, _ = build_potential(default_policy(6, 6), cache=MemoCache())
+    potential, _ = build_potential(default_policy(6, 6))
     report = cauchy_data_check(potential, 6)
     elapsed = time.perf_counter() - start
     ok = report.ok and elapsed <= 60.0
@@ -115,7 +115,7 @@ def test_a04_bar_exchange_symmetry():
 
 def test_a05_hierarchy_residuals_vanish():
     start = time.perf_counter()
-    potential, _ = build_potential(default_policy(4, 4), cache=MemoCache())
+    potential, _ = build_potential(default_policy(4, 4))
     rep_a = toda_residual_a(potential, 4)
     rep_c = toda_residual_c(potential, 4)
     rep_b = toda_residual_b(potential)
@@ -263,12 +263,9 @@ def test_a08_roundtrip_at_pinned_policy():
     )
     moments_ok = moment_err <= 1e-10
 
-    cache = MemoCache()
     errors = {}
     for deg in (3, 4, 5, 6):
-        potential, _ = build_potential(
-            default_policy(4, deg), cache=cache, map_order=8
-        )
+        potential, _ = build_potential(default_policy(4, deg), map_order=8)
         report = roundtrip(ELLIPSE_CURVE, potential, order=8, test_radius=1.25)
         errors[deg] = report.sup_error
     elapsed = time.perf_counter() - start
@@ -292,7 +289,7 @@ def test_a08_roundtrip_at_pinned_policy():
 
 
 def test_a09_dual_moment_consistency():
-    potential, _ = build_potential(default_policy(4, 6), cache=MemoCache())
+    potential, _ = build_potential(default_policy(4, 6))
     m = moments_from_curve(ELLIPSE_CURVE, 4)
     v = v_moments_from_curve(ELLIPSE_CURVE, 4)
     worst = 0.0
@@ -318,7 +315,7 @@ def test_a10_convergence_gate_and_majorant():
         and not tail.admissible
     )
 
-    potential, _ = build_potential(default_policy(2, 8), cache=MemoCache())
+    potential, _ = build_potential(default_policy(2, 8))
     fixture = MomentVector(t0=0.5, t=(bound, 0.9 * bound))
     assert convergence_gate(fixture, n).admissible
     sums = degree_term_sums(potential, fixture)

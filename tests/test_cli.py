@@ -68,6 +68,19 @@ def test_coeffs_json_format(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flag, value, bound",
+    [("--imax", "-1", 1), ("--imax", "0", 1), ("--degmax", "-2", 2), ("--degmax", "0", 2),
+     ("--degmax", "1", 2)],
+)
+def test_coeffs_rejects_a_bound_without_rows(capsys, flag, value, bound):
+    # these bounds admit no key; the table used to be its header alone, exit 0
+    code, out, err = run_cli(["coeffs", flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= {bound}, got {value}\n"
+
+
 def test_potential_round_trips_through_reader(tmp_path, capsys):
     from taumap.potential import build_potential, default_policy
     from taumap.series import series_from_json_terms
@@ -136,7 +149,7 @@ def test_verify_passes_and_reports(tmp_path, capsys):
 
 
 # sha256 of `taumap verify --nmax 5 --degmax 6 --order 4` stdout, no --in
-VERIFY_56_SHA256 = "f07939127120f5de02d1f8805a6bdf823a1e23611c74f83f13eca0fae33ce952"
+VERIFY_56_SHA256 = "32c6b5566079267c29aedde9387ca4ef972bc41e7c218ba878f6d19946da33d9"
 
 
 def test_verify_report_is_pinned(capsys):
@@ -144,6 +157,10 @@ def test_verify_report_is_pinned(capsys):
     code, out, _ = run_cli(["verify", "--nmax", "5", "--degmax", "6", "--order", "4"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_56_SHA256
+    # the combinatorial formula judges every key the build's report counts
+    report = json.loads(out)
+    assert report["checks"]["combinatorial_formula"]["checked"] == 336
+    assert report["build"]["keys_evaluated"] == 336
 
 
 def test_verify_with_curve_fixture(tmp_path, capsys):
@@ -225,6 +242,14 @@ def test_verify_passes_where_index_bound_cuts_the_cone(capsys):
         assert report["pass"] is True
         for name in ("residual_a", "residual_c"):
             assert report["checks"][name]["checked"] > 0, (args, name)
+
+
+def test_verify_rejects_a_map_order_without_a_curve(capsys):
+    # --order-J is the roundtrip's map order; without --in it used to be ignored
+    code, out, err = run_cli(["verify", "--nmax", "2", "--degmax", "3", "--order-J", "8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --order-J sets the roundtrip's map order: it needs --in\n"
 
 
 def test_verify_rejects_negative_order(capsys):

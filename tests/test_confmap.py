@@ -9,7 +9,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from taumap.coefficients import MemoCache
 from taumap.confmap import (
     ExteriorMapSeries,
     MomentVector,
@@ -190,7 +189,7 @@ def test_moment_vector_names_a_non_finite_moment():
 
 @pytest.fixture(scope="module")
 def potential_86():
-    potential, _ = build_potential(default_policy(8, 6), MemoCache())
+    potential, _ = build_potential(default_policy(8, 6))
     return potential
 
 
@@ -326,7 +325,7 @@ def count_derivatives(monkeypatch):
 
 
 def test_second_map_takes_no_derivative(monkeypatch):
-    potential, _ = build_potential(default_policy(3, 4), MemoCache())
+    potential, _ = build_potential(default_policy(3, 4))
     assert potential._map_kernel is None  # the build does not compile it
     calls = count_derivatives(monkeypatch)
     m = MomentVector(t0=0.9, t=(0.01 + 0.02j, -0.003j, 0.001))
@@ -338,7 +337,7 @@ def test_second_map_takes_no_derivative(monkeypatch):
 
 
 def test_kernel_holds_the_sector_rows_and_compiles_once(monkeypatch):
-    potential, _ = build_potential(default_policy(3, 4), MemoCache(), map_order=5)
+    potential, _ = build_potential(default_policy(3, 4), map_order=5)
     assert potential.k_max == 6
     calls = count_derivatives(monkeypatch)
     m = MomentVector(t0=0.9, t=(0.01 + 0.02j, -0.003j, 0.001))

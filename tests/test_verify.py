@@ -3,16 +3,19 @@
 import itertools
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from taumap import coefficients
-from taumap.coefficients import MemoCache
 from taumap.confmap import MomentVector, map_from_potential
 from taumap.moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
-from taumap.potential import build_potential, default_policy
+from taumap.potential import (
+    build_potential,
+    combinatorial_formula_check,
+    default_policy,
+    recursion_potential,
+)
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries
 from taumap.verify import (
     bar_swap,
@@ -24,8 +27,6 @@ from taumap.verify import (
     toda_residual_b,
     toda_residual_c,
 )
-
-from helpers_recursion import recursion_potential
 
 
 def multinomial_window_weight(l_window, surplus):
@@ -49,7 +50,7 @@ def residuals_order_4():
 
     def get(n_max, deg_max):
         if (n_max, deg_max) not in done:
-            potential, _ = build_potential(default_policy(n_max, deg_max), MemoCache())
+            potential, _ = build_potential(default_policy(n_max, deg_max))
             done[n_max, deg_max] = (
                 toda_residual_a(potential, 4),
                 toda_residual_c(potential, 4),
@@ -78,63 +79,47 @@ def test_residual_b_by_bar_symmetry(potential_44):
     assert report.ok, report.violations[:5]
 
 
-def test_residual_b_judges_flipped_keys():
-    # the orientation rule flips 141 of the (5,6) keys
-    potential, _ = build_potential(default_policy(5, 6), MemoCache())
-    report = toda_residual_b(potential)
-    assert report.ok, report.violations[:5]
-    assert report.checked == 141
+def test_residual_b_judges_every_monomial():
+    # every one of the 328 terms of the (5,6) build meets its mirror
+    potential, report = build_potential(default_policy(5, 6))
+    result = toda_residual_b(potential)
+    assert result.ok, result.violations[:5]
+    assert result.checked == report.nonzero_terms == 328
 
 
-def test_residual_b_rejects_multinomial_window_weight(monkeypatch):
-    # the multinomial weight breaks bar-exchange symmetry from four indices
-    # on; the recursion summed in one orientation per mirror pair stays
-    # symmetric by construction, the check must not
+def test_combinatorial_formula_rejects_multinomial_window_weight(monkeypatch):
+    # the multinomial weight changes coefficients from index lists of
+    # length four on; the recursion summed in one orientation per mirror
+    # pair stays symmetric by construction, so the term-by-term comparison
+    # with the solver build, which reads no window weight, must reject it
     monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
-    potential = recursion_potential(default_policy(5, 6))
-    assert bar_swap(potential.regular) == potential.regular
-    report = toda_residual_b(potential)
+    potential, _ = build_potential(default_policy(5, 6))
+    other = recursion_potential(default_policy(5, 6))
+    assert bar_swap(other.regular) == other.regular
+    report = combinatorial_formula_check(potential)
     assert not report.ok
-    assert report.checked == 141
-    assert all("evaluated as written" in v for v in report.violations)
+    assert report.checked == 336
+    assert len(report.violations) == 74
+    assert report.violations[0] == "t1^4 * tbar2^2: built 0, formula -1/4"
 
 
 def test_residual_b_detects_an_asymmetric_potential(potential_44):
-    reg = potential_44.regular
-    # t0 t1^2 tbar2 is evaluated as written, t0 t2 tbar1^2 as its mirror
+    # either member of a mirror pair, perturbed, breaks the identity
     for mono in (
         Monomial(1, ((1, False, 2), (2, True, 1))),
         Monomial(1, ((2, False, 1), (1, True, 2))),
     ):
-        bad = PotentialSeries(
-            potential_44.singular_log_coeff,
-            potential_44.singular_quad_coeff,
-            reg + TruncatedSeries(reg.policy, {mono: Fraction(1, 7)}),
-        )
-        assert not toda_residual_b(bad).ok, mono
+        assert not toda_residual_b(corrupted_once(potential_44, mono)).ok, mono
 
 
 def test_residuals_detect_a_corrupted_potential(potential_44):
     # perturbing coefficients must break the exact identities inside the cone
-    reg = potential_44.regular
-
     pair = Monomial(1, ((1, False, 1), (1, True, 1)))
-    bad_c = PotentialSeries(
-        potential_44.singular_log_coeff,
-        potential_44.singular_quad_coeff,
-        reg + TruncatedSeries(reg.policy, {pair: Fraction(1, 7)}),
-    )
-    assert not toda_residual_c(bad_c, 4).ok
-
+    assert not toda_residual_c(corrupted_once(potential_44, pair), 4).ok
     # the pair constraint sees only plain derivatives, so corrupt a monomial
     # with two plain factors
     twist = Monomial(1, ((1, False, 2), (2, True, 1)))
-    bad_a = PotentialSeries(
-        potential_44.singular_log_coeff,
-        potential_44.singular_quad_coeff,
-        reg + TruncatedSeries(reg.policy, {twist: Fraction(1, 7)}),
-    )
-    assert not toda_residual_a(bad_a, 4).ok
+    assert not toda_residual_a(corrupted_once(potential_44, twist), 4).ok
 
 
 def test_residual_order_capped_by_policy(potential_44):
@@ -170,7 +155,7 @@ def test_residual_cone_cells_where_degree_binds(residuals_order_4, n_max, deg_ma
 def test_residual_cone_vanishes_at_every_order(n_max, deg_max):
     # the cone holds every cell with max(a, b) <= n_max and d <= deg_max - 2;
     # on a correct build both residuals vanish there at every order
-    potential, _ = build_potential(default_policy(n_max, deg_max), MemoCache())
+    potential, _ = build_potential(default_policy(n_max, deg_max))
     for order in range(n_max + 1):
         for residual in (toda_residual_a, toda_residual_c):
             report = residual(potential, order)
@@ -178,10 +163,11 @@ def test_residual_cone_vanishes_at_every_order(n_max, deg_max):
 
 
 def corrupted_once(potential, mono):
-    """``potential`` with the coefficient ``c`` of ``mono`` replaced by ``2c + 1``."""
+    """``potential`` with the coefficient ``c`` of ``mono`` (0 if it has no
+    such term) replaced by ``2c + 1``."""
     reg = potential.regular
     terms = dict(reg.items())
-    terms[mono] = 2 * terms[mono] + 1
+    terms[mono] = 2 * terms.get(mono, 0) + 1
     return PotentialSeries(
         potential.singular_log_coeff,
         potential.singular_quad_coeff,
@@ -192,7 +178,7 @@ def corrupted_once(potential, mono):
 def assert_residual_c_catches_every_corruption(n_max, deg_max):
     # residual_c at order n_max - 1 judges a cell through which every
     # coefficient of the build enters
-    potential, _ = build_potential(default_policy(n_max, deg_max), MemoCache())
+    potential, _ = build_potential(default_policy(n_max, deg_max))
     monos = [mono for mono, _ in potential.regular.sorted_items()]
     missed = [
         mono
@@ -201,6 +187,20 @@ def assert_residual_c_catches_every_corruption(n_max, deg_max):
     ]
     assert not missed, missed[:5]
     return len(monos)
+
+
+@pytest.mark.parametrize(
+    "mono, built, formula",
+    [
+        (Monomial(1, ((1, False, 2), (2, True, 1))), 3, 1),
+        # weight 2 against weight 1: no key of the formula
+        (Monomial(2, ((2, False, 1), (1, True, 1))), 1, 0),
+    ],
+    ids=["corrupted", "outside-the-keys"],
+)
+def test_combinatorial_formula_names_the_one_wrong_monomial(potential_44, mono, built, formula):
+    report = combinatorial_formula_check(corrupted_once(potential_44, mono))
+    assert report.violations == [f"{mono}: built {built}, formula {formula}"]
 
 
 def test_residual_c_catches_every_single_corruption_at_46():
@@ -363,10 +363,8 @@ def test_degree_sums_match_per_monomial_loop(potential_44):
 CURVE = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
 
 
-def built(n_max, deg_max, cache=None, map_order=None):
-    potential, _ = build_potential(
-        default_policy(n_max, deg_max), cache=cache, map_order=map_order
-    )
+def built(n_max, deg_max, map_order=None):
+    potential, _ = build_potential(default_policy(n_max, deg_max), map_order=map_order)
     return potential
 
 
@@ -394,12 +392,9 @@ def test_roundtrip_small_disk_admissible():
 
 
 def test_roundtrip_ellipse_policy_sweep_and_warning():
-    cache = MemoCache()
     errors = {}
     for deg in (3, 6):
-        report = roundtrip(
-            CURVE, built(4, deg, cache, map_order=8), order=8, test_radius=1.25
-        )
+        report = roundtrip(CURVE, built(4, deg, map_order=8), order=8, test_radius=1.25)
         errors[deg] = report.sup_error
         assert report.warnings  # t2 exceeds the sufficient bound
     assert errors[6] < errors[3]
@@ -407,10 +402,7 @@ def test_roundtrip_ellipse_policy_sweep_and_warning():
 
 
 def test_roundtrip_error_attains_target_at_higher_index_cutoff():
-    cache = MemoCache()
-    report = roundtrip(
-        CURVE, built(8, 6, cache, map_order=12), order=12, test_radius=1.25
-    )
+    report = roundtrip(CURVE, built(8, 6, map_order=12), order=12, test_radius=1.25)
     assert report.sup_error <= 1e-5
     assert abs(report.p - 1.0) <= 1e-9
 
@@ -420,11 +412,8 @@ def test_roundtrip_asymmetric_curve_matches_full_index_build():
     # none beyond; at n_max = 4 the one-point sector supplies B_5..B_9, and
     # the roundtrip must equal the map from a full (9, 5) build
     curve = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
-    cache = MemoCache()
-    report = roundtrip(
-        curve, built(4, 5, cache, map_order=8), order=8, test_radius=1.25
-    )
-    full, _ = build_potential(default_policy(9, 5), cache=cache)
+    report = roundtrip(curve, built(4, 5, map_order=8), order=8, test_radius=1.25)
+    full, _ = build_potential(default_policy(9, 5))
     w_full = map_from_potential(full, report.moments, 8)
     u = 1.25 * np.exp(2j * np.pi * np.arange(512) / 512)
     full_error = max(abs(w_full(curve.z_of(complex(x))) - x) for x in u)
@@ -433,10 +422,9 @@ def test_roundtrip_asymmetric_curve_matches_full_index_build():
 
 
 def test_roundtrip_rotation_invariance():
-    cache = MemoCache()
     base = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
     rotated = base.rotated(complex(math.cos(0.7), math.sin(0.7)))
-    potential = built(4, 5, cache, map_order=8)
+    potential = built(4, 5, map_order=8)
     r1 = roundtrip(base, potential, order=8, test_radius=1.25)
     r2 = roundtrip(rotated, potential, order=8, test_radius=1.25)
     assert abs(r1.sup_error - r2.sup_error) <= 1e-10
@@ -476,7 +464,7 @@ def test_dual_moments_on_asymmetric_complex_curve():
     curve = BoundaryCurve(r=1.0, a=(0.02 + 0.01j, 0.03, 0.015j), samples=256)
     m = moments_from_curve(curve, 5)
     v = v_moments_from_curve(curve, 4)
-    potential, _ = build_potential(default_policy(5, 6), cache=MemoCache())
+    potential, _ = build_potential(default_policy(5, 6))
     for k in range(1, 5):
         value = potential.regular.diff_t(k).evaluate(m)
         assert abs(value - v[k]) <= 1e-6, k
