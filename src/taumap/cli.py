@@ -50,7 +50,6 @@ from .potential import (
     build_potential,
     cauchy_data_check,
     combinatorial_formula_check,
-    default_policy,
     ellipse_oracle_check,
 )
 from .series import TruncationPolicy, series_to_json_terms
@@ -192,7 +191,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    policy = default_policy(args.nmax, args.degmax)
+    policy = _policy(args)
     potential, report = build_potential(policy)
     if args.format == "csv":
         buf = io.StringIO()
@@ -226,8 +225,8 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    policy = _policy(args)
     moments = MomentVector.from_json(_read_json(args.in_path))
-    policy = default_policy(args.nmax, args.degmax)
     order = _map_order(args, policy)
     potential, _ = build_potential(policy, map_order=order)
     w = map_from_potential(potential, moments, order)
@@ -258,10 +257,10 @@ def _cmd_verify(args) -> int:
     if args.order_j is not None and args.in_path is None:
         raise ValueError("--order-J sets the roundtrip's map order: it needs --in")
     curve = curve_from_json(_read_json(args.in_path)) if args.in_path else None
-    policy = default_policy(args.nmax, args.degmax)
+    policy = _policy(args)
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
     order_j = _map_order(args, policy) if curve is not None else None
-    potential, build = _build_checked_potential(policy, map_order=order_j)
+    potential, build = build_potential(policy, map_order=order_j)
     cache = MemoCache()
 
     checks = [
@@ -329,19 +328,19 @@ def _map_order(args, policy: TruncationPolicy) -> int:
     return args.order_j if args.order_j is not None else policy.n_max + policy.deg_max
 
 
-def _build_checked_potential(policy: TruncationPolicy, **options):
-    """:func:`build_potential` for a check; a policy without keys is an error.
+def _policy(args) -> TruncationPolicy:
+    """The policy of ``--nmax`` and ``--degmax``; one that admits no key is an error.
 
-    Every check passes on a potential with no terms, so such a PASS would
-    say nothing.
+    Such a policy has an empty potential, on which every check passes and
+    every map is the disk's, so a result there would say nothing.
     """
-    potential, build = build_potential(policy, **options)
-    if not build.keys_evaluated:
+    policy = TruncationPolicy(args.nmax, args.degmax)
+    if policy.n_max < 1 or policy.deg_max < 2:
         raise ValueError(
             f"policy n_max={policy.n_max}, deg_max={policy.deg_max} admits no "
             "potential term to check (needs --nmax >= 1 and --degmax >= 2)"
         )
-    return potential, build
+    return policy
 
 
 def _composition_count_bound(seed: int, cache: MemoCache) -> CheckResult:
@@ -365,11 +364,7 @@ def _composition_count_bound(seed: int, cache: MemoCache) -> CheckResult:
 
 
 def _cmd_ellipse(args) -> int:
-    if args.nmax < 2:
-        print("ellipse comparison needs --nmax >= 2", file=sys.stderr)
-        return 2
-    policy = default_policy(args.nmax, args.degmax)
-    potential, _ = _build_checked_potential(policy)
+    potential, _ = build_potential(_policy(args))
     report = ellipse_oracle_check(potential)
     _write_text(args.out, _dump_json(report.to_json()))
     return 0 if report.ok else 1

@@ -17,12 +17,13 @@ The sum over ``k`` runs over every index, not only those of the potential's
 policy.  A potential truncated at index ``n_max`` is evaluated at the
 moments cut at ``n_max``, and there ``B_k`` for ``k > n_max`` is fixed by
 the terms linear in ``t_k`` whose other indices are all at most ``n_max``:
-the one-point sector, which the potential carries when it was built for the
-map's order (:func:`taumap.potential.build_potential`).  ``B_k`` beyond
+the one-point sector ``sum_k t_k S_k``, so ``B_k = d0 S_k``.  The potential
+carries the ``S_k`` when it was built for the map's order
+(:func:`taumap.potential.build_potential`).  ``B_k`` beyond
 what the potential carries are taken as zero, with a warning.
 
 Serving a domain is one numeric evaluation of fixed series.  The exact
-rows ``d0^2 F_reg``, ``d0 d_k F_reg`` (``k <= n_max``) and ``d0 d_k`` of
+rows ``d0^2 F_reg``, ``d0 d_k F_reg`` (``k <= n_max``) and ``d0 S_k`` of
 the sector (``n_max < k <= k_max``) are derived once, on the first map of
 a potential, and compiled into a float kernel held on that
 :class:`~taumap.series.PotentialSeries` instance.  Per moment vector it
@@ -40,6 +41,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from cmath import isfinite
+from itertools import chain
 from math import exp, inf, sqrt
 from typing import Iterable
 
@@ -285,10 +287,11 @@ def map_from_potential(
 
     ``order`` is the truncation order ``J`` of the ``z^-1`` tail, which is
     fed by the one-point functions ``B_k`` for ``k = 1..J+1``.  Indices up
-    to the potential's ``n_max`` are read from the potential, those up to
-    its ``k_max`` from the one-point sector it carries (build it with
-    ``map_order >= J``).  Moments beyond ``n_max`` are ignored throughout,
-    as the potential has no terms in them.  Any ``B_k`` beyond ``k_max`` is
+    to the potential's ``n_max`` are read from the regular part as
+    ``d0 d_k F_reg``, those up to its ``k_max`` from the one-point sector
+    it carries as ``d0 S_k`` (build it with ``map_order >= J``), one ``t0``
+    derivative each.  Moments beyond ``n_max`` are ignored throughout, as
+    the potential has no terms in them.  Any ``B_k`` beyond ``k_max`` is
     taken as zero, with one ``UserWarning``; it is a warning, not an error,
     while the benchmark's workloads (``perfbench/workloads.py``) map
     without a sector.
@@ -313,13 +316,12 @@ def map_from_potential(
 
     kernel = potential._map_kernel
     if kernel is None:
-        # the rows are streamed: A, then B_k from the regular part or the sector
+        # the rows are streamed: A, then B_k from the regular part and the sector
         d0 = potential.regular.diff_t0()
-        d0_sector = None if potential.sector is None else potential.sector.diff_t0()
-        kernel = _Kernel(
-            (d0 if k <= n_max else d0_sector).diff_t(k) if k else d0.diff_t0()
-            for k in range(k_max + 1)
-        )
+        kernel = _Kernel(chain(
+            (d0.diff_t(k) if k else d0.diff_t0() for k in range(n_max + 1)),
+            (s_k.diff_t0() for s_k in potential.sector),
+        ))
         object.__setattr__(potential, "_map_kernel", kernel)
     a_val, *b = kernel(m).tolist()
     del b[order + 1 :]

@@ -586,15 +586,18 @@ class PotentialSeries:
     where ``regular`` is an ordinary :class:`TruncatedSeries` whose monomials
     each contain at least one unbarred and at least one barred factor.
 
-    ``sector``, when present, is the potential's one-point sector beyond
-    ``n_max`` (:func:`taumap.potential.build_potential`): it supplies the
-    map's ``B_k`` for ``n_max < k <= k_max``.
+    ``sector`` is the potential's one-point sector beyond ``n_max``
+    (:func:`taumap.potential.build_potential`): the series
+    ``S_{n_max+1}, ..., S_{k_max}`` under the policy of ``regular``, with
+    ``t_k S_k`` the terms linear in ``t_k`` and otherwise within
+    ``n_max``.  ``d0 S_k`` is the map's ``B_k``; a potential built without
+    a sector has ``sector == ()``.
     """
 
     singular_log_coeff: Fraction
     singular_quad_coeff: Fraction
     regular: TruncatedSeries
-    sector: TruncatedSeries | None = None
+    sector: tuple[TruncatedSeries, ...] = ()
     # The float kernel of the map's second derivatives, compiled by
     # ``taumap.confmap.map_from_potential`` on its first call and then only
     # read; threads that race to compile it build equal kernels.
@@ -603,7 +606,7 @@ class PotentialSeries:
     @property
     def k_max(self) -> int:
         """The largest ``k`` whose one-point function ``B_k`` the potential supplies."""
-        return (self.regular if self.sector is None else self.sector).policy.n_max
+        return self.regular.policy.n_max + len(self.sector)
 
     def invariant_violations(self) -> list[str]:
         bad = []

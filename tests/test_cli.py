@@ -266,10 +266,15 @@ def test_verify_rejects_negative_order(capsys):
         ["verify", "--nmax", "2", "--degmax", "1"],
         ["ellipse", "--nmax", "2", "--degmax", "1"],
         ["ellipse", "--nmax", "2", "--degmax", "0"],
+        ["potential", "--nmax", "2", "--degmax", "1"],
+        ["map", "--nmax", "0", "--degmax", "3", "--in", "m.json"],
     ],
 )
-def test_checks_reject_a_policy_without_terms(args, capsys):
-    # every check passes on an empty potential, so a PASS there says nothing
+def test_checks_reject_a_policy_without_terms(args, tmp_path, monkeypatch, capsys):
+    # every check passes on an empty potential, so a PASS there says nothing;
+    # its terms would be none, and its map the disk's whatever the moments
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text('{"t0": 0.9, "t": [[0.05, 0]]}')
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""
@@ -297,6 +302,7 @@ def test_ellipse_subcommand(capsys):
 def test_ellipse_needs_two_indices(capsys):
     code, _, err = run_cli(["ellipse", "--nmax", "1"], capsys)
     assert code == 2
+    assert "n_max >= 2" in err
 
 
 def test_malformed_input_is_diagnosed(tmp_path, capsys):

@@ -212,8 +212,8 @@ def reference_map(potential, moments, order):
     for k in range(1, order + 2):
         if k <= n_max:
             b.append(d0.diff_t(k).evaluate(m))
-        elif sector is not None and k <= sector.policy.n_max:
-            b.append(sector.diff_t0().diff_t(k).evaluate(m))
+        elif k <= potential.k_max:
+            b.append(sector[k - n_max - 1].diff_t0().evaluate(m))
         else:
             b.append(0j)
     p = math.exp(-a_val.real / 2) / math.sqrt(m.t0)
@@ -347,7 +347,7 @@ def test_kernel_holds_the_sector_rows_and_compiles_once(monkeypatch):
     # A and B_1..B_3 from the regular part, B_4..B_6 from the sector
     kernel = potential._map_kernel
     assert len(kernel.ends) == potential.k_max + 1
-    assert calls.count("diff_t") == 6 and calls.count("diff_t0") == 3
+    assert calls.count("diff_t") == 3 and calls.count("diff_t0") == 5
     calls.clear()
     assert map_from_potential(potential, m, order=5) == first
     short = map_from_potential(potential, m, order=2)

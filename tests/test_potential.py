@@ -122,16 +122,31 @@ def test_potential_68_is_bit_identical_to_pin():
     assert potential_sha256(potential) == POTENTIAL_68_SHA256
 
 
+def sector_terms(potential):
+    """``sum_k t_k S_k`` over the potential's sector, as ``{monomial: coefficient}``."""
+    terms = {}
+    for k, s_k in enumerate(potential.sector, potential.regular.policy.n_max + 1):
+        for mono, c in s_k.items():
+            plain = tuple(f for f in mono.factors if not f[1])
+            barred = mono.factors[len(plain):]
+            terms[Monomial(mono.t0_power, plain + ((k, False, 1),) + barred)] = c
+    return terms
+
+
 # sha256 of the terms of the (5, 6) one-point sector with k <= 12
 SECTOR_56_12_SHA256 = "a639be9d05b2f60eace5c4ac104ef5178a422bc5fcfc89bb38839ad97c86050e"
 
 
 def test_one_point_sector_56_is_bit_identical_to_pin():
-    sector = build_potential(default_policy(5, 6), map_order=11)[0].sector
-    blob = json.dumps(series_to_json_terms(sector), sort_keys=True, separators=(",", ":"))
+    potential = build_potential(default_policy(5, 6), map_order=11)[0]
+    terms = sector_terms(potential)
+    # serialized as a series in every index up to k = 12
+    json_terms = series_to_json_terms(TruncatedSeries(default_policy(12, 6), terms))
+    blob = json.dumps(json_terms, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == SECTOR_56_12_SHA256
-    assert sector.policy == default_policy(12, 6)
-    assert len(sector) == 577
+    assert potential.k_max == 12 and len(potential.sector) == 7
+    assert all(s_k.policy == default_policy(5, 6) for s_k in potential.sector)
+    assert len(json_terms) == len(terms) == sum(map(len, potential.sector)) == 577
 
 
 BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -142,7 +157,7 @@ def test_build_without_map_order_matches_benchmark_digest(n_max, deg_max):
     # the benchmark builds without map_order and checks these digests
     digests = json.loads(BENCHMARK_DIGESTS.read_text())
     potential, _ = build_potential(default_policy(n_max, deg_max))
-    assert potential.sector is None
+    assert potential.sector == ()
     assert potential.k_max == n_max
     assert potential_sha256(potential) == digests[f"{n_max},{deg_max}"]
 
@@ -154,14 +169,15 @@ def test_map_order_adds_the_one_point_sector():
     assert mapped.regular == plain.regular
     assert mapped_report.keys_evaluated == plain_report.keys_evaluated
     assert mapped_report.nonzero_terms == plain_report.nonzero_terms
-    assert mapped.sector.policy.n_max == mapped.k_max == 9
+    assert plain.sector == ()
+    assert len(mapped.sector) == 5 and mapped.k_max == 9
 
 
 @pytest.mark.parametrize("map_order, k_max", [(0, 4), (3, 4), (4, 5)])
 def test_map_order_within_n_max_builds_no_sector(map_order, k_max):
     # a map of order J reads B_k for k <= J + 1
     potential, _ = build_potential(default_policy(4, 4), map_order=map_order)
-    assert (potential.sector is None) == (map_order + 1 <= 4)
+    assert (potential.sector == ()) == (map_order + 1 <= 4)
     assert potential.k_max == k_max
 
 
@@ -269,10 +285,10 @@ def test_one_point_sector_equals_as_written_reference_where_deg_max_binds(
 
 def assert_sector_equals_as_written_reference(n_max, deg_max, k_max):
     policy = default_policy(n_max, deg_max)
-    sector = build_potential(policy, map_order=k_max - 1)[0].sector
+    potential = build_potential(policy, map_order=k_max - 1)[0]
     expected = _as_written(_sector_keys(policy, k_max))
     assert expected
-    assert dict(sector.items()) == expected
+    assert sector_terms(potential) == expected
 
 
 @pytest.mark.parametrize(
@@ -319,15 +335,17 @@ def test_cauchy_data_judges_the_sector():
     # every t0^(i-|B|+1) t_i prod tbar_B with 5 < i <= 12 in the sector
     assert report.checked - regular_only.checked == 107
 
-    # one corrupted sector coefficient fails the check
-    mono = Monomial(6, ((7, False, 1), (2, True, 1), (5, True, 1)))
-    terms = dict(potential.sector.items())
+    # one corrupted sector coefficient fails the check: that of
+    # t0^6 t7 tbar2 tbar5, read as t0^6 tbar2 tbar5 in S_7
+    mono = Monomial(6, ((2, True, 1), (5, True, 1)))
+    sector = list(potential.sector)
+    terms = dict(sector[1].items())
     terms[mono] = 2 * terms[mono] + 1
-    bad = dataclasses.replace(
-        potential, sector=TruncatedSeries(potential.sector.policy, terms)
-    )
+    sector[1] = TruncatedSeries(sector[1].policy, terms)
+    bad = dataclasses.replace(potential, sector=tuple(sector))
     report = cauchy_data_check(bad, bad.k_max)
     assert len(report.violations) == 1 and "= 141, expected 70" in report.violations[0]
+    assert report.violations[0].startswith("one plain index (S_7)")
 
 
 def test_cauchy_examples_explicit(potential_44):
@@ -384,7 +402,7 @@ def test_one_point_sector_equals_full_build_terms():
         expected = {
             mono: c for mono, c in full.regular.items() if _one_point_shape(mono, 4)
         }
-        got = dict(potential.sector.items())
+        got = sector_terms(potential)
         assert expected, deg
         assert got == expected, deg
         assert all(isinstance(c, Fraction) for c in got.values())
