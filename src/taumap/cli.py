@@ -5,7 +5,7 @@ Subcommands:
 ``coeffs``
     dump the coefficient table for all keys up to a weight bound;
 ``potential``
-    build the potential at a policy and emit it as JSON;
+    build the potential at a policy and emit it;
 ``map``
     reconstruct the exterior map from a moment-vector JSON;
 ``moments``
@@ -16,15 +16,15 @@ Subcommands:
     compare the built potential against the closed form of the
     two-moment family.
 
-All outputs are deterministic for a fixed config and seed: JSON is emitted
-with sorted keys and floats use ``repr`` round-trip formatting.
+Every subcommand writes one JSON document with sorted keys, to ``--out`` or
+to standard output (there with a closing newline): exact values as integer
+``num``/``den`` pairs, floats in ``repr`` round-trip form.  Outputs are
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import random
 import sys
@@ -42,7 +42,6 @@ from .moments import (
     BoundaryCurve,
     curve_from_json,
     moments_from_curve,
-    moments_to_csv,
     v_moments_from_curve,
 )
 from .potential import (
@@ -71,18 +70,13 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_json(path: str | None, obj) -> None:
+    text = json.dumps(obj, sort_keys=True, indent=2)
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        print(text)
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _policy_args(parser: argparse.ArgumentParser) -> None:
@@ -101,17 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--imax", type=int, default=4, help="max weight")
     p.add_argument("--degmax", type=int, default=6, help="max factor degree")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("potential", help="build and emit the potential")
     _policy_args(p)
     p.add_argument("--out", default=None)
-    p.add_argument(
-        "--format",
-        choices=["json", "csv"],
-        default="json",
-        help="csv emits per-term plot data (degree vs coefficient magnitude)",
-    )
 
     p = sub.add_parser("map", help="exterior map from a moment vector")
     _policy_args(p)
@@ -125,14 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, help="override curve samples")
     p.add_argument("--dual", action="store_true", help="also emit dual moments v_k")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("verify", help="run the verification suite")
     _policy_args(p)
     p.add_argument("--order", type=int, default=None, help="residual order")
     p.add_argument("--in", dest="in_path", default=None, help="optional curve JSON")
     p.add_argument("--order-J", dest="order_j", type=int, default=None)
-    p.add_argument("--roundtrip-tol", type=float, default=1e-3)
+    p.add_argument("--roundtrip-tol", type=float, help="sup-error bound, default 1e-3")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled bound checks")
     p.add_argument("--out", default=None)
 
@@ -161,47 +147,22 @@ def _cmd_coeffs(args) -> int:
                 if deg > args.degmax:
                     continue
                 value = n2_coefficient(NKey(unbarred, barred, weight), cache)
-                rows.append((weight, unbarred, barred, value))
-
-    def pairs(side) -> str:
-        return " ".join(f"{idx}:{mult}" for idx, mult in side)
-
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["i", "unbarred", "barred", "num", "den"])
-        for weight, unb, bar, value in rows:
-            writer.writerow(
-                [weight, pairs(unb), pairs(bar), value.numerator, value.denominator]
-            )
-        _write_text(args.out, buf.getvalue())
-    else:
-        payload = [
-            {
-                "i": weight,
-                "unbarred": [list(p) for p in unb],
-                "barred": [list(p) for p in bar],
-                "num": value.numerator,
-                "den": value.denominator,
-            }
-            for weight, unb, bar, value in rows
-        ]
-        _write_text(args.out, _dump_json(payload))
+                rows.append(
+                    {
+                        "i": weight,
+                        "unbarred": unbarred,
+                        "barred": barred,
+                        "num": value.numerator,
+                        "den": value.denominator,
+                    }
+                )
+    _write_json(args.out, rows)
     return 0
 
 
 def _cmd_potential(args) -> int:
     policy = _policy(args)
     potential, report = build_potential(policy)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["degree", "t0_power", "monomial", "num", "den", "abs"])
-        for mono, c in potential.regular.sorted_items():
-            row = [mono.degree, mono.t0_power, str(mono), c.numerator, c.denominator]
-            writer.writerow(row + [repr(abs(float(c)))])
-        _write_text(args.out, buf.getvalue())
-        return 0
     payload = {
         "policy": {"n_max": policy.n_max, "deg_max": policy.deg_max},
         "singular": {
@@ -215,12 +176,9 @@ def _cmd_potential(args) -> int:
             ],
         },
         "terms": series_to_json_terms(potential.regular),
-        "report": {
-            "keys_evaluated": report.keys_evaluated,
-            "nonzero_terms": report.nonzero_terms,
-        },
+        "report": report.to_json(),
     }
-    _write_text(args.out, _dump_json(payload))
+    _write_json(args.out, payload)
     return 0
 
 
@@ -230,7 +188,7 @@ def _cmd_map(args) -> int:
     order = _map_order(args, policy)
     potential, _ = build_potential(policy, map_order=order)
     w = map_from_potential(potential, moments, order)
-    _write_text(args.out, _dump_json(w.to_json()))
+    _write_json(args.out, w.to_json())
     return 0
 
 
@@ -238,24 +196,22 @@ def _cmd_moments(args) -> int:
     curve = curve_from_json(_read_json(args.in_path))
     if args.samples is not None:
         curve = BoundaryCurve(curve.r, curve.a, args.samples)
-    moments = moments_from_curve(curve, args.n)
-    if args.format == "csv":
-        _write_text(args.out, moments_to_csv(moments))
-        return 0
-    payload = moments.to_json()
+    payload = moments_from_curve(curve, args.n).to_json()
     if args.dual:
         payload["v"] = [[v.real, v.imag] for v in v_moments_from_curve(curve, args.n)]
-    _write_text(args.out, _dump_json(payload))
+    _write_json(args.out, payload)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if not (isfinite(args.roundtrip_tol) and args.roundtrip_tol >= 0):
-        raise ValueError(
-            f"--roundtrip-tol must be finite and >= 0, got {args.roundtrip_tol}"
-        )
-    if args.order_j is not None and args.in_path is None:
-        raise ValueError("--order-J sets the roundtrip's map order: it needs --in")
+    if args.in_path is None:
+        if args.order_j is not None:
+            raise ValueError("--order-J sets the roundtrip's map order: it needs --in")
+        if args.roundtrip_tol is not None:
+            raise ValueError("--roundtrip-tol sets the roundtrip's bound: it needs --in")
+    tol = 1e-3 if args.roundtrip_tol is None else args.roundtrip_tol
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"--roundtrip-tol must be finite and >= 0, got {tol}")
     curve = curve_from_json(_read_json(args.in_path)) if args.in_path else None
     policy = _policy(args)
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
@@ -279,15 +235,15 @@ def _cmd_verify(args) -> int:
 
     if curve is not None:
         rt = roundtrip(curve, potential, order_j, 1.25)
-        within = rt.sup_error <= args.roundtrip_tol
+        within = rt.sup_error <= tol
         checks.append(
             CheckResult(
                 "roundtrip",
                 1,
-                [] if within else [f"sup error {rt.sup_error} > {args.roundtrip_tol}"],
+                [] if within else [f"sup error {rt.sup_error} > {tol}"],
                 {
                     "sup_error": rt.sup_error,
-                    "tolerance": args.roundtrip_tol,
+                    "tolerance": tol,
                     "gate_admissible": rt.gate.admissible,
                     "warnings": rt.warnings,
                 },
@@ -310,14 +266,11 @@ def _cmd_verify(args) -> int:
     report = {
         "policy": {"n_max": policy.n_max, "deg_max": policy.deg_max},
         "order": order,
-        "build": {
-            "keys_evaluated": build.keys_evaluated,
-            "nonzero_terms": build.nonzero_terms,
-        },
+        "build": build.to_json(),
         "checks": {check.name: check.to_json() for check in checks},
         "pass": ok,
     }
-    _write_text(args.out, _dump_json(report))
+    _write_json(args.out, report)
     for check in sorted(checks, key=lambda c: c.name):
         print(f"{'PASS' if check.ok else 'FAIL'} {check.name}", file=sys.stderr)
     return 0 if ok else 1
@@ -366,7 +319,7 @@ def _composition_count_bound(seed: int, cache: MemoCache) -> CheckResult:
 def _cmd_ellipse(args) -> int:
     potential, _ = build_potential(_policy(args))
     report = ellipse_oracle_check(potential)
-    _write_text(args.out, _dump_json(report.to_json()))
+    _write_json(args.out, report.to_json())
     return 0 if report.ok else 1
 
 

@@ -40,8 +40,6 @@ order so results are bitwise reproducible for a fixed sample count.
 
 from __future__ import annotations
 
-import csv
-import io
 from cmath import isfinite
 from dataclasses import dataclass
 from math import pi
@@ -58,7 +56,6 @@ __all__ = [
     "v_moments_from_curve",
     "curve_to_json",
     "curve_from_json",
-    "moments_to_csv",
 ]
 
 # The largest quadrature sample count a curve accepts: far beyond spectral
@@ -185,14 +182,3 @@ def curve_from_json(data: dict) -> BoundaryCurve:
         if "samples" in data
         else 256,
     )
-
-
-def moments_to_csv(m: MomentVector) -> str:
-    """CSV with columns ``k, re, im, abs`` (row ``k = 0`` holds ``t0``)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "re", "im", "abs"])
-    writer.writerow([0, repr(m.t0), repr(0.0), repr(abs(m.t0))])
-    for k, val in enumerate(m.t, 1):
-        writer.writerow([k, repr(val.real), repr(val.imag), repr(abs(val))])
-    return buf.getvalue()

@@ -145,6 +145,10 @@ class BuildReport:
     nonzero_terms: int
     elapsed: float
 
+    def to_json(self) -> dict:
+        """``{"keys_evaluated", "nonzero_terms"}``: no time, so runs write the same."""
+        return {"keys_evaluated": self.keys_evaluated, "nonzero_terms": self.nonzero_terms}
+
 
 def default_policy(n_max: int, deg_max: int) -> TruncationPolicy:
     """The policy of a build at index bound ``n_max`` and degree bound ``deg_max``.
@@ -339,13 +343,15 @@ class _TodaSolver:
         holds ``dbar_b S_a / (a b)`` the same way.
         """
         codec = self.codec
-        n, bits, mask = codec.n_max, codec.bits, codec.mask
+        n, mask = codec.n_max, codec.mask
+        # ``below`` masks the fields tbar_1..tbar_{b-1}, then t_1..t_{a-1}
+        barred_from = 1 << codec.shift(1, barred=True)
         scale = lcm(*range(1, self.policy.deg_max + 1)) ** 2
         regular: dict[int, int] = {}
         sector: dict[tuple[int, int, int], dict[int, int]] = {}
         for (a, b, _), cell in m.cells.items():
-            b_pos = (n + b - 1) * bits
-            below = ((1 << (b - 1) * bits) - 1) << n * bits
+            b_pos = codec.shift(b, barred=True)
+            below = (1 << b_pos) - barred_from
             if a > n:
                 out = sector.setdefault((a, 0, d + 1), {})
                 for code, c in cell.items():
@@ -353,7 +359,7 @@ class _TodaSolver:
                         code += 1 << b_pos
                         out[code] = a * b * c * (scale // ((code >> b_pos) & mask))
                 continue
-            a_pos = (a - 1) * bits
+            a_pos = codec.shift(a)
             below |= (1 << a_pos) - 1
             step = (1 << a_pos) + (1 << b_pos)
             for code, c in cell.items():

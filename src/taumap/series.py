@@ -172,11 +172,15 @@ class _Codec:
             (k, True) for k in range(1, n + 1)
         ]
 
+    def shift(self, k: int, barred: bool = False) -> int:
+        """The lowest bit of the field of ``t_k`` (of ``tbar_k`` if ``barred``),
+        ``1 <= k <= n_max``."""
+        return (k - 1 + (self.n_max if barred else 0)) * self.bits
+
     def encode(self, m: Monomial) -> int:
-        bits, n_max = self.bits, self.n_max
         code = m.t0_power << self.t0_shift
         for k, barred, e in m.factors:
-            code += e << ((k - 1 + (n_max if barred else 0)) * bits)
+            code += e << self.shift(k, barred)
         return code
 
     def decode(self, code: int) -> Monomial:
@@ -370,8 +374,7 @@ class _Tail:
         codec = self.codec
         if not 1 <= k <= codec.n_max:
             return self._like({})
-        shift = (k - 1 + (codec.n_max if barred else 0)) * codec.bits
-        return self._lowered(shift, codec.mask, 1)
+        return self._lowered(codec.shift(k, barred), codec.mask, 1)
 
     def _lowered(self, shift: int, mask: int, drop: int) -> "_Tail":
         """The derivative in the variable of the field at ``shift``: each

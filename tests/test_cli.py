@@ -1,6 +1,5 @@
-"""Command-line interface: formats, round trips, determinism, exit codes."""
+"""Command-line interface: JSON output, round trips, determinism, exit codes."""
 
-import csv
 import hashlib
 import json
 import os
@@ -45,27 +44,17 @@ def test_map_output_reader_round_trip(tmp_path, capsys):
     assert w.p > 0
 
 
-def test_coeffs_table_contains_factorial_row(tmp_path, capsys):
+def test_coeffs_table_contains_factorial_row(capsys):
     code, out, _ = run_cli(["coeffs", "--imax", "2", "--degmax", "4"], capsys)
     assert code == 0
-    rows = list(csv.DictReader(out.splitlines()))
+    rows = json.loads(out)
     hits = [
-        r
-        for r in rows
-        if r["i"] == "2" and r["unbarred"] == "2:1" and r["barred"] == "1:2"
+        row
+        for row in rows
+        if row["i"] == 2 and row["unbarred"] == [[2, 1]] and row["barred"] == [[1, 2]]
     ]
     assert len(hits) == 1
-    assert hits[0]["num"] == "1" and hits[0]["den"] == "1"
-
-
-def test_coeffs_json_format(capsys):
-    code, out, _ = run_cli(["coeffs", "--imax", "2", "--format", "json"], capsys)
-    assert code == 0
-    rows = json.loads(out)
-    assert any(
-        row["i"] == 2 and row["unbarred"] == [[2, 1]] and row["barred"] == [[1, 2]]
-        for row in rows
-    )
+    assert hits[0]["num"] == 1 and hits[0]["den"] == 1
 
 
 @pytest.mark.parametrize(
@@ -106,12 +95,6 @@ def test_moments_subcommand(tmp_path, capsys):
     payload = json.loads(out)
     assert abs(payload["t0"] - 0.9975) <= 1e-12
     assert abs(payload["t"][1][0] - 0.025) <= 1e-12
-
-    code, out, _ = run_cli(
-        ["moments", "--in", str(curve), "--n", "4", "--format", "csv"], capsys
-    )
-    assert code == 0
-    assert out.splitlines()[0] == "k,re,im,abs"
 
 
 def test_moments_output_reader_round_trip(tmp_path, capsys):
@@ -244,12 +227,18 @@ def test_verify_passes_where_index_bound_cuts_the_cone(capsys):
             assert report["checks"][name]["checked"] > 0, (args, name)
 
 
-def test_verify_rejects_a_map_order_without_a_curve(capsys):
-    # --order-J is the roundtrip's map order; without --in it used to be ignored
-    code, out, err = run_cli(["verify", "--nmax", "2", "--degmax", "3", "--order-J", "8"], capsys)
+@pytest.mark.parametrize(
+    "flag, value, what",
+    [("--order-J", "8", "map order"), ("--roundtrip-tol", "1e-9", "bound")],
+    ids=["order-J", "roundtrip-tol"],
+)
+def test_verify_rejects_a_roundtrip_setting_without_a_curve(capsys, flag, value, what):
+    # both set the roundtrip, which runs only on a curve; without --in they used
+    # to be ignored
+    code, out, err = run_cli(["verify", "--nmax", "2", "--degmax", "3", flag, value], capsys)
     assert code == 2
     assert out == ""
-    assert err == "error: --order-J sets the roundtrip's map order: it needs --in\n"
+    assert err == f"error: {flag} sets the roundtrip's {what}: it needs --in\n"
 
 
 def test_verify_rejects_negative_order(capsys):

@@ -14,7 +14,6 @@ from taumap.moments import (
     curve_from_json,
     curve_to_json,
     moments_from_curve,
-    moments_to_csv,
     v_moments_from_curve,
 )
 
@@ -152,14 +151,6 @@ def test_moment_count_validation():
 def test_curve_json_round_trip():
     again = curve_from_json(curve_to_json(ELLIPSE))
     assert again == ELLIPSE
-
-
-def test_moments_csv_shape():
-    m = moments_from_curve(ELLIPSE, 3)
-    text = moments_to_csv(m)
-    lines = text.strip().splitlines()
-    assert lines[0] == "k,re,im,abs"
-    assert len(lines) == 5
 
 
 def test_determinism_bitwise():

@@ -8,9 +8,9 @@ SNAPSHOTS = pathlib.Path(__file__).parent / "snapshots"
 
 
 def test_coeffs_snapshot(tmp_path):
-    out = tmp_path / "coeffs.csv"
+    out = tmp_path / "coeffs.json"
     assert main(["coeffs", "--imax", "4", "--degmax", "6", "--out", str(out)]) == 0
-    assert out.read_text() == (SNAPSHOTS / "coeffs_w4.csv").read_text()
+    assert out.read_text() == (SNAPSHOTS / "coeffs_w4.json").read_text()
 
 
 def test_potential_snapshot(tmp_path):
