@@ -57,6 +57,18 @@ def test_coeffs_table_contains_factorial_row(capsys):
     assert hits[0]["num"] == 1 and hits[0]["den"] == 1
 
 
+def test_coeffs_json_format(capsys):
+    # JSON is the one output: a list of rows, each index list a list of [k, power]
+    code, out, _ = run_cli(["coeffs", "--imax", "2"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert rows and all(set(row) == {"i", "unbarred", "barred", "num", "den"} for row in rows)
+    assert any(
+        row["i"] == 2 and row["unbarred"] == [[2, 1]] and row["barred"] == [[1, 2]]
+        for row in rows
+    )
+
+
 @pytest.mark.parametrize(
     "flag, value, bound",
     [("--imax", "-1", 1), ("--imax", "0", 1), ("--degmax", "-2", 2), ("--degmax", "0", 2),
