@@ -29,25 +29,26 @@ from taumap import (
     moments_from_curve,
     roundtrip,
 )
+from taumap.verify import ROUNDTRIP_RADIUS
 
 
-def roundtrip_at(curve, n_max, deg_max, order, test_radius):
+def roundtrip_at(curve, n_max, deg_max, order):
     potential, _ = build_potential(default_policy(n_max, deg_max), map_order=order)
-    return roundtrip(curve, potential, order, test_radius)
+    return roundtrip(curve, potential, order)
 
 
 disk = BoundaryCurve(r=1.2, a=(), samples=128)
-report = roundtrip_at(disk, 3, 3, order=6, test_radius=1.5)
+report = roundtrip_at(disk, 3, 3, order=6)
 print(f"disk:            sup |w(z(u)) - u| = {report.sup_error:.2e}, p = {report.p:.12f}")
 
 shifted = BoundaryCurve(r=1.0, a=(0.25 + 0.1j,), samples=128)
-report = roundtrip_at(shifted, 6, 6, order=10, test_radius=1.5)
+report = roundtrip_at(shifted, 6, 6, order=10)
 print(f"translated disk: sup |w(z(u)) - u| = {report.sup_error:.2e}, p = {report.p:.12f}")
 
 ellipse = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
-print("\nellipse u + 0.05/u, sup error on |u| = 1.25 by truncation policy:")
+print(f"\nellipse u + 0.05/u, sup error on |u| = {ROUNDTRIP_RADIUS} by truncation policy:")
 for n_max, deg_max, order in [(4, 4, 8), (4, 6, 8), (6, 6, 10), (8, 6, 12)]:
-    report = roundtrip_at(ellipse, n_max, deg_max, order=order, test_radius=1.25)
+    report = roundtrip_at(ellipse, n_max, deg_max, order=order)
     print(
         f"  n_max={n_max}, deg_max={deg_max}, J={order:>2}: "
         f"sup = {report.sup_error:.3e}"

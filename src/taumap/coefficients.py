@@ -136,12 +136,6 @@ class NKey:
         if self.i != sum(idx * m for idx, m in self.unbarred):
             raise ValueError("declared weight differs from unbarred weight")
 
-    @classmethod
-    def from_multisets(cls, unbarred, barred) -> "NKey":
-        u = _fold(unbarred)
-        b = _fold(barred)
-        return cls(u, b, sum(idx * m for idx, m in u))
-
     def expanded_unbarred(self) -> tuple[int, ...]:
         return _expand(self.unbarred)
 
@@ -152,13 +146,6 @@ class NKey:
         return NKey(
             self.barred, self.unbarred, sum(idx * m for idx, m in self.barred)
         )
-
-
-def _fold(values) -> tuple[tuple[int, int], ...]:
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(sorted(counts.items()))
 
 
 def _expand(side: tuple[tuple[int, int], ...]) -> tuple[int, ...]:

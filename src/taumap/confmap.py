@@ -80,12 +80,8 @@ def _json_number(data: dict, key: str, source: str, shape: str, kind: type = flo
         raise _json_error(source, shape, f"field {key!r} is too large for a float") from None
 
 
-def _json_pairs(
-    data: dict, key: str, source: str, shape: str, required: bool = False
-) -> tuple[complex, ...]:
-    """The field ``key``, optional unless ``required``: a list of ``[re, im]`` number pairs."""
-    if required and key not in data:
-        raise _json_error(source, shape, f"field {key!r} is missing")
+def _json_pairs(data: dict, key: str, source: str, shape: str) -> tuple[complex, ...]:
+    """The optional field ``key``: a list of ``[re, im]`` number pairs."""
     value = data.get(key, [])
     if not isinstance(value, list):
         raise _json_error(
@@ -186,17 +182,6 @@ class ExteriorMapSeries:
     def to_json(self) -> dict:
         return {"p": self.p, "tail": [[x.real, x.imag] for x in self.tail]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ExteriorMapSeries":
-        """Read ``{"p": number, "tail": [[re, im], ...]}``; ``ValueError`` on
-        any other shape."""
-        source, shape = "map JSON", 'an object {"p": number, "tail": [[re, im], ...]}'
-        _json_object(data, source, shape)
-        return cls(
-            _json_number(data, "p", source, shape),
-            _json_pairs(data, "tail", source, shape, required=True),
-        )
-
 
 class _Kernel:
     """Rows of exact series compiled for evaluation in complex binary64.
@@ -296,9 +281,11 @@ def map_from_potential(
     while the benchmark's workloads (``perfbench/workloads.py``) map
     without a sector.
 
-    ``A`` so large either way that ``p`` leaves the floating-point range
-    raises ``ValueError``: such moments lie far outside the region where
-    the series converges.
+    A negative ``order`` raises ``ValueError``, and so does ``A`` so large
+    either way that ``p`` leaves the floating-point range: such moments lie
+    far outside the region where the series converges.  The map is an
+    output: ``taumap map`` writes it as JSON (:meth:`ExteriorMapSeries.to_json`),
+    and no command reads one back.
     """
     if order < 0:
         raise ValueError("order must be >= 0")

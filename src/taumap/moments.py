@@ -54,7 +54,6 @@ __all__ = [
     "BoundaryCurve",
     "moments_from_curve",
     "v_moments_from_curve",
-    "curve_to_json",
     "curve_from_json",
 ]
 
@@ -159,14 +158,6 @@ def v_moments_from_curve(curve: BoundaryCurve, n: int) -> list[complex]:
 
 
 # -- file formats ------------------------------------------------------------
-
-
-def curve_to_json(curve: BoundaryCurve) -> dict:
-    return {
-        "r": curve.r,
-        "a": [[c.real, c.imag] for c in curve.a],
-        "samples": curve.samples,
-    }
 
 
 def curve_from_json(data: dict) -> BoundaryCurve:

@@ -19,10 +19,13 @@ Three layers:
 * exact coefficient patterns: the factorial vanishing pattern of
   coefficients against an all-ones barred side
   (:func:`factorial_pattern_check`);
-* numeric gates: the sufficient convergence condition on a moment vector
-  (:func:`convergence_gate`), per-degree majorants of the evaluated series
-  (:func:`degree_term_sums`), and the domain -> moments -> potential -> map
-  roundtrip (:func:`roundtrip`).
+* numeric checks: the domain -> moments -> potential -> map roundtrip
+  (:func:`roundtrip`), whose sup error ``taumap verify`` judges against a
+  tolerance, and two measures of how far the evaluated series can be
+  trusted, reported and not judged: the sufficient convergence condition
+  on a moment vector (:func:`convergence_gate`), whose verdict the
+  roundtrip report carries, and per-degree majorants of the evaluated
+  series (:func:`degree_term_sums`).
 
 Residuals are only *gated* inside the reliable truncation cone, where
 series truncation leaves them exact.  Factor degree is a grading: products
@@ -291,7 +294,6 @@ def factorial_pattern_check(i_max: int, cache: MemoCache | None = None) -> Check
 @dataclass
 class ConvergenceVerdict:
     admissible: bool
-    n: int
     bound: float
     offending: list[str] = field(default_factory=list)
 
@@ -314,9 +316,7 @@ def convergence_gate(m: MomentVector, n: int) -> ConvergenceVerdict:
                 offending.append(f"|t{idx}| = {abs(value)} > {bound}")
         elif value != 0:
             offending.append(f"t{idx} = {value} nonzero beyond n = {n}")
-    return ConvergenceVerdict(
-        admissible=not offending, n=n, bound=bound, offending=offending
-    )
+    return ConvergenceVerdict(admissible=not offending, bound=bound, offending=offending)
 
 
 def degree_term_sums(
@@ -347,7 +347,9 @@ def degree_term_sums(
 
 # -- roundtrip ----------------------------------------------------------------
 
-# Points on the test circle at which the roundtrip error is taken.
+# The test circle |u| = ROUNDTRIP_RADIUS, outside the unit circle that the
+# domain's boundary maps to, and the points on it where the error is taken.
+ROUNDTRIP_RADIUS = 1.25
 ROUNDTRIP_SAMPLES = 512
 
 
@@ -357,7 +359,6 @@ class RoundtripReport:
     moments: MomentVector
     gate: ConvergenceVerdict
     map_series: ExteriorMapSeries
-    warnings: list[str]
 
     @property
     def p(self) -> float:
@@ -365,40 +366,30 @@ class RoundtripReport:
 
 
 def roundtrip(
-    curve: BoundaryCurve,
-    potential: PotentialSeries,
-    order: int,
-    test_radius: float,
+    curve: BoundaryCurve, potential: PotentialSeries, order: int
 ) -> RoundtripReport:
     """Domain -> moments -> potential -> map, composed against the curve.
 
     Reports ``sup |w(z(u)) - u|`` over ``ROUNDTRIP_SAMPLES`` points of the
-    circle ``|u| = test_radius``.  The moments are cut at the potential's
-    ``n_max``; the one-point functions ``B_k`` beyond it, up to
+    circle ``|u| = ROUNDTRIP_RADIUS``.  The moments are cut at the
+    potential's ``n_max``; the one-point functions ``B_k`` beyond it, up to
     ``order + 1``, come from the sector the potential carries, so it must be
-    built with ``map_order >= order`` (else ``ValueError``).  A failing
-    convergence gate is a warning, not an error: the series may well
-    converge beyond the sufficient condition.
+    built with ``map_order >= order`` (else ``ValueError``).  The report
+    carries the convergence gate's verdict on the moments (``gate``), which
+    judges nothing: the gate is a sufficient condition, and the series may
+    well converge beyond it.
     """
-    if test_radius <= 1.0:
-        raise ValueError("test radius must exceed 1")
     if order + 1 > potential.k_max:
         raise ValueError(
             f"order {order} needs B_k for k <= {order + 1}, the potential covers "
             f"k <= {potential.k_max}: build it with map_order >= {order}"
         )
-    policy = potential.regular.policy
-    warnings: list[str] = []
-    m = moments_from_curve(curve, policy.n_max)
-    gate = convergence_gate(m, policy.n_max)
-    if not gate.admissible:
-        warnings.append(
-            "moment vector misses the sufficient convergence bound: "
-            + "; ".join(gate.offending)
-        )
+    n_max = potential.regular.policy.n_max
+    m = moments_from_curve(curve, n_max)
+    gate = convergence_gate(m, n_max)
     w = map_from_potential(potential, m, order)
 
     theta = 2 * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES
-    u = test_radius * np.exp(1j * theta)
+    u = ROUNDTRIP_RADIUS * np.exp(1j * theta)
     sup_error = float(np.max(np.abs(w(curve.z_of(u)) - u)))
-    return RoundtripReport(sup_error, m, gate, w, warnings)
+    return RoundtripReport(sup_error, m, gate, w)

@@ -266,7 +266,7 @@ def test_a08_roundtrip_at_pinned_policy():
     errors = {}
     for deg in (3, 4, 5, 6):
         potential, _ = build_potential(default_policy(4, deg), map_order=8)
-        report = roundtrip(ELLIPSE_CURVE, potential, order=8, test_radius=1.25)
+        report = roundtrip(ELLIPSE_CURVE, potential, order=8)
         errors[deg] = report.sup_error
     elapsed = time.perf_counter() - start
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,16 +33,18 @@ def test_map_unit_disk(tmp_path, capsys):
 
 
 def test_map_output_reader_round_trip(tmp_path, capsys):
-    from taumap.confmap import ExteriorMapSeries
-
     moments = tmp_path / "m.json"
     moments.write_text(json.dumps({"t0": 0.8, "t": [[0.02, 0.01], [0.0, 0.03]]}))
     code, out, _ = run_cli(
         ["map", "--in", str(moments), "--nmax", "3", "--degmax", "4"], capsys
     )
     assert code == 0
-    w = ExteriorMapSeries.from_json(json.loads(out))
-    assert w.p > 0
+    payload = json.loads(out)
+    assert set(payload) == {"p", "tail"}
+    assert payload["p"] > 0
+    # the default order J = n_max + deg_max gives the coefficients p_0..p_7
+    assert len(payload["tail"]) == 8
+    assert all(len(pair) == 2 and all(map(math.isfinite, pair)) for pair in payload["tail"])
 
 
 def test_coeffs_table_contains_factorial_row(capsys):
@@ -158,6 +161,32 @@ def test_verify_report_is_pinned(capsys):
     assert report["build"]["keys_evaluated"] == 336
 
 
+# sha256 of `taumap verify --nmax 5 --degmax 6 --order 4 --in <A8 ellipse> --seed 3`
+# stdout, the run the benchmark's `verify` workload makes
+VERIFY_56_A8_SHA256 = "e70f8fd8d3dbcb8ffa5b8cfc3efa8c835b2dc5d8f6bdcfe864e8928f5eee1101"
+
+
+def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    curve.write_text(
+        json.dumps({"r": 1.0, "a": [[0.0, 0.0], [0.05, 0.0]], "samples": 256})
+    )
+    code, out, err = run_cli(
+        ["verify", "--nmax", "5", "--degmax", "6", "--order", "4",
+         "--in", str(curve), "--seed", "3"],
+        capsys,
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_56_A8_SHA256
+    # the convergence gate is reported once, inside the roundtrip check, and
+    # every entry of `checks` judges something
+    checks = json.loads(out)["checks"]
+    assert "convergence_gate" not in checks
+    assert all(entry["checked"] >= 1 for entry in checks.values()), checks
+    assert set(checks["roundtrip"]["gate"]) == {"admissible", "bound", "offending"}
+    assert checks["roundtrip"]["gate"]["admissible"] is False  # |t2| = 0.025
+
+
 def test_verify_with_curve_fixture(tmp_path, capsys):
     curve = tmp_path / "curve.json"
     curve.write_text(
@@ -253,11 +282,28 @@ def test_verify_rejects_a_roundtrip_setting_without_a_curve(capsys, flag, value,
     assert err == f"error: {flag} sets the roundtrip's {what}: it needs --in\n"
 
 
-def test_verify_rejects_negative_order(capsys):
-    code, out, err = run_cli(["verify", "--nmax", "2", "--order", "-1"], capsys)
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--order", "9"], "--order must be in 0..3, got 9"),
+        (["verify", "--order", "-1"], "--order must be in 0..3, got -1"),
+        (["map", "--in", "MISSING", "--order-J", "-1"], "--order-J must be >= 0, got -1"),
+        (["verify", "--in", "MISSING", "--order-J", "-1"], "--order-J must be >= 0, got -1"),
+    ],
+    ids=["verify-order-above-n_max", "verify-order-negative", "map-order-J", "verify-order-J"],
+)
+def test_order_flags_fail_before_the_build(tmp_path, capsys, monkeypatch, args, message):
+    # an order out of range is named before the input is read (it does not
+    # exist here) and before anything is built
+    def no_build(*_, **__):
+        raise AssertionError("built a potential for a rejected order")
+
+    monkeypatch.setattr("taumap.cli.build_potential", no_build)
+    args = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in args]
+    code, out, err = run_cli([*args, "--nmax", "3", "--degmax", "4"], capsys)
     assert code == 2
     assert out == ""
-    assert "residual order must be >= 0, got -1" in err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

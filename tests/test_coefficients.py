@@ -583,12 +583,13 @@ def test_n2_examples():
 
 
 def test_nkey_canonicalization():
-    key = NKey.from_multisets([2, 1, 1], [1, 1, 2])
-    assert key.unbarred == ((1, 2), (2, 1))
+    key = NKey(((1, 2), (2, 1)), ((1, 2), (2, 1)), 4)
     assert key.expanded_unbarred() == (1, 1, 2)
-    assert key.i == 4
+    assert key.expanded_barred() == (1, 1, 2)
     with pytest.raises(ValueError):
         NKey(((2, 1), (1, 1)), ((1, 1),), 3)  # indices not increasing
+    with pytest.raises(ValueError, match="declared weight"):
+        NKey(((1, 2), (2, 1)), ((1, 1),), 3)
 
 
 def test_bar_exchange_symmetry_scan():

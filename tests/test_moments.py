@@ -11,8 +11,6 @@ from test_confmap import seeded_curves
 from taumap.moments import (
     MAX_SAMPLES,
     BoundaryCurve,
-    curve_from_json,
-    curve_to_json,
     moments_from_curve,
     v_moments_from_curve,
 )
@@ -146,11 +144,6 @@ def test_moment_count_validation():
         moments_from_curve(ELLIPSE, 0)
     with pytest.raises(ValueError):
         v_moments_from_curve(ELLIPSE, 0)
-
-
-def test_curve_json_round_trip():
-    again = curve_from_json(curve_to_json(ELLIPSE))
-    assert again == ELLIPSE
 
 
 def test_determinism_bitwise():

@@ -18,6 +18,8 @@ from taumap.potential import (
 )
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries
 from taumap.verify import (
+    ROUNDTRIP_RADIUS,
+    ROUNDTRIP_SAMPLES,
     bar_swap,
     convergence_gate,
     degree_term_sums,
@@ -373,7 +375,6 @@ def test_roundtrip_circle_exact():
         BoundaryCurve(r=1.2, a=(), samples=128),
         built(3, 3, map_order=6),
         order=6,
-        test_radius=1.5,
     )
     assert report.sup_error <= 1e-12
     assert report.gate.admissible is False  # t0 = 1.44 outside (0, 1)
@@ -384,25 +385,24 @@ def test_roundtrip_small_disk_admissible():
         BoundaryCurve(r=0.9, a=(), samples=128),
         built(2, 3, map_order=4),
         order=4,
-        test_radius=1.25,
     )
     assert report.gate.admissible
-    assert not report.warnings
+    assert not report.gate.offending
     assert report.sup_error <= 1e-12
 
 
 def test_roundtrip_ellipse_policy_sweep_and_warning():
     errors = {}
     for deg in (3, 6):
-        report = roundtrip(CURVE, built(4, deg, map_order=8), order=8, test_radius=1.25)
+        report = roundtrip(CURVE, built(4, deg, map_order=8), order=8)
         errors[deg] = report.sup_error
-        assert report.warnings  # t2 exceeds the sufficient bound
+        assert not report.gate.admissible  # t2 exceeds the sufficient bound
     assert errors[6] < errors[3]
     assert errors[6] <= 2e-4
 
 
 def test_roundtrip_error_attains_target_at_higher_index_cutoff():
-    report = roundtrip(CURVE, built(8, 6, map_order=12), order=12, test_radius=1.25)
+    report = roundtrip(CURVE, built(8, 6, map_order=12), order=12)
     assert report.sup_error <= 1e-5
     assert abs(report.p - 1.0) <= 1e-9
 
@@ -412,10 +412,10 @@ def test_roundtrip_asymmetric_curve_matches_full_index_build():
     # none beyond; at n_max = 4 the one-point sector supplies B_5..B_9, and
     # the roundtrip must equal the map from a full (9, 5) build
     curve = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
-    report = roundtrip(curve, built(4, 5, map_order=8), order=8, test_radius=1.25)
+    report = roundtrip(curve, built(4, 5, map_order=8), order=8)
     full, _ = build_potential(default_policy(9, 5))
     w_full = map_from_potential(full, report.moments, 8)
-    u = 1.25 * np.exp(2j * np.pi * np.arange(512) / 512)
+    u = ROUNDTRIP_RADIUS * np.exp(2j * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES)
     full_error = max(abs(w_full(curve.z_of(complex(x))) - x) for x in u)
     assert abs(report.sup_error - full_error) <= 1e-12
     assert report.sup_error <= 1e-5
@@ -425,16 +425,16 @@ def test_roundtrip_rotation_invariance():
     base = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
     rotated = base.rotated(complex(math.cos(0.7), math.sin(0.7)))
     potential = built(4, 5, map_order=8)
-    r1 = roundtrip(base, potential, order=8, test_radius=1.25)
-    r2 = roundtrip(rotated, potential, order=8, test_radius=1.25)
+    r1 = roundtrip(base, potential, order=8)
+    r2 = roundtrip(rotated, potential, order=8)
     assert abs(r1.sup_error - r2.sup_error) <= 1e-10
 
 
 def test_roundtrip_array_error_equals_point_loop():
     curve = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
-    report = roundtrip(curve, built(4, 5, map_order=8), order=8, test_radius=1.25)
+    report = roundtrip(curve, built(4, 5, map_order=8), order=8)
     w = report.map_series
-    u = 1.25 * np.exp(2j * np.pi * np.arange(512) / 512)
+    u = ROUNDTRIP_RADIUS * np.exp(2j * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES)
     loop = max(abs(w(curve.z_of(complex(x))) - complex(x)) for x in u)
     assert abs(report.sup_error - loop) <= 1e-15
     # scalar calls stay in Python complex arithmetic
@@ -442,20 +442,15 @@ def test_roundtrip_array_error_equals_point_loop():
     assert type(w(curve.z_of(1.25 + 0j))) is complex
 
 
-def test_roundtrip_radius_validation():
-    with pytest.raises(ValueError):
-        roundtrip(CURVE, built(2, 3), order=4, test_radius=0.9)
-
-
 def test_roundtrip_needs_a_potential_built_for_its_order():
     # a map of order 4 reads B_5; the potential must carry it
     for map_order in (None, 3):
         potential = built(2, 3, map_order=map_order)
         with pytest.raises(ValueError, match="build it with map_order >= 4"):
-            roundtrip(CURVE, potential, order=4, test_radius=1.25)
+            roundtrip(CURVE, potential, order=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roundtrip(CURVE, built(2, 3, map_order=4), order=4, test_radius=1.25)
+        roundtrip(CURVE, built(2, 3, map_order=4), order=4)
 
 
 def test_dual_moments_on_asymmetric_complex_curve():
