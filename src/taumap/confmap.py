@@ -172,10 +172,6 @@ class ExteriorMapSeries:
             raise ValueError(f"p must be finite and positive, got {self.p}")
         _require_finite("tail", self.tail)
 
-    @property
-    def order(self) -> int:
-        return len(self.tail) - 1
-
     def __call__(self, z: complex) -> complex:
         return evaluate_map(self, z)
 

@@ -101,23 +101,6 @@ class BoundaryCurve:
         ``complex`` stays one."""
         return self.r * u + _horner(self.a, 1.0 / u)
 
-    def scaled(self, lam: float) -> "BoundaryCurve":
-        return BoundaryCurve(
-            self.r * lam, tuple(lam * c for c in self.a), self.samples
-        )
-
-    def rotated(self, phase: complex) -> "BoundaryCurve":
-        """Curve of the rotated domain ``z -> phase z`` (|phase| = 1).
-
-        The leading coefficient stays real positive by rotating the
-        parameter circle as well: ``a_j -> phase^(j+1) a_j``.
-        """
-        return BoundaryCurve(
-            self.r,
-            tuple(phase ** (j + 1) * c for j, c in enumerate(self.a)),
-            self.samples,
-        )
-
 
 def _quadrature(curve: BoundaryCurve, n: int, dual: bool):
     """``z`` on the grid, the trapezoid weight ``w`` with ``(1/(2 pi i)) oint f

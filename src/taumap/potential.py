@@ -295,9 +295,7 @@ class _TodaSolver:
         for d in range(deg_max - 1):
             if d:
                 x.append(self._sources(f[d], f[d + 1], s[d]))
-                e.append(one.products(
-                    [(Fraction(j, d), x[j], e[d - j]) for j in range(1, d + 1)]
-                ))
+                e.append(one.graded_exp_slice(x, e))
                 # M_d = sum_{k >= 1} (u v t0)^k [E_d + (1/d) sum (d-j) E_j M_{d-j}]
                 inner = one.products(
                     [(1, e[d], one)]

@@ -33,15 +33,17 @@ Design points:
   one implementation, on the tail: a product meets only the degree pairs
   that truncation keeps and its pair loop adds integer codes and
   multiplies integer numerators, and a derivative reads an exponent field
-  by shift and mask.  The Toda residuals of :mod:`taumap.verify` and the
-  potential's Toda solver expand their wider tails with the same class.
+  by shift and mask.  The exponential is one graded rule,
+  ``g E_g = sum_k k X_k E_{g-k}`` (:meth:`_Tail.graded_exp_slice`), which
+  the potential's Toda solver runs on its degree slices too.  The Toda
+  residuals of :mod:`taumap.verify` and the solver expand their wider
+  tails with the same class.
 * Validation and decoding happen at the boundary.  ``Monomial(...)``
   checks canonical order, and ``TruncatedSeries(policy, terms)`` --
-  through which :meth:`TruncatedSeries.filter`,
-  :meth:`TruncatedSeries.to_policy` and the readers go -- drops zero and
-  inadmissible terms, makes every coefficient a ``Fraction`` and encodes
-  the monomials.  Ring operations never leave the packed form; monomials
-  are decoded and ``Fraction``s made only when the terms are read
+  through which :meth:`TruncatedSeries.filter` and the readers go -- drops
+  zero and inadmissible terms, makes every coefficient a ``Fraction`` and
+  encodes the monomials.  Ring operations never leave the packed form;
+  monomials are decoded and ``Fraction``s made only when the terms are read
   (:meth:`TruncatedSeries.items`, :meth:`TruncatedSeries.coefficient`,
   :meth:`TruncatedSeries.evaluate`).
 
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -335,34 +337,39 @@ class _Tail:
         return self._like(acc, den)
 
     def exp(self) -> "_Tail":
-        """``sum_m self^m / m!`` for a tail with no term in the cell ``(0, 0, 0)``.
+        """``exp(self)`` for a tail with no term in the cell ``(0, 0, 0)``.
 
-        Every other term raises ``a + b + d`` by ``rise`` or more, so the
-        powers past ``top`` leave the orders and ``deg_max``.  The powers
-        keep integer numerators over ``den^m`` and are added into one sum
-        over ``den^top top!``, reduced once at the end.
+        ``g = a + b + d`` grades the cells: products add it, and no cell
+        beyond ``sum(orders) + deg_max`` survives.  The slices ``E_g`` of
+        the exponential come from :meth:`graded_exp_slice` and fill
+        disjoint cells, so the exponential is their union over one common
+        denominator.
         """
         if (0, 0, 0) in self.cells:
             raise ValueError("exp requires every term to carry a variable")
-        rise = min((a + b + d for a, b, d in self.cells), default=1)
-        top = (sum(self.orders) + self.policy.deg_max) // rise
-        den = weight = self.den**top * factorial(top)
-        total = {(0, 0, 0): {0: weight}}
-        base, power = self._like(self.cells), self.one()  # over 1: nothing divides
-        for m in range(1, top + 1):
-            power, weight = power * base, weight // (self.den * m)
-            for key, cell in power.cells.items():
-                out = total.setdefault(key, {})
-                for code, n in cell.items():
-                    # a sum that cancels leaves, to come back last, as under ``+``
-                    n = n * weight + out.get(code, 0)
-                    if n:
-                        out[code] = n
-                    else:
-                        del out[code]
-                if not out:
-                    del total[key]
-        return self._like(total, den)
+        top = sum(self.orders) + self.policy.deg_max
+        slices: list[dict] = [{} for _ in range(top + 1)]
+        for (a, b, d), cell in self.cells.items():
+            slices[a + b + d][a, b, d] = cell
+        x = [self._like(cells, self.den) for cells in slices]
+        e = [self.one()]
+        for _ in range(top):
+            e.append(self.graded_exp_slice(x, e))
+        den = lcm(*(s.den for s in e))
+        cells = {}
+        for s in e:
+            f = den // s.den
+            for key, cell in s.cells.items():
+                cells[key] = {code: n * f for code, n in cell.items()}
+        return self._like(cells, den)
+
+    def graded_exp_slice(self, x: list["_Tail"], e: list["_Tail"]) -> "_Tail":
+        """The next slice ``E_g``, ``g = len(e)``, of ``E = exp(X)`` under a
+        grading that products add: ``E_g = (1/g) sum_{k=1..g} k X_k E_{g-k}``
+        from the slices ``x[k]`` of ``X`` (which has none of grade 0) and the
+        slices ``e`` of ``E`` already known, a tail like ``self``."""
+        g = len(e)
+        return self.products([(Fraction(k, g), x[k], e[g - k]) for k in range(1, g + 1)])
 
     def diff_t0(self) -> "_Tail":
         """The derivative in ``t0``, whose power is the field above the others."""
@@ -490,10 +497,6 @@ class TruncatedSeries:
     def filter(self, keep: Callable[[Monomial], bool]) -> "TruncatedSeries":
         return TruncatedSeries(self.policy, {m: c for m, c in self.items() if keep(m)})
 
-    def to_policy(self, policy: TruncationPolicy) -> "TruncatedSeries":
-        """Re-truncate (or relax) under another policy."""
-        return TruncatedSeries(policy, dict(self.items()))
-
     # -- ring operations ---------------------------------------------------
 
     def _operand(self, other) -> "_Tail":
@@ -528,12 +531,11 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def exp_no_constant(self) -> "TruncatedSeries":
-        """``sum_m self^m / m!`` for a series whose every term carries a variable.
+        """``exp(self)`` for a series whose every term carries a variable.
 
-        Terminates because every term of ``self`` has factor degree at least
-        1, so ``self^m`` falls outside the policy once ``m > deg_max``.  A
-        term of factor degree 0 (the constant or a pure ``t0`` power) raises
-        ``ValueError``.
+        It is the graded rule of :meth:`_Tail.exp`, graded by factor degree.
+        A term of factor degree 0 (the constant or a pure ``t0`` power)
+        raises ``ValueError``.
         """
         return TruncatedSeries._of(self._tail.exp())
 

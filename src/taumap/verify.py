@@ -8,7 +8,9 @@ Three layers:
   :func:`toda_residual_c`).  The tails are the series ring's packed
   polynomials (:class:`taumap.series._Tail`), the storage of every
   series, so the derivative series enter the tails as they are stored and
-  only in-cone violations are decoded.  The build solves the mixed
+  only in-cone violations are decoded.  The violations are listed in a
+  canonical order, by cell and then by monomial, so a report depends on
+  the residual's value only.  The build solves the mixed
   constraint itself, so on a built potential :func:`toda_residual_c`
   tests how its terms fit together rather than the equation (see there).
   The barred twin of the first constraint reduces to bar-exchange
@@ -90,10 +92,13 @@ def _split_cone(residual: _Tail, name: str) -> CheckResult:
     """Judge the residual inside the truncation cone, measure it outside.
 
     ``checked`` counts the in-cone cells ``(a, b, d)`` with bidegree within
-    the residual's orders (:func:`_cone_depth`).  Only the in-cone terms are
-    decoded; outside, the largest ``|numerator|`` over the common
-    denominator is the largest ``|coefficient|``, and ``int / int`` rounds
-    it as ``float(Fraction)`` would.
+    the residual's orders (:func:`_cone_depth`).  The violations are listed
+    by cell ``(a, b, d)`` and within a cell by :meth:`Monomial.sort_key`, so
+    the list depends on the residual's value only, not on the order in which
+    the algebra filled its cells.  Only the in-cone terms are decoded;
+    outside, the largest ``|numerator|`` over the common denominator is the
+    largest ``|coefficient|``, and ``int / int`` rounds it as
+    ``float(Fraction)`` would.
     """
     policy = residual.policy
     amax, bmax = residual.orders
@@ -103,9 +108,13 @@ def _split_cone(residual: _Tail, name: str) -> CheckResult:
     out_max = 0
     for (a, b, d), cell in sorted(residual.cells.items()):
         if d < _cone_depth(a, b, policy):
-            for code, n in cell.items():
+            terms = sorted(
+                ((decode(code), n) for code, n in cell.items()),
+                key=lambda term: term[0].sort_key(),
+            )
+            for mono, n in terms:
                 violations.append(
-                    f"bidegree ({a},{b}) term {decode(code)}: residual {Fraction(n, den)}"
+                    f"bidegree ({a},{b}) term {mono}: residual {Fraction(n, den)}"
                 )
         else:
             out_max = max(out_max, *map(abs, cell.values()))

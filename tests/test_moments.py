@@ -97,7 +97,7 @@ def test_real_curves_give_real_moments():
 def test_scaling_law():
     lam = 1.7
     base = BoundaryCurve(r=1.0, a=(0.05, 0.1, 0.03j), samples=256)
-    scaled = base.scaled(lam)
+    scaled = BoundaryCurve(base.r * lam, tuple(lam * c for c in base.a), base.samples)
     m1 = moments_from_curve(base, 5)
     m2 = moments_from_curve(scaled, 5)
     assert abs(m2.t0 - lam**2 * m1.t0) <= 1e-12
@@ -106,12 +106,16 @@ def test_scaling_law():
 
 
 def test_rotation_covariance():
-    # z -> phase z sends t0 to itself and t_k to phase^(-k) t_k
+    # z -> phase z sends t0 to itself and t_k to phase^(-k) t_k; the
+    # leading coefficient stays real positive by rotating the parameter
+    # circle as well: a_j -> phase^(j+1) a_j
     import cmath
 
     base = BoundaryCurve(r=1.0, a=(0.02 + 0.01j, 0.03, 0.015j), samples=256)
     phase = cmath.exp(0.7j)
-    rotated = base.rotated(phase)
+    rotated = BoundaryCurve(
+        base.r, tuple(phase ** (j + 1) * c for j, c in enumerate(base.a)), base.samples
+    )
     m = moments_from_curve(base, 5)
     mr = moments_from_curve(rotated, 5)
     assert abs(mr.t0 - m.t0) <= 1e-14

@@ -315,7 +315,7 @@ def test_truncation_monotonicity():
     small_policy = default_policy(3, 4)
     big, _ = build_potential(default_policy(4, 6))
     small, _ = build_potential(small_policy)
-    restricted = big.regular.to_policy(small_policy)
+    restricted = TruncatedSeries(small_policy, dict(big.regular.items()))
     # matching t0 bounds: restrict to the smaller of the two caps as well
     assert restricted.filter(lambda m: True) == small.regular.filter(lambda m: True)
 

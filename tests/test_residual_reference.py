@@ -9,10 +9,9 @@ through the ring's ``+``.  The residuals in :mod:`taumap.verify` expand
 the same tails over packed integer monomials, the ring's own product and
 exponential, and must return an equal
 :class:`CheckResult`: the same cell count, the same violations and the same
-out-of-cone maximum.  The packed residual lists the violations of one
-bidegree by factor degree, each degree in the reference's order; the
-reference's series list their terms by factor degree too, so the two lists
-are equal.
+out-of-cone maximum.  Both list the violations of one bidegree in the
+canonical order of :meth:`Monomial.sort_key`, factor degree first, so the
+two lists are equal whatever order the algebra filled its terms in.
 """
 
 import itertools
@@ -160,7 +159,7 @@ def reference_split_cone(residual, name):
     violations = []
     out_max = 0.0
     for (a, b), series in sorted(residual.c.items()):
-        for mono, coeff in series.items():
+        for mono, coeff in sorted(series.items(), key=lambda kv: kv[0].sort_key()):
             if in_reference_cone(a, b, mono.degree, policy):
                 violations.append(f"bidegree ({a},{b}) term {mono}: residual {coeff}")
             else:
@@ -287,8 +286,8 @@ def bidegree_and_degree(violation):
 
 def test_packed_violations_are_listed_by_bidegree_then_factor_degree():
     # with every coefficient rescaled the (5, 6) residual_a fails at several
-    # factor degrees of one bidegree; the packed residual lists them by
-    # factor degree, each degree in the reference's order
+    # factor degrees of one bidegree; both residuals list them by factor
+    # degree, each degree in the canonical order
     potential, _ = build_potential(default_policy(5, 6))
     rng = random.Random(7)
     reg = potential.regular

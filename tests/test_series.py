@@ -16,7 +16,8 @@ from taumap.series import (
     series_from_json_terms,
     series_to_json_terms,
 )
-from taumap.verify import bar_swap
+from taumap.potential import build_potential
+from taumap.verify import bar_swap, toda_residual_a, toda_residual_c
 
 
 POLICY = TruncationPolicy(n_max=3, deg_max=6)
@@ -371,21 +372,19 @@ def taylor_exp(x):
         result = result + term
 
 
-def listed(tail):
-    """A tail's cells and terms in their stored order, and its denominator."""
-    return [(key, list(cell.items())) for key, cell in tail.cells.items()], tail.den
+def value(tail):
+    """A tail's cells, codes and numerators, and its denominator."""
+    return tail.cells, tail.den
 
 
-def test_tail_exp_equals_taylor_loop_in_value_and_order():
+def test_tail_exp_equals_taylor_loop_in_value():
     pol = TruncationPolicy(n_max=2, deg_max=4)
     # x = t2 + u t1 + u^2 t1^2 - u^3 t1^3: the sum at u^3 t1^3 cancels after
-    # x^2 / 2 and comes back with x^3 / 6, behind the cells x^2 opened, as under +
+    # x^2 / 2 and comes back with x^3 / 6
     t1, square = t(1, pol), t(1, pol) * t(1, pol)
     cancelling = _Tail.from_series(
         (3, 0), {(0, 0): t(2, pol), (1, 0): t1, (2, 0): square, (3, 0): -square * t1}
     )
-    cells = list(taylor_exp(cancelling).cells)
-    assert cells.index((3, 0, 3)) > cells.index((1, 0, 2))
     rng = random.Random(41)
     tails = [cancelling]
     tails.append(_Tail.from_series((0, 0), {(0, 0): rich_series(rng, pol, factor_free=False)}))
@@ -394,7 +393,27 @@ def test_tail_exp_equals_taylor_loop_in_value_and_order():
         z = tbar(2, pol) * t1 + rich_series(rng, pol, terms=3, factor_free=False)
         tails.append(_Tail.from_series(orders, {(0, 1): y, (1, 0): z, (1, 1): y * z}))
     for tail in tails:
-        assert listed(tail.exp()) == listed(taylor_exp(tail))
+        assert value(tail.exp()) == value(taylor_exp(tail))
+
+
+def test_tail_exp_equals_taylor_loop_on_the_residual_tails(monkeypatch):
+    # every tail whose exponential the (5, 6) residuals take at order 4: X
+    # and the one-sided Y of residual_a, M, P, Q and d0^2 F of residual_c
+    potential, _ = build_potential(TruncationPolicy(5, 6))
+    seen = []
+    exp = _Tail.exp
+
+    def recorded(tail):
+        seen.append(tail)
+        return exp(tail)
+
+    monkeypatch.setattr(_Tail, "exp", recorded)
+    toda_residual_a(potential, 4)
+    toda_residual_c(potential, 4)
+    monkeypatch.undo()
+    assert sorted(tail.orders for tail in seen) == [(0, 0)] + [(5, 5)] * 6
+    for tail in seen:
+        assert value(tail.exp()) == value(taylor_exp(tail))
 
 
 def test_product_with_constants_and_pure_t0_terms():
@@ -522,7 +541,7 @@ def test_degree_is_exponent_sum_on_every_construction_path():
             a + b,
             -a,
             a * Fraction(2, 3),
-            a.to_policy(TruncationPolicy(2, 3)),
+            TruncatedSeries(TruncationPolicy(2, 3), dict(a.items())),
         ]
         for s in derived:
             for m, _ in s.items():
@@ -590,15 +609,19 @@ def test_to_tighter_policy_truncates_and_commutes_with_products():
     rng = random.Random(43)
     roomy = TruncationPolicy(3, 6)
     tight = TruncationPolicy(2, 3)
+
+    def tightened(s):
+        return TruncatedSeries(tight, dict(s.items()))
+
     for _ in range(10):
         a, b = rich_series(rng, roomy), rich_series(rng, roomy)
-        cut = a.to_policy(tight)
+        cut = tightened(a)
         assert len(cut) < len(a)
         assert all(tight.admits(m) for m, _ in cut.items())
         assert {m: c for m, c in cut.items()} == {
             m: c for m, c in a.items() if tight.admits(m)
         }
-        assert (a * b).to_policy(tight) == cut * b.to_policy(tight)
+        assert tightened(a * b) == cut * tightened(b)
 
 
 # -- the packed monomial codes ------------------------------------------------

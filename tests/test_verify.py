@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from taumap import coefficients
+from taumap import coefficients, verify
 from taumap.confmap import MomentVector, map_from_potential
 from taumap.moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
 from taumap.potential import (
@@ -16,7 +16,7 @@ from taumap.potential import (
     default_policy,
     recursion_potential,
 )
-from taumap.series import Monomial, PotentialSeries, TruncatedSeries
+from taumap.series import Monomial, PotentialSeries, TruncatedSeries, _Tail
 from taumap.verify import (
     ROUNDTRIP_RADIUS,
     ROUNDTRIP_SAMPLES,
@@ -122,6 +122,32 @@ def test_residuals_detect_a_corrupted_potential(potential_44):
     # with two plain factors
     twist = Monomial(1, ((1, False, 2), (2, True, 1)))
     assert not toda_residual_a(corrupted_once(potential_44, twist), 4).ok
+
+
+def test_violation_order_does_not_depend_on_insertion_order(potential_44, monkeypatch):
+    # the report of a residual tail equals that of a copy whose cells and
+    # terms were filled in reverse order
+    tails = []
+    split_cone = verify._split_cone
+
+    def recorded(tail, name):
+        tails.append(tail)
+        return split_cone(tail, name)
+
+    monkeypatch.setattr(verify, "_split_cone", recorded)
+    pair = Monomial(1, ((1, False, 1), (1, True, 1)))
+    result = toda_residual_c(corrupted_once(potential_44, pair), 4)
+    (tail,) = tails
+    # a judged cell lists more than one violation, so the order is not vacuous
+    assert any(
+        len(cell) > 1 and d < verify._cone_depth(a, b, tail.policy)
+        for (a, b, d), cell in tail.cells.items()
+    )
+    reversed_cells = {
+        key: dict(reversed(cell.items())) for key, cell in reversed(tail.cells.items())
+    }
+    copy = _Tail(tail.codec, tail.policy, tail.orders, reversed_cells, tail.den)
+    assert split_cone(copy, result.name) == result
 
 
 def test_residual_order_capped_by_policy(potential_44):
@@ -423,7 +449,10 @@ def test_roundtrip_asymmetric_curve_matches_full_index_build():
 
 def test_roundtrip_rotation_invariance():
     base = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
-    rotated = base.rotated(complex(math.cos(0.7), math.sin(0.7)))
+    phase = complex(math.cos(0.7), math.sin(0.7))
+    rotated = BoundaryCurve(
+        base.r, tuple(phase ** (j + 1) * c for j, c in enumerate(base.a)), base.samples
+    )
     potential = built(4, 5, map_order=8)
     r1 = roundtrip(base, potential, order=8)
     r2 = roundtrip(rotated, potential, order=8)
