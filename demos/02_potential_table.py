@@ -32,8 +32,8 @@ for mono, coeff in potential.regular.sorted_items()[:10]:
 print("\nfactorial pattern (barred side = 1 repeated i times):")
 cache = MemoCache()
 for i in range(1, 7):
-    value = n2_coefficient(NKey(((i, 1),), ((1, i),), i), cache=cache)
+    value = n2_coefficient(NKey(((i, 1),), ((1, i),)), cache=cache)
     print(f"  weight {i}: coefficient = {value} = {i - 1}!  ->  {value == factorial(i - 1)}")
 
-split = n2_coefficient(NKey(((2, 2),), ((1, 4),), 4), cache=cache)
+split = n2_coefficient(NKey(((2, 2),), ((1, 4),)), cache=cache)
 print(f"  weight 4, shape 2^2 instead of a single 4: {split} (vanishes)")

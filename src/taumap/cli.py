@@ -11,10 +11,9 @@ Subcommands:
 ``moments``
     compute harmonic moments of a boundary-curve JSON;
 ``verify``
-    run the exact verification suite (nonzero exit on gated failure);
-``ellipse``
-    compare the built potential against the closed form of the
-    two-moment family.
+    run the verification suite (nonzero exit on gated failure): the exact
+    oracles and residuals, the closed form of the two-moment (ellipse)
+    family when ``n_max >= 2``, and with ``--in`` the roundtrip on a curve.
 
 Every subcommand writes one JSON document with sorted keys, to ``--out`` or
 to standard output (there with a closing newline): exact values as integer
@@ -117,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for sampled bound checks")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("ellipse", help="compare against the two-moment closed form")
-    _policy_args(p)
-    p.add_argument("--out", default=None)
-
     return parser
 
 
@@ -141,7 +136,7 @@ def _cmd_coeffs(args) -> int:
                 deg = sum(m for _, m in unbarred) + sum(m for _, m in barred)
                 if deg > args.degmax:
                     continue
-                value = n2_coefficient(NKey(unbarred, barred, weight), cache)
+                value = n2_coefficient(NKey(unbarred, barred), cache)
                 rows.append(
                     {
                         "i": weight,
@@ -209,23 +204,24 @@ def _cmd_verify(args) -> int:
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
     if not 0 <= order <= policy.n_max:
         raise ValueError(f"--order must be in 0..{policy.n_max}, got {order}")
-    order_j = _map_order(args, policy) if args.in_path else None
-    curve = curve_from_json(_read_json(args.in_path)) if args.in_path else None
+    curve = order_j = None
+    if args.in_path is not None:
+        order_j = _map_order(args, policy)
+        curve = curve_from_json(_read_json(args.in_path))
     potential, build = build_potential(policy, map_order=order_j)
-    cache = MemoCache()
 
     checks = [
         combinatorial_formula_check(potential),
-        cauchy_data_check(potential, potential.k_max),
+        cauchy_data_check(potential),
     ]
     if policy.n_max >= 2:
         checks.append(ellipse_oracle_check(potential))
     checks += [
-        factorial_pattern_check(min(6, policy.n_max + 2), cache=cache),
+        factorial_pattern_check(min(6, policy.n_max + 2)),
         toda_residual_a(potential, order),
         toda_residual_c(potential, order),
         toda_residual_b(potential),
-        _composition_count_bound(args.seed, cache),
+        _composition_count_bound(args.seed),
     ]
 
     if curve is not None:
@@ -279,8 +275,10 @@ def _policy(args) -> TruncationPolicy:
     return policy
 
 
-def _composition_count_bound(seed: int, cache: MemoCache) -> CheckResult:
-    """Sampled bound on the composition count: ``P <= C(i-1, m-1)``."""
+def _composition_count_bound(seed: int) -> CheckResult:
+    """Sampled bound on the composition count: ``P <= C(i-1, m-1)``, counted
+    on a fresh cache."""
+    cache = MemoCache()
     rng = random.Random(seed)
     bad = []
     checked = 0
@@ -299,20 +297,12 @@ def _composition_count_bound(seed: int, cache: MemoCache) -> CheckResult:
     return CheckResult("composition_count_bound", checked, bad)
 
 
-def _cmd_ellipse(args) -> int:
-    potential, _ = build_potential(_policy(args))
-    report = ellipse_oracle_check(potential)
-    _write_json(args.out, report.to_json())
-    return 0 if report.ok else 1
-
-
 _HANDLERS = {
     "coeffs": _cmd_coeffs,
     "potential": _cmd_potential,
     "map": _cmd_map,
     "moments": _cmd_moments,
     "verify": _cmd_verify,
-    "ellipse": _cmd_ellipse,
 }
 
 

@@ -117,14 +117,14 @@ class NKey:
     """Canonical key for a potential coefficient.
 
     ``unbarred`` and ``barred`` are tuples of ``(index, multiplicity)`` pairs
-    with strictly increasing indices; ``i`` is the weight of the unbarred
-    side.  Keys whose barred weight differs from ``i`` are legal and map to
-    the zero coefficient.
+    with strictly increasing indices; ``i``, the weight of the unbarred
+    side, is set once at construction.  Keys whose barred weight differs
+    from ``i`` are legal and map to the zero coefficient.
     """
 
     unbarred: tuple[tuple[int, int], ...]
     barred: tuple[tuple[int, int], ...]
-    i: int
+    i: int = field(init=False)
 
     def __post_init__(self) -> None:
         for side in (self.unbarred, self.barred):
@@ -133,8 +133,7 @@ class NKey:
                 if idx <= prev or mult < 1:
                     raise ValueError(f"non-canonical key side {side}")
                 prev = idx
-        if self.i != sum(idx * m for idx, m in self.unbarred):
-            raise ValueError("declared weight differs from unbarred weight")
+        object.__setattr__(self, "i", sum(idx * m for idx, m in self.unbarred))
 
     def expanded_unbarred(self) -> tuple[int, ...]:
         return _expand(self.unbarred)
@@ -143,9 +142,7 @@ class NKey:
         return _expand(self.barred)
 
     def swapped(self) -> "NKey":
-        return NKey(
-            self.barred, self.unbarred, sum(idx * m for idx, m in self.barred)
-        )
+        return NKey(self.barred, self.unbarred)
 
 
 def _expand(side: tuple[tuple[int, int], ...]) -> tuple[int, ...]:

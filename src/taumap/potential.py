@@ -61,8 +61,11 @@ orientation, in which the oracle evaluates each key.
 This module also carries two more strong self-checks used as acceptance
 oracles: the restriction of mixed derivatives to the ``t0`` line (Cauchy
 data) and the closed-form potential of the ellipse family (all indices
-<= 2), both as exact rational comparisons.  Every check of the package,
-here and in :mod:`taumap.verify`, reports one :class:`CheckResult`.
+<= 2), both as exact rational comparisons.  Every exact check of the
+package, here and in :mod:`taumap.verify`, reports one
+:class:`CheckResult`; the numeric roundtrip returns a
+:class:`taumap.verify.RoundtripReport`, which ``taumap verify`` judges
+against its tolerance.
 """
 
 from __future__ import annotations
@@ -139,11 +142,17 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class BuildReport:
-    """How many keys the policy admits, how many terms a build kept, and its time."""
+    """The policy of a build, how many terms it kept, and its time."""
 
-    keys_evaluated: int
+    policy: TruncationPolicy
     nonzero_terms: int
     elapsed: float
+
+    @property
+    def keys_evaluated(self) -> int:
+        """How many keys the policy admits: one walk of :func:`_admissible_keys`,
+        the recursion's keys, which the solver itself never walks."""
+        return sum(1 for _ in _admissible_keys(self.policy))
 
     def to_json(self) -> dict:
         """``{"keys_evaluated", "nonzero_terms"}``: no time, so runs write the same."""
@@ -201,33 +210,7 @@ def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
             # the degree is at most deg_max and weight + 2 (t0_power >= 0)
             room = min(deg_max, weight + 2) - count
             for barred, kbar in within[max(room, 0)]:
-                yield NKey(unbarred, barred, weight), weight - count - kbar + 2
-
-
-def _key_count(policy: TruncationPolicy) -> int:
-    """How many keys :func:`_admissible_keys` yields, from partition counts.
-
-    ``count[c][w]`` is the number of partitions of ``w`` into ``c`` parts of
-    at most ``n_max``; the keys of weight ``w`` pair every side with every
-    side of few enough factors.
-    """
-    n_max, deg_max = policy.n_max, policy.deg_max
-    max_side = deg_max - 1
-    if n_max < 1 or max_side < 1:
-        return 0
-    top = n_max * max_side
-    count = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(max_side)]
-    for part in range(1, n_max + 1):
-        for c in range(1, max_side + 1):
-            row, prev = count[c], count[c - 1]
-            for w in range(part, top + 1):
-                row[w] += prev[w - part]
-    return sum(
-        count[c1][w] * count[c2][w]
-        for w in range(1, top + 1)
-        for c1 in range(1, max_side + 1)
-        for c2 in range(1, min(deg_max, w + 2) - c1 + 1)
-    )
+                yield NKey(unbarred, barred), weight - count - kbar + 2
 
 
 def recursion_terms(
@@ -260,7 +243,7 @@ def recursion_potential(
     if cache is None:
         cache = MemoCache()
     terms = recursion_terms(_admissible_keys(policy), cache)
-    return PotentialSeries(Fraction(1, 2), Fraction(-3, 4), TruncatedSeries(policy, terms))
+    return PotentialSeries(TruncatedSeries(policy, terms))
 
 
 class _TodaSolver:
@@ -392,27 +375,16 @@ def build_potential(
     A map of order ``J`` reads ``B_k`` for ``k <= J + 1``; when that exceeds
     ``n_max`` the same pass also solves for the one-point sector, and the
     potential's ``sector`` holds ``S_{n_max+1}, ..., S_{J+1}`` under the
-    policy (else it is empty).  ``keys_evaluated`` counts the keys of
-    :func:`_admissible_keys`, the recursion's walk, without walking them.
-    The build reads no memo table: ``cache`` is accepted and not read.  It
-    stays while the benchmark's workloads (``perfbench/workloads.py``) pass
-    one.
+    policy (else it is empty).  The report keeps the policy and counts its
+    keys (``keys_evaluated``) only when read.  The build reads no memo
+    table: ``cache`` is accepted and not read.  It stays while the
+    benchmark's workloads (``perfbench/workloads.py``) pass one.
     """
     start = time.perf_counter()
     k_max = policy.n_max if map_order is None else max(policy.n_max, map_order + 1)
     regular, sector = _TodaSolver(policy, k_max).solve()
-    report = BuildReport(
-        keys_evaluated=_key_count(policy),
-        nonzero_terms=len(regular),
-        elapsed=time.perf_counter() - start,
-    )
-    potential = PotentialSeries(
-        singular_log_coeff=Fraction(1, 2),
-        singular_quad_coeff=Fraction(-3, 4),
-        regular=regular,
-        sector=sector,
-    )
-    return potential, report
+    report = BuildReport(policy, len(regular), time.perf_counter() - start)
+    return PotentialSeries(regular, sector), report
 
 
 # -- combinatorial formula oracle --------------------------------------------
@@ -435,13 +407,14 @@ def combinatorial_formula_check(potential: PotentialSeries) -> CheckResult:
 # -- Cauchy data oracle ------------------------------------------------------
 
 
-def cauchy_data_check(potential: PotentialSeries, i_max: int) -> CheckResult:
+def cauchy_data_check(potential: PotentialSeries) -> CheckResult:
     """Compare mixed derivatives on the ``t0`` line with their closed forms.
 
-    Three layers, all exact:
+    Three layers, all exact, through every index the potential supplies
+    (``potential.k_max``):
 
-    * pure ``t0``: the regular part carries no factor-free monomials and the
-      singular coefficients are ``1/2`` and ``-3/4``;
+    * pure ``t0``: the regular part carries no one-sided monomials, so no
+      factor-free ones (:meth:`PotentialSeries.invariant_violations`);
     * one index each side: coefficient of ``t0^i t_i tbar_i`` equals ``i``;
     * one plain index against a barred multiset ``B`` of weight ``i``
       (and the mirror image): the coefficient of
@@ -465,11 +438,11 @@ def cauchy_data_check(potential: PotentialSeries, i_max: int) -> CheckResult:
         if got != value:
             violations.append(f"{label}: coefficient({mono}) = {got}, expected {value}")
 
-    for i in range(1, min(i_max, policy.n_max) + 1):
+    for i in range(1, policy.n_max + 1):
         mono = Monomial(i, ((i, False, 1), (i, True, 1)))
         expect(reg, mono, Fraction(i), "diagonal pair")
 
-    for i in range(1, min(i_max, potential.k_max) + 1):
+    for i in range(1, potential.k_max + 1):
         for barred_side in bounded_partitions(i, policy.n_max, policy.deg_max - 1):
             k = sum(m for _, m in barred_side)
             t0_power = i - k + 1

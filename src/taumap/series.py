@@ -21,8 +21,9 @@ Design points:
   result to the common policy, so series stay finite and the exponential of
   a series whose every term carries a variable terminates.
 * The single logarithmic term of the potential (``t0^2 log t0``) is never
-  represented inside the ring.  It lives in the two scalar fields of
-  :class:`PotentialSeries` and is handled symbolically by consumers.
+  represented inside the ring.  The singular part is universal: it is two
+  class constants of :class:`PotentialSeries`, and consumers handle it
+  symbolically.
 * The packing of a monomial into its code is one rule, :class:`_Codec`:
   one bit field per variable, wide enough for ``deg_max``, and the ``t0``
   power on top, so codes add under any admissible product.
@@ -40,7 +41,7 @@ Design points:
   tails with the same class.
 * Validation and decoding happen at the boundary.  ``Monomial(...)``
   checks canonical order, and ``TruncatedSeries(policy, terms)`` --
-  through which :meth:`TruncatedSeries.filter` and the readers go -- drops
+  through which :meth:`TruncatedSeries.filter` goes -- drops
   zero and inadmissible terms, makes every coefficient a ``Fraction`` and
   encodes the monomials.  Ring operations never leave the packed form;
   monomials are decoded and ``Fraction``s made only when the terms are read
@@ -56,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 __all__ = [
     "Monomial",
@@ -65,7 +66,6 @@ __all__ = [
     "PotentialSeries",
     "PolicyMismatchError",
     "series_to_json_terms",
-    "series_from_json_terms",
 ]
 
 
@@ -134,10 +134,6 @@ class Monomial:
         object.__setattr__(m, "factors", factors)
         object.__setattr__(m, "degree", degree)
         return m
-
-    def weight(self, barred: bool) -> int:
-        """Sum of index*exponent over one side of the alphabet."""
-        return sum(k * e for k, b, e in self.factors if b == barred)
 
     def sort_key(self):
         return (self.degree, self.t0_power, self.factors)
@@ -580,16 +576,18 @@ class TruncatedSeries:
 
 @dataclass(frozen=True)
 class PotentialSeries:
-    """The potential split into its logarithmic part and a regular series.
+    """The potential: its universal singular part and a regular series.
 
     The full potential is
 
-        singular_log_coeff * t0^2 * log(t0)
-        + singular_quad_coeff * t0^2
-        + regular
+        1/2 t0^2 log(t0) - 3/4 t0^2 + regular
 
-    where ``regular`` is an ordinary :class:`TruncatedSeries` whose monomials
-    each contain at least one unbarred and at least one barred factor.
+    The singular part is the same for every domain, so its two coefficients
+    are the class constants ``singular_log_coeff`` and
+    ``singular_quad_coeff``; the map and the mixed residual read it only
+    through ``exp(d0^2 (1/2 t0^2 log t0 - 3/4 t0^2)) = t0``.  ``regular`` is
+    an ordinary :class:`TruncatedSeries` whose monomials each contain at
+    least one unbarred and at least one barred factor.
 
     ``sector`` is the potential's one-point sector beyond ``n_max``
     (:func:`taumap.potential.build_potential`): the series
@@ -599,8 +597,9 @@ class PotentialSeries:
     a sector has ``sector == ()``.
     """
 
-    singular_log_coeff: Fraction
-    singular_quad_coeff: Fraction
+    singular_log_coeff: ClassVar[Fraction] = Fraction(1, 2)
+    singular_quad_coeff: ClassVar[Fraction] = Fraction(-3, 4)
+
     regular: TruncatedSeries
     sector: tuple[TruncatedSeries, ...] = ()
     # The float kernel of the map's second derivatives, compiled by
@@ -614,11 +613,8 @@ class PotentialSeries:
         return self.regular.policy.n_max + len(self.sector)
 
     def invariant_violations(self) -> list[str]:
+        """The monomials of the regular part that miss one side of the alphabet."""
         bad = []
-        if self.singular_log_coeff != Fraction(1, 2):
-            bad.append(f"log coefficient {self.singular_log_coeff} != 1/2")
-        if self.singular_quad_coeff != Fraction(-3, 4):
-            bad.append(f"quadratic coefficient {self.singular_quad_coeff} != -3/4")
         for m, _ in self.regular.items():
             has_plain = any(not b for _, b, _ in m.factors)
             has_bar = any(b for _, b, _ in m.factors)
@@ -644,18 +640,3 @@ def series_to_json_terms(s: TruncatedSeries) -> list[dict]:
         }
         for m, c in s.sorted_items()
     ]
-
-
-def series_from_json_terms(
-    terms: Iterable[dict], policy: TruncationPolicy
-) -> TruncatedSeries:
-    out: dict[Monomial, Fraction] = {}
-    for entry in terms:
-        mono = Monomial(
-            int(entry["t0"]),
-            tuple((int(k), bool(b), int(e)) for k, b, e in entry["factors"]),
-        )
-        out[mono] = out.get(mono, Fraction(0)) + Fraction(
-            int(entry["num"]), int(entry["den"])
-        )
-    return TruncatedSeries(policy, out)

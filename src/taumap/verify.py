@@ -14,8 +14,9 @@ Three layers:
   constraint itself, so on a built potential :func:`toda_residual_c`
   tests how its terms fit together rather than the equation (see there).
   The barred twin of the first constraint reduces to bar-exchange
-  symmetry of the potential, which :func:`toda_residual_b` checks as the
-  exact identity ``regular == bar_swap(regular)``.  The paper's
+  symmetry of the potential, which :func:`toda_residual_b` checks as an
+  exact identity: every coefficient equals that of its mirror monomial,
+  barred and unbarred variables exchanged.  The paper's
   recursion, the oracle of every coefficient, is
   :func:`taumap.potential.combinatorial_formula_check`;
 * exact coefficient patterns: the factorial vanishing pattern of
@@ -75,7 +76,6 @@ __all__ = [
     "toda_residual_a",
     "toda_residual_b",
     "toda_residual_c",
-    "bar_swap",
     "factorial_pattern_check",
     "ConvergenceVerdict",
     "convergence_gate",
@@ -250,18 +250,13 @@ def _mirror(mono: Monomial) -> Monomial:
     return Monomial(mono.t0_power, tuple(swapped))
 
 
-def bar_swap(series: TruncatedSeries) -> TruncatedSeries:
-    """Series with the roles of barred and unbarred variables exchanged."""
-    return TruncatedSeries(series.policy, {_mirror(m): c for m, c in series.items()})
-
-
 def toda_residual_b(potential: PotentialSeries) -> CheckResult:
     """The barred twin of the pair constraint, via symmetry, per monomial.
 
     Conjugating every operator in the unbarred constraint turns it into the
     barred one, so it holds iff the potential's coefficient collection is
-    invariant under exchanging barred and unbarred variables: the exact
-    identity ``regular == bar_swap(regular)``, judged at each monomial.
+    invariant under exchanging barred and unbarred variables: each
+    coefficient equals that of its mirror monomial (:func:`_mirror`).
     The build reads a term and its mirror from different cells, ``(a, b)``
     and ``(b, a)``, of the mixed equation, so the symmetry is not built in.
     ``checked`` counts the monomials of the regular part and of its mirror
@@ -275,21 +270,21 @@ def toda_residual_b(potential: PotentialSeries) -> CheckResult:
 # -- factorial pattern --------------------------------------------------------
 
 
-def factorial_pattern_check(i_max: int, cache: MemoCache | None = None) -> CheckResult:
+def factorial_pattern_check(i_max: int) -> CheckResult:
     """Coefficients against the barred side ``(1, 1, ..., 1)``.
 
     For every unbarred shape of weight ``i <= i_max`` the coefficient with
     barred side ``1^i`` is ``(i-1)!`` when the shape is the single index
-    ``i`` and zero otherwise.
+    ``i`` and zero otherwise.  The coefficients are evaluated on a fresh
+    cache.
     """
-    if cache is None:
-        cache = MemoCache()
+    cache = MemoCache()
     violations = []
     checked = 0
     for i in range(1, i_max + 1):
         for shape in bounded_partitions(i, i, i):
             checked += 1
-            key = NKey(shape, ((1, i),), i)
+            key = NKey(shape, ((1, i),))
             value = n2_coefficient(key, cache)
             expected = Fraction(factorial(i - 1)) if shape == ((i, 1),) else Fraction(0)
             if value != expected:

@@ -74,7 +74,7 @@ def test_a01_ellipse_closed_form_exact():
 def test_a02_cauchy_data_exact_through_weight_six():
     start = time.perf_counter()
     potential, _ = build_potential(default_policy(6, 6))
-    report = cauchy_data_check(potential, 6)
+    report = cauchy_data_check(potential)
     elapsed = time.perf_counter() - start
     ok = report.ok and elapsed <= 60.0
     gate_line("A2", "Cauchy data on the t0 line, indices <= 6",
@@ -84,7 +84,7 @@ def test_a02_cauchy_data_exact_through_weight_six():
 
 
 def test_a03_factorial_pattern():
-    report = factorial_pattern_check(6, cache=MemoCache())
+    report = factorial_pattern_check(6)
     gate_line("A3", "factorial pattern against all-ones barred side",
               report.ok, f"{report.checked} shapes")
     assert report.ok, report.violations[:5]
@@ -101,7 +101,7 @@ def test_a04_bar_exchange_symmetry():
             for barred in sides:
                 if sum(m for _, m in unbarred) + sum(m for _, m in barred) > 5:
                     continue
-                key = NKey(unbarred, barred, weight)
+                key = NKey(unbarred, barred)
                 checked += 1
                 if n2_coefficient(key, cache=cache) != n2_coefficient(
                     key.swapped(), cache=cache

@@ -86,18 +86,18 @@ def test_coeffs_rejects_a_bound_without_rows(capsys, flag, value, bound):
 
 
 def test_potential_round_trips_through_reader(tmp_path, capsys):
+    # the exactness of the rows themselves is tests/test_series.py's
+    # test_json_round_trip_bit_exact
     from taumap.potential import build_potential, default_policy
-    from taumap.series import series_from_json_terms
+    from taumap.series import series_to_json_terms
 
     code, out, _ = run_cli(["potential", "--nmax", "3", "--degmax", "4"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["singular"]["log_t0_coeff"] == [1, 2]
     assert payload["singular"]["quad_coeff"] == [-3, 4]
-    policy = default_policy(3, 4)
-    series = series_from_json_terms(payload["terms"], policy)
-    expected, _ = build_potential(policy)
-    assert series == expected.regular
+    expected, _ = build_potential(default_policy(3, 4))
+    assert payload["terms"] == series_to_json_terms(expected.regular)
 
 
 def test_moments_subcommand(tmp_path, capsys):
@@ -311,8 +311,8 @@ def test_order_flags_fail_before_the_build(tmp_path, capsys, monkeypatch, args, 
     [
         ["verify", "--nmax", "0", "--degmax", "3"],
         ["verify", "--nmax", "2", "--degmax", "1"],
-        ["ellipse", "--nmax", "2", "--degmax", "1"],
-        ["ellipse", "--nmax", "2", "--degmax", "0"],
+        ["verify", "--nmax", "2", "--degmax", "0"],
+        ["map", "--nmax", "2", "--degmax", "1", "--in", "m.json"],
         ["potential", "--nmax", "2", "--degmax", "1"],
         ["map", "--nmax", "0", "--degmax", "3", "--in", "m.json"],
     ],
@@ -328,7 +328,7 @@ def test_checks_reject_a_policy_without_terms(args, tmp_path, monkeypatch, capsy
     assert "admits no potential term to check" in err
 
 
-@pytest.mark.parametrize("command", ["potential", "verify", "ellipse"])
+@pytest.mark.parametrize("command", ["potential", "verify"])
 def test_t0_bound_flag_is_rejected(command, capsys):
     # a policy is (n_max, deg_max); there is no t0 bound to set
     with pytest.raises(SystemExit) as exc:
@@ -337,19 +337,36 @@ def test_t0_bound_flag_is_rejected(command, capsys):
     assert "unrecognized arguments: --t0max 3" in capsys.readouterr().err
 
 
-def test_ellipse_subcommand(capsys):
-    code, out, _ = run_cli(["ellipse", "--nmax", "2", "--degmax", "6"], capsys)
+def test_verify_judges_the_ellipse_closed_form(capsys):
+    code, out, _ = run_cli(["verify", "--nmax", "2", "--degmax", "6"], capsys)
     assert code == 0
-    report = json.loads(out)
+    report = json.loads(out)["checks"]["ellipse_closed_form"]
     assert report["pass"] is True
     assert report["violations"] == []
     assert report["checked"] > 0
 
 
 def test_ellipse_needs_two_indices(capsys):
-    code, _, err = run_cli(["ellipse", "--nmax", "1"], capsys)
-    assert code == 2
-    assert "n_max >= 2" in err
+    from taumap.potential import build_potential, default_policy, ellipse_oracle_check
+
+    potential, _ = build_potential(default_policy(1, 3))
+    with pytest.raises(ValueError, match=r"n_max >= 2"):
+        ellipse_oracle_check(potential)
+    # verify leaves the closed form out below two indices and judges the rest
+    code, out, _ = run_cli(["verify", "--nmax", "1", "--degmax", "3"], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert "ellipse_closed_form" not in checks
+    assert "cauchy_data" in checks
+
+
+def test_ellipse_is_no_subcommand(capsys):
+    # the closed form is judged by verify; it has no front end of its own
+    with pytest.raises(SystemExit) as exc:
+        main(["ellipse", "--nmax", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "ellipse" in err
 
 
 def test_malformed_input_is_diagnosed(tmp_path, capsys):
@@ -410,6 +427,19 @@ def test_map_far_outside_the_series_range_warns_nothing(tmp_path):
 def test_missing_file_is_diagnosed(capsys):
     code, _, err = run_cli(["map", "--in", "/nonexistent/m.json"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["map", "verify"])
+def test_empty_input_path_is_a_missing_file(command, capsys):
+    # an empty path is a path to read: verify must not take it for no --in
+    # and pass without a roundtrip, whatever the --roundtrip-tol
+    args = [command, "--in", "", "--nmax", "2", "--degmax", "3"]
+    if command == "verify":
+        args += ["--roundtrip-tol", "1e-9"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_byte_identical_reruns(tmp_path):

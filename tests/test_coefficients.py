@@ -574,21 +574,24 @@ def test_n1_recursive_values_from_closed_form():
 
 
 def test_n2_examples():
-    key = NKey(((2, 1),), ((1, 2),), 2)
+    key = NKey(((2, 1),), ((1, 2),))
     assert n2_coefficient(key) == 1
-    mismatch = NKey(((2, 1),), ((1, 1),), 2)
+    mismatch = NKey(((2, 1),), ((1, 1),))
     assert n2_coefficient(mismatch) == 0
-    half = NKey(((2, 1),), ((2, 1),), 2)
+    half = NKey(((2, 1),), ((2, 1),))
     assert n2_coefficient(half) == Fraction(1, 2)
 
 
 def test_nkey_canonicalization():
-    key = NKey(((1, 2), (2, 1)), ((1, 2), (2, 1)), 4)
+    key = NKey(((1, 2), (2, 1)), ((1, 2), (2, 1)))
     assert key.expanded_unbarred() == (1, 1, 2)
     assert key.expanded_barred() == (1, 1, 2)
     with pytest.raises(ValueError):
-        NKey(((2, 1), (1, 1)), ((1, 1),), 3)  # indices not increasing
-    with pytest.raises(ValueError, match="declared weight"):
+        NKey(((2, 1), (1, 1)), ((1, 1),))  # indices not increasing
+    # the weight is the unbarred side's, derived and never declared
+    assert key.i == 4 and key.swapped().i == 4
+    assert NKey(((1, 2), (2, 1)), ((1, 1),)).i == 4
+    with pytest.raises(TypeError):
         NKey(((1, 2), (2, 1)), ((1, 1),), 3)
 
 

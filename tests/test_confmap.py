@@ -352,7 +352,7 @@ def one_term_potential(c):
     """A potential whose regular part is ``c t0^2 t_1 tbar_1``: ``A = 2c |t_1|^2``."""
     term = Monomial(2, ((1, False, 1), (1, True, 1)))
     regular = TruncatedSeries(TruncationPolicy(1, 2), {term: Fraction(c)})
-    return PotentialSeries(Fraction(1, 2), Fraction(-3, 4), regular)
+    return PotentialSeries(regular)
 
 
 @pytest.mark.parametrize("c", [10**4, -(10**4)])
@@ -365,9 +365,7 @@ def test_out_of_range_a_is_named(c):
 
 
 def test_potential_without_terms_gives_the_disk_map():
-    empty = PotentialSeries(
-        Fraction(1, 2), Fraction(-3, 4), TruncatedSeries.zero(TruncationPolicy(3, 4))
-    )
+    empty = PotentialSeries(TruncatedSeries.zero(TruncationPolicy(3, 4)))
     m = MomentVector(t0=0.7, t=(0.02 + 0.01j, 0.03, -0.01j))
     w = map_from_potential(empty, m, order=2)
     assert w.p == 1 / math.sqrt(0.7)

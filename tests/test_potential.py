@@ -24,7 +24,13 @@ from taumap.potential import (
     recursion_potential,
     recursion_terms,
 )
-from taumap.series import Monomial, TruncatedSeries, _Codec, series_to_json_terms
+from taumap.series import (
+    Monomial,
+    PotentialSeries,
+    TruncatedSeries,
+    _Codec,
+    series_to_json_terms,
+)
 
 
 def coeff(potential, t0_power, plain, barred):
@@ -52,6 +58,9 @@ def test_singular_part_fixed(potential_44):
     assert potential.singular_log_coeff == Fraction(1, 2)
     assert potential.singular_quad_coeff == Fraction(-3, 4)
     assert not potential.invariant_violations()
+    # the singular part is universal: a potential cannot be given another
+    with pytest.raises(TypeError):
+        PotentialSeries(Fraction(1, 2), Fraction(-3, 4), potential.regular)
 
 
 def test_no_linear_or_constant_terms(potential_44):
@@ -63,8 +72,8 @@ def test_no_linear_or_constant_terms(potential_44):
 def test_weight_and_t0_exponent_invariants(potential_44):
     potential, _ = potential_44
     for mono, _ in potential.regular.items():
-        w_plain = mono.weight(False)
-        w_bar = mono.weight(True)
+        w_plain = sum(k * e for k, b, e in mono.factors if not b)
+        w_bar = sum(k * e for k, b, e in mono.factors if b)
         assert w_plain == w_bar
         assert mono.t0_power == w_plain - mono.degree + 2
         assert mono.t0_power >= 0
@@ -210,7 +219,7 @@ def _policy_keys(policy):
             degree = sum(m for _, m in unbarred) + sum(m for _, m in barred)
             t0_power = weight - degree + 2
             if degree <= policy.deg_max and t0_power >= 0:
-                yield NKey(unbarred, barred, weight), t0_power
+                yield NKey(unbarred, barred), t0_power
 
 
 @pytest.mark.parametrize(
@@ -263,7 +272,7 @@ def _sector_keys(policy, k_max):
         for weight in range(k, n_max * max_side + 1):
             for rest in bounded_partitions(weight - k, n_max, max_side - 1):
                 for barred in bounded_partitions(weight, n_max, max_side):
-                    key = NKey(rest + ((k, 1),), barred, weight)
+                    key = NKey(rest + ((k, 1),), barred)
                     degree = sum(m for _, m in key.unbarred) + sum(m for _, m in barred)
                     t0_power = weight - degree + 2
                     if degree <= policy.deg_max and t0_power >= 0:
@@ -296,8 +305,8 @@ def assert_sector_equals_as_written_reference(n_max, deg_max, k_max):
     [(0, 4), (1, 1), (1, 2), (2, 2), (2, 4), (3, 7), (4, 1), (5, 6), (6, 7), (8, 6)],
 )
 def test_keys_evaluated_counts_the_walk(n_max, deg_max):
-    # the report counts the recursion's keys from partition counts; a policy
-    # with none is the exit-2 case of the potential checks
+    # the report counts the recursion's keys by walking them; a policy with
+    # none is the exit-2 case of the potential checks
     policy = default_policy(n_max, deg_max)
     _, report = build_potential(policy)
     assert report.keys_evaluated == sum(1 for _ in _policy_keys(policy))
@@ -322,15 +331,15 @@ def test_truncation_monotonicity():
 
 def test_cauchy_data_exact():
     potential, _ = build_potential(default_policy(4, 5))
-    report = cauchy_data_check(potential, 4)
+    report = cauchy_data_check(potential)
     assert report.ok, report.violations[:5]
     assert report.checked > 10
 
 
 def test_cauchy_data_judges_the_sector():
     potential, _ = build_potential(default_policy(5, 6), map_order=11)
-    regular_only = cauchy_data_check(potential, potential.regular.policy.n_max)
-    report = cauchy_data_check(potential, potential.k_max)
+    regular_only = cauchy_data_check(build_potential(default_policy(5, 6))[0])
+    report = cauchy_data_check(potential)
     assert report.ok, report.violations[:5]
     # every t0^(i-|B|+1) t_i prod tbar_B with 5 < i <= 12 in the sector
     assert report.checked - regular_only.checked == 107
@@ -343,7 +352,7 @@ def test_cauchy_data_judges_the_sector():
     terms[mono] = 2 * terms[mono] + 1
     sector[1] = TruncatedSeries(sector[1].policy, terms)
     bad = dataclasses.replace(potential, sector=tuple(sector))
-    report = cauchy_data_check(bad, bad.k_max)
+    report = cauchy_data_check(bad)
     assert len(report.violations) == 1 and "= 141, expected 70" in report.violations[0]
     assert report.violations[0].startswith("one plain index (S_7)")
 

@@ -292,11 +292,9 @@ def test_packed_violations_are_listed_by_bidegree_then_factor_degree():
     rng = random.Random(7)
     reg = potential.regular
     bad = PotentialSeries(
-        potential.singular_log_coeff,
-        potential.singular_quad_coeff,
         TruncatedSeries(
             reg.policy, {m: c * Fraction(rng.randint(1, 5), 3) for m, c in reg.items()}
-        ),
+        )
     )
     got, want = toda_residual_a(bad, 4), reference_residual_a(bad, 4)
     degrees = {}

@@ -20,7 +20,6 @@ from taumap.series import Monomial, PotentialSeries, TruncatedSeries, _Tail
 from taumap.verify import (
     ROUNDTRIP_RADIUS,
     ROUNDTRIP_SAMPLES,
-    bar_swap,
     convergence_gate,
     degree_term_sums,
     factorial_pattern_check,
@@ -97,7 +96,7 @@ def test_combinatorial_formula_rejects_multinomial_window_weight(monkeypatch):
     monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
     potential, _ = build_potential(default_policy(5, 6))
     other = recursion_potential(default_policy(5, 6))
-    assert bar_swap(other.regular) == other.regular
+    assert toda_residual_b(other).ok
     report = combinatorial_formula_check(potential)
     assert not report.ok
     assert report.checked == 336
@@ -196,11 +195,7 @@ def corrupted_once(potential, mono):
     reg = potential.regular
     terms = dict(reg.items())
     terms[mono] = 2 * terms.get(mono, 0) + 1
-    return PotentialSeries(
-        potential.singular_log_coeff,
-        potential.singular_quad_coeff,
-        TruncatedSeries(reg.policy, terms),
-    )
+    return PotentialSeries(TruncatedSeries(reg.policy, terms))
 
 
 def assert_residual_c_catches_every_corruption(n_max, deg_max):
@@ -261,9 +256,11 @@ def test_mixed_derivative_restriction_matches_log_series(potential_44):
                 assert not off
 
 
-def test_bar_swap_is_involution(potential_44):
-    reg = potential_44.regular
-    assert bar_swap(bar_swap(reg)) == reg
+def test_mirror_is_involution(potential_44):
+    for mono, _ in potential_44.regular.items():
+        mirror = verify._mirror(mono)
+        assert verify._mirror(mirror) == mono
+        assert mirror.degree == mono.degree and mirror.t0_power == mono.t0_power
 
 
 def test_residuals_arbitrate_window_weight_at_degree_six(residuals_order_4, monkeypatch):
@@ -296,9 +293,9 @@ def test_factorial_pattern_through_weight_six():
 def test_factorial_pattern_values_explicit():
     from taumap.coefficients import NKey, n2_coefficient
 
-    assert n2_coefficient(NKey(((1, 1),), ((1, 1),), 1)) == 1  # 0!
-    assert n2_coefficient(NKey(((5, 1),), ((1, 5),), 5)) == 24  # 4!
-    assert n2_coefficient(NKey(((2, 2),), ((1, 4),), 4)) == 0  # k = 1, n = 2
+    assert n2_coefficient(NKey(((1, 1),), ((1, 1),))) == 1  # 0!
+    assert n2_coefficient(NKey(((5, 1),), ((1, 5),))) == 24  # 4!
+    assert n2_coefficient(NKey(((2, 2),), ((1, 4),))) == 0  # k = 1, n = 2
 
 
 # -- convergence gate -------------------------------------------------------------
