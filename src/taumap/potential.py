@@ -50,6 +50,16 @@ with ``a > n_max`` gives the term of ``S_a`` with least barred index
 series in the policy's own variables, and the map reads
 ``B_k = d0 S_k`` from them.
 
+Most terms of the slices are dead: the read keeps from the cell ``(a, b)``
+of ``M_d`` only the terms with no ``tbar_c``, ``c < b``, and, for
+``a <= n_max``, no ``t_c``, ``c < a``.  Every product of the solver adds
+cells and multiplies monomials, and the geometric sum only raises ``a``
+and ``b``, so a term that fails this in its cell fails it in every cell it
+feeds, and the products of ``E_d`` and ``M_d`` and the geometric sum
+skip it.  With a sector only the barred half of the mask marks a term
+dead: a term with a low ``t_c`` in a cell ``a <= n_max`` still feeds the
+sector cells ``a > n_max``, where every plain ``t_c`` is read.
+
 The recursion for ``N`` stays as the exact oracle the solver answers to:
 the paper's combinatorial formula.  :func:`_admissible_keys` is its walk
 over a policy's keys, :func:`recursion_terms` sums it over given keys and
@@ -254,6 +264,12 @@ class _TodaSolver:
     codec holding one factor degree: ``X_d``, ``E_d``, ``M_d``, the terms of
     ``F_d`` in the cell ``(0, 0, d)`` and those of ``S_a`` in the cells
     ``(a, 0, d)``, ``a > n_max``.
+
+    :meth:`_below` is the one mask of what :meth:`_read` drops from a cell.
+    The products of ``E_d`` and ``M_d`` and the geometric sum skip the
+    terms that meet :meth:`_dead`: all of ``_below`` without a sector, its
+    barred half with one, since a low ``t_c`` in a cell ``a <= n_max``
+    still reaches the sector cells.
     """
 
     def __init__(self, policy: TruncationPolicy, k_max: int) -> None:
@@ -262,6 +278,13 @@ class _TodaSolver:
         self.orders = (k_max, policy.n_max)
         self.t0 = 1 << codec.t0_shift
         self.one = self._tail({(0, 0, 0): {0: 1}})
+        # products look the mask up once per pair of cells
+        amax, bmax = self.orders
+        plain = k_max == policy.n_max
+        self._dead_masks = [
+            [self._below(a if plain else 0, b) for b in range(bmax + 1)]
+            for a in range(amax + 1)
+        ]
 
     def _tail(self, cells, den=1) -> _Tail:
         return _Tail(self.codec, self.policy, self.orders, cells, den)
@@ -278,11 +301,12 @@ class _TodaSolver:
         for d in range(deg_max - 1):
             if d:
                 x.append(self._sources(f[d], f[d + 1], s[d]))
-                e.append(one.graded_exp_slice(x, e))
+                e.append(one.graded_exp_slice(x, e, self._dead))
                 # M_d = sum_{k >= 1} (u v t0)^k [E_d + (1/d) sum (d-j) E_j M_{d-j}]
                 inner = one.products(
                     [(1, e[d], one)]
-                    + [(Fraction(d - j, d), e[j], m[d - j]) for j in range(1, d)]
+                    + [(Fraction(d - j, d), e[j], m[d - j]) for j in range(1, d)],
+                    self._dead,
                 )
                 m.append(self._geometric(inner))
             f[d + 2], s[d + 1] = self._read(m[d], d)
@@ -303,16 +327,36 @@ class _TodaSolver:
             terms.append((Fraction(1, key[0]), s_a.diff_t0(), one))
         return one.products(terms)
 
+    def _below(self, a: int, b: int) -> int:
+        """The code mask of ``tbar_1..tbar_{b-1}`` and, for ``a <= n_max``, of
+        ``t_1..t_{a-1}``: :meth:`_read` drops every term of the cell
+        ``(a, b)`` of ``M_d`` that meets it."""
+        codec = self.codec
+        mask = 0
+        if b > 1:
+            mask = (1 << codec.shift(b, barred=True)) - (1 << codec.shift(1, barred=True))
+        if 1 < a <= codec.n_max:
+            mask |= (1 << codec.shift(a)) - 1
+        return mask
+
+    def _dead(self, a: int, b: int) -> int:
+        """The mask of the terms of the cell ``(a, b)`` that no read term
+        comes from (module docstring)."""
+        return self._dead_masks[a][b]
+
     def _geometric(self, inner: _Tail) -> _Tail:
-        """``sum_{k >= 1} (u v t0)^k inner``, cut at the orders."""
+        """``sum_{k >= 1} (u v t0)^k inner``, cut at the orders, without the
+        terms dead in their cell."""
         amax, bmax = self.orders
         cells: dict[tuple[int, int, int], dict[int, int]] = {}
         for (a, b, d), cell in inner.cells.items():
             for k in range(1, min(amax - a, bmax - b) + 1):
                 out = cells.setdefault((a + k, b + k, d), {})
                 shift = k * self.t0
+                mask = self._dead(a + k, b + k)
                 for code, n in cell.items():
-                    out[code + shift] = out.get(code + shift, 0) + n
+                    if not code & mask:
+                        out[code + shift] = out.get(code + shift, 0) + n
         return self._tail(cells, inner.den)
 
     def _read(self, m: _Tail, d: int) -> tuple[_Tail, _Tail]:
@@ -325,14 +369,12 @@ class _TodaSolver:
         """
         codec = self.codec
         n, mask = codec.n_max, codec.mask
-        # ``below`` masks the fields tbar_1..tbar_{b-1}, then t_1..t_{a-1}
-        barred_from = 1 << codec.shift(1, barred=True)
         scale = lcm(*range(1, self.policy.deg_max + 1)) ** 2
         regular: dict[int, int] = {}
         sector: dict[tuple[int, int, int], dict[int, int]] = {}
         for (a, b, _), cell in m.cells.items():
             b_pos = codec.shift(b, barred=True)
-            below = (1 << b_pos) - barred_from
+            below = self._below(a, b)
             if a > n:
                 out = sector.setdefault((a, 0, d + 1), {})
                 for code, c in cell.items():
@@ -341,7 +383,6 @@ class _TodaSolver:
                         out[code] = a * b * c * (scale // ((code >> b_pos) & mask))
                 continue
             a_pos = codec.shift(a)
-            below |= (1 << a_pos) - 1
             step = (1 << a_pos) + (1 << b_pos)
             for code, c in cell.items():
                 if not code & below:
@@ -351,15 +392,15 @@ class _TodaSolver:
         den = m.den * scale
         return self._tail({(0, 0, d + 2): regular}, den), self._tail(sector, den)
 
-    def _summed(self, slices: Collection[_Tail], a: int) -> TruncatedSeries:
-        """The cells ``(a, 0, d)`` of the degree slices as one series under the
-        policy: ``F`` from its slices at ``a = 0``, ``S_a`` from the sector's."""
+    def _summed(self, slices: Collection[_Tail], k: int) -> TruncatedSeries:
+        """The cells ``(k, 0, d)`` of the degree slices as one series under the
+        policy: ``F`` from its slices at ``k = 0``, ``S_k`` from the sector's."""
         den = lcm(*(t.den for t in slices))
         cells = {
             (0, 0, d): {code: num * (den // t.den) for code, num in cell.items()}
             for t in slices
-            for (b, _, d), cell in t.cells.items()
-            if b == a
+            for (a, _, d), cell in t.cells.items()
+            if a == k
         }
         return TruncatedSeries._of(_Tail(self.codec, self.policy, (0, 0), cells, den))
 

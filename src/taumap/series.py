@@ -300,32 +300,54 @@ class _Tail:
     def __mul__(self, other: "_Tail") -> "_Tail":
         return self.products([(1, self, other)])
 
-    def products(self, terms) -> "_Tail":
+    def products(self, terms, dead=None) -> "_Tail":
         """``sum q * left * right`` over ``terms`` of ``(q, left, right)``, a
         tail like ``self``.
 
         Every product goes into one integer accumulator over one common
         denominator, each ``q`` folded into its left numerators, and the sum
-        is reduced once.
+        is reduced once.  ``dead(a, b)``, if given, is a code mask for the
+        cell ``(a, b)`` of the result: a left or right term whose code meets
+        it is left out of that cell's products.  Each cell is filtered once
+        per mask.
         """
         amax, bmax = self.orders
         deg_max = self.policy.deg_max
         scales = [Fraction(q) / (left.den * right.den) for q, left, right in terms]
         den = lcm(*(s.denominator for s in scales))
         acc: dict[tuple[int, int, int], dict[int, int]] = {}
+        # (id of a right cell, mask): its terms outside the mask; the
+        # operands hold the cells, so no id is reused during the call
+        rights: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for s, (_, lhs, rhs) in zip(scales, terms):
             w = s.numerator * (den // s.denominator)
             for (a1, b1, d1), left in lhs.cells.items():
-                if w != 1:
-                    left = {c: n * w for c, n in left.items()}
-                left_items = left.items()
+                # mask: the scaled terms of this left cell outside the mask
+                lefts: dict[int, list[tuple[int, int]]] = {}
                 for (a2, b2, d2), right in rhs.cells.items():
                     a, b, d = a1 + a2, b1 + b2, d1 + d2
                     if a > amax or b > bmax or d > deg_max:
                         continue
+                    mask = dead(a, b) if dead else 0
+                    left_items = lefts.get(mask)
+                    if left_items is None:
+                        left_items = lefts[mask] = [
+                            (c, n * w) for c, n in left.items() if not c & mask
+                        ]
+                    if not left_items:
+                        continue
+                    if mask:
+                        right_items = rights.get((id(right), mask))
+                        if right_items is None:
+                            right_items = rights[id(right), mask] = [
+                                (c, n) for c, n in right.items() if not c & mask
+                            ]
+                        if not right_items:
+                            continue
+                    else:
+                        right_items = right.items()
                     out = acc.setdefault((a, b, d), {})
                     get = out.get
-                    right_items = right.items()
                     for code1, n1 in left_items:
                         for code2, n2 in right_items:
                             key = code1 + code2
@@ -359,13 +381,15 @@ class _Tail:
                 cells[key] = {code: n * f for code, n in cell.items()}
         return self._like(cells, den)
 
-    def graded_exp_slice(self, x: list["_Tail"], e: list["_Tail"]) -> "_Tail":
+    def graded_exp_slice(self, x: list["_Tail"], e: list["_Tail"], dead=None) -> "_Tail":
         """The next slice ``E_g``, ``g = len(e)``, of ``E = exp(X)`` under a
         grading that products add: ``E_g = (1/g) sum_{k=1..g} k X_k E_{g-k}``
         from the slices ``x[k]`` of ``X`` (which has none of grade 0) and the
-        slices ``e`` of ``E`` already known, a tail like ``self``."""
+        slices ``e`` of ``E`` already known, a tail like ``self``; ``dead``
+        goes to :meth:`products`."""
         g = len(e)
-        return self.products([(Fraction(k, g), x[k], e[g - k]) for k in range(1, g + 1)])
+        terms = [(Fraction(k, g), x[k], e[g - k]) for k in range(1, g + 1)]
+        return self.products(terms, dead)
 
     def diff_t0(self) -> "_Tail":
         """The derivative in ``t0``, whose power is the field above the others."""

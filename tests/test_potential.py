@@ -142,6 +142,17 @@ def sector_terms(potential):
     return terms
 
 
+def sector_sha256(potential):
+    """sha256 of the sector's terms, serialized as a series in every index up
+    to ``k_max``, which admits every one of them."""
+    policy = default_policy(potential.k_max, potential.regular.policy.deg_max)
+    terms = sector_terms(potential)
+    json_terms = series_to_json_terms(TruncatedSeries(policy, terms))
+    assert len(json_terms) == len(terms)
+    blob = json.dumps(json_terms, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 # sha256 of the terms of the (5, 6) one-point sector with k <= 12
 SECTOR_56_12_SHA256 = "a639be9d05b2f60eace5c4ac104ef5178a422bc5fcfc89bb38839ad97c86050e"
 
@@ -149,13 +160,34 @@ SECTOR_56_12_SHA256 = "a639be9d05b2f60eace5c4ac104ef5178a422bc5fcfc89bb38839ad97
 def test_one_point_sector_56_is_bit_identical_to_pin():
     potential = build_potential(default_policy(5, 6), map_order=11)[0]
     terms = sector_terms(potential)
-    # serialized as a series in every index up to k = 12
-    json_terms = series_to_json_terms(TruncatedSeries(default_policy(12, 6), terms))
-    blob = json.dumps(json_terms, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == SECTOR_56_12_SHA256
+    assert sector_sha256(potential) == SECTOR_56_12_SHA256
     assert potential.k_max == 12 and len(potential.sector) == 7
     assert all(s_k.policy == default_policy(5, 6) for s_k in potential.sector)
-    assert len(json_terms) == len(terms) == sum(map(len, potential.sector)) == 577
+    assert len(terms) == sum(map(len, potential.sector)) == 577
+
+
+# where deg_max binds and the as-written recursion is too slow to compare:
+# the (6, 10) regular part, and the (6, 9) potential at the map order the
+# CLI builds it for, J = n_max + deg_max = 15, with its sector through
+# k = 16; taken from the solver before it skipped dead terms
+POTENTIAL_6_10_SHA256 = "c0b19395e8f3dbca052468edea27929c021bcb280da18b296afb61b40fe31dc1"
+POTENTIAL_69_SHA256 = "3e50aaa85e7d2a50e16f2da2af2adc7563bea134a5dd1f53212beb05e3988d91"
+SECTOR_69_16_SHA256 = "eb20293701c271db3c9e247e4365702aef3627523bb14691218288a46b67ba23"
+
+
+def test_potential_6_10_is_bit_identical_to_pin():
+    potential, _ = build_potential(default_policy(6, 10))
+    assert potential_sha256(potential) == POTENTIAL_6_10_SHA256
+    assert len(potential.regular) == 16511
+
+
+def test_potential_69_with_its_map_sector_is_bit_identical_to_pin():
+    potential, _ = build_potential(default_policy(6, 9), map_order=15)
+    assert potential_sha256(potential) == POTENTIAL_69_SHA256
+    assert potential.k_max == 16
+    assert sector_sha256(potential) == SECTOR_69_16_SHA256
+    assert len(potential.regular) == 8070
+    assert sum(map(len, potential.sector)) == 26176
 
 
 BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -290,6 +322,31 @@ def test_one_point_sector_equals_as_written_reference_where_deg_max_binds(
     n_max, deg_max, k_max
 ):
     assert_sector_equals_as_written_reference(n_max, deg_max, k_max)
+
+
+def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
+    # a term with a low t_c in a cell a <= n_max still feeds the sector cells
+    # a > n_max, where every plain t_c is read: with a sector the solver may
+    # skip by the barred half of the mask alone
+    policy = default_policy(4, 6)
+    codec = _Codec(policy)
+    unbarred = (1 << codec.shift(1, barred=True)) - 1
+
+    def fields(a, b):
+        """The fields t_1..t_{a-1} and tbar_1..tbar_{b-1}."""
+        return sum(codec.mask << codec.shift(k) for k in range(1, a)) + sum(
+            codec.mask << codec.shift(k, barred=True) for k in range(1, b)
+        )
+
+    plain = potential_module._TodaSolver(policy, 4)
+    with_sector = potential_module._TodaSolver(policy, 6)
+    for a, b in itertools.product(range(7), range(5)):
+        assert with_sector._below(a, b) == fields(a if a <= 4 else 0, b)
+        assert with_sector._dead(a, b) == fields(0, b)
+        assert not with_sector._dead(a, b) & unbarred
+        if a <= 4:
+            assert plain._dead(a, b) == plain._below(a, b) == fields(a, b)
+    assert plain._dead(3, 1) & unbarred
 
 
 def assert_sector_equals_as_written_reference(n_max, deg_max, k_max):

@@ -1,6 +1,7 @@
 """Series ring: arithmetic, calculus, evaluation, serialization."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -427,6 +428,73 @@ def test_tail_exp_equals_taylor_loop_on_the_residual_tails(monkeypatch):
     assert sorted(tail.orders for tail in seen) == [(0, 0)] + [(5, 5)] * 6
     for tail in seen:
         assert value(tail.exp()) == value(taylor_exp(tail))
+
+
+def pairwise_products(like, terms):
+    """``sum q * left * right`` pair by pair over cells and terms, in
+    ``Fraction``s, a tail like ``like``: what an unmasked product equals."""
+    amax, bmax = like.orders
+    out = {}
+    for q, lhs, rhs in terms:
+        scale = Fraction(q) / (lhs.den * rhs.den)
+        for (a1, b1, d1), left in lhs.cells.items():
+            for (a2, b2, d2), right in rhs.cells.items():
+                a, b, d = a1 + a2, b1 + b2, d1 + d2
+                if a > amax or b > bmax or d > like.policy.deg_max:
+                    continue
+                cell = out.setdefault((a, b, d), {})
+                for code1, n1 in left.items():
+                    for code2, n2 in right.items():
+                        key = code1 + code2
+                        cell[key] = cell.get(key, 0) + scale * n1 * n2
+    den = math.lcm(*(c.denominator for cell in out.values() for c in cell.values()))
+    cells = {
+        key: {code: int(c * den) for code, c in cell.items()} for key, cell in out.items()
+    }
+    return like._like(cells, den)
+
+
+def test_masked_products_drop_exactly_the_terms_that_meet_their_cells_mask():
+    pol = TruncationPolicy(n_max=3, deg_max=5)
+    codec = _Codec(pol)
+    variables = [(k, barred) for k in range(1, 4) for barred in (False, True)]
+    rng = random.Random(43)
+    removed = kept = 0
+    for orders in ((2, 3), (3, 1), (1, 1)):
+        cell_keys = list(itertools.product(range(orders[0] + 1), range(orders[1] + 1)))
+
+        def random_tail():
+            picked = rng.sample(cell_keys, rng.randint(1, 3))
+            return _Tail.from_series(
+                orders, {key: rich_series(rng, pol, terms=5) for key in picked}
+            )
+
+        for _ in range(6):
+            # a mask per target cell: whole variable fields, some cells none
+            masks = {
+                key: sum(
+                    codec.mask << codec.shift(k, barred)
+                    for k, barred in rng.sample(variables, rng.randint(0, 3))
+                )
+                for key in cell_keys
+            }
+            like = random_tail()
+            terms = [
+                (Fraction(rng.randint(-9, 9), rng.randint(1, 9)), random_tail(), random_tail())
+                for _ in range(rng.randint(1, 3))
+            ]
+            full = like.products(terms)
+            assert value(full) == value(pairwise_products(like, terms))
+            masked = like.products(terms, lambda a, b: masks[a, b])
+            survivors = {
+                (a, b, d): {code: n for code, n in cell.items() if not code & masks[a, b]}
+                for (a, b, d), cell in full.cells.items()
+            }
+            assert value(masked) == value(like._like(survivors, full.den))
+            survived = sum(map(len, masked.cells.values()))
+            kept += survived
+            removed += sum(map(len, full.cells.values())) - survived
+    assert removed and kept
 
 
 def test_product_with_constants_and_pure_t0_terms():
