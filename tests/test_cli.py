@@ -187,6 +187,35 @@ def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
     assert checks["roundtrip"]["gate"]["admissible"] is False  # |t2| = 0.025
 
 
+# sha256 of `taumap verify --nmax 3 --degmax 4 --order 2 --in <A8 ellipse>
+# --roundtrip-tol 1e-12` stdout, a run whose roundtrip fails
+VERIFY_34_A8_FAIL_SHA256 = "eb46ec30c721096d6b7594a754b2567a975a3e751706c179e4e774f1f77cc08e"
+
+
+def test_verify_reports_a_failing_roundtrip(tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    curve.write_text(
+        json.dumps({"r": 1.0, "a": [[0.0, 0.0], [0.05, 0.0]], "samples": 256})
+    )
+    code, out, err = run_cli(
+        ["verify", "--nmax", "3", "--degmax", "4", "--order", "2",
+         "--in", str(curve), "--roundtrip-tol", "1e-12"],
+        capsys,
+    )
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_34_A8_FAIL_SHA256
+    report = json.loads(out)
+    assert report["pass"] is False
+    roundtrip = report["checks"]["roundtrip"]
+    assert roundtrip["pass"] is False
+    assert roundtrip["violations"] == [f"sup error {roundtrip['sup_error']} > 1e-12"]
+    lines = err.splitlines()
+    assert "FAIL roundtrip" in lines
+    others = [name for name in report["checks"] if name != "roundtrip"]
+    assert all(report["checks"][name]["pass"] for name in others)
+    assert sorted(lines) == sorted(["FAIL roundtrip"] + [f"PASS {n}" for n in others])
+
+
 def test_verify_with_curve_fixture(tmp_path, capsys):
     curve = tmp_path / "curve.json"
     curve.write_text(
