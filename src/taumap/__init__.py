@@ -8,12 +8,12 @@ the dispersionless 2D Toda constraints:
 
 * :mod:`taumap.series` -- exact truncated series ring in the moments;
 * :mod:`taumap.coefficients` -- the recursive Taylor coefficients;
-* :mod:`taumap.potential` -- the potential from the mixed Toda equation,
-  checked against the paper's combinatorial formula and closed-form
-  oracles (Cauchy data, the ellipse family);
+* :mod:`taumap.potential` -- the potential from the mixed Toda equation;
 * :mod:`taumap.confmap` -- the exterior map from the potential;
 * :mod:`taumap.moments` -- contour-quadrature moments of a given boundary;
-* :mod:`taumap.verify` -- hierarchy residuals, coefficient patterns,
+* :mod:`taumap.verify` -- every self-check and its :class:`CheckResult`:
+  the paper's combinatorial formula and the closed-form oracles (Cauchy
+  data, the ellipse family), hierarchy residuals, coefficient patterns,
   convergence gate and the full roundtrip;
 * :mod:`taumap.cli` -- the ``taumap`` command.
 """
@@ -31,20 +31,16 @@ from .coefficients import (
 )
 from .confmap import ExteriorMapSeries, MomentVector, evaluate_map, map_from_potential
 from .moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
-from .potential import (
-    BuildReport,
-    CheckResult,
-    build_potential,
-    cauchy_data_check,
-    combinatorial_formula_check,
-    default_policy,
-    ellipse_oracle_check,
-)
+from .potential import BuildReport, build_potential, default_policy
 from .series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 from .verify import (
+    CheckResult,
     ConvergenceVerdict,
+    cauchy_data_check,
+    combinatorial_formula_check,
     convergence_gate,
     degree_term_sums,
+    ellipse_oracle_check,
     factorial_pattern_check,
     roundtrip,
     toda_residual_a,

@@ -14,6 +14,9 @@ Subcommands:
     run the verification suite (nonzero exit on gated failure): the exact
     oracles and residuals, the closed form of the two-moment (ellipse)
     family when ``n_max >= 2``, and with ``--in`` the roundtrip on a curve.
+    It validates its arguments, builds, calls each check of
+    :mod:`taumap.verify` and writes their results; every judgement is made
+    there.
 
 Every subcommand writes one JSON document with sorted keys, to ``--out`` or
 to standard output (there with a closing newline): exact values as integer
@@ -25,31 +28,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from dataclasses import asdict
-from math import comb, isfinite
+from math import isfinite
 
-from .coefficients import (
-    MemoCache,
-    NKey,
-    bounded_compositions_count,
-    bounded_partitions,
-    n2_coefficient,
-)
+from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from .confmap import MomentVector, map_from_potential
 from .moments import curve_from_json, moments_from_curve, v_moments_from_curve
-from .potential import (
-    CheckResult,
-    build_potential,
-    cauchy_data_check,
-    combinatorial_formula_check,
-    ellipse_oracle_check,
-)
+from .potential import build_potential
 from .series import TruncationPolicy, series_to_json_terms
 from .verify import (
+    cauchy_data_check,
+    combinatorial_formula_check,
+    composition_count_bound_check,
+    ellipse_oracle_check,
     factorial_pattern_check,
-    roundtrip,
+    roundtrip_check,
     toda_residual_a,
     toda_residual_b,
     toda_residual_c,
@@ -221,21 +214,10 @@ def _cmd_verify(args) -> int:
         toda_residual_a(potential, order),
         toda_residual_c(potential, order),
         toda_residual_b(potential),
-        _composition_count_bound(args.seed),
+        composition_count_bound_check(args.seed),
     ]
-
     if curve is not None:
-        rt = roundtrip(curve, potential, order_j)
-        within = rt.sup_error <= tol
-        checks.append(
-            CheckResult(
-                "roundtrip",
-                1,
-                [] if within else [f"sup error {rt.sup_error} > {tol}"],
-                # the gate is reported, not judged: it is a sufficient condition only
-                {"sup_error": rt.sup_error, "tolerance": tol, "gate": asdict(rt.gate)},
-            )
-        )
+        checks.append(roundtrip_check(curve, potential, order_j, tol))
 
     ok = all(check.ok for check in checks)
     report = {
@@ -273,28 +255,6 @@ def _policy(args) -> TruncationPolicy:
             "potential term to check (needs --nmax >= 1 and --degmax >= 2)"
         )
     return policy
-
-
-def _composition_count_bound(seed: int) -> CheckResult:
-    """Sampled bound on the composition count: ``P <= C(i-1, m-1)``, counted
-    on a fresh cache."""
-    cache = MemoCache()
-    rng = random.Random(seed)
-    bad = []
-    checked = 0
-    for _ in range(200):
-        m = rng.randint(1, 5)
-        s = tuple(rng.randint(1, 8) for _ in range(m))
-        i = rng.randint(1, max(1, sum(s) - 1))
-        j = sum(s) - i
-        if j < 1:
-            continue
-        checked += 1
-        count = bounded_compositions_count(i, s, cache)
-        limit = min(comb(i - 1, m - 1), comb(j - 1, m - 1))
-        if count > limit:
-            bad.append(f"P({i},{s}) = {count} > {limit}")
-    return CheckResult("composition_count_bound", checked, bad)
 
 
 _HANDLERS = {

@@ -21,9 +21,9 @@ layered recursion over compositions and ordered set partitions:
 The two sides cost differently: ``t2`` recurses over the unbarred list,
 one level per index, while the widths ``m`` and the placements range over
 the barred list.  The coefficient is symmetric in the two sides, and
-:func:`taumap.potential._oriented` names the cheap orientation, the longer
+:func:`taumap.verify._oriented` names the cheap orientation, the longer
 list unbarred.  The potential's build does not run this recursion; its
-oracle, :func:`taumap.potential.combinatorial_formula_check`, evaluates
+oracle, :func:`taumap.verify.combinatorial_formula_check`, evaluates
 every key in that orientation.
 
 Two choices keep the recursion cheap while its values stay exact:

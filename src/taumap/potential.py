@@ -1,5 +1,4 @@
-"""The truncated potential series: the Toda solver that builds it, the
-recursion it answers to, and its closed-form oracles.
+"""The truncated potential series and the Toda solver that builds it.
 
 The potential is
 
@@ -60,94 +59,24 @@ skip it.  With a sector only the barred half of the mask marks a term
 dead: a term with a low ``t_c`` in a cell ``a <= n_max`` still feeds the
 sector cells ``a > n_max``, where every plain ``t_c`` is read.
 
-The recursion for ``N`` stays as the exact oracle the solver answers to:
-the paper's combinatorial formula.  :func:`_admissible_keys` is its walk
-over a policy's keys, :func:`recursion_terms` sums it over given keys and
-:func:`combinatorial_formula_check` requires the regular part to equal that
-sum over every key of the policy.  ``N`` is invariant under exchanging the
-two sides of a key, but its cost is not; :func:`_oriented` names the cheap
-orientation, in which the oracle evaluates each key.
-
-This module also carries two more strong self-checks used as acceptance
-oracles: the restriction of mixed derivatives to the ``t0`` line (Cauchy
-data) and the closed-form potential of the ellipse family (all indices
-<= 2), both as exact rational comparisons.  Every exact check of the
-package, here and in :mod:`taumap.verify`, reports one
-:class:`CheckResult`; the numeric roundtrip returns a
-:class:`taumap.verify.RoundtripReport`, which ``taumap verify`` judges
-against its tolerance.
+The recursion for ``N`` is not run here.  It stays as the exact oracle
+the solver answers to, the paper's combinatorial formula, in
+:mod:`taumap.verify`, which walks a policy's keys with
+:func:`_admissible_keys`; every check of the build lives there.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
-from typing import Collection, Iterable, Iterator
+from math import lcm
+from typing import Collection, Iterator
 
-from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
-from .series import (
-    Monomial,
-    PotentialSeries,
-    TruncatedSeries,
-    TruncationPolicy,
-    _Codec,
-    _Tail,
-)
+from .coefficients import MemoCache, NKey, bounded_partitions
+from .series import PotentialSeries, TruncatedSeries, TruncationPolicy, _Codec, _Tail
 
-__all__ = [
-    "CheckResult",
-    "BuildReport",
-    "build_potential",
-    "default_policy",
-    "recursion_terms",
-    "recursion_potential",
-    "combinatorial_formula_check",
-    "cauchy_data_check",
-    "ellipse_oracle_check",
-    "ellipse_regular_series",
-]
-
-
-@dataclass
-class CheckResult:
-    """Outcome of one self-check: it passes iff it found no violations.
-
-    ``checked`` counts the items the check judged; ``metrics`` holds the
-    numbers it reports but does not judge.
-    """
-
-    name: str
-    checked: int
-    violations: list[str] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @classmethod
-    def of_terms(cls, name: str, built: dict, expected: dict, label: str) -> CheckResult:
-        """``built`` against ``expected``, two ``{Monomial: Fraction}`` maps,
-        exactly at every monomial of either (a missing one reads 0);
-        ``checked`` counts those monomials."""
-        monos = built.keys() | expected.keys()
-        bad = [m for m in monos if built.get(m, 0) != expected.get(m, 0)]
-        violations = [
-            f"{m}: built {built.get(m, 0)}, {label} {expected.get(m, 0)}"
-            for m in sorted(bad, key=Monomial.sort_key)
-        ]
-        return cls(name, len(monos), violations)
-
-    def to_json(self) -> dict:
-        """``{"pass", "checked", "violations"}`` with the metrics alongside."""
-        return {
-            "pass": self.ok,
-            "checked": self.checked,
-            "violations": self.violations,
-            **self.metrics,
-        }
+__all__ = ["BuildReport", "build_potential", "default_policy"]
 
 
 @dataclass(frozen=True)
@@ -178,22 +107,6 @@ def default_policy(n_max: int, deg_max: int) -> TruncationPolicy:
     return TruncationPolicy(n_max=n_max, deg_max=deg_max)
 
 
-def _oriented(key: NKey) -> NKey:
-    """The orientation of ``key`` the recursion oracle evaluates.
-
-    ``N`` is invariant under exchanging the two sides, but its cost is not:
-    ``t2`` recurses over the unbarred list and the placements over the
-    barred one, and many unbarred factors against few barred ones is the
-    cheap way round.  So the side with more factors goes unbarred; a tie
-    puts the larger side tuple unbarred.
-    """
-    k = sum(m for _, m in key.unbarred)
-    kbar = sum(m for _, m in key.barred)
-    if (k, key.unbarred) >= (kbar, key.barred):
-        return key
-    return key.swapped()
-
-
 def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
     """Every key of ``policy`` with its ``t0`` exponent, by weight ascending.
 
@@ -221,39 +134,6 @@ def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
             room = min(deg_max, weight + 2) - count
             for barred, kbar in within[max(room, 0)]:
                 yield NKey(unbarred, barred), weight - count - kbar + 2
-
-
-def recursion_terms(
-    keys: Iterable[tuple[NKey, int]], cache: MemoCache
-) -> dict[Monomial, Fraction]:
-    """``pref(unbarred) * pref(barred) * N(key)`` for every key, zero or not,
-    by monomial.
-
-    ``keys`` are ``(key, t0 exponent)`` pairs; ``N`` is evaluated in the
-    orientation :func:`_oriented` picks, on ``cache``.
-    """
-    terms = {}
-    for key, t0_power in keys:
-        coeff = n2_coefficient(_oriented(key), cache)
-        num, den = coeff.numerator, coeff.denominator
-        for idx, mult in key.unbarred + key.barred:
-            num *= idx**mult
-            den *= factorial(mult)
-        factors = tuple((i, False, m) for i, m in key.unbarred)
-        factors += tuple((i, True, m) for i, m in key.barred)
-        terms[Monomial(t0_power, factors)] = Fraction(num, den)
-    return terms
-
-
-def recursion_potential(
-    policy: TruncationPolicy, cache: MemoCache | None = None
-) -> PotentialSeries:
-    """The potential of ``policy`` summed from the recursion over every key,
-    on ``cache`` or a fresh one: the reference the solver is checked against."""
-    if cache is None:
-        cache = MemoCache()
-    terms = recursion_terms(_admissible_keys(policy), cache)
-    return PotentialSeries(TruncatedSeries(policy, terms))
 
 
 class _TodaSolver:
@@ -426,138 +306,3 @@ def build_potential(
     regular, sector = _TodaSolver(policy, k_max).solve()
     report = BuildReport(policy, len(regular), time.perf_counter() - start)
     return PotentialSeries(regular, sector), report
-
-
-# -- combinatorial formula oracle --------------------------------------------
-
-
-def combinatorial_formula_check(potential: PotentialSeries) -> CheckResult:
-    """The regular part against the paper's recursion, term by term.
-
-    Every key of :func:`_admissible_keys` is evaluated on a fresh cache
-    (:func:`recursion_terms`), and the built coefficient of its monomial
-    must equal it exactly; a built term on a monomial that is no key must
-    not exist.  ``checked`` counts the monomials compared: the keys, plus
-    any built term outside them.
-    """
-    reg = potential.regular
-    formula = recursion_terms(_admissible_keys(reg.policy), MemoCache())
-    return CheckResult.of_terms("combinatorial_formula", dict(reg.items()), formula, "formula")
-
-
-# -- Cauchy data oracle ------------------------------------------------------
-
-
-def cauchy_data_check(potential: PotentialSeries) -> CheckResult:
-    """Compare mixed derivatives on the ``t0`` line with their closed forms.
-
-    Three layers, all exact, through every index the potential supplies
-    (``potential.k_max``):
-
-    * pure ``t0``: the regular part carries no one-sided monomials, so no
-      factor-free ones (:meth:`PotentialSeries.invariant_violations`);
-    * one index each side: coefficient of ``t0^i t_i tbar_i`` equals ``i``;
-    * one plain index against a barred multiset ``B`` of weight ``i``
-      (and the mirror image): the coefficient of
-      ``t0^(i-k+1) t_i * prod tbar`` times the multiplicity factorials
-      equals ``prod(B) * i! / (i-k+1)!`` where ``k = |B|``.  For
-      ``n_max < i <= k_max`` the term is ``t_i`` times
-      ``t0^(i-k+1) * prod tbar``, read as the latter in the sector's
-      ``S_i``, which holds no mirror images.
-    """
-    reg = potential.regular
-    policy = reg.policy
-    violations = list(potential.invariant_violations())
-    checked = 0
-
-    def expect(series: TruncatedSeries, mono: Monomial, value: Fraction, label: str) -> None:
-        nonlocal checked
-        if not series.policy.admits(mono):
-            return
-        checked += 1
-        got = series.coefficient(mono)
-        if got != value:
-            violations.append(f"{label}: coefficient({mono}) = {got}, expected {value}")
-
-    for i in range(1, policy.n_max + 1):
-        mono = Monomial(i, ((i, False, 1), (i, True, 1)))
-        expect(reg, mono, Fraction(i), "diagonal pair")
-
-    for i in range(1, potential.k_max + 1):
-        for barred_side in bounded_partitions(i, policy.n_max, policy.deg_max - 1):
-            k = sum(m for _, m in barred_side)
-            t0_power = i - k + 1
-            target = Fraction(
-                prod(x**m for x, m in barred_side) * factorial(i),
-                factorial(t0_power) * prod(factorial(m) for _, m in barred_side),
-            )
-            barred = tuple((x, True, m) for x, m in barred_side)
-            if i > policy.n_max:
-                s_i = potential.sector[i - policy.n_max - 1]
-                expect(s_i, Monomial(t0_power, barred), target, f"one plain index (S_{i})")
-                continue
-            plain = Monomial(t0_power, ((i, False, 1),) + barred)
-            expect(reg, plain, target, "one plain index")
-            mirror = Monomial(
-                t0_power, tuple((x, False, m) for x, m in barred_side) + ((i, True, 1),)
-            )
-            expect(reg, mirror, target, "one barred index")
-
-    return CheckResult("cauchy_data", checked, violations)
-
-
-# -- ellipse oracle ----------------------------------------------------------
-
-
-def ellipse_regular_series(policy: TruncationPolicy) -> TruncatedSeries:
-    """Regular part of the closed-form potential of the ellipse family.
-
-    For a boundary with only the first two moments present the potential is
-
-        -3/4 t0^2 + 1/2 t0^2 log(t0 / (1 - 4 t2 tbar2))
-        + t0 (t1 tbar1 + t1^2 tbar2 + tbar1^2 t2) / (1 - 4 t2 tbar2)
-
-    and this function expands everything except the two singular ``t0^2``
-    pieces as a series: the log of the geometric factor via
-    ``log(1/(1-x)) = sum x^j / j`` and the quotient via ``sum x^j``.
-    """
-    one = TruncatedSeries.constant(policy, 1)
-    t0 = TruncatedSeries.t0(policy)
-    t1 = TruncatedSeries.variable(policy, 1)
-    t1b = TruncatedSeries.variable(policy, 1, barred=True)
-    t2 = TruncatedSeries.variable(policy, 2)
-    t2b = TruncatedSeries.variable(policy, 2, barred=True)
-
-    x = 4 * t2 * t2b
-    log_inv = TruncatedSeries.zero(policy)
-    geom = one
-    x_pow = one
-    j = 0
-    while True:
-        j += 1
-        x_pow = x_pow * x
-        if not x_pow:
-            break
-        log_inv = log_inv + x_pow * Fraction(1, j)
-        geom = geom + x_pow
-
-    quad = t1 * t1b + t1 * t1 * t2b + t1b * t1b * t2
-    return t0 * t0 * log_inv * Fraction(1, 2) + t0 * quad * geom
-
-
-def ellipse_oracle_check(potential: PotentialSeries) -> CheckResult:
-    """Exact comparison of the built potential against the ellipse family.
-
-    Every coefficient of the built regular part whose monomial uses only
-    indices <= 2 must match the closed-form expansion, and vice versa.
-    Requires a policy with ``n_max >= 2``.
-    """
-    reg = potential.regular
-    policy = reg.policy
-    if policy.n_max < 2:
-        raise ValueError("ellipse oracle needs n_max >= 2")
-    expected = ellipse_regular_series(policy)
-    low = reg.filter(lambda m: all(k <= 2 for k, _, _ in m.factors))
-    return CheckResult.of_terms(
-        "ellipse_closed_form", dict(low.items()), dict(expected.items()), "closed form"
-    )

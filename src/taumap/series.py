@@ -636,16 +636,6 @@ class PotentialSeries:
         """The largest ``k`` whose one-point function ``B_k`` the potential supplies."""
         return self.regular.policy.n_max + len(self.sector)
 
-    def invariant_violations(self) -> list[str]:
-        """The monomials of the regular part that miss one side of the alphabet."""
-        bad = []
-        for m, _ in self.regular.items():
-            has_plain = any(not b for _, b, _ in m.factors)
-            has_bar = any(b for _, b, _ in m.factors)
-            if not (has_plain and has_bar):
-                bad.append(f"one-sided monomial {m}")
-        return bad
-
 
 # -- serialization ---------------------------------------------------------
 

@@ -1,7 +1,18 @@
-"""Constraint-level and end-to-end verification.
+"""Every self-check of the package, each reporting one :class:`CheckResult`.
 
-Three layers:
+:mod:`taumap.potential` builds the potential; this module judges it.
+Four layers:
 
+* exact oracles of the regular part: the paper's combinatorial formula
+  (:func:`combinatorial_formula_check`), the restriction of mixed
+  derivatives to the ``t0`` line (:func:`cauchy_data_check`) and the
+  closed-form potential of the ellipse family, all indices <= 2
+  (:func:`ellipse_oracle_check`).  The formula is the recursion for ``N``
+  from :mod:`taumap.coefficients`, walked over the policy's keys
+  (:func:`taumap.potential._admissible_keys`) and summed by
+  :func:`recursion_terms`.  ``N`` is invariant under exchanging the two
+  sides of a key, but its cost is not; :func:`_oriented` names the cheap
+  orientation, in which the oracle evaluates each key;
 * exact residuals of the two independent hierarchy constraints the potential
   must satisfy, expanded as Laurent tails in ``u = 1/z`` and ``v = 1/xi``
   whose coefficients are exact series (:func:`toda_residual_a`,
@@ -16,18 +27,17 @@ Three layers:
   The barred twin of the first constraint reduces to bar-exchange
   symmetry of the potential, which :func:`toda_residual_b` checks as an
   exact identity: every coefficient equals that of its mirror monomial,
-  barred and unbarred variables exchanged.  The paper's
-  recursion, the oracle of every coefficient, is
-  :func:`taumap.potential.combinatorial_formula_check`;
+  barred and unbarred variables exchanged;
 * exact coefficient patterns: the factorial vanishing pattern of
   coefficients against an all-ones barred side
-  (:func:`factorial_pattern_check`);
+  (:func:`factorial_pattern_check`) and a sampled bound on the composition
+  count (:func:`composition_count_bound_check`);
 * numeric checks: the domain -> moments -> potential -> map roundtrip
-  (:func:`roundtrip`), whose sup error ``taumap verify`` judges against a
-  tolerance, and two measures of how far the evaluated series can be
-  trusted, reported and not judged: the sufficient convergence condition
-  on a moment vector (:func:`convergence_gate`), whose verdict the
-  roundtrip report carries, and per-degree majorants of the evaluated
+  (:func:`roundtrip`), whose sup error :func:`roundtrip_check` judges
+  against a tolerance, and two measures of how far the evaluated series
+  can be trusted, reported and not judged: the sufficient convergence
+  condition on a moment vector (:func:`convergence_gate`), whose verdict
+  the roundtrip report carries, and per-degree majorants of the evaluated
   series (:func:`degree_term_sums`).
 
 Residuals are only *gated* inside the reliable truncation cone, where
@@ -45,24 +55,29 @@ potential gives there.  The cone is therefore the union of
 ``d = deg_max - 1`` and ``deg_max``).  Inside the cone
 residuals must vanish identically in rational arithmetic; outside they are
 reported (``max_abs_out_of_cone``) but not judged.
-
-Every check returns a :class:`taumap.potential.CheckResult`, re-exported
-here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
+from typing import Iterable
 
 import numpy as np
 
-from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
+from .coefficients import (
+    MemoCache,
+    NKey,
+    bounded_compositions_count,
+    bounded_partitions,
+    n2_coefficient,
+)
 from .confmap import ExteriorMapSeries, MomentVector, _Kernel, map_from_potential
 from .moments import BoundaryCurve, moments_from_curve
-from .potential import CheckResult
+from .potential import _admissible_keys
 from .series import (
     Monomial,
     PotentialSeries,
@@ -73,17 +88,241 @@ from .series import (
 
 __all__ = [
     "CheckResult",
+    "recursion_terms",
+    "combinatorial_formula_check",
+    "cauchy_data_check",
+    "ellipse_regular_series",
+    "ellipse_oracle_check",
     "toda_residual_a",
     "toda_residual_b",
     "toda_residual_c",
     "factorial_pattern_check",
+    "composition_count_bound_check",
     "ConvergenceVerdict",
     "convergence_gate",
     "degree_term_sums",
     "RoundtripReport",
     "roundtrip",
+    "roundtrip_check",
 ]
 
+
+@dataclass
+class CheckResult:
+    """Outcome of one self-check: it passes iff it found no violations.
+
+    ``checked`` counts the items the check judged; ``metrics`` holds the
+    numbers it reports but does not judge.
+    """
+
+    name: str
+    checked: int
+    violations: list[str] = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @classmethod
+    def of_terms(cls, name: str, built: dict, expected: dict, label: str) -> CheckResult:
+        """``built`` against ``expected``, two ``{Monomial: Fraction}`` maps,
+        exactly at every monomial of either (a missing one reads 0);
+        ``checked`` counts those monomials."""
+        monos = built.keys() | expected.keys()
+        bad = [m for m in monos if built.get(m, 0) != expected.get(m, 0)]
+        violations = [
+            f"{m}: built {built.get(m, 0)}, {label} {expected.get(m, 0)}"
+            for m in sorted(bad, key=Monomial.sort_key)
+        ]
+        return cls(name, len(monos), violations)
+
+    def to_json(self) -> dict:
+        """``{"pass", "checked", "violations"}`` with the metrics alongside."""
+        return {
+            "pass": self.ok,
+            "checked": self.checked,
+            "violations": self.violations,
+            **self.metrics,
+        }
+
+
+# -- combinatorial formula oracle ---------------------------------------------
+
+
+def _oriented(key: NKey) -> NKey:
+    """The orientation of ``key`` the recursion oracle evaluates.
+
+    ``N`` is invariant under exchanging the two sides, but its cost is not:
+    ``t2`` recurses over the unbarred list and the placements over the
+    barred one, and many unbarred factors against few barred ones is the
+    cheap way round.  So the side with more factors goes unbarred; a tie
+    puts the larger side tuple unbarred.
+    """
+    k = sum(m for _, m in key.unbarred)
+    kbar = sum(m for _, m in key.barred)
+    if (k, key.unbarred) >= (kbar, key.barred):
+        return key
+    return key.swapped()
+
+
+def recursion_terms(
+    keys: Iterable[tuple[NKey, int]], cache: MemoCache
+) -> dict[Monomial, Fraction]:
+    """``pref(unbarred) * pref(barred) * N(key)`` for every key, zero or not,
+    by monomial.
+
+    ``keys`` are ``(key, t0 exponent)`` pairs; ``N`` is evaluated in the
+    orientation :func:`_oriented` picks, on ``cache``.  ``pref`` is the
+    product of ``index^mult / mult!`` over a side (see
+    :mod:`taumap.potential`).
+    """
+    terms = {}
+    for key, t0_power in keys:
+        coeff = n2_coefficient(_oriented(key), cache)
+        num, den = coeff.numerator, coeff.denominator
+        for idx, mult in key.unbarred + key.barred:
+            num *= idx**mult
+            den *= factorial(mult)
+        factors = tuple((i, False, m) for i, m in key.unbarred)
+        factors += tuple((i, True, m) for i, m in key.barred)
+        terms[Monomial(t0_power, factors)] = Fraction(num, den)
+    return terms
+
+
+def combinatorial_formula_check(potential: PotentialSeries) -> CheckResult:
+    """The regular part against the paper's recursion, term by term.
+
+    Every key of :func:`taumap.potential._admissible_keys` is evaluated on
+    a fresh cache (:func:`recursion_terms`), and the built coefficient of
+    its monomial must equal it exactly; a built term on a monomial that is
+    no key must not exist.  ``checked`` counts the monomials compared: the
+    keys, plus any built term outside them.
+    """
+    reg = potential.regular
+    formula = recursion_terms(_admissible_keys(reg.policy), MemoCache())
+    return CheckResult.of_terms("combinatorial_formula", dict(reg.items()), formula, "formula")
+
+
+# -- Cauchy data oracle -------------------------------------------------------
+
+
+def cauchy_data_check(potential: PotentialSeries) -> CheckResult:
+    """Compare mixed derivatives on the ``t0`` line with their closed forms.
+
+    Three layers, all exact, through every index the potential supplies
+    (``potential.k_max``):
+
+    * pure ``t0``: the regular part carries no one-sided monomials, so no
+      factor-free ones: each has at least one plain and one barred factor;
+    * one index each side: coefficient of ``t0^i t_i tbar_i`` equals ``i``;
+    * one plain index against a barred multiset ``B`` of weight ``i``
+      (and the mirror image): the coefficient of
+      ``t0^(i-k+1) t_i * prod tbar`` times the multiplicity factorials
+      equals ``prod(B) * i! / (i-k+1)!`` where ``k = |B|``.  For
+      ``n_max < i <= k_max`` the term is ``t_i`` times
+      ``t0^(i-k+1) * prod tbar``, read as the latter in the sector's
+      ``S_i``, which holds no mirror images.
+    """
+    reg = potential.regular
+    policy = reg.policy
+    violations = [
+        f"one-sided monomial {m}"
+        for m, _ in reg.items()
+        if {barred for _, barred, _ in m.factors} != {False, True}
+    ]
+    checked = 0
+
+    def expect(series: TruncatedSeries, mono: Monomial, value: Fraction, label: str) -> None:
+        nonlocal checked
+        if not series.policy.admits(mono):
+            return
+        checked += 1
+        got = series.coefficient(mono)
+        if got != value:
+            violations.append(f"{label}: coefficient({mono}) = {got}, expected {value}")
+
+    for i in range(1, policy.n_max + 1):
+        mono = Monomial(i, ((i, False, 1), (i, True, 1)))
+        expect(reg, mono, Fraction(i), "diagonal pair")
+
+    for i in range(1, potential.k_max + 1):
+        for barred_side in bounded_partitions(i, policy.n_max, policy.deg_max - 1):
+            k = sum(m for _, m in barred_side)
+            t0_power = i - k + 1
+            target = Fraction(
+                prod(x**m for x, m in barred_side) * factorial(i),
+                factorial(t0_power) * prod(factorial(m) for _, m in barred_side),
+            )
+            barred = tuple((x, True, m) for x, m in barred_side)
+            if i > policy.n_max:
+                s_i = potential.sector[i - policy.n_max - 1]
+                expect(s_i, Monomial(t0_power, barred), target, f"one plain index (S_{i})")
+                continue
+            plain = Monomial(t0_power, ((i, False, 1),) + barred)
+            expect(reg, plain, target, "one plain index")
+            mirror = Monomial(
+                t0_power, tuple((x, False, m) for x, m in barred_side) + ((i, True, 1),)
+            )
+            expect(reg, mirror, target, "one barred index")
+
+    return CheckResult("cauchy_data", checked, violations)
+
+# -- ellipse oracle -----------------------------------------------------------
+
+
+def ellipse_regular_series(policy: TruncationPolicy) -> TruncatedSeries:
+    """Regular part of the closed-form potential of the ellipse family.
+
+    For a boundary with only the first two moments present the potential is
+
+        -3/4 t0^2 + 1/2 t0^2 log(t0 / (1 - 4 t2 tbar2))
+        + t0 (t1 tbar1 + t1^2 tbar2 + tbar1^2 t2) / (1 - 4 t2 tbar2)
+
+    and this function expands everything except the two singular ``t0^2``
+    pieces as a series: the log of the geometric factor via
+    ``log(1/(1-x)) = sum x^j / j`` and the quotient via ``sum x^j``.
+    """
+    one = TruncatedSeries.constant(policy, 1)
+    t0 = TruncatedSeries.t0(policy)
+    t1 = TruncatedSeries.variable(policy, 1)
+    t1b = TruncatedSeries.variable(policy, 1, barred=True)
+    t2 = TruncatedSeries.variable(policy, 2)
+    t2b = TruncatedSeries.variable(policy, 2, barred=True)
+
+    x = 4 * t2 * t2b
+    log_inv = TruncatedSeries.zero(policy)
+    geom = one
+    x_pow = one
+    j = 0
+    while True:
+        j += 1
+        x_pow = x_pow * x
+        if not x_pow:
+            break
+        log_inv = log_inv + x_pow * Fraction(1, j)
+        geom = geom + x_pow
+
+    quad = t1 * t1b + t1 * t1 * t2b + t1b * t1b * t2
+    return t0 * t0 * log_inv * Fraction(1, 2) + t0 * quad * geom
+
+
+def ellipse_oracle_check(potential: PotentialSeries) -> CheckResult:
+    """Exact comparison of the built potential against the ellipse family.
+
+    Every coefficient of the built regular part whose monomial uses only
+    indices <= 2 must match the closed-form expansion, and vice versa.
+    Requires a policy with ``n_max >= 2``.
+    """
+    reg = potential.regular
+    policy = reg.policy
+    if policy.n_max < 2:
+        raise ValueError("ellipse oracle needs n_max >= 2")
+    expected = ellipse_regular_series(policy)
+    low = reg.filter(lambda m: all(k <= 2 for k, _, _ in m.factors))
+    return CheckResult.of_terms(
+        "ellipse_closed_form", dict(low.items()), dict(expected.items()), "closed form"
+    )
 
 # -- residual checks ----------------------------------------------------------
 
@@ -267,7 +506,7 @@ def toda_residual_b(potential: PotentialSeries) -> CheckResult:
     return CheckResult.of_terms("residual_b_symmetry", built, mirrored, "mirror")
 
 
-# -- factorial pattern --------------------------------------------------------
+# -- coefficient patterns -----------------------------------------------------
 
 
 def factorial_pattern_check(i_max: int) -> CheckResult:
@@ -290,6 +529,28 @@ def factorial_pattern_check(i_max: int) -> CheckResult:
             if value != expected:
                 violations.append(f"shape {shape} weight {i}: {value} != {expected}")
     return CheckResult("factorial_pattern", checked, violations)
+
+
+def composition_count_bound_check(seed: int) -> CheckResult:
+    """Sampled bound on the composition count: ``P <= C(i-1, m-1)``, counted
+    on a fresh cache."""
+    cache = MemoCache()
+    rng = random.Random(seed)
+    bad = []
+    checked = 0
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        s = tuple(rng.randint(1, 8) for _ in range(m))
+        i = rng.randint(1, max(1, sum(s) - 1))
+        j = sum(s) - i
+        if j < 1:
+            continue
+        checked += 1
+        count = bounded_compositions_count(i, s, cache)
+        limit = min(comb(i - 1, m - 1), comb(j - 1, m - 1))
+        if count > limit:
+            bad.append(f"P({i},{s}) = {count} > {limit}")
+    return CheckResult("composition_count_bound", checked, bad)
 
 
 # -- convergence gate ---------------------------------------------------------
@@ -397,3 +658,18 @@ def roundtrip(
     u = ROUNDTRIP_RADIUS * np.exp(1j * theta)
     sup_error = float(np.max(np.abs(w(curve.z_of(u)) - u)))
     return RoundtripReport(sup_error, m, gate, w)
+
+
+def roundtrip_check(
+    curve: BoundaryCurve, potential: PotentialSeries, order: int, tol: float
+) -> CheckResult:
+    """The :func:`roundtrip` at map order ``order``, judged against ``tol``.
+
+    It fails iff the sup error exceeds ``tol``.  The sup error, ``tol`` and
+    the convergence gate's verdict are reported alongside; the gate is not
+    judged, as it is a sufficient condition only.
+    """
+    rt = roundtrip(curve, potential, order)
+    violations = [] if rt.sup_error <= tol else [f"sup error {rt.sup_error} > {tol}"]
+    metrics = {"sup_error": rt.sup_error, "tolerance": tol, "gate": asdict(rt.gate)}
+    return CheckResult("roundtrip", 1, violations, metrics)

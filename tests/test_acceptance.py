@@ -33,15 +33,12 @@ from taumap.coefficients import (
 )
 from taumap.confmap import MomentVector, map_from_potential
 from taumap.moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
-from taumap.potential import (
-    build_potential,
-    cauchy_data_check,
-    default_policy,
-    ellipse_oracle_check,
-)
+from taumap.potential import build_potential, default_policy
 from taumap.verify import (
+    cauchy_data_check,
     convergence_gate,
     degree_term_sums,
+    ellipse_oracle_check,
     factorial_pattern_check,
     roundtrip,
     toda_residual_a,

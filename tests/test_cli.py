@@ -376,7 +376,8 @@ def test_verify_judges_the_ellipse_closed_form(capsys):
 
 
 def test_ellipse_needs_two_indices(capsys):
-    from taumap.potential import build_potential, default_policy, ellipse_oracle_check
+    from taumap.potential import build_potential, default_policy
+    from taumap.verify import ellipse_oracle_check
 
     potential, _ = build_potential(default_policy(1, 3))
     with pytest.raises(ValueError, match=r"n_max >= 2"):

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,47 @@ def test_package_imports_only_public_names():
         for alias in node.names:
             assert hasattr(taumap, alias.asname or alias.name), alias.name
             assert alias.name in module.__all__, (node.module, alias.name)
+
+
+# the package-level names, submodules aside: a move between modules must not
+# drop or rename one
+PUBLIC_NAMES = [
+    "BoundaryCurve", "BuildReport", "CheckResult", "ConvergenceVerdict",
+    "ExteriorMapSeries", "MemoCache", "MomentVector", "Monomial", "NKey",
+    "PotentialSeries", "SLMatrix", "TruncatedSeries", "TruncationPolicy",
+    "bounded_compositions_count", "build_potential", "cauchy_data_check",
+    "combinatorial_formula_check", "convergence_gate", "default_policy",
+    "degree_term_sums", "ellipse_oracle_check", "evaluate_map",
+    "factorial_pattern_check", "map_from_potential", "moments_from_curve",
+    "n1_coefficient", "n2_coefficient", "roundtrip", "s_coefficient",
+    "t1_coefficient", "t2_coefficient", "toda_residual_a", "toda_residual_b",
+    "toda_residual_c", "v_moments_from_curve",
+]
+
+
+def test_package_public_names_are_pinned():
+    names = [
+        name
+        for name in dir(taumap)
+        if not name.startswith("_") and not isinstance(getattr(taumap, name), types.ModuleType)
+    ]
+    assert names == PUBLIC_NAMES
+
+
+def test_every_check_is_defined_in_verify():
+    # one module judges: every public *_check function and CheckResult live there
+    public = {f"taumap.{name}": importlib.import_module(f"taumap.{name}").__all__
+              for name in MODULES}
+    public["taumap"] = PUBLIC_NAMES
+    checks = {
+        (module, name)
+        for module, names in public.items()
+        for name in names
+        if name.endswith("_check")
+    }
+    assert ("taumap", "cauchy_data_check") in checks
+    for module, name in checks:
+        fn = getattr(importlib.import_module(module), name)
+        assert inspect.isfunction(fn), (module, name)
+        assert fn.__module__ == "taumap.verify", (module, name)
+    assert taumap.CheckResult.__module__ == "taumap.verify"

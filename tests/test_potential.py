@@ -14,16 +14,7 @@ import pytest
 from taumap.coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
 from taumap.confmap import MomentVector, map_from_potential
 from taumap import cli, potential as potential_module
-from taumap.potential import (
-    BuildReport,
-    build_potential,
-    cauchy_data_check,
-    default_policy,
-    ellipse_oracle_check,
-    ellipse_regular_series,
-    recursion_potential,
-    recursion_terms,
-)
+from taumap.potential import BuildReport, build_potential, default_policy
 from taumap.series import (
     Monomial,
     PotentialSeries,
@@ -31,6 +22,14 @@ from taumap.series import (
     _Codec,
     series_to_json_terms,
 )
+from taumap.verify import (
+    cauchy_data_check,
+    ellipse_oracle_check,
+    ellipse_regular_series,
+    recursion_terms,
+)
+
+from helpers_recursion import recursion_potential
 
 
 def coeff(potential, t0_power, plain, barred):
@@ -57,7 +56,7 @@ def test_singular_part_fixed(potential_44):
     potential, _ = potential_44
     assert potential.singular_log_coeff == Fraction(1, 2)
     assert potential.singular_quad_coeff == Fraction(-3, 4)
-    assert not potential.invariant_violations()
+    assert cauchy_data_check(potential).ok
     # the singular part is universal: a potential cannot be given another
     with pytest.raises(TypeError):
         PotentialSeries(Fraction(1, 2), Fraction(-3, 4), potential.regular)
@@ -391,6 +390,22 @@ def test_cauchy_data_exact():
     report = cauchy_data_check(potential)
     assert report.ok, report.violations[:5]
     assert report.checked > 10
+
+
+def test_cauchy_data_names_one_sided_monomials(potential_44):
+    # the regular part has no term without a plain or without a barred
+    # factor; the pure-t0 layer of the check judges every term for it
+    potential, _ = potential_44
+    terms = dict(potential.regular.items())
+    plain_only = Monomial(2, ((1, False, 2),))
+    barred_only = Monomial(3, ((2, True, 1),))
+    terms.update({plain_only: Fraction(1), barred_only: Fraction(-1)})
+    bad = PotentialSeries(TruncatedSeries(potential.regular.policy, terms))
+    report = cauchy_data_check(bad)
+    assert sorted(report.violations) == sorted(
+        [f"one-sided monomial {plain_only}", f"one-sided monomial {barred_only}"]
+    )
+    assert report.checked == cauchy_data_check(potential).checked
 
 
 def test_cauchy_data_judges_the_sector():

@@ -22,10 +22,11 @@ from fractions import Fraction
 import pytest
 
 from taumap import coefficients
-from taumap.potential import CheckResult, build_potential, default_policy, recursion_potential
+from taumap.potential import build_potential, default_policy
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
-from taumap.verify import toda_residual_a, toda_residual_c
+from taumap.verify import CheckResult, toda_residual_a, toda_residual_c
 
+from helpers_recursion import recursion_potential
 from test_verify import corrupted_once, multinomial_window_weight
 
 

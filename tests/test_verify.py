@@ -10,16 +10,12 @@ import pytest
 from taumap import coefficients, verify
 from taumap.confmap import MomentVector, map_from_potential
 from taumap.moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
-from taumap.potential import (
-    build_potential,
-    combinatorial_formula_check,
-    default_policy,
-    recursion_potential,
-)
+from taumap.potential import build_potential, default_policy
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, _Tail
 from taumap.verify import (
     ROUNDTRIP_RADIUS,
     ROUNDTRIP_SAMPLES,
+    combinatorial_formula_check,
     convergence_gate,
     degree_term_sums,
     factorial_pattern_check,
@@ -28,6 +24,8 @@ from taumap.verify import (
     toda_residual_b,
     toda_residual_c,
 )
+
+from helpers_recursion import recursion_potential
 
 
 def multinomial_window_weight(l_window, surplus):
