@@ -234,7 +234,9 @@ class _Kernel:
         to the largest exponent by repeated multiplication, read at its
         exponents into the columns where it appears.  Moments far outside
         the series' range overflow to ``inf`` or ``nan`` without a numpy
-        warning; :func:`map_from_potential` reports them.
+        warning; :func:`map_from_potential` reports them.  A column that
+        holds a variable equal to 0 is exactly 0, so where its running
+        product is not finite (``inf * 0`` is ``nan``) it reads ``+0``.
         """
         if len(moments.t) < self.n:
             raise IndexError(
@@ -250,6 +252,11 @@ class _Kernel:
                 for _ in range(top):
                     table.append(table[-1] * x)
                 values[cols] *= np.array(table, dtype=np.complex128).take(e)
+        zeros = [cols for x, (cols, _) in zip(variables, self.support) if x == 0]
+        if zeros:
+            broken = ~np.isfinite(values)
+            for cols in zeros:
+                values[cols[broken[cols]]] = 0
         return values
 
     def __call__(self, moments: MomentVector) -> np.ndarray:
@@ -278,8 +285,9 @@ def map_from_potential(
     without a sector.
 
     A negative ``order`` raises ``ValueError``, and so does ``A`` so large
-    either way that ``p`` leaves the floating-point range: such moments lie
-    far outside the region where the series converges.  The map is an
+    either way that ``p`` leaves the floating-point range, or a ``B_k`` the
+    map uses that is not finite: such moments lie far outside the region
+    where the series converges.  The map is an
     output: ``taumap map`` writes it as JSON (:meth:`ExteriorMapSeries.to_json`),
     and no command reads one back.
     """
@@ -322,6 +330,12 @@ def map_from_potential(
             "range: the moments lie far outside the series' convergence region "
             "(see taumap.verify.convergence_gate)"
         )
+    for k, b_k in enumerate(b, 1):
+        if not isfinite(b_k):
+            raise ValueError(
+                f"B_{k} = d0 d_{k} F = {b_k} is not finite: the moments lie far outside "
+                "the series' convergence region (see taumap.verify.convergence_gate)"
+            )
 
     # h = exp(sum c_k z^-k) with c_k = -B_k / k, by the standard recurrence
     # h_n = (1/n) sum_{k<=n} k c_k h_{n-k}.

@@ -430,6 +430,35 @@ def test_map_rejects_out_of_range_a(tmp_path, capsys):
     assert "taumap.verify.convergence_gate" in err
 
 
+def test_map_of_zero_moments_at_a_large_t0_is_the_disk(tmp_path, capsys):
+    # the t0 powers overflow, but a disk's map is exactly p = t0^-1/2 with a
+    # zero tail; inf * 0 used to turn the tail into nan and exit 2
+    moments = tmp_path / "m.json"
+    moments.write_text(json.dumps({"t0": 1e20}))
+    code, out, err = run_cli(
+        ["map", "--nmax", "6", "--degmax", "7", "--in", str(moments)], capsys
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["p"] == 1e-10
+    assert payload["tail"] and all(pair == [0.0, 0.0] for pair in payload["tail"])
+
+
+def test_map_names_a_non_finite_b(tmp_path, capsys):
+    # at (2, 4) A = 0 and B_1 = tbar_1 = 1e200 are finite, B_2 = tbar_1^2
+    # overflows: the error names it, not the tail entry it would feed
+    moments = tmp_path / "m.json"
+    moments.write_text(json.dumps({"t0": 0.9, "t": [[1e200, 0]]}))
+    code, out, err = run_cli(
+        ["map", "--nmax", "2", "--degmax", "4", "--in", str(moments)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: B_2 = d0 d_2 F = ")
+    assert "taumap.verify.convergence_gate" in err
+    assert err.count("\n") == 1
+
+
 def taumap_process(args, cwd, *python_options):
     """Run ``python [options] -m taumap args`` on this checkout's source."""
     # cwd may be a tmp_path, where a relative PYTHONPATH would not resolve
@@ -442,7 +471,8 @@ def taumap_process(args, cwd, *python_options):
 
 def test_map_far_outside_the_series_range_warns_nothing(tmp_path):
     # the monomials overflow to inf and nan; numpy stays silent and the one
-    # message is the out-of-range A, also when warnings are errors
+    # message is the first non-finite B_k, also when warnings are errors.
+    # A holds only terms with a zero t2 or t3 here, so it is exactly 0
     moments = tmp_path / "m.json"
     moments.write_text(json.dumps({"t0": 0.5, "t": [[1e200, 0]]}))
     args = ["map", "--nmax", "3", "--degmax", "4", "--in", str(moments)]
@@ -450,7 +480,7 @@ def test_map_far_outside_the_series_range_warns_nothing(tmp_path):
         run = taumap_process(args, tmp_path, *options)
         assert run.returncode == 2
         assert run.stdout == b""
-        assert run.stderr.startswith(b"error: A = d0^2 F_reg = nan puts p")
+        assert run.stderr.startswith(b"error: B_2 = d0 d_2 F = (nan+nanj) is not finite")
         assert run.stderr.count(b"\n") == 1
 
 

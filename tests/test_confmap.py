@@ -34,9 +34,12 @@ def potential_46_j8():
 
 
 def test_disk_map_exact(potential_46_j8):
-    for t0 in (0.25, 1.0, 2.0):
+    # at t0 = 1e40 the t0 powers of the sector rows B_8, B_9 overflow to
+    # inf; every monomial also holds a zero t_k, so each still reads 0
+    # rather than inf * 0 = nan
+    for t0 in (0.25, 1.0, 2.0, 1e40):
         m = MomentVector(t0=t0, t=(0, 0, 0, 0))
-        w = map_from_potential(potential_46_j8, m, order=6)
+        w = map_from_potential(potential_46_j8, m, order=8)
         assert abs(w.p - t0**-0.5) <= 1e-12
         assert all(abs(c) == 0 for c in w.tail)
         z = 2.0 * math.sqrt(t0) * cmath.exp(0.3j)
@@ -362,6 +365,17 @@ def test_out_of_range_a_is_named(c):
     message = rf"^A = d0\^2 F_reg = {2 * c} .*convergence_gate"
     with pytest.raises(ValueError, match=message):
         map_from_potential(one_term_potential(c), m, order=0)
+
+
+def test_non_finite_b_is_named():
+    # c t0 t_1 tbar_1 has A = 0 and B_1 = c tbar_1, which overflows at
+    # |t_1| = 1e305; the error names B_1, not the tail it would feed
+    term = Monomial(1, ((1, False, 1), (1, True, 1)))
+    regular = TruncatedSeries(TruncationPolicy(1, 2), {term: Fraction(10**4)})
+    m = MomentVector(t0=1.0, t=(1e305,))
+    message = r"^B_1 = d0 d_1 F = \(inf\+0j\) is not finite: .*convergence_gate"
+    with pytest.raises(ValueError, match=message):
+        map_from_potential(PotentialSeries(regular), m, order=0)
 
 
 def test_potential_without_terms_gives_the_disk_map():

@@ -352,6 +352,14 @@ def test_degree_sums_reject_moments_outside_the_series_range():
     assert sums and all(math.isfinite(total) for total in sums.values())
 
 
+def test_degree_sums_of_zero_moments_are_zero_at_any_t0():
+    # the t0 powers overflow at t0 = 1e40, but every monomial holds a zero
+    # t_k, so each term is 0 rather than inf * 0 = nan
+    potential, _ = build_potential(default_policy(4, 6), map_order=8)
+    sums = degree_term_sums(potential, MomentVector(1e40, (0,) * 4))
+    assert sums == {degree: 0.0 for degree in range(2, 7)}
+
+
 def reference_degree_term_sums(potential, m):
     """The per-monomial loop ``degree_term_sums`` replaced."""
     mm = m.padded(potential.regular.policy.n_max)
