@@ -213,8 +213,8 @@ def cauchy_data_check(potential: PotentialSeries) -> CheckResult:
     Three layers, all exact, through every index the potential supplies
     (``potential.k_max``):
 
-    * pure ``t0``: the regular part carries no one-sided monomials, so no
-      factor-free ones: each has at least one plain and one barred factor;
+    * pure ``t0``: every monomial of the regular part has a plain and a
+      barred factor, so none is one-sided or free of factors;
     * one index each side: coefficient of ``t0^i t_i tbar_i`` equals ``i``;
     * one plain index against a barred multiset ``B`` of weight ``i``
       (and the mirror image): the coefficient of
@@ -267,6 +267,7 @@ def cauchy_data_check(potential: PotentialSeries) -> CheckResult:
             expect(reg, mirror, target, "one barred index")
 
     return CheckResult("cauchy_data", checked, violations)
+
 
 # -- ellipse oracle -----------------------------------------------------------
 
@@ -323,6 +324,7 @@ def ellipse_oracle_check(potential: PotentialSeries) -> CheckResult:
     return CheckResult.of_terms(
         "ellipse_closed_form", dict(low.items()), dict(expected.items()), "closed form"
     )
+
 
 # -- residual checks ----------------------------------------------------------
 
