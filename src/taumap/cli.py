@@ -32,8 +32,8 @@ import sys
 from math import isfinite
 
 from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
-from .confmap import MomentVector, map_from_potential
-from .moments import curve_from_json, moments_from_curve, v_moments_from_curve
+from .confmap import map_from_potential
+from .moments import MomentVector, curve_from_json, moments_from_curve, v_moments_from_curve
 from .potential import build_potential
 from .series import TruncationPolicy, series_to_json_terms
 from .verify import (
@@ -176,6 +176,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     curve = curve_from_json(_read_json(args.in_path))
     payload = moments_from_curve(curve, args.n).to_json()
     if args.dual:

@@ -24,7 +24,8 @@ the barred list.  The coefficient is symmetric in the two sides, and
 :func:`taumap.verify._oriented` names the cheap orientation, the longer
 list unbarred.  The potential's build does not run this recursion; its
 oracle, :func:`taumap.verify.combinatorial_formula_check`, evaluates
-every key in that orientation.
+every key of a policy, walked by :func:`admissible_keys`, in that
+orientation.
 
 Two choices keep the recursion cheap while its values stay exact:
 
@@ -80,6 +81,8 @@ from math import comb, factorial, lcm, perm
 from operator import sub
 from typing import Iterator
 
+from .series import TruncationPolicy
+
 __all__ = [
     "SLMatrix",
     "NKey",
@@ -92,6 +95,7 @@ __all__ = [
     "n2_coefficient",
     "compositions",
     "bounded_partitions",
+    "admissible_keys",
 ]
 
 @dataclass(frozen=True)
@@ -242,6 +246,35 @@ def bounded_partitions(
             break
         else:
             return
+
+
+def admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
+    """Every key of ``policy`` with its ``t0`` exponent, by weight ascending.
+
+    Each side is a bounded partition of the weight (indices <= ``n_max``);
+    the two sides share at most ``deg_max`` factors in total, with one
+    factor minimum each, and the exponent ``weight - degree + 2`` is
+    non-negative.  The weight is at most ``n_max * (deg_max - 1)``, so the
+    exponent is at most ``n_max * (deg_max - 1)`` too.  The sides of every
+    weight are enumerated once, and an unbarred side meets only the barred
+    sides with few enough factors, in their enumeration order: every pair
+    visited is a key.
+    """
+    n_max, deg_max = policy.n_max, policy.deg_max
+    max_side = deg_max - 1
+    max_weight = n_max * max_side if max_side > 0 else 0
+    for weight in range(1, max_weight + 1):
+        sides = [
+            (side, sum(m for _, m in side))
+            for side in bounded_partitions(weight, n_max, max_side)
+        ]
+        # within[c]: the sides with at most c factors, in order
+        within = [[(side, n) for side, n in sides if n <= c] for c in range(max_side + 1)]
+        for unbarred, count in sides:
+            # the degree is at most deg_max and weight + 2 (t0_power >= 0)
+            room = min(deg_max, weight + 2) - count
+            for barred, kbar in within[max(room, 0)]:
+                yield NKey(unbarred, barred), weight - count - kbar + 2
 
 
 def bounded_compositions_count(

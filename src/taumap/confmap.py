@@ -32,11 +32,11 @@ them into the terms the variable appears in, and sums each row's block of
 terms with one ``np.add.reduceat``: another order than
 :meth:`TruncatedSeries.evaluate`, so the two agree to the last few bits
 only.  The map, like the curve, is evaluated by Horner's rule in ``1/z``.
+The moment vector the map is taken at is :class:`taumap.moments.MomentVector`.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -47,117 +47,10 @@ from typing import Iterable
 
 import numpy as np
 
+from .moments import MomentVector, _horner, _require_finite
 from .series import PotentialSeries, TruncatedSeries
 
-__all__ = ["MomentVector", "ExteriorMapSeries", "map_from_potential", "evaluate_map"]
-
-
-# Readers of input JSON name the input and its expected shape in every error.
-
-
-def _json_error(source: str, shape: str, problem: str) -> ValueError:
-    return ValueError(f"{source}: {problem}; expected {shape}")
-
-
-def _json_object(data, source: str, shape: str) -> None:
-    if not isinstance(data, dict):
-        raise _json_error(source, shape, f"got a JSON {_json_kind(data)}")
-
-
-def _json_number(data: dict, key: str, source: str, shape: str, kind: type = float):
-    """The required field ``key``: a number, or an integer when ``kind`` is ``int``."""
-    if key not in data:
-        raise _json_error(source, shape, f"field {key!r} is missing")
-    value = data[key]
-    if _json_kind(value) != "number" or (kind is int and not isinstance(value, int)):
-        noun = "an integer" if kind is int else "a number"
-        raise _json_error(
-            source, shape, f"field {key!r} is a JSON {_json_kind(value)}, not {noun}"
-        )
-    try:
-        return kind(value)
-    except OverflowError:
-        raise _json_error(source, shape, f"field {key!r} is too large for a float") from None
-
-
-def _json_pairs(data: dict, key: str, source: str, shape: str) -> tuple[complex, ...]:
-    """The optional field ``key``: a list of ``[re, im]`` number pairs."""
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise _json_error(
-            source,
-            shape,
-            f"field {key!r} is a JSON {_json_kind(value)}, not a list of [re, im] pairs",
-        )
-    pairs = []
-    for i, pair in enumerate(value):
-        if not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(_json_kind(x) == "number" for x in pair)
-        ):
-            raise _json_error(
-                source, shape, f"{key}[{i}] = {json.dumps(pair)} is not an [re, im] pair"
-            )
-        try:
-            pairs.append(complex(*pair))
-        except OverflowError:
-            raise _json_error(
-                source, shape, f"{key}[{i}] holds a number too large for a float"
-            ) from None
-    return tuple(pairs)
-
-
-def _require_finite(name: str, values: tuple[complex, ...]) -> None:
-    """``ValueError`` naming the first entry of ``values`` that is not finite."""
-    for i, x in enumerate(values):
-        if not isfinite(x):
-            raise ValueError(f"{name}[{i}] = {x} is not finite")
-
-
-def _json_kind(value) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    return {dict: "object", list: "list", str: "string"}.get(type(value), "null")
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Numeric harmonic moments ``(t0; t_1..t_n)``.
-
-    ``t0`` is the interior area over pi and must be finite and positive;
-    barred values are taken as conjugates wherever a series is evaluated.
-    """
-
-    t0: float
-    t: tuple[complex, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not (isfinite(self.t0) and self.t0 > 0):
-            raise ValueError(f"t0 must be finite and positive, got {self.t0}")
-        object.__setattr__(self, "t", tuple(complex(x) for x in self.t))
-        _require_finite("t", self.t)
-
-    def padded(self, n: int) -> "MomentVector":
-        """Same vector with the tail zero-padded to length ``n``."""
-        if len(self.t) >= n:
-            return self
-        return MomentVector(self.t0, self.t + (0j,) * (n - len(self.t)))
-
-    def to_json(self) -> dict:
-        return {"t0": self.t0, "t": [[x.real, x.imag] for x in self.t]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MomentVector":
-        """Read ``{"t0": number, "t": [[re, im], ...]}`` (``t`` optional);
-        ``ValueError`` on any other shape."""
-        source, shape = "moment JSON", 'an object {"t0": number, "t": [[re, im], ...]}'
-        _json_object(data, source, shape)
-        return cls(
-            _json_number(data, "t0", source, shape), _json_pairs(data, "t", source, shape)
-        )
+__all__ = ["ExteriorMapSeries", "map_from_potential", "evaluate_map"]
 
 
 @dataclass(frozen=True)
@@ -333,7 +226,7 @@ def map_from_potential(
     for k, b_k in enumerate(b, 1):
         if not isfinite(b_k):
             raise ValueError(
-                f"B_{k} = d0 d_{k} F = {b_k} is not finite: the moments lie far outside "
+                f"B_{k} = d0 d_{k} F is not finite: the moments lie far outside "
                 "the series' convergence region (see taumap.verify.convergence_gate)"
             )
 
@@ -358,10 +251,3 @@ def evaluate_map(w: ExteriorMapSeries, z: complex) -> complex:
     """
     return w.p * z + _horner(w.tail, 1.0 / z)
 
-
-def _horner(coeffs, x):
-    """``sum_j coeffs[j] x^j`` by Horner's rule, for a scalar or an array ``x``."""
-    acc = 0j
-    for coeff in reversed(coeffs):
-        acc = acc * x + coeff
-    return acc

@@ -1,6 +1,9 @@
-"""Harmonic and dual moments of a domain given by an exterior map.
+"""The inputs: moment vectors, boundary curves and the curves' moments.
 
-The domain is presented by the boundary curve
+A domain enters as its harmonic moments (:class:`MomentVector`) or as a
+boundary curve, both read from JSON by one set of field readers that name
+the input and its expected shape in every error.  The module imports no
+other ``taumap`` module.  A curve presents the domain as
 
     z(u) = r u + a_0 + a_1 u^-1 + ... + a_M u^-M,   |u| = 1,
 
@@ -40,17 +43,15 @@ order so results are bitwise reproducible for a fixed sample count.
 
 from __future__ import annotations
 
+import json
 from cmath import isfinite
 from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
-from .confmap import (
-    MomentVector, _horner, _json_number, _json_object, _json_pairs, _require_finite
-)
-
 __all__ = [
+    "MomentVector",
     "BoundaryCurve",
     "moments_from_curve",
     "v_moments_from_curve",
@@ -60,6 +61,43 @@ __all__ = [
 # The largest quadrature sample count a curve accepts: far beyond spectral
 # accuracy for any univalent curve, and a bound on the arrays a curve asks for.
 MAX_SAMPLES = 1 << 16
+
+
+@dataclass(frozen=True)
+class MomentVector:
+    """Numeric harmonic moments ``(t0; t_1..t_n)``.
+
+    ``t0`` is the interior area over pi and must be finite and positive;
+    barred values are taken as conjugates wherever a series is evaluated.
+    """
+
+    t0: float
+    t: tuple[complex, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not (isfinite(self.t0) and self.t0 > 0):
+            raise ValueError(f"t0 must be finite and positive, got {self.t0}")
+        object.__setattr__(self, "t", tuple(complex(x) for x in self.t))
+        _require_finite("t", self.t)
+
+    def padded(self, n: int) -> "MomentVector":
+        """Same vector with the tail zero-padded to length ``n``."""
+        if len(self.t) >= n:
+            return self
+        return MomentVector(self.t0, self.t + (0j,) * (n - len(self.t)))
+
+    def to_json(self) -> dict:
+        return {"t0": self.t0, "t": [[x.real, x.imag] for x in self.t]}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "MomentVector":
+        """Read ``{"t0": number, "t": [[re, im], ...]}`` (``t`` optional);
+        ``ValueError`` on any other shape."""
+        source, shape = "moment JSON", 'an object {"t0": number, "t": [[re, im], ...]}'
+        _json_object(data, source, shape)
+        return cls(
+            _json_number(data, "t0", source, shape), _json_pairs(data, "t", source, shape)
+        )
 
 
 @dataclass(frozen=True)
@@ -140,6 +178,21 @@ def v_moments_from_curve(curve: BoundaryCurve, n: int) -> list[complex]:
     return out
 
 
+def _horner(coeffs, x):
+    """``sum_j coeffs[j] x^j`` by Horner's rule, for a scalar or an array ``x``."""
+    acc = 0j
+    for coeff in reversed(coeffs):
+        acc = acc * x + coeff
+    return acc
+
+
+def _require_finite(name: str, values: tuple[complex, ...]) -> None:
+    """``ValueError`` naming the first entry of ``values`` that is not finite."""
+    for i, x in enumerate(values):
+        if not isfinite(x):
+            raise ValueError(f"{name}[{i}] = {x} is not finite")
+
+
 # -- file formats ------------------------------------------------------------
 
 
@@ -156,3 +209,67 @@ def curve_from_json(data: dict) -> BoundaryCurve:
         if "samples" in data
         else 256,
     )
+
+
+# Readers of input JSON name the input and its expected shape in every error.
+
+
+def _json_error(source: str, shape: str, problem: str) -> ValueError:
+    return ValueError(f"{source}: {problem}; expected {shape}")
+
+
+def _json_object(data, source: str, shape: str) -> None:
+    if not isinstance(data, dict):
+        raise _json_error(source, shape, f"got a JSON {_json_kind(data)}")
+
+
+def _json_number(data: dict, key: str, source: str, shape: str, kind: type = float):
+    """The required field ``key``: a number, or an integer when ``kind`` is ``int``."""
+    if key not in data:
+        raise _json_error(source, shape, f"field {key!r} is missing")
+    value = data[key]
+    if _json_kind(value) != "number" or (kind is int and not isinstance(value, int)):
+        noun = "an integer" if kind is int else "a number"
+        raise _json_error(
+            source, shape, f"field {key!r} is a JSON {_json_kind(value)}, not {noun}"
+        )
+    try:
+        return kind(value)
+    except OverflowError:
+        raise _json_error(source, shape, f"field {key!r} is too large for a float") from None
+
+
+def _json_pairs(data: dict, key: str, source: str, shape: str) -> tuple[complex, ...]:
+    """The optional field ``key``: a list of ``[re, im]`` number pairs."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise _json_error(
+            source,
+            shape,
+            f"field {key!r} is a JSON {_json_kind(value)}, not a list of [re, im] pairs",
+        )
+    pairs = []
+    for i, pair in enumerate(value):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(_json_kind(x) == "number" for x in pair)
+        ):
+            raise _json_error(
+                source, shape, f"{key}[{i}] = {json.dumps(pair)} is not an [re, im] pair"
+            )
+        try:
+            pairs.append(complex(*pair))
+        except OverflowError:
+            raise _json_error(
+                source, shape, f"{key}[{i}] holds a number too large for a float"
+            ) from None
+    return tuple(pairs)
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {dict: "object", list: "list", str: "string"}.get(type(value), "null")

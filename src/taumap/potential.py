@@ -59,10 +59,10 @@ skip it.  With a sector only the barred half of the mask marks a term
 dead: a term with a low ``t_c`` in a cell ``a <= n_max`` still feeds the
 sector cells ``a > n_max``, where every plain ``t_c`` is read.
 
-The recursion for ``N`` is not run here.  It stays as the exact oracle
-the solver answers to, the paper's combinatorial formula, in
-:mod:`taumap.verify`, which walks a policy's keys with
-:func:`_admissible_keys`; every check of the build lives there.
+The recursion for ``N`` is not run here, nor the walk over its keys
+(:func:`taumap.coefficients.admissible_keys`).  They stay as the exact
+oracle the solver answers to, the paper's combinatorial formula, in
+:mod:`taumap.verify`, where every check of the build lives.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Collection, Iterator
+from typing import Collection
 
-from .coefficients import MemoCache, NKey, bounded_partitions
+from .coefficients import MemoCache, admissible_keys
 from .series import PotentialSeries, TruncatedSeries, TruncationPolicy, _Codec, _Tail
 
 __all__ = ["BuildReport", "build_potential", "default_policy"]
@@ -89,9 +89,9 @@ class BuildReport:
 
     @property
     def keys_evaluated(self) -> int:
-        """How many keys the policy admits: one walk of :func:`_admissible_keys`,
+        """How many keys the policy admits: one walk of :func:`admissible_keys`,
         the recursion's keys, which the solver itself never walks."""
-        return sum(1 for _ in _admissible_keys(self.policy))
+        return sum(1 for _ in admissible_keys(self.policy))
 
     def to_json(self) -> dict:
         """``{"keys_evaluated", "nonzero_terms"}``: no time, so runs write the same."""
@@ -105,35 +105,6 @@ def default_policy(n_max: int, deg_max: int) -> TruncationPolicy:
     benchmark's workloads (``perfbench/workloads.py``) call it.
     """
     return TruncationPolicy(n_max=n_max, deg_max=deg_max)
-
-
-def _admissible_keys(policy: TruncationPolicy) -> Iterator[tuple[NKey, int]]:
-    """Every key of ``policy`` with its ``t0`` exponent, by weight ascending.
-
-    Each side is a bounded partition of the weight (indices <= ``n_max``);
-    the two sides share at most ``deg_max`` factors in total, with one
-    factor minimum each, and the exponent ``weight - degree + 2`` is
-    non-negative.  The weight is at most ``n_max * (deg_max - 1)``, so the
-    exponent is at most ``n_max * (deg_max - 1)`` too.  The sides of every
-    weight are enumerated once, and an unbarred side meets only the barred
-    sides with few enough factors, in their enumeration order: every pair
-    visited is a key.
-    """
-    n_max, deg_max = policy.n_max, policy.deg_max
-    max_side = deg_max - 1
-    max_weight = n_max * max_side if max_side > 0 else 0
-    for weight in range(1, max_weight + 1):
-        sides = [
-            (side, sum(m for _, m in side))
-            for side in bounded_partitions(weight, n_max, max_side)
-        ]
-        # within[c]: the sides with at most c factors, in order
-        within = [[(side, n) for side, n in sides if n <= c] for c in range(max_side + 1)]
-        for unbarred, count in sides:
-            # the degree is at most deg_max and weight + 2 (t0_power >= 0)
-            room = min(deg_max, weight + 2) - count
-            for barred, kbar in within[max(room, 0)]:
-                yield NKey(unbarred, barred), weight - count - kbar + 2
 
 
 class _TodaSolver:

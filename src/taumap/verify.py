@@ -1,7 +1,7 @@
 """Every self-check of the package, each reporting one :class:`CheckResult`.
 
-:mod:`taumap.potential` builds the potential; this module judges it.
-Four layers:
+:mod:`taumap.potential` builds the potential; this module judges it and
+imports nothing from the builder.  Four layers:
 
 * exact oracles of the regular part: the paper's combinatorial formula
   (:func:`combinatorial_formula_check`), the restriction of mixed
@@ -9,7 +9,7 @@ Four layers:
   closed-form potential of the ellipse family, all indices <= 2
   (:func:`ellipse_oracle_check`).  The formula is the recursion for ``N``
   from :mod:`taumap.coefficients`, walked over the policy's keys
-  (:func:`taumap.potential._admissible_keys`) and summed by
+  (:func:`taumap.coefficients.admissible_keys`) and summed by
   :func:`recursion_terms`.  ``N`` is invariant under exchanging the two
   sides of a key, but its cost is not; :func:`_oriented` names the cheap
   orientation, in which the oracle evaluates each key;
@@ -71,13 +71,13 @@ import numpy as np
 from .coefficients import (
     MemoCache,
     NKey,
+    admissible_keys,
     bounded_compositions_count,
     bounded_partitions,
     n2_coefficient,
 )
-from .confmap import ExteriorMapSeries, MomentVector, _Kernel, map_from_potential
-from .moments import BoundaryCurve, moments_from_curve
-from .potential import _admissible_keys
+from .confmap import ExteriorMapSeries, _Kernel, map_from_potential
+from .moments import BoundaryCurve, MomentVector, moments_from_curve
 from .series import (
     Monomial,
     PotentialSeries,
@@ -193,14 +193,14 @@ def recursion_terms(
 def combinatorial_formula_check(potential: PotentialSeries) -> CheckResult:
     """The regular part against the paper's recursion, term by term.
 
-    Every key of :func:`taumap.potential._admissible_keys` is evaluated on
+    Every key of :func:`taumap.coefficients.admissible_keys` is evaluated on
     a fresh cache (:func:`recursion_terms`), and the built coefficient of
     its monomial must equal it exactly; a built term on a monomial that is
     no key must not exist.  ``checked`` counts the monomials compared: the
     keys, plus any built term outside them.
     """
     reg = potential.regular
-    formula = recursion_terms(_admissible_keys(reg.policy), MemoCache())
+    formula = recursion_terms(admissible_keys(reg.policy), MemoCache())
     return CheckResult.of_terms("combinatorial_formula", dict(reg.items()), formula, "formula")
 
 
@@ -384,6 +384,24 @@ def _check_order(order: int, policy: TruncationPolicy) -> None:
         raise ValueError("order exceeds the potential's index bound")
 
 
+def _pair_tail(reg: TruncatedSeries, amax: int, barred: bool, sign: int) -> _Tail:
+    """``sign * sum u^a v^b d_a d_b F / (a b)`` for ``a, b = 1..amax``, with
+    ``d_b`` barred when ``barred``."""
+    d = {a: reg.diff_t(a) for a in range(1, amax + 1)}
+    terms = {(a, b): d[a].diff_t(b, barred) * Fraction(sign, a * b) for a in d for b in d}
+    return _Tail.from_series((amax, amax), terms)
+
+
+def _point_tail(d0: TruncatedSeries, amax: int, axis: int, barred: bool, sign: int) -> _Tail:
+    """``sign * sum w^a d0 d_a F / a`` for ``a = 1..amax``, from ``d0 = d0 F``,
+    with ``w = u`` on ``axis`` 0 and ``v`` on 1 and ``d_a`` barred when ``barred``."""
+    terms = {
+        (0, a) if axis else (a, 0): d0.diff_t(a, barred) * Fraction(sign, a)
+        for a in range(1, amax + 1)
+    }
+    return _Tail.from_series((amax, amax), terms)
+
+
 def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
     """Residual of the unbarred pair constraint.
 
@@ -396,35 +414,14 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
     ``(order+1, order+1)`` and subtracted.
     """
     reg = potential.regular
-    policy = reg.policy
-    _check_order(order, policy)
+    _check_order(order, reg.policy)
     amax = order + 1
-    orders = (amax, amax)
-
-    d = {k: reg.diff_t(k) for k in range(1, amax + 1)}
     d0 = reg.diff_t0()
-
-    x = _Tail.from_series(
-        orders,
-        {
-            (a, b): d[a].diff_t(b) * Fraction(1, a * b)
-            for a in range(1, amax + 1)
-            for b in range(1, amax + 1)
-        },
-    )
-    e1 = x.exp()
-
-    def one_sided(axis: int) -> _Tail:
-        y = {
-            (a, 0) if axis == 0 else (0, a): d0.diff_t(a) * Fraction(-1, a)
-            for a in range(1, amax + 1)
-        }
-        return _Tail.from_series(orders, y).exp()
-
-    e2 = one_sided(0)
-    e3 = one_sided(1)
-
-    residual = e1.shifted(0, 1) - e1.shifted(1, 0) - e2.shifted(0, 1) + e3.shifted(1, 0)
+    # exp(X), exp(-Y(u)) and exp(-Y(v))
+    ex = _pair_tail(reg, amax, barred=False, sign=1).exp()
+    eu = _point_tail(d0, amax, axis=0, barred=False, sign=-1).exp()
+    ev = _point_tail(d0, amax, axis=1, barred=False, sign=-1).exp()
+    residual = ex.shifted(0, 1) - ex.shifted(1, 0) - eu.shifted(0, 1) + ev.shifted(1, 0)
     return _split_cone(residual, "residual_a")
 
 
@@ -455,33 +452,14 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     policy = reg.policy
     _check_order(order, policy)
     amax = order + 1
-    orders = (amax, amax)
-
     d0 = reg.diff_t0()
-    d00 = d0.diff_t0()
-
-    d = {a: reg.diff_t(a) for a in range(1, amax + 1)}
-    m_tail = _Tail.from_series(
-        orders,
-        {
-            (a, b): d[a].diff_tbar(b) * Fraction(-1, a * b)
-            for a in range(1, amax + 1)
-            for b in range(1, amax + 1)
-        },
-    )
-    lhs = m_tail.one() - m_tail.exp()
-
-    p_tail = _Tail.from_series(
-        orders, {(a, 0): d0.diff_t(a) * Fraction(1, a) for a in range(1, amax + 1)}
-    )
-    q_tail = _Tail.from_series(
-        orders,
-        {(0, a): d0.diff_tbar(a) * Fraction(1, a) for a in range(1, amax + 1)},
-    )
-    prefactor = TruncatedSeries.t0(policy) * d00.exp_no_constant()
-    rhs = _Tail.from_series(orders, {(1, 1): prefactor})
+    minus_m = _pair_tail(reg, amax, barred=True, sign=-1)
+    lhs = minus_m.one() - minus_m.exp()
+    p_tail = _point_tail(d0, amax, axis=0, barred=False, sign=1)
+    q_tail = _point_tail(d0, amax, axis=1, barred=True, sign=1)
+    prefactor = TruncatedSeries.t0(policy) * d0.diff_t0().exp_no_constant()
+    rhs = _Tail.from_series((amax, amax), {(1, 1): prefactor})
     rhs = rhs * p_tail.exp() * q_tail.exp()
-
     return _split_cone(lhs - rhs, "residual_c")
 
 

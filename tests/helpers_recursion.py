@@ -6,8 +6,7 @@ The reference the Toda solver is checked against: the same terms
 
 from __future__ import annotations
 
-from taumap.coefficients import MemoCache
-from taumap.potential import _admissible_keys
+from taumap.coefficients import MemoCache, admissible_keys
 from taumap.series import PotentialSeries, TruncatedSeries, TruncationPolicy
 from taumap.verify import recursion_terms
 
@@ -18,5 +17,5 @@ def recursion_potential(
     """The potential of ``policy`` from the recursion, on ``cache`` or a fresh one."""
     if cache is None:
         cache = MemoCache()
-    terms = recursion_terms(_admissible_keys(policy), cache)
+    terms = recursion_terms(admissible_keys(policy), cache)
     return PotentialSeries(TruncatedSeries(policy, terms))

@@ -31,8 +31,8 @@ from taumap.coefficients import (
     t1_coefficient,
     t2_coefficient,
 )
-from taumap.confmap import MomentVector, map_from_potential
-from taumap.moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
+from taumap.confmap import map_from_potential
+from taumap.moments import BoundaryCurve, MomentVector, moments_from_curve, v_moments_from_curve
 from taumap.potential import build_potential, default_policy
 from taumap.verify import (
     cauchy_data_check,

@@ -113,7 +113,7 @@ def test_moments_subcommand(tmp_path, capsys):
 
 
 def test_moments_output_reader_round_trip(tmp_path, capsys):
-    from taumap.confmap import MomentVector
+    from taumap.moments import MomentVector
 
     curve = tmp_path / "curve.json"
     curve.write_text(json.dumps({"r": 1.0, "a": [[0.1, 0.05]], "samples": 128}))
@@ -132,6 +132,16 @@ def test_moments_dual_flag(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert "v" in payload and len(payload["v"]) == 3
+
+
+def test_moments_count_is_named_before_the_input_is_read(tmp_path, capsys):
+    # the input does not exist here: --n is checked first, as --order is
+    code, out, err = run_cli(
+        ["moments", "--n", "0", "--in", str(tmp_path / "missing.json")], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n must be >= 1, got 0\n"
 
 
 def test_verify_passes_and_reports(tmp_path, capsys):
@@ -454,7 +464,8 @@ def test_map_names_a_non_finite_b(tmp_path, capsys):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: B_2 = d0 d_2 F = ")
+    assert err.startswith("error: B_2 = d0 d_2 F is not finite: ")
+    assert "nan" not in err
     assert "taumap.verify.convergence_gate" in err
     assert err.count("\n") == 1
 
@@ -480,7 +491,8 @@ def test_map_far_outside_the_series_range_warns_nothing(tmp_path):
         run = taumap_process(args, tmp_path, *options)
         assert run.returncode == 2
         assert run.stdout == b""
-        assert run.stderr.startswith(b"error: B_2 = d0 d_2 F = (nan+nanj) is not finite")
+        assert run.stderr.startswith(b"error: B_2 = d0 d_2 F is not finite: ")
+        assert b"nan" not in run.stderr
         assert run.stderr.count(b"\n") == 1
 
 

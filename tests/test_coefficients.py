@@ -95,10 +95,15 @@ def ref_t1(i, s):
 WINDOW_WEIGHTS = ["linear", "multinomial"]
 
 
+def multinomial_window_weight(l_window, surplus):
+    """The rejected window weight ``l! / prod((l_r - 1)!)``, ``l`` the surplus."""
+    return factorial(surplus) // prod(factorial(x - 1) for x in l_window)
+
+
 def ref_window_weight(l_window, surplus, rule):
     if rule == "linear":
         return surplus
-    return factorial(surplus) // prod(factorial(x - 1) for x in l_window)
+    return multinomial_window_weight(l_window, surplus)
 
 
 def inject_window_weight(monkeypatch, rule):

@@ -9,13 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from taumap.confmap import (
-    ExteriorMapSeries,
-    MomentVector,
-    evaluate_map,
-    map_from_potential,
-)
-from taumap.moments import BoundaryCurve, moments_from_curve
+from taumap.confmap import ExteriorMapSeries, evaluate_map, map_from_potential
+from taumap.moments import BoundaryCurve, MomentVector, moments_from_curve
 from taumap.potential import build_potential, default_policy
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 
@@ -373,7 +368,7 @@ def test_non_finite_b_is_named():
     term = Monomial(1, ((1, False, 1), (1, True, 1)))
     regular = TruncatedSeries(TruncationPolicy(1, 2), {term: Fraction(10**4)})
     m = MomentVector(t0=1.0, t=(1e305,))
-    message = r"^B_1 = d0 d_1 F = \(inf\+0j\) is not finite: .*convergence_gate"
+    message = r"^B_1 = d0 d_1 F is not finite: .*convergence_gate"
     with pytest.raises(ValueError, match=message):
         map_from_potential(PotentialSeries(regular), m, order=0)
 

@@ -80,3 +80,28 @@ def test_every_check_is_defined_in_verify():
     assert taumap.cauchy_data_check in checks
     assert all(inspect.isfunction(fn) and fn.__module__ == "taumap.verify" for fn in checks)
     assert taumap.CheckResult.__module__ == "taumap.verify"
+
+
+def _taumap_imports(name):
+    """The ``taumap`` modules that module ``name`` imports, read from its source."""
+    path = Path(taumap.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.module.split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module
+        and (node.level or node.module.startswith("taumap."))
+    }
+
+
+def test_modules_import_in_pipeline_order():
+    # domain -> moments -> potential -> map: a module imports only the stages
+    # before it, and the checks import no builder
+    imports = {name: _taumap_imports(name) for name in MODULES}
+    assert imports["series"] == set()
+    assert imports["moments"] == set()
+    assert imports["coefficients"] <= {"series"}
+    assert imports["potential"] <= {"series", "coefficients"}
+    assert imports["confmap"] <= {"series", "moments"}
+    assert not imports["verify"] & {"potential", "cli"}

@@ -11,8 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from taumap.coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
-from taumap.confmap import MomentVector, map_from_potential
+from taumap.coefficients import (
+    MemoCache,
+    NKey,
+    admissible_keys,
+    bounded_partitions,
+    n2_coefficient,
+)
+from taumap.confmap import map_from_potential
+from taumap.moments import MomentVector
 from taumap import cli, potential as potential_module
 from taumap.potential import BuildReport, build_potential, default_policy
 from taumap.series import (
@@ -373,7 +380,7 @@ def test_keys_evaluated_counts_the_walk(n_max, deg_max):
     ids=lambda p: f"{p.n_max}-{p.deg_max}",
 )
 def test_admissible_keys_in_reference_order(policy):
-    assert list(potential_module._admissible_keys(policy)) == list(_policy_keys(policy))
+    assert list(admissible_keys(policy)) == list(_policy_keys(policy))
 
 
 def test_truncation_monotonicity():

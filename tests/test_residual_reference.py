@@ -27,7 +27,8 @@ from taumap.series import Monomial, PotentialSeries, TruncatedSeries, Truncation
 from taumap.verify import CheckResult, toda_residual_a, toda_residual_c
 
 from helpers_recursion import recursion_potential
-from test_verify import corrupted_once, multinomial_window_weight
+from test_coefficients import multinomial_window_weight
+from test_verify import corrupted_once
 
 
 def monomial_product(m1, m2):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from taumap import coefficients, verify
-from taumap.confmap import MomentVector, map_from_potential
-from taumap.moments import BoundaryCurve, moments_from_curve, v_moments_from_curve
+from taumap.confmap import map_from_potential
+from taumap.moments import BoundaryCurve, MomentVector, moments_from_curve, v_moments_from_curve
 from taumap.potential import build_potential, default_policy
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, _Tail
 from taumap.verify import (
@@ -26,14 +26,7 @@ from taumap.verify import (
 )
 
 from helpers_recursion import recursion_potential
-
-
-def multinomial_window_weight(l_window, surplus):
-    """The rejected window weight ``l! / prod((l_r - 1)!)``, ``l`` the surplus."""
-    weight = math.factorial(surplus)
-    for x in l_window:
-        weight //= math.factorial(x - 1)
-    return weight
+from test_coefficients import multinomial_window_weight
 
 
 @pytest.fixture(scope="module")
