@@ -7,7 +7,8 @@ Subcommands:
 ``potential``
     build the potential at a policy and emit it;
 ``map``
-    reconstruct the exterior map from a moment-vector JSON;
+    reconstruct the exterior map from a moment-vector JSON: its tail to
+    ``--order-J`` and its closure, in the curve shape that ``moments`` reads;
 ``moments``
     compute harmonic moments of a boundary-curve JSON;
 ``verify``
@@ -91,7 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="exterior map from a moment vector")
     _policy_args(p)
     p.add_argument("--in", dest="in_path", required=True, help="moment JSON")
-    p.add_argument("--order-J", dest="order_j", type=int, default=None)
+    p.add_argument(
+        "--order-J", dest="order_j", type=int, default=None,
+        help="order J of the written tail, default n_max + deg_max",
+    )
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("moments", help="harmonic moments of a boundary curve")
@@ -104,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     _policy_args(p)
     p.add_argument("--order", type=int, default=None, help="residual order")
     p.add_argument("--in", dest="in_path", default=None, help="optional curve JSON")
-    p.add_argument("--order-J", dest="order_j", type=int, default=None)
     p.add_argument("--roundtrip-tol", type=float, help="sup-error bound, default 1e-3")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled bound checks")
     p.add_argument("--out", default=None)
@@ -169,7 +172,7 @@ def _cmd_map(args) -> int:
     policy = _policy(args)
     order = _map_order(args, policy)
     moments = MomentVector.from_json(_read_json(args.in_path))
-    potential, _ = build_potential(policy, map_order=order)
+    potential, _ = build_potential(policy)
     w = map_from_potential(potential, moments, order)
     _write_json(args.out, w.to_json())
     return 0
@@ -187,11 +190,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.in_path is None:
-        if args.order_j is not None:
-            raise ValueError("--order-J sets the roundtrip's map order: it needs --in")
-        if args.roundtrip_tol is not None:
-            raise ValueError("--roundtrip-tol sets the roundtrip's bound: it needs --in")
+    if args.in_path is None and args.roundtrip_tol is not None:
+        raise ValueError("--roundtrip-tol sets the roundtrip's bound: it needs --in")
     tol = 1e-3 if args.roundtrip_tol is None else args.roundtrip_tol
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"--roundtrip-tol must be finite and >= 0, got {tol}")
@@ -199,11 +199,8 @@ def _cmd_verify(args) -> int:
     order = args.order if args.order is not None else min(policy.n_max, policy.deg_max)
     if not 0 <= order <= policy.n_max:
         raise ValueError(f"--order must be in 0..{policy.n_max}, got {order}")
-    curve = order_j = None
-    if args.in_path is not None:
-        order_j = _map_order(args, policy)
-        curve = curve_from_json(_read_json(args.in_path))
-    potential, build = build_potential(policy, map_order=order_j)
+    curve = None if args.in_path is None else curve_from_json(_read_json(args.in_path))
+    potential, build = build_potential(policy)
 
     checks = [
         combinatorial_formula_check(potential),
@@ -219,7 +216,7 @@ def _cmd_verify(args) -> int:
         composition_count_bound_check(args.seed),
     ]
     if curve is not None:
-        checks.append(roundtrip_check(curve, potential, order_j, tol))
+        checks.append(roundtrip_check(curve, potential, tol))
 
     ok = all(check.ok for check in checks)
     report = {
@@ -236,7 +233,7 @@ def _cmd_verify(args) -> int:
 
 
 def _map_order(args, policy: TruncationPolicy) -> int:
-    """The map order ``--order-J``, by default ``n_max + deg_max``."""
+    """The length ``--order-J`` of the written tail, by default ``n_max + deg_max``."""
     if args.order_j is None:
         return policy.n_max + policy.deg_max
     if args.order_j < 0:

@@ -14,35 +14,40 @@ the potential (its second ``t0`` derivative), which is why the disk
 ``m = (t0, 0, 0, ...)`` yields exactly ``p = t0^(-1/2)`` with a zero tail.
 
 The sum over ``k`` runs over every index, not only those of the potential's
-policy.  A potential truncated at index ``n_max`` is evaluated at the
-moments cut at ``n_max``, and there ``B_k`` for ``k > n_max`` is fixed by
-the terms linear in ``t_k`` whose other indices are all at most ``n_max``:
-the one-point sector ``sum_k t_k S_k``, so ``B_k = d0 S_k``.  The potential
-carries the ``S_k`` when it was built for the map's order
-(:func:`taumap.potential.build_potential`).  ``B_k`` beyond
-what the potential carries are taken as zero, with a warning.
+policy.  A potential truncated at index ``n = n_max`` is evaluated at the
+moments cut at ``n``, and there the domain is a quadrature domain: the
+inverse of its map is the Laurent polynomial, the map's *closure*,
+
+    z_cl(w) = r w + u_0 + u_1 w^-1 + ... + u_{n-1} w^(1-n),   r = 1/p,
+
+fixed by ``A`` and ``B_1..B_n`` alone through the constant-term (Faber)
+identity ``B_k = [w^0] z_cl(w)^k`` (Wiegmann & Zabrodin, "Conformal maps
+and integrable hierarchies", hep-th/9909147).  ``B_k`` is
+``k r^(k-1) u_{k-1}`` plus a polynomial in ``u_0..u_{k-2}``, so
+``B_1..B_n`` fix ``u_0..u_{n-1}`` one after the other, and every ``B_k``
+with ``k > n`` is the constant term of ``z_cl^k``.  :func:`_closure` takes
+both in closed form, by Lagrange inversion over powers of the map's tail.
 
 Serving a domain is one numeric evaluation of fixed series.  The exact
-rows ``d0^2 F_reg``, ``d0 d_k F_reg`` (``k <= n_max``) and ``d0 S_k`` of
-the sector (``n_max < k <= k_max``) are derived once, on the first map of
-a potential, and compiled into a float kernel held on that
-:class:`~taumap.series.PotentialSeries` instance.  Per moment vector it
-takes each variable's few powers by repeated multiplication, multiplies
-them into the terms the variable appears in, and sums each row's block of
-terms with one ``np.add.reduceat``: another order than
-:meth:`TruncatedSeries.evaluate`, so the two agree to the last few bits
-only.  The map, like the curve, is evaluated by Horner's rule in ``1/z``.
-The moment vector the map is taken at is :class:`taumap.moments.MomentVector`.
+rows ``d0^2 F_reg`` and ``d0 d_k F_reg`` (``k <= n_max``) are derived once,
+on the first map of a potential, and compiled from their packed codes into
+a float kernel held on that :class:`~taumap.series.PotentialSeries`
+instance.  Per moment vector it takes each variable's few powers by
+repeated multiplication, multiplies them into the terms the variable
+appears in, and sums each row's block of terms with one
+``np.add.reduceat``: another order than :meth:`TruncatedSeries.evaluate`,
+so the two agree to the last few bits only.  The map, like the curve, is
+evaluated by Horner's rule in ``1/z``.  The moment vector the map is taken
+at is :class:`taumap.moments.MomentVector`.
 """
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from dataclasses import dataclass
 from cmath import isfinite
-from itertools import chain
 from math import exp, inf, sqrt
+from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -55,21 +60,34 @@ __all__ = ["ExteriorMapSeries", "map_from_potential", "evaluate_map"]
 
 @dataclass(frozen=True)
 class ExteriorMapSeries:
-    """Laurent tail ``p z + p_0 + p_1 z^-1 + ... + p_J z^-J``."""
+    """Laurent tail ``p z + p_0 + p_1 z^-1 + ... + p_J z^-J`` and its closure.
+
+    ``closure`` holds ``u_0..u_{n-1}`` of the inverse polynomial
+    ``z_cl(w) = w / p + u_0 + u_1 w^-1 + ... + u_{n-1} w^(1-n)`` (module
+    docstring); it is empty for a map given by its tail alone.
+    """
 
     p: float
     tail: tuple[complex, ...]
+    closure: tuple[complex, ...] = ()
 
     def __post_init__(self) -> None:
         if not (isfinite(self.p) and self.p > 0):
             raise ValueError(f"p must be finite and positive, got {self.p}")
         _require_finite("tail", self.tail)
+        _require_finite("closure", self.closure)
 
     def __call__(self, z: complex) -> complex:
         return evaluate_map(self, z)
 
     def to_json(self) -> dict:
-        return {"p": self.p, "tail": [[x.real, x.imag] for x in self.tail]}
+        """``{"p", "tail", "closure"}``, the closure in the curve shape
+        ``{"r", "a"}`` that :func:`taumap.moments.curve_from_json` reads."""
+        return {
+            "p": self.p,
+            "tail": [[x.real, x.imag] for x in self.tail],
+            "closure": {"r": 1 / self.p, "a": [[x.real, x.imag] for x in self.closure]},
+        }
 
 
 class _Kernel:
@@ -84,37 +102,48 @@ class _Kernel:
     use -- holding that variable's exponent in each term, in the smallest
     unsigned dtype that holds the largest one; ``support`` holds each
     variable's columns with a nonzero exponent and those exponents.
-    ``coeffs`` holds every (real) ``Fraction`` rounded once.  ``starts``
+    ``coeffs`` holds every (real) coefficient rounded once.  ``starts``
     holds the first column of each row with terms, ``filled`` those rows:
     ``np.add.reduceat`` reads an empty block as the term at its start, so
     an empty row is left out of the sum and reads exactly 0.
+
+    The rows are read in their packed form (:class:`taumap.series._Tail`):
+    the exponents come from the codes by shift and mask, and each
+    coefficient is its numerator over the row's denominator, an integer
+    true division that rounds as ``float(Fraction)`` does.
     """
 
     __slots__ = ("n", "exponents", "support", "tops", "coeffs", "ends", "starts", "filled")
 
     def __init__(self, rows: Iterable[TruncatedSeries]) -> None:
-        # ``rows`` is read once, so a generator holds one exact row at a time
-        var, col, power = array("l"), array("l"), array("l")
-        coeff, ends = array("d"), []
+        # ``rows``, one or more under one policy, is read once, so a
+        # generator holds one exact row at a time
+        codes: list[int] = []
+        coeffs, ends = array("d"), []
         for row in rows:
-            for mono, c in row.items():
-                j = len(coeff)
-                coeff.append(float(c))
-                var.append(0)
-                col.append(j)
-                power.append(mono.t0_power)
-                for k, barred, e in mono.factors:
-                    var.append(2 * k - 1 + barred)
-                    col.append(j)
-                    power.append(e)
-            ends.append(len(coeff))
-        self.n = (max(var, default=0) + 1) // 2
-        dtype = np.min_scalar_type(max(power, default=0))
-        self.exponents = np.zeros((1 + 2 * self.n, len(coeff)), dtype=dtype)
-        self.exponents[var, col] = power
+            tail = row._tail
+            codec, den = tail.codec, tail.den
+            for cell in tail.cells.values():
+                codes += cell
+                coeffs.extend(n / den for n in cell.values())
+            ends.append(len(codes))
+        # codes beyond 63 bits are shifted as Python ints
+        packed = np.array(codes, dtype=np.int64 if max(codes, default=0) >> 63 == 0 else object)
+        n_max, count = codec.n_max, len(codes)
+        # field k - 1 holds t_k and field n_max + k - 1 holds tbar_k
+        fields = np.empty((2 * n_max, count), dtype=np.min_scalar_type(codec.mask))
+        for i in range(2 * n_max):
+            fields[i] = (packed >> i * codec.bits) & codec.mask
+        t0_powers = packed >> codec.t0_shift
+        used = fields.reshape(2, n_max, count).any(axis=(0, 2))
+        self.n = n = int(np.flatnonzero(used).max(initial=-1)) + 1
+        top = max(int(t0_powers.max(initial=0)), int(fields.max(initial=0)))
+        self.exponents = np.empty((1 + 2 * n, count), dtype=np.min_scalar_type(top))
+        self.exponents[0] = t0_powers
+        self.exponents[1:] = fields[[i for k in range(n) for i in (k, n_max + k)]]
         self.support = [(np.flatnonzero(e), e[e > 0]) for e in self.exponents]
         self.tops = self.exponents.max(axis=1, initial=0).tolist()
-        self.coeffs = np.frombuffer(coeff, dtype=np.float64)
+        self.coeffs = np.frombuffer(coeffs, dtype=np.float64)
         self.ends = ends
         bounds = np.array([0] + ends)
         self.filled = np.flatnonzero(np.diff(bounds))
@@ -161,55 +190,79 @@ class _Kernel:
         return rows
 
 
+def _tail_power(b: list[complex], k: int, top: int) -> list[complex]:
+    """Coefficients ``0..top`` of ``exp(-k sum_i b_i y^i / i)``, the ``k``-th
+    power of the tail ``h(y) = exp(-sum_i b_i y^i / i)``, by the standard
+    recurrence ``m e_m = -k sum_{i<=m} b_i e_{m-i}``."""
+    e = [1 + 0j]
+    for m in range(1, top + 1):
+        e.append(-k / m * sum(map(mul, b, reversed(e))))
+    return e
+
+
+def _scaled(values: list[complex], factor: float) -> list[complex]:
+    """``values[k-1] * factor^k``, an exact zero kept where the power overflows."""
+    out, power = [], 1.0
+    for x in values:
+        power *= factor
+        out.append(x * power if x else 0j)
+    return out
+
+
+def _closure(p: float, b: list[complex], top: int) -> tuple[list[complex], list[complex]]:
+    """The closure's ``u_0..u_{n-1}`` from ``p`` and ``B_1..B_n`` (``n = len(b)``),
+    and ``B_{n+1}..B_top`` from it.
+
+    In units of ``r = 1/p`` -- ``beta_k = B_k p^k``, ``y = r/z`` and
+    ``z_cl(w) = r w g(1/w)`` with ``g = 1 + g_1 x + g_2 x^2 + ...`` -- the
+    map is ``w = p z h(y)`` with ``h = exp(-sum_k beta_k y^k / k)``, and
+    Lagrange inversion gives the closure as ``g_1 = beta_1`` and
+    ``g_{j+1} = -[y^(j+1)] h^j / j``: the identity ``B_k = [w^0] z_cl^k``
+    solved for the ``u_j = r g_{j+1}``.  ``z_cl`` stops at ``u_{n-1}``, so
+    ``[y^(k+1)] h^k = 0`` for ``k >= n``, which fixes each ``beta_{k+1}``
+    from ``beta_1..beta_k``: the constant term of ``z_cl^(k+1)``.
+    """
+    n = len(b)
+    beta = _scaled(b, p)
+    g = beta[:1] + [-_tail_power(beta, j, j + 1)[j + 1] / j for j in range(1, n)]
+    for k in range(n, top):
+        e = _tail_power(beta, k, k)
+        beta.append(-sum(map(mul, beta, reversed(e[1:]))))
+    return [x / p for x in g], _scaled(beta, 1 / p)[n:]
+
+
 def map_from_potential(
     potential: PotentialSeries, moments: MomentVector, order: int
 ) -> ExteriorMapSeries:
     """Exterior map coefficients ``p, p_0..p_J`` from the potential at ``m``.
 
     ``order`` is the truncation order ``J`` of the ``z^-1`` tail, which is
-    fed by the one-point functions ``B_k`` for ``k = 1..J+1``.  Indices up
-    to the potential's ``n_max`` are read from the regular part as
-    ``d0 d_k F_reg``, those up to its ``k_max`` from the one-point sector
-    it carries as ``d0 S_k`` (build it with ``map_order >= J``), one ``t0``
-    derivative each.  Moments beyond ``n_max`` are ignored throughout, as
-    the potential has no terms in them.  Any ``B_k`` beyond ``k_max`` is
-    taken as zero, with one ``UserWarning``; it is a warning, not an error,
-    while the benchmark's workloads (``perfbench/workloads.py``) map
-    without a sector.
+    fed by the one-point functions ``B_k`` for ``k = 1..J+1``.  Only
+    ``A`` and ``B_1..B_n`` are read from the regular part, ``n`` its
+    ``n_max``, as ``d0^2 F_reg`` and ``d0 d_k F_reg``; they fix the closure
+    (module docstring), which the map carries and from which every ``B_k``
+    with ``k > n`` comes.  Moments beyond ``n_max`` are ignored throughout,
+    as the potential has no terms in them.
 
     A negative ``order`` raises ``ValueError``, and so does ``A`` so large
-    either way that ``p`` leaves the floating-point range, or a ``B_k`` the
-    map uses that is not finite: such moments lie far outside the region
-    where the series converges.  The map is an
+    either way that ``p`` leaves the floating-point range, or a ``B_k`` or
+    closure coefficient that is not finite: such moments lie far outside
+    the region where the series converges.  The map is an
     output: ``taumap map`` writes it as JSON (:meth:`ExteriorMapSeries.to_json`),
-    and no command reads one back.
+    and no command reads one back as a map.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     n_max = potential.regular.policy.n_max
-    k_max = potential.k_max
-    if order + 1 > k_max:
-        warnings.warn(
-            f"one-point functions B_k for k > {k_max} are taken as zero "
-            f"(the map of order {order} needs k <= {order + 1}); build the "
-            f"potential with map_order >= {order}",
-            UserWarning,
-            stacklevel=2,
-        )
     m = moments.padded(n_max)
 
     kernel = potential._map_kernel
     if kernel is None:
-        # the rows are streamed: A, then B_k from the regular part and the sector
+        # the rows are streamed: A, then B_1..B_n
         d0 = potential.regular.diff_t0()
-        kernel = _Kernel(chain(
-            (d0.diff_t(k) if k else d0.diff_t0() for k in range(n_max + 1)),
-            (s_k.diff_t0() for s_k in potential.sector),
-        ))
+        kernel = _Kernel(d0.diff_t(k) if k else d0.diff_t0() for k in range(n_max + 1))
         object.__setattr__(potential, "_map_kernel", kernel)
     a_val, *b = kernel(m).tolist()
-    del b[order + 1 :]
-    b += [0j] * (order + 1 - len(b))
 
     # normalization demands p real positive; for conjugate-symmetric moments
     # A is real up to rounding, so the imaginary residue is dropped
@@ -229,19 +282,18 @@ def map_from_potential(
                 f"B_{k} = d0 d_{k} F is not finite: the moments lie far outside "
                 "the series' convergence region (see taumap.verify.convergence_gate)"
             )
+    closure, beyond = _closure(p, b, order + 1)
+    if not all(map(isfinite, closure + beyond)):
+        raise ValueError(
+            "the closure z_cl or a B_k = [w^0] z_cl(w)^k beyond n_max is not finite: "
+            "the moments lie far outside the series' convergence region "
+            "(see taumap.verify.convergence_gate)"
+        )
 
-    # h = exp(sum c_k z^-k) with c_k = -B_k / k, by the standard recurrence
-    # h_n = (1/n) sum_{k<=n} k c_k h_{n-k}.
-    c = [0j] + [-b[k - 1] / k for k in range(1, order + 2)]
-    h = [1 + 0j]
-    for n in range(1, order + 2):
-        acc = 0j
-        for k in range(1, n + 1):
-            acc += k * c[k] * h[n - k]
-        h.append(acc / n)
-
+    # h = exp(-sum_k B_k z^-k / k), the tail of w / (p z)
+    h = _tail_power((b + beyond)[: order + 1], 1, order + 1)
     tail = tuple(p * h[j + 1] for j in range(order + 1))
-    return ExteriorMapSeries(p=p, tail=tail)
+    return ExteriorMapSeries(p=p, tail=tail, closure=tuple(closure))
 
 
 def evaluate_map(w: ExteriorMapSeries, z: complex) -> complex:
@@ -250,4 +302,3 @@ def evaluate_map(w: ExteriorMapSeries, z: complex) -> complex:
     ``z`` may be a numpy array; a Python ``complex`` stays one.
     """
     return w.p * z + _horner(w.tail, 1.0 / z)
-

@@ -297,6 +297,11 @@ class _Tail:
         }
         return self._like(cells, self.den)
 
+    def transposed(self) -> "_Tail":
+        """The tail with ``u`` and ``v`` exchanged, for equal orders."""
+        cells = {(b, a, d): cell for (a, b, d), cell in self.cells.items()}
+        return self._like(cells, self.den)
+
     def __mul__(self, other: "_Tail") -> "_Tail":
         return self.products([(1, self, other)])
 
@@ -613,28 +618,18 @@ class PotentialSeries:
     an ordinary :class:`TruncatedSeries` whose monomials each contain at
     least one unbarred and at least one barred factor.
 
-    ``sector`` is the potential's one-point sector beyond ``n_max``
-    (:func:`taumap.potential.build_potential`): the series
-    ``S_{n_max+1}, ..., S_{k_max}`` under the policy of ``regular``, with
-    ``t_k S_k`` the terms linear in ``t_k`` and otherwise within
-    ``n_max``.  ``d0 S_k`` is the map's ``B_k``; a potential built without
-    a sector has ``sector == ()``.
+    The map reads only ``A = d0^2 F_reg`` and ``B_k = d0 d_k F_reg``,
+    ``k <= n_max`` (:func:`taumap.confmap.map_from_potential`).
     """
 
     singular_log_coeff: ClassVar[Fraction] = Fraction(1, 2)
     singular_quad_coeff: ClassVar[Fraction] = Fraction(-3, 4)
 
     regular: TruncatedSeries
-    sector: tuple[TruncatedSeries, ...] = ()
     # The float kernel of the map's second derivatives, compiled by
     # ``taumap.confmap.map_from_potential`` on its first call and then only
     # read; threads that race to compile it build equal kernels.
     _map_kernel: object = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def k_max(self) -> int:
-        """The largest ``k`` whose one-point function ``B_k`` the potential supplies."""
-        return self.regular.policy.n_max + len(self.sector)
 
 
 # -- serialization ---------------------------------------------------------

@@ -33,12 +33,14 @@ imports nothing from the builder.  Four layers:
   (:func:`factorial_pattern_check`) and a sampled bound on the composition
   count (:func:`composition_count_bound_check`);
 * numeric checks: the domain -> moments -> potential -> map roundtrip
-  (:func:`roundtrip`), whose sup error :func:`roundtrip_check` judges
-  against a tolerance, and two measures of how far the evaluated series
-  can be trusted, reported and not judged: the sufficient convergence
-  condition on a moment vector (:func:`convergence_gate`), whose verdict
-  the roundtrip report carries, and per-degree majorants of the evaluated
-  series (:func:`degree_term_sums`).
+  (:func:`roundtrip`), which inverts the map's Laurent-polynomial closure
+  by Newton and needs no map order, and whose sup error
+  :func:`roundtrip_check` judges against a tolerance; and two measures of
+  how far the evaluated series can be trusted, reported and not judged:
+  the sufficient convergence condition on a moment vector
+  (:func:`convergence_gate`), whose verdict the roundtrip report carries,
+  and per-degree majorants of the evaluated series
+  (:func:`degree_term_sums`).
 
 Residuals are only *gated* inside the reliable truncation cone, where
 series truncation leaves them exact.  Factor degree is a grading: products
@@ -77,7 +79,7 @@ from .coefficients import (
     n2_coefficient,
 )
 from .confmap import ExteriorMapSeries, _Kernel, map_from_potential
-from .moments import BoundaryCurve, MomentVector, moments_from_curve
+from .moments import BoundaryCurve, MomentVector, _horner, moments_from_curve
 from .series import (
     Monomial,
     PotentialSeries,
@@ -210,8 +212,7 @@ def combinatorial_formula_check(potential: PotentialSeries) -> CheckResult:
 def cauchy_data_check(potential: PotentialSeries) -> CheckResult:
     """Compare mixed derivatives on the ``t0`` line with their closed forms.
 
-    Three layers, all exact, through every index the potential supplies
-    (``potential.k_max``):
+    Three layers, all exact, through the index bound ``n_max``:
 
     * pure ``t0``: every monomial of the regular part has a plain and a
       barred factor, so none is one-sided or free of factors;
@@ -219,10 +220,7 @@ def cauchy_data_check(potential: PotentialSeries) -> CheckResult:
     * one plain index against a barred multiset ``B`` of weight ``i``
       (and the mirror image): the coefficient of
       ``t0^(i-k+1) t_i * prod tbar`` times the multiplicity factorials
-      equals ``prod(B) * i! / (i-k+1)!`` where ``k = |B|``.  For
-      ``n_max < i <= k_max`` the term is ``t_i`` times
-      ``t0^(i-k+1) * prod tbar``, read as the latter in the sector's
-      ``S_i``, which holds no mirror images.
+      equals ``prod(B) * i! / (i-k+1)!`` where ``k = |B|``.
     """
     reg = potential.regular
     policy = reg.policy
@@ -233,20 +231,20 @@ def cauchy_data_check(potential: PotentialSeries) -> CheckResult:
     ]
     checked = 0
 
-    def expect(series: TruncatedSeries, mono: Monomial, value: Fraction, label: str) -> None:
+    def expect(mono: Monomial, value: Fraction, label: str) -> None:
         nonlocal checked
-        if not series.policy.admits(mono):
+        if not policy.admits(mono):
             return
         checked += 1
-        got = series.coefficient(mono)
+        got = reg.coefficient(mono)
         if got != value:
             violations.append(f"{label}: coefficient({mono}) = {got}, expected {value}")
 
     for i in range(1, policy.n_max + 1):
         mono = Monomial(i, ((i, False, 1), (i, True, 1)))
-        expect(reg, mono, Fraction(i), "diagonal pair")
+        expect(mono, Fraction(i), "diagonal pair")
 
-    for i in range(1, potential.k_max + 1):
+    for i in range(1, policy.n_max + 1):
         for barred_side in bounded_partitions(i, policy.n_max, policy.deg_max - 1):
             k = sum(m for _, m in barred_side)
             t0_power = i - k + 1
@@ -255,16 +253,12 @@ def cauchy_data_check(potential: PotentialSeries) -> CheckResult:
                 factorial(t0_power) * prod(factorial(m) for _, m in barred_side),
             )
             barred = tuple((x, True, m) for x, m in barred_side)
-            if i > policy.n_max:
-                s_i = potential.sector[i - policy.n_max - 1]
-                expect(s_i, Monomial(t0_power, barred), target, f"one plain index (S_{i})")
-                continue
             plain = Monomial(t0_power, ((i, False, 1),) + barred)
-            expect(reg, plain, target, "one plain index")
+            expect(plain, target, "one plain index")
             mirror = Monomial(
                 t0_power, tuple((x, False, m) for x, m in barred_side) + ((i, True, 1),)
             )
-            expect(reg, mirror, target, "one barred index")
+            expect(mirror, target, "one barred index")
 
     return CheckResult("cauchy_data", checked, violations)
 
@@ -411,16 +405,17 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
 
     with ``X = sum u^a v^b d_a d_b F / (a b)`` and
     ``Y(u) = sum u^a d0 d_a F / a``.  Both sides are expanded to bidegree
-    ``(order+1, order+1)`` and subtracted.
+    ``(order+1, order+1)`` and subtracted.  ``Y(v)`` is ``Y(u)`` with ``v``
+    for ``u``, so one exponential serves both.
     """
     reg = potential.regular
     _check_order(order, reg.policy)
     amax = order + 1
     d0 = reg.diff_t0()
-    # exp(X), exp(-Y(u)) and exp(-Y(v))
+    # exp(X) and exp(-Y(u)); exp(-Y(v)) is exp(-Y(u)) with u and v exchanged
     ex = _pair_tail(reg, amax, barred=False, sign=1).exp()
     eu = _point_tail(d0, amax, axis=0, barred=False, sign=-1).exp()
-    ev = _point_tail(d0, amax, axis=1, barred=False, sign=-1).exp()
+    ev = eu.transposed()
     residual = ex.shifted(0, 1) - ex.shifted(1, 0) - eu.shifted(0, 1) + ev.shifted(1, 0)
     return _split_cone(residual, "residual_a")
 
@@ -596,60 +591,92 @@ def degree_term_sums(
 # domain's boundary maps to, and the points on it where the error is taken.
 ROUNDTRIP_RADIUS = 1.25
 ROUNDTRIP_SAMPLES = 512
+# Newton on the closure takes at most NEWTON_STEPS steps; a point has
+# converged when its last step is at most NEWTON_TOL times its value.
+NEWTON_STEPS = 50
+NEWTON_TOL = 1e-13
 
 
 @dataclass
 class RoundtripReport:
+    """The roundtrip's sup error, the moments and the gate's verdict on them,
+    the map, and the test points ``u`` where Newton did not converge."""
+
     sup_error: float
     moments: MomentVector
     gate: ConvergenceVerdict
     map_series: ExteriorMapSeries
+    unconverged: list[complex] = field(default_factory=list)
 
     @property
     def p(self) -> float:
         return self.map_series.p
 
 
-def roundtrip(
-    curve: BoundaryCurve, potential: PotentialSeries, order: int
-) -> RoundtripReport:
+def _invert_closure(w: ExteriorMapSeries, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``z_cl(x) = z`` for ``x`` by Newton, from the series map ``w(z)``.
+
+    ``z_cl(x) = x / p + sum_j u_j x^-j`` is the map's closure and
+    ``z_cl'(x) = 1 / p - x^-2 sum_{j>=1} j u_j x^(1-j)``, both by Horner's
+    rule in ``1/x``, over all points at once.  Returns the points and a mask
+    of those whose last step was within ``NEWTON_TOL`` of their value; a
+    point that is not finite has not converged, and where a point has not,
+    its start stands in.
+    """
+    r, a = 1 / w.p, w.closure
+    slopes = [j * c for j, c in enumerate(a)][1:]
+    start = x = w(z)
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            inv = 1 / x
+            step = (r * x + _horner(a, inv) - z) / (r - inv * inv * _horner(slopes, inv))
+            x = x - step
+            done = np.abs(step) <= NEWTON_TOL * np.abs(x)
+            if done.all():
+                break
+    return np.where(done, x, start), done
+
+
+def roundtrip(curve: BoundaryCurve, potential: PotentialSeries) -> RoundtripReport:
     """Domain -> moments -> potential -> map, composed against the curve.
 
-    Reports ``sup |w(z(u)) - u|`` over ``ROUNDTRIP_SAMPLES`` points of the
-    circle ``|u| = ROUNDTRIP_RADIUS``.  The moments are cut at the
-    potential's ``n_max``; the one-point functions ``B_k`` beyond it, up to
-    ``order + 1``, come from the sector the potential carries, so it must be
-    built with ``map_order >= order`` (else ``ValueError``).  The report
-    carries the convergence gate's verdict on the moments (``gate``), which
-    judges nothing: the gate is a sufficient condition, and the series may
-    well converge beyond it.
+    The moments are cut at the potential's ``n_max``, and the map's closure
+    ``z_cl`` (:func:`taumap.confmap.map_from_potential`) is inverted by
+    Newton at ``z(u)`` for ``ROUNDTRIP_SAMPLES`` points ``u`` of the circle
+    ``|u| = ROUNDTRIP_RADIUS``, starting from the series map of order
+    ``n_max``; no map order enters.  Reports ``sup |w(z(u)) - u|`` and the
+    points where Newton did not converge, at which the series map stands
+    in, so the error is never a silent ``nan``.  The report carries the
+    convergence gate's verdict on the moments (``gate``), which judges
+    nothing: the gate is a sufficient condition, and the series may well
+    converge beyond it.
     """
-    if order + 1 > potential.k_max:
-        raise ValueError(
-            f"order {order} needs B_k for k <= {order + 1}, the potential covers "
-            f"k <= {potential.k_max}: build it with map_order >= {order}"
-        )
     n_max = potential.regular.policy.n_max
     m = moments_from_curve(curve, n_max)
     gate = convergence_gate(m, n_max)
-    w = map_from_potential(potential, m, order)
+    w = map_from_potential(potential, m, n_max)
 
     theta = 2 * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES
     u = ROUNDTRIP_RADIUS * np.exp(1j * theta)
-    sup_error = float(np.max(np.abs(w(curve.z_of(u)) - u)))
-    return RoundtripReport(sup_error, m, gate, w)
+    x, done = _invert_closure(w, curve.z_of(u))
+    sup_error = float(np.max(np.abs(x - u)))
+    return RoundtripReport(sup_error, m, gate, w, u[~done].tolist())
 
 
-def roundtrip_check(
-    curve: BoundaryCurve, potential: PotentialSeries, order: int, tol: float
-) -> CheckResult:
-    """The :func:`roundtrip` at map order ``order``, judged against ``tol``.
+def roundtrip_check(curve: BoundaryCurve, potential: PotentialSeries, tol: float) -> CheckResult:
+    """The :func:`roundtrip`, judged against ``tol``.
 
-    It fails iff the sup error exceeds ``tol``.  The sup error, ``tol`` and
-    the convergence gate's verdict are reported alongside; the gate is not
-    judged, as it is a sufficient condition only.
+    It fails iff the sup error exceeds ``tol`` or Newton did not converge at
+    a test point; the message names the first such point.  The sup error,
+    ``tol`` and the convergence gate's verdict are reported alongside; the
+    gate is not judged, as it is a sufficient condition only.
     """
-    rt = roundtrip(curve, potential, order)
+    rt = roundtrip(curve, potential)
     violations = [] if rt.sup_error <= tol else [f"sup error {rt.sup_error} > {tol}"]
+    if rt.unconverged:
+        violations.append(
+            f"Newton on the closure did not converge at {len(rt.unconverged)} of "
+            f"{ROUNDTRIP_SAMPLES} points, first at u = {rt.unconverged[0]}"
+        )
     metrics = {"sup_error": rt.sup_error, "tolerance": tol, "gate": asdict(rt.gate)}
     return CheckResult("roundtrip", 1, violations, metrics)

@@ -2,14 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-gate lines.
 
-Gate A8 (the ellipse roundtrip at n_max=4, deg_max=6, J=8, tolerance 1e-5)
-needs the exterior-map one-point functions B_k = d0 d_k F up to k = J+1 = 9.
-Those beyond the index bound, such as B_6 = 20 a^3 + O(a^5) and
-B_8 = 70 a^4 + ..., come from the exact one-point sector of the potential
-(taumap.potential.build_potential), which the potential carries when it is
-built with map_order=8.  When they were taken as zero the gate
-sat on a floor of about 1.5e-4 at every degree bound; with the sector the
-errors fall monotonically to about 6.2e-7.
+Gate A8 (the ellipse roundtrip at n_max=4, deg_max=6, tolerance 1e-5)
+inverts the map's closure, the Laurent polynomial
+z_cl(w) = w/p + u_0 + ... + u_3 w^-3 fixed by A and B_1..B_4
+(taumap.confmap.map_from_potential), by Newton on the test circle, so it
+needs no map order.  The one-point functions beyond the index bound, such
+as B_6 = 20 a^3 + O(a^5), are the constant terms of powers of z_cl.  When
+they were taken as zero the gate sat on a floor of about 1.5e-4 at every
+degree bound; from the closure the errors fall monotonically to about
+3.8e-8.
 """
 
 import math
@@ -232,7 +233,7 @@ def test_a06_growth_bounds_on_random_keys():
 
 
 def test_a07_disk_map_normalization():
-    potential, _ = build_potential(default_policy(4, 4), map_order=8)
+    potential, _ = build_potential(default_policy(4, 4))
     ok = True
     for t0 in (0.25, 0.7, 1.0, 3.0):
         m = MomentVector(t0=t0, t=(0, 0, 0, 0))
@@ -262,8 +263,8 @@ def test_a08_roundtrip_at_pinned_policy():
 
     errors = {}
     for deg in (3, 4, 5, 6):
-        potential, _ = build_potential(default_policy(4, deg), map_order=8)
-        report = roundtrip(ELLIPSE_CURVE, potential, order=8)
+        potential, _ = build_potential(default_policy(4, deg))
+        report = roundtrip(ELLIPSE_CURVE, potential)
         errors[deg] = report.sup_error
     elapsed = time.perf_counter() - start
 
@@ -272,15 +273,15 @@ def test_a08_roundtrip_at_pinned_policy():
     ok = moments_ok and sup_ok and monotone_ok and elapsed <= 60.0
     gate_line(
         "A8",
-        "roundtrip at (n_max=4, deg_max=6, J=8)",
+        "roundtrip at (n_max=4, deg_max=6)",
         ok,
         "sup " + ", ".join(f"deg {d}: {errors[d]:.3e}" for d in (3, 4, 5, 6))
         + f"; moments {moment_err:.1e}; {elapsed:.1f}s",
     )
     assert moments_ok, f"moment validation error {moment_err}"
     assert elapsed <= 60.0
-    # B_k beyond the index bound come from the one-point sector; without it
-    # the missing B_6 left a floor of ~1.5e-4, see module docstring
+    # B_k beyond the index bound come from the closure; without them the
+    # missing B_6 left a floor of ~1.5e-4, see module docstring
     assert sup_ok, f"sup error {errors[6]:.3e} > 1e-5"
     assert monotone_ok, f"errors by degree: {errors}"
 

@@ -40,8 +40,13 @@ def test_map_output_reader_round_trip(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"p", "tail"}
+    assert set(payload) == {"p", "tail", "closure"}
     assert payload["p"] > 0
+    # the closure z_cl(w) = r w + a_0 + a_1/w + a_2/w^2 in the curve shape,
+    # one a_j per moment index
+    assert set(payload["closure"]) == {"r", "a"}
+    assert payload["closure"]["r"] == 1 / payload["p"]
+    assert len(payload["closure"]["a"]) == 3
     # the default order J = n_max + deg_max gives the coefficients p_0..p_7
     assert len(payload["tail"]) == 8
     assert all(len(pair) == 2 and all(map(math.isfinite, pair)) for pair in payload["tail"])
@@ -172,8 +177,9 @@ def test_verify_report_is_pinned(capsys):
 
 
 # sha256 of `taumap verify --nmax 5 --degmax 6 --order 4 --in <A8 ellipse> --seed 3`
-# stdout, the run the benchmark's `verify` workload makes
-VERIFY_56_A8_SHA256 = "e70f8fd8d3dbcb8ffa5b8cfc3efa8c835b2dc5d8f6bdcfe864e8928f5eee1101"
+# stdout, the run the benchmark's `verify` workload makes; its roundtrip
+# inverts the map's closure (sup error 3.77e-8)
+VERIFY_56_A8_SHA256 = "3bae4c20b9188abe9872391f4913f78469e48db305619f79cacd1283da34b994"
 
 
 def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
@@ -199,7 +205,7 @@ def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
 
 # sha256 of `taumap verify --nmax 3 --degmax 4 --order 2 --in <A8 ellipse>
 # --roundtrip-tol 1e-12` stdout, a run whose roundtrip fails
-VERIFY_34_A8_FAIL_SHA256 = "eb46ec30c721096d6b7594a754b2567a975a3e751706c179e4e774f1f77cc08e"
+VERIFY_34_A8_FAIL_SHA256 = "b4193c3d653364a2dacc67d54236b74fb25241a86abc8ca1ef6a13def34503c0"
 
 
 def test_verify_reports_a_failing_roundtrip(tmp_path, capsys):
@@ -240,8 +246,6 @@ def test_verify_with_curve_fixture(tmp_path, capsys):
             "4",
             "--in",
             str(curve),
-            "--order-J",
-            "8",
         ],
         capsys,
     )
@@ -256,9 +260,33 @@ def test_verify_with_curve_fixture(tmp_path, capsys):
         assert f"PASS {name}" in err
 
 
+def test_map_closure_reads_back_as_a_curve_with_the_same_moments(tmp_path, capsys):
+    # the map's closure is written in the curve shape {"r", "a"}; `taumap
+    # moments` reads it and gives back the moments the map was taken at, up
+    # to the truncation error of the potential (measured 2.5e-8 at (4, 6))
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"r": 1.0, "a": [[0, 0], [0.04, 0.01], [0, 0.012]]}))
+    code, out, _ = run_cli(["moments", "--in", str(curve), "--n", "4"], capsys)
+    assert code == 0
+    moments = tmp_path / "m.json"
+    moments.write_text(out)
+    code, out, _ = run_cli(
+        ["map", "--in", str(moments), "--nmax", "4", "--degmax", "6"], capsys
+    )
+    assert code == 0
+    closure = tmp_path / "closure.json"
+    closure.write_text(json.dumps(json.loads(out)["closure"]))
+    code, out, _ = run_cli(["moments", "--in", str(closure), "--n", "4"], capsys)
+    assert code == 0
+    given, again = json.loads(moments.read_text()), json.loads(out)
+    gaps = [abs(given["t0"] - again["t0"])]
+    gaps += [abs(complex(*x) - complex(*y)) for x, y in zip(given["t"], again["t"], strict=True)]
+    assert max(gaps) <= 1e-7, gaps
+
+
 def test_map_and_verify_use_their_own_cache(tmp_path, capsys):
-    # each command builds on a fresh cache, and the one-point sector on one
-    # of its own; there is no module-level cache they could fall back to
+    # each command builds on a fresh cache; there is no module-level cache
+    # they could fall back to
     import taumap.coefficients as coefficients
 
     assert not any(
@@ -281,12 +309,12 @@ def test_map_and_verify_use_their_own_cache(tmp_path, capsys):
         )
         assert code == 0
         verify_code, _, err = run_cli(
-            ["verify", "--nmax", "4", "--degmax", "4", "--in", str(curve),
-             "--order-J", "8"],
+            ["verify", "--nmax", "4", "--degmax", "4", "--in", str(curve)],
             capsys,
         )
     assert verify_code == 0, err
-    # z^-5 coefficient of the inverse of u + a/u, fed by B_6 beyond n_max
+    # z^-5 coefficient of the inverse of u + a/u, fed by B_6 beyond n_max,
+    # which the closure supplies
     re, im = json.loads(out)["tail"][5]
     assert abs(complex(re, im) - (-2 * a**3)) <= 1e-7
 
@@ -309,11 +337,11 @@ def test_verify_passes_where_index_bound_cuts_the_cone(capsys):
 
 @pytest.mark.parametrize(
     "flag, value, what",
-    [("--order-J", "8", "map order"), ("--roundtrip-tol", "1e-9", "bound")],
-    ids=["order-J", "roundtrip-tol"],
+    [("--roundtrip-tol", "1e-9", "bound")],
+    ids=["roundtrip-tol"],
 )
 def test_verify_rejects_a_roundtrip_setting_without_a_curve(capsys, flag, value, what):
-    # both set the roundtrip, which runs only on a curve; without --in they used
+    # it sets the roundtrip, which runs only on a curve; without --in it used
     # to be ignored
     code, out, err = run_cli(["verify", "--nmax", "2", "--degmax", "3", flag, value], capsys)
     assert code == 2
@@ -327,9 +355,8 @@ def test_verify_rejects_a_roundtrip_setting_without_a_curve(capsys, flag, value,
         (["verify", "--order", "9"], "--order must be in 0..3, got 9"),
         (["verify", "--order", "-1"], "--order must be in 0..3, got -1"),
         (["map", "--in", "MISSING", "--order-J", "-1"], "--order-J must be >= 0, got -1"),
-        (["verify", "--in", "MISSING", "--order-J", "-1"], "--order-J must be >= 0, got -1"),
     ],
-    ids=["verify-order-above-n_max", "verify-order-negative", "map-order-J", "verify-order-J"],
+    ids=["verify-order-above-n_max", "verify-order-negative", "map-order-J"],
 )
 def test_order_flags_fail_before_the_build(tmp_path, capsys, monkeypatch, args, message):
     # an order out of range is named before the input is read (it does not

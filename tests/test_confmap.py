@@ -3,13 +3,12 @@
 import cmath
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from taumap.confmap import ExteriorMapSeries, evaluate_map, map_from_potential
+from taumap.confmap import ExteriorMapSeries, _closure, _Kernel, evaluate_map, map_from_potential
 from taumap.moments import BoundaryCurve, MomentVector, moments_from_curve
 from taumap.potential import build_potential, default_policy
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
@@ -21,22 +20,16 @@ def potential_46():
     return potential
 
 
-@pytest.fixture(scope="module")
-def potential_46_j8():
-    """The ``(4, 6)`` potential built for maps of order 8: it carries ``k <= 9``."""
-    potential, _ = build_potential(default_policy(4, 6), map_order=8)
-    return potential
-
-
-def test_disk_map_exact(potential_46_j8):
-    # at t0 = 1e40 the t0 powers of the sector rows B_8, B_9 overflow to
-    # inf; every monomial also holds a zero t_k, so each still reads 0
-    # rather than inf * 0 = nan
+def test_disk_map_exact(potential_46):
+    # at t0 = 1e40 the t0 powers of the rows overflow to inf; every monomial
+    # also holds a zero t_k, so each still reads 0 rather than inf * 0 = nan,
+    # and the closure and the B_k beyond n_max are exactly 0 too
     for t0 in (0.25, 1.0, 2.0, 1e40):
         m = MomentVector(t0=t0, t=(0, 0, 0, 0))
-        w = map_from_potential(potential_46_j8, m, order=8)
+        w = map_from_potential(potential_46, m, order=8)
         assert abs(w.p - t0**-0.5) <= 1e-12
         assert all(abs(c) == 0 for c in w.tail)
+        assert w.closure == (0j,) * 4
         z = 2.0 * math.sqrt(t0) * cmath.exp(0.3j)
         assert abs(abs(evaluate_map(w, z)) - 2.0) <= 1e-12
 
@@ -53,9 +46,9 @@ def test_leading_coefficient_positive_required():
         ExteriorMapSeries(p=-1.0, tail=())
 
 
-def test_p_real_positive_for_conjugate_symmetric_moments(potential_46_j8):
+def test_p_real_positive_for_conjugate_symmetric_moments(potential_46):
     m = MomentVector(t0=0.8, t=(0.05 + 0.02j, -0.01j, 0.003, 0))
-    w = map_from_potential(potential_46_j8, m, order=8)
+    w = map_from_potential(potential_46, m, order=8)
     assert w.p > 0
 
 
@@ -67,11 +60,11 @@ def test_conformal_radius_identity(potential_46):
     assert abs(a_val.imag) <= 1e-12
 
 
-def test_ellipse_moments_give_unit_p(potential_46_j8):
+def test_ellipse_moments_give_unit_p(potential_46):
     # interior of u + a/u has t0 = 1 - a^2, t2 = a/2; its map has p = 1
     a = 0.05
     m = MomentVector(t0=1 - a * a, t=(0, a / 2, 0, 0))
-    w = map_from_potential(potential_46_j8, m, order=8)
+    w = map_from_potential(potential_46, m, order=8)
     assert abs(w.p - 1.0) <= 1e-9
     # leading tail coefficients of the inverse of u + a/u: p1 = -a, p3 = -a^2
     assert abs(w.tail[1] - (-a)) <= 1e-6
@@ -79,13 +72,13 @@ def test_ellipse_moments_give_unit_p(potential_46_j8):
     assert abs(w.tail[0]) <= 1e-12 and abs(w.tail[2]) <= 1e-12
 
 
-def test_translated_disk_map_reconstruction(potential_46_j8):
+def test_translated_disk_map_reconstruction(potential_46):
     # moments of the unit disk centered at c: t0 = 1, t1 = conj(c), rest 0;
     # the one-point functions reproduce w(z) = z - c through the factorial
     # coefficient pattern, up to the index cutoff
     c = 0.1 + 0.05j
     m = MomentVector(t0=1.0, t=(c.conjugate(), 0, 0, 0))
-    w = map_from_potential(potential_46_j8, m, order=8)
+    w = map_from_potential(potential_46, m, order=8)
     for z in (2.0 + 0.3j, -1.5 + 1.2j, 3.0j):
         assert abs(evaluate_map(w, z) - (z - c)) <= 5e-7
 
@@ -110,26 +103,19 @@ def test_moment_vector_json_round_trip():
     assert again == m
 
 
-def test_map_without_sector_warns_and_keeps_zero_one_point_tail(
-    potential_46, potential_46_j8
-):
-    # order 8 needs B_k up to k = 9; a potential built without map_order
-    # has no one-point sector, the B_k beyond n_max = 4 are zero, and the
-    # tail equals that of a map of B_1..B_4
+def test_map_tail_beyond_n_max_comes_from_the_closure(potential_46):
+    # order 8 needs B_k up to k = 9; beyond n_max = 4 they are the constant
+    # terms of powers of the closure, and the tail through p_3 is that of a
+    # map of B_1..B_4
     a = 0.05
     m = MomentVector(t0=1 - a * a, t=(0, a / 2, 0, 0))
-    with pytest.warns(UserWarning, match="k > 4 are taken as zero") as record:
-        w = map_from_potential(potential_46, m, order=8)
-    assert len(record) == 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        short = map_from_potential(potential_46, m, order=3)
-        mended = map_from_potential(potential_46_j8, m, order=8)
+    w = map_from_potential(potential_46, m, order=8)
+    short = map_from_potential(potential_46, m, order=3)
     assert w.tail[:4] == short.tail
+    assert w.closure == short.closure
     # the z^-5 coefficient of the inverse of u + a/u is -2 a^3; it is fed by
-    # B_6, which only the sector supplies
-    assert abs(mended.tail[5] - (-2 * a**3)) <= 1e-7
-    assert abs(w.tail[5] - (-2 * a**3)) > 1e-4
+    # B_6, which only the closure supplies (taken as 0 it misses by 1e-4)
+    assert abs(w.tail[5] - (-2 * a**3)) <= 1e-7
 
 
 def test_moment_vector_rejects_non_finite_t0():
@@ -174,23 +160,40 @@ def map_rows(potential):
     return [d0.diff_t0()] + [d0.diff_t(k) for k in range(1, n_max + 1)]
 
 
+def laurent_power_constant(r, closure, k):
+    """``[w^0] (r w + sum_j closure[j] w^-j)^k`` by repeated multiplication of
+    ``{power of w: coefficient}`` dicts: the constant-term identity, taken
+    independently of :mod:`taumap.confmap`."""
+    poly = {1: complex(r)}
+    poly.update({-j: complex(c) for j, c in enumerate(closure)})
+    power = {0: 1 + 0j}
+    for _ in range(k):
+        out = {}
+        for e1, c1 in power.items():
+            for e2, c2 in poly.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        power = out
+    return power.get(0, 0j)
+
+
 def reference_map(potential, moments, order):
-    """The map as computed before the kernel: exact derivatives taken on
-    every call and evaluated term by term with ``TruncatedSeries.evaluate``."""
+    """The map as computed before the kernel and the closure's recurrences:
+    exact derivatives taken on every call and evaluated term by term with
+    ``TruncatedSeries.evaluate``, ``B_k`` beyond ``n_max`` the constant terms
+    of powers of the map's own closure, and the tail by the ``h`` recurrence
+    as it was written."""
     n_max = potential.regular.policy.n_max
-    sector = potential.sector
-    m = moments.padded(max(n_max, order + 1))
+    m = moments.padded(n_max)
     d0 = potential.regular.diff_t0()
     a_val = d0.diff_t0().evaluate(m)
+    p = math.exp(-a_val.real / 2) / math.sqrt(m.t0)
+    closure = map_from_potential(potential, moments, 0).closure
     b = []
     for k in range(1, order + 2):
         if k <= n_max:
             b.append(d0.diff_t(k).evaluate(m))
-        elif k <= potential.k_max:
-            b.append(sector[k - n_max - 1].diff_t0().evaluate(m))
         else:
-            b.append(0j)
-    p = math.exp(-a_val.real / 2) / math.sqrt(m.t0)
+            b.append(laurent_power_constant(1 / p, closure, k))
     c = [0j] + [-b[k - 1] / k for k in range(1, order + 2)]
     h = [1 + 0j]
     for n in range(1, order + 2):
@@ -267,21 +270,72 @@ def curve_moments(seed, count, n_max):
 
 
 @pytest.mark.parametrize(
-    "n_max, order, with_sector", [(4, 8, True), (4, 3, False), (8, 7, False)]
+    "n_max, order, beyond", [(4, 8, True), (4, 3, False), (8, 7, False), (8, 12, True)]
 )
-def test_map_matches_term_by_term_formula(
-    n_max, order, with_sector, potential_46, potential_46_j8, potential_86
-):
-    if with_sector:
-        potential = potential_46_j8
-    else:
-        potential = {4: potential_46, 8: potential_86}[n_max]
+def test_map_matches_term_by_term_formula(n_max, order, beyond, potential_46, potential_86):
+    # beyond: the tail reads B_k past n_max, from the closure
+    assert (order + 1 > n_max) == beyond
+    potential = {4: potential_46, 8: potential_86}[n_max]
     for m in curve_moments(n_max, 4, n_max):
         w = map_from_potential(potential, m, order)
         p, tail = reference_map(potential, m, order)
         assert abs(w.p - p) <= 1e-12
         assert len(w.tail) == len(tail)
         assert all(abs(x - y) <= 1e-12 for x, y in zip(w.tail, tail))
+
+
+@pytest.mark.parametrize("n_max", [4, 8])
+def test_closure_reproduces_the_kernel_b_k(n_max, potential_46, potential_86):
+    # B_k = [w^0] z_cl(w)^k for k <= n_max: the closure solved from the
+    # kernel's B_1..B_n gives them back to rounding
+    potential = {4: potential_46, 8: potential_86}[n_max]
+    for m in curve_moments(30 + n_max, 4, n_max):
+        w = map_from_potential(potential, m, 0)
+        rows = potential._map_kernel(m)
+        assert len(w.closure) == n_max
+        for k in range(1, n_max + 1):
+            again = laurent_power_constant(1 / w.p, w.closure, k)
+            assert abs(again - rows[k]) <= 1e-15, (k, again, rows[k])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_closure_of_the_disk_and_ellipse_closed_forms(n):
+    # the translated disk z = w + c has B_k = c^k, the ellipse z = w + a/w
+    # has B_2j = C(2j, j) a^j and no odd B_k; their closures and the B_k
+    # beyond n come out to rounding, on the scale r^k = 1 of z_cl^k
+    c, a, top = 0.1 + 0.05j, 0.05, 2 * n + 3
+    b = [c**k for k in range(1, n + 1)]
+    closure, beyond = _closure(1.0, b, top)
+    assert len(closure) == n and len(beyond) == top - n
+    assert abs(closure[0] - c) <= 1e-16 and all(abs(u) <= 1e-16 for u in closure[1:])
+    for k, b_k in enumerate(beyond, n + 1):
+        assert abs(b_k - c**k) <= 1e-16, k
+    b = [math.comb(k, k // 2) * a ** (k // 2) if k % 2 == 0 else 0j for k in range(1, n + 1)]
+    closure, beyond = _closure(1.0, b, top)
+    assert closure[0] == 0 and abs(closure[1] - a) <= 1e-17
+    assert all(abs(u) <= 1e-17 for u in closure[2:])
+    for k, b_k in enumerate(beyond, n + 1):
+        want = math.comb(k, k // 2) * a ** (k // 2) if k % 2 == 0 else 0
+        assert abs(b_k - want) <= 1e-16, k
+    # the scale r = 1/p enters as r^k
+    closure, beyond = _closure(0.5, [2 * x for x in b[:1]] + [4 * x for x in b[1:2]], 4)
+    assert abs(closure[1] - 2 * a) <= 1e-16 and abs(beyond[1] - 16 * 6 * a * a) <= 1e-15
+
+
+def test_closure_recovers_a_curve_with_few_modes():
+    # z = u + 0.15/u has t_k = 0 beyond k = 2 <= n_max, so its map is a
+    # closure: r = 1, u_1 = 0.15 and every other u_j = 0, up to the
+    # truncation error of the potential, which falls with deg_max (measured
+    # 5.0e-5, 3.2e-5, 1.2e-6 and 4.2e-8; the bounds are about twice that)
+    curve = BoundaryCurve(1.0, (0, 0.15))
+    errors = []
+    for n_max, deg_max, limit in [(5, 6, 1e-4), (6, 7, 6.5e-5), (6, 9, 2.5e-6), (6, 10, 1e-7)]:
+        potential, _ = build_potential(default_policy(n_max, deg_max))
+        w = map_from_potential(potential, moments_from_curve(curve, n_max), 0)
+        want = [0, 0.15] + [0] * (n_max - 2)
+        errors.append(max([abs(1 / w.p - 1)] + [abs(u - x) for u, x in zip(w.closure, want)]))
+        assert errors[-1] <= limit, (n_max, deg_max, errors[-1])
+    assert errors == sorted(errors, reverse=True), errors
 
 
 def count_derivatives(monkeypatch):
@@ -310,40 +364,95 @@ def test_second_map_takes_no_derivative(monkeypatch):
     assert calls == []
 
 
-def test_kernel_holds_the_sector_rows_and_compiles_once(monkeypatch):
-    potential, _ = build_potential(default_policy(3, 4), map_order=5)
-    assert potential.k_max == 6
+def test_kernel_holds_the_map_rows_and_compiles_once(monkeypatch):
+    potential, _ = build_potential(default_policy(3, 4))
     calls = count_derivatives(monkeypatch)
     m = MomentVector(t0=0.9, t=(0.01 + 0.02j, -0.003j, 0.001))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        first = map_from_potential(potential, m, order=5)
-    # A and B_1..B_3 from the regular part, B_4..B_6 from the sector
+    first = map_from_potential(potential, m, order=5)
+    # A and B_1..B_3 from the regular part; B_4..B_6 from the closure
     kernel = potential._map_kernel
-    assert len(kernel.ends) == potential.k_max + 1
-    assert calls.count("diff_t") == 3 and calls.count("diff_t0") == 5
+    assert len(kernel.ends) == 4
+    assert calls.count("diff_t") == 3 and calls.count("diff_t0") == 2
     calls.clear()
     assert map_from_potential(potential, m, order=5) == first
     short = map_from_potential(potential, m, order=2)
     assert calls == [] and potential._map_kernel is kernel
     assert short.p == first.p and short.tail == first.tail[:3]
+    assert short.closure == first.closure
 
 
 def test_empty_kernel_rows_read_exactly_zero():
-    # at (2,3) the sector carries terms for k = 3, 4 only: the rows of
-    # B_5..B_21 are empty blocks at the end of the kernel, which reduceat
-    # alone would read as a term (or index past the end)
-    potential, _ = build_potential(TruncationPolicy(2, 3), map_order=20)
-    assert potential.k_max == 21
-    for m in curve_moments(23, 3, 2):
-        w = map_from_potential(potential, m, order=20)
+    # c t0 t_2 tbar_2 has A = 0 and B_k = 0 but for B_2 = c tbar_2: the rows
+    # A, B_1 and B_3 are empty blocks, which reduceat alone would read as a
+    # term (or index past the end)
+    term = Monomial(1, ((2, False, 1), (2, True, 1)))
+    regular = TruncatedSeries(TruncationPolicy(3, 4), {term: Fraction(3)})
+    potential = PotentialSeries(regular)
+    for m in curve_moments(23, 3, 3):
+        w = map_from_potential(potential, m, order=6)
         kernel = potential._map_kernel
-        assert len(set(kernel.ends[4:])) == 1 and kernel.ends[3] < kernel.ends[4]
+        assert kernel.ends == [0, 0, 1, 1]
         rows = kernel(m)
-        assert all(rows[:5] != 0) and all(rows[5:] == 0)
-        p, tail = reference_map(potential, m, 20)
+        assert rows[2] == 3 * m.t[1].conjugate()
+        assert rows[0] == rows[1] == rows[3] == 0
+        p, tail = reference_map(potential, m, 6)
         assert abs(w.p - p) <= 1e-12
         assert all(abs(x - y) <= 1e-12 for x, y in zip(w.tail, tail))
+
+
+def decoded_kernel_arrays(rows):
+    """The kernel's ``exponents``, ``coeffs`` and ``ends`` as they were built
+    before the kernel read the packed codes: from the decoded terms, each
+    coefficient ``float(Fraction)``."""
+    var, col, power, coeffs, ends = [], [], [], [], []
+    for row in rows:
+        for mono, c in row.items():
+            j = len(coeffs)
+            coeffs.append(float(c))
+            var.append(0)
+            col.append(j)
+            power.append(mono.t0_power)
+            for k, barred, e in mono.factors:
+                var.append(2 * k - 1 + barred)
+                col.append(j)
+                power.append(e)
+        ends.append(len(coeffs))
+    n = (max(var, default=0) + 1) // 2
+    exponents = np.zeros((1 + 2 * n, len(coeffs)), dtype=np.min_scalar_type(max(power, default=0)))
+    exponents[var, col] = power
+    return exponents, np.array(coeffs), ends
+
+
+@pytest.mark.parametrize("n_max", [5, 8])
+def test_kernel_compiles_from_codes_as_from_decoded_terms(n_max, potential_86):
+    potential = potential_86 if n_max == 8 else build_potential(default_policy(5, 6))[0]
+    d0 = potential.regular.diff_t0()
+    rows = [d0.diff_t0()] + [d0.diff_t(k) for k in range(1, n_max + 1)]
+    kernel = _Kernel(rows)
+    exponents, coeffs, ends = decoded_kernel_arrays(rows)
+    assert kernel.exponents.dtype == exponents.dtype
+    assert np.array_equal(kernel.exponents, exponents)
+    assert np.array_equal(kernel.coeffs, coeffs)
+    assert kernel.ends == ends
+    assert kernel.n == n_max
+
+
+def test_kernel_reads_codes_wider_than_63_bits():
+    # at (12, 16) a code has 2 * 12 * 5 = 120 bits of fields below the t0
+    # power: the kernel shifts such codes as Python ints, to the same arrays
+    policy = TruncationPolicy(12, 16)
+    terms = {
+        Monomial(7, ((3, False, 2), (12, False, 1), (1, True, 4), (12, True, 9))): Fraction(-5, 3),
+        Monomial(0, ((12, True, 16),)): Fraction(1, 7),
+        Monomial(40, ((5, False, 1),)): Fraction(2),
+    }
+    rows = [TruncatedSeries(policy, terms), TruncatedSeries(policy, {})]
+    kernel = _Kernel(rows)
+    exponents, coeffs, ends = decoded_kernel_arrays(rows)
+    assert kernel.n == 12 and kernel.ends == ends == [3, 3]
+    assert kernel.exponents.dtype == exponents.dtype
+    assert np.array_equal(kernel.exponents, exponents)
+    assert np.array_equal(kernel.coeffs, coeffs)
 
 
 def one_term_potential(c):

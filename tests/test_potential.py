@@ -18,8 +18,8 @@ from taumap.coefficients import (
     bounded_partitions,
     n2_coefficient,
 )
-from taumap.confmap import map_from_potential
-from taumap.moments import MomentVector
+from taumap.confmap import _closure, map_from_potential
+from taumap.moments import BoundaryCurve, moments_from_curve
 from taumap import cli, potential as potential_module
 from taumap.potential import BuildReport, build_potential, default_policy
 from taumap.series import (
@@ -137,48 +137,11 @@ def test_potential_68_is_bit_identical_to_pin():
     assert potential_sha256(potential) == POTENTIAL_68_SHA256
 
 
-def sector_terms(potential):
-    """``sum_k t_k S_k`` over the potential's sector, as ``{monomial: coefficient}``."""
-    terms = {}
-    for k, s_k in enumerate(potential.sector, potential.regular.policy.n_max + 1):
-        for mono, c in s_k.items():
-            plain = tuple(f for f in mono.factors if not f[1])
-            barred = mono.factors[len(plain):]
-            terms[Monomial(mono.t0_power, plain + ((k, False, 1),) + barred)] = c
-    return terms
-
-
-def sector_sha256(potential):
-    """sha256 of the sector's terms, serialized as a series in every index up
-    to ``k_max``, which admits every one of them."""
-    policy = default_policy(potential.k_max, potential.regular.policy.deg_max)
-    terms = sector_terms(potential)
-    json_terms = series_to_json_terms(TruncatedSeries(policy, terms))
-    assert len(json_terms) == len(terms)
-    blob = json.dumps(json_terms, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-# sha256 of the terms of the (5, 6) one-point sector with k <= 12
-SECTOR_56_12_SHA256 = "a639be9d05b2f60eace5c4ac104ef5178a422bc5fcfc89bb38839ad97c86050e"
-
-
-def test_one_point_sector_56_is_bit_identical_to_pin():
-    potential = build_potential(default_policy(5, 6), map_order=11)[0]
-    terms = sector_terms(potential)
-    assert sector_sha256(potential) == SECTOR_56_12_SHA256
-    assert potential.k_max == 12 and len(potential.sector) == 7
-    assert all(s_k.policy == default_policy(5, 6) for s_k in potential.sector)
-    assert len(terms) == sum(map(len, potential.sector)) == 577
-
-
 # where deg_max binds and the as-written recursion is too slow to compare:
-# the (6, 10) regular part, and the (6, 9) potential at the map order the
-# CLI builds it for, J = n_max + deg_max = 15, with its sector through
-# k = 16; taken from the solver before it skipped dead terms
+# the (6, 10) and (6, 9) regular parts, taken from the solver before it
+# skipped dead terms
 POTENTIAL_6_10_SHA256 = "c0b19395e8f3dbca052468edea27929c021bcb280da18b296afb61b40fe31dc1"
 POTENTIAL_69_SHA256 = "3e50aaa85e7d2a50e16f2da2af2adc7563bea134a5dd1f53212beb05e3988d91"
-SECTOR_69_16_SHA256 = "eb20293701c271db3c9e247e4365702aef3627523bb14691218288a46b67ba23"
 
 
 def test_potential_6_10_is_bit_identical_to_pin():
@@ -187,13 +150,10 @@ def test_potential_6_10_is_bit_identical_to_pin():
     assert len(potential.regular) == 16511
 
 
-def test_potential_69_with_its_map_sector_is_bit_identical_to_pin():
-    potential, _ = build_potential(default_policy(6, 9), map_order=15)
+def test_potential_69_is_bit_identical_to_pin():
+    potential, _ = build_potential(default_policy(6, 9))
     assert potential_sha256(potential) == POTENTIAL_69_SHA256
-    assert potential.k_max == 16
-    assert sector_sha256(potential) == SECTOR_69_16_SHA256
     assert len(potential.regular) == 8070
-    assert sum(map(len, potential.sector)) == 26176
 
 
 BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -201,31 +161,11 @@ BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests
 
 @pytest.mark.parametrize("n_max, deg_max", [(6, 7), (8, 6)])
 def test_build_without_map_order_matches_benchmark_digest(n_max, deg_max):
-    # the benchmark builds without map_order and checks these digests
+    # the benchmark builds with build_potential(policy, cache=) and checks
+    # these digests
     digests = json.loads(BENCHMARK_DIGESTS.read_text())
-    potential, _ = build_potential(default_policy(n_max, deg_max))
-    assert potential.sector == ()
-    assert potential.k_max == n_max
+    potential, _ = build_potential(default_policy(n_max, deg_max), cache=MemoCache())
     assert potential_sha256(potential) == digests[f"{n_max},{deg_max}"]
-
-
-def test_map_order_adds_the_one_point_sector():
-    policy = default_policy(4, 6)
-    plain, plain_report = build_potential(policy)
-    mapped, mapped_report = build_potential(policy, map_order=8)
-    assert mapped.regular == plain.regular
-    assert mapped_report.keys_evaluated == plain_report.keys_evaluated
-    assert mapped_report.nonzero_terms == plain_report.nonzero_terms
-    assert plain.sector == ()
-    assert len(mapped.sector) == 5 and mapped.k_max == 9
-
-
-@pytest.mark.parametrize("map_order, k_max", [(0, 4), (3, 4), (4, 5)])
-def test_map_order_within_n_max_builds_no_sector(map_order, k_max):
-    # a map of order J reads B_k for k <= J + 1
-    potential, _ = build_potential(default_policy(4, 4), map_order=map_order)
-    assert (potential.sector == ()) == (map_order + 1 <= 4)
-    assert potential.k_max == k_max
 
 
 def _prefactor(side):
@@ -317,26 +257,36 @@ def _sector_keys(policy, k_max):
                         yield key, t0_power
 
 
-def test_one_point_sector_equals_as_written_reference():
-    assert_sector_equals_as_written_reference(4, 6, 9)
+def test_closure_b_k_approach_the_as_written_sector():
+    # at moments cut at n_max the B_k = d0 d_k F with k > n_max come from
+    # the one-point sector sum_k t_k S_k, which the paper's recursion gives
+    # key by key; the map takes them from its closure instead.  The two
+    # agree up to the truncation error, which falls with deg_max.  The
+    # curve's moments t1..t3 are complex, so a conjugation slip would show.
+    curve = BoundaryCurve(1.0, (0.0, 0.04 + 0.01j, 0.012j))
+    n_max, k_max = 4, 9
+    m = moments_from_curve(curve, n_max)
+    gaps = []
+    for deg in (4, 6, 8):
+        policy = default_policy(n_max, deg)
+        potential, _ = build_potential(policy)
+        w = map_from_potential(potential, m, k_max - 1)
+        rows = potential._map_kernel(m).tolist()
+        _, beyond = _closure(w.p, rows[1:], k_max)
+        sector = TruncatedSeries(
+            default_policy(k_max, deg), _as_written(_sector_keys(policy, k_max))
+        ).diff_t0()
+        written = [sector.diff_t(k).evaluate(m.padded(k_max)) for k in range(n_max + 1, k_max + 1)]
+        gaps.append(max(abs(x - y) for x, y in zip(beyond, written, strict=True)))
+    # measured 4.2e-4, 7.1e-6 and 8.0e-8
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] <= 2e-7, gaps
 
 
-@pytest.mark.parametrize(
-    "n_max, deg_max, k_max", [(4, 8, 9), pytest.param(4, 10, 9, marks=pytest.mark.slow)]
-)
-def test_one_point_sector_equals_as_written_reference_where_deg_max_binds(
-    n_max, deg_max, k_max
-):
-    assert_sector_equals_as_written_reference(n_max, deg_max, k_max)
-
-
-def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
-    # a term with a low t_c in a cell a <= n_max still feeds the sector cells
-    # a > n_max, where every plain t_c is read: with a sector the solver may
-    # skip by the barred half of the mask alone
+def test_dead_mask_is_the_read_mask():
+    # the products skip exactly the terms the read drops from each cell:
+    # those with a t_c, c < a, or a tbar_c, c < b
     policy = default_policy(4, 6)
     codec = _Codec(policy)
-    unbarred = (1 << codec.shift(1, barred=True)) - 1
 
     def fields(a, b):
         """The fields t_1..t_{a-1} and tbar_1..tbar_{b-1}."""
@@ -344,23 +294,10 @@ def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
             codec.mask << codec.shift(k, barred=True) for k in range(1, b)
         )
 
-    plain = potential_module._TodaSolver(policy, 4)
-    with_sector = potential_module._TodaSolver(policy, 6)
-    for a, b in itertools.product(range(7), range(5)):
-        assert with_sector._below(a, b) == fields(a if a <= 4 else 0, b)
-        assert with_sector._dead(a, b) == fields(0, b)
-        assert not with_sector._dead(a, b) & unbarred
-        if a <= 4:
-            assert plain._dead(a, b) == plain._below(a, b) == fields(a, b)
-    assert plain._dead(3, 1) & unbarred
-
-
-def assert_sector_equals_as_written_reference(n_max, deg_max, k_max):
-    policy = default_policy(n_max, deg_max)
-    potential = build_potential(policy, map_order=k_max - 1)[0]
-    expected = _as_written(_sector_keys(policy, k_max))
-    assert expected
-    assert sector_terms(potential) == expected
+    solver = potential_module._TodaSolver(policy)
+    assert solver.orders == (4, 4)
+    for a, b in itertools.product(range(5), range(5)):
+        assert solver._dead(a, b) == solver._below(a, b) == fields(a, b)
 
 
 @pytest.mark.parametrize(
@@ -415,27 +352,6 @@ def test_cauchy_data_names_one_sided_monomials(potential_44):
     assert report.checked == cauchy_data_check(potential).checked
 
 
-def test_cauchy_data_judges_the_sector():
-    potential, _ = build_potential(default_policy(5, 6), map_order=11)
-    regular_only = cauchy_data_check(build_potential(default_policy(5, 6))[0])
-    report = cauchy_data_check(potential)
-    assert report.ok, report.violations[:5]
-    # every t0^(i-|B|+1) t_i prod tbar_B with 5 < i <= 12 in the sector
-    assert report.checked - regular_only.checked == 107
-
-    # one corrupted sector coefficient fails the check: that of
-    # t0^6 t7 tbar2 tbar5, read as t0^6 tbar2 tbar5 in S_7
-    mono = Monomial(6, ((2, True, 1), (5, True, 1)))
-    sector = list(potential.sector)
-    terms = dict(sector[1].items())
-    terms[mono] = 2 * terms[mono] + 1
-    sector[1] = TruncatedSeries(sector[1].policy, terms)
-    bad = dataclasses.replace(potential, sector=tuple(sector))
-    report = cauchy_data_check(bad)
-    assert len(report.violations) == 1 and "= 141, expected 70" in report.violations[0]
-    assert report.violations[0].startswith("one plain index (S_7)")
-
-
 def test_cauchy_examples_explicit(potential_44):
     potential, _ = potential_44
     # one plain index 2 against barred (1,1): 1*1*2!/1! on t0^1
@@ -479,27 +395,16 @@ def _one_point_shape(mono, n_max):
 
 
 def test_one_point_sector_equals_full_build_terms():
-    # the sector under (4, deg) with k <= 9 against the full (9, deg) build:
-    # exact term equality, then the maps at complex asymmetric moments (a
-    # conjugation slip in the sector path would show there, not on the
-    # real-moment ellipse)
-    m = MomentVector(t0=0.9, t=(0.02 + 0.01j, 0.03, 0.015j, 0.01))
+    # the one-point sector under (4, deg) with k <= 9, summed key by key from
+    # the paper's recursion, against the terms of that shape in the full
+    # (9, deg) build: the solver and the recursion agree on the terms beyond
+    # n_max = 4 whose B_k the map now takes from its closure
     for deg in (3, 4, 5):
-        potential, _ = build_potential(default_policy(4, deg), map_order=8)
         full, _ = build_potential(default_policy(9, deg))
-        expected = {
-            mono: c for mono, c in full.regular.items() if _one_point_shape(mono, 4)
-        }
-        got = sector_terms(potential)
+        expected = _as_written(_sector_keys(default_policy(4, deg), 9))
+        got = {mono: c for mono, c in full.regular.items() if _one_point_shape(mono, 4)}
         assert expected, deg
         assert got == expected, deg
-        assert all(isinstance(c, Fraction) for c in got.values())
-
-        w = map_from_potential(potential, m, 8)
-        w_full = map_from_potential(full, m, 8)
-        assert abs(w.p - w_full.p) <= 1e-12, deg
-        for a, b in zip(w.tail, w_full.tail, strict=True):
-            assert abs(a - b) <= 1e-12, deg
 
 
 def module_level_caches():
@@ -519,7 +424,7 @@ def test_no_process_global_cache_after_builds_and_verify(capsys, tmp_path):
     policy = default_policy(4, 5)
     first = MemoCache()
     recursion_potential(policy, first)
-    build_potential(policy, map_order=6)
+    build_potential(policy)
     curve = tmp_path / "curve.json"
     curve.write_text(json.dumps({"r": 1.0, "a": [[0.0, 0.0], [0.05, 0.0]]}))
     args = ["verify", "--nmax", "3", "--degmax", "4", "--order", "2", "--in", str(curve)]

@@ -425,9 +425,28 @@ def test_tail_exp_equals_taylor_loop_on_the_residual_tails(monkeypatch):
     toda_residual_a(potential, 4)
     toda_residual_c(potential, 4)
     monkeypatch.undo()
-    assert sorted(tail.orders for tail in seen) == [(0, 0)] + [(5, 5)] * 6
+    # exp(-Y(v)) is exp(-Y(u)) transposed, not an exponential of its own
+    assert sorted(tail.orders for tail in seen) == [(0, 0)] + [(5, 5)] * 5
     for tail in seen:
         assert value(tail.exp()) == value(taylor_exp(tail))
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(5, 6), (4, 6), (3, 5)])
+def test_transposed_exponential_is_the_exponential_of_the_transposed_tail(n_max, deg_max):
+    # residual_a takes exp(-Y(v)) as exp(-Y(u)) with u and v exchanged: the
+    # same as the exponential of -Y(v) taken directly, and as its Taylor sum
+    potential, _ = build_potential(TruncationPolicy(n_max, deg_max))
+    d0 = potential.regular.diff_t0()
+    for amax in range(1, n_max + 1):
+        y_u = _Tail.from_series(
+            (amax, amax), {(a, 0): d0.diff_t(a) * Fraction(-1, a) for a in range(1, amax + 1)}
+        )
+        y_v = _Tail.from_series(
+            (amax, amax), {(0, a): d0.diff_t(a) * Fraction(-1, a) for a in range(1, amax + 1)}
+        )
+        assert y_u.transposed().cells == y_v.cells and y_u.transposed().den == y_v.den
+        moved = y_u.exp().transposed()
+        assert value(moved) == value(y_v.exp()) == value(taylor_exp(y_v))
 
 
 def pairwise_products(like, terms):

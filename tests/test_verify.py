@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -348,7 +347,7 @@ def test_degree_sums_reject_moments_outside_the_series_range():
 def test_degree_sums_of_zero_moments_are_zero_at_any_t0():
     # the t0 powers overflow at t0 = 1e40, but every monomial holds a zero
     # t_k, so each term is 0 rather than inf * 0 = nan
-    potential, _ = build_potential(default_policy(4, 6), map_order=8)
+    potential, _ = build_potential(default_policy(4, 6))
     sums = degree_term_sums(potential, MomentVector(1e40, (0,) * 4))
     assert sums == {degree: 0.0 for degree in range(2, 7)}
 
@@ -387,27 +386,20 @@ def test_degree_sums_match_per_monomial_loop(potential_44):
 CURVE = BoundaryCurve(r=1.0, a=(0.0, 0.05), samples=256)
 
 
-def built(n_max, deg_max, map_order=None):
-    potential, _ = build_potential(default_policy(n_max, deg_max), map_order=map_order)
+def built(n_max, deg_max):
+    potential, _ = build_potential(default_policy(n_max, deg_max))
     return potential
 
 
 def test_roundtrip_circle_exact():
-    report = roundtrip(
-        BoundaryCurve(r=1.2, a=(), samples=128),
-        built(3, 3, map_order=6),
-        order=6,
-    )
+    report = roundtrip(BoundaryCurve(r=1.2, a=(), samples=128), built(3, 3))
     assert report.sup_error <= 1e-12
     assert report.gate.admissible is False  # t0 = 1.44 outside (0, 1)
+    assert report.unconverged == []
 
 
 def test_roundtrip_small_disk_admissible():
-    report = roundtrip(
-        BoundaryCurve(r=0.9, a=(), samples=128),
-        built(2, 3, map_order=4),
-        order=4,
-    )
+    report = roundtrip(BoundaryCurve(r=0.9, a=(), samples=128), built(2, 3))
     assert report.gate.admissible
     assert not report.gate.offending
     assert report.sup_error <= 1e-12
@@ -416,30 +408,35 @@ def test_roundtrip_small_disk_admissible():
 def test_roundtrip_ellipse_policy_sweep_and_warning():
     errors = {}
     for deg in (3, 6):
-        report = roundtrip(CURVE, built(4, deg, map_order=8), order=8)
+        report = roundtrip(CURVE, built(4, deg))
         errors[deg] = report.sup_error
         assert not report.gate.admissible  # t2 exceeds the sufficient bound
     assert errors[6] < errors[3]
-    assert errors[6] <= 2e-4
+    assert errors[6] <= 1e-7
 
 
 def test_roundtrip_error_attains_target_at_higher_index_cutoff():
-    report = roundtrip(CURVE, built(8, 6, map_order=12), order=12)
+    report = roundtrip(CURVE, built(8, 6))
     assert report.sup_error <= 1e-5
     assert abs(report.p - 1.0) <= 1e-9
 
 
-def test_roundtrip_asymmetric_curve_matches_full_index_build():
+ASYMMETRIC = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
+
+
+def circle():
+    return ROUNDTRIP_RADIUS * np.exp(2j * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES)
+
+
+def test_roundtrip_asymmetric_curve_is_no_worse_than_full_index_build():
     # z(u) = u + (0.04+0.01j)/u + 0.012j/u^2 has complex moments t1..t3 and
-    # none beyond; at n_max = 4 the one-point sector supplies B_5..B_9, and
-    # the roundtrip must equal the map from a full (9, 5) build
-    curve = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
-    report = roundtrip(curve, built(4, 5, map_order=8), order=8)
+    # none beyond; at n_max = 4 the closure inverts to a map no worse than
+    # the series map of order 8 from a full (9, 5) build
+    report = roundtrip(ASYMMETRIC, built(4, 5))
     full, _ = build_potential(default_policy(9, 5))
     w_full = map_from_potential(full, report.moments, 8)
-    u = ROUNDTRIP_RADIUS * np.exp(2j * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES)
-    full_error = max(abs(w_full(curve.z_of(complex(x))) - x) for x in u)
-    assert abs(report.sup_error - full_error) <= 1e-12
+    full_error = max(abs(w_full(ASYMMETRIC.z_of(complex(x))) - x) for x in circle())
+    assert report.sup_error <= full_error
     assert report.sup_error <= 1e-5
 
 
@@ -449,33 +446,58 @@ def test_roundtrip_rotation_invariance():
     rotated = BoundaryCurve(
         base.r, tuple(phase ** (j + 1) * c for j, c in enumerate(base.a)), base.samples
     )
-    potential = built(4, 5, map_order=8)
-    r1 = roundtrip(base, potential, order=8)
-    r2 = roundtrip(rotated, potential, order=8)
+    potential = built(4, 5)
+    r1 = roundtrip(base, potential)
+    r2 = roundtrip(rotated, potential)
     assert abs(r1.sup_error - r2.sup_error) <= 1e-10
 
 
+def newton_point(w, z):
+    """``z_cl(x) = z`` solved at one point in Python complex arithmetic."""
+    x = w(z)
+    for _ in range(50):
+        f = x / w.p + sum(u * x**-j for j, u in enumerate(w.closure)) - z
+        df = 1 / w.p - sum(j * u * x ** (-j - 1) for j, u in enumerate(w.closure))
+        x -= f / df
+    return x
+
+
 def test_roundtrip_array_error_equals_point_loop():
-    curve = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
-    report = roundtrip(curve, built(4, 5, map_order=8), order=8)
+    report = roundtrip(ASYMMETRIC, built(4, 5))
     w = report.map_series
-    u = ROUNDTRIP_RADIUS * np.exp(2j * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES)
-    loop = max(abs(w(curve.z_of(complex(x))) - complex(x)) for x in u)
+    loop = max(abs(newton_point(w, ASYMMETRIC.z_of(complex(x))) - complex(x)) for x in circle())
     assert abs(report.sup_error - loop) <= 1e-15
     # scalar calls stay in Python complex arithmetic
-    assert type(curve.z_of(1.25 + 0j)) is complex
-    assert type(w(curve.z_of(1.25 + 0j))) is complex
+    assert type(ASYMMETRIC.z_of(1.25 + 0j)) is complex
+    assert type(w(ASYMMETRIC.z_of(1.25 + 0j))) is complex
 
 
-def test_roundtrip_needs_a_potential_built_for_its_order():
-    # a map of order 4 reads B_5; the potential must carry it
-    for map_order in (None, 3):
-        potential = built(2, 3, map_order=map_order)
-        with pytest.raises(ValueError, match="build it with map_order >= 4"):
-            roundtrip(CURVE, potential, order=4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        roundtrip(CURVE, built(2, 3, map_order=4), order=4)
+def test_reverted_tail_converges_to_the_newton_inverse():
+    # the series map of order J is the closure's inverse reverted to z^-J;
+    # on the test circle it approaches the Newton inverse as J grows
+    potential = built(4, 5)
+    m = moments_from_curve(ASYMMETRIC, 4)
+    z = ASYMMETRIC.z_of(circle())
+    x, done = verify._invert_closure(map_from_potential(potential, m, 4), z)
+    assert done.all()
+    gaps = [
+        float(np.max(np.abs(map_from_potential(potential, m, order)(z) - x)))
+        for order in (2, 4, 8, 16, 32)
+    ]
+    # measured 1.6e-3, 1.2e-4, 3.4e-6, 1.4e-9 and 1.6e-15
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] <= 1e-14, gaps
+
+
+def test_roundtrip_names_a_point_where_newton_does_not_converge(monkeypatch):
+    # one step from the series map leaves every point short of convergence:
+    # the check fails and names the first point, and the error stays finite
+    monkeypatch.setattr(verify, "NEWTON_STEPS", 1)
+    result = verify.roundtrip_check(CURVE, built(3, 4), tol=1.0)
+    assert not result.ok
+    assert result.violations == [
+        f"Newton on the closure did not converge at 512 of 512 points, first at u = {1.25 + 0j}"
+    ]
+    assert math.isfinite(result.metrics["sup_error"])
 
 
 def test_dual_moments_on_asymmetric_complex_curve():
