@@ -20,6 +20,18 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_cli_or_parser_error(args, capsys):
+    """:func:`run_cli`, where an option the parser refuses reads as
+    ``error: <message>`` after its usage line is checked and dropped."""
+    try:
+        return run_cli(args, capsys)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        usage, err = captured.err.split("\n", 1)
+        assert usage.startswith("usage: taumap ") and err.startswith("taumap: error: ")
+        return exc.code, captured.out, err.removeprefix("taumap: ")
+
+
 def test_map_unit_disk(tmp_path, capsys):
     moments = tmp_path / "m.json"
     moments.write_text(json.dumps({"t0": 1.0, "t": []}))
@@ -336,17 +348,24 @@ def test_verify_passes_where_index_bound_cuts_the_cone(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value, what",
-    [("--roundtrip-tol", "1e-9", "bound")],
-    ids=["roundtrip-tol"],
+    "flag, value, message",
+    [
+        # the roundtrip inverts the map's closure and takes no map order:
+        # verify has no --order-J, and the parser refuses it
+        ("--order-J", "8", "unrecognized arguments: --order-J 8"),
+        ("--roundtrip-tol", "1e-9", "--roundtrip-tol sets the roundtrip's bound: it needs --in"),
+    ],
+    ids=["order-J", "roundtrip-tol"],
 )
-def test_verify_rejects_a_roundtrip_setting_without_a_curve(capsys, flag, value, what):
-    # it sets the roundtrip, which runs only on a curve; without --in it used
-    # to be ignored
-    code, out, err = run_cli(["verify", "--nmax", "2", "--degmax", "3", flag, value], capsys)
+def test_verify_rejects_a_roundtrip_setting_without_a_curve(capsys, flag, value, message):
+    # the bound sets the roundtrip, which runs only on a curve; without --in
+    # it used to be ignored
+    code, out, err = run_cli_or_parser_error(
+        ["verify", "--nmax", "2", "--degmax", "3", flag, value], capsys
+    )
     assert code == 2
     assert out == ""
-    assert err == f"error: {flag} sets the roundtrip's {what}: it needs --in\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -355,8 +374,10 @@ def test_verify_rejects_a_roundtrip_setting_without_a_curve(capsys, flag, value,
         (["verify", "--order", "9"], "--order must be in 0..3, got 9"),
         (["verify", "--order", "-1"], "--order must be in 0..3, got -1"),
         (["map", "--in", "MISSING", "--order-J", "-1"], "--order-J must be >= 0, got -1"),
+        # verify has no map order: the parser refuses --order-J
+        (["verify", "--in", "MISSING", "--order-J", "-1"], "unrecognized arguments: --order-J -1"),
     ],
-    ids=["verify-order-above-n_max", "verify-order-negative", "map-order-J"],
+    ids=["verify-order-above-n_max", "verify-order-negative", "map-order-J", "verify-order-J"],
 )
 def test_order_flags_fail_before_the_build(tmp_path, capsys, monkeypatch, args, message):
     # an order out of range is named before the input is read (it does not
@@ -366,7 +387,7 @@ def test_order_flags_fail_before_the_build(tmp_path, capsys, monkeypatch, args, 
 
     monkeypatch.setattr("taumap.cli.build_potential", no_build)
     args = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in args]
-    code, out, err = run_cli([*args, "--nmax", "3", "--degmax", "4"], capsys)
+    code, out, err = run_cli_or_parser_error([*args, "--nmax", "3", "--degmax", "4"], capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"

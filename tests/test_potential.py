@@ -137,6 +137,29 @@ def test_potential_68_is_bit_identical_to_pin():
     assert potential_sha256(potential) == POTENTIAL_68_SHA256
 
 
+def sector_sha256(terms, k_max, deg_max):
+    """sha256 of one-point sector terms, serialized as a series in every index
+    up to ``k_max``, which admits every one of them."""
+    json_terms = series_to_json_terms(TruncatedSeries(default_policy(k_max, deg_max), terms))
+    assert len(json_terms) == len(terms)
+    blob = json.dumps(json_terms, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# sha256 of the terms of the (5, 6) one-point sector with k <= 12, taken from
+# the solver while it built the sector for the map
+SECTOR_56_12_SHA256 = "a639be9d05b2f60eace5c4ac104ef5178a422bc5fcfc89bb38839ad97c86050e"
+
+
+def test_one_point_sector_56_is_bit_identical_to_pin():
+    # the as-written sector, the oracle of the closure's B_k beyond n_max,
+    # is the exact sector the solver once built
+    terms = _as_written(_sector_keys(default_policy(5, 6), 12))
+    assert sector_sha256(terms, 12, 6) == SECTOR_56_12_SHA256
+    assert len(terms) == 577
+    assert {k for mono in terms for k, _, _ in mono.factors if k > 5} == set(range(6, 13))
+
+
 # where deg_max binds and the as-written recursion is too slow to compare:
 # the (6, 10) and (6, 9) regular parts, taken from the solver before it
 # skipped dead terms
@@ -282,11 +305,13 @@ def test_closure_b_k_approach_the_as_written_sector():
     assert gaps == sorted(gaps, reverse=True) and gaps[-1] <= 2e-7, gaps
 
 
-def test_dead_mask_is_the_read_mask():
-    # the products skip exactly the terms the read drops from each cell:
-    # those with a t_c, c < a, or a tbar_c, c < b
+def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
+    # with no one-point sector the dead mask is the read mask: the products
+    # skip exactly the terms the read drops from each cell, those with a
+    # t_c, c < a, or a tbar_c, c < b, so its unbarred half is live
     policy = default_policy(4, 6)
     codec = _Codec(policy)
+    unbarred = (1 << codec.shift(1, barred=True)) - 1
 
     def fields(a, b):
         """The fields t_1..t_{a-1} and tbar_1..tbar_{b-1}."""
@@ -298,6 +323,7 @@ def test_dead_mask_is_the_read_mask():
     assert solver.orders == (4, 4)
     for a, b in itertools.product(range(5), range(5)):
         assert solver._dead(a, b) == solver._below(a, b) == fields(a, b)
+    assert solver._dead(3, 1) & unbarred
 
 
 @pytest.mark.parametrize(
@@ -394,17 +420,34 @@ def _one_point_shape(mono, n_max):
     return len(beyond) == 1 and not beyond[0][1] and beyond[0][2] == 1
 
 
+def assert_sector_equals_as_written_reference(n_max, deg_max, k_max):
+    # the one-point sector under (n_max, deg_max) with k <= k_max, summed key
+    # by key from the paper's recursion, against the terms of that shape in
+    # the full (k_max, deg_max) build: the solver and the recursion agree on
+    # the terms beyond n_max whose B_k the map now takes from its closure
+    full, _ = build_potential(default_policy(k_max, deg_max))
+    expected = _as_written(_sector_keys(default_policy(n_max, deg_max), k_max))
+    got = {mono: c for mono, c in full.regular.items() if _one_point_shape(mono, n_max)}
+    assert expected
+    assert got == expected
+
+
 def test_one_point_sector_equals_full_build_terms():
-    # the one-point sector under (4, deg) with k <= 9, summed key by key from
-    # the paper's recursion, against the terms of that shape in the full
-    # (9, deg) build: the solver and the recursion agree on the terms beyond
-    # n_max = 4 whose B_k the map now takes from its closure
     for deg in (3, 4, 5):
-        full, _ = build_potential(default_policy(9, deg))
-        expected = _as_written(_sector_keys(default_policy(4, deg), 9))
-        got = {mono: c for mono, c in full.regular.items() if _one_point_shape(mono, 4)}
-        assert expected, deg
-        assert got == expected, deg
+        assert_sector_equals_as_written_reference(4, deg, 9)
+
+
+def test_one_point_sector_equals_as_written_reference():
+    assert_sector_equals_as_written_reference(4, 6, 9)
+
+
+@pytest.mark.parametrize(
+    "n_max, deg_max, k_max", [(4, 8, 9), pytest.param(4, 10, 9, marks=pytest.mark.slow)]
+)
+def test_one_point_sector_equals_as_written_reference_where_deg_max_binds(
+    n_max, deg_max, k_max
+):
+    assert_sector_equals_as_written_reference(n_max, deg_max, k_max)
 
 
 def module_level_caches():

@@ -428,12 +428,18 @@ def circle():
     return ROUNDTRIP_RADIUS * np.exp(2j * np.pi * np.arange(ROUNDTRIP_SAMPLES) / ROUNDTRIP_SAMPLES)
 
 
-def test_roundtrip_asymmetric_curve_is_no_worse_than_full_index_build():
+def test_roundtrip_asymmetric_curve_matches_full_index_build():
     # z(u) = u + (0.04+0.01j)/u + 0.012j/u^2 has complex moments t1..t3 and
-    # none beyond; at n_max = 4 the closure inverts to a map no worse than
-    # the series map of order 8 from a full (9, 5) build
+    # none beyond; at n_max = 4 the closure is that of a full (9, 5) build in
+    # its leading coefficients u_0..u_3 (measured 1.2e-17 apart), and it
+    # inverts to a map no worse than the series map of order 8 from that build
     report = roundtrip(ASYMMETRIC, built(4, 5))
     full, _ = build_potential(default_policy(9, 5))
+    full_report = roundtrip(ASYMMETRIC, full)
+    closure, full_closure = report.map_series.closure, full_report.map_series.closure
+    assert len(closure) == 4 and len(full_closure) == 9
+    assert report.p == full_report.p
+    assert max(abs(a - b) for a, b in zip(closure, full_closure[:4])) <= 1e-15
     w_full = map_from_potential(full, report.moments, 8)
     full_error = max(abs(w_full(ASYMMETRIC.z_of(complex(x))) - x) for x in circle())
     assert report.sup_error <= full_error
