@@ -98,8 +98,8 @@ class _Kernel:
     a monomial (``A`` has equal plain and barred weight, ``B_k`` plain
     weight ``k`` below barred), so no column is stored twice there.
     ``exponents`` has one row per variable -- ``t0``, then ``t_k`` and
-    ``tbar_k`` for ``k = 1..n`` in turn, ``n`` the largest index the rows
-    use -- holding that variable's exponent in each term, in the smallest
+    ``tbar_k`` for ``k = 1..n`` in turn, ``n`` the rows' ``n_max`` --
+    holding that variable's exponent in each term, in the smallest
     unsigned dtype that holds the largest one; ``support`` holds each
     variable's columns with a nonzero exponent and those exponents.
     ``coeffs`` holds every (real) coefficient rounded once.  ``starts``
@@ -108,9 +108,11 @@ class _Kernel:
     an empty row is left out of the sum and reads exactly 0.
 
     The rows are read in their packed form (:class:`taumap.series._Tail`):
-    the exponents come from the codes by shift and mask, and each
-    coefficient is its numerator over the row's denominator, an integer
-    true division that rounds as ``float(Fraction)`` does.
+    each exponent comes from the codes through the codec, by the shift of
+    its field (:meth:`taumap.series._Codec.shift`, ``t0_shift``) and
+    ``mask``, and each coefficient is its numerator over the row's
+    denominator, an integer true division that rounds as
+    ``float(Fraction)`` does.
     """
 
     __slots__ = ("n", "exponents", "support", "tops", "coeffs", "ends", "starts", "filled")
@@ -129,18 +131,14 @@ class _Kernel:
             ends.append(len(codes))
         # codes beyond 63 bits are shifted as Python ints
         packed = np.array(codes, dtype=np.int64 if max(codes, default=0) >> 63 == 0 else object)
-        n_max, count = codec.n_max, len(codes)
-        # field k - 1 holds t_k and field n_max + k - 1 holds tbar_k
-        fields = np.empty((2 * n_max, count), dtype=np.min_scalar_type(codec.mask))
-        for i in range(2 * n_max):
-            fields[i] = (packed >> i * codec.bits) & codec.mask
-        t0_powers = packed >> codec.t0_shift
-        used = fields.reshape(2, n_max, count).any(axis=(0, 2))
-        self.n = n = int(np.flatnonzero(used).max(initial=-1)) + 1
-        top = max(int(t0_powers.max(initial=0)), int(fields.max(initial=0)))
-        self.exponents = np.empty((1 + 2 * n, count), dtype=np.min_scalar_type(top))
-        self.exponents[0] = t0_powers
-        self.exponents[1:] = fields[[i for k in range(n) for i in (k, n_max + k)]]
+        self.n = n = codec.n_max
+        exponents = [packed >> codec.t0_shift] + [
+            (packed >> codec.shift(k, barred)) & codec.mask
+            for k in range(1, n + 1)
+            for barred in (False, True)
+        ]
+        top = max(int(e.max(initial=0)) for e in exponents)
+        self.exponents = np.array(exponents, dtype=np.min_scalar_type(top))
         self.support = [(np.flatnonzero(e), e[e > 0]) for e in self.exponents]
         self.tops = self.exponents.max(axis=1, initial=0).tolist()
         self.coeffs = np.frombuffer(coeffs, dtype=np.float64)

@@ -41,12 +41,15 @@ map needs no term beyond the index bound: at moments cut at ``n_max`` it
 is fixed by ``A`` and ``B_1..B_n`` (see
 :func:`taumap.confmap.map_from_potential`).
 
-Most terms of the slices are dead: the read keeps from the cell ``(a, b)``
-of ``M_d`` only the terms with no ``t_c``, ``c < a``, and no ``tbar_c``,
-``c < b``.  Every product of the solver adds cells and multiplies
+Most terms of the slices are dead: a term of ``F`` is read only from the
+cell ``(a, b)`` of ``M_d`` whose ``a`` and ``b`` are its least indices, so
+only the terms with no ``t_c``, ``c < a``, and no ``tbar_c``, ``c < b``,
+feed the read.  Every product of the solver adds cells and multiplies
 monomials, and the geometric sum only raises ``a`` and ``b``, so a term
 that fails this in its cell fails it in every cell it feeds, and the
-products of ``E_d`` and ``M_d`` and the geometric sum skip it.
+products of ``E_d`` and ``M_d`` and the geometric sum skip it.  The
+geometric sum builds every cell of ``M_d`` under this mask, so each term
+the read receives is live and the read itself tests no mask.
 
 The recursion for ``N`` is not run here, nor the walk over its keys
 (:func:`taumap.coefficients.admissible_keys`).  They stay as the exact
@@ -102,9 +105,10 @@ class _TodaSolver:
     codec holding one factor degree: ``X_d``, ``E_d``, ``M_d`` and the
     terms of ``F_d`` in the cell ``(0, 0, d)``.
 
-    :meth:`_dead` is the one mask of what :meth:`_read` drops from a cell;
-    the products of ``E_d`` and ``M_d`` and the geometric sum skip the
-    terms that meet it.
+    ``_dead(a, b)`` reads one table: the code mask of ``t_1..t_{a-1}`` and
+    ``tbar_1..tbar_{b-1}``, the one mask of the dead terms of the cell
+    ``(a, b)``.  The products of ``E_d`` and ``M_d`` and the geometric sum
+    skip the terms that meet it, so :meth:`_read` receives none.
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
@@ -113,12 +117,15 @@ class _TodaSolver:
         self.orders = (policy.n_max, policy.n_max)
         self.t0 = 1 << codec.t0_shift
         self.one = self._tail({(0, 0, 0): {0: 1}})
-        # products look the mask up once per pair of cells
-        n = policy.n_max
-        self._dead_masks = [[self._below(a, b) for b in range(n + 1)] for a in range(n + 1)]
+        # below[k]: the mask of t_1..t_{k-1}, moved onto tbar_1..tbar_{k-1}
+        # by the shift of tbar_1; products look a mask up once per pair of cells
+        n, bar = policy.n_max, codec.shift(1, barred=True)
+        below = [(1 << codec.shift(max(k, 1))) - 1 for k in range(n + 1)]
+        table = [[below[a] | below[b] << bar for b in range(n + 1)] for a in range(n + 1)]
+        self._dead = lambda a, b: table[a][b]
 
     def _tail(self, cells, den=1) -> _Tail:
-        return _Tail(self.codec, self.policy, self.orders, cells, den)
+        return _Tail(self.codec, self.orders, cells, den)
 
     def solve(self) -> TruncatedSeries:
         """The regular part, each degree slice computed once."""
@@ -142,13 +149,7 @@ class _TodaSolver:
                 m.append(self._geometric(inner))
             f[d + 2] = self._read(m[d], d)
         # F as one series under the policy, from its cells (0, 0, d)
-        den = lcm(*(t.den for t in f.values()))
-        cells = {
-            key: {code: num * (den // t.den) for code, num in cell.items()}
-            for t in f.values()
-            for key, cell in t.cells.items()
-        }
-        return TruncatedSeries._of(_Tail(self.codec, self.policy, (0, 0), cells, den))
+        return TruncatedSeries._of(_Tail.union((0, 0), list(f.values())))
 
     def _sources(self, lo: _Tail, hi: _Tail) -> _Tail:
         """``X_d``: ``d0^2 F_d``, and ``u^a d0 d_a F / a`` and
@@ -159,23 +160,6 @@ class _TodaSolver:
             terms.append((Fraction(1, a), d0.diff_t(a).shifted(a, 0), one))
             terms.append((Fraction(1, a), d0.diff_t(a, barred=True).shifted(0, a), one))
         return one.products(terms)
-
-    def _below(self, a: int, b: int) -> int:
-        """The code mask of ``t_1..t_{a-1}`` and ``tbar_1..tbar_{b-1}``:
-        :meth:`_read` drops every term of the cell ``(a, b)`` of ``M_d`` that
-        meets it."""
-        codec = self.codec
-        mask = 0
-        if b > 1:
-            mask = (1 << codec.shift(b, barred=True)) - (1 << codec.shift(1, barred=True))
-        if a > 1:
-            mask |= (1 << codec.shift(a)) - 1
-        return mask
-
-    def _dead(self, a: int, b: int) -> int:
-        """The mask of the terms of the cell ``(a, b)`` that no read term
-        comes from (module docstring)."""
-        return self._dead_masks[a][b]
 
     def _geometric(self, inner: _Tail) -> _Tail:
         """``sum_{k >= 1} (u v t0)^k inner``, cut at the orders, without the
@@ -197,7 +181,8 @@ class _TodaSolver:
 
         A term of ``F`` with least unbarred index ``a`` and least barred
         index ``b`` sits in cell ``(a, b)`` as ``n_a m_b / (a b)`` times its
-        coefficient, on its monomial less ``t_a tbar_b``.
+        coefficient, on its monomial less ``t_a tbar_b``.  Every term of
+        ``M_d`` is live in its cell (class docstring), so each is read.
         """
         codec = self.codec
         mask = codec.mask
@@ -206,12 +191,10 @@ class _TodaSolver:
         for (a, b, _), cell in m.cells.items():
             a_pos, b_pos = codec.shift(a), codec.shift(b, barred=True)
             step = (1 << a_pos) + (1 << b_pos)
-            below = self._below(a, b)
             for code, c in cell.items():
-                if not code & below:
-                    code += step
-                    na_mb = ((code >> a_pos) & mask) * ((code >> b_pos) & mask)
-                    regular[code] = a * b * c * (scale // na_mb)
+                code += step
+                na_mb = ((code >> a_pos) & mask) * ((code >> b_pos) & mask)
+                regular[code] = a * b * c * (scale // na_mb)
         return self._tail({(0, 0, d + 2): regular}, m.den * scale)
 
 

@@ -38,7 +38,10 @@ Design points:
   ``g E_g = sum_k k X_k E_{g-k}`` (:meth:`_Tail.graded_exp_slice`), which
   the potential's Toda solver runs on its degree slices too.  The Toda
   residuals of :mod:`taumap.verify` and the solver expand their wider
-  tails with the same class.
+  tails with the same class.  Tails with disjoint cells -- the slices of an
+  exponential, the potential's degree slices, the series a wider tail is
+  built from -- are joined by one rule, :meth:`_Tail.union`.  A tail's
+  policy is its codec's.
 * Validation and decoding happen at the boundary.  ``Monomial(...)``
   checks canonical order, and ``TruncatedSeries(policy, terms)`` --
   through which :meth:`TruncatedSeries.filter` goes -- drops
@@ -158,9 +161,10 @@ class _Codec:
     next while the factor degree stays within ``deg_max``.
     """
 
-    __slots__ = ("n_max", "bits", "mask", "t0_shift", "variables")
+    __slots__ = ("policy", "n_max", "bits", "mask", "t0_shift", "variables")
 
     def __init__(self, policy: TruncationPolicy) -> None:
+        self.policy = policy
         n = self.n_max = policy.n_max
         self.bits = max(1, policy.deg_max.bit_length())
         self.mask = (1 << self.bits) - 1
@@ -203,28 +207,29 @@ class _Tail:
     """Polynomial in two tail variables ``u``, ``v`` and the moment variables.
 
     ``cells`` maps ``(a, b, d)`` -- the bidegree in ``u, v`` and the factor
-    degree -- to ``{code: numerator}``, the codes of the policy's
-    :class:`_Codec`; the whole tail has the one denominator ``den``, and
+    degree -- to ``{code: numerator}``, the codes of ``codec``, whose policy
+    is the tail's; the whole tail has the one denominator ``den``, and
     numerators and ``den`` share no common factor, so the form is
     canonical.  Cells beyond ``orders`` or ``deg_max`` are dropped, so a
     product visits only the cell pairs whose sum survives, and its pair loop
     adds integer codes and multiplies integer numerators.  A tail of orders
     ``(0, 0)`` is the storage of a :class:`TruncatedSeries`; series enter a
-    wider tail through :meth:`from_series`.
+    wider tail through :meth:`from_series`.  Tails whose cells are disjoint
+    are joined by one rule, :meth:`union`.
     """
 
     __slots__ = ("codec", "policy", "orders", "cells", "den")
 
-    def __init__(self, codec, policy, orders, cells, den=1):
+    def __init__(self, codec, orders, cells, den=1):
         self.codec = codec
-        self.policy = policy
+        self.policy = codec.policy
         self.orders = orders
         self.cells: dict[tuple[int, int, int], dict[int, int]] = cells
         self.den = den
         self._reduce()
 
     def _like(self, cells, den=1) -> "_Tail":
-        return _Tail(self.codec, self.policy, self.orders, cells, den)
+        return _Tail(self.codec, self.orders, cells, den)
 
     def _reduce(self) -> None:
         """Drop zero terms and empty cells; divide out the common factor."""
@@ -250,14 +255,23 @@ class _Tail:
         cls, orders: tuple[int, int], series: dict[tuple[int, int], "TruncatedSeries"]
     ) -> "_Tail":
         """The tail ``sum u^a v^b series[a, b]`` of series under one policy."""
-        tails = [s._tail for s in series.values()]
+        parts = []
+        for (a, b), s in series.items():
+            t = s._tail
+            parts.append(cls(t.codec, orders, {(a, b, d): c for (_, _, d), c in t.cells.items()}, t.den))
+        return cls.union(orders, parts)
+
+    @classmethod
+    def union(cls, orders: tuple[int, int], tails: list["_Tail"]) -> "_Tail":
+        """The sum of ``tails``, under one codec and with disjoint cells, as
+        one tail of ``orders`` over their common denominator."""
         den = lcm(*(t.den for t in tails))
         cells: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (a, b), t in zip(series, tails):
+        for t in tails:
             f = den // t.den
-            for (_, _, d), cell in t.cells.items():
-                cells[a, b, d] = {code: n * f for code, n in cell.items()}
-        return cls(tails[0].codec, tails[0].policy, orders, cells, den)
+            for key, cell in t.cells.items():
+                cells[key] = {code: n * f for code, n in cell.items()}
+        return cls(tails[0].codec, orders, cells, den)
 
     def one(self) -> "_Tail":
         return self._like({(0, 0, 0): {0: 1}})
@@ -365,8 +379,7 @@ class _Tail:
         ``g = a + b + d`` grades the cells: products add it, and no cell
         beyond ``sum(orders) + deg_max`` survives.  The slices ``E_g`` of
         the exponential come from :meth:`graded_exp_slice` and fill
-        disjoint cells, so the exponential is their union over one common
-        denominator.
+        disjoint cells, so the exponential is their :meth:`union`.
         """
         if (0, 0, 0) in self.cells:
             raise ValueError("exp requires every term to carry a variable")
@@ -378,13 +391,7 @@ class _Tail:
         e = [self.one()]
         for _ in range(top):
             e.append(self.graded_exp_slice(x, e))
-        den = lcm(*(s.den for s in e))
-        cells = {}
-        for s in e:
-            f = den // s.den
-            for key, cell in s.cells.items():
-                cells[key] = {code: n * f for code, n in cell.items()}
-        return self._like(cells, den)
+        return self.union(self.orders, e)
 
     def graded_exp_slice(self, x: list["_Tail"], e: list["_Tail"], dead=None) -> "_Tail":
         """The next slice ``E_g``, ``g = len(e)``, of ``E = exp(X)`` under a
@@ -447,7 +454,7 @@ class TruncatedSeries:
         for m, c in clean:
             cell = cells.setdefault((0, 0, m.degree), {})
             cell[codec.encode(m)] = c.numerator * (den // c.denominator)
-        self._tail = _Tail(codec, policy, (0, 0), cells, den)
+        self._tail = _Tail(codec, (0, 0), cells, den)
 
     @classmethod
     def _of(cls, tail: _Tail) -> "TruncatedSeries":

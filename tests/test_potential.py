@@ -306,9 +306,9 @@ def test_closure_b_k_approach_the_as_written_sector():
 
 
 def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
-    # with no one-point sector the dead mask is the read mask: the products
-    # skip exactly the terms the read drops from each cell, those with a
-    # t_c, c < a, or a tbar_c, c < b, so its unbarred half is live
+    # with no one-point sector the dead mask is the one table of what no
+    # read term comes from: the products skip from each cell the terms with
+    # a t_c, c < a, or a tbar_c, c < b, so its unbarred half is live
     policy = default_policy(4, 6)
     codec = _Codec(policy)
     unbarred = (1 << codec.shift(1, barred=True)) - 1
@@ -322,7 +322,7 @@ def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
     solver = potential_module._TodaSolver(policy)
     assert solver.orders == (4, 4)
     for a, b in itertools.product(range(5), range(5)):
-        assert solver._dead(a, b) == solver._below(a, b) == fields(a, b)
+        assert solver._dead(a, b) == fields(a, b)
     assert solver._dead(3, 1) & unbarred
 
 

@@ -135,7 +135,7 @@ def test_violation_order_does_not_depend_on_insertion_order(potential_44, monkey
     reversed_cells = {
         key: dict(reversed(cell.items())) for key, cell in reversed(tail.cells.items())
     }
-    copy = _Tail(tail.codec, tail.policy, tail.orders, reversed_cells, tail.den)
+    copy = _Tail(tail.codec, tail.orders, reversed_cells, tail.den)
     assert split_cone(copy, result.name) == result
 
 
