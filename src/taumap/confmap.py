@@ -132,13 +132,15 @@ class _Kernel:
         # codes beyond 63 bits are shifted as Python ints
         packed = np.array(codes, dtype=np.int64 if max(codes, default=0) >> 63 == 0 else object)
         self.n = n = codec.n_max
-        exponents = [packed >> codec.t0_shift] + [
-            (packed >> codec.shift(k, barred)) & codec.mask
-            for k in range(1, n + 1)
-            for barred in (False, True)
-        ]
-        top = max(int(e.max(initial=0)) for e in exponents)
-        self.exponents = np.array(exponents, dtype=np.min_scalar_type(top))
+        fields = np.empty((2 * n, len(codes)), dtype=np.min_scalar_type(codec.mask))
+        for k in range(1, n + 1):
+            fields[2 * k - 2] = (packed >> codec.shift(k)) & codec.mask
+            fields[2 * k - 1] = (packed >> codec.shift(k, barred=True)) & codec.mask
+        t0_powers = packed >> codec.t0_shift
+        top = max(int(t0_powers.max(initial=0)), int(fields.max(initial=0)))
+        self.exponents = np.empty((1 + 2 * n, len(codes)), dtype=np.min_scalar_type(top))
+        self.exponents[0] = t0_powers
+        self.exponents[1:] = fields
         self.support = [(np.flatnonzero(e), e[e > 0]) for e in self.exponents]
         self.tops = self.exponents.max(axis=1, initial=0).tolist()
         self.coeffs = np.frombuffer(coeffs, dtype=np.float64)
