@@ -53,10 +53,16 @@ __all__ = ["main", "build_parser"]
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document at ``path``, standard input for ``-``; a syntax
+    error is a ``ValueError`` that names the input."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise ValueError(f"{source} is not valid JSON: {exc}") from None
 
 
 def _write_json(path: str | None, obj) -> None:
@@ -269,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, ArithmeticError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,8 @@ other ``taumap`` module.  A curve presents the domain as
 the image of the unit circle under a map of the exterior of the unit disk;
 ``r > sum j |a_j|`` is enforced, a cheap sufficient condition for
 univalence.  ``Q0`` denotes the bounded interior region; the curve runs
-counterclockwise around it.
+counterclockwise around it, and it must contain the origin, about which
+the moments expand (:func:`moments_from_curve` checks the winding number).
 
 All moments are boundary contour integrals.  The area-integral definitions
 
@@ -158,8 +159,23 @@ def _quadrature(curve: BoundaryCurve, n: int, dual: bool):
 
 
 def moments_from_curve(curve: BoundaryCurve, n: int) -> MomentVector:
-    """Harmonic moments ``t0, t_1..t_n`` of the curve's interior domain."""
-    _, _, (t0, *sums) = _quadrature(curve, n, dual=False)
+    """Harmonic moments ``t0, t_1..t_n`` of the curve's interior domain.
+
+    The moments ``t_k`` expand about the origin, so the interior must
+    contain it: the curve's winding number about 0, ``(1/N) sum u z'(u) /
+    z(u) = sum(w / |z|^2)`` over the quadrature's weights ``w``, must read
+    1.  A curve through or outside the origin, or one that passes too close
+    to it for the samples to resolve, raises ``ValueError``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z, weight, (t0, *sums) = _quadrature(curve, n, dual=False)
+        winding = complex((weight / (z.real**2 + z.imag**2)).sum())
+    if not (isfinite(winding) and abs(winding - 1) < 0.5):
+        raise ValueError(
+            f"the curve's winding number about the origin is w = {winding:.6g}, not 1: "
+            "its interior must contain the origin, or the samples are too few to "
+            "resolve a curve that passes close to it"
+        )
     t = [s / k for k, s in enumerate(sums, 1)]
     for name, val in [("t0", t0)] + [(f"t{k}", v) for k, v in enumerate(t, 1)]:
         if not isfinite(val):

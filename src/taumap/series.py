@@ -257,8 +257,8 @@ class _Tail:
         """The tail ``sum u^a v^b series[a, b]`` of series under one policy."""
         parts = []
         for (a, b), s in series.items():
-            t = s._tail
-            parts.append(cls(t.codec, orders, {(a, b, d): c for (_, _, d), c in t.cells.items()}, t.den))
+            cells = {(a, b, d): cell for (_, _, d), cell in s._tail.cells.items()}
+            parts.append(cls(s._tail.codec, orders, cells, s._tail.den))
         return cls.union(orders, parts)
 
     @classmethod

@@ -1,6 +1,7 @@
 """Command-line interface: JSON output, round trips, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from taumap import cli
 from taumap.cli import main
 
 
@@ -668,3 +670,81 @@ def test_moments_rejects_non_finite_and_oversized_curves(tmp_path, capsys, paylo
     assert code == 2
     assert out == ""
     assert err == f"error: {problem}\n"
+
+
+# sha256 of `taumap map --nmax N --degmax D --in <MAP_MOMENTS>` stdout: the
+# map's last bits, which the roundtrip's sup error does not pin
+MAP_MOMENTS = {
+    "t0": 0.9,
+    "t": [[0.04, 0.01], [0.03, -0.02], [0.01, 0.005], [0.004, 0.0],
+          [0.002, 0.001], [0.001, 0.0], [0.0005, 0.0002], [0.0002, 0.0]],
+}
+MAP_SHA256 = {
+    (6, 7): "e6814b1f87d2d1f580526aa63682ca9d8a93b7f9cef675704cbff34d32dd7fc7",
+    (8, 6): "1aa62cadccba8dcde4c6c4864bc4a2aa5feee7a110f0c1df5af0330dc033482c",
+}
+
+
+@pytest.mark.parametrize("n_max, deg_max", sorted(MAP_SHA256))
+def test_map_output_is_pinned(tmp_path, capsys, n_max, deg_max):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(MAP_MOMENTS))
+    code, out, err = run_cli(
+        ["map", "--nmax", str(n_max), "--degmax", str(deg_max), "--in", str(path)], capsys
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == MAP_SHA256[n_max, deg_max]
+
+
+@pytest.mark.parametrize("command", ["moments", "verify"])
+@pytest.mark.parametrize("a0", [2.0, 1.0], ids=["outside", "through"])
+def test_a_curve_whose_interior_misses_the_origin_is_rejected(tmp_path, capsys, command, a0):
+    # the disk |z - 2| = 1 used to give moments, and from them a map with
+    # p = 0.904 where the disk's own has p = 1; the disk |z - 1| = 1 through
+    # the origin gave t3 = -8.7e28, and verify --in failed its roundtrip
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"r": 1.0, "a": [[a0, 0.0]]}))
+    args = [command, "--in", str(path)]
+    if command == "verify":
+        args += ["--nmax", "3", "--degmax", "4"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the curve's winding number about the origin is w = ")
+    assert "its interior must contain the origin" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["map", "moments", "verify"])
+def test_a_file_that_is_not_json_is_named(tmp_path, capsys, command):
+    path = tmp_path / "in.json"
+    path.write_text('{"t0": 0.9,')
+    args = [command, "--in", str(path)]
+    if command != "moments":
+        args += ["--nmax", "2", "--degmax", "2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
+def test_standard_input_that_is_not_json_is_named(monkeypatch, capsys):
+    # empty stdin used to print only the decoder's "Expecting value: ..."
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out, err = run_cli(["moments", "--in", "-"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: standard input is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
+    )
+
+
+def test_a_key_error_is_a_bug_not_an_input_error(monkeypatch):
+    # nothing in the program raises KeyError on purpose, so the front end
+    # lets it through with its traceback instead of printing exit 2
+    def broken(args):
+        raise KeyError("t0")
+
+    monkeypatch.setitem(cli._HANDLERS, "moments", broken)
+    with pytest.raises(KeyError):
+        main(["moments", "--in", "-"])

@@ -131,6 +131,24 @@ def test_univalence_bound_enforced():
     BoundaryCurve(r=1.0, a=(0.9, 0.5), samples=128)  # a_0 never threatens the bound
 
 
+@pytest.mark.parametrize(
+    "a0", [2.0, 1.0, -1.0, 0.999], ids=["outside", "through", "through-a-sample", "unresolved"]
+)
+def test_a_curve_whose_interior_misses_the_origin_has_no_moments(a0):
+    # the winding number about 0 reads 0 outside the disk |z - a0| = 1, is
+    # not finite or far from 1 through the origin (z = 0 exactly at the
+    # sample u = 1 for a0 = -1), and reads 4.43 for a0 = 0.999, whose
+    # interior holds the origin 1e-3 from the curve, beyond 256 samples
+    with pytest.raises(ValueError, match="its interior must contain the origin"):
+        moments_from_curve(BoundaryCurve(r=1.0, a=(a0,)), 4)
+
+
+def test_dual_moments_take_any_curve():
+    # the dual moments are interior integrals, defined wherever the origin is
+    v = v_moments_from_curve(BoundaryCurve(r=1.0, a=(2.0,)), 2)
+    assert abs(v[1] - 2) <= 1e-14 and abs(v[2] - 4) <= 1e-14
+
+
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         BoundaryCurve(r=1.0, a=(), samples=100)

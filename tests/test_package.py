@@ -105,3 +105,17 @@ def test_modules_import_in_pipeline_order():
     assert imports["potential"] <= {"series", "coefficients"}
     assert imports["confmap"] <= {"series", "moments"}
     assert not imports["verify"] & {"potential", "cli"}
+
+
+def test_only_series_reads_the_codec_layout():
+    # the packing has one owner: other modules read a code through the
+    # codec's shift, mask and t0_shift, never its field width or field order
+    readers = {
+        name
+        for name in MODULES
+        for node in ast.walk(
+            ast.parse(Path(taumap.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+        )
+        if isinstance(node, ast.Attribute) and node.attr in {"bits", "variables"}
+    }
+    assert readers == {"series"}

@@ -326,6 +326,27 @@ def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
     assert solver._dead(3, 1) & unbarred
 
 
+@pytest.mark.parametrize("n_max, deg_max", [(3, 5), (4, 6), (5, 6), (6, 4), (8, 3)])
+def test_every_term_the_read_receives_is_live_in_its_cell(monkeypatch, n_max, deg_max):
+    # the read tests no mask: the geometric sum builds each cell (a, b) of
+    # M_d without the terms that have a t_c, c < a, or a tbar_c, c < b.  At
+    # (6, 4) and (8, 3) deg_max, not n_max, cuts the slices
+    read = potential_module._TodaSolver._read
+    received = []
+
+    def recording(solver, m, d):
+        for (a, b, _), cell in m.cells.items():
+            received.extend((a, b, code & solver._dead(a, b)) for code in cell)
+        return read(solver, m, d)
+
+    monkeypatch.setattr(potential_module._TodaSolver, "_read", recording)
+    potential, _ = build_potential(default_policy(n_max, deg_max))
+    assert [(a, b) for a, b, dead in received if dead] == []
+    # cells with a nonzero mask were read, and each term gave one term of F
+    assert any(a > 1 or b > 1 for a, b, _ in received)
+    assert len(received) == len(potential.regular)
+
+
 @pytest.mark.parametrize(
     "n_max, deg_max",
     [(0, 4), (1, 1), (1, 2), (2, 2), (2, 4), (3, 7), (4, 1), (5, 6), (6, 7), (8, 6)],
