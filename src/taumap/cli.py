@@ -206,6 +206,9 @@ def _cmd_verify(args) -> int:
     if not 0 <= order <= policy.n_max:
         raise ValueError(f"--order must be in 0..{policy.n_max}, got {order}")
     curve = None if args.in_path is None else curve_from_json(_read_json(args.in_path))
+    if curve is not None:
+        # a curve without moments is an input error, named before the build
+        moments_from_curve(curve, policy.n_max)
     potential, build = build_potential(policy)
 
     checks = [

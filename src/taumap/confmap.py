@@ -97,15 +97,14 @@ class _Kernel:
     ``ends`` holds where each block ends.  The rows of the map never share
     a monomial (``A`` has equal plain and barred weight, ``B_k`` plain
     weight ``k`` below barred), so no column is stored twice there.
-    ``exponents`` has one row per variable -- ``t0``, then ``t_k`` and
+    ``support`` has one entry per variable -- ``t0``, then ``t_k`` and
     ``tbar_k`` for ``k = 1..n`` in turn, ``n`` the rows' ``n_max`` --
-    holding that variable's exponent in each term, in the smallest
-    unsigned dtype that holds the largest one; ``support`` holds each
-    variable's columns with a nonzero exponent and those exponents.
-    ``coeffs`` holds every (real) coefficient rounded once.  ``starts``
-    holds the first column of each row with terms, ``filled`` those rows:
-    ``np.add.reduceat`` reads an empty block as the term at its start, so
-    an empty row is left out of the sum and reads exactly 0.
+    holding the columns where its exponent is nonzero, those exponents
+    and their maximum: all that evaluation reads.  ``coeffs`` holds every
+    (real) coefficient rounded once.  ``starts`` holds the first column of
+    each row with terms, ``filled`` those rows: ``np.add.reduceat`` reads
+    an empty block as the term at its start, so an empty row is left out
+    of the sum and reads exactly 0.
 
     The rows are read in their packed form (:class:`taumap.series._Tail`):
     each exponent comes from the codes through the codec, by the shift of
@@ -115,7 +114,7 @@ class _Kernel:
     ``float(Fraction)`` does.
     """
 
-    __slots__ = ("n", "exponents", "support", "tops", "coeffs", "ends", "starts", "filled")
+    __slots__ = ("n", "support", "coeffs", "ends", "starts", "filled")
 
     def __init__(self, rows: Iterable[TruncatedSeries]) -> None:
         # ``rows``, one or more under one policy, is read once, so a
@@ -132,17 +131,14 @@ class _Kernel:
         # codes beyond 63 bits are shifted as Python ints
         packed = np.array(codes, dtype=np.int64 if max(codes, default=0) >> 63 == 0 else object)
         self.n = n = codec.n_max
-        fields = np.empty((2 * n, len(codes)), dtype=np.min_scalar_type(codec.mask))
-        for k in range(1, n + 1):
-            fields[2 * k - 2] = (packed >> codec.shift(k)) & codec.mask
-            fields[2 * k - 1] = (packed >> codec.shift(k, barred=True)) & codec.mask
-        t0_powers = packed >> codec.t0_shift
-        top = max(int(t0_powers.max(initial=0)), int(fields.max(initial=0)))
-        self.exponents = np.empty((1 + 2 * n, len(codes)), dtype=np.min_scalar_type(top))
-        self.exponents[0] = t0_powers
-        self.exponents[1:] = fields
-        self.support = [(np.flatnonzero(e), e[e > 0]) for e in self.exponents]
-        self.tops = self.exponents.max(axis=1, initial=0).tolist()
+        # t0, the top field that the mask -1 keeps whole, then t_k, tbar_k in turn
+        fields = [(codec.t0_shift, -1)]
+        fields += [(codec.shift(k, b), codec.mask) for k in range(1, n + 1) for b in (False, True)]
+        self.support = []
+        for shift, mask in fields:
+            field = ((packed >> shift) & mask).astype(np.intp)
+            cols = np.flatnonzero(field)
+            self.support.append((cols, field[cols], int(field.max(initial=0))))
         self.coeffs = np.frombuffer(coeffs, dtype=np.float64)
         self.ends = ends
         bounds = np.array([0] + ends)
@@ -150,7 +146,8 @@ class _Kernel:
         self.starts = bounds[self.filled]
 
     def monomials(self, moments: MomentVector) -> np.ndarray:
-        """Every monomial's value at ``moments``, with ``tbar_k = conj(t_k)``.
+        """Every monomial's value at ``moments`` (zeros past its end up to
+        ``n``), with ``tbar_k = conj(t_k)``.
 
         A running product over the variables: per variable, its powers up
         to the largest exponent by repeated multiplication, read at its
@@ -160,21 +157,17 @@ class _Kernel:
         holds a variable equal to 0 is exactly 0, so where its running
         product is not finite (``inf * 0`` is ``nan``) it reads ``+0``.
         """
-        if len(moments.t) < self.n:
-            raise IndexError(
-                f"kernel uses index {self.n} but only {len(moments.t)} moments given"
-            )
         variables = [moments.t0]
-        for x in moments.t[: self.n]:
+        for x in moments.padded(self.n).t[: self.n]:
             variables += (x, x.conjugate())
         values = np.ones(len(self.coeffs), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, top, (cols, e) in zip(variables, self.tops, self.support):
+            for x, (cols, e, top) in zip(variables, self.support):
                 table = [1.0]
                 for _ in range(top):
                     table.append(table[-1] * x)
                 values[cols] *= np.array(table, dtype=np.complex128).take(e)
-        zeros = [cols for x, (cols, _) in zip(variables, self.support) if x == 0]
+        zeros = [cols for x, (cols, _, _) in zip(variables, self.support) if x == 0]
         if zeros:
             broken = ~np.isfinite(values)
             for cols in zeros:
@@ -242,7 +235,7 @@ def map_from_potential(
     ``n_max``, as ``d0^2 F_reg`` and ``d0 d_k F_reg``; they fix the closure
     (module docstring), which the map carries and from which every ``B_k``
     with ``k > n`` comes.  Moments beyond ``n_max`` are ignored throughout,
-    as the potential has no terms in them.
+    as the potential has no terms in them, and missing ones read 0.
 
     A negative ``order`` raises ``ValueError``, and so does ``A`` so large
     either way that ``p`` leaves the floating-point range, or a ``B_k`` or
@@ -254,20 +247,18 @@ def map_from_potential(
     if order < 0:
         raise ValueError("order must be >= 0")
     n_max = potential.regular.policy.n_max
-    m = moments.padded(n_max)
-
     kernel = potential._map_kernel
     if kernel is None:
         # the rows are streamed: A, then B_1..B_n
         d0 = potential.regular.diff_t0()
         kernel = _Kernel(d0.diff_t(k) if k else d0.diff_t0() for k in range(n_max + 1))
         object.__setattr__(potential, "_map_kernel", kernel)
-    a_val, *b = kernel(m).tolist()
+    a_val, *b = kernel(moments).tolist()
 
     # normalization demands p real positive; for conjugate-symmetric moments
     # A is real up to rounding, so the imaginary residue is dropped
     try:
-        p = exp(-a_val.real / 2) / sqrt(m.t0)
+        p = exp(-a_val.real / 2) / sqrt(moments.t0)
     except OverflowError:
         p = inf
     if not 0 < p < inf:

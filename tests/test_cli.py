@@ -176,7 +176,7 @@ def test_verify_passes_and_reports(tmp_path, capsys):
 
 
 # sha256 of `taumap verify --nmax 5 --degmax 6 --order 4` stdout, no --in
-VERIFY_56_SHA256 = "32c6b5566079267c29aedde9387ca4ef972bc41e7c218ba878f6d19946da33d9"
+VERIFY_56_SHA256 = "9dbc9a958dff3b8fb13f0e502028f109b979ebde07a212cc0652e82c9c013b70"
 
 
 def test_verify_report_is_pinned(capsys):
@@ -193,7 +193,7 @@ def test_verify_report_is_pinned(capsys):
 # sha256 of `taumap verify --nmax 5 --degmax 6 --order 4 --in <A8 ellipse> --seed 3`
 # stdout, the run the benchmark's `verify` workload makes; its roundtrip
 # inverts the map's closure (sup error 3.77e-8)
-VERIFY_56_A8_SHA256 = "3bae4c20b9188abe9872391f4913f78469e48db305619f79cacd1283da34b994"
+VERIFY_56_A8_SHA256 = "c060a3ed7ab9d5cc3e98e1f13616f752972b460e33887075be55489de959e594"
 
 
 def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
@@ -219,7 +219,7 @@ def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
 
 # sha256 of `taumap verify --nmax 3 --degmax 4 --order 2 --in <A8 ellipse>
 # --roundtrip-tol 1e-12` stdout, a run whose roundtrip fails
-VERIFY_34_A8_FAIL_SHA256 = "b4193c3d653364a2dacc67d54236b74fb25241a86abc8ca1ef6a13def34503c0"
+VERIFY_34_A8_FAIL_SHA256 = "be1873a270d7b5e257d0edaeab1385eeb6c3fca339c5337f3591b69686e63a35"
 
 
 def test_verify_reports_a_failing_roundtrip(tmp_path, capsys):
@@ -713,6 +713,19 @@ def test_a_curve_whose_interior_misses_the_origin_is_rejected(tmp_path, capsys, 
     assert err.startswith("error: the curve's winding number about the origin is w = ")
     assert "its interior must contain the origin" in err
     assert err.count("\n") == 1
+
+
+def test_verify_rejects_a_curve_without_moments_before_it_builds(tmp_path, capsys, monkeypatch):
+    def no_build(policy):
+        raise AssertionError(f"verify built {policy} before it read the curve's moments")
+
+    monkeypatch.setattr(cli, "build_potential", no_build)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"r": 1.0, "a": [[2.0, 0.0]]}))
+    code, out, err = run_cli(["verify", "--in", str(path), "--nmax", "5", "--degmax", "6"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the curve's winding number about the origin is w = ")
 
 
 @pytest.mark.parametrize("command", ["map", "moments", "verify"])

@@ -234,7 +234,6 @@ def test_kernel_against_exact_rational_evaluation(
     potential = {4: potential_46, 8: potential_86}[n_max]
     map_from_potential(potential, MomentVector(t0=1.0), order=n_max - 1)
     kernel = potential._map_kernel
-    assert kernel.exponents.dtype == np.uint8
     rows = map_rows(potential)
     rng = random.Random(20 + n_max)
     for _ in range(points):
@@ -423,6 +422,16 @@ def decoded_kernel_arrays(rows):
     return exponents, np.array(coeffs), ends
 
 
+def assert_support_of(kernel, exponents):
+    """Each variable's support in ``kernel`` is the one ``exponents`` gives:
+    its nonzero columns, their exponents and the largest of them."""
+    assert len(kernel.support) == len(exponents) == 1 + 2 * kernel.n
+    for (cols, e, top), want in zip(kernel.support, exponents):
+        assert np.array_equal(cols, np.flatnonzero(want))
+        assert np.array_equal(e, want[want > 0])
+        assert top == want.max(initial=0)
+
+
 @pytest.mark.parametrize("n_max", [5, 8])
 def test_kernel_compiles_from_codes_as_from_decoded_terms(n_max, potential_86):
     potential = potential_86 if n_max == 8 else build_potential(default_policy(5, 6))[0]
@@ -430,8 +439,7 @@ def test_kernel_compiles_from_codes_as_from_decoded_terms(n_max, potential_86):
     rows = [d0.diff_t0()] + [d0.diff_t(k) for k in range(1, n_max + 1)]
     kernel = _Kernel(rows)
     exponents, coeffs, ends = decoded_kernel_arrays(rows)
-    assert kernel.exponents.dtype == exponents.dtype
-    assert np.array_equal(kernel.exponents, exponents)
+    assert_support_of(kernel, exponents)
     assert np.array_equal(kernel.coeffs, coeffs)
     assert kernel.ends == ends
     assert kernel.n == n_max
@@ -450,9 +458,19 @@ def test_kernel_reads_codes_wider_than_63_bits():
     kernel = _Kernel(rows)
     exponents, coeffs, ends = decoded_kernel_arrays(rows)
     assert kernel.n == 12 and kernel.ends == ends == [3, 3]
-    assert kernel.exponents.dtype == exponents.dtype
-    assert np.array_equal(kernel.exponents, exponents)
+    assert_support_of(kernel, exponents)
     assert np.array_equal(kernel.coeffs, coeffs)
+
+
+def test_a_short_moment_vector_reads_as_zero_padded(potential_46):
+    # the kernel pads the moments to its n itself: t_3 = t_4 = 0 here
+    map_from_potential(potential_46, MomentVector(t0=1.0), order=0)
+    kernel = potential_46._map_kernel
+    for m in curve_moments(29, 2, 3):
+        short = MomentVector(m.t0, m.t[:2])
+        padded = MomentVector(m.t0, m.t[:2] + (0j, 0j))
+        assert np.array_equal(kernel(short), kernel(padded))
+        assert np.array_equal(kernel.monomials(short), kernel.monomials(padded))
 
 
 def one_term_potential(c):

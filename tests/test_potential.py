@@ -399,6 +399,31 @@ def test_cauchy_data_names_one_sided_monomials(potential_44):
     assert report.checked == cauchy_data_check(potential).checked
 
 
+@pytest.mark.parametrize("n_max, deg_max, distinct", [(5, 6, 31), (3, 4, 9)])
+def test_cauchy_data_judges_each_monomial_once(n_max, deg_max, distinct, monkeypatch):
+    # the pair t0^i t_i tbar_i is the B = {i} case and its own mirror:
+    # one comparison, counted once
+    potential, _ = build_potential(default_policy(n_max, deg_max))
+    asked = []
+    read = TruncatedSeries.coefficient
+    monkeypatch.setattr(
+        TruncatedSeries, "coefficient", lambda self, m: asked.append(m) or read(self, m)
+    )
+    report = cauchy_data_check(potential)
+    assert report.ok
+    assert report.checked == len(asked) == len(set(asked)) == distinct
+
+
+def test_cauchy_data_names_a_corrupted_pair_once(potential_44):
+    potential, _ = potential_44
+    pair = Monomial(1, ((1, False, 1), (1, True, 1)))
+    terms = dict(potential.regular.items())
+    assert terms[pair] == 1
+    terms[pair] = Fraction(2)
+    report = cauchy_data_check(PotentialSeries(TruncatedSeries(potential.regular.policy, terms)))
+    assert report.violations == [f"{pair}: built 2, closed form 1"]
+
+
 def test_cauchy_examples_explicit(potential_44):
     potential, _ = potential_44
     # one plain index 2 against barred (1,1): 1*1*2!/1! on t0^1
