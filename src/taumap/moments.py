@@ -128,11 +128,7 @@ class BoundaryCurve:
         n = self.samples
         theta = 2 * pi * np.arange(n) / n
         u = np.exp(1j * theta)
-        uinv = 1.0 / u
-        # dz/du = r - u^-2 sum_{j>=1} j a_j u^(1-j), by the same Horner rule as z
-        slopes = [j * coeff for j, coeff in enumerate(self.a)][1:]
-        dz = self.r - uinv * uinv * _horner(slopes, uinv)
-        return self.r * u + _horner(self.a, uinv), dz, u
+        return (*_laurent(self.r, self.a, u), u)
 
     def z_of(self, u):
         """``z(u)`` by Horner evaluation in ``1/u``: one division, then one
@@ -200,6 +196,13 @@ def _horner(coeffs, x):
     for coeff in reversed(coeffs):
         acc = acc * x + coeff
     return acc
+
+
+def _laurent(c, a, x):
+    """``c x + sum_j a_j x^-j`` and its slope in ``x``, by Horner's rule in ``1/x``."""
+    inv = 1.0 / x
+    slopes = [j * coeff for j, coeff in enumerate(a)][1:]
+    return c * x + _horner(a, inv), c - inv * inv * _horner(slopes, inv)
 
 
 def _require_finite(name: str, values: tuple[complex, ...]) -> None:

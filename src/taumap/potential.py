@@ -149,17 +149,17 @@ class _TodaSolver:
                 m.append(self._geometric(inner))
             f[d + 2] = self._read(m[d], d)
         # F as one series under the policy, from its cells (0, 0, d)
-        return TruncatedSeries._of(_Tail.union((0, 0), list(f.values())))
+        return TruncatedSeries._of(_Tail.combination((0, 0), [(1, t) for t in f.values()]))
 
     def _sources(self, lo: _Tail, hi: _Tail) -> _Tail:
         """``X_d``: ``d0^2 F_d``, and ``u^a d0 d_a F / a`` and
         ``v^b d0 dbar_b F / b`` from ``F_{d+1}``."""
-        one, d0 = self.one, hi.diff_t0()
-        terms = [(1, lo.diff_t0().diff_t0(), one)]
+        d0 = hi.diff_t0()
+        terms = [(1, lo.diff_t0().diff_t0())]
         for a in range(1, self.policy.n_max + 1):
-            terms.append((Fraction(1, a), d0.diff_t(a).shifted(a, 0), one))
-            terms.append((Fraction(1, a), d0.diff_t(a, barred=True).shifted(0, a), one))
-        return one.products(terms)
+            terms.append((Fraction(1, a), d0.diff_t(a).shifted(a, 0)))
+            terms.append((Fraction(1, a), d0.diff_t(a, barred=True).shifted(0, a)))
+        return _Tail.combination(self.orders, terms)
 
     def _geometric(self, inner: _Tail) -> _Tail:
         """``sum_{k >= 1} (u v t0)^k inner``, cut at the orders, without the

@@ -29,19 +29,20 @@ Design points:
   power on top, so codes add under any admissible product.
 * A series is stored packed, as one :class:`_Tail` of orders ``(0, 0)``:
   its terms filed by factor degree (a value fixed when a monomial is
-  built) as ``{code: numerator}`` over one common denominator.  Sums,
-  scalar products, products, the exponential and derivatives each have
-  one implementation, on the tail: a product meets only the degree pairs
+  built) as ``{code: numerator}`` over one common denominator.  Linear
+  combinations, products, the exponential and derivatives each have one
+  implementation, on the tail: a product meets only the degree pairs
   that truncation keeps and its pair loop adds integer codes and
   multiplies integer numerators, and a derivative reads an exponent field
   by shift and mask.  The exponential is one graded rule,
   ``g E_g = sum_k k X_k E_{g-k}`` (:meth:`_Tail.graded_exp_slice`), which
   the potential's Toda solver runs on its degree slices too.  The Toda
   residuals of :mod:`taumap.verify` and the solver expand their wider
-  tails with the same class.  Tails with disjoint cells -- the slices of an
-  exponential, the potential's degree slices, the series a wider tail is
-  built from -- are joined by one rule, :meth:`_Tail.union`.  A tail's
-  policy is its codec's.
+  tails with the same class.  Every weighted sum of tails -- a series'
+  sum, difference and scalar multiple, the slices of an exponential, the
+  potential's degree slices, the series a wider tail is built from, a
+  residual -- is one rule, :meth:`_Tail.combination`.  A tail's policy is
+  its codec's.
 * Validation and decoding happen at the boundary.  ``Monomial(...)``
   checks canonical order, and ``TruncatedSeries(policy, terms)`` --
   through which :meth:`TruncatedSeries.filter` goes -- drops
@@ -214,8 +215,8 @@ class _Tail:
     product visits only the cell pairs whose sum survives, and its pair loop
     adds integer codes and multiplies integer numerators.  A tail of orders
     ``(0, 0)`` is the storage of a :class:`TruncatedSeries`; series enter a
-    wider tail through :meth:`from_series`.  Tails whose cells are disjoint
-    are joined by one rule, :meth:`union`.
+    wider tail through :meth:`from_series`.  A weighted sum of tails is
+    one rule, :meth:`combination`.
     """
 
     __slots__ = ("codec", "policy", "orders", "cells", "den")
@@ -258,48 +259,30 @@ class _Tail:
         parts = []
         for (a, b), s in series.items():
             cells = {(a, b, d): cell for (_, _, d), cell in s._tail.cells.items()}
-            parts.append(cls(s._tail.codec, orders, cells, s._tail.den))
-        return cls.union(orders, parts)
+            parts.append((1, cls(s._tail.codec, orders, cells, s._tail.den)))
+        return cls.combination(orders, parts)
 
     @classmethod
-    def union(cls, orders: tuple[int, int], tails: list["_Tail"]) -> "_Tail":
-        """The sum of ``tails``, under one codec and with disjoint cells, as
-        one tail of ``orders`` over their common denominator."""
-        den = lcm(*(t.den for t in tails))
+    def combination(cls, orders: tuple[int, int], terms) -> "_Tail":
+        """``sum q * tail`` over ``terms`` of ``(q, tail)`` under one codec, as
+        one tail of ``orders`` over the lcm of the scaled denominators, reduced
+        once; cells and codes keep the order in which they are first seen."""
+        scales = [Fraction(q) / t.den for q, t in terms]
+        den = lcm(*(s.denominator for s in scales))
         cells: dict[tuple[int, int, int], dict[int, int]] = {}
-        for t in tails:
-            f = den // t.den
+        for s, (_, t) in zip(scales, terms):
+            w = s.numerator * (den // s.denominator)
             for key, cell in t.cells.items():
-                cells[key] = {code: n * f for code, n in cell.items()}
-        return cls(tails[0].codec, orders, cells, den)
+                out = cells.get(key)
+                if out is None:
+                    cells[key] = {code: n * w for code, n in cell.items()}
+                else:
+                    for code, n in cell.items():
+                        out[code] = out.get(code, 0) + n * w
+        return cls(terms[0][1].codec, orders, cells, den)
 
     def one(self) -> "_Tail":
         return self._like({(0, 0, 0): {0: 1}})
-
-    def __add__(self, other: "_Tail") -> "_Tail":
-        den = lcm(self.den, other.den)
-        f1, f2 = den // self.den, den // other.den
-        cells = {
-            key: {code: n * f1 for code, n in cell.items()}
-            for key, cell in self.cells.items()
-        }
-        for key, cell in other.cells.items():
-            out = cells.setdefault(key, {})
-            get = out.get
-            for code, n in cell.items():
-                out[code] = get(code, 0) + n * f2
-        return self._like(cells, den)
-
-    def __sub__(self, other: "_Tail") -> "_Tail":
-        return self + other.scaled(-1)
-
-    def scaled(self, q) -> "_Tail":
-        q = Fraction(q)
-        cells = {
-            key: {code: n * q.numerator for code, n in cell.items()}
-            for key, cell in self.cells.items()
-        }
-        return self._like(cells, self.den * q.denominator)
 
     def shifted(self, da: int, db: int) -> "_Tail":
         """Multiplication by ``u^da v^db``, dropping overflow."""
@@ -379,7 +362,7 @@ class _Tail:
         ``g = a + b + d`` grades the cells: products add it, and no cell
         beyond ``sum(orders) + deg_max`` survives.  The slices ``E_g`` of
         the exponential come from :meth:`graded_exp_slice` and fill
-        disjoint cells, so the exponential is their :meth:`union`.
+        disjoint cells, so the exponential is their :meth:`combination`.
         """
         if (0, 0, 0) in self.cells:
             raise ValueError("exp requires every term to carry a variable")
@@ -391,7 +374,7 @@ class _Tail:
         e = [self.one()]
         for _ in range(top):
             e.append(self.graded_exp_slice(x, e))
-        return self.union(self.orders, e)
+        return self.combination(self.orders, [(1, t) for t in e])
 
     def graded_exp_slice(self, x: list["_Tail"], e: list["_Tail"], dead=None) -> "_Tail":
         """The next slice ``E_g``, ``g = len(e)``, of ``E = exp(X)`` under a
@@ -541,23 +524,28 @@ class TruncatedSeries:
             )
         return other._tail
 
+    @staticmethod
+    def _combination(*terms) -> "TruncatedSeries":
+        """The series ``sum q * tail`` over ``terms`` of ``(q, tail)``."""
+        return TruncatedSeries._of(_Tail.combination((0, 0), terms))
+
     def __add__(self, other) -> "TruncatedSeries":
-        return TruncatedSeries._of(self._tail + self._operand(other))
+        return self._combination((1, self._tail), (1, self._operand(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._of(self._tail.scaled(-1))
+        return self._combination((-1, self._tail))
 
     def __sub__(self, other) -> "TruncatedSeries":
-        return TruncatedSeries._of(self._tail - self._operand(other))
+        return self._combination((1, self._tail), (-1, self._operand(other)))
 
     def __rsub__(self, other) -> "TruncatedSeries":
-        return TruncatedSeries._of(self._operand(other) - self._tail)
+        return self._combination((1, self._operand(other)), (-1, self._tail))
 
     def __mul__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries._of(self._tail.scaled(other))
+            return self._combination((other, self._tail))
         return TruncatedSeries._of(self._tail * self._operand(other))
 
     __rmul__ = __mul__

@@ -79,7 +79,7 @@ from .coefficients import (
     n2_coefficient,
 )
 from .confmap import ExteriorMapSeries, _Kernel, map_from_potential
-from .moments import BoundaryCurve, MomentVector, _horner, moments_from_curve
+from .moments import BoundaryCurve, MomentVector, _laurent, moments_from_curve
 from .series import (
     Monomial,
     PotentialSeries,
@@ -404,9 +404,9 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
     # exp(X) and exp(-Y(u)); exp(-Y(v)) is exp(-Y(u)) with u and v exchanged
     ex = _pair_tail(reg, amax, barred=False, sign=1).exp()
     eu = _point_tail(d0, amax, axis=0, barred=False, sign=-1).exp()
-    ev = eu.transposed()
-    residual = ex.shifted(0, 1) - ex.shifted(1, 0) - eu.shifted(0, 1) + ev.shifted(1, 0)
-    return _split_cone(residual, "residual_a")
+    terms = [(1, ex.shifted(0, 1)), (-1, ex.shifted(1, 0)), (-1, eu.shifted(0, 1))]
+    terms.append((1, eu.transposed().shifted(1, 0)))
+    return _split_cone(_Tail.combination((amax, amax), terms), "residual_a")
 
 
 def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
@@ -438,13 +438,13 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     amax = order + 1
     d0 = reg.diff_t0()
     minus_m = _pair_tail(reg, amax, barred=True, sign=-1)
-    lhs = minus_m.one() - minus_m.exp()
     p_tail = _point_tail(d0, amax, axis=0, barred=False, sign=1)
     q_tail = _point_tail(d0, amax, axis=1, barred=True, sign=1)
     prefactor = TruncatedSeries.t0(policy) * d0.diff_t0().exp_no_constant()
     rhs = _Tail.from_series((amax, amax), {(1, 1): prefactor})
     rhs = rhs * p_tail.exp() * q_tail.exp()
-    return _split_cone(lhs - rhs, "residual_c")
+    terms = [(1, minus_m.one()), (-1, minus_m.exp()), (-1, rhs)]  # 1 - exp(-M) - rhs
+    return _split_cone(_Tail.combination((amax, amax), terms), "residual_c")
 
 
 def _mirror(mono: Monomial) -> Monomial:
@@ -608,20 +608,19 @@ class RoundtripReport:
 def _invert_closure(w: ExteriorMapSeries, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``z_cl(x) = z`` for ``x`` by Newton, from the series map ``w(z)``.
 
-    ``z_cl(x) = x / p + sum_j u_j x^-j`` is the map's closure and
-    ``z_cl'(x) = 1 / p - x^-2 sum_{j>=1} j u_j x^(1-j)``, both by Horner's
-    rule in ``1/x``, over all points at once.  Returns the points and a mask
+    ``z_cl(x) = x / p + sum_j u_j x^-j`` is the map's closure, a Laurent
+    polynomial taken with its slope by :func:`taumap.moments._laurent`,
+    over all points at once.  Returns the points and a mask
     of those whose last step was within ``NEWTON_TOL`` of their value; a
     point that is not finite has not converged, and where a point has not,
     its start stands in.
     """
-    r, a = 1 / w.p, w.closure
-    slopes = [j * c for j, c in enumerate(a)][1:]
+    r = 1 / w.p
     start = x = w(z)
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
-            inv = 1 / x
-            step = (r * x + _horner(a, inv) - z) / (r - inv * inv * _horner(slopes, inv))
+            value, slope = _laurent(r, w.closure, x)
+            step = (value - z) / slope
             x = x - step
             done = np.abs(step) <= NEWTON_TOL * np.abs(x)
             if done.all():
@@ -659,11 +658,19 @@ def roundtrip_check(curve: BoundaryCurve, potential: PotentialSeries, tol: float
     """The :func:`roundtrip`, judged against ``tol``.
 
     It fails iff the sup error exceeds ``tol`` or Newton did not converge at
-    a test point; the message names the first such point.  The sup error,
-    ``tol`` and the convergence gate's verdict are reported alongside; the
-    gate is not judged, as it is a sufficient condition only.
+    a test point; the message names the first such point, and where the
+    moments give no map it names the error of :func:`map_from_potential`,
+    with sup error ``None``.  The sup error, ``tol`` and the convergence
+    gate's verdict are reported alongside; the gate is not judged, as it is
+    a sufficient condition only.
     """
-    rt = roundtrip(curve, potential)
+    try:
+        rt = roundtrip(curve, potential)
+    except ValueError as exc:
+        n = potential.regular.policy.n_max
+        gate = asdict(convergence_gate(moments_from_curve(curve, n), n))
+        metrics = {"sup_error": None, "tolerance": tol, "gate": gate}
+        return CheckResult("roundtrip", 1, [f"no map at the curve's moments: {exc}"], metrics)
     violations = [] if rt.sup_error <= tol else [f"sup error {rt.sup_error} > {tol}"]
     if rt.unconverged:
         violations.append(

@@ -246,6 +246,29 @@ def test_verify_reports_a_failing_roundtrip(tmp_path, capsys):
     assert sorted(lines) == sorted(["FAIL roundtrip"] + [f"PASS {n}" for n in others])
 
 
+def test_verify_reports_a_roundtrip_without_a_map(tmp_path, capsys):
+    # the ellipse z(u) = u + 0.99/u passes every exact check at (6, 7), and
+    # its moments give no map there: verify used to exit 2 with empty stdout
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"r": 1, "a": [[0, 0], [0.99, 0]], "samples": 4096}))
+    code, out, err = run_cli(
+        ["verify", "--nmax", "6", "--degmax", "7", "--order", "2", "--in", str(curve)], capsys
+    )
+    assert code == 1
+    report = json.loads(out)
+    roundtrip = report["checks"]["roundtrip"]
+    assert report["pass"] is False and roundtrip["pass"] is False
+    assert roundtrip["sup_error"] is None
+    assert roundtrip["gate"]["admissible"] is False
+    assert len(roundtrip["violations"]) == 1
+    assert roundtrip["violations"][0].startswith(
+        "no map at the curve's moments: A = d0^2 F_reg = 6.03299e+07 puts p "
+    )
+    others = [name for name in report["checks"] if name != "roundtrip"]
+    assert all(report["checks"][name]["pass"] for name in others)
+    assert sorted(err.splitlines()) == sorted(["FAIL roundtrip"] + [f"PASS {n}" for n in others])
+
+
 def test_verify_with_curve_fixture(tmp_path, capsys):
     curve = tmp_path / "curve.json"
     curve.write_text(

@@ -380,15 +380,77 @@ def taylor_exp(x):
     m = 0
     while True:
         m += 1
-        term = (term * x).scaled(Fraction(1, m))
+        term = _Tail.combination(x.orders, [(Fraction(1, m), term * x)])
         if not term.cells:
             return result
-        result = result + term
+        result = _Tail.combination(x.orders, [(1, result), (1, term)])
 
 
 def value(tail):
     """A tail's cells, codes and numerators, and its denominator."""
     return tail.cells, tail.den
+
+
+def fraction_terms(tail):
+    """A tail's terms as ``{(cell, code): Fraction}``."""
+    return {
+        (key, code): Fraction(n, tail.den)
+        for key, cell in tail.cells.items()
+        for code, n in cell.items()
+    }
+
+
+def test_combination_equals_fraction_arithmetic():
+    pol = TruncationPolicy(n_max=3, deg_max=5)
+    orders = (2, 2)
+    cell_keys = list(itertools.product(range(3), range(3)))
+    rng = random.Random(53)
+
+    def random_tail():
+        picked = rng.sample(cell_keys, rng.randint(1, 4))
+        return _Tail.from_series(orders, {key: rich_series(rng, pol, terms=5) for key in picked})
+
+    shared_cells = shared_codes = disjoint = 0
+    for _ in range(60):
+        tails = [random_tail() for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            tails.append(tails[0])  # every code of a cell met again
+        weights = [
+            rng.choice([0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+            for _ in tails
+        ]
+        got = _Tail.combination(orders, list(zip(weights, tails)))
+        want = {}
+        for q, tail in zip(weights, tails):
+            for term, c in fraction_terms(tail).items():
+                want[term] = want.get(term, 0) + q * c
+        assert fraction_terms(got) == {term: c for term, c in want.items() if c}
+        # canonical: no zero term or empty cell, numerators prime to den
+        numerators = [n for cell in got.cells.values() for n in cell.values()]
+        assert all(got.cells.values()) and 0 not in numerators
+        assert got.den > 0 and math.gcd(got.den, *numerators) == 1
+        # cells and codes keep their first-seen order
+        seen = {}
+        for tail in tails:
+            for key, cell in tail.cells.items():
+                seen.setdefault(key, {}).update(dict.fromkeys(cell))
+        assert list(got.cells) == [key for key in seen if key in got.cells]
+        for key, cell in got.cells.items():
+            assert list(cell) == [code for code in seen[key] if code in cell]
+        keys = [set(tail.cells) for tail in tails]
+        codes = [set(fraction_terms(tail)) for tail in tails]
+        pairs = list(itertools.combinations(range(len(tails)), 2))
+        shared_cells += any(keys[i] & keys[j] for i, j in pairs)
+        shared_codes += any(codes[i] & codes[j] for i, j in pairs)
+        disjoint += any(not keys[i] & keys[j] for i, j in pairs)
+    assert shared_cells and shared_codes and disjoint
+    # a full cancellation is the canonical zero: no cells over 1
+    a, b = random_tail(), random_tail()
+    assert a.den > 1
+    assert value(_Tail.combination(orders, [(1, a), (-1, a)])) == ({}, 1)
+    assert value(_Tail.combination(orders, [(0, a)])) == ({}, 1)
+    q = Fraction(-5, 3)
+    assert value(_Tail.combination(orders, [(q, a), (1, b), (-q, a)])) == value(b)
 
 
 def test_tail_exp_equals_taylor_loop_in_value():

@@ -19,6 +19,7 @@ from taumap.verify import (
     degree_term_sums,
     factorial_pattern_check,
     roundtrip,
+    roundtrip_check,
     toda_residual_a,
     toda_residual_b,
     toda_residual_c,
@@ -419,6 +420,27 @@ def test_roundtrip_error_attains_target_at_higher_index_cutoff():
     report = roundtrip(CURVE, built(8, 6))
     assert report.sup_error <= 1e-5
     assert abs(report.p - 1.0) <= 1e-9
+
+
+# the ellipse z(u) = u + 0.99/u, near its degenerate slit: at (6, 7) its
+# moments put A = d0^2 F_reg at 6.03e7, where p = exp(-A/2) / sqrt(t0) is 0
+FLAT_ELLIPSE = BoundaryCurve(r=1.0, a=(0.0, 0.99), samples=4096)
+
+
+def test_roundtrip_check_fails_by_name_where_the_moments_give_no_map():
+    potential = built(6, 7)
+    with pytest.raises(ValueError) as raised:
+        roundtrip(FLAT_ELLIPSE, potential)
+    assert str(raised.value).startswith("A = d0^2 F_reg = 6.03299e+07 puts p ")
+    check = roundtrip_check(FLAT_ELLIPSE, potential, 1e-3)
+    assert check.name == "roundtrip" and check.checked == 1 and not check.ok
+    assert check.violations == [f"no map at the curve's moments: {raised.value}"]
+    assert check.metrics["sup_error"] is None and check.metrics["tolerance"] == 1e-3
+    gate = convergence_gate(moments_from_curve(FLAT_ELLIPSE, 6), 6)
+    assert check.metrics["gate"] == {
+        "admissible": False, "bound": gate.bound, "offending": gate.offending
+    }
+    assert len(gate.offending) == 3  # |t2|, |t4| and |t6|
 
 
 ASYMMETRIC = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
