@@ -17,7 +17,11 @@ Subcommands:
     family when ``n_max >= 2``, and with ``--in`` the roundtrip on a curve.
     It validates its arguments, builds, calls each check of
     :mod:`taumap.verify` and writes their results; every judgement is made
-    there.
+    there.  ``--stats PATH`` (``-`` for standard error) also writes what
+    the report leaves out: the seconds of the build and of each check, and
+    the size of the Toda residuals outside the cone they judge
+    (:func:`taumap.verify.out_of_cone_maxima`); the report is the same
+    with or without it.
 
 Every subcommand writes one JSON document with sorted keys, to ``--out`` or
 to standard output (there with a closing newline): exact values as integer
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from math import isfinite
 
 from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
@@ -43,6 +48,7 @@ from .verify import (
     composition_count_bound_check,
     ellipse_oracle_check,
     factorial_pattern_check,
+    out_of_cone_maxima,
     roundtrip_check,
     toda_residual_a,
     toda_residual_b,
@@ -65,10 +71,12 @@ def _read_json(path: str) -> dict:
         raise ValueError(f"{source} is not valid JSON: {exc}") from None
 
 
-def _write_json(path: str | None, obj) -> None:
+def _write_json(path: str | None, obj, stream=None) -> None:
+    """``obj`` to ``path``; to ``stream`` (standard output by default) for
+    ``None`` or ``-``."""
     text = json.dumps(obj, sort_keys=True, indent=2)
     if path is None or path == "-":
-        print(text)
+        print(text, file=stream or sys.stdout)
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -117,6 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roundtrip-tol", type=float, help="sup-error bound, default 1e-3")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled bound checks")
     p.add_argument("--out", default=None)
+    p.add_argument(
+        "--stats", default=None, metavar="PATH",
+        help="also write timings and out-of-cone residual sizes, - for stderr",
+    )
 
     return parser
 
@@ -211,22 +223,34 @@ def _cmd_verify(args) -> int:
         moments_from_curve(curve, policy.n_max)
     potential, build = build_potential(policy)
 
-    checks = [
-        combinatorial_formula_check(potential),
-        cauchy_data_check(potential),
+    runs = [
+        lambda: combinatorial_formula_check(potential),
+        lambda: cauchy_data_check(potential),
     ]
     if policy.n_max >= 2:
-        checks.append(ellipse_oracle_check(potential))
-    checks += [
-        factorial_pattern_check(min(6, policy.n_max + 2)),
-        toda_residual_a(potential, order),
-        toda_residual_c(potential, order),
-        toda_residual_b(potential),
-        composition_count_bound_check(args.seed),
+        runs.append(lambda: ellipse_oracle_check(potential))
+    runs += [
+        lambda: factorial_pattern_check(min(6, policy.n_max + 2)),
+        lambda: toda_residual_a(potential, order),
+        lambda: toda_residual_c(potential, order),
+        lambda: toda_residual_b(potential),
+        lambda: composition_count_bound_check(args.seed),
     ]
     if curve is not None:
-        checks.append(roundtrip_check(curve, potential, tol))
+        runs.append(lambda: roundtrip_check(curve, potential, tol))
+    checks = []
+    elapsed = {"build": build.elapsed}
+    for run in runs:
+        start = time.perf_counter()
+        checks.append(run())
+        elapsed[checks[-1].name] = time.perf_counter() - start
 
+    if args.stats is not None:
+        stats = {
+            "elapsed_s": elapsed,
+            "max_abs_out_of_cone": out_of_cone_maxima(potential, order),
+        }
+        _write_json(args.stats, stats, sys.stderr)
     ok = all(check.ok for check in checks)
     report = {
         "policy": {"n_max": policy.n_max, "deg_max": policy.deg_max},

@@ -115,6 +115,7 @@ class _TodaSolver:
         self.policy = policy
         self.codec = codec = _Codec(policy)
         self.orders = (policy.n_max, policy.n_max)
+        self.bound = _Tail.box(self.orders, policy.deg_max)
         self.t0 = 1 << codec.t0_shift
         self.one = self._tail({(0, 0, 0): {0: 1}})
         # below[k]: the mask of t_1..t_{k-1}, moved onto tbar_1..tbar_{k-1}
@@ -125,7 +126,7 @@ class _TodaSolver:
         self._dead = lambda a, b: table[a][b]
 
     def _tail(self, cells, den=1) -> _Tail:
-        return _Tail(self.codec, self.orders, cells, den)
+        return _Tail(self.codec, self.bound, cells, den)
 
     def solve(self) -> TruncatedSeries:
         """The regular part, each degree slice computed once."""
@@ -149,7 +150,8 @@ class _TodaSolver:
                 m.append(self._geometric(inner))
             f[d + 2] = self._read(m[d], d)
         # F as one series under the policy, from its cells (0, 0, d)
-        return TruncatedSeries._of(_Tail.combination((0, 0), [(1, t) for t in f.values()]))
+        series = _Tail.box((0, 0), deg_max)
+        return TruncatedSeries._of(_Tail.combination(series, [(1, t) for t in f.values()]))
 
     def _sources(self, lo: _Tail, hi: _Tail) -> _Tail:
         """``X_d``: ``d0^2 F_d``, and ``u^a d0 d_a F / a`` and
@@ -159,7 +161,7 @@ class _TodaSolver:
         for a in range(1, self.policy.n_max + 1):
             terms.append((Fraction(1, a), d0.diff_t(a).shifted(a, 0)))
             terms.append((Fraction(1, a), d0.diff_t(a, barred=True).shifted(0, a)))
-        return _Tail.combination(self.orders, terms)
+        return _Tail.combination(self.bound, terms)
 
     def _geometric(self, inner: _Tail) -> _Tail:
         """``sum_{k >= 1} (u v t0)^k inner``, cut at the orders, without the

@@ -31,14 +31,17 @@ Design points:
   its terms filed by factor degree (a value fixed when a monomial is
   built) as ``{code: numerator}`` over one common denominator.  Linear
   combinations, products, the exponential and derivatives each have one
-  implementation, on the tail: a product meets only the degree pairs
-  that truncation keeps and its pair loop adds integer codes and
+  implementation, on the tail: a product meets only the cell pairs
+  that the tail's bound keeps and its pair loop adds integer codes and
   multiplies integer numerators, and a derivative reads an exponent field
   by shift and mask.  The exponential is one graded rule,
   ``g E_g = sum_k k X_k E_{g-k}`` (:meth:`_Tail.graded_exp_slice`), which
   the potential's Toda solver runs on its degree slices too.  The Toda
   residuals of :mod:`taumap.verify` and the solver expand their wider
-  tails with the same class.  Every weighted sum of tails -- a series'
+  tails with the same class.  Which cells a tail keeps is one datum it
+  carries, a downward-closed bound per bidegree: the box of its orders and
+  ``deg_max`` for a series and the solver, the truncation cone for the
+  residuals.  Every weighted sum of tails -- a series'
   sum, difference and scalar multiple, the slices of an exponential, the
   potential's degree slices, the series a wider tail is built from, a
   residual -- is one rule, :meth:`_Tail.combination`.  A tail's policy is
@@ -211,32 +214,61 @@ class _Tail:
     degree -- to ``{code: numerator}``, the codes of ``codec``, whose policy
     is the tail's; the whole tail has the one denominator ``den``, and
     numerators and ``den`` share no common factor, so the form is
-    canonical.  Cells beyond ``orders`` or ``deg_max`` are dropped, so a
-    product visits only the cell pairs whose sum survives, and its pair loop
-    adds integer codes and multiplies integer numerators.  A tail of orders
+    canonical.
+
+    ``bound`` says which cells the tail keeps: ``bound[a][b]`` is the
+    number of factor degrees ``d = 0, 1, ..`` it keeps at bidegree
+    ``(a, b)``, so its rows and columns give the orders in ``u`` and ``v``.
+    The bound is downward closed -- it does not grow with ``a`` or ``b`` --
+    and at most ``deg_max + 1``, so codes never carry.  Every tail is cut to
+    its bound when it is made, and a product visits only the cell pairs
+    whose sum the bound keeps, its pair loop adding integer codes and
+    multiplying integer numerators.  Products and sums only add cells, so
+    under any downward-closed bound a weighted sum, a shift, a product or
+    an exponential is exactly the unbounded result restricted to the bound;
+    a derivative lowers ``d`` and reads the degree above, so it is exact only
+    where that degree is kept.  :meth:`box` is the bound of ``orders`` and
+    ``deg_max``, which series and the solver use.  A tail of orders
     ``(0, 0)`` is the storage of a :class:`TruncatedSeries`; series enter a
-    wider tail through :meth:`from_series`.  A weighted sum of tails is
-    one rule, :meth:`combination`.
+    wider tail through :meth:`from_series`.  A weighted sum of tails is one
+    rule, :meth:`combination`.
     """
 
-    __slots__ = ("codec", "policy", "orders", "cells", "den")
+    __slots__ = ("codec", "policy", "bound", "cells", "den")
 
-    def __init__(self, codec, orders, cells, den=1):
+    def __init__(self, codec, bound, cells, den=1):
         self.codec = codec
         self.policy = codec.policy
-        self.orders = orders
+        self.bound: tuple[tuple[int, ...], ...] = bound
         self.cells: dict[tuple[int, int, int], dict[int, int]] = cells
         self.den = den
         self._reduce()
 
+    @staticmethod
+    def box(orders: tuple[int, int], deg_max: int) -> tuple[tuple[int, ...], ...]:
+        """The bound that keeps every cell with ``a, b`` within ``orders`` and
+        ``d <= deg_max``."""
+        amax, bmax = orders
+        return ((deg_max + 1,) * (bmax + 1),) * (amax + 1)
+
+    @property
+    def orders(self) -> tuple[int, int]:
+        return len(self.bound) - 1, len(self.bound[0]) - 1
+
     def _like(self, cells, den=1) -> "_Tail":
-        return _Tail(self.codec, self.orders, cells, den)
+        return _Tail(self.codec, self.bound, cells, den)
 
     def _reduce(self) -> None:
-        """Drop zero terms and empty cells; divide out the common factor."""
+        """Drop the cells beyond the bound, zero terms and empty cells; divide
+        out the common factor."""
+        bound = self.bound
+        amax, bmax = self.orders
         cells = {}
         g = self.den
         for key, cell in self.cells.items():
+            a, b, d = key
+            if a > amax or b > bmax or d >= bound[a][b]:
+                continue
             if 0 in cell.values():
                 cell = {code: n for code, n in cell.items() if n}
             if cell:
@@ -253,19 +285,20 @@ class _Tail:
 
     @classmethod
     def from_series(
-        cls, orders: tuple[int, int], series: dict[tuple[int, int], "TruncatedSeries"]
+        cls, bound, series: dict[tuple[int, int], "TruncatedSeries"]
     ) -> "_Tail":
-        """The tail ``sum u^a v^b series[a, b]`` of series under one policy."""
+        """The tail ``sum u^a v^b series[a, b]`` of series under one policy,
+        cut to ``bound``."""
         parts = []
         for (a, b), s in series.items():
             cells = {(a, b, d): cell for (_, _, d), cell in s._tail.cells.items()}
-            parts.append((1, cls(s._tail.codec, orders, cells, s._tail.den)))
-        return cls.combination(orders, parts)
+            parts.append((1, cls(s._tail.codec, bound, cells, s._tail.den)))
+        return cls.combination(bound, parts)
 
     @classmethod
-    def combination(cls, orders: tuple[int, int], terms) -> "_Tail":
+    def combination(cls, bound, terms) -> "_Tail":
         """``sum q * tail`` over ``terms`` of ``(q, tail)`` under one codec, as
-        one tail of ``orders`` over the lcm of the scaled denominators, reduced
+        one tail of ``bound`` over the lcm of the scaled denominators, reduced
         once; cells and codes keep the order in which they are first seen."""
         scales = [Fraction(q) / t.den for q, t in terms]
         den = lcm(*(s.denominator for s in scales))
@@ -279,23 +312,18 @@ class _Tail:
                 else:
                     for code, n in cell.items():
                         out[code] = out.get(code, 0) + n * w
-        return cls(terms[0][1].codec, orders, cells, den)
+        return cls(terms[0][1].codec, bound, cells, den)
 
     def one(self) -> "_Tail":
         return self._like({(0, 0, 0): {0: 1}})
 
     def shifted(self, da: int, db: int) -> "_Tail":
-        """Multiplication by ``u^da v^db``, dropping overflow."""
-        amax, bmax = self.orders
-        cells = {
-            (a + da, b + db, d): cell
-            for (a, b, d), cell in self.cells.items()
-            if a + da <= amax and b + db <= bmax
-        }
+        """Multiplication by ``u^da v^db``, cut to the bound."""
+        cells = {(a + da, b + db, d): cell for (a, b, d), cell in self.cells.items()}
         return self._like(cells, self.den)
 
     def transposed(self) -> "_Tail":
-        """The tail with ``u`` and ``v`` exchanged, for equal orders."""
+        """The tail with ``u`` and ``v`` exchanged, for a bound symmetric in them."""
         cells = {(b, a, d): cell for (a, b, d), cell in self.cells.items()}
         return self._like(cells, self.den)
 
@@ -304,7 +332,7 @@ class _Tail:
 
     def products(self, terms, dead=None) -> "_Tail":
         """``sum q * left * right`` over ``terms`` of ``(q, left, right)``, a
-        tail like ``self``.
+        tail like ``self``, whose bound it visits only.
 
         Every product goes into one integer accumulator over one common
         denominator, each ``q`` folded into its left numerators, and the sum
@@ -313,8 +341,8 @@ class _Tail:
         it is left out of that cell's products.  Each cell is filtered once
         per mask.
         """
+        bound = self.bound
         amax, bmax = self.orders
-        deg_max = self.policy.deg_max
         scales = [Fraction(q) / (left.den * right.den) for q, left, right in terms]
         den = lcm(*(s.denominator for s in scales))
         acc: dict[tuple[int, int, int], dict[int, int]] = {}
@@ -328,7 +356,7 @@ class _Tail:
                 lefts: dict[int, list[tuple[int, int]]] = {}
                 for (a2, b2, d2), right in rhs.cells.items():
                     a, b, d = a1 + a2, b1 + b2, d1 + d2
-                    if a > amax or b > bmax or d > deg_max:
+                    if a > amax or b > bmax or d >= bound[a][b]:
                         continue
                     mask = dead(a, b) if dead else 0
                     left_items = lefts.get(mask)
@@ -360,13 +388,17 @@ class _Tail:
         """``exp(self)`` for a tail with no term in the cell ``(0, 0, 0)``.
 
         ``g = a + b + d`` grades the cells: products add it, and no cell
-        beyond ``sum(orders) + deg_max`` survives.  The slices ``E_g`` of
-        the exponential come from :meth:`graded_exp_slice` and fill
-        disjoint cells, so the exponential is their :meth:`combination`.
+        beyond the largest grade the bound keeps survives.  The slices
+        ``E_g`` of the exponential come from :meth:`graded_exp_slice` and
+        fill disjoint cells, so the exponential is their :meth:`combination`.
         """
         if (0, 0, 0) in self.cells:
             raise ValueError("exp requires every term to carry a variable")
-        top = sum(self.orders) + self.policy.deg_max
+        top = max(
+            a + b + depth - 1
+            for a, row in enumerate(self.bound)
+            for b, depth in enumerate(row)
+        )
         slices: list[dict] = [{} for _ in range(top + 1)]
         for (a, b, d), cell in self.cells.items():
             slices[a + b + d][a, b, d] = cell
@@ -374,7 +406,7 @@ class _Tail:
         e = [self.one()]
         for _ in range(top):
             e.append(self.graded_exp_slice(x, e))
-        return self.combination(self.orders, [(1, t) for t in e])
+        return self.combination(self.bound, [(1, t) for t in e])
 
     def graded_exp_slice(self, x: list["_Tail"], e: list["_Tail"], dead=None) -> "_Tail":
         """The next slice ``E_g``, ``g = len(e)``, of ``E = exp(X)`` under a
@@ -437,7 +469,7 @@ class TruncatedSeries:
         for m, c in clean:
             cell = cells.setdefault((0, 0, m.degree), {})
             cell[codec.encode(m)] = c.numerator * (den // c.denominator)
-        self._tail = _Tail(codec, (0, 0), cells, den)
+        self._tail = _Tail(codec, _Tail.box((0, 0), policy.deg_max), cells, den)
 
     @classmethod
     def _of(cls, tail: _Tail) -> "TruncatedSeries":
@@ -527,7 +559,7 @@ class TruncatedSeries:
     @staticmethod
     def _combination(*terms) -> "TruncatedSeries":
         """The series ``sum q * tail`` over ``terms`` of ``(q, tail)``."""
-        return TruncatedSeries._of(_Tail.combination((0, 0), terms))
+        return TruncatedSeries._of(_Tail.combination(terms[0][1].bound, terms))
 
     def __add__(self, other) -> "TruncatedSeries":
         return self._combination((1, self._tail), (1, self._operand(other)))

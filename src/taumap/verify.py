@@ -16,10 +16,11 @@ imports nothing from the builder.  Four layers:
 * exact residuals of the two independent hierarchy constraints the potential
   must satisfy, expanded as Laurent tails in ``u = 1/z`` and ``v = 1/xi``
   whose coefficients are exact series (:func:`toda_residual_a`,
-  :func:`toda_residual_c`).  The tails are the series ring's packed
+  :func:`toda_residual_c`), over the cells of the truncation cone only
+  (below).  The tails are the series ring's packed
   polynomials (:class:`taumap.series._Tail`), the storage of every
   series, so the derivative series enter the tails as they are stored and
-  only in-cone violations are decoded.  The violations are listed in a
+  only violations are decoded.  The violations are listed in a
   canonical order, by cell and then by monomial, so a report depends on
   the residual's value only.  The build solves the mixed
   constraint itself, so on a built potential :func:`toda_residual_c`
@@ -56,7 +57,21 @@ potential gives there.  The cone is therefore the union of
 ``a + b + d - 1 <= n_max`` (its cells with ``a + b <= 1`` reach
 ``d = deg_max - 1`` and ``deg_max``).  Inside the cone
 residuals must vanish identically in rational arithmetic; outside they are
-reported (``max_abs_out_of_cone``) but not judged.
+not judged.
+
+The cone is downward closed in ``(a, b, d)``: with a cell it holds every
+cell below it.  A product's cell is the sum of its operands' cells, a
+weighted sum and a shift by ``u^da v^db`` move no cell down, and the
+graded exponential is built from products and sums, so the cone cells of
+a result read only the cone cells of its operands.  The residuals are
+therefore expanded over the cone cells alone (a :class:`_Tail` whose
+bound is :func:`_cone`), and their in-cone values are exactly those of
+the expansion over the whole box; at ``(5,6)``, order 4, only about a tenth
+of the term pairs a box expansion visits land in the cone.  The
+derivatives, which lower ``d``, are taken on the series before they enter
+the tails.  Outside the cone the residuals are measured, not judged, by
+:func:`out_of_cone_maxima`, which expands the same residuals over the box
+(``taumap verify --stats``).
 """
 
 from __future__ import annotations
@@ -98,6 +113,7 @@ __all__ = [
     "toda_residual_a",
     "toda_residual_b",
     "toda_residual_c",
+    "out_of_cone_maxima",
     "factorial_pattern_check",
     "composition_count_bound_check",
     "ConvergenceVerdict",
@@ -312,17 +328,21 @@ def ellipse_oracle_check(potential: PotentialSeries) -> CheckResult:
 # -- residual checks ----------------------------------------------------------
 
 
-def _split_cone(residual: _Tail, name: str) -> CheckResult:
+def _split_cone(residual: _Tail, name: str) -> tuple[CheckResult, float]:
     """Judge the residual inside the truncation cone, measure it outside.
 
+    Returns the check and the largest ``|coefficient|`` outside the cone.
     ``checked`` counts the in-cone cells ``(a, b, d)`` with bidegree within
     the residual's orders (:func:`_cone_depth`).  The violations are listed
     by cell ``(a, b, d)`` and within a cell by :meth:`Monomial.sort_key`, so
     the list depends on the residual's value only, not on the order in which
-    the algebra filled its cells.  Only the in-cone terms are decoded;
-    outside, the largest ``|numerator|`` over the common denominator is the
-    largest ``|coefficient|``, and ``int / int`` rounds it as
-    ``float(Fraction)`` would.
+    the algebra filled its cells.  A residual expanded over the cone
+    (:func:`_cone`) has no cell outside it and measures 0; one expanded
+    over the box (:func:`out_of_cone_maxima`) gives the same check and the
+    measure.  Only the in-cone terms are decoded; outside, the largest
+    ``|numerator|`` over the common denominator is the largest
+    ``|coefficient|``, and ``int / int`` rounds it as ``float(Fraction)``
+    would.
     """
     policy = residual.policy
     amax, bmax = residual.orders
@@ -345,7 +365,7 @@ def _split_cone(residual: _Tail, name: str) -> CheckResult:
     cells = sum(
         _cone_depth(a, b, policy) for a in range(amax + 1) for b in range(bmax + 1)
     )
-    return CheckResult(name, cells, violations, {"max_abs_out_of_cone": out_max / den})
+    return CheckResult(name, cells, violations), out_max / den
 
 
 def _cone_depth(a: int, b: int, policy: TruncationPolicy) -> int:
@@ -360,6 +380,13 @@ def _cone_depth(a: int, b: int, policy: TruncationPolicy) -> int:
     return max(depth, 0)
 
 
+def _cone(policy: TruncationPolicy, order: int) -> tuple[tuple[int, ...], ...]:
+    """The cone as the bound of a residual tail of orders ``(order+1, order+1)``:
+    the :func:`_cone_depth` of each bidegree."""
+    span = range(order + 2)
+    return tuple(tuple(_cone_depth(a, b, policy) for b in span) for a in span)
+
+
 def _check_order(order: int, policy: TruncationPolicy) -> None:
     if order < 0:
         raise ValueError(f"residual order must be >= 0, got {order}")
@@ -367,22 +394,23 @@ def _check_order(order: int, policy: TruncationPolicy) -> None:
         raise ValueError("order exceeds the potential's index bound")
 
 
-def _pair_tail(reg: TruncatedSeries, amax: int, barred: bool, sign: int) -> _Tail:
-    """``sign * sum u^a v^b d_a d_b F / (a b)`` for ``a, b = 1..amax``, with
-    ``d_b`` barred when ``barred``."""
-    d = {a: reg.diff_t(a) for a in range(1, amax + 1)}
+def _pair_tail(reg: TruncatedSeries, bound, barred: bool, sign: int) -> _Tail:
+    """``sign * sum u^a v^b d_a d_b F / (a b)`` for ``a, b = 1..amax`` under
+    ``bound`` of orders ``(amax, amax)``, with ``d_b`` barred when ``barred``."""
+    d = {a: reg.diff_t(a) for a in range(1, len(bound))}
     terms = {(a, b): d[a].diff_t(b, barred) * Fraction(sign, a * b) for a in d for b in d}
-    return _Tail.from_series((amax, amax), terms)
+    return _Tail.from_series(bound, terms)
 
 
-def _point_tail(d0: TruncatedSeries, amax: int, axis: int, barred: bool, sign: int) -> _Tail:
-    """``sign * sum w^a d0 d_a F / a`` for ``a = 1..amax``, from ``d0 = d0 F``,
-    with ``w = u`` on ``axis`` 0 and ``v`` on 1 and ``d_a`` barred when ``barred``."""
+def _point_tail(d0: TruncatedSeries, bound, axis: int, barred: bool, sign: int) -> _Tail:
+    """``sign * sum w^a d0 d_a F / a`` for ``a = 1..amax`` under ``bound`` of
+    orders ``(amax, amax)``, from ``d0 = d0 F``, with ``w = u`` on ``axis`` 0
+    and ``v`` on 1 and ``d_a`` barred when ``barred``."""
     terms = {
         (0, a) if axis else (a, 0): d0.diff_t(a, barred) * Fraction(sign, a)
-        for a in range(1, amax + 1)
+        for a in range(1, len(bound))
     }
-    return _Tail.from_series((amax, amax), terms)
+    return _Tail.from_series(bound, terms)
 
 
 def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
@@ -393,20 +421,25 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
         (v - u) exp(X) = v exp(-Y(u)) - u exp(-Y(v)),
 
     with ``X = sum u^a v^b d_a d_b F / (a b)`` and
-    ``Y(u) = sum u^a d0 d_a F / a``.  Both sides are expanded to bidegree
-    ``(order+1, order+1)`` and subtracted.  ``Y(v)`` is ``Y(u)`` with ``v``
-    for ``u``, so one exponential serves both.
+    ``Y(u) = sum u^a d0 d_a F / a``.  Both sides are expanded over the cone
+    cells of bidegree up to ``(order+1, order+1)`` and subtracted
+    (:func:`_residual_a`).
     """
     reg = potential.regular
     _check_order(order, reg.policy)
-    amax = order + 1
+    return _split_cone(_residual_a(reg, _cone(reg.policy, order)), "residual_a")[0]
+
+
+def _residual_a(reg: TruncatedSeries, bound) -> _Tail:
+    """The residual tail of :func:`toda_residual_a` under ``bound``.  ``Y(v)``
+    is ``Y(u)`` with ``v`` for ``u``, so one exponential serves both."""
     d0 = reg.diff_t0()
     # exp(X) and exp(-Y(u)); exp(-Y(v)) is exp(-Y(u)) with u and v exchanged
-    ex = _pair_tail(reg, amax, barred=False, sign=1).exp()
-    eu = _point_tail(d0, amax, axis=0, barred=False, sign=-1).exp()
+    ex = _pair_tail(reg, bound, barred=False, sign=1).exp()
+    eu = _point_tail(d0, bound, axis=0, barred=False, sign=-1).exp()
     terms = [(1, ex.shifted(0, 1)), (-1, ex.shifted(1, 0)), (-1, eu.shifted(0, 1))]
     terms.append((1, eu.transposed().shifted(1, 0)))
-    return _split_cone(_Tail.combination((amax, amax), terms), "residual_a")
+    return _Tail.combination(bound, terms)
 
 
 def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
@@ -419,7 +452,9 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     where ``M = sum u^a v^b d_a dbar_b F / (a b)``,
     ``P(u) = sum u^a d0 d_a F / a`` and ``Q(v) = sum v^b d0 dbar_b F / b``.
     The factor ``t0`` is the exact contribution of the singular part through
-    ``exp(d0^2 (t0^2 log t0 / 2 - 3 t0^2 / 4)) = t0``.
+    ``exp(d0^2 (t0^2 log t0 / 2 - 3 t0^2 / 4)) = t0``.  Both sides are
+    expanded over the cone cells of bidegree up to ``(order+1, order+1)``
+    (:func:`_residual_c`).
 
     :func:`taumap.potential.build_potential` solves this equation, so on
     a built potential the cells with ``a, b <= n_max`` hold by
@@ -433,18 +468,39 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     is evidence.
     """
     reg = potential.regular
-    policy = reg.policy
-    _check_order(order, policy)
-    amax = order + 1
+    _check_order(order, reg.policy)
+    return _split_cone(_residual_c(reg, _cone(reg.policy, order)), "residual_c")[0]
+
+
+def _residual_c(reg: TruncatedSeries, bound) -> _Tail:
+    """The residual tail of :func:`toda_residual_c` under ``bound``."""
     d0 = reg.diff_t0()
-    minus_m = _pair_tail(reg, amax, barred=True, sign=-1)
-    p_tail = _point_tail(d0, amax, axis=0, barred=False, sign=1)
-    q_tail = _point_tail(d0, amax, axis=1, barred=True, sign=1)
-    prefactor = TruncatedSeries.t0(policy) * d0.diff_t0().exp_no_constant()
-    rhs = _Tail.from_series((amax, amax), {(1, 1): prefactor})
+    minus_m = _pair_tail(reg, bound, barred=True, sign=-1)
+    p_tail = _point_tail(d0, bound, axis=0, barred=False, sign=1)
+    q_tail = _point_tail(d0, bound, axis=1, barred=True, sign=1)
+    prefactor = TruncatedSeries.t0(reg.policy) * d0.diff_t0().exp_no_constant()
+    rhs = _Tail.from_series(bound, {(1, 1): prefactor})
     rhs = rhs * p_tail.exp() * q_tail.exp()
     terms = [(1, minus_m.one()), (-1, minus_m.exp()), (-1, rhs)]  # 1 - exp(-M) - rhs
-    return _split_cone(_Tail.combination((amax, amax), terms), "residual_c")
+    return _Tail.combination(bound, terms)
+
+
+def out_of_cone_maxima(potential: PotentialSeries, order: int) -> dict[str, float]:
+    """The largest ``|coefficient|`` of each Toda residual outside the cone,
+    by check name.
+
+    Measured, not judged: the residuals are expanded as
+    :func:`toda_residual_a` and :func:`toda_residual_c` expand them, over
+    the box of every cell up to ``(order+1, order+1)`` and ``deg_max``
+    instead of the cone, so this costs about three times the two checks.
+    """
+    reg = potential.regular
+    _check_order(order, reg.policy)
+    box = _Tail.box((order + 1, order + 1), reg.policy.deg_max)
+    return {
+        name: _split_cone(residual(reg, box), name)[1]
+        for name, residual in (("residual_a", _residual_a), ("residual_c", _residual_c))
+    }
 
 
 def _mirror(mono: Monomial) -> Monomial:

@@ -176,11 +176,12 @@ def test_verify_passes_and_reports(tmp_path, capsys):
 
 
 # sha256 of `taumap verify --nmax 5 --degmax 6 --order 4` stdout, no --in
-VERIFY_56_SHA256 = "9dbc9a958dff3b8fb13f0e502028f109b979ebde07a212cc0652e82c9c013b70"
+VERIFY_56_SHA256 = "071f7128a7d3a94933b5fda7d6489994b0e712cabeebea83b2736394d7005c22"
 
 
 def test_verify_report_is_pinned(capsys):
-    # every exact count and out-of-cone maximum of the report, byte for byte
+    # every exact count and violation of the report, byte for byte; the
+    # out-of-cone maxima are in --stats, not here
     code, out, _ = run_cli(["verify", "--nmax", "5", "--degmax", "6", "--order", "4"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_56_SHA256
@@ -190,10 +191,45 @@ def test_verify_report_is_pinned(capsys):
     assert report["build"]["keys_evaluated"] == 336
 
 
+def test_verify_stats_leave_the_report_unchanged(tmp_path, capsys):
+    # --stats writes timings and the residuals' size outside the cone, to a
+    # file or for - to stderr; stdout is the same with and without it and on
+    # a rerun, and holds neither
+    args = ["verify", "--nmax", "5", "--degmax", "6", "--order", "4"]
+    stats_path = tmp_path / "stats.json"
+    code, plain, err = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(plain.encode()).hexdigest() == VERIFY_56_SHA256
+    err_plain = err.splitlines()
+    code, out, err = run_cli(args + ["--stats", str(stats_path)], capsys)
+    assert (code, out) == (0, plain)
+    assert err.splitlines() == err_plain
+    on_file = json.loads(stats_path.read_text())
+    code, out, err = run_cli(args + ["--stats", "-"], capsys)
+    assert (code, out) == (0, plain)
+    # the stats come first on stderr, then a PASS line per check
+    on_stderr, end = json.JSONDecoder().raw_decode(err)
+    assert err[end:].strip().splitlines() == err_plain
+    checks = json.loads(plain)["checks"]
+    for stats in (on_file, on_stderr):
+        # the parent commit's out-of-cone maxima, bit for bit
+        assert stats["max_abs_out_of_cone"] == {
+            "residual_a": 15552000.0,
+            "residual_c": 87840000.0,
+        }
+        assert sorted(stats["elapsed_s"]) == sorted(["build", *checks])
+        assert all(s >= 0 for s in stats["elapsed_s"].values())
+    assert "elapsed" not in plain and "max_abs_out_of_cone" not in plain
+    # stats that cannot be written are an error before the report is
+    code, out, err = run_cli(args + ["--stats", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # sha256 of `taumap verify --nmax 5 --degmax 6 --order 4 --in <A8 ellipse> --seed 3`
 # stdout, the run the benchmark's `verify` workload makes; its roundtrip
 # inverts the map's closure (sup error 3.77e-8)
-VERIFY_56_A8_SHA256 = "c060a3ed7ab9d5cc3e98e1f13616f752972b460e33887075be55489de959e594"
+VERIFY_56_A8_SHA256 = "b89b4a95c3fa44c1e859e3bedc18f06d55b9a923b994fac98ccf9fece05b3516"
 
 
 def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
@@ -219,7 +255,7 @@ def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
 
 # sha256 of `taumap verify --nmax 3 --degmax 4 --order 2 --in <A8 ellipse>
 # --roundtrip-tol 1e-12` stdout, a run whose roundtrip fails
-VERIFY_34_A8_FAIL_SHA256 = "be1873a270d7b5e257d0edaeab1385eeb6c3fca339c5337f3591b69686e63a35"
+VERIFY_34_A8_FAIL_SHA256 = "a258534738c2d3c6946ee7ff4b9b5fb37f81a6c0c3bf290f104f0aa689b1efd1"
 
 
 def test_verify_reports_a_failing_roundtrip(tmp_path, capsys):

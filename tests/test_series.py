@@ -17,7 +17,7 @@ from taumap.series import (
     series_to_json_terms,
 )
 from taumap.potential import build_potential
-from taumap.verify import _mirror, toda_residual_a, toda_residual_c
+from taumap.verify import _cone, _mirror, toda_residual_a, toda_residual_c
 
 
 POLICY = TruncationPolicy(n_max=3, deg_max=6)
@@ -380,10 +380,10 @@ def taylor_exp(x):
     m = 0
     while True:
         m += 1
-        term = _Tail.combination(x.orders, [(Fraction(1, m), term * x)])
+        term = _Tail.combination(x.bound, [(Fraction(1, m), term * x)])
         if not term.cells:
             return result
-        result = _Tail.combination(x.orders, [(1, result), (1, term)])
+        result = _Tail.combination(x.bound, [(1, result), (1, term)])
 
 
 def value(tail):
@@ -402,13 +402,13 @@ def fraction_terms(tail):
 
 def test_combination_equals_fraction_arithmetic():
     pol = TruncationPolicy(n_max=3, deg_max=5)
-    orders = (2, 2)
+    box = _Tail.box((2, 2), pol.deg_max)
     cell_keys = list(itertools.product(range(3), range(3)))
     rng = random.Random(53)
 
     def random_tail():
         picked = rng.sample(cell_keys, rng.randint(1, 4))
-        return _Tail.from_series(orders, {key: rich_series(rng, pol, terms=5) for key in picked})
+        return _Tail.from_series(box, {key: rich_series(rng, pol, terms=5) for key in picked})
 
     shared_cells = shared_codes = disjoint = 0
     for _ in range(60):
@@ -419,7 +419,7 @@ def test_combination_equals_fraction_arithmetic():
             rng.choice([0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
             for _ in tails
         ]
-        got = _Tail.combination(orders, list(zip(weights, tails)))
+        got = _Tail.combination(box, list(zip(weights, tails)))
         want = {}
         for q, tail in zip(weights, tails):
             for term, c in fraction_terms(tail).items():
@@ -447,10 +447,10 @@ def test_combination_equals_fraction_arithmetic():
     # a full cancellation is the canonical zero: no cells over 1
     a, b = random_tail(), random_tail()
     assert a.den > 1
-    assert value(_Tail.combination(orders, [(1, a), (-1, a)])) == ({}, 1)
-    assert value(_Tail.combination(orders, [(0, a)])) == ({}, 1)
+    assert value(_Tail.combination(box, [(1, a), (-1, a)])) == ({}, 1)
+    assert value(_Tail.combination(box, [(0, a)])) == ({}, 1)
     q = Fraction(-5, 3)
-    assert value(_Tail.combination(orders, [(q, a), (1, b), (-q, a)])) == value(b)
+    assert value(_Tail.combination(box, [(q, a), (1, b), (-q, a)])) == value(b)
 
 
 def test_tail_exp_equals_taylor_loop_in_value():
@@ -459,15 +459,21 @@ def test_tail_exp_equals_taylor_loop_in_value():
     # x^2 / 2 and comes back with x^3 / 6
     t1, square = t(1, pol), t(1, pol) * t(1, pol)
     cancelling = _Tail.from_series(
-        (3, 0), {(0, 0): t(2, pol), (1, 0): t1, (2, 0): square, (3, 0): -square * t1}
+        _Tail.box((3, 0), pol.deg_max),
+        {(0, 0): t(2, pol), (1, 0): t1, (2, 0): square, (3, 0): -square * t1},
     )
     rng = random.Random(41)
     tails = [cancelling]
-    tails.append(_Tail.from_series((0, 0), {(0, 0): rich_series(rng, pol, factor_free=False)}))
+    tails.append(
+        _Tail.from_series(
+            _Tail.box((0, 0), pol.deg_max), {(0, 0): rich_series(rng, pol, factor_free=False)}
+        )
+    )
     for orders in ((3, 0), (2, 2)):
         y = rich_series(rng, pol, terms=6, factor_free=False)
         z = tbar(2, pol) * t1 + rich_series(rng, pol, terms=3, factor_free=False)
-        tails.append(_Tail.from_series(orders, {(0, 1): y, (1, 0): z, (1, 1): y * z}))
+        box = _Tail.box(orders, pol.deg_max)
+        tails.append(_Tail.from_series(box, {(0, 1): y, (1, 0): z, (1, 1): y * z}))
     for tail in tails:
         assert value(tail.exp()) == value(taylor_exp(tail))
 
@@ -489,6 +495,9 @@ def test_tail_exp_equals_taylor_loop_on_the_residual_tails(monkeypatch):
     monkeypatch.undo()
     # exp(-Y(v)) is exp(-Y(u)) transposed, not an exponential of its own
     assert sorted(tail.orders for tail in seen) == [(0, 0)] + [(5, 5)] * 5
+    # the residuals expand over the cone they judge
+    cone = _cone(potential.regular.policy, 4)
+    assert [tail.bound for tail in seen if tail.orders == (5, 5)] == [cone] * 5
     for tail in seen:
         assert value(tail.exp()) == value(taylor_exp(tail))
 
@@ -500,11 +509,12 @@ def test_transposed_exponential_is_the_exponential_of_the_transposed_tail(n_max,
     potential, _ = build_potential(TruncationPolicy(n_max, deg_max))
     d0 = potential.regular.diff_t0()
     for amax in range(1, n_max + 1):
+        box = _Tail.box((amax, amax), deg_max)
         y_u = _Tail.from_series(
-            (amax, amax), {(a, 0): d0.diff_t(a) * Fraction(-1, a) for a in range(1, amax + 1)}
+            box, {(a, 0): d0.diff_t(a) * Fraction(-1, a) for a in range(1, amax + 1)}
         )
         y_v = _Tail.from_series(
-            (amax, amax), {(0, a): d0.diff_t(a) * Fraction(-1, a) for a in range(1, amax + 1)}
+            box, {(0, a): d0.diff_t(a) * Fraction(-1, a) for a in range(1, amax + 1)}
         )
         assert y_u.transposed().cells == y_v.cells and y_u.transposed().den == y_v.den
         moved = y_u.exp().transposed()
@@ -521,7 +531,7 @@ def pairwise_products(like, terms):
         for (a1, b1, d1), left in lhs.cells.items():
             for (a2, b2, d2), right in rhs.cells.items():
                 a, b, d = a1 + a2, b1 + b2, d1 + d2
-                if a > amax or b > bmax or d > like.policy.deg_max:
+                if a > amax or b > bmax or d >= like.bound[a][b]:
                     continue
                 cell = out.setdefault((a, b, d), {})
                 for code1, n1 in left.items():
@@ -547,7 +557,8 @@ def test_masked_products_drop_exactly_the_terms_that_meet_their_cells_mask():
         def random_tail():
             picked = rng.sample(cell_keys, rng.randint(1, 3))
             return _Tail.from_series(
-                orders, {key: rich_series(rng, pol, terms=5) for key in picked}
+                _Tail.box(orders, pol.deg_max),
+                {key: rich_series(rng, pol, terms=5) for key in picked},
             )
 
         for _ in range(6):
@@ -853,3 +864,65 @@ def test_codec_code_of_an_admissible_product_is_the_sum_of_codes():
             assert codec.encode(m1) + codec.encode(m2) == codec.encode(product)
             assert codec.decode(codec.encode(m1) + codec.encode(m2)) == product
     assert pairs > 1000
+
+
+def random_bound(rng, orders, deg_max):
+    """A random downward-closed bound of ``orders``: each depth at most
+    ``deg_max + 1`` and at most the depths before it in ``a`` and in ``b``."""
+    amax, bmax = orders
+    rows = []
+    for a in range(amax + 1):
+        row = []
+        for b in range(bmax + 1):
+            cap = deg_max + 1
+            if a:
+                cap = min(cap, rows[a - 1][b])
+            if b:
+                cap = min(cap, row[b - 1])
+            row.append(rng.randint(0, cap))
+        rows.append(row)
+    return tuple(map(tuple, rows))
+
+
+def restricted(tail, bound):
+    """``tail`` cut to ``bound``, in canonical form."""
+    return _Tail(tail.codec, bound, dict(tail.cells), tail.den)
+
+
+def test_bounded_products_and_exp_are_the_unbounded_ones_restricted():
+    # products and the exponential only add cells, so under a downward-closed
+    # bound they are the box's results cut to the bound: the same cells,
+    # codes and numerators, over the canonical denominator of what is kept
+    pol = TruncationPolicy(n_max=3, deg_max=5)
+    rng = random.Random(59)
+    dropped = den_shrank = 0
+    for orders in ((2, 3), (3, 3), (1, 0)):
+        box = _Tail.box(orders, pol.deg_max)
+        cell_keys = list(itertools.product(range(orders[0] + 1), range(orders[1] + 1)))
+
+        def random_tail(factor_free=True):
+            picked = rng.sample(cell_keys, rng.randint(1, min(4, len(cell_keys))))
+            series = {key: rich_series(rng, pol, 5, factor_free) for key in picked}
+            return _Tail.from_series(box, series)
+
+        for _ in range(8):
+            bound = random_bound(rng, orders, pol.deg_max)
+            like = random_tail()
+            terms = [
+                (Fraction(rng.randint(-9, 9), rng.randint(1, 9)), random_tail(), random_tail())
+                for _ in range(rng.randint(1, 3))
+            ]
+            full = like.products(terms)
+            cut = restricted(like, bound).products(
+                [(q, restricted(lhs, bound), restricted(rhs, bound)) for q, lhs, rhs in terms]
+            )
+            want = restricted(full, bound)
+            assert value(cut) == value(want)
+            assert cut.bound == bound
+            numerators = [n for cell in cut.cells.values() for n in cell.values()]
+            assert math.gcd(cut.den, *numerators) == 1 and 0 not in numerators
+            dropped += len(full.cells) > len(want.cells) > 0
+            den_shrank += want.den < full.den
+            x = random_tail(factor_free=False)
+            assert value(restricted(x, bound).exp()) == value(restricted(x.exp(), bound))
+    assert dropped and den_shrank

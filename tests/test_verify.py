@@ -136,8 +136,8 @@ def test_violation_order_does_not_depend_on_insertion_order(potential_44, monkey
     reversed_cells = {
         key: dict(reversed(cell.items())) for key, cell in reversed(tail.cells.items())
     }
-    copy = _Tail(tail.codec, tail.orders, reversed_cells, tail.den)
-    assert split_cone(copy, result.name) == result
+    copy = _Tail(tail.codec, tail.bound, reversed_cells, tail.den)
+    assert split_cone(copy, result.name)[0] == result
 
 
 def test_residual_order_capped_by_policy(potential_44):
@@ -163,10 +163,19 @@ def test_residual_cone_cells_where_degree_binds(residuals_order_4, n_max, deg_ma
         for a, b, d in itertools.product(span, span, range(deg_max + 1))
         if a + b + d <= deg_max or (max(a, b) <= n_max and d <= deg_max - 2)
     )
-    for report in residuals_order_4(n_max, deg_max):
+    # the residuals expanded over the whole box judge the same cells the same
+    # way, and are measured, not judged, outside the cone
+    potential, _ = build_potential(default_policy(n_max, deg_max))
+    box = _Tail.box((5, 5), deg_max)
+    maxima = verify.out_of_cone_maxima(potential, 4)
+    residuals = (verify._residual_a, verify._residual_c)
+    for report, residual in zip(residuals_order_4(n_max, deg_max), residuals):
         assert report.ok, report.violations[:5]
         assert report.checked == cells
-        assert report.metrics["max_abs_out_of_cone"] > 0
+        assert report.metrics == {}
+        boxed = residual(potential.regular, box)
+        assert verify._split_cone(boxed, report.name) == (report, maxima[report.name])
+        assert maxima[report.name] > 0
 
 
 @pytest.mark.parametrize("n_max, deg_max", [(3, 6), (4, 6), (5, 6), (3, 7), (2, 8)])
