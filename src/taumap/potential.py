@@ -51,6 +51,16 @@ products of ``E_d`` and ``M_d`` and the geometric sum skip it.  The
 geometric sum builds every cell of ``M_d`` under this mask, so each term
 the read receives is live and the read itself tests no mask.
 
+Bar exchange, ``t_k <-> tbar_k`` together with ``u <-> v``, leaves the
+equation invariant and maps the cell ``(a, b)`` of a slice onto ``(b, a)``
+with its codes mirrored (:meth:`taumap.series._Codec.mirror`).  Each slice
+is fixed by the slices below it, so by induction the unique solution is
+symmetric, and so is the dead mask: the mask of ``(b, a)`` is the mirror
+of that of ``(a, b)``.  The products of ``E_d`` and ``M_d`` therefore fill
+only the cells ``a <= b``, and the geometric sum, which keeps ``a - b``,
+sees no other; the cells ``a > b`` are the mirrors of their twins
+(:meth:`taumap.series._Tail.mirrored`), filled before the slice is used.
+
 The recursion for ``N`` is not run here, nor the walk over its keys
 (:func:`taumap.coefficients.admissible_keys`).  They stay as the exact
 oracle the solver answers to, the paper's combinatorial formula, in
@@ -105,10 +115,12 @@ class _TodaSolver:
     codec holding one factor degree: ``X_d``, ``E_d``, ``M_d`` and the
     terms of ``F_d`` in the cell ``(0, 0, d)``.
 
-    ``_dead(a, b)`` reads one table: the code mask of ``t_1..t_{a-1}`` and
-    ``tbar_1..tbar_{b-1}``, the one mask of the dead terms of the cell
-    ``(a, b)``.  The products of ``E_d`` and ``M_d`` and the geometric sum
-    skip the terms that meet it, so :meth:`_read` receives none.
+    ``_dead(a, b)`` reads one table: for ``a <= b`` the code mask of
+    ``t_1..t_{a-1}`` and ``tbar_1..tbar_{b-1}``, the one mask of the dead
+    terms of the cell ``(a, b)``, and for ``a > b`` ``None``, a cell the
+    solver mirrors (module docstring).  The products of ``E_d`` and ``M_d``
+    and the geometric sum skip the terms that meet the mask and the cells
+    that read ``None``, so :meth:`_read` receives no dead term.
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
@@ -122,7 +134,10 @@ class _TodaSolver:
         # by the shift of tbar_1; products look a mask up once per pair of cells
         n, bar = policy.n_max, codec.shift(1, barred=True)
         below = [(1 << codec.shift(max(k, 1))) - 1 for k in range(n + 1)]
-        table = [[below[a] | below[b] << bar for b in range(n + 1)] for a in range(n + 1)]
+        table = [
+            [below[a] | below[b] << bar if a <= b else None for b in range(n + 1)]
+            for a in range(n + 1)
+        ]
         self._dead = lambda a, b: table[a][b]
 
     def _tail(self, cells, den=1) -> _Tail:
@@ -140,14 +155,14 @@ class _TodaSolver:
         for d in range(deg_max - 1):
             if d:
                 x.append(self._sources(f[d], f[d + 1]))
-                e.append(one.graded_exp_slice(x, e, self._dead))
+                e.append(one.graded_exp_slice(x, e, self._dead).mirrored())
                 # M_d = sum_{k >= 1} (u v t0)^k [E_d + (1/d) sum (d-j) E_j M_{d-j}]
                 inner = one.products(
                     [(1, e[d], one)]
                     + [(Fraction(d - j, d), e[j], m[d - j]) for j in range(1, d)],
                     self._dead,
                 )
-                m.append(self._geometric(inner))
+                m.append(self._geometric(inner).mirrored())
             f[d + 2] = self._read(m[d], d)
         # F as one series under the policy, from its cells (0, 0, d)
         series = _Tail.box((0, 0), deg_max)
@@ -184,7 +199,9 @@ class _TodaSolver:
         A term of ``F`` with least unbarred index ``a`` and least barred
         index ``b`` sits in cell ``(a, b)`` as ``n_a m_b / (a b)`` times its
         coefficient, on its monomial less ``t_a tbar_b``.  Every term of
-        ``M_d`` is live in its cell (class docstring), so each is read.
+        ``M_d`` is live in its cell (class docstring), so each is read.  The
+        terms are kept in code order: the map sums them in their order, so
+        its last bits do not depend on how the solver visits its cells.
         """
         codec = self.codec
         mask = codec.mask
@@ -197,7 +214,7 @@ class _TodaSolver:
                 code += step
                 na_mb = ((code >> a_pos) & mask) * ((code >> b_pos) & mask)
                 regular[code] = a * b * c * (scale // na_mb)
-        return self._tail({(0, 0, d + 2): regular}, m.den * scale)
+        return self._tail({(0, 0, d + 2): dict(sorted(regular.items()))}, m.den * scale)
 
 
 def build_potential(

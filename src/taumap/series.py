@@ -26,7 +26,8 @@ Design points:
   symbolically.
 * The packing of a monomial into its code is one rule, :class:`_Codec`:
   one bit field per variable, wide enough for ``deg_max``, and the ``t0``
-  power on top, so codes add under any admissible product.
+  power on top, so codes add under any admissible product; bar exchange
+  swaps the unbarred and barred halves of a code (:meth:`_Codec.mirror`).
 * A series is stored packed, as one :class:`_Tail` of orders ``(0, 0)``:
   its terms filed by factor degree (a value fixed when a monomial is
   built) as ``{code: numerator}`` over one common denominator.  Linear
@@ -162,17 +163,21 @@ class _Codec:
     above them.  The fields run in canonical factor order, so
     :meth:`decode` rebuilds the factors in order, and the code of an
     admissible product is the sum of the codes: no field can carry into the
-    next while the factor degree stays within ``deg_max``.
+    next while the factor degree stays within ``deg_max``.  The unbarred
+    fields fill the low half below ``t0_shift`` and the barred ones the
+    high half, so bar exchange swaps the halves (:meth:`mirror`).
     """
 
-    __slots__ = ("policy", "n_max", "bits", "mask", "t0_shift", "variables")
+    __slots__ = ("policy", "n_max", "bits", "mask", "t0_shift", "variables", "half", "low")
 
     def __init__(self, policy: TruncationPolicy) -> None:
         self.policy = policy
         n = self.n_max = policy.n_max
         self.bits = max(1, policy.deg_max.bit_length())
         self.mask = (1 << self.bits) - 1
-        self.t0_shift = 2 * n * self.bits
+        self.half = n * self.bits
+        self.low = (1 << self.half) - 1
+        self.t0_shift = 2 * self.half
         # the variable of each field, from the lowest
         self.variables = [(k, False) for k in range(1, n + 1)] + [
             (k, True) for k in range(1, n + 1)
@@ -205,6 +210,13 @@ class _Codec:
             fields >>= bits
             pos += 1
         return Monomial._trusted(code >> t0_shift, tuple(factors), degree)
+
+    def mirror(self, code: int) -> int:
+        """The code of the monomial with ``t_k`` and ``tbar_k`` exchanged,
+        the ``t0`` power kept: the two low halves swapped.  A sum of codes
+        mirrors to the sum of their mirrors."""
+        swap = (code ^ code >> self.half) & self.low
+        return code ^ (swap | swap << self.half)
 
 
 class _Tail:
@@ -327,6 +339,17 @@ class _Tail:
         cells = {(b, a, d): cell for (a, b, d), cell in self.cells.items()}
         return self._like(cells, self.den)
 
+    def mirrored(self) -> "_Tail":
+        """The tail with each cell ``(b, a, d)``, ``a < b``, the mirror of its
+        cell ``(a, b, d)`` (:meth:`_Codec.mirror`), for a tail that holds no
+        cell with ``a > b`` and a bound symmetric in ``u`` and ``v``."""
+        mirror = self.codec.mirror
+        cells = dict(self.cells)
+        for (a, b, d), cell in self.cells.items():
+            if a < b:
+                cells[b, a, d] = {mirror(code): n for code, n in cell.items()}
+        return self._like(cells, self.den)
+
     def __mul__(self, other: "_Tail") -> "_Tail":
         return self.products([(1, self, other)])
 
@@ -338,8 +361,9 @@ class _Tail:
         denominator, each ``q`` folded into its left numerators, and the sum
         is reduced once.  ``dead(a, b)``, if given, is a code mask for the
         cell ``(a, b)`` of the result: a left or right term whose code meets
-        it is left out of that cell's products.  Each cell is filtered once
-        per mask.
+        it is left out of that cell's products, and a cell whose mask is
+        ``None`` is not formed, for the caller fills it.  Each cell is
+        filtered once per mask.
         """
         bound = self.bound
         amax, bmax = self.orders
@@ -359,6 +383,8 @@ class _Tail:
                     if a > amax or b > bmax or d >= bound[a][b]:
                         continue
                     mask = dead(a, b) if dead else 0
+                    if mask is None:
+                        continue
                     left_items = lefts.get(mask)
                     if left_items is None:
                         left_items = lefts[mask] = [

@@ -28,7 +28,10 @@ imports nothing from the builder.  Four layers:
   The barred twin of the first constraint reduces to bar-exchange
   symmetry of the potential, which :func:`toda_residual_b` checks as an
   exact identity: every coefficient equals that of its mirror monomial,
-  barred and unbarred variables exchanged;
+  barred and unbarred variables exchanged.  The build solves half the
+  cells and mirrors the rest, so on a built potential it checks that
+  mirror step, and :func:`combinatorial_formula_check` still compares
+  every mirrored term with the recursion;
 * exact coefficient patterns: the factorial vanishing pattern of
   coefficients against an all-ones barred side
   (:func:`factorial_pattern_check`) and a sampled bound on the composition
@@ -78,7 +81,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterable
@@ -503,27 +506,35 @@ def out_of_cone_maxima(potential: PotentialSeries, order: int) -> dict[str, floa
     }
 
 
-def _mirror(mono: Monomial) -> Monomial:
-    """``mono`` with the roles of barred and unbarred variables exchanged."""
-    swapped = sorted(((k, not b, e) for k, b, e in mono.factors), key=lambda f: (f[1], f[0]))
-    return Monomial(mono.t0_power, tuple(swapped))
-
-
 def toda_residual_b(potential: PotentialSeries) -> CheckResult:
     """The barred twin of the pair constraint, via symmetry, per monomial.
 
     Conjugating every operator in the unbarred constraint turns it into the
     barred one, so it holds iff the potential's coefficient collection is
     invariant under exchanging barred and unbarred variables: each
-    coefficient equals that of its mirror monomial (:func:`_mirror`).
-    The build reads a term and its mirror from different cells, ``(a, b)``
-    and ``(b, a)``, of the mixed equation, so the symmetry is not built in.
+    coefficient equals that of its mirror monomial.  Each code is compared
+    with its mirror through the codec's rule
+    (:meth:`taumap.series._Codec.mirror`) and only the violations are
+    decoded.  The build solves the cells ``a <= b`` of the mixed equation
+    and mirrors the rest, so on a built potential this checks that mirror
+    step; on any other potential it is evidence of the symmetry itself.
     ``checked`` counts the monomials of the regular part and of its mirror
     image.
     """
-    built = dict(potential.regular.items())
-    mirrored = {_mirror(m): c for m, c in built.items()}
-    return CheckResult.of_terms("residual_b_symmetry", built, mirrored, "mirror")
+    tail = potential.regular._tail
+    codec, den = tail.codec, tail.den
+    checked, built, mirrored = 0, {}, {}
+    for cell in tail.cells.values():
+        image = {codec.mirror(code): n for code, n in cell.items()}
+        codes = cell.keys() | image.keys()
+        checked += len(codes)
+        for code in codes:
+            n, m = cell.get(code, 0), image.get(code, 0)
+            if n != m:
+                mono = codec.decode(code)
+                built[mono], mirrored[mono] = Fraction(n, den), Fraction(m, den)
+    report = CheckResult.of_terms("residual_b_symmetry", built, mirrored, "mirror")
+    return replace(report, checked=checked)
 
 
 # -- coefficient patterns -----------------------------------------------------

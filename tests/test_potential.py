@@ -27,6 +27,7 @@ from taumap.series import (
     PotentialSeries,
     TruncatedSeries,
     _Codec,
+    _Tail,
     series_to_json_terms,
 )
 from taumap.verify import (
@@ -322,8 +323,9 @@ def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
     solver = potential_module._TodaSolver(policy)
     assert solver.orders == (4, 4)
     for a, b in itertools.product(range(5), range(5)):
-        assert solver._dead(a, b) == fields(a, b)
-    assert solver._dead(3, 1) & unbarred
+        # a cell a > b is the mirror of (b, a), which the solver fills itself
+        assert solver._dead(a, b) == (fields(a, b) if a <= b else None)
+    assert solver._dead(3, 4) & unbarred
 
 
 @pytest.mark.parametrize("n_max, deg_max", [(3, 5), (4, 6), (5, 6), (6, 4), (8, 3)])
@@ -335,8 +337,13 @@ def test_every_term_the_read_receives_is_live_in_its_cell(monkeypatch, n_max, de
     received = []
 
     def recording(solver, m, d):
+        # a cell a > b is the mirror of (b, a): its mask is the mirror of theirs
+        mirror = solver.codec.mirror
         for (a, b, _), cell in m.cells.items():
-            received.extend((a, b, code & solver._dead(a, b)) for code in cell)
+            if a <= b:
+                received.extend((a, b, code & solver._dead(a, b)) for code in cell)
+            else:
+                received.extend((a, b, mirror(code) & solver._dead(b, a)) for code in cell)
         return read(solver, m, d)
 
     monkeypatch.setattr(potential_module._TodaSolver, "_read", recording)
@@ -345,6 +352,48 @@ def test_every_term_the_read_receives_is_live_in_its_cell(monkeypatch, n_max, de
     # cells with a nonzero mask were read, and each term gave one term of F
     assert any(a > 1 or b > 1 for a, b, _ in received)
     assert len(received) == len(potential.regular)
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(3, 5), (5, 6), (6, 4), (4, 7)])
+def test_solver_fills_the_cells_a_le_b_and_hands_on_mirror_symmetric_slices(
+    monkeypatch, n_max, deg_max
+):
+    # the products of E_d and M_d fill no cell a > b; every slice the solver
+    # hands on -- each operand of its products and each M_d it reads -- is
+    # its own mirror, cell (b, a) against cell (a, b)
+    products, read = _Tail.products, potential_module._TodaSolver._read
+    filled, handed = [], []
+
+    def recording_products(self, terms, dead=None):
+        out = products(self, terms, dead)
+        if dead is not None:
+            filled.extend(out.cells)
+            handed.extend(tail for _, left, right in terms for tail in (left, right))
+        return out
+
+    def recording_read(solver, m, d):
+        handed.append(m)
+        return read(solver, m, d)
+
+    monkeypatch.setattr(_Tail, "products", recording_products)
+    monkeypatch.setattr(potential_module._TodaSolver, "_read", recording_read)
+    policy = default_policy(n_max, deg_max)
+    build_potential(policy)
+    assert filled and all(a <= b for a, b, _ in filled)
+    mirror = _Codec(policy).mirror
+    for tail in handed:
+        for (a, b, d), cell in tail.cells.items():
+            assert {mirror(code): n for code, n in cell.items()} == tail.cells.get((b, a, d))
+    assert any(a > b for tail in handed for a, b, _ in tail.cells)
+
+
+def test_potential_terms_are_in_code_order_within_each_degree():
+    # the map sums the terms in their order, so its last bits do not depend
+    # on the order in which the solver visits its cells
+    potential, _ = build_potential(default_policy(6, 7))
+    cells = potential.regular._tail.cells
+    assert list(cells) == sorted(cells)
+    assert all(list(cell) == sorted(cell) for cell in cells.values())
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from taumap.series import (
     series_to_json_terms,
 )
 from taumap.potential import build_potential
-from taumap.verify import _cone, _mirror, toda_residual_a, toda_residual_c
+from taumap.verify import _cone, toda_residual_a, toda_residual_c
 
 
 POLICY = TruncationPolicy(n_max=3, deg_max=6)
@@ -698,8 +698,11 @@ def exponent_sum(m):
 
 
 def mirrored(s):
-    """``s`` with barred and unbarred variables exchanged."""
-    return TruncatedSeries(s.policy, {_mirror(m): c for m, c in s.items()})
+    """``s`` with barred and unbarred variables exchanged, by the codec's rule."""
+    codec = _Codec(s.policy)
+    return TruncatedSeries(
+        s.policy, {codec.decode(codec.mirror(codec.encode(m))): c for m, c in s.items()}
+    )
 
 
 def test_degree_is_exponent_sum_on_every_construction_path():
@@ -864,6 +867,35 @@ def test_codec_code_of_an_admissible_product_is_the_sum_of_codes():
             assert codec.encode(m1) + codec.encode(m2) == codec.encode(product)
             assert codec.decode(codec.encode(m1) + codec.encode(m2)) == product
     assert pairs > 1000
+
+
+def bar_exchanged(mono):
+    """``mono`` with ``t_k`` and ``tbar_k`` exchanged, in canonical order."""
+    factors = sorted(((k, not b, e) for k, b, e in mono.factors), key=lambda f: (f[1], f[0]))
+    return Monomial(mono.t0_power, tuple(factors))
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(3, 4), (4, 7)])
+def test_codec_mirror_exchanges_the_bars_and_is_additive(n_max, deg_max):
+    # on every admissible monomial the mirror is an involution that swaps
+    # t_k and tbar_k and keeps the t0 power; on admissible products it adds
+    policy = TruncationPolicy(n_max, deg_max)
+    codec = _Codec(policy)
+    by_degree = {}
+    for factors in admissible_factor_parts(policy):
+        for t0_power in (0, 1, 2**70 + 3):
+            mono = Monomial(t0_power, factors)
+            code = codec.encode(mono)
+            image = codec.mirror(code)
+            assert codec.mirror(image) == code
+            assert codec.decode(image) == bar_exchanged(mono)
+            by_degree.setdefault(mono.degree, []).append(code)
+    rng = random.Random(61)
+    for _ in range(5000):
+        d1 = rng.randint(0, deg_max)
+        c1 = rng.choice(by_degree[d1])
+        c2 = rng.choice(by_degree[rng.randint(0, deg_max - d1)])
+        assert codec.mirror(c1 + c2) == codec.mirror(c1) + codec.mirror(c2)
 
 
 def random_bound(rng, orders, deg_max):
