@@ -56,10 +56,14 @@ equation invariant and maps the cell ``(a, b)`` of a slice onto ``(b, a)``
 with its codes mirrored (:meth:`taumap.series._Codec.mirror`).  Each slice
 is fixed by the slices below it, so by induction the unique solution is
 symmetric, and so is the dead mask: the mask of ``(b, a)`` is the mirror
-of that of ``(a, b)``.  The products of ``E_d`` and ``M_d`` therefore fill
-only the cells ``a <= b``, and the geometric sum, which keeps ``a - b``,
-sees no other; the cells ``a > b`` are the mirrors of their twins
-(:meth:`taumap.series._Tail.mirrored`), filled before the slice is used.
+of that of ``(a, b)``.  The products of ``E_d`` and ``M_d`` therefore form
+products only into the cells ``a <= b`` and read each cell ``a > b`` as the
+mirror of its twin (:meth:`taumap.series._Tail.products`).  The map sums
+the potential's terms in their order, so a mirrored cell keeps the order in
+which forming its products would meet its codes: every slice, and ``F``,
+is as forming every product makes it, to the order of its terms.  The
+geometric sum, which keeps ``a - b`` and forms no product, builds every
+cell.
 
 The recursion for ``N`` is not run here, nor the walk over its keys
 (:func:`taumap.coefficients.admissible_keys`).  They stay as the exact
@@ -115,12 +119,12 @@ class _TodaSolver:
     codec holding one factor degree: ``X_d``, ``E_d``, ``M_d`` and the
     terms of ``F_d`` in the cell ``(0, 0, d)``.
 
-    ``_dead(a, b)`` reads one table: for ``a <= b`` the code mask of
-    ``t_1..t_{a-1}`` and ``tbar_1..tbar_{b-1}``, the one mask of the dead
-    terms of the cell ``(a, b)``, and for ``a > b`` ``None``, a cell the
-    solver mirrors (module docstring).  The products of ``E_d`` and ``M_d``
-    and the geometric sum skip the terms that meet the mask and the cells
-    that read ``None``, so :meth:`_read` receives no dead term.
+    ``_masks[a][b]`` is the code mask of ``t_1..t_{a-1}`` and
+    ``tbar_1..tbar_{b-1}``, the one mask of the dead terms of the cell
+    ``(a, b)``.  The geometric sum skips the terms that meet it, and so do
+    the products of ``E_d`` and ``M_d``, through ``_dead(a, b)``: the mask
+    for ``a <= b`` and ``None`` for ``a > b``, a cell they mirror (module
+    docstring).  So :meth:`_read` receives no dead term.
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
@@ -134,11 +138,10 @@ class _TodaSolver:
         # by the shift of tbar_1; products look a mask up once per pair of cells
         n, bar = policy.n_max, codec.shift(1, barred=True)
         below = [(1 << codec.shift(max(k, 1))) - 1 for k in range(n + 1)]
-        table = [
-            [below[a] | below[b] << bar if a <= b else None for b in range(n + 1)]
-            for a in range(n + 1)
+        self._masks = masks = [
+            [below[a] | below[b] << bar for b in range(n + 1)] for a in range(n + 1)
         ]
-        self._dead = lambda a, b: table[a][b]
+        self._dead = lambda a, b: masks[a][b] if a <= b else None
 
     def _tail(self, cells, den=1) -> _Tail:
         return _Tail(self.codec, self.bound, cells, den)
@@ -155,14 +158,14 @@ class _TodaSolver:
         for d in range(deg_max - 1):
             if d:
                 x.append(self._sources(f[d], f[d + 1]))
-                e.append(one.graded_exp_slice(x, e, self._dead).mirrored())
+                e.append(one.graded_exp_slice(x, e, self._dead))
                 # M_d = sum_{k >= 1} (u v t0)^k [E_d + (1/d) sum (d-j) E_j M_{d-j}]
                 inner = one.products(
                     [(1, e[d], one)]
                     + [(Fraction(d - j, d), e[j], m[d - j]) for j in range(1, d)],
                     self._dead,
                 )
-                m.append(self._geometric(inner).mirrored())
+                m.append(self._geometric(inner))
             f[d + 2] = self._read(m[d], d)
         # F as one series under the policy, from its cells (0, 0, d)
         series = _Tail.box((0, 0), deg_max)
@@ -187,7 +190,7 @@ class _TodaSolver:
             for k in range(1, min(amax - a, bmax - b) + 1):
                 out = cells.setdefault((a + k, b + k, d), {})
                 shift = k * self.t0
-                mask = self._dead(a + k, b + k)
+                mask = self._masks[a + k][b + k]
                 for code, n in cell.items():
                     if not code & mask:
                         out[code + shift] = out.get(code + shift, 0) + n
@@ -199,9 +202,7 @@ class _TodaSolver:
         A term of ``F`` with least unbarred index ``a`` and least barred
         index ``b`` sits in cell ``(a, b)`` as ``n_a m_b / (a b)`` times its
         coefficient, on its monomial less ``t_a tbar_b``.  Every term of
-        ``M_d`` is live in its cell (class docstring), so each is read.  The
-        terms are kept in code order: the map sums them in their order, so
-        its last bits do not depend on how the solver visits its cells.
+        ``M_d`` is live in its cell (class docstring), so each is read.
         """
         codec = self.codec
         mask = codec.mask
@@ -214,7 +215,7 @@ class _TodaSolver:
                 code += step
                 na_mb = ((code >> a_pos) & mask) * ((code >> b_pos) & mask)
                 regular[code] = a * b * c * (scale // na_mb)
-        return self._tail({(0, 0, d + 2): dict(sorted(regular.items()))}, m.den * scale)
+        return self._tail({(0, 0, d + 2): regular}, m.den * scale)
 
 
 def build_potential(

@@ -339,17 +339,6 @@ class _Tail:
         cells = {(b, a, d): cell for (a, b, d), cell in self.cells.items()}
         return self._like(cells, self.den)
 
-    def mirrored(self) -> "_Tail":
-        """The tail with each cell ``(b, a, d)``, ``a < b``, the mirror of its
-        cell ``(a, b, d)`` (:meth:`_Codec.mirror`), for a tail that holds no
-        cell with ``a > b`` and a bound symmetric in ``u`` and ``v``."""
-        mirror = self.codec.mirror
-        cells = dict(self.cells)
-        for (a, b, d), cell in self.cells.items():
-            if a < b:
-                cells[b, a, d] = {mirror(code): n for code, n in cell.items()}
-        return self._like(cells, self.den)
-
     def __mul__(self, other: "_Tail") -> "_Tail":
         return self.products([(1, self, other)])
 
@@ -361,9 +350,17 @@ class _Tail:
         denominator, each ``q`` folded into its left numerators, and the sum
         is reduced once.  ``dead(a, b)``, if given, is a code mask for the
         cell ``(a, b)`` of the result: a left or right term whose code meets
-        it is left out of that cell's products, and a cell whose mask is
-        ``None`` is not formed, for the caller fills it.  Each cell is
-        filtered once per mask.
+        it is left out of that cell's products.  Each cell is filtered once
+        per mask.
+
+        A cell whose mask reads ``None`` is the mirror (:meth:`_Codec.mirror`)
+        of the cell ``(b, a)``, whose mask must not be ``None``, for operands
+        that are each bar-exchange symmetric, under a bound symmetric in
+        ``u`` and ``v``.  Its mask is that of ``(b, a)`` mirrored, and its
+        numerators are read from ``(b, a)``: no product is formed for it.
+        It still holds its place among the cells and its codes their order,
+        first met first, as if its products were formed, so the result is
+        the full product's to the order of its terms (:meth:`_mirror_cell`).
         """
         bound = self.bound
         amax, bmax = self.orders
@@ -373,6 +370,8 @@ class _Tail:
         # (id of a right cell, mask): its terms outside the mask; the
         # operands hold the cells, so no id is reused during the call
         rights: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # each mirrored cell: the pairs of cells its products would come from
+        twins: dict[tuple[int, int, int], list[tuple[dict, dict]]] = {}
         for s, (_, lhs, rhs) in zip(scales, terms):
             w = s.numerator * (den // s.denominator)
             for (a1, b1, d1), left in lhs.cells.items():
@@ -384,6 +383,16 @@ class _Tail:
                         continue
                     mask = dead(a, b) if dead else 0
                     if mask is None:
+                        pairs = twins.get((a, b, d))
+                        if pairs is not None:
+                            pairs.append((left, right))
+                            continue
+                        # the cell takes its place at its first pair with a
+                        # live term on each side, as a formed cell does
+                        mask = self.codec.mirror(dead(b, a))
+                        if all(any(not c & mask for c in cell) for cell in (left, right)):
+                            acc[a, b, d] = {}
+                            twins[a, b, d] = [(left, right)]
                         continue
                     left_items = lefts.get(mask)
                     if left_items is None:
@@ -408,7 +417,29 @@ class _Tail:
                         for code2, n2 in right_items:
                             key = code1 + code2
                             out[key] = get(key, 0) + n1 * n2
+        for (a, b, d), pairs in twins.items():
+            acc[a, b, d] = self._mirror_cell(acc.get((b, a, d), {}), pairs)
         return self._like(acc, den)
+
+    def _mirror_cell(self, twin: dict[int, int], pairs) -> dict[int, int]:
+        """The mirror of the accumulated cell ``twin``, its codes in the
+        order in which the pair loop over ``pairs``, ``(left, right)`` cells
+        in turn, first meets them.  A sum of codes one of which has a dead
+        factor has one too, so it is not among the mirrored codes and the
+        loop needs no mask; it stops once every code is met.  A code whose
+        numerator summed to 0 is kept, as in the accumulator, for the
+        reduction to drop."""
+        image = dict(zip(map(self.codec.mirror, twin), twin.values()))
+        out: dict[int, int] = {}
+        for left, right in pairs:
+            for code1 in left:
+                for code2 in right:
+                    code = code1 + code2
+                    if code in image:
+                        out[code] = image.pop(code)
+                if not image:
+                    return out
+        return out
 
     def exp(self) -> "_Tail":
         """``exp(self)`` for a tail with no term in the cell ``(0, 0, 0)``.

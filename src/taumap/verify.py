@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterable
@@ -534,7 +534,8 @@ def toda_residual_b(potential: PotentialSeries) -> CheckResult:
                 mono = codec.decode(code)
                 built[mono], mirrored[mono] = Fraction(n, den), Fraction(m, den)
     report = CheckResult.of_terms("residual_b_symmetry", built, mirrored, "mirror")
-    return replace(report, checked=checked)
+    report.checked = checked
+    return report
 
 
 # -- coefficient patterns -----------------------------------------------------

@@ -732,16 +732,15 @@ def test_moments_rejects_non_finite_and_oversized_curves(tmp_path, capsys, paylo
 
 
 # sha256 of `taumap map --nmax N --degmax D --in <MAP_MOMENTS>` stdout: the
-# map's last bits, which the roundtrip's sup error does not pin.  The map
-# sums the potential's terms in their order, code order within each degree
+# map's last bits, which the roundtrip's sup error does not pin
 MAP_MOMENTS = {
     "t0": 0.9,
     "t": [[0.04, 0.01], [0.03, -0.02], [0.01, 0.005], [0.004, 0.0],
           [0.002, 0.001], [0.001, 0.0], [0.0005, 0.0002], [0.0002, 0.0]],
 }
 MAP_SHA256 = {
-    (6, 7): "32928f12bd0433355496ed1cb1a6c81efba1150031c6c655e8b2e8fde0cac583",
-    (8, 6): "60f8d26b95cacdad2343151ffef1807a00a4f6fccb0d5dc5d915cb5aeea85fde",
+    (6, 7): "e6814b1f87d2d1f580526aa63682ca9d8a93b7f9cef675704cbff34d32dd7fc7",
+    (8, 6): "1aa62cadccba8dcde4c6c4864bc4a2aa5feee7a110f0c1df5af0330dc033482c",
 }
 
 

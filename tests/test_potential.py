@@ -323,9 +323,10 @@ def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
     solver = potential_module._TodaSolver(policy)
     assert solver.orders == (4, 4)
     for a, b in itertools.product(range(5), range(5)):
-        # a cell a > b is the mirror of (b, a), which the solver fills itself
+        assert solver._masks[a][b] == fields(a, b)
+        # a cell a > b reads None: the products mirror it from (b, a)
         assert solver._dead(a, b) == (fields(a, b) if a <= b else None)
-    assert solver._dead(3, 4) & unbarred
+    assert solver._dead(3, 4) & unbarred and solver._masks[3][1] & unbarred
 
 
 @pytest.mark.parametrize("n_max, deg_max", [(3, 5), (4, 6), (5, 6), (6, 4), (8, 3)])
@@ -337,13 +338,8 @@ def test_every_term_the_read_receives_is_live_in_its_cell(monkeypatch, n_max, de
     received = []
 
     def recording(solver, m, d):
-        # a cell a > b is the mirror of (b, a): its mask is the mirror of theirs
-        mirror = solver.codec.mirror
         for (a, b, _), cell in m.cells.items():
-            if a <= b:
-                received.extend((a, b, code & solver._dead(a, b)) for code in cell)
-            else:
-                received.extend((a, b, mirror(code) & solver._dead(b, a)) for code in cell)
+            received.extend((a, b, code & solver._masks[a][b]) for code in cell)
         return read(solver, m, d)
 
     monkeypatch.setattr(potential_module._TodaSolver, "_read", recording)
@@ -355,21 +351,21 @@ def test_every_term_the_read_receives_is_live_in_its_cell(monkeypatch, n_max, de
 
 
 @pytest.mark.parametrize("n_max, deg_max", [(3, 5), (5, 6), (6, 4), (4, 7)])
-def test_solver_fills_the_cells_a_le_b_and_hands_on_mirror_symmetric_slices(
+def test_solver_forms_no_product_into_a_cell_a_gt_b_and_hands_on_mirror_symmetric_slices(
     monkeypatch, n_max, deg_max
 ):
-    # the products of E_d and M_d fill no cell a > b; every slice the solver
-    # hands on -- each operand of its products and each M_d it reads -- is
-    # its own mirror, cell (b, a) against cell (a, b)
+    # every products call of the solver reads None at each cell a > b, so it
+    # forms no product there (test_series: such a cell is its twin's mirror);
+    # every slice the solver hands on -- each operand of its products and
+    # each M_d it reads -- is its own mirror, cell (b, a) against cell (a, b)
     products, read = _Tail.products, potential_module._TodaSolver._read
-    filled, handed = [], []
+    seams, handed = [], []
 
     def recording_products(self, terms, dead=None):
-        out = products(self, terms, dead)
         if dead is not None:
-            filled.extend(out.cells)
+            seams.append(dead)
             handed.extend(tail for _, left, right in terms for tail in (left, right))
-        return out
+        return products(self, terms, dead)
 
     def recording_read(solver, m, d):
         handed.append(m)
@@ -379,7 +375,10 @@ def test_solver_fills_the_cells_a_le_b_and_hands_on_mirror_symmetric_slices(
     monkeypatch.setattr(potential_module._TodaSolver, "_read", recording_read)
     policy = default_policy(n_max, deg_max)
     build_potential(policy)
-    assert filled and all(a <= b for a, b, _ in filled)
+    assert seams
+    for dead in seams:
+        for a, b in itertools.product(range(n_max + 1), repeat=2):
+            assert (dead(a, b) is None) == (a > b)
     mirror = _Codec(policy).mirror
     for tail in handed:
         for (a, b, d), cell in tail.cells.items():
@@ -387,13 +386,31 @@ def test_solver_fills_the_cells_a_le_b_and_hands_on_mirror_symmetric_slices(
     assert any(a > b for tail in handed for a, b, _ in tail.cells)
 
 
-def test_potential_terms_are_in_code_order_within_each_degree():
-    # the map sums the terms in their order, so its last bits do not depend
-    # on the order in which the solver visits its cells
-    potential, _ = build_potential(default_policy(6, 7))
-    cells = potential.regular._tail.cells
-    assert list(cells) == sorted(cells)
-    assert all(list(cell) == sorted(cell) for cell in cells.values())
+@pytest.mark.parametrize("n_max, deg_max", [(3, 5), (5, 6), (6, 7), (8, 6), (6, 4), (4, 8)])
+def test_mirrored_cells_leave_every_slice_as_the_full_products_make_it(
+    monkeypatch, n_max, deg_max
+):
+    # the map sums the potential's terms in their order, so mirroring keeps
+    # each slice, to the order of its cells and codes, as forming every
+    # product makes it: the dead mask of every cell against None at a > b
+    products = _Tail.products
+    slices = []
+
+    def recording(self, terms, dead=None):
+        out = products(self, terms, dead)
+        slices.append(([(key, list(cell.items())) for key, cell in out.cells.items()], out.den))
+        return out
+
+    monkeypatch.setattr(_Tail, "products", recording)
+    policy = default_policy(n_max, deg_max)
+    full = potential_module._TodaSolver(policy)
+    full._dead = lambda a, b: full._masks[a][b]
+    runs = []
+    for solver in (full, potential_module._TodaSolver(policy)):
+        slices.clear()
+        tail = solver.solve()._tail
+        runs.append((list(slices), [(key, list(cell.items())) for key, cell in tail.cells.items()]))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(
