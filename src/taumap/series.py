@@ -370,8 +370,10 @@ class _Tail:
         # (id of a right cell, mask): its terms outside the mask; the
         # operands hold the cells, so no id is reused during the call
         rights: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        # each mirrored cell: the pairs of cells its products would come from
-        twins: dict[tuple[int, int, int], list[tuple[dict, dict]]] = {}
+        # each mirrored cell: its mask and the pairs of cells its products
+        # would come from; (a, b): the mask of a mirrored cell
+        twins: dict[tuple[int, int, int], tuple[int, list[tuple[dict, dict]]]] = {}
+        masks: dict[tuple[int, int], int] = {}
         for s, (_, lhs, rhs) in zip(scales, terms):
             w = s.numerator * (den // s.denominator)
             for (a1, b1, d1), left in lhs.cells.items():
@@ -383,16 +385,18 @@ class _Tail:
                         continue
                     mask = dead(a, b) if dead else 0
                     if mask is None:
-                        pairs = twins.get((a, b, d))
-                        if pairs is not None:
-                            pairs.append((left, right))
+                        twin = twins.get((a, b, d))
+                        if twin is not None:
+                            twin[1].append((left, right))
                             continue
                         # the cell takes its place at its first pair with a
                         # live term on each side, as a formed cell does
-                        mask = self.codec.mirror(dead(b, a))
-                        if all(any(not c & mask for c in cell) for cell in (left, right)):
+                        mask = masks.get((a, b))
+                        if mask is None:
+                            mask = masks[a, b] = self.codec.mirror(dead(b, a))
+                        if any(not c & mask for c in left) and any(not c & mask for c in right):
                             acc[a, b, d] = {}
-                            twins[a, b, d] = [(left, right)]
+                            twins[a, b, d] = (mask, [(left, right)])
                         continue
                     left_items = lefts.get(mask)
                     if left_items is None:
@@ -417,22 +421,25 @@ class _Tail:
                         for code2, n2 in right_items:
                             key = code1 + code2
                             out[key] = get(key, 0) + n1 * n2
-        for (a, b, d), pairs in twins.items():
-            acc[a, b, d] = self._mirror_cell(acc.get((b, a, d), {}), pairs)
+        for (a, b, d), (mask, pairs) in twins.items():
+            acc[a, b, d] = self._mirror_cell(acc.get((b, a, d), {}), mask, pairs)
         return self._like(acc, den)
 
-    def _mirror_cell(self, twin: dict[int, int], pairs) -> dict[int, int]:
+    def _mirror_cell(self, twin: dict[int, int], mask: int, pairs) -> dict[int, int]:
         """The mirror of the accumulated cell ``twin``, its codes in the
         order in which the pair loop over ``pairs``, ``(left, right)`` cells
-        in turn, first meets them.  A sum of codes one of which has a dead
-        factor has one too, so it is not among the mirrored codes and the
-        loop needs no mask; it stops once every code is met.  A code whose
-        numerator summed to 0 is kept, as in the accumulator, for the
+        in turn, first meets them under the cell's ``mask``.  A sum of codes
+        one of which meets the mask meets it too, so it is not among the
+        mirrored codes: the loop skips the left codes that meet the mask,
+        tests no right code, and stops once every code is met.  A code
+        whose numerator summed to 0 is kept, as in the accumulator, for the
         reduction to drop."""
         image = dict(zip(map(self.codec.mirror, twin), twin.values()))
         out: dict[int, int] = {}
         for left, right in pairs:
             for code1 in left:
+                if code1 & mask:
+                    continue
                 for code2 in right:
                     code = code1 + code2
                     if code in image:

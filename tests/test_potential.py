@@ -351,7 +351,7 @@ def test_every_term_the_read_receives_is_live_in_its_cell(monkeypatch, n_max, de
 
 
 @pytest.mark.parametrize("n_max, deg_max", [(3, 5), (5, 6), (6, 4), (4, 7)])
-def test_solver_forms_no_product_into_a_cell_a_gt_b_and_hands_on_mirror_symmetric_slices(
+def test_solver_forms_no_product_for_a_gt_b_and_hands_on_symmetric_slices(
     monkeypatch, n_max, deg_max
 ):
     # every products call of the solver reads None at each cell a > b, so it
@@ -396,9 +396,12 @@ def test_mirrored_cells_leave_every_slice_as_the_full_products_make_it(
     products = _Tail.products
     slices = []
 
+    def ordered(tail):
+        return [(key, list(cell.items())) for key, cell in tail.cells.items()], tail.den
+
     def recording(self, terms, dead=None):
         out = products(self, terms, dead)
-        slices.append(([(key, list(cell.items())) for key, cell in out.cells.items()], out.den))
+        slices.append(ordered(out))
         return out
 
     monkeypatch.setattr(_Tail, "products", recording)
@@ -408,8 +411,7 @@ def test_mirrored_cells_leave_every_slice_as_the_full_products_make_it(
     runs = []
     for solver in (full, potential_module._TodaSolver(policy)):
         slices.clear()
-        tail = solver.solve()._tail
-        runs.append((list(slices), [(key, list(cell.items())) for key, cell in tail.cells.items()]))
+        runs.append((ordered(solver.solve()._tail), list(slices)))
     assert runs[0] == runs[1]
 
 
