@@ -94,7 +94,10 @@ class _Kernel:
     """Rows of exact series compiled for evaluation in complex binary64.
 
     Each row's terms form one contiguous block of columns, in row order;
-    ``ends`` holds where each block ends.  The rows of the map never share
+    ``ends`` holds where each block ends.  Within its block a row's terms
+    run in ascending code order, so its sum, and each float the kernel
+    gives, depends on the row's terms alone and not on the order in which
+    the algebra made them.  The rows of the map never share
     a monomial (``A`` has equal plain and barred weight, ``B_k`` plain
     weight ``k`` below barred), so no column is stored twice there.
     ``support`` has one entry per variable -- ``t0``, then ``t_k`` and
@@ -128,8 +131,13 @@ class _Kernel:
                 codes += cell
                 coeffs.extend(n / den for n in cell.values())
             ends.append(len(codes))
-        # codes beyond 63 bits are shifted as Python ints
+        # codes beyond 63 bits are shifted and sorted as Python ints
         packed = np.array(codes, dtype=np.int64 if max(codes, default=0) >> 63 == 0 else object)
+        # each row's block in code order (class docstring)
+        order = np.concatenate(
+            [start + np.argsort(packed[start:end]) for start, end in zip([0] + ends, ends)]
+        )
+        packed = packed[order]
         self.n = n = codec.n_max
         # t0, the top field that the mask -1 keeps whole, then t_k, tbar_k in turn
         fields = [(codec.t0_shift, -1)]
@@ -139,7 +147,7 @@ class _Kernel:
             field = ((packed >> shift) & mask).astype(np.intp)
             cols = np.flatnonzero(field)
             self.support.append((cols, field[cols], int(field.max(initial=0))))
-        self.coeffs = np.frombuffer(coeffs, dtype=np.float64)
+        self.coeffs = np.frombuffer(coeffs, dtype=np.float64)[order]
         self.ends = ends
         bounds = np.array([0] + ends)
         self.filled = np.flatnonzero(np.diff(bounds))

@@ -58,12 +58,11 @@ is fixed by the slices below it, so by induction the unique solution is
 symmetric, and so is the dead mask: the mask of ``(b, a)`` is the mirror
 of that of ``(a, b)``.  The products of ``E_d`` and ``M_d`` therefore form
 products only into the cells ``a <= b`` and read each cell ``a > b`` as the
-mirror of its twin (:meth:`taumap.series._Tail.products`).  The map sums
-the potential's terms in their order, so a mirrored cell keeps the order in
-which forming its products would meet its codes: every slice, and ``F``,
-is as forming every product makes it, to the order of its terms.  The
-geometric sum, which keeps ``a - b`` and forms no product, builds every
-cell.
+mirror of its twin (:meth:`taumap.series._Tail.products`), in the twin's
+order: every slice, and ``F``, holds the terms that forming every product
+gives, in another order.  The map sums each row in code order, so no float
+depends on that order (:class:`taumap.confmap._Kernel`).  The geometric
+sum, which keeps ``a - b`` and forms no product, builds every cell.
 
 The recursion for ``N`` is not run here, nor the walk over its keys
 (:func:`taumap.coefficients.admissible_keys`).  They stay as the exact

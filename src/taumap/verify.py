@@ -547,7 +547,7 @@ def factorial_pattern_check(i_max: int) -> CheckResult:
     For every unbarred shape of weight ``i <= i_max`` the coefficient with
     barred side ``1^i`` is ``(i-1)!`` when the shape is the single index
     ``i`` and zero otherwise.  The coefficients are evaluated on a fresh
-    cache.
+    cache, each key in the orientation :func:`_oriented` picks.
     """
     cache = MemoCache()
     violations = []
@@ -555,8 +555,7 @@ def factorial_pattern_check(i_max: int) -> CheckResult:
     for i in range(1, i_max + 1):
         for shape in bounded_partitions(i, i, i):
             checked += 1
-            key = NKey(shape, ((1, i),))
-            value = n2_coefficient(key, cache)
+            value = n2_coefficient(_oriented(NKey(shape, ((1, i),))), cache)
             expected = Fraction(factorial(i - 1)) if shape == ((i, 1),) else Fraction(0)
             if value != expected:
                 violations.append(f"shape {shape} weight {i}: {value} != {expected}")

@@ -739,8 +739,8 @@ MAP_MOMENTS = {
           [0.002, 0.001], [0.001, 0.0], [0.0005, 0.0002], [0.0002, 0.0]],
 }
 MAP_SHA256 = {
-    (6, 7): "e6814b1f87d2d1f580526aa63682ca9d8a93b7f9cef675704cbff34d32dd7fc7",
-    (8, 6): "1aa62cadccba8dcde4c6c4864bc4a2aa5feee7a110f0c1df5af0330dc033482c",
+    (6, 7): "24b93bb751683a781352068c2c0d47b0e0b959652b5151f4176e13777b353146",
+    (8, 6): "04824039f9df78a57f7d9661a614e8fd3904095b5aeda78c6b547f83d2741475",
 }
 
 

@@ -12,6 +12,7 @@ from taumap.confmap import ExteriorMapSeries, _closure, _Kernel, evaluate_map, m
 from taumap.moments import BoundaryCurve, MomentVector, moments_from_curve
 from taumap.potential import build_potential, default_policy
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
+from taumap.verify import degree_term_sums
 
 
 @pytest.fixture(scope="module")
@@ -402,10 +403,11 @@ def test_empty_kernel_rows_read_exactly_zero():
 def decoded_kernel_arrays(rows):
     """The kernel's ``exponents``, ``coeffs`` and ``ends`` as they were built
     before the kernel read the packed codes: from the decoded terms, each
-    coefficient ``float(Fraction)``."""
+    row's in code order and each coefficient ``float(Fraction)``."""
     var, col, power, coeffs, ends = [], [], [], [], []
     for row in rows:
-        for mono, c in row.items():
+        encode = row._tail.codec.encode
+        for mono, c in sorted(row.items(), key=lambda term: encode(term[0])):
             j = len(coeffs)
             coeffs.append(float(c))
             var.append(0)
@@ -460,6 +462,26 @@ def test_kernel_reads_codes_wider_than_63_bits():
     assert kernel.n == 12 and kernel.ends == ends == [3, 3]
     assert_support_of(kernel, exponents)
     assert np.array_equal(kernel.coeffs, coeffs)
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(6, 7), (8, 6)])
+def test_map_does_not_depend_on_the_order_of_the_terms(n_max, deg_max, potential_86):
+    # the kernel sums each row in code order, so a potential whose cells and
+    # codes are shuffled gives the same floats, bit for bit
+    potential = potential_86 if n_max == 8 else build_potential(default_policy(n_max, deg_max))[0]
+    tail = potential.regular._tail
+    rng = random.Random(10 * n_max + deg_max)
+    cells = {}
+    for key in rng.sample(list(tail.cells), len(tail.cells)):
+        items = list(tail.cells[key].items())
+        cells[key] = dict(rng.sample(items, len(items)))
+    shuffled = PotentialSeries(TruncatedSeries._of(tail._like(cells, tail.den)))
+    assert [list(c) for c in shuffled.regular._tail.cells.values()] != [
+        list(c) for c in tail.cells.values()
+    ]
+    for m in curve_moments(40 + n_max, 4, n_max):
+        assert map_from_potential(shuffled, m, 12) == map_from_potential(potential, m, 12)
+        assert degree_term_sums(shuffled, m) == degree_term_sums(potential, m)
 
 
 def test_a_short_moment_vector_reads_as_zero_padded(potential_46):

@@ -390,18 +390,18 @@ def test_solver_forms_no_product_for_a_gt_b_and_hands_on_symmetric_slices(
 def test_mirrored_cells_leave_every_slice_as_the_full_products_make_it(
     monkeypatch, n_max, deg_max
 ):
-    # the map sums the potential's terms in their order, so mirroring keeps
-    # each slice, to the order of its cells and codes, as forming every
-    # product makes it: the dead mask of every cell against None at a > b
+    # mirroring leaves each slice's cells, codes, numerators and denominator
+    # as forming every product makes them, in another order (the map sums
+    # in code order): the dead mask of every cell against None at a > b
     products = _Tail.products
     slices = []
 
-    def ordered(tail):
-        return [(key, list(cell.items())) for key, cell in tail.cells.items()], tail.den
+    def contents(tail):
+        return {key: dict(cell) for key, cell in tail.cells.items()}, tail.den
 
     def recording(self, terms, dead=None):
         out = products(self, terms, dead)
-        slices.append(ordered(out))
+        slices.append(contents(out))
         return out
 
     monkeypatch.setattr(_Tail, "products", recording)
@@ -411,7 +411,7 @@ def test_mirrored_cells_leave_every_slice_as_the_full_products_make_it(
     runs = []
     for solver in (full, potential_module._TodaSolver(policy)):
         slices.clear()
-        runs.append((ordered(solver.solve()._tail), list(slices)))
+        runs.append((contents(solver.solve()._tail), list(slices)))
     assert runs[0] == runs[1]
 
 
