@@ -48,21 +48,24 @@ feed the read.  Every product of the solver adds cells and multiplies
 monomials, and the geometric sum only raises ``a`` and ``b``, so a term
 that fails this in its cell fails it in every cell it feeds, and the
 products of ``E_d`` and ``M_d`` and the geometric sum skip it.  The
-geometric sum builds every cell of ``M_d`` under this mask, so each term
-the read receives is live and the read itself tests no mask.
+geometric sum builds its cells of ``M_d`` under this mask, and the mirror
+step below keeps it, so each term the read receives is live and the read
+itself tests no mask.
 
 Bar exchange, ``t_k <-> tbar_k`` together with ``u <-> v``, leaves the
 equation invariant and maps the cell ``(a, b)`` of a slice onto ``(b, a)``
 with its codes mirrored (:meth:`taumap.series._Codec.mirror`).  Each slice
 is fixed by the slices below it, so by induction the unique solution is
 symmetric, and so is the dead mask: the mask of ``(b, a)`` is the mirror
-of that of ``(a, b)``.  The products of ``E_d`` and ``M_d`` therefore form
-products only into the cells ``a <= b`` and read each cell ``a > b`` as the
-mirror of its twin (:meth:`taumap.series._Tail.products`), in the twin's
-order: every slice, and ``F``, holds the terms that forming every product
+of that of ``(a, b)``.  The solver therefore forms only the cells
+``a <= b`` of ``E_d`` and ``M_d``: their products form no cell whose mask
+reads ``None`` (:meth:`taumap.series._Tail.products`), which it does at
+``a > b``, and the geometric sum keeps ``a - b``, so it runs on the cells
+``a <= b`` only.  One mirror step (:meth:`_TodaSolver._mirrored`) then
+fills each cell ``a > b`` of ``E_d`` and ``M_d`` as the mirror of its
+twin: every slice, and ``F``, holds the terms that forming every product
 gives, in another order.  The map sums each row in code order, so no float
-depends on that order (:class:`taumap.confmap._Kernel`).  The geometric
-sum, which keeps ``a - b`` and forms no product, builds every cell.
+depends on that order (:class:`taumap.confmap._Kernel`).
 
 The recursion for ``N`` is not run here, nor the walk over its keys
 (:func:`taumap.coefficients.admissible_keys`).  They stay as the exact
@@ -122,8 +125,9 @@ class _TodaSolver:
     ``tbar_1..tbar_{b-1}``, the one mask of the dead terms of the cell
     ``(a, b)``.  The geometric sum skips the terms that meet it, and so do
     the products of ``E_d`` and ``M_d``, through ``_dead(a, b)``: the mask
-    for ``a <= b`` and ``None`` for ``a > b``, a cell they mirror (module
-    docstring).  So :meth:`_read` receives no dead term.
+    for ``a <= b`` and ``None`` for ``a > b``, a cell they do not form and
+    :meth:`_mirrored` fills from its twin (module docstring).  So
+    :meth:`_read` receives no dead term.
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
@@ -157,14 +161,14 @@ class _TodaSolver:
         for d in range(deg_max - 1):
             if d:
                 x.append(self._sources(f[d], f[d + 1]))
-                e.append(one.graded_exp_slice(x, e, self._dead))
+                e.append(self._mirrored(one.graded_exp_slice(x, e, self._dead)))
                 # M_d = sum_{k >= 1} (u v t0)^k [E_d + (1/d) sum (d-j) E_j M_{d-j}]
                 inner = one.products(
                     [(1, e[d], one)]
                     + [(Fraction(d - j, d), e[j], m[d - j]) for j in range(1, d)],
                     self._dead,
                 )
-                m.append(self._geometric(inner))
+                m.append(self._mirrored(self._geometric(inner)))
             f[d + 2] = self._read(m[d], d)
         # F as one series under the policy, from its cells (0, 0, d)
         series = _Tail.box((0, 0), deg_max)
@@ -179,6 +183,17 @@ class _TodaSolver:
             terms.append((Fraction(1, a), d0.diff_t(a).shifted(a, 0)))
             terms.append((Fraction(1, a), d0.diff_t(a, barred=True).shifted(0, a)))
         return _Tail.combination(self.bound, terms)
+
+    def _mirrored(self, half: _Tail) -> _Tail:
+        """``half``, which holds the cells ``a <= b`` of a slice, with each
+        cell ``(a, b, d)``, ``a > b``, filled as the mirror of its twin
+        ``(b, a, d)`` (module docstring)."""
+        mirror = self.codec.mirror
+        cells = dict(half.cells)
+        for (a, b, d), cell in half.cells.items():
+            if a < b:
+                cells[b, a, d] = dict(zip(map(mirror, cell), cell.values()))
+        return self._tail(cells, half.den)
 
     def _geometric(self, inner: _Tail) -> _Tail:
         """``sum_{k >= 1} (u v t0)^k inner``, cut at the orders, without the

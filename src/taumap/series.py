@@ -27,15 +27,18 @@ Design points:
 * The packing of a monomial into its code is one rule, :class:`_Codec`:
   one bit field per variable, wide enough for ``deg_max``, and the ``t0``
   power on top, so codes add under any admissible product; bar exchange
-  swaps the unbarred and barred halves of a code (:meth:`_Codec.mirror`).
+  swaps the unbarred and barred halves of a code (:meth:`_Codec.mirror`),
+  a rule for the potential's Toda solver and its symmetry residual: the
+  ring itself never mirrors.
 * A series is stored packed, as one :class:`_Tail` of orders ``(0, 0)``:
   its terms filed by factor degree (a value fixed when a monomial is
   built) as ``{code: numerator}`` over one common denominator.  Linear
   combinations, products, the exponential and derivatives each have one
   implementation, on the tail: a product meets only the cell pairs
-  that the tail's bound keeps and its pair loop adds integer codes and
-  multiplies integer numerators, and a derivative reads an exponent field
-  by shift and mask.  The exponential is one graded rule,
+  that the tail's bound keeps and its one pair loop adds integer codes and
+  multiplies integer numerators, leaving out of a cell the terms that meet
+  the caller's mask for it, and a derivative reads an exponent field by
+  shift and mask.  The exponential is one graded rule,
   ``g E_g = sum_k k X_k E_{g-k}`` (:meth:`_Tail.graded_exp_slice`), which
   the potential's Toda solver runs on its degree slices too.  The Toda
   residuals of :mod:`taumap.verify` and the solver expand their wider
@@ -350,65 +353,36 @@ class _Tail:
         denominator, each ``q`` folded into its left numerators, and the sum
         is reduced once.  ``dead(a, b)``, if given, is a code mask for the
         cell ``(a, b)`` of the result: a left or right term whose code meets
-        it is left out of that cell's products.  Each cell is filtered once
-        per mask.
-
-        A cell whose mask reads ``None`` is the mirror (:meth:`_Codec.mirror`)
-        of the cell ``(b, a)``, whose mask must not be ``None``, for operands
-        that are each bar-exchange symmetric, under a bound symmetric in
-        ``u`` and ``v``.  No product is formed for it: once the pair loop is
-        done, it is its twin's accumulated cell with each code mirrored.
+        it is left out of that cell's products.  A cell whose mask reads
+        ``None`` is not formed.
         """
         bound = self.bound
         amax, bmax = self.orders
         scales = [Fraction(q) / (left.den * right.den) for q, left, right in terms]
         den = lcm(*(s.denominator for s in scales))
         acc: dict[tuple[int, int, int], dict[int, int]] = {}
-        # (id of a right cell, mask): its terms outside the mask; the
-        # operands hold the cells, so no id is reused during the call
-        rights: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        mirrored: set[tuple[int, int, int]] = set()
         for s, (_, lhs, rhs) in zip(scales, terms):
             w = s.numerator * (den // s.denominator)
             for (a1, b1, d1), left in lhs.cells.items():
-                # mask: the scaled terms of this left cell outside the mask
-                lefts: dict[int, list[tuple[int, int]]] = {}
                 for (a2, b2, d2), right in rhs.cells.items():
                     a, b, d = a1 + a2, b1 + b2, d1 + d2
                     if a > amax or b > bmax or d >= bound[a][b]:
                         continue
                     mask = dead(a, b) if dead else 0
                     if mask is None:
-                        mirrored.add((a, b, d))
                         continue
-                    left_items = lefts.get(mask)
-                    if left_items is None:
-                        left_items = lefts[mask] = [
-                            (c, n * w) for c, n in left.items() if not c & mask
-                        ]
-                    if not left_items:
-                        continue
+                    right_items = right.items()
                     if mask:
-                        right_items = rights.get((id(right), mask))
-                        if right_items is None:
-                            right_items = rights[id(right), mask] = [
-                                (c, n) for c, n in right.items() if not c & mask
-                            ]
-                        if not right_items:
-                            continue
-                    else:
-                        right_items = right.items()
+                        right_items = [(c, n) for c, n in right_items if not c & mask]
                     out = acc.setdefault((a, b, d), {})
                     get = out.get
-                    for code1, n1 in left_items:
+                    for code1, n1 in left.items():
+                        if code1 & mask:
+                            continue
+                        n1 *= w
                         for code2, n2 in right_items:
                             key = code1 + code2
                             out[key] = get(key, 0) + n1 * n2
-        mirror = self.codec.mirror
-        for a, b, d in mirrored:
-            twin = acc.get((b, a, d))
-            if twin is not None:
-                acc[a, b, d] = dict(zip(map(mirror, twin), twin.values()))
         return self._like(acc, den)
 
     def exp(self) -> "_Tail":

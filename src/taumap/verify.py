@@ -729,14 +729,15 @@ def roundtrip_check(curve: BoundaryCurve, potential: PotentialSeries, tol: float
     moments give no map it names the error of :func:`map_from_potential`,
     with sup error ``None``.  The sup error, ``tol`` and the convergence
     gate's verdict are reported alongside; the gate is not judged, as it is
-    a sufficient condition only.
+    a sufficient condition only.  A curve without moments is an input
+    error: the ``ValueError`` of :func:`moments_from_curve` propagates.
     """
+    n = potential.regular.policy.n_max
+    m = moments_from_curve(curve, n)
     try:
         rt = roundtrip(curve, potential)
     except ValueError as exc:
-        n = potential.regular.policy.n_max
-        gate = asdict(convergence_gate(moments_from_curve(curve, n), n))
-        metrics = {"sup_error": None, "tolerance": tol, "gate": gate}
+        metrics = {"sup_error": None, "tolerance": tol, "gate": asdict(convergence_gate(m, n))}
         return CheckResult("roundtrip", 1, [f"no map at the curve's moments: {exc}"], metrics)
     violations = [] if rt.sup_error <= tol else [f"sup error {rt.sup_error} > {tol}"]
     if rt.unconverged:

@@ -324,7 +324,8 @@ def test_dead_mask_keeps_its_unbarred_half_only_without_a_sector():
     assert solver.orders == (4, 4)
     for a, b in itertools.product(range(5), range(5)):
         assert solver._masks[a][b] == fields(a, b)
-        # a cell a > b reads None: the products mirror it from (b, a)
+        # a cell a > b reads None: the products leave it out, and the solver
+        # fills it from (b, a)
         assert solver._dead(a, b) == (fields(a, b) if a <= b else None)
     assert solver._dead(3, 4) & unbarred and solver._masks[3][1] & unbarred
 
@@ -355,9 +356,10 @@ def test_solver_forms_no_product_for_a_gt_b_and_hands_on_symmetric_slices(
     monkeypatch, n_max, deg_max
 ):
     # every products call of the solver reads None at each cell a > b, so it
-    # forms no product there (test_series: such a cell is its twin's mirror);
-    # every slice the solver hands on -- each operand of its products and
-    # each M_d it reads -- is its own mirror, cell (b, a) against cell (a, b)
+    # forms no product there, and the solver fills that cell from its twin
+    # (_mirrored); every slice the solver hands on -- each operand of its
+    # products and each M_d it reads -- is its own mirror, cell (b, a)
+    # against cell (a, b)
     products, read = _Tail.products, potential_module._TodaSolver._read
     seams, handed = [], []
 
@@ -387,32 +389,33 @@ def test_solver_forms_no_product_for_a_gt_b_and_hands_on_symmetric_slices(
 
 
 @pytest.mark.parametrize("n_max, deg_max", [(3, 5), (5, 6), (6, 7), (8, 6), (6, 4), (4, 8)])
-def test_mirrored_cells_leave_every_slice_as_the_full_products_make_it(
-    monkeypatch, n_max, deg_max
-):
-    # mirroring leaves each slice's cells, codes, numerators and denominator
-    # as forming every product makes them, in another order (the map sums
-    # in code order): the dead mask of every cell against None at a > b
-    products = _Tail.products
-    slices = []
-
+def test_mirrored_cells_leave_every_slice_as_the_full_products_make_it(n_max, deg_max):
+    # every slice the solver hands on, E_d and M_d, and F hold the cells,
+    # codes, numerators and denominator that a solver forming every cell
+    # under its dead mask and mirroring nothing gives, in another order (the
+    # map sums in code order)
     def contents(tail):
         return {key: dict(cell) for key, cell in tail.cells.items()}, tail.den
 
-    def recording(self, terms, dead=None):
-        out = products(self, terms, dead)
-        slices.append(contents(out))
-        return out
+    def recorded(solver, mirrored):
+        slices = []
 
-    monkeypatch.setattr(_Tail, "products", recording)
+        def step(half):
+            out = mirrored(half)
+            slices.append(contents(out))
+            return out
+
+        solver._mirrored = step
+        return contents(solver.solve()._tail), slices
+
     policy = default_policy(n_max, deg_max)
     full = potential_module._TodaSolver(policy)
     full._dead = lambda a, b: full._masks[a][b]
-    runs = []
-    for solver in (full, potential_module._TodaSolver(policy)):
-        slices.clear()
-        runs.append((contents(solver.solve()._tail), list(slices)))
+    half = potential_module._TodaSolver(policy)
+    runs = [recorded(full, lambda tail: tail), recorded(half, half._mirrored)]
     assert runs[0] == runs[1]
+    # E_d and M_d for d = 1..deg_max - 2
+    assert len(runs[1][1]) == 2 * (deg_max - 2)
 
 
 @pytest.mark.parametrize(

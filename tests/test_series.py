@@ -550,7 +550,7 @@ def test_masked_products_drop_exactly_the_terms_that_meet_their_cells_mask():
     codec = _Codec(pol)
     variables = [(k, barred) for k in range(1, 4) for barred in (False, True)]
     rng = random.Random(43)
-    removed = kept = 0
+    removed = kept = unformed = 0
     for orders in ((2, 3), (3, 1), (1, 1)):
         cell_keys = list(itertools.product(range(orders[0] + 1), range(orders[1] + 1)))
 
@@ -586,79 +586,14 @@ def test_masked_products_drop_exactly_the_terms_that_meet_their_cells_mask():
             survived = sum(map(len, masked.cells.values()))
             kept += survived
             removed += sum(map(len, full.cells.values())) - survived
-    assert removed and kept
-
-
-def contents(tail):
-    """A tail's cells, each with its codes and numerators, and its
-    denominator, in no order."""
-    return {key: dict(cell) for key, cell in tail.cells.items()}, tail.den
-
-
-def test_a_cell_whose_mask_reads_none_is_the_mirror_of_its_twin():
-    # on operands that are each bar-exchange symmetric, with cells and codes
-    # in random orders, mirroring the cells a > b gives the full masked
-    # product exactly: cells, codes, numerators and denominator
-    pol = TruncationPolicy(n_max=3, deg_max=5)
-    codec = _Codec(pol)
-    variables = [(k, barred) for k in range(1, 4) for barred in (False, True)]
-    rng = random.Random(71)
-    mirrored_cells = 0
-    for n in (2, 3):
-        box = _Tail.box((n, n), pol.deg_max)
-        cell_keys = list(itertools.product(range(n + 1), repeat=2))
-
-        def random_tail():
-            picked = rng.sample(cell_keys, rng.randint(1, 4))
-            return _Tail.from_series(box, {key: rich_series(rng, pol, terms=5) for key in picked})
-
-        def symmetric_tail():
-            tail = random_tail()
-            image = {
-                (b, a, d): {codec.mirror(code): num for code, num in cell.items()}
-                for (a, b, d), cell in tail.cells.items()
-            }
-            tail = _Tail.combination(box, [(1, tail), (1, tail._like(image, tail.den))])
-            keys = rng.sample(list(tail.cells), len(tail.cells))
-            cells = {}
-            for key in keys:
-                items = list(tail.cells[key].items())
-                cells[key] = dict(rng.sample(items, len(items)))
-            return tail._like(cells, tail.den)
-
-        for _ in range(8):
-            masks = {}
-            for a, b in cell_keys:
-                if a <= b:
-                    fields = rng.sample(variables, rng.randint(0, 3))
-                    masks[a, b] = sum(codec.mask << codec.shift(k, barred) for k, barred in fields)
-                    masks[b, a] = codec.mirror(masks[a, b])
-            like = _Tail(codec, box, {})
-            weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-            terms = [(q, symmetric_tail(), symmetric_tail()) for q in weights[: rng.randint(1, 3)]]
-            full = like.products(terms, lambda a, b: masks[a, b])
-            half = like.products(terms, lambda a, b: masks[a, b] if a <= b else None)
-            assert contents(half) == contents(full)
-            mirrored_cells += sum(a > b for a, b, _ in half.cells)
-    assert mirrored_cells > 50
-    # on operands that are not symmetric no product is formed for such a
-    # cell either: each of its numerators is its twin's, not the product's
-    box = _Tail.box((2, 2), pol.deg_max)
-    left, right = (
-        _Tail.from_series(box, {(0, 1): rich_series(rng, pol, 5), (1, 0): rich_series(rng, pol)})
-        for _ in range(2)
-    )
-    full = fraction_terms(left.products([(1, left, right)], lambda a, b: 0))
-    half = fraction_terms(left.products([(1, left, right)], lambda a, b: 0 if a <= b else None))
-    image = {
-        ((b, a, d), codec.mirror(code)): c for ((a, b, d), code), c in half.items() if a < b
-    }
-    mirrored = {term: c for term, c in half.items() if term[0][0] > term[0][1]}
-    assert mirrored and all(image[term] == c for term, c in mirrored.items())
-    assert any(full.get(term) != c for term, c in mirrored.items())
-    assert {term: c for term, c in half.items() if term[0][0] <= term[0][1]} == {
-        term: c for term, c in full.items() if term[0][0] <= term[0][1]
-    }
+            # the same masks with None at some cells: those cells are not
+            # formed, and every other cell is the full masked product's
+            holes = {key: None if rng.random() < 0.3 else m for key, m in masks.items()}
+            partial = like.products(terms, lambda a, b: holes[a, b])
+            formed = {key: cell for key, cell in survivors.items() if holes[key[:2]] is not None}
+            assert value(partial) == value(like._like(formed, full.den))
+            unformed += sum(holes[a, b] is None for a, b, _ in masked.cells)
+    assert removed and kept and unformed
 
 
 def test_product_with_constants_and_pure_t0_terms():

@@ -453,6 +453,16 @@ def test_roundtrip_check_fails_by_name_where_the_moments_give_no_map():
     assert len(gate.offending) == 3  # |t2|, |t4| and |t6|
 
 
+def test_roundtrip_check_raises_the_moments_input_error_once():
+    # a curve whose interior misses the origin has no moments: that input
+    # error propagates as the quadrature raised it, not chained to a copy of
+    # itself, and is not reported as a map that does not exist
+    off_origin = BoundaryCurve(r=1.0, a=(2.0,))
+    with pytest.raises(ValueError, match="winding number about the origin") as raised:
+        roundtrip_check(off_origin, built(2, 3), 1e-3)
+    assert raised.value.__context__ is None and raised.value.__cause__ is None
+
+
 ASYMMETRIC = BoundaryCurve(r=1.0, a=(0.0, 0.04 + 0.01j, 0.012j), samples=256)
 
 
