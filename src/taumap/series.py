@@ -45,11 +45,11 @@ Design points:
   tails with the same class.  Which cells a tail keeps is one datum it
   carries, a downward-closed bound per bidegree: the box of its orders and
   ``deg_max`` for a series and the solver, the truncation cone for the
-  residuals.  Every weighted sum of tails -- a series'
-  sum, difference and scalar multiple, the slices of an exponential, the
-  potential's degree slices, the series a wider tail is built from, a
-  residual -- is one rule, :meth:`_Tail.combination`.  A tail's policy is
-  its codec's.
+  residuals.  Every weighted sum of tails -- a series' sum, difference
+  and scalar multiple, the slices of an exponential, the potential's
+  degree slices, the weighted series a wider tail is built from
+  (:meth:`_Tail.from_series`), a residual -- is one rule,
+  :meth:`_Tail.combination`.  A tail's policy is its codec's.
 * Validation and decoding happen at the boundary.  ``Monomial(...)``
   checks canonical order, and ``TruncatedSeries(policy, terms)`` --
   through which :meth:`TruncatedSeries.filter` goes -- drops
@@ -245,8 +245,9 @@ class _Tail:
     where that degree is kept.  :meth:`box` is the bound of ``orders`` and
     ``deg_max``, which series and the solver use.  A tail of orders
     ``(0, 0)`` is the storage of a :class:`TruncatedSeries`; series enter a
-    wider tail through :meth:`from_series`.  A weighted sum of tails is one
-    rule, :meth:`combination`.
+    wider tail, each weighted and shifted by ``u^a v^b``, through
+    :meth:`from_series`.  A weighted sum of tails is one rule,
+    :meth:`combination`.
     """
 
     __slots__ = ("codec", "policy", "bound", "cells", "den")
@@ -299,15 +300,14 @@ class _Tail:
         self.den //= g
 
     @classmethod
-    def from_series(
-        cls, bound, series: dict[tuple[int, int], "TruncatedSeries"]
-    ) -> "_Tail":
-        """The tail ``sum u^a v^b series[a, b]`` of series under one policy,
-        cut to ``bound``."""
+    def from_series(cls, bound, terms) -> "_Tail":
+        """``sum q * u^a v^b * series`` over ``terms`` of ``(q, a, b, series)``,
+        series under one policy, as one :meth:`combination` cut to ``bound``:
+        each weight is folded into the sum, not into a scaled series."""
         parts = []
-        for (a, b), s in series.items():
+        for q, a, b, s in terms:
             cells = {(a, b, d): cell for (_, _, d), cell in s._tail.cells.items()}
-            parts.append((1, cls(s._tail.codec, bound, cells, s._tail.den)))
+            parts.append((q, cls(s._tail.codec, bound, cells, s._tail.den)))
         return cls.combination(bound, parts)
 
     @classmethod

@@ -71,10 +71,14 @@ therefore expanded over the cone cells alone (a :class:`_Tail` whose
 bound is :func:`_cone`), and their in-cone values are exactly those of
 the expansion over the whole box; at ``(5,6)``, order 4, only about a tenth
 of the term pairs a box expansion visits land in the cone.  The
-derivatives, which lower ``d``, are taken on the series before they enter
-the tails.  Outside the cone the residuals are measured, not judged, by
+derivatives, which lower ``d``, are taken on the series, and each enters
+its tail with its weight in one weighted sum (:meth:`_Tail.from_series`).
+A tail is cut to its bound when it is made, so every cell a residual holds
+is a cone cell, and :func:`_judged` judges them all without testing the
+cone again.  Outside the cone the residuals are measured, not judged, by
 :func:`out_of_cone_maxima`, which expands the same residuals over the box
-(``taumap verify --stats``).
+and is the one place that tests a cell against the cone (``taumap verify
+--stats``).
 """
 
 from __future__ import annotations
@@ -331,44 +335,22 @@ def ellipse_oracle_check(potential: PotentialSeries) -> CheckResult:
 # -- residual checks ----------------------------------------------------------
 
 
-def _split_cone(residual: _Tail, name: str) -> tuple[CheckResult, float]:
-    """Judge the residual inside the truncation cone, measure it outside.
+def _judged(residual: _Tail, name: str) -> CheckResult:
+    """Judge every cell of a residual expanded over the cone (:func:`_cone`).
 
-    Returns the check and the largest ``|coefficient|`` outside the cone.
-    ``checked`` counts the in-cone cells ``(a, b, d)`` with bidegree within
-    the residual's orders (:func:`_cone_depth`).  The violations are listed
-    by cell ``(a, b, d)`` and within a cell by :meth:`Monomial.sort_key`, so
-    the list depends on the residual's value only, not on the order in which
-    the algebra filled its cells.  A residual expanded over the cone
-    (:func:`_cone`) has no cell outside it and measures 0; one expanded
-    over the box (:func:`out_of_cone_maxima`) gives the same check and the
-    measure.  Only the in-cone terms are decoded; outside, the largest
-    ``|numerator|`` over the common denominator is the largest
-    ``|coefficient|``, and ``int / int`` rounds it as ``float(Fraction)``
-    would.
+    ``checked`` counts the cells ``(a, b, d)`` of the residual's bound, the
+    cone cells of bidegree within its orders.  The violations are listed by
+    cell ``(a, b, d)`` and within a cell by :meth:`Monomial.sort_key`, so the
+    list depends on the residual's value only, not on the order in which the
+    algebra filled its cells.
     """
-    policy = residual.policy
-    amax, bmax = residual.orders
-    decode = residual.codec.decode
-    den = residual.den
-    violations: list[str] = []
-    out_max = 0
+    decode, den = residual.codec.decode, residual.den
+    violations = []
     for (a, b, d), cell in sorted(residual.cells.items()):
-        if d < _cone_depth(a, b, policy):
-            terms = sorted(
-                ((decode(code), n) for code, n in cell.items()),
-                key=lambda term: term[0].sort_key(),
-            )
-            for mono, n in terms:
-                violations.append(
-                    f"bidegree ({a},{b}) term {mono}: residual {Fraction(n, den)}"
-                )
-        else:
-            out_max = max(out_max, *map(abs, cell.values()))
-    cells = sum(
-        _cone_depth(a, b, policy) for a in range(amax + 1) for b in range(bmax + 1)
-    )
-    return CheckResult(name, cells, violations), out_max / den
+        terms = sorted(((decode(c), n) for c, n in cell.items()), key=lambda t: t[0].sort_key())
+        for mono, n in terms:
+            violations.append(f"bidegree ({a},{b}) term {mono}: residual {Fraction(n, den)}")
+    return CheckResult(name, sum(map(sum, residual.bound)), violations)
 
 
 def _cone_depth(a: int, b: int, policy: TruncationPolicy) -> int:
@@ -385,35 +367,13 @@ def _cone_depth(a: int, b: int, policy: TruncationPolicy) -> int:
 
 def _cone(policy: TruncationPolicy, order: int) -> tuple[tuple[int, ...], ...]:
     """The cone as the bound of a residual tail of orders ``(order+1, order+1)``:
-    the :func:`_cone_depth` of each bidegree."""
-    span = range(order + 2)
-    return tuple(tuple(_cone_depth(a, b, policy) for b in span) for a in span)
-
-
-def _check_order(order: int, policy: TruncationPolicy) -> None:
+    the :func:`_cone_depth` of each bidegree, for ``0 <= order <= n_max``."""
     if order < 0:
         raise ValueError(f"residual order must be >= 0, got {order}")
     if order > policy.n_max:
         raise ValueError("order exceeds the potential's index bound")
-
-
-def _pair_tail(reg: TruncatedSeries, bound, barred: bool, sign: int) -> _Tail:
-    """``sign * sum u^a v^b d_a d_b F / (a b)`` for ``a, b = 1..amax`` under
-    ``bound`` of orders ``(amax, amax)``, with ``d_b`` barred when ``barred``."""
-    d = {a: reg.diff_t(a) for a in range(1, len(bound))}
-    terms = {(a, b): d[a].diff_t(b, barred) * Fraction(sign, a * b) for a in d for b in d}
-    return _Tail.from_series(bound, terms)
-
-
-def _point_tail(d0: TruncatedSeries, bound, axis: int, barred: bool, sign: int) -> _Tail:
-    """``sign * sum w^a d0 d_a F / a`` for ``a = 1..amax`` under ``bound`` of
-    orders ``(amax, amax)``, from ``d0 = d0 F``, with ``w = u`` on ``axis`` 0
-    and ``v`` on 1 and ``d_a`` barred when ``barred``."""
-    terms = {
-        (0, a) if axis else (a, 0): d0.diff_t(a, barred) * Fraction(sign, a)
-        for a in range(1, len(bound))
-    }
-    return _Tail.from_series(bound, terms)
+    span = range(order + 2)
+    return tuple(tuple(_cone_depth(a, b, policy) for b in span) for a in span)
 
 
 def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
@@ -429,17 +389,20 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
     (:func:`_residual_a`).
     """
     reg = potential.regular
-    _check_order(order, reg.policy)
-    return _split_cone(_residual_a(reg, _cone(reg.policy, order)), "residual_a")[0]
+    return _judged(_residual_a(reg, _cone(reg.policy, order)), "residual_a")
 
 
 def _residual_a(reg: TruncatedSeries, bound) -> _Tail:
     """The residual tail of :func:`toda_residual_a` under ``bound``.  ``Y(v)``
     is ``Y(u)`` with ``v`` for ``u``, so one exponential serves both."""
     d0 = reg.diff_t0()
+    span = range(1, len(bound))
+    d = {a: reg.diff_t(a) for a in span}
+    x = [(Fraction(1, a * b), a, b, d[a].diff_t(b)) for a in span for b in span]
+    minus_y = [(Fraction(-1, a), a, 0, d0.diff_t(a)) for a in span]
     # exp(X) and exp(-Y(u)); exp(-Y(v)) is exp(-Y(u)) with u and v exchanged
-    ex = _pair_tail(reg, bound, barred=False, sign=1).exp()
-    eu = _point_tail(d0, bound, axis=0, barred=False, sign=-1).exp()
+    ex = _Tail.from_series(bound, x).exp()
+    eu = _Tail.from_series(bound, minus_y).exp()
     terms = [(1, ex.shifted(0, 1)), (-1, ex.shifted(1, 0)), (-1, eu.shifted(0, 1))]
     terms.append((1, eu.transposed().shifted(1, 0)))
     return _Tail.combination(bound, terms)
@@ -471,21 +434,22 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
     is evidence.
     """
     reg = potential.regular
-    _check_order(order, reg.policy)
-    return _split_cone(_residual_c(reg, _cone(reg.policy, order)), "residual_c")[0]
+    return _judged(_residual_c(reg, _cone(reg.policy, order)), "residual_c")
 
 
 def _residual_c(reg: TruncatedSeries, bound) -> _Tail:
     """The residual tail of :func:`toda_residual_c` under ``bound``."""
     d0 = reg.diff_t0()
-    minus_m = _pair_tail(reg, bound, barred=True, sign=-1)
-    p_tail = _point_tail(d0, bound, axis=0, barred=False, sign=1)
-    q_tail = _point_tail(d0, bound, axis=1, barred=True, sign=1)
+    span = range(1, len(bound))
+    d = {a: reg.diff_t(a) for a in span}
+    minus_m = [(Fraction(-1, a * b), a, b, d[a].diff_t(b, True)) for a in span for b in span]
+    p = [(Fraction(1, a), a, 0, d0.diff_t(a)) for a in span]
+    q = [(Fraction(1, b), 0, b, d0.diff_t(b, True)) for b in span]
     prefactor = TruncatedSeries.t0(reg.policy) * d0.diff_t0().exp_no_constant()
-    rhs = _Tail.from_series(bound, {(1, 1): prefactor})
-    rhs = rhs * p_tail.exp() * q_tail.exp()
-    terms = [(1, minus_m.one()), (-1, minus_m.exp()), (-1, rhs)]  # 1 - exp(-M) - rhs
-    return _Tail.combination(bound, terms)
+    rhs = _Tail.from_series(bound, [(1, 1, 1, prefactor)])
+    rhs = rhs * _Tail.from_series(bound, p).exp() * _Tail.from_series(bound, q).exp()
+    em = _Tail.from_series(bound, minus_m).exp()
+    return _Tail.combination(bound, [(1, em.one()), (-1, em), (-1, rhs)])  # 1 - exp(-M) - rhs
 
 
 def out_of_cone_maxima(potential: PotentialSeries, order: int) -> dict[str, float]:
@@ -496,14 +460,19 @@ def out_of_cone_maxima(potential: PotentialSeries, order: int) -> dict[str, floa
     :func:`toda_residual_a` and :func:`toda_residual_c` expand them, over
     the box of every cell up to ``(order+1, order+1)`` and ``deg_max``
     instead of the cone, so this costs about three times the two checks.
+    Nothing is decoded: the largest ``|numerator|`` over the common
+    denominator is the largest ``|coefficient|``, and ``int / int`` rounds
+    it as ``float(Fraction)`` would.
     """
     reg = potential.regular
-    _check_order(order, reg.policy)
+    cone = _cone(reg.policy, order)
     box = _Tail.box((order + 1, order + 1), reg.policy.deg_max)
-    return {
-        name: _split_cone(residual(reg, box), name)[1]
-        for name, residual in (("residual_a", _residual_a), ("residual_c", _residual_c))
-    }
+    maxima = {}
+    for name, residual in (("residual_a", _residual_a), ("residual_c", _residual_c)):
+        tail = residual(reg, box)
+        outside = [cell for (a, b, d), cell in tail.cells.items() if d >= cone[a][b]]
+        maxima[name] = max((abs(n) for c in outside for n in c.values()), default=0) / tail.den
+    return maxima
 
 
 def toda_residual_b(potential: PotentialSeries) -> CheckResult:
@@ -730,15 +699,20 @@ def roundtrip_check(curve: BoundaryCurve, potential: PotentialSeries, tol: float
     with sup error ``None``.  The sup error, ``tol`` and the convergence
     gate's verdict are reported alongside; the gate is not judged, as it is
     a sufficient condition only.  A curve without moments is an input
-    error: the ``ValueError`` of :func:`moments_from_curve` propagates.
+    error: the ``ValueError`` of :func:`moments_from_curve` propagates.  The
+    moments are taken once, by :func:`roundtrip`, on a passing run.
     """
-    n = potential.regular.policy.n_max
-    m = moments_from_curve(curve, n)
+    failure = None
     try:
         rt = roundtrip(curve, potential)
     except ValueError as exc:
-        metrics = {"sup_error": None, "tolerance": tol, "gate": asdict(convergence_gate(m, n))}
-        return CheckResult("roundtrip", 1, [f"no map at the curve's moments: {exc}"], metrics)
+        failure = f"no map at the curve's moments: {exc}"
+    if failure:
+        # outside the handler, so a curve without moments raises once, unchained
+        n = potential.regular.policy.n_max
+        gate = convergence_gate(moments_from_curve(curve, n), n)
+        metrics = {"sup_error": None, "tolerance": tol, "gate": asdict(gate)}
+        return CheckResult("roundtrip", 1, [failure], metrics)
     violations = [] if rt.sup_error <= tol else [f"sup error {rt.sup_error} > {tol}"]
     if rt.unconverged:
         violations.append(

@@ -406,19 +406,28 @@ def test_combination_equals_fraction_arithmetic():
     cell_keys = list(itertools.product(range(3), range(3)))
     rng = random.Random(53)
 
+    def weight():
+        return rng.choice([0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+
     def random_tail():
-        picked = rng.sample(cell_keys, rng.randint(1, 4))
-        return _Tail.from_series(box, {key: rich_series(rng, pol, terms=5) for key in picked})
+        # weighted series, shifted by u^a v^b, a cell met more than once at times
+        picked = rng.choices(cell_keys, k=rng.randint(1, 4))
+        terms = [(weight(), a, b, rich_series(rng, pol, terms=5)) for a, b in picked]
+        tail = _Tail.from_series(box, terms)
+        want = {}
+        for q, a, b, s in terms:
+            for ((_, _, d), code), c in fraction_terms(s._tail).items():
+                term = (a, b, d), code
+                want[term] = want.get(term, 0) + q * c
+        assert fraction_terms(tail) == {term: c for term, c in want.items() if c}
+        return tail
 
     shared_cells = shared_codes = disjoint = 0
     for _ in range(60):
         tails = [random_tail() for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.3:
             tails.append(tails[0])  # every code of a cell met again
-        weights = [
-            rng.choice([0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
-            for _ in tails
-        ]
+        weights = [weight() for _ in tails]
         got = _Tail.combination(box, list(zip(weights, tails)))
         want = {}
         for q, tail in zip(weights, tails):
@@ -460,20 +469,20 @@ def test_tail_exp_equals_taylor_loop_in_value():
     t1, square = t(1, pol), t(1, pol) * t(1, pol)
     cancelling = _Tail.from_series(
         _Tail.box((3, 0), pol.deg_max),
-        {(0, 0): t(2, pol), (1, 0): t1, (2, 0): square, (3, 0): -square * t1},
+        [(1, 0, 0, t(2, pol)), (1, 1, 0, t1), (1, 2, 0, square), (-1, 3, 0, square * t1)],
     )
     rng = random.Random(41)
     tails = [cancelling]
     tails.append(
         _Tail.from_series(
-            _Tail.box((0, 0), pol.deg_max), {(0, 0): rich_series(rng, pol, factor_free=False)}
+            _Tail.box((0, 0), pol.deg_max), [(1, 0, 0, rich_series(rng, pol, factor_free=False))]
         )
     )
     for orders in ((3, 0), (2, 2)):
         y = rich_series(rng, pol, terms=6, factor_free=False)
         z = tbar(2, pol) * t1 + rich_series(rng, pol, terms=3, factor_free=False)
         box = _Tail.box(orders, pol.deg_max)
-        tails.append(_Tail.from_series(box, {(0, 1): y, (1, 0): z, (1, 1): y * z}))
+        tails.append(_Tail.from_series(box, [(1, 0, 1, y), (1, 1, 0, z), (1, 1, 1, y * z)]))
     for tail in tails:
         assert value(tail.exp()) == value(taylor_exp(tail))
 
@@ -511,10 +520,10 @@ def test_transposed_exponential_is_the_exponential_of_the_transposed_tail(n_max,
     for amax in range(1, n_max + 1):
         box = _Tail.box((amax, amax), deg_max)
         y_u = _Tail.from_series(
-            box, {(a, 0): d0.diff_t(a) * Fraction(-1, a) for a in range(1, amax + 1)}
+            box, [(Fraction(-1, a), a, 0, d0.diff_t(a)) for a in range(1, amax + 1)]
         )
         y_v = _Tail.from_series(
-            box, {(0, a): d0.diff_t(a) * Fraction(-1, a) for a in range(1, amax + 1)}
+            box, [(Fraction(-1, a), 0, a, d0.diff_t(a)) for a in range(1, amax + 1)]
         )
         assert y_u.transposed().cells == y_v.cells and y_u.transposed().den == y_v.den
         moved = y_u.exp().transposed()
@@ -558,7 +567,7 @@ def test_masked_products_drop_exactly_the_terms_that_meet_their_cells_mask():
             picked = rng.sample(cell_keys, rng.randint(1, 3))
             return _Tail.from_series(
                 _Tail.box(orders, pol.deg_max),
-                {key: rich_series(rng, pol, terms=5) for key in picked},
+                [(1, a, b, rich_series(rng, pol, terms=5)) for a, b in picked],
             )
 
         for _ in range(6):
@@ -941,7 +950,7 @@ def test_bounded_products_and_exp_are_the_unbounded_ones_restricted():
 
         def random_tail(factor_free=True):
             picked = rng.sample(cell_keys, rng.randint(1, min(4, len(cell_keys))))
-            series = {key: rich_series(rng, pol, 5, factor_free) for key in picked}
+            series = [(1, a, b, rich_series(rng, pol, 5, factor_free)) for a, b in picked]
             return _Tail.from_series(box, series)
 
         for _ in range(8):

@@ -118,34 +118,34 @@ def test_violation_order_does_not_depend_on_insertion_order(potential_44, monkey
     # the report of a residual tail equals that of a copy whose cells and
     # terms were filled in reverse order
     tails = []
-    split_cone = verify._split_cone
+    judged = verify._judged
 
     def recorded(tail, name):
         tails.append(tail)
-        return split_cone(tail, name)
+        return judged(tail, name)
 
-    monkeypatch.setattr(verify, "_split_cone", recorded)
+    monkeypatch.setattr(verify, "_judged", recorded)
     pair = Monomial(1, ((1, False, 1), (1, True, 1)))
     result = toda_residual_c(corrupted_once(potential_44, pair), 4)
     (tail,) = tails
     # a judged cell lists more than one violation, so the order is not vacuous
-    assert any(
-        len(cell) > 1 and d < verify._cone_depth(a, b, tail.policy)
-        for (a, b, d), cell in tail.cells.items()
-    )
+    assert any(len(cell) > 1 for cell in tail.cells.values())
     reversed_cells = {
         key: dict(reversed(cell.items())) for key, cell in reversed(tail.cells.items())
     }
     copy = _Tail(tail.codec, tail.bound, reversed_cells, tail.den)
-    assert split_cone(copy, result.name)[0] == result
+    assert judged(copy, result.name) == result
 
 
 def test_residual_order_capped_by_policy(potential_44):
-    with pytest.raises(ValueError):
-        toda_residual_a(potential_44, 5)
+    for residual in (toda_residual_a, toda_residual_c, verify.out_of_cone_maxima):
+        with pytest.raises(ValueError):
+            residual(potential_44, 5)
 
 
-@pytest.mark.parametrize("residual", [toda_residual_a, toda_residual_c])
+@pytest.mark.parametrize(
+    "residual", [toda_residual_a, toda_residual_c, verify.out_of_cone_maxima]
+)
 def test_residual_rejects_negative_order(potential_44, residual):
     # order -1 would leave only bidegree (0, 0) and pass vacuously
     with pytest.raises(ValueError, match="must be >= 0"):
@@ -163,10 +163,11 @@ def test_residual_cone_cells_where_degree_binds(residuals_order_4, n_max, deg_ma
         for a, b, d in itertools.product(span, span, range(deg_max + 1))
         if a + b + d <= deg_max or (max(a, b) <= n_max and d <= deg_max - 2)
     )
-    # the residuals expanded over the whole box judge the same cells the same
-    # way, and are measured, not judged, outside the cone
+    # the residuals expanded over the whole box and cut to the cone are
+    # judged the same way, and are measured, not judged, outside the cone
     potential, _ = build_potential(default_policy(n_max, deg_max))
     box = _Tail.box((5, 5), deg_max)
+    cone = verify._cone(potential.regular.policy, 4)
     maxima = verify.out_of_cone_maxima(potential, 4)
     residuals = (verify._residual_a, verify._residual_c)
     for report, residual in zip(residuals_order_4(n_max, deg_max), residuals):
@@ -174,7 +175,8 @@ def test_residual_cone_cells_where_degree_binds(residuals_order_4, n_max, deg_ma
         assert report.checked == cells
         assert report.metrics == {}
         boxed = residual(potential.regular, box)
-        assert verify._split_cone(boxed, report.name) == (report, maxima[report.name])
+        cut = _Tail(boxed.codec, cone, boxed.cells, boxed.den)
+        assert verify._judged(cut, report.name) == report
         assert maxima[report.name] > 0
 
 
