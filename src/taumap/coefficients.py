@@ -18,28 +18,43 @@ layered recursion over compositions and ordered set partitions:
 ``n1_coefficient`` / ``n2_coefficient``
     combine the two sides into the final signed sum.
 
-The two sides cost differently: ``t2`` recurses over the unbarred list,
-one level per index, while the widths ``m`` and the placements range over
-the barred list.  The coefficient is symmetric in the two sides, and
-:func:`taumap.verify._oriented` names the cheap orientation, the longer
-list unbarred.  The potential's build does not run this recursion; its
-oracle, :func:`taumap.verify.combinatorial_formula_check`, evaluates
-every key of a policy, walked by :func:`admissible_keys`, in that
-orientation.
+The two sides cost differently: the contraction recurses over the
+unbarred list, one level per index after the first two, while the widths
+``m`` and the placements range over the barred list.  The coefficient is
+symmetric in the two sides, and :func:`taumap.verify._oriented` names the
+cheap orientation, the longer list unbarred.  The potential's build does
+not run this recursion; its oracle,
+:func:`taumap.verify.combinatorial_formula_check`, evaluates every key of
+a policy, walked by :func:`admissible_keys`, in that orientation.
 
-Two choices keep the recursion cheap while its values stay exact:
+Three choices keep the recursion cheap while its values stay exact:
 
-* **Grouped placements.**  For a barred list and a width ``m`` the labelled
-  placements of the barred positions into ``m`` non-empty blocks are
-  enumerated once, by a DP over positions, and grouped as
-  ``block sums -> ((block sizes, count), ...)``.  ``n1`` loops only over
-  the block sums that occur, and ``s`` is a weighted sum over one group.
-  A column's weight ``(s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)`` is taken as
-  ``comb(s_r - n_r, l_r - 1) * perm(s_r - 1, n_r - 1)``, one integer
-  identity, since the slack and ``l_r - 1`` add up to ``s_r - n_r``.
+* **Grouped, weighted placements.**  For a barred list and a width ``m``
+  the labelled placements of the barred positions into ``m`` non-empty
+  blocks are enumerated once, by a DP over positions, and grouped as
+  ``block sums -> ((capacities, weight), ...)``.  A block of size ``n_r``
+  and sum ``s_r`` leaves its column the capacity ``c_r = s_r - n_r`` and
+  weighs ``perm(s_r - 1, n_r - 1)``.  A column's ``s`` weight
+  ``(s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)`` is then
+  ``comb(c_r, l_r - 1) * perm(s_r - 1, n_r - 1)``, one integer identity,
+  since the slack and ``l_r - 1`` add up to ``c_r``.
+* **One contraction over capacities.**  ``t2`` weighs a window by its
+  surplus ``E = sum (l_r - 1)``, and the sum of ``s * t2`` over every
+  ``l`` composition weighs column ``r`` by ``comb(c_r, l_r - 1)``.
+  Vandermonde's identity, ``sum prod comb(c_r, e_r) = comb(C, E)`` over
+  the surpluses ``e_r`` of a window with ``C = sum c_r``, and
+  ``E * comb(C, E) = C * comb(C - 1, E - 1)`` carry that sum inside the
+  window recursion: the kernel contracts ``Phi(U; s; c)``, in which a
+  window weighs its capacity ``C`` and leaves the capacity ``C - 1``.
+  ``n1`` sums ``weight * Phi`` over the placements, with no loop over
+  ``l``, and the public ``t2`` is read off ``Phi`` by binomial inversion.
+  This needs the linear weight; the multinomial ``E! / prod e_r!``, equal
+  to it on index lists of length <= 3, breaks the ellipse closed form,
+  the bar-exchange symmetry and the mixed hierarchy residual, and lives
+  on in the tests' ``Fraction`` reference as a negative control.
 * **Integer kernels.**  Every ``t1`` denominator at width ``m`` divides
   ``D_m = m! * lcm(1..m)``.  The kernels carry ``t1 * D_m`` and
-  ``t2 * D_m^(len(i_list) - 1)`` as ``int``s; ``n1`` sums each width in
+  ``Phi * D_m^(len(i_list) - 1)`` as ``int``s; ``n1`` sums each width in
   integers and makes one ``Fraction`` per width.  The public ``t1`` and
   ``t2`` functions divide a kernel value by its ``D``.  The list of the
   ``D_w`` is built once per cache (:meth:`MemoCache.denominators`).
@@ -54,29 +69,19 @@ All public values are exact ``Fraction``s (``s`` and the composition count
 are ``int``s).  Every family is memoized in a :class:`MemoCache` that the
 caller creates and passes; a call without one gets a fresh cache of its
 own, so no table outlives the call that filled it unless the caller keeps
-it.  ``p`` holds counts, ``t1`` and ``t2`` the scaled kernel values, ``s``
-the placement groups and ``n1`` the final coefficients.  Computation of a
+it.  ``p`` holds counts, ``t1`` the scaled kernel values, ``t2`` the scaled
+contractions ``Phi`` keyed by ``(i_list, s, c)``, ``s`` the weighted
+placement groups and ``n1`` the final coefficients.  Computation of a
 key is deterministic and idempotent, so concurrent get-or-compute races are
 harmless (CPython dict updates are atomic and both writers store the same
 value).
-
-The window weight of the ``t2`` contraction is the window surplus
-``sum (l_r - 1)``.  It enters through one seam,
-:func:`_window_weight` ``(l_window, surplus)``: the contraction passes the
-window's columns and the surplus it already holds, and the shipped rule
-returns the surplus.  The multinomial alternative
-``l! / prod((l_r - 1)!)`` agrees with it on index lists of length <= 3 and
-first differs at length 4, where it breaks the ellipse closed form, the
-bar-exchange symmetry and the mixed hierarchy residual; the test suite
-keeps it only as an injected negative control
-(``tests/test_verify.py::test_residuals_arbitrate_window_weight_at_degree_six``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, lcm, perm
 from operator import sub
 from typing import Iterator
@@ -160,8 +165,9 @@ def _expand(side: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 class MemoCache:
     """Per-family memo tables keyed by canonical argument tuples.
 
-    ``t1`` and ``t2`` hold the ``D``-scaled integer kernel values and ``s``
-    the placement groups of a ``(barred, width)`` pair, not public values.
+    ``t1`` and ``t2`` hold the ``D``-scaled integer kernels (``t2`` the
+    capacity contractions) and ``s`` the weighted placement groups of a
+    ``(barred, width)`` pair, not public values.
     ``dens`` is the list ``[D_0, D_1, ..]`` of the kernels' scales, grown on
     demand by :meth:`denominators`; it is not a memo table.
     """
@@ -366,33 +372,26 @@ def t1_coefficient(i: int, s: tuple[int, ...], cache: MemoCache | None = None) -
     return Fraction(scaled, _denominators(len(s))[-1])
 
 
-def _window_weight(l_window: tuple[int, ...], surplus: int) -> int:
-    """Weight of a contracted window: its surplus ``sum (l_r - 1)``.
-
-    The caller passes the surplus it already holds; ``l_window`` is there
-    for weight rules that read the columns.
-    """
-    return surplus
-
-
 def _t2_scaled(
     i_list: tuple[int, ...],
     s: tuple[int, ...],
-    l: tuple[int, ...],
+    c: tuple[int, ...],
     cache: MemoCache,
 ) -> int:
-    """``t2(i_list, (s, l)) * D_m^(len(i_list) - 1)`` as an exact integer.
+    """``Phi(i_list; s; c) * D_m^(len(i_list) - 1)`` as an exact integer.
 
-    A window of width ``w`` contributes its ``t1`` scaled by ``D_w`` and a
-    tail of width ``m' = m - w + 1`` scaled by ``D_m'^(len(i_list) - 2)``;
-    both are lifted to ``D_m`` by exact integer factors.
+    ``Phi = sum_e prod comb(c_r, e_r) * t2(i_list, (s, 1 + e))``; a window
+    ``W`` weighs its capacity ``C_W`` and leaves the capacity ``C_W - 1``
+    (module docstring).  Its ``t1`` scaled by ``D_w``, ``w`` its width, and
+    the tail of width ``m' = m - w + 1`` scaled by ``D_m'^(len(i_list) - 2)``
+    are lifted to ``D_m`` by exact integer factors.
     """
-    key = (i_list, s, l)
+    key = (i_list, s, c)
     hit = cache.t2.get(key)
     if hit is not None:
         return hit
     if len(i_list) == 2:
-        value = _t1_scaled(i_list[0], s, cache) if all(x == 1 for x in l) else 0
+        value = _t1_scaled(i_list[0], s, cache)
     else:
         head = i_list[:-1]
         last = i_list[-1]
@@ -403,27 +402,26 @@ def _t2_scaled(
         value = 0
         for a in range(m):
             s_acc = 0
-            l_acc = 0
+            c_acc = 0
             for b in range(a, m):
                 s_acc += s[b]
-                l_acc += l[b] - 1
-                s_new = s_acc - last
-                if s_new < 1 or l_acc < 1:
+                c_acc += c[b]
+                if s_acc <= last or not c_acc:
                     continue
-                inner = _t1_scaled(s_new, s[a : b + 1], cache)
+                # t1 is symmetric in its index and the complement s_acc - last
+                inner = _t1_scaled(last, s[a : b + 1], cache)
                 if not inner:
                     continue
                 tail = _t2_scaled(
                     head,
-                    s[:a] + (s_new,) + s[b + 1 :],
-                    l[:a] + (l_acc,) + l[b + 1 :],
+                    s[:a] + (s_acc - last,) + s[b + 1 :],
+                    c[:a] + (c_acc - 1,) + c[b + 1 :],
                     cache,
                 )
                 if tail:
                     width = b - a + 1
                     lift = (d // dens[width]) * (d // dens[m - width + 1]) ** depth
-                    weight = _window_weight(l[a : b + 1], l_acc)
-                    value += weight * inner * tail * lift
+                    value += c_acc * inner * tail * lift
     cache.t2[key] = value
     return value
 
@@ -438,23 +436,36 @@ def t2_coefficient(
     Base case (two indices): equals :func:`t1_coefficient` when every
     ``l_r == 1`` and vanishes otherwise.  Recursive case: sum over windows
     ``[a..b]`` of columns, each replaced by the single column
-    ``(sum s - i_k, sum (l_r - 1))``, weighted by the window weight and by
-    the ``t1`` value of the window against the last index.
+    ``(sum s - i_k, sum (l_r - 1))``, weighted by the window's surplus
+    ``sum (l_r - 1)`` and by the ``t1`` value of the window against the
+    last index.  The value is read off the capacity contraction of
+    :func:`_t2_scaled` by binomial inversion: ``t2`` is the sum over
+    ``0 <= c <= l - 1`` of ``prod (-1)^(l_r - 1 - c_r) comb(l_r - 1, c_r)``
+    times ``Phi(i_list; s; c)``.
     """
     i_list = tuple(i_list)
     if len(i_list) < 2:
         raise ValueError("need at least two indices")
-    scaled = _t2_scaled(i_list, sl.s, sl.l, MemoCache() if cache is None else cache)
+    if cache is None:
+        cache = MemoCache()
+    scaled = 0
+    for caps in product(*(range(l_r) for l_r in sl.l)):
+        term = _t2_scaled(i_list, sl.s, caps, cache)
+        for c_r, l_r in zip(caps, sl.l):
+            term *= (-1) ** (l_r - 1 - c_r) * comb(l_r - 1, c_r)
+        scaled += term
     return Fraction(scaled, _denominators(sl.width)[-1] ** (len(i_list) - 1))
 
 
 def _placements(barred: tuple[int, ...], m: int, cache: MemoCache) -> dict:
-    """Labelled placements of the barred positions into ``m`` non-empty blocks.
+    """Weighted placements of the barred positions into ``m`` non-empty blocks.
 
-    Returns ``{block sums: ((block sizes, count), ...)}``, where ``count``
-    is the number of placements with those block sums and sizes.  A dict
-    DP over positions carries the state (block sums, block sizes); states
-    that can no longer fill every block are dropped.
+    Returns ``{block sums: ((capacities, weight), ...)}``: a placement with
+    block sizes ``n_r`` leaves column ``r`` the capacity ``s_r - n_r`` and
+    weighs ``prod perm(s_r - 1, n_r - 1)``, and ``weight`` sums that over
+    the placements with those block sums and sizes.  A dict DP over
+    positions carries the state (block sums, block sizes); states that can
+    no longer fill every block are dropped.
     """
     key = (barred, m)
     hit = cache.s.get(key)
@@ -475,30 +486,12 @@ def _placements(barred: tuple[int, ...], m: int, cache: MemoCache) -> dict:
         states = nxt
     grouped: dict = {}
     for (sums, sizes), count in states.items():
-        grouped.setdefault(sums, []).append((sizes, count))
+        for s_r, n_r in zip(sums, sizes):
+            count *= perm(s_r - 1, n_r - 1)
+        grouped.setdefault(sums, []).append((tuple(map(sub, sums, sizes)), count))
     groups = {sums: tuple(entries) for sums, entries in grouped.items()}
     cache.s[key] = groups
     return groups
-
-
-def _placement_weight(entries, s: tuple[int, ...], l: tuple[int, ...]) -> int:
-    """``sum count * prod (s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)`` over ``entries``.
-
-    A placement contributes only when every slack ``s_r - n_r - l_r + 1``
-    is non-negative.  Since the slack and ``l_r - 1`` add up to
-    ``s_r - n_r``, each column is ``comb(s_r - n_r, l_r - 1) *
-    perm(s_r - 1, n_r - 1)``.
-    """
-    total = 0
-    for sizes, count in entries:
-        term = count
-        for s_r, n_r, l_r in zip(s, sizes, l):
-            if s_r - n_r - l_r + 1 < 0:
-                break
-            term *= comb(s_r - n_r, l_r - 1) * perm(s_r - 1, n_r - 1)
-        else:
-            total += term
-    return total
 
 
 def s_coefficient(
@@ -511,11 +504,18 @@ def s_coefficient(
     value sum ``s_r`` and ``s_r - n_r - l_r + 1 >= 0`` (``n_r`` the block
     size), with weight ``prod (s_r-1)! / ((s_r-n_r-l_r+1)! (l_r-1)!)``.
     Repeated values are distinguishable, so the result is an integer.
+    A column weighs ``comb(s_r - n_r, l_r - 1) * perm(s_r - 1, n_r - 1)``,
+    whose ``comb`` vanishes exactly when the slack is negative.
     """
     groups = _placements(
         tuple(sorted(barred)), sl.width, MemoCache() if cache is None else cache
     )
-    return _placement_weight(groups.get(sl.s, ()), sl.s, sl.l)
+    total = 0
+    for caps, weight in groups.get(sl.s, ()):
+        for c_r, l_r in zip(caps, sl.l):
+            weight *= comb(c_r, l_r - 1)
+        total += weight
+    return total
 
 
 def n1_coefficient(
@@ -549,19 +549,16 @@ def n1_coefficient(
     else:
         value = Fraction(0)
         # Only block sums that some placement of the barred list reaches
-        # give a non-zero ``s``; every ``t2`` of width ``m`` shares the
-        # denominator ``D_m^(k-1)``, so each width sums in integers.
+        # give a non-zero ``s``.  A placement's column weights
+        # ``comb(c_r, l_r - 1)``, summed against ``t2`` over every ``l``,
+        # are the capacity contraction at ``c``; every contraction of width
+        # ``m`` shares the denominator ``D_m^(k-1)``, so each width sums in
+        # integers.
         for m in range(1, min(i, kbar) + 1):
-            l_comps = tuple(compositions(m + k - 2, m))
             scaled = 0
             for s_comp, entries in _placements(barred, m, cache).items():
-                for l_comp in l_comps:
-                    s_val = _placement_weight(entries, s_comp, l_comp)
-                    if not s_val:
-                        continue
-                    t_val = _t2_scaled(unbarred, s_comp, l_comp, cache)
-                    if t_val:
-                        scaled += s_val * t_val
+                for caps, weight in entries:
+                    scaled += weight * _t2_scaled(unbarred, s_comp, caps, cache)
             if scaled:
                 sign = 1 if m % 2 else -1
                 value += Fraction(sign * scaled, cache.denominators(m)[m] ** (k - 1))

@@ -179,10 +179,12 @@ def _oriented(key: NKey) -> NKey:
     """The orientation of ``key`` the recursion oracle evaluates.
 
     ``N`` is invariant under exchanging the two sides, but its cost is not:
-    ``t2`` recurses over the unbarred list and the placements over the
-    barred one, and many unbarred factors against few barred ones is the
-    cheap way round.  So the side with more factors goes unbarred; a tie
-    puts the larger side tuple unbarred.
+    the capacity contraction recurses over the unbarred list, ``k - 2``
+    levels deep, and the placements range over the barred one, whose
+    widths and block sums multiply the contraction's keys.  So the side
+    with more factors goes unbarred: the other way round, the oracle takes
+    2.7x as long at ``(6,8)`` and 5-6x at ``(6,9)``.  A tie puts the
+    larger side tuple unbarred.
     """
     k = sum(m for _, m in key.unbarred)
     kbar = sum(m for _, m in key.barred)

@@ -22,13 +22,11 @@ from fractions import Fraction
 
 import pytest
 
-from taumap import coefficients
 from taumap.potential import build_potential, default_policy
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
 from taumap.verify import CheckResult, out_of_cone_maxima, toda_residual_a, toda_residual_c
 
-from helpers_recursion import recursion_potential
-from test_coefficients import multinomial_window_weight
+from helpers_recursion import reference_potential
 from test_verify import corrupted_once
 
 
@@ -273,11 +271,10 @@ def test_packed_residuals_equal_reference_on_corrupted_potentials(mono):
     assert not (residual_a.ok and residual_c.ok)
 
 
-def test_packed_residuals_equal_reference_on_multinomial_window_weight(monkeypatch):
+def test_packed_residuals_equal_reference_on_multinomial_window_weight():
     # the (6, 6) potential with the rejected window weight, which the
     # mixed constraint fails
-    monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
-    potential = recursion_potential(default_policy(6, 6))
+    potential = reference_potential(default_policy(6, 6), "multinomial")
     _, residual_c = assert_same_residuals(potential, 4)
     assert not residual_c.ok
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from taumap import coefficients, verify
+from taumap import verify
 from taumap.confmap import map_from_potential
 from taumap.moments import BoundaryCurve, MomentVector, moments_from_curve, v_moments_from_curve
 from taumap.potential import build_potential, default_policy
@@ -25,8 +25,7 @@ from taumap.verify import (
     toda_residual_c,
 )
 
-from helpers_recursion import recursion_potential
-from test_coefficients import multinomial_window_weight
+from helpers_recursion import reference_potential
 
 
 @pytest.fixture(scope="module")
@@ -79,20 +78,35 @@ def test_residual_b_judges_every_monomial():
     assert result.checked == report.nonzero_terms == 328
 
 
-def test_combinatorial_formula_rejects_multinomial_window_weight(monkeypatch):
+def test_combinatorial_formula_rejects_multinomial_window_weight():
     # the multinomial weight changes coefficients from index lists of
-    # length four on; the recursion summed in one orientation per mirror
-    # pair stays symmetric by construction, so the term-by-term comparison
-    # with the solver build, which reads no window weight, must reject it
-    monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
-    potential, _ = build_potential(default_policy(5, 6))
-    other = recursion_potential(default_policy(5, 6))
+    # length four on; the reference potential under it, summed in one
+    # orientation per mirror pair, stays symmetric by construction, so the
+    # term-by-term comparison with the engine's recursion must reject it;
+    # under the linear weight the reference passes the same comparison
+    assert combinatorial_formula_check(reference_potential(default_policy(5, 6), "linear")).ok
+    other = reference_potential(default_policy(5, 6), "multinomial")
     assert toda_residual_b(other).ok
-    report = combinatorial_formula_check(potential)
+    report = combinatorial_formula_check(other)
     assert not report.ok
     assert report.checked == 336
     assert len(report.violations) == 74
-    assert report.violations[0] == "t1^4 * tbar2^2: built 0, formula -1/4"
+    assert report.violations[0] == "t1^4 * tbar2^2: built -1/4, formula 0"
+
+
+def test_combinatorial_formula_at_the_builds_degrees():
+    potential, _ = build_potential(default_policy(6, 8))
+    report = combinatorial_formula_check(potential)
+    assert report.ok, report.violations[:5]
+    assert report.checked == 3778
+
+
+@pytest.mark.slow
+def test_combinatorial_formula_at_degree_nine():
+    potential, _ = build_potential(default_policy(6, 9))
+    report = combinatorial_formula_check(potential)
+    assert report.ok, report.violations[:5]
+    assert report.checked == 8128
 
 
 def test_residual_b_detects_an_asymmetric_potential(potential_44):
@@ -237,11 +251,10 @@ def test_residual_c_catches_every_single_corruption_at_56():
     assert assert_residual_c_catches_every_corruption(5, 6) == 328
 
 
-def test_residuals_reject_multinomial_window_weight_at_46(monkeypatch):
+def test_residuals_reject_multinomial_window_weight_at_46():
     # the negative control fails both residuals at the policy and order of
     # the corruption sweep; the degree-and-index cone alone passed it there
-    monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
-    potential = recursion_potential(default_policy(4, 6))
+    potential = reference_potential(default_policy(4, 6), "multinomial")
     assert not toda_residual_a(potential, 3).ok
     assert not toda_residual_c(potential, 3).ok
 
@@ -266,17 +279,16 @@ def test_mirror_is_involution(potential_44):
         assert mirror.degree == mono.degree and mirror.t0_power == mono.t0_power
 
 
-def test_residuals_arbitrate_window_weight_at_degree_six(residuals_order_4, monkeypatch):
+def test_residuals_arbitrate_window_weight_at_degree_six(residuals_order_4):
     # the degree-6 cone reaches the first coefficient sector where the two
     # window-weight candidates disagree; the mixed constraint accepts the
-    # shipped (linear) weight and rejects the multinomial one, injected here
-    # as a negative control
+    # shipped (linear) weight and rejects the multinomial one, read from the
+    # reference as a negative control
     good_a, good_c = residuals_order_4(6, 6)
     assert good_a.ok
     assert good_c.ok
 
-    monkeypatch.setattr(coefficients, "_window_weight", multinomial_window_weight)
-    other = recursion_potential(default_policy(6, 6))
+    other = reference_potential(default_policy(6, 6), "multinomial")
     assert not toda_residual_c(other, 4).ok
 
 
