@@ -70,11 +70,12 @@ are ``int``s).  Every family is memoized in a :class:`MemoCache` that the
 caller creates and passes; a call without one gets a fresh cache of its
 own, so no table outlives the call that filled it unless the caller keeps
 it.  ``p`` holds counts, ``t1`` the scaled kernel values, ``t2`` the scaled
-contractions ``Phi`` keyed by ``(i_list, s, c)``, ``s`` the weighted
-placement groups and ``n1`` the final coefficients.  Computation of a
-key is deterministic and idempotent, so concurrent get-or-compute races are
-harmless (CPython dict updates are atomic and both writers store the same
-value).
+contractions ``Phi`` keyed by ``(i_list, s, c)`` (those of two indices are
+``t1`` values, which do not depend on ``c``, and stay there), ``s`` the
+weighted placement groups and ``n1`` the final coefficients.  Computation
+of a key is deterministic and idempotent, so concurrent get-or-compute
+races are harmless (CPython dict updates are atomic and both writers store
+the same value).
 """
 
 from __future__ import annotations
@@ -386,42 +387,42 @@ def _t2_scaled(
     the tail of width ``m' = m - w + 1`` scaled by ``D_m'^(len(i_list) - 2)``
     are lifted to ``D_m`` by exact integer factors.
     """
+    if len(i_list) == 2:
+        # the base does not depend on c: t1 holds it once per s
+        return _t1_scaled(i_list[0], s, cache)
     key = (i_list, s, c)
     hit = cache.t2.get(key)
     if hit is not None:
         return hit
-    if len(i_list) == 2:
-        value = _t1_scaled(i_list[0], s, cache)
-    else:
-        head = i_list[:-1]
-        last = i_list[-1]
-        depth = len(head) - 1
-        m = len(s)
-        dens = cache.denominators(m)
-        d = dens[m]
-        value = 0
-        for a in range(m):
-            s_acc = 0
-            c_acc = 0
-            for b in range(a, m):
-                s_acc += s[b]
-                c_acc += c[b]
-                if s_acc <= last or not c_acc:
-                    continue
-                # t1 is symmetric in its index and the complement s_acc - last
-                inner = _t1_scaled(last, s[a : b + 1], cache)
-                if not inner:
-                    continue
-                tail = _t2_scaled(
-                    head,
-                    s[:a] + (s_acc - last,) + s[b + 1 :],
-                    c[:a] + (c_acc - 1,) + c[b + 1 :],
-                    cache,
-                )
-                if tail:
-                    width = b - a + 1
-                    lift = (d // dens[width]) * (d // dens[m - width + 1]) ** depth
-                    value += c_acc * inner * tail * lift
+    head = i_list[:-1]
+    last = i_list[-1]
+    depth = len(head) - 1
+    m = len(s)
+    dens = cache.denominators(m)
+    d = dens[m]
+    value = 0
+    for a in range(m):
+        s_acc = 0
+        c_acc = 0
+        for b in range(a, m):
+            s_acc += s[b]
+            c_acc += c[b]
+            if s_acc <= last or not c_acc:
+                continue
+            # t1 is symmetric in its index and the complement s_acc - last
+            inner = _t1_scaled(last, s[a : b + 1], cache)
+            if not inner:
+                continue
+            tail = _t2_scaled(
+                head,
+                s[:a] + (s_acc - last,) + s[b + 1 :],
+                c[:a] + (c_acc - 1,) + c[b + 1 :],
+                cache,
+            )
+            if tail:
+                width = b - a + 1
+                lift = (d // dens[width]) * (d // dens[m - width + 1]) ** depth
+                value += c_acc * inner * tail * lift
     cache.t2[key] = value
     return value
 

@@ -28,17 +28,18 @@ and integrable hierarchies", hep-th/9909147).  ``B_k`` is
 with ``k > n`` is the constant term of ``z_cl^k``.  :func:`_closure` takes
 both in closed form, by Lagrange inversion over powers of the map's tail.
 
-Serving a domain is one numeric evaluation of fixed series.  The exact
-rows ``d0^2 F_reg`` and ``d0 d_k F_reg`` (``k <= n_max``) are derived once,
-on the first map of a potential, and compiled from their packed codes into
-a float kernel held on that :class:`~taumap.series.PotentialSeries`
-instance.  Per moment vector it takes each variable's few powers by
-repeated multiplication, multiplies them into the terms the variable
-appears in, and sums each row's block of terms with one
-``np.add.reduceat``: another order than :meth:`TruncatedSeries.evaluate`,
-so the two agree to the last few bits only.  The map, like the curve, is
-evaluated by Horner's rule in ``1/z``.  The moment vector the map is taken
-at is :class:`taumap.moments.MomentVector`.
+Serving a domain is one numeric evaluation of fixed series.  On the first
+map of a potential the rows ``d0^2 F_reg`` and ``d0 d_k F_reg``
+(``k <= n_max``) are compiled from ``F_reg``'s packed codes alone, read
+once and with no derivative series taken, into a float kernel held on that
+:class:`~taumap.series.PotentialSeries` instance (:class:`_Kernel`).  Per
+moment vector it takes each variable's few powers by repeated
+multiplication, multiplies them into the terms the variable appears in,
+and sums each row's block of terms with one ``np.add.reduceat``: another
+order than :meth:`TruncatedSeries.evaluate`, so the two agree to the last
+few bits only.  The map, like the curve, is evaluated by Horner's rule in
+``1/z``.  The moment vector the map is taken at is
+:class:`taumap.moments.MomentVector`.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ from dataclasses import dataclass
 from cmath import isfinite
 from math import exp, inf, sqrt
 from operator import mul
-from typing import Iterable
 
 import numpy as np
 
 from .moments import MomentVector, _horner, _require_finite
-from .series import PotentialSeries, TruncatedSeries
+from .series import PotentialSeries, _Tail
 
 __all__ = ["ExteriorMapSeries", "map_from_potential", "evaluate_map"]
 
@@ -91,63 +91,62 @@ class ExteriorMapSeries:
 
 
 class _Kernel:
-    """Rows of exact series compiled for evaluation in complex binary64.
+    """An exact series' derivatives, compiled for evaluation in complex binary64.
 
-    Each row's terms form one contiguous block of columns, in row order;
-    ``ends`` holds where each block ends.  Within its block a row's terms
-    run in ascending code order, so its sum, and each float the kernel
-    gives, depends on the row's terms alone and not on the order in which
-    the algebra made them.  The rows of the map never share
-    a monomial (``A`` has equal plain and barred weight, ``B_k`` plain
-    weight ``k`` below barred), so no column is stored twice there.
-    ``support`` has one entry per variable -- ``t0``, then ``t_k`` and
-    ``tbar_k`` for ``k = 1..n`` in turn, ``n`` the rows' ``n_max`` --
-    holding the columns where its exponent is nonzero, those exponents
-    and their maximum: all that evaluation reads.  ``coeffs`` holds every
-    (real) coefficient rounded once.  ``starts`` holds the first column of
-    each row with terms, ``filled`` those rows: ``np.add.reduceat`` reads
-    an empty block as the term at its start, so an empty row is left out
-    of the sum and reads exactly 0.
-
-    The rows are read in their packed form (:class:`taumap.series._Tail`):
-    each exponent comes from the codes through the codec, by the shift of
-    its field (:meth:`taumap.series._Codec.shift`, ``t0_shift``) and
-    ``mask``, and each coefficient is its numerator over the row's
-    denominator, an integer true division that rounds as
-    ``float(Fraction)`` does.
+    ``tail`` stores ``F``; each row of ``lowerings`` is the derivative that
+    lowers the variables it lists, as indices into ``support``: ``(0, 0)``
+    is ``d0^2 F``, ``(0, 2k - 1)`` is ``d0 d_k F`` and ``()`` is ``F``.  A
+    row keeps the terms whose factor ``prod (e_v - i)``, over the ``i``-th
+    lowering of each ``v``, is nonzero, lowers their exponents and takes
+    ``numerator * factor / den``, which rounds as ``float(Fraction)`` does.
+    Its terms form one contiguous block of columns, in row order, that ends
+    at its entry in ``ends``.  They keep the order of their codes in ``F``,
+    which differ from theirs by one constant: ascending code order, so each
+    float depends on the row's terms alone and not on the order in which
+    the algebra made them.  ``support`` has one entry per variable --
+    ``t0``, then ``t_k`` and ``tbar_k`` for ``k = 1..n``, ``n`` the series'
+    ``n_max`` -- holding the columns where its exponent is nonzero, those
+    exponents and their maximum: all that evaluation reads.  ``coeffs``
+    holds every (real) coefficient rounded once.  ``starts`` holds the
+    first column of each row with terms, ``filled`` those rows:
+    ``np.add.reduceat`` reads an empty block as the term at its start, so
+    an empty row reads exactly 0.
     """
 
     __slots__ = ("n", "support", "coeffs", "ends", "starts", "filled")
 
-    def __init__(self, rows: Iterable[TruncatedSeries]) -> None:
-        # ``rows``, one or more under one policy, is read once, so a
-        # generator holds one exact row at a time
-        codes: list[int] = []
-        coeffs, ends = array("d"), []
-        for row in rows:
-            tail = row._tail
-            codec, den = tail.codec, tail.den
-            for cell in tail.cells.values():
-                codes += cell
-                coeffs.extend(n / den for n in cell.values())
-            ends.append(len(codes))
+    def __init__(self, tail: _Tail, lowerings: list[tuple[int, ...]]) -> None:
+        codec, den = tail.codec, tail.den
+        codes = [code for cell in tail.cells.values() for code in cell]
+        nums = [num for cell in tail.cells.values() for num in cell.values()]
         # codes beyond 63 bits are shifted and sorted as Python ints
         packed = np.array(codes, dtype=np.int64 if max(codes, default=0) >> 63 == 0 else object)
-        # each row's block in code order (class docstring)
-        order = np.concatenate(
-            [start + np.argsort(packed[start:end]) for start, end in zip([0] + ends, ends)]
-        )
-        packed = packed[order]
+        order = np.argsort(packed)
+        packed, nums = packed[order], np.array(nums, dtype=object)[order]
         self.n = n = codec.n_max
         # t0, the top field that the mask -1 keeps whole, then t_k, tbar_k in turn
         fields = [(codec.t0_shift, -1)]
         fields += [(codec.shift(k, b), codec.mask) for k in range(1, n + 1) for b in (False, True)]
+        # each field read once, as the least signed integers that hold them all
+        top = max(max(codes, default=0) >> codec.t0_shift, codec.mask)
+        e = np.empty((len(fields), len(packed)), np.min_scalar_type(-top - 1))
+        for v, (shift, mask) in enumerate(fields):
+            e[v] = (packed >> shift) & mask
+        takes, coeffs, ends = [], array("d"), []
+        for lowered in lowerings:
+            factor = np.ones(len(packed), dtype=np.intp)
+            for i, v in enumerate(lowered):
+                factor *= e[v] - lowered[:i].count(v)
+            take = np.flatnonzero(factor)
+            takes.append(take)
+            coeffs.extend(c * f / den for c, f in zip(nums[take].tolist(), factor[take].tolist()))
+            ends.append(len(coeffs))
         self.support = []
-        for shift, mask in fields:
-            field = ((packed >> shift) & mask).astype(np.intp)
+        for v, read in enumerate(e):
+            field = np.concatenate([read[t] - low.count(v) for low, t in zip(lowerings, takes)])
             cols = np.flatnonzero(field)
-            self.support.append((cols, field[cols], int(field.max(initial=0))))
-        self.coeffs = np.frombuffer(coeffs, dtype=np.float64)[order]
+            self.support.append((cols, field[cols].astype(np.intp), int(field.max(initial=0))))
+        self.coeffs = np.frombuffer(coeffs, dtype=np.float64)
         self.ends = ends
         bounds = np.array([0] + ends)
         self.filled = np.flatnonzero(np.diff(bounds))
@@ -257,9 +256,9 @@ def map_from_potential(
     n_max = potential.regular.policy.n_max
     kernel = potential._map_kernel
     if kernel is None:
-        # the rows are streamed: A, then B_1..B_n
-        d0 = potential.regular.diff_t0()
-        kernel = _Kernel(d0.diff_t(k) if k else d0.diff_t0() for k in range(n_max + 1))
+        # A = d0^2 F_reg, then B_k = d0 d_k F_reg, from F_reg's codes alone
+        lowerings = [(0, 0)] + [(0, 2 * k - 1) for k in range(1, n_max + 1)]
+        kernel = _Kernel(potential.regular._tail, lowerings)
         object.__setattr__(potential, "_map_kernel", kernel)
     a_val, *b = kernel(moments).tolist()
 

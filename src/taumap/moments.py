@@ -138,9 +138,10 @@ class BoundaryCurve:
 
 
 def _quadrature(curve: BoundaryCurve, n: int, dual: bool):
-    """``z`` on the grid, the trapezoid weight ``w`` with ``(1/(2 pi i)) oint f
-    conj(z) dz = sum(f w)``, and ``sum(z^(+-k) w)`` for ``k = 0..n``: one
-    running power of ``z`` (dual) or ``1/z`` and one product-sum each."""
+    """``z`` and ``u z'(u)`` on the grid, the trapezoid weight ``w`` with
+    ``(1/(2 pi i)) oint f conj(z) dz = sum(f w)``, and ``sum(z^(+-k) w)`` for
+    ``k = 0..n``: one running power of ``z`` (dual) or ``1/z`` and one
+    product-sum each."""
     if n < 1:
         raise ValueError("n must be >= 1")
     z, dz, u = curve.boundary()
@@ -151,21 +152,24 @@ def _quadrature(curve: BoundaryCurve, n: int, dual: bool):
     for _ in range(n):
         power *= step
         sums.append(complex((power * weight).sum()))
-    return z, weight, sums
+    return z, dz * u, weight, sums
 
 
 def moments_from_curve(curve: BoundaryCurve, n: int) -> MomentVector:
     """Harmonic moments ``t0, t_1..t_n`` of the curve's interior domain.
 
     The moments ``t_k`` expand about the origin, so the interior must
-    contain it: the curve's winding number about 0, ``(1/N) sum u z'(u) /
-    z(u) = sum(w / |z|^2)`` over the quadrature's weights ``w``, must read
-    1.  A curve through or outside the origin, or one that passes too close
-    to it for the samples to resolve, raises ``ValueError``.
+    contain it: the curve's winding number about 0, the mean of
+    ``u z'(u) / z(u)`` over the samples, free of the curve's scale, must
+    read 1.  A curve through or outside the origin, or one that passes too
+    close to it for the samples to resolve, raises ``ValueError``.  So does
+    a moment that leaves the floating-point range, named: scaling the curve
+    by ``c`` scales ``t0`` by ``c^2`` and ``t_k`` by ``c^(2-k)``, so
+    ``t0 = r^2`` is the first to go.  Overflow raises no numpy warning.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z, weight, (t0, *sums) = _quadrature(curve, n, dual=False)
-        winding = complex((weight / (z.real**2 + z.imag**2)).sum())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z, slope, weight, (t0, *sums) = _quadrature(curve, n, dual=False)
+        winding = complex((slope / z).mean())
     if not (isfinite(winding) and abs(winding - 1) < 0.5):
         raise ValueError(
             f"the curve's winding number about the origin is w = {winding:.6g}, not 1: "
@@ -173,17 +177,22 @@ def moments_from_curve(curve: BoundaryCurve, n: int) -> MomentVector:
             "resolve a curve that passes close to it"
         )
     t = [s / k for k, s in enumerate(sums, 1)]
-    for name, val in [("t0", t0)] + [(f"t{k}", v) for k, v in enumerate(t, 1)]:
-        if not isfinite(val):
-            raise ArithmeticError(f"non-finite quadrature result for {name}")
+    # t0, the area over pi, reads 0 only where it underflows
+    for name, val in [("t0", t0.real)] + [(f"t{k}", v) for k, v in enumerate(t, 1)]:
+        if not isfinite(val) or (name == "t0" and val == 0):
+            raise ValueError(
+                f"the moment {name} = {val:.6g} leaves the floating-point range: "
+                "scaling the curve by c scales t0 by c^2 and t_k by c^(2-k)"
+            )
     return MomentVector(t0=t0.real, t=tuple(t))
 
 
 def v_moments_from_curve(curve: BoundaryCurve, n: int) -> list[complex]:
     """Dual moments ``v_0..v_n`` (interior integrals of ``log|z|`` and ``z^k``)."""
-    z, weight, (_, *sums) = _quadrature(curve, n, dual=True)
-    # (2/pi) Im oint g conj(z) dz = 4 Re sum(g w)
-    v0 = 4.0 * float(np.real(((0.5 * np.log(np.abs(z)) - 0.25) * weight).sum()))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z, _, weight, (_, *sums) = _quadrature(curve, n, dual=True)
+        # (2/pi) Im oint g conj(z) dz = 4 Re sum(g w)
+        v0 = 4.0 * float(np.real(((0.5 * np.log(np.abs(z)) - 0.25) * weight).sum()))
     out = [complex(v0)] + sums
     if not all(isfinite(v) for v in out):
         raise ArithmeticError("non-finite quadrature result in dual moments")

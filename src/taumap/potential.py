@@ -64,8 +64,9 @@ reads ``None`` (:meth:`taumap.series._Tail.products`), which it does at
 ``a <= b`` only.  One mirror step (:meth:`_TodaSolver._mirrored`) then
 fills each cell ``a > b`` of ``E_d`` and ``M_d`` as the mirror of its
 twin: every slice, and ``F``, holds the terms that forming every product
-gives, in another order.  The map sums each row in code order, so no float
-depends on that order (:class:`taumap.confmap._Kernel`).
+gives, in another order.  The map's kernel reads ``F``'s codes once,
+sorted, and sums each row in code order, so no float depends on that
+order (:class:`taumap.confmap._Kernel`).
 
 The recursion for ``N`` is not run here, nor the walk over its keys
 (:func:`taumap.coefficients.admissible_keys`).  They stay as the exact

@@ -594,10 +594,11 @@ def degree_term_sums(
     For an admissible vector these sums are majorized by ``2^-K`` at degree
     ``K``, the geometric tail bound behind the convergence gate.  A sum
     that is not finite raises ``ValueError``: such moments lie far outside
-    the region where the series converges.  A term's degree is the sum of
-    its factor supports in the map kernel (:class:`taumap.confmap._Kernel`).
+    the region where the series converges.  The map's kernel reads the terms
+    from ``F_reg``'s codes once, as its one row (:class:`taumap.confmap._Kernel`),
+    and a term's degree is the sum of its factor supports there.
     """
-    kernel = _Kernel([potential.regular])
+    kernel = _Kernel(potential.regular._tail, [()])
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.abs(kernel.coeffs * kernel.monomials(m))
     degrees = np.zeros(len(terms), dtype=np.int64)

@@ -217,7 +217,7 @@ def test_verify_stats_leave_the_report_unchanged(tmp_path, capsys):
             "residual_a": 15552000.0,
             "residual_c": 87840000.0,
         }
-        assert sorted(stats["elapsed_s"]) == sorted(["build", *checks])
+        assert sorted(stats["elapsed_s"]) == sorted(["build", *checks, "out_of_cone_maxima"])
         assert all(s >= 0 for s in stats["elapsed_s"].values())
     assert "elapsed" not in plain and "max_abs_out_of_cone" not in plain
     # stats that cannot be written are an error before the report is
@@ -602,6 +602,27 @@ def test_map_far_outside_the_series_range_warns_nothing(tmp_path):
         assert run.stdout == b""
         assert run.stderr.startswith(b"error: B_2 = d0 d_2 F is not finite: ")
         assert b"nan" not in run.stderr
+        assert run.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize(
+    "curve, t0",
+    [({"r": 1e-300}, "0"), ({"r": 1e200, "a": [[0, 0], [1e199, 0]]}, "nan")],
+    ids=["tiny", "huge"],
+)
+def test_moments_out_of_the_float_range_are_named(tmp_path, curve, t0):
+    # the origin is inside both curves: the winding number reads 1, and the
+    # one message names t0 = r^2, which under- or overflows first, with no
+    # numpy warning, also when warnings are errors
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve))
+    for options in ((), ("-W", "error")):
+        run = taumap_process(["moments", "--in", str(path)], tmp_path, *options)
+        assert run.returncode == 2
+        assert run.stdout == b""
+        want = f"error: the moment t0 = {t0} leaves the floating-point range: "
+        assert run.stderr.startswith(want.encode())
+        assert b"Warning" not in run.stderr and b"winding" not in run.stderr
         assert run.stderr.count(b"\n") == 1
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from taumap import confmap
 from taumap.confmap import ExteriorMapSeries, _closure, _Kernel, evaluate_map, map_from_potential
 from taumap.moments import BoundaryCurve, MomentVector, moments_from_curve
 from taumap.potential import build_potential, default_policy
@@ -352,14 +353,30 @@ def count_derivatives(monkeypatch):
     return calls
 
 
+def count_compiles(monkeypatch):
+    """The list to which every later ``_Kernel`` compiled by the map appends
+    its lowerings."""
+    calls = []
+
+    class Counted(_Kernel):
+        __slots__ = ()
+
+        def __init__(self, tail, lowerings):
+            calls.append(lowerings)
+            super().__init__(tail, lowerings)
+
+    monkeypatch.setattr(confmap, "_Kernel", Counted)
+    return calls
+
+
 def test_second_map_takes_no_derivative(monkeypatch):
+    # the kernel reads F's codes: not even the first map takes a derivative
     potential, _ = build_potential(default_policy(3, 4))
     assert potential._map_kernel is None  # the build does not compile it
     calls = count_derivatives(monkeypatch)
     m = MomentVector(t0=0.9, t=(0.01 + 0.02j, -0.003j, 0.001))
     first = map_from_potential(potential, m, order=2)
-    assert calls.count("diff_t") == 3 and calls.count("diff_t0") == 2
-    calls.clear()
+    assert calls == []
     assert map_from_potential(potential, m, order=2) == first
     assert calls == []
 
@@ -367,16 +384,16 @@ def test_second_map_takes_no_derivative(monkeypatch):
 def test_kernel_holds_the_map_rows_and_compiles_once(monkeypatch):
     potential, _ = build_potential(default_policy(3, 4))
     calls = count_derivatives(monkeypatch)
+    compiles = count_compiles(monkeypatch)
     m = MomentVector(t0=0.9, t=(0.01 + 0.02j, -0.003j, 0.001))
     first = map_from_potential(potential, m, order=5)
     # A and B_1..B_3 from the regular part; B_4..B_6 from the closure
     kernel = potential._map_kernel
     assert len(kernel.ends) == 4
-    assert calls.count("diff_t") == 3 and calls.count("diff_t0") == 2
-    calls.clear()
+    assert compiles == [[(0, 0), (0, 1), (0, 3), (0, 5)]]
     assert map_from_potential(potential, m, order=5) == first
     short = map_from_potential(potential, m, order=2)
-    assert calls == [] and potential._map_kernel is kernel
+    assert calls == [] and len(compiles) == 1 and potential._map_kernel is kernel
     assert short.p == first.p and short.tail == first.tail[:3]
     assert short.closure == first.closure
 
@@ -401,9 +418,9 @@ def test_empty_kernel_rows_read_exactly_zero():
 
 
 def decoded_kernel_arrays(rows):
-    """The kernel's ``exponents``, ``coeffs`` and ``ends`` as they were built
-    before the kernel read the packed codes: from the decoded terms, each
-    row's in code order and each coefficient ``float(Fraction)``."""
+    """The kernel's ``exponents``, ``coeffs`` and ``ends`` for exact ``rows``,
+    taken from their decoded terms, each row's in code order and each
+    coefficient ``float(Fraction)``."""
     var, col, power, coeffs, ends = [], [], [], [], []
     for row in rows:
         encode = row._tail.codec.encode
@@ -434,13 +451,19 @@ def assert_support_of(kernel, exponents):
         assert top == want.max(initial=0)
 
 
+def map_lowerings(n_max):
+    """The fields the map's rows lower: ``t0`` twice for ``A``, then ``t0``
+    and ``t_k`` for each ``B_k``."""
+    return [(0, 0)] + [(0, 2 * k - 1) for k in range(1, n_max + 1)]
+
+
 @pytest.mark.parametrize("n_max", [5, 8])
 def test_kernel_compiles_from_codes_as_from_decoded_terms(n_max, potential_86):
+    # the kernel compiled from F's codes alone holds, bit for bit, the exact
+    # derivative rows decoded term by term
     potential = potential_86 if n_max == 8 else build_potential(default_policy(5, 6))[0]
-    d0 = potential.regular.diff_t0()
-    rows = [d0.diff_t0()] + [d0.diff_t(k) for k in range(1, n_max + 1)]
-    kernel = _Kernel(rows)
-    exponents, coeffs, ends = decoded_kernel_arrays(rows)
+    kernel = _Kernel(potential.regular._tail, map_lowerings(n_max))
+    exponents, coeffs, ends = decoded_kernel_arrays(map_rows(potential))
     assert_support_of(kernel, exponents)
     assert np.array_equal(kernel.coeffs, coeffs)
     assert kernel.ends == ends
@@ -449,17 +472,20 @@ def test_kernel_compiles_from_codes_as_from_decoded_terms(n_max, potential_86):
 
 def test_kernel_reads_codes_wider_than_63_bits():
     # at (12, 16) a code has 2 * 12 * 5 = 120 bits of fields below the t0
-    # power: the kernel shifts such codes as Python ints, to the same arrays
+    # power: the kernel shifts such codes as Python ints, to the same arrays;
+    # the t0^1 term leaves the A row, the t0^0 term every row but F's
     policy = TruncationPolicy(12, 16)
     terms = {
         Monomial(7, ((3, False, 2), (12, False, 1), (1, True, 4), (12, True, 9))): Fraction(-5, 3),
         Monomial(0, ((12, True, 16),)): Fraction(1, 7),
         Monomial(40, ((5, False, 1),)): Fraction(2),
+        Monomial(1, ((12, False, 15), (12, True, 1))): Fraction(3, 11),
     }
-    rows = [TruncatedSeries(policy, terms), TruncatedSeries(policy, {})]
-    kernel = _Kernel(rows)
-    exponents, coeffs, ends = decoded_kernel_arrays(rows)
-    assert kernel.n == 12 and kernel.ends == ends == [3, 3]
+    potential = PotentialSeries(TruncatedSeries(policy, terms))
+    kernel = _Kernel(potential.regular._tail, [()] + map_lowerings(12))
+    exponents, coeffs, ends = decoded_kernel_arrays([potential.regular] + map_rows(potential))
+    assert kernel.n == 12 and kernel.ends == ends
+    assert ends[:2] == [4, 6] and ends[-1] - ends[-2] == 2
     assert_support_of(kernel, exponents)
     assert np.array_equal(kernel.coeffs, coeffs)
 

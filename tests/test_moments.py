@@ -143,6 +143,26 @@ def test_a_curve_whose_interior_misses_the_origin_has_no_moments(a0):
         moments_from_curve(BoundaryCurve(r=1.0, a=(a0,)), 4)
 
 
+@pytest.mark.parametrize(
+    "curve",
+    [BoundaryCurve(r=1e-300), BoundaryCurve(r=1e200, a=(0, 1e199))],
+    ids=["tiny", "huge"],
+)
+def test_a_moment_out_of_the_float_range_is_named(curve):
+    # the winding number is taken free of the curve's scale, so it reads 1
+    # about the origin inside both; t0 = r^2 under- or overflows first, and
+    # numpy warns nothing (warnings are errors here)
+    with pytest.raises(ValueError, match=r"^the moment t0 = \S+ leaves the floating-point range"):
+        moments_from_curve(curve, 4)
+
+
+def test_dual_moments_out_of_the_float_range_warn_nothing():
+    # v_k scales as r^(k+2): at r = 1e100 the moments t_k fit, v_4 does not
+    moments_from_curve(BoundaryCurve(r=1e100), 4)
+    with pytest.raises(ArithmeticError, match="non-finite quadrature result in dual moments"):
+        v_moments_from_curve(BoundaryCurve(r=1e100), 4)
+
+
 def test_dual_moments_take_any_curve():
     # the dual moments are interior integrals, defined wherever the origin is
     v = v_moments_from_curve(BoundaryCurve(r=1.0, a=(2.0,)), 2)

@@ -95,12 +95,14 @@ def test_build_report_counts(potential_44):
 
 def test_build_report_table_sizes():
     # the report carries no table sizes: the build reads no table, and the
-    # recursion it is checked against fills every family's
+    # recursion it is checked against fills every family's.  t2 holds only
+    # contractions of three or more indices (those of two are t1 values),
+    # which degree 5 is the first to reach
     assert "table_sizes" not in {f.name for f in dataclasses.fields(BuildReport)}
     cache = MemoCache()
-    potential, _ = build_potential(default_policy(3, 4), cache=cache)
+    potential, _ = build_potential(default_policy(3, 5), cache=cache)
     assert not any(cache.sizes().values())
-    assert recursion_potential(default_policy(3, 4), cache).regular == potential.regular
+    assert recursion_potential(default_policy(3, 5), cache).regular == potential.regular
     assert set(cache.sizes()) == {"p", "t1", "t2", "s", "n1"}
     assert all(size > 0 for size in cache.sizes().values())
 
