@@ -30,7 +30,7 @@ print("exp(t1/2)      =", e)
 
 # formal derivatives follow the exponent rule, one variable at a time
 mixed = t0 * t1 * t1 * t2b
-print("d/dtbar2 of t0 t1^2 tbar2 =", mixed.diff_tbar(2))
+print("d/dtbar2 of t0 t1^2 tbar2 =", mixed.diff_t(2, barred=True))
 
 # barred variables become conjugates only at evaluation time
 pair = t1 * t1b

@@ -59,15 +59,18 @@ __all__ = ["main", "build_parser"]
 
 
 def _read_json(path: str) -> dict:
-    """The JSON document at ``path``, standard input for ``-``; a syntax
-    error is a ``ValueError`` that names the input."""
+    """The UTF-8 JSON document at ``path``, standard input for ``-``; input
+    that is not UTF-8, or has a syntax error, is a ``ValueError`` that
+    names the input."""
+    source = "standard input" if path == "-" else path
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
-        source = "standard input" if path == "-" else path
         raise ValueError(f"{source} is not valid JSON: {exc}") from None
 
 

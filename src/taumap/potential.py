@@ -173,16 +173,16 @@ class _TodaSolver:
             f[d + 2] = self._read(m[d], d)
         # F as one series under the policy, from its cells (0, 0, d)
         series = _Tail.box((0, 0), deg_max)
-        return TruncatedSeries._of(_Tail.combination(series, [(1, t) for t in f.values()]))
+        return TruncatedSeries._of(_Tail.combination(series, [(1, 0, 0, t) for t in f.values()]))
 
     def _sources(self, lo: _Tail, hi: _Tail) -> _Tail:
         """``X_d``: ``d0^2 F_d``, and ``u^a d0 d_a F / a`` and
         ``v^b d0 dbar_b F / b`` from ``F_{d+1}``."""
         d0 = hi.diff_t0()
-        terms = [(1, lo.diff_t0().diff_t0())]
+        terms = [(1, 0, 0, lo.diff_t0().diff_t0())]
         for a in range(1, self.policy.n_max + 1):
-            terms.append((Fraction(1, a), d0.diff_t(a).shifted(a, 0)))
-            terms.append((Fraction(1, a), d0.diff_t(a, barred=True).shifted(0, a)))
+            terms.append((Fraction(1, a), a, 0, d0.diff_t(a)))
+            terms.append((Fraction(1, a), 0, a, d0.diff_t(a, barred=True)))
         return _Tail.combination(self.bound, terms)
 
     def _mirrored(self, half: _Tail) -> _Tail:

@@ -45,11 +45,12 @@ Design points:
   tails with the same class.  Which cells a tail keeps is one datum it
   carries, a downward-closed bound per bidegree: the box of its orders and
   ``deg_max`` for a series and the solver, the truncation cone for the
-  residuals.  Every weighted sum of tails -- a series' sum, difference
-  and scalar multiple, the slices of an exponential, the potential's
-  degree slices, the weighted series a wider tail is built from
-  (:meth:`_Tail.from_series`), a residual -- is one rule,
-  :meth:`_Tail.combination`.  A tail's policy is its codec's.
+  residuals.  Every weighted sum of tails, each term shifted by its own
+  ``u^a v^b`` -- a series' sum, difference and scalar multiple, the slices
+  of an exponential, the potential's degree slices and the solver's
+  sources, the weighted derivatives a residual's wider tail is built from,
+  a residual -- is one rule, :meth:`_Tail.combination`.  A tail's policy
+  is its codec's.
 * Validation and decoding happen at the boundary.  ``Monomial(...)``
   checks canonical order, and ``TruncatedSeries(policy, terms)`` --
   through which :meth:`TruncatedSeries.filter` goes -- drops
@@ -239,15 +240,15 @@ class _Tail:
     its bound when it is made, and a product visits only the cell pairs
     whose sum the bound keeps, its pair loop adding integer codes and
     multiplying integer numerators.  Products and sums only add cells, so
-    under any downward-closed bound a weighted sum, a shift, a product or
+    under any downward-closed bound a shifted weighted sum, a product or
     an exponential is exactly the unbounded result restricted to the bound;
     a derivative lowers ``d`` and reads the degree above, so it is exact only
     where that degree is kept.  :meth:`box` is the bound of ``orders`` and
     ``deg_max``, which series and the solver use.  A tail of orders
-    ``(0, 0)`` is the storage of a :class:`TruncatedSeries`; series enter a
-    wider tail, each weighted and shifted by ``u^a v^b``, through
-    :meth:`from_series`.  A weighted sum of tails is one rule,
-    :meth:`combination`.
+    ``(0, 0)`` is the storage of a :class:`TruncatedSeries`.  A weighted
+    sum of tails, each term shifted by its own ``u^a v^b``, is one rule,
+    :meth:`combination`: it is also how a tail of orders ``(0, 0)`` enters
+    a wider one.
     """
 
     __slots__ = ("codec", "policy", "bound", "cells", "den")
@@ -300,42 +301,28 @@ class _Tail:
         self.den //= g
 
     @classmethod
-    def from_series(cls, bound, terms) -> "_Tail":
-        """``sum q * u^a v^b * series`` over ``terms`` of ``(q, a, b, series)``,
-        series under one policy, as one :meth:`combination` cut to ``bound``:
-        each weight is folded into the sum, not into a scaled series."""
-        parts = []
-        for q, a, b, s in terms:
-            cells = {(a, b, d): cell for (_, _, d), cell in s._tail.cells.items()}
-            parts.append((q, cls(s._tail.codec, bound, cells, s._tail.den)))
-        return cls.combination(bound, parts)
-
-    @classmethod
     def combination(cls, bound, terms) -> "_Tail":
-        """``sum q * tail`` over ``terms`` of ``(q, tail)`` under one codec, as
-        one tail of ``bound`` over the lcm of the scaled denominators, reduced
-        once; cells and codes keep the order in which they are first seen."""
-        scales = [Fraction(q) / t.den for q, t in terms]
+        """``sum q * u^a v^b * tail`` over ``terms`` of ``(q, a, b, tail)``
+        under one codec, as one tail of ``bound`` over the lcm of the scaled
+        denominators, cut and reduced once; cells and codes keep the order
+        in which they are first seen."""
+        scales = [Fraction(q) / t.den for q, _, _, t in terms]
         den = lcm(*(s.denominator for s in scales))
         cells: dict[tuple[int, int, int], dict[int, int]] = {}
-        for s, (_, t) in zip(scales, terms):
+        for s, (_, da, db, t) in zip(scales, terms):
             w = s.numerator * (den // s.denominator)
-            for key, cell in t.cells.items():
+            for (a, b, d), cell in t.cells.items():
+                key = a + da, b + db, d
                 out = cells.get(key)
                 if out is None:
                     cells[key] = {code: n * w for code, n in cell.items()}
                 else:
                     for code, n in cell.items():
                         out[code] = out.get(code, 0) + n * w
-        return cls(terms[0][1].codec, bound, cells, den)
+        return cls(terms[0][3].codec, bound, cells, den)
 
     def one(self) -> "_Tail":
         return self._like({(0, 0, 0): {0: 1}})
-
-    def shifted(self, da: int, db: int) -> "_Tail":
-        """Multiplication by ``u^da v^db``, cut to the bound."""
-        cells = {(a + da, b + db, d): cell for (a, b, d), cell in self.cells.items()}
-        return self._like(cells, self.den)
 
     def transposed(self) -> "_Tail":
         """The tail with ``u`` and ``v`` exchanged, for a bound symmetric in them."""
@@ -407,7 +394,7 @@ class _Tail:
         e = [self.one()]
         for _ in range(top):
             e.append(self.graded_exp_slice(x, e))
-        return self.combination(self.bound, [(1, t) for t in e])
+        return self.combination(self.bound, [(1, 0, 0, t) for t in e])
 
     def graded_exp_slice(self, x: list["_Tail"], e: list["_Tail"], dead=None) -> "_Tail":
         """The next slice ``E_g``, ``g = len(e)``, of ``E = exp(X)`` under a
@@ -560,7 +547,8 @@ class TruncatedSeries:
     @staticmethod
     def _combination(*terms) -> "TruncatedSeries":
         """The series ``sum q * tail`` over ``terms`` of ``(q, tail)``."""
-        return TruncatedSeries._of(_Tail.combination(terms[0][1].bound, terms))
+        bound = terms[0][1].bound
+        return TruncatedSeries._of(_Tail.combination(bound, [(q, 0, 0, t) for q, t in terms]))
 
     def __add__(self, other) -> "TruncatedSeries":
         return self._combination((1, self._tail), (1, self._operand(other)))
@@ -600,9 +588,6 @@ class TruncatedSeries:
     def diff_t(self, k: int, barred: bool = False) -> "TruncatedSeries":
         """Formal partial derivative with respect to ``t_k`` or ``tbar_k``."""
         return TruncatedSeries._of(self._tail.diff_t(k, barred))
-
-    def diff_tbar(self, k: int) -> "TruncatedSeries":
-        return self.diff_t(k, barred=True)
 
     # -- numerics ----------------------------------------------------------
 

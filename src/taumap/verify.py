@@ -19,8 +19,9 @@ imports nothing from the builder.  Four layers:
   :func:`toda_residual_c`), over the cells of the truncation cone only
   (below).  The tails are the series ring's packed
   polynomials (:class:`taumap.series._Tail`), the storage of every
-  series, so the derivative series enter the tails as they are stored and
-  only violations are decoded.  The violations are listed in a
+  series, so the residuals read the potential's tail as it is stored,
+  sum its derivatives by the ring's one linear rule and decode only
+  violations.  The violations are listed in a
   canonical order, by cell and then by monomial, so a report depends on
   the residual's value only.  The build solves the mixed
   constraint itself, so on a built potential :func:`toda_residual_c`
@@ -64,15 +65,17 @@ not judged.
 
 The cone is downward closed in ``(a, b, d)``: with a cell it holds every
 cell below it.  A product's cell is the sum of its operands' cells, a
-weighted sum and a shift by ``u^da v^db`` move no cell down, and the
-graded exponential is built from products and sums, so the cone cells of
-a result read only the cone cells of its operands.  The residuals are
-therefore expanded over the cone cells alone (a :class:`_Tail` whose
+weighted sum, each term shifted by its ``u^a v^b``, moves no cell down,
+and the graded exponential is built from products and sums, so the cone
+cells of a result read only the cone cells of its operands.  The residuals
+are therefore expanded over the cone cells alone (a :class:`_Tail` whose
 bound is :func:`_cone`), and their in-cone values are exactly those of
 the expansion over the whole box; at ``(5,6)``, order 4, only about a tenth
 of the term pairs a box expansion visits land in the cone.  The
-derivatives, which lower ``d``, are taken on the series, and each enters
-its tail with its weight in one weighted sum (:meth:`_Tail.from_series`).
+derivatives, which lower ``d``, are taken on the regular part's own tail,
+as the potential's Toda solver takes them, and each wider tail is one
+weighted sum of them, each term shifted by its ``u^a v^b``
+(:meth:`_Tail.combination`), so no derivative series is built.
 A tail is cut to its bound when it is made, so every cell a residual holds
 is a cone cell, and :func:`_judged` judges them all without testing the
 cone again.  Outside the cone the residuals are measured, not judged, by
@@ -395,18 +398,20 @@ def toda_residual_a(potential: PotentialSeries, order: int) -> CheckResult:
 
 
 def _residual_a(reg: TruncatedSeries, bound) -> _Tail:
-    """The residual tail of :func:`toda_residual_a` under ``bound``.  ``Y(v)``
-    is ``Y(u)`` with ``v`` for ``u``, so one exponential serves both."""
-    d0 = reg.diff_t0()
+    """The residual tail of :func:`toda_residual_a` under ``bound``, from the
+    derivatives of ``reg``'s tail, each of its sums one shifted
+    :meth:`_Tail.combination`.  ``Y(v)`` is ``Y(u)`` with ``v`` for ``u``,
+    so one exponential serves both."""
+    f = reg._tail
+    d0 = f.diff_t0()
     span = range(1, len(bound))
-    d = {a: reg.diff_t(a) for a in span}
+    d = {a: f.diff_t(a) for a in span}
     x = [(Fraction(1, a * b), a, b, d[a].diff_t(b)) for a in span for b in span]
     minus_y = [(Fraction(-1, a), a, 0, d0.diff_t(a)) for a in span]
     # exp(X) and exp(-Y(u)); exp(-Y(v)) is exp(-Y(u)) with u and v exchanged
-    ex = _Tail.from_series(bound, x).exp()
-    eu = _Tail.from_series(bound, minus_y).exp()
-    terms = [(1, ex.shifted(0, 1)), (-1, ex.shifted(1, 0)), (-1, eu.shifted(0, 1))]
-    terms.append((1, eu.transposed().shifted(1, 0)))
+    ex = _Tail.combination(bound, x).exp()
+    eu = _Tail.combination(bound, minus_y).exp()
+    terms = [(1, 0, 1, ex), (-1, 1, 0, ex), (-1, 0, 1, eu), (1, 1, 0, eu.transposed())]
     return _Tail.combination(bound, terms)
 
 
@@ -440,18 +445,21 @@ def toda_residual_c(potential: PotentialSeries, order: int) -> CheckResult:
 
 
 def _residual_c(reg: TruncatedSeries, bound) -> _Tail:
-    """The residual tail of :func:`toda_residual_c` under ``bound``."""
-    d0 = reg.diff_t0()
+    """The residual tail of :func:`toda_residual_c` under ``bound``, its
+    derivatives and sums taken as in :func:`_residual_a`."""
+    f = reg._tail
+    d0 = f.diff_t0()
     span = range(1, len(bound))
-    d = {a: reg.diff_t(a) for a in span}
+    d = {a: f.diff_t(a) for a in span}
     minus_m = [(Fraction(-1, a * b), a, b, d[a].diff_t(b, True)) for a in span for b in span]
     p = [(Fraction(1, a), a, 0, d0.diff_t(a)) for a in span]
     q = [(Fraction(1, b), 0, b, d0.diff_t(b, True)) for b in span]
-    prefactor = TruncatedSeries.t0(reg.policy) * d0.diff_t0().exp_no_constant()
-    rhs = _Tail.from_series(bound, [(1, 1, 1, prefactor)])
-    rhs = rhs * _Tail.from_series(bound, p).exp() * _Tail.from_series(bound, q).exp()
-    em = _Tail.from_series(bound, minus_m).exp()
-    return _Tail.combination(bound, [(1, em.one()), (-1, em), (-1, rhs)])  # 1 - exp(-M) - rhs
+    prefactor = TruncatedSeries.t0(reg.policy)._tail * d0.diff_t0().exp()
+    rhs = _Tail.combination(bound, [(1, 1, 1, prefactor)])
+    rhs = rhs * _Tail.combination(bound, p).exp() * _Tail.combination(bound, q).exp()
+    em = _Tail.combination(bound, minus_m).exp()
+    # 1 - exp(-M) - rhs
+    return _Tail.combination(bound, [(1, 0, 0, em.one()), (-1, 0, 0, em), (-1, 0, 0, rhs)])
 
 
 def out_of_cone_maxima(potential: PotentialSeries, order: int) -> dict[str, float]:

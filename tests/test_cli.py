@@ -832,6 +832,33 @@ def test_standard_input_that_is_not_json_is_named(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["map", "moments", "verify"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
+    # a UTF-16 byte-order mark used to print only the codec's message
+    path = tmp_path / "in.json"
+    path.write_bytes(b'\xff\xfe{"t0": 0.9}')
+    args = [command, "--in", str(path)]
+    if command != "moments":
+        args += ["--nmax", "2", "--degmax", "2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {path} is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
+def test_standard_input_that_is_not_utf8_is_named(monkeypatch, capsys):
+    # standard input decoded as strict UTF-8, as under a UTF-8 locale
+    stdin = io.TextIOWrapper(io.BytesIO(b'\xff\xfe{"t0": 0.9}'), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(["moments", "--in", "-"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: standard input is not UTF-8: 'utf-8' codec can't decode ")
+
+
 def test_a_key_error_is_a_bug_not_an_input_error(monkeypatch):
     # nothing in the program raises KeyError on purpose, so the front end
     # lets it through with its traceback instead of printing exit 2

@@ -213,14 +213,14 @@ def reference_residual_c(potential, order):
     for a in range(1, amax + 1):
         da = reg.diff_t(a)
         for b in range(1, amax + 1):
-            m_tail.set((a, b), da.diff_tbar(b) * Fraction(-1, a * b))
+            m_tail.set((a, b), da.diff_t(b, barred=True) * Fraction(-1, a * b))
     lhs = Bivariate.one(policy, orders) - m_tail.exp()
 
     p_tail = Bivariate(policy, orders)
     q_tail = Bivariate(policy, orders)
     for a in range(1, amax + 1):
         p_tail.set((a, 0), d0.diff_t(a) * Fraction(1, a))
-        q_tail.set((0, a), d0.diff_tbar(a) * Fraction(1, a))
+        q_tail.set((0, a), d0.diff_t(a, barred=True) * Fraction(1, a))
     prefactor = series_mul(TruncatedSeries.t0(policy), series_exp(d00))
     rhs = Bivariate(policy, orders)
     rhs.set((1, 1), prefactor)

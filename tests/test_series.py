@@ -186,16 +186,16 @@ def test_derivative_examples():
     mixed = TruncatedSeries(
         POLICY, {Monomial(1, ((1, False, 1), (2, True, 1))): Fraction(1)}
     )
-    d2 = mixed.diff_tbar(2)
+    d2 = mixed.diff_t(2, barred=True)
     assert d2.coefficient(Monomial(1, ((1, False, 1),))) == 1
-    assert not mixed.diff_tbar(1)
+    assert not mixed.diff_t(1, barred=True)
 
 
 def test_derivatives_commute_on_random_series():
     rng = random.Random(11)
     for _ in range(30):
         s = random_series(rng)
-        assert s.diff_t(1).diff_tbar(2) == s.diff_tbar(2).diff_t(1)
+        assert s.diff_t(1).diff_t(2, barred=True) == s.diff_t(2, barred=True).diff_t(1)
         assert s.diff_t0().diff_t(2) == s.diff_t(2).diff_t0()
 
 
@@ -380,10 +380,10 @@ def taylor_exp(x):
     m = 0
     while True:
         m += 1
-        term = _Tail.combination(x.bound, [(Fraction(1, m), term * x)])
+        term = _Tail.combination(x.bound, [(Fraction(1, m), 0, 0, term * x)])
         if not term.cells:
             return result
-        result = _Tail.combination(x.bound, [(1, result), (1, term)])
+        result = _Tail.combination(x.bound, [(1, 0, 0, result), (1, 0, 0, term)])
 
 
 def value(tail):
@@ -412,27 +412,40 @@ def test_combination_equals_fraction_arithmetic():
     def random_tail():
         # weighted series, shifted by u^a v^b, a cell met more than once at times
         picked = rng.choices(cell_keys, k=rng.randint(1, 4))
-        terms = [(weight(), a, b, rich_series(rng, pol, terms=5)) for a, b in picked]
-        tail = _Tail.from_series(box, terms)
+        terms = [(weight(), a, b, rich_series(rng, pol, terms=5)._tail) for a, b in picked]
+        tail = _Tail.combination(box, terms)
         want = {}
-        for q, a, b, s in terms:
-            for ((_, _, d), code), c in fraction_terms(s._tail).items():
+        for q, a, b, part in terms:
+            for ((_, _, d), code), c in fraction_terms(part).items():
                 term = (a, b, d), code
                 want[term] = want.get(term, 0) + q * c
         assert fraction_terms(tail) == {term: c for term, c in want.items() if c}
         return tail
 
-    shared_cells = shared_codes = disjoint = 0
+    def kept(bound, a, b, d):
+        return a < len(bound) and b < len(bound[0]) and d < bound[a][b]
+
+    shared_cells = shared_codes = disjoint = mixed = cut = 0
     for _ in range(60):
         tails = [random_tail() for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.3:
             tails.append(tails[0])  # every code of a cell met again
-        weights = [weight() for _ in tails]
-        got = _Tail.combination(box, list(zip(weights, tails)))
+        # each tail shifted by u^a v^b, (0, 0) at times, into a bound that
+        # cuts the cells shifted past it
+        bound = box if rng.random() < 0.5 else random_bound(rng, (2, 2), pol.deg_max)
+        terms = [(weight(), *rng.choice([(0, 0)] + cell_keys), tail) for tail in tails]
+        got = _Tail.combination(bound, terms)
+        assert got.bound == bound
+        shifted = []
+        for _, da, db, tail in terms:
+            shifted.append({(a + da, b + db, d): cell for (a, b, d), cell in tail.cells.items()})
         want = {}
-        for q, tail in zip(weights, tails):
-            for term, c in fraction_terms(tail).items():
-                want[term] = want.get(term, 0) + q * c
+        for (q, _, _, tail), cells in zip(terms, shifted):
+            for key, cell in cells.items():
+                if kept(bound, *key):
+                    for code, n in cell.items():
+                        term = key, code
+                        want[term] = want.get(term, 0) + q * Fraction(n, tail.den)
         assert fraction_terms(got) == {term: c for term, c in want.items() if c}
         # canonical: no zero term or empty cell, numerators prime to den
         numerators = [n for cell in got.cells.values() for n in cell.values()]
@@ -440,26 +453,34 @@ def test_combination_equals_fraction_arithmetic():
         assert got.den > 0 and math.gcd(got.den, *numerators) == 1
         # cells and codes keep their first-seen order
         seen = {}
-        for tail in tails:
-            for key, cell in tail.cells.items():
+        for cells in shifted:
+            for key, cell in cells.items():
                 seen.setdefault(key, {}).update(dict.fromkeys(cell))
         assert list(got.cells) == [key for key in seen if key in got.cells]
         for key, cell in got.cells.items():
             assert list(cell) == [code for code in seen[key] if code in cell]
-        keys = [set(tail.cells) for tail in tails]
-        codes = [set(fraction_terms(tail)) for tail in tails]
+        # a kept cell or code met by two terms, and two terms that meet in none
+        keys = [{key for key in cells if kept(bound, *key)} for cells in shifted]
+        codes = [
+            {(key, code) for key in kept_keys for code in cells[key]}
+            for kept_keys, cells in zip(keys, shifted)
+        ]
         pairs = list(itertools.combinations(range(len(tails)), 2))
         shared_cells += any(keys[i] & keys[j] for i, j in pairs)
         shared_codes += any(codes[i] & codes[j] for i, j in pairs)
         disjoint += any(not keys[i] & keys[j] for i, j in pairs)
-    assert shared_cells and shared_codes and disjoint
+        moves = {(da, db) != (0, 0) for _, da, db, _ in terms}
+        mixed += moves == {False, True}
+        cut += any(not kept(bound, *key) for cells in shifted for key in cells)
+    assert shared_cells and shared_codes and disjoint and mixed and cut
     # a full cancellation is the canonical zero: no cells over 1
     a, b = random_tail(), random_tail()
     assert a.den > 1
-    assert value(_Tail.combination(box, [(1, a), (-1, a)])) == ({}, 1)
-    assert value(_Tail.combination(box, [(0, a)])) == ({}, 1)
+    assert value(_Tail.combination(box, [(1, 0, 0, a), (-1, 0, 0, a)])) == ({}, 1)
+    assert value(_Tail.combination(box, [(0, 1, 2, a)])) == ({}, 1)
     q = Fraction(-5, 3)
-    assert value(_Tail.combination(box, [(q, a), (1, b), (-q, a)])) == value(b)
+    assert value(_Tail.combination(box, [(q, 0, 0, a), (1, 0, 0, b), (-q, 0, 0, a)])) == value(b)
+    assert value(_Tail.combination(box, [(q, 1, 0, a), (1, 0, 0, b), (-q, 1, 0, a)])) == value(b)
 
 
 def test_tail_exp_equals_taylor_loop_in_value():
@@ -467,22 +488,25 @@ def test_tail_exp_equals_taylor_loop_in_value():
     # x = t2 + u t1 + u^2 t1^2 - u^3 t1^3: the sum at u^3 t1^3 cancels after
     # x^2 / 2 and comes back with x^3 / 6
     t1, square = t(1, pol), t(1, pol) * t(1, pol)
-    cancelling = _Tail.from_series(
+    cancelling = _Tail.combination(
         _Tail.box((3, 0), pol.deg_max),
-        [(1, 0, 0, t(2, pol)), (1, 1, 0, t1), (1, 2, 0, square), (-1, 3, 0, square * t1)],
+        [(1, 0, 0, t(2, pol)._tail), (1, 1, 0, t1._tail), (1, 2, 0, square._tail)]
+        + [(-1, 3, 0, (square * t1)._tail)],
     )
     rng = random.Random(41)
     tails = [cancelling]
     tails.append(
-        _Tail.from_series(
-            _Tail.box((0, 0), pol.deg_max), [(1, 0, 0, rich_series(rng, pol, factor_free=False))]
+        _Tail.combination(
+            _Tail.box((0, 0), pol.deg_max),
+            [(1, 0, 0, rich_series(rng, pol, factor_free=False)._tail)],
         )
     )
     for orders in ((3, 0), (2, 2)):
         y = rich_series(rng, pol, terms=6, factor_free=False)
         z = tbar(2, pol) * t1 + rich_series(rng, pol, terms=3, factor_free=False)
         box = _Tail.box(orders, pol.deg_max)
-        tails.append(_Tail.from_series(box, [(1, 0, 1, y), (1, 1, 0, z), (1, 1, 1, y * z)]))
+        terms = [(1, 0, 1, y._tail), (1, 1, 0, z._tail), (1, 1, 1, (y * z)._tail)]
+        tails.append(_Tail.combination(box, terms))
     for tail in tails:
         assert value(tail.exp()) == value(taylor_exp(tail))
 
@@ -516,13 +540,13 @@ def test_transposed_exponential_is_the_exponential_of_the_transposed_tail(n_max,
     # residual_a takes exp(-Y(v)) as exp(-Y(u)) with u and v exchanged: the
     # same as the exponential of -Y(v) taken directly, and as its Taylor sum
     potential, _ = build_potential(TruncationPolicy(n_max, deg_max))
-    d0 = potential.regular.diff_t0()
+    d0 = potential.regular._tail.diff_t0()
     for amax in range(1, n_max + 1):
         box = _Tail.box((amax, amax), deg_max)
-        y_u = _Tail.from_series(
+        y_u = _Tail.combination(
             box, [(Fraction(-1, a), a, 0, d0.diff_t(a)) for a in range(1, amax + 1)]
         )
-        y_v = _Tail.from_series(
+        y_v = _Tail.combination(
             box, [(Fraction(-1, a), 0, a, d0.diff_t(a)) for a in range(1, amax + 1)]
         )
         assert y_u.transposed().cells == y_v.cells and y_u.transposed().den == y_v.den
@@ -565,9 +589,9 @@ def test_masked_products_drop_exactly_the_terms_that_meet_their_cells_mask():
 
         def random_tail():
             picked = rng.sample(cell_keys, rng.randint(1, 3))
-            return _Tail.from_series(
+            return _Tail.combination(
                 _Tail.box(orders, pol.deg_max),
-                [(1, a, b, rich_series(rng, pol, terms=5)) for a, b in picked],
+                [(1, a, b, rich_series(rng, pol, terms=5)._tail) for a, b in picked],
             )
 
         for _ in range(6):
@@ -694,7 +718,7 @@ def test_calculus_and_sums_equal_termwise_reference_under_cutting_policies():
             n, deg = pol.n_max, pol.deg_max
             lowered = Monomial(2, ((n, False, 1), (n, True, deg - 2)))
             assert a.diff_t(1).coefficient(Monomial(deg, ((1, False, deg - 1),))) != 0
-            assert a.diff_tbar(n).coefficient(lowered) != 0
+            assert a.diff_t(n, barred=True).coefficient(lowered) != 0
             assert not a.diff_t(0) and not a.diff_t(n + 1, True)
 
 
@@ -731,7 +755,7 @@ def test_degree_is_exponent_sum_on_every_construction_path():
             a * b,
             a.diff_t0(),
             a.diff_t(1),
-            a.diff_tbar(2),
+            a.diff_t(2, barred=True),
             (a * b).diff_t(2).diff_t0(),
             from_json_terms(series_to_json_terms(a * b), pol),
             mirrored(a * b),
@@ -950,8 +974,8 @@ def test_bounded_products_and_exp_are_the_unbounded_ones_restricted():
 
         def random_tail(factor_free=True):
             picked = rng.sample(cell_keys, rng.randint(1, min(4, len(cell_keys))))
-            series = [(1, a, b, rich_series(rng, pol, 5, factor_free)) for a, b in picked]
-            return _Tail.from_series(box, series)
+            series = [(1, a, b, rich_series(rng, pol, 5, factor_free)._tail) for a, b in picked]
+            return _Tail.combination(box, series)
 
         for _ in range(8):
             bound = random_bound(rng, orders, pol.deg_max)

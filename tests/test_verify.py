@@ -65,6 +65,26 @@ def test_residual_c_vanishes_in_cone(potential_44):
     assert report.ok, report.violations[:5]
 
 
+def test_residuals_take_no_series_derivative(potential_44, monkeypatch):
+    # the residuals take their derivatives on F's tail, as the solver does,
+    # so their path builds no derivative or exponential series
+    calls = []
+    for name in ("diff_t0", "diff_t", "exp_no_constant"):
+        original = getattr(TruncatedSeries, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    assert toda_residual_a(potential_44, 4).ok
+    assert toda_residual_c(potential_44, 4).ok
+    assert set(verify.out_of_cone_maxima(potential_44, 4)) == {"residual_a", "residual_c"}
+    assert calls == []
+    potential_44.regular.diff_t(1).diff_t0().exp_no_constant()  # the count is live
+    assert calls == ["diff_t", "diff_t0", "exp_no_constant"]
+
+
 def test_residual_b_by_bar_symmetry(potential_44):
     report = toda_residual_b(potential_44)
     assert report.ok, report.violations[:5]
@@ -263,11 +283,11 @@ def test_mixed_derivative_restriction_matches_log_series(potential_44):
     # on the t0 line the mixed pair derivatives are diagonal: i * t0^i
     reg = potential_44.regular
     for i in range(1, 5):
-        d = reg.diff_t(i).diff_tbar(i).filter(lambda mono: not mono.factors)
+        d = reg.diff_t(i).diff_t(i, barred=True).filter(lambda mono: not mono.factors)
         assert d.coefficient(Monomial(i, ())) == i
         for j in range(1, 5):
             if j != i:
-                off = reg.diff_t(i).diff_tbar(j).filter(lambda mono: not mono.factors)
+                off = reg.diff_t(i).diff_t(j, barred=True).filter(lambda mono: not mono.factors)
                 assert not off
 
 
