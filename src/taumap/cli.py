@@ -61,11 +61,14 @@ __all__ = ["main", "build_parser"]
 def _read_json(path: str) -> dict:
     """The UTF-8 JSON document at ``path``, standard input for ``-``; input
     that is not UTF-8, or has a syntax error, is a ``ValueError`` that
-    names the input."""
+    names the input.  Standard input is decoded from its bytes, as a file
+    is, whatever the locale; a text stream with no bytes beneath it (an
+    ``io.StringIO``) is read as it stands."""
     source = "standard input" if path == "-" else path
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            raw = getattr(sys.stdin, "buffer", None)
+            return json.loads(sys.stdin.read() if raw is None else raw.read().decode("utf-8"))
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except UnicodeDecodeError as exc:

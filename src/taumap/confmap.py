@@ -32,14 +32,14 @@ Serving a domain is one numeric evaluation of fixed series.  On the first
 map of a potential the rows ``d0^2 F_reg`` and ``d0 d_k F_reg``
 (``k <= n_max``) are compiled from ``F_reg``'s packed codes alone, read
 once and with no derivative series taken, into a float kernel held on that
-:class:`~taumap.series.PotentialSeries` instance (:class:`_Kernel`).  Per
-moment vector it takes each variable's few powers by repeated
-multiplication, multiplies them into the terms the variable appears in,
-and sums each row's block of terms with one ``np.add.reduceat``: another
-order than :meth:`TruncatedSeries.evaluate`, so the two agree to the last
-few bits only.  The map, like the curve, is evaluated by Horner's rule in
-``1/z``.  The moment vector the map is taken at is
-:class:`taumap.moments.MomentVector`.
+:class:`~taumap.series.PotentialSeries` instance (:class:`_Kernel`).  Each
+term is ``t0^p U(t) Ubar(tbar)``, its code's ``t0`` field and two halves,
+and the terms share few distinct halves, so per moment vector the kernel
+takes the powers, each distinct half's value, each term by three gathers
+and each row's sum by one ``np.add.reduceat``: another order than
+:meth:`TruncatedSeries.evaluate`, so the two agree to the last bits only.
+The map, like the curve, is evaluated by Horner's rule in ``1/z``.  The
+moment vector the map is taken at is :class:`taumap.moments.MomentVector`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from array import array
 from dataclasses import dataclass
 from cmath import isfinite
 from math import exp, inf, sqrt
-from operator import mul
+from itertools import repeat
+from operator import mul, truediv
 
 import numpy as np
 
@@ -94,58 +95,86 @@ class _Kernel:
     """An exact series' derivatives, compiled for evaluation in complex binary64.
 
     ``tail`` stores ``F``; each row of ``lowerings`` is the derivative that
-    lowers the variables it lists, as indices into ``support``: ``(0, 0)``
-    is ``d0^2 F``, ``(0, 2k - 1)`` is ``d0 d_k F`` and ``()`` is ``F``.  A
-    row keeps the terms whose factor ``prod (e_v - i)``, over the ``i``-th
-    lowering of each ``v``, is nonzero, lowers their exponents and takes
-    ``numerator * factor / den``, which rounds as ``float(Fraction)`` does.
-    Its terms form one contiguous block of columns, in row order, that ends
-    at its entry in ``ends``.  They keep the order of their codes in ``F``,
-    which differ from theirs by one constant: ascending code order, so each
-    float depends on the row's terms alone and not on the order in which
-    the algebra made them.  ``support`` has one entry per variable --
-    ``t0``, then ``t_k`` and ``tbar_k`` for ``k = 1..n``, ``n`` the series'
-    ``n_max`` -- holding the columns where its exponent is nonzero, those
-    exponents and their maximum: all that evaluation reads.  ``coeffs``
-    holds every (real) coefficient rounded once.  ``starts`` holds the
-    first column of each row with terms, ``filled`` those rows:
-    ``np.add.reduceat`` reads an empty block as the term at its start, so
-    an empty row reads exactly 0.
+    lowers the variables it lists (``0`` is ``t0``, ``2k - 1`` is ``t_k``,
+    ``2k`` is ``tbar_k``): ``(0, 0)`` is ``d0^2 F``, ``(0, 2k - 1)`` is
+    ``d0 d_k F`` and ``()`` is ``F``.  A row keeps the terms whose factor
+    ``prod (e_v - i)``, over the ``i``-th lowering of each ``v``, is
+    nonzero, lowers their exponents and takes ``numerator * factor / den``,
+    which rounds as ``float(Fraction)`` does, into ``coeffs``.  Its terms
+    form one block of columns, in row order, that ends at its entry in
+    ``ends``, in ascending code order (their codes in ``F`` less one
+    constant), so each float depends on the row's terms alone and not on
+    the order in which the algebra made them.
+
+    A column is ``t0^p U(t) Ubar(tbar)``: ``t0`` holds its ``p``, ``lo``
+    and ``hi`` the indices of its unbarred and barred half, its *sides*,
+    among the distinct sides of both halves (302 for 6907 columns at
+    ``(8,6)``), the empty side first.  ``pairs`` holds each side's
+    ``(k, e)``, ``k`` ascending and ``e > 0``, as the index ``k width + e``
+    of ``t_k^e`` in a table of powers whose row 0 is 1 (the empty side's
+    one pair), ``firsts`` each side's first pair and ``widths``
+    ``(1 + max p, width)``.
+    ``starts`` holds the first column of each row with terms, ``filled``
+    those rows: ``np.add.reduceat`` reads an empty block as the term at its
+    start, so an empty row reads exactly 0.
     """
 
-    __slots__ = ("n", "support", "coeffs", "ends", "starts", "filled")
+    __slots__ = (
+        "n", "widths", "t0", "lo", "hi", "pairs", "firsts", "coeffs", "ends", "starts", "filled"
+    )
 
     def __init__(self, tail: _Tail, lowerings: list[tuple[int, ...]]) -> None:
         codec, den = tail.codec, tail.den
         codes = [code for cell in tail.cells.values() for code in cell]
         nums = [num for cell in tail.cells.values() for num in cell.values()]
-        # codes beyond 63 bits are shifted and sorted as Python ints
-        packed = np.array(codes, dtype=np.int64 if max(codes, default=0) >> 63 == 0 else object)
+        # codes and sides beyond 63 bits are shifted and sorted as Python ints
+        wide = max(codes, default=0) >> 63 or codec.half > 63
+        packed = np.array(codes, dtype=object if wide else np.int64)
         order = np.argsort(packed)
         packed, nums = packed[order], np.array(nums, dtype=object)[order]
+        t0 = (packed >> codec.t0_shift).astype(np.intp)
+        halves = np.concatenate([[0], packed & codec.low, packed >> codec.half & codec.low])
+        halves = halves.astype(np.int64 if codec.half < 64 else object)
+        sides, halves = np.unique(halves, return_inverse=True)  # the empty side first
+        halves = halves[1:].reshape(2, -1)
+        ids = dict(zip(sides.tolist(), range(len(sides))))
         self.n = n = codec.n_max
-        # t0, the top field that the mask -1 keeps whole, then t_k, tbar_k in turn
-        fields = [(codec.t0_shift, -1)]
-        fields += [(codec.shift(k, b), codec.mask) for k in range(1, n + 1) for b in (False, True)]
-        # each field read once, as the least signed integers that hold them all
-        top = max(max(codes, default=0) >> codec.t0_shift, codec.mask)
-        e = np.empty((len(fields), len(packed)), np.min_scalar_type(-top - 1))
-        for v, (shift, mask) in enumerate(fields):
-            e[v] = (packed >> shift) & mask
-        takes, coeffs, ends = [], array("d"), []
+        shifts = np.array([codec.shift(k) for k in range(1, n + 1)], dtype=np.intp)
+        fields = (sides[:, None] >> shifts & codec.mask).astype(np.intp)
+        columns, coeffs, ends = [], array("d"), []
         for lowered in lowerings:
-            factor = np.ones(len(packed), dtype=np.intp)
+            factor, drops = np.ones(len(packed), dtype=np.intp), [0, 0]
             for i, v in enumerate(lowered):
-                factor *= e[v] - lowered[:i].count(v)
+                # t_k lowers the low half, tbar_k the high half
+                half = 1 - v % 2
+                e = t0 if v == 0 else fields[halves[half], (v - 1) // 2]
+                factor *= e - lowered[:i].count(v)
+                if v:
+                    drops[half] += 1 << codec.shift((v + 1) // 2)
             take = np.flatnonzero(factor)
-            takes.append(take)
-            coeffs.extend(c * f / den for c, f in zip(nums[take].tolist(), factor[take].tolist()))
+            products = map(mul, nums[take].tolist(), factor[take].tolist())
+            coeffs.extend(map(truediv, products, repeat(den)))
             ends.append(len(coeffs))
-        self.support = []
-        for v, read in enumerate(e):
-            field = np.concatenate([read[t] - low.count(v) for low, t in zip(lowerings, takes)])
-            cols = np.flatnonzero(field)
-            self.support.append((cols, field[cols].astype(np.intp), int(field.max(initial=0))))
+            row = [t0[take] - lowered.count(0)]
+            for half, drop in zip(halves, drops):
+                side = half[take]
+                if drop:
+                    # the lowered side of each distinct side the row reads
+                    lower = np.bincount(side, minlength=len(sides))
+                    used = np.flatnonzero(lower)
+                    lowered_sides = (sides[used] - drop).tolist()
+                    lower[used] = [ids.setdefault(s, len(ids)) for s in lowered_sides]
+                    side = lower[side]
+                row.append(side)
+            columns.append(row)
+        self.t0, self.lo, self.hi = map(np.concatenate, zip(*columns))
+        added = np.array(list(ids)[len(sides):], dtype=sides.dtype)  # the lowered sides
+        fields = np.concatenate([fields, (added[:, None] >> shifts & codec.mask).astype(np.intp)])
+        side, k = np.nonzero(fields)
+        width = int(fields.max(initial=0)) + 1
+        self.widths = (int(self.t0.max(initial=0)) + 1, width)
+        self.pairs = np.append(0, (k + 1) * width + fields[side, k])
+        self.firsts = np.append(0, 1 + np.flatnonzero(np.diff(side, prepend=0)))
         self.coeffs = np.frombuffer(coeffs, dtype=np.float64)
         self.ends = ends
         bounds = np.array([0] + ends)
@@ -156,30 +185,34 @@ class _Kernel:
         """Every monomial's value at ``moments`` (zeros past its end up to
         ``n``), with ``tbar_k = conj(t_k)``.
 
-        A running product over the variables: per variable, its powers up
-        to the largest exponent by repeated multiplication, read at its
-        exponents into the columns where it appears.  Moments far outside
-        the series' range overflow to ``inf`` or ``nan`` without a numpy
-        warning; :func:`map_from_potential` reports them.  A column that
-        holds a variable equal to 0 is exactly 0, so where its running
-        product is not finite (``inf * 0`` is ``nan``) it reads ``+0``.
+        The powers of ``t0`` and of each ``t_k`` by repeated multiplication;
+        each side's ``U(t)``, the product of its pairs' powers, by one
+        ``np.multiply.reduceat``, and ``Ubar(tbar) = conj(U(t))``.  Moments
+        far outside the series' range overflow to ``inf`` or ``nan`` without
+        a numpy warning; :func:`map_from_potential` reports them.  A column
+        with a side that holds a ``t_k`` equal to 0 is exactly 0, so where
+        its product is not finite (``inf * 0`` is ``nan``) it reads ``+0``.
         """
-        variables = [moments.t0]
-        for x in moments.padded(self.n).t[: self.n]:
-            variables += (x, x.conjugate())
-        values = np.ones(len(self.coeffs), dtype=np.complex128)
+        top, width = self.widths
+        # row 0 of the table is the constant 1, the empty side's one pair
+        x = np.array((1,) + moments.padded(self.n).t[: self.n], dtype=np.complex128)
+        table = np.repeat(x[:, None], width, axis=1)
+        powers = np.full(top, moments.t0)
+        table[:, 0] = powers[0] = 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, (cols, e, top) in zip(variables, self.support):
-                table = [1.0]
-                for _ in range(top):
-                    table.append(table[-1] * x)
-                values[cols] *= np.array(table, dtype=np.complex128).take(e)
-        zeros = [cols for x, (cols, _, _) in zip(variables, self.support) if x == 0]
-        if zeros:
-            broken = ~np.isfinite(values)
-            for cols in zeros:
-                values[cols[broken[cols]]] = 0
+            sides = np.multiply.reduceat(np.cumprod(table, axis=1).take(self.pairs), self.firsts)
+            values = np.cumprod(powers).take(self.t0) * sides.take(self.lo)
+            values *= sides.conj().take(self.hi)
+        if not x.all():
+            held = np.logical_or.reduceat(x[self.pairs // width] == 0, self.firsts)
+            broken = np.flatnonzero(~np.isfinite(values))
+            values[broken[held[self.lo[broken]] | held[self.hi[broken]]]] = 0
         return values
+
+    def degrees(self) -> np.ndarray:
+        """Each column's factor degree: the sum of its two sides' degrees."""
+        sides = np.add.reduceat(self.pairs % self.widths[1], self.firsts)
+        return sides.take(self.lo) + sides.take(self.hi)
 
     def __call__(self, moments: MomentVector) -> np.ndarray:
         """The value of each row: the sum of its block of terms."""
@@ -231,6 +264,15 @@ def _closure(p: float, b: list[complex], top: int) -> tuple[list[complex], list[
     return [x / p for x in g], _scaled(beta, 1 / p)[n:]
 
 
+def _held_kernel(potential: PotentialSeries, slot: str, lowerings: list) -> _Kernel:
+    """The kernel of ``lowerings`` over ``F_reg`` held in ``potential``'s ``slot``."""
+    kernel = getattr(potential, slot)
+    if kernel is None:
+        kernel = _Kernel(potential.regular._tail, lowerings)
+        object.__setattr__(potential, slot, kernel)
+    return kernel
+
+
 def map_from_potential(
     potential: PotentialSeries, moments: MomentVector, order: int
 ) -> ExteriorMapSeries:
@@ -253,14 +295,10 @@ def map_from_potential(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    # A = d0^2 F_reg, then B_k = d0 d_k F_reg, from F_reg's codes alone
     n_max = potential.regular.policy.n_max
-    kernel = potential._map_kernel
-    if kernel is None:
-        # A = d0^2 F_reg, then B_k = d0 d_k F_reg, from F_reg's codes alone
-        lowerings = [(0, 0)] + [(0, 2 * k - 1) for k in range(1, n_max + 1)]
-        kernel = _Kernel(potential.regular._tail, lowerings)
-        object.__setattr__(potential, "_map_kernel", kernel)
-    a_val, *b = kernel(moments).tolist()
+    lowerings = [(0, 0)] + [(0, 2 * k - 1) for k in range(1, n_max + 1)]
+    a_val, *b = _held_kernel(potential, "_map_kernel", lowerings)(moments).tolist()
 
     # normalization demands p real positive; for conjugate-symmetric moments
     # A is real up to rounding, so the imaginary residue is dropped

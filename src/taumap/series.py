@@ -639,11 +639,13 @@ class PotentialSeries:
     singular_quad_coeff: ClassVar[Fraction] = Fraction(-3, 4)
 
     regular: TruncatedSeries
-    # The float kernel of the map's second derivatives, compiled from the
-    # codes of ``regular`` alone, read once, by
-    # ``taumap.confmap.map_from_potential`` on its first call and then only
-    # read; threads that race to compile it build equal kernels.
+    # The float kernels of the map's second derivatives and of ``regular``
+    # itself, compiled from the codes of ``regular`` alone, read once, by
+    # ``taumap.confmap.map_from_potential`` and
+    # ``taumap.verify.degree_term_sums`` on their first call and then only
+    # read; threads that race to compile one build equal kernels.
     _map_kernel: object = field(default=None, init=False, repr=False, compare=False)
+    _degree_kernel: object = field(default=None, init=False, repr=False, compare=False)
 
 
 # -- serialization ---------------------------------------------------------

@@ -103,7 +103,7 @@ from .coefficients import (
     bounded_partitions,
     n2_coefficient,
 )
-from .confmap import ExteriorMapSeries, _Kernel, map_from_potential
+from .confmap import ExteriorMapSeries, _held_kernel, map_from_potential
 from .moments import BoundaryCurve, MomentVector, _laurent, moments_from_curve
 from .series import (
     Monomial,
@@ -602,16 +602,15 @@ def degree_term_sums(
     For an admissible vector these sums are majorized by ``2^-K`` at degree
     ``K``, the geometric tail bound behind the convergence gate.  A sum
     that is not finite raises ``ValueError``: such moments lie far outside
-    the region where the series converges.  The map's kernel reads the terms
-    from ``F_reg``'s codes once, as its one row (:class:`taumap.confmap._Kernel`),
-    and a term's degree is the sum of its factor supports there.
+    the region where the series converges.  The terms are ``F_reg`` as the
+    one row of a map kernel (:class:`taumap.confmap._Kernel`), compiled on
+    the first call and held on ``potential``; a term's degree is the sum of
+    its two sides' degrees there.
     """
-    kernel = _Kernel(potential.regular._tail, [()])
+    kernel = _held_kernel(potential, "_degree_kernel", [()])
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.abs(kernel.coeffs * kernel.monomials(m))
-    degrees = np.zeros(len(terms), dtype=np.int64)
-    for cols, e, _ in kernel.support[1:]:
-        degrees[cols] += e
+    degrees = kernel.degrees()
     sums = np.bincount(degrees, weights=terms)
     out = {int(k): float(sums[k]) for k in np.unique(degrees)}
     for degree, total in out.items():

@@ -760,8 +760,8 @@ MAP_MOMENTS = {
           [0.002, 0.001], [0.001, 0.0], [0.0005, 0.0002], [0.0002, 0.0]],
 }
 MAP_SHA256 = {
-    (6, 7): "24b93bb751683a781352068c2c0d47b0e0b959652b5151f4176e13777b353146",
-    (8, 6): "04824039f9df78a57f7d9661a614e8fd3904095b5aeda78c6b547f83d2741475",
+    (6, 7): "6ce590586bea28169950d75ca7b75270fee4c39bbc4660ba28f25207dde8d1a3",
+    (8, 6): "172f40e7c286000036f1f6100bb3f9f24a84ad4043f94c21bbf837f8bcefb4a3",
 }
 
 
@@ -852,6 +852,18 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
 def test_standard_input_that_is_not_utf8_is_named(monkeypatch, capsys):
     # standard input decoded as strict UTF-8, as under a UTF-8 locale
     stdin = io.TextIOWrapper(io.BytesIO(b'\xff\xfe{"t0": 0.9}'), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(["moments", "--in", "-"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: standard input is not UTF-8: 'utf-8' codec can't decode ")
+
+
+def test_standard_input_is_utf8_under_every_locale(monkeypatch, capsys):
+    # under a C or POSIX locale Python decodes standard input with
+    # surrogateescape, so these bytes used to read as lone surrogates and
+    # then as "not valid JSON"; the bytes beneath are decoded as a file is
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), errors="surrogateescape")
     monkeypatch.setattr(sys, "stdin", stdin)
     code, out, err = run_cli(["moments", "--in", "-"], capsys)
     assert code == 2

@@ -441,14 +441,25 @@ def decoded_kernel_arrays(rows):
     return exponents, np.array(coeffs), ends
 
 
-def assert_support_of(kernel, exponents):
-    """Each variable's support in ``kernel`` is the one ``exponents`` gives:
-    its nonzero columns, their exponents and the largest of them."""
-    assert len(kernel.support) == len(exponents) == 1 + 2 * kernel.n
-    for (cols, e, top), want in zip(kernel.support, exponents):
-        assert np.array_equal(cols, np.flatnonzero(want))
-        assert np.array_equal(e, want[want > 0])
-        assert top == want.max(initial=0)
+def assert_sides_of(kernel, exponents):
+    """Each column of ``kernel`` is the one ``exponents`` gives, bit for bit:
+    its ``t0`` exponent, and its unbarred and barred sides' exponents read
+    from the distinct sides' ``(k, e)`` pairs."""
+    assert len(exponents) == 1 + 2 * kernel.n
+    width = kernel.widths[1]
+    k, e = np.divmod(kernel.pairs, width)
+    counts = np.diff(np.append(kernel.firsts, len(kernel.pairs)))
+    assert counts[0] == 1 and kernel.pairs[0] == 0  # the empty side reads row 0, 1
+    assert np.all(counts > 0) and np.all(e[1:] > 0) and np.all(k[1:] >= 1)
+    side = np.repeat(np.arange(len(counts)), counts)
+    fields = np.zeros((len(counts), kernel.n + 1), dtype=np.intp)
+    fields[side, k] = e
+    fields = fields[:, 1:]
+    assert len(np.unique(fields, axis=0)) == len(fields)  # distinct, the empty side first
+    assert kernel.widths == (int(exponents[0].max(initial=0)) + 1, int(e.max(initial=0)) + 1)
+    assert np.array_equal(kernel.t0, exponents[0])
+    assert np.array_equal(fields[kernel.lo].T, exponents[1::2])
+    assert np.array_equal(fields[kernel.hi].T, exponents[2::2])
 
 
 def map_lowerings(n_max):
@@ -464,7 +475,7 @@ def test_kernel_compiles_from_codes_as_from_decoded_terms(n_max, potential_86):
     potential = potential_86 if n_max == 8 else build_potential(default_policy(5, 6))[0]
     kernel = _Kernel(potential.regular._tail, map_lowerings(n_max))
     exponents, coeffs, ends = decoded_kernel_arrays(map_rows(potential))
-    assert_support_of(kernel, exponents)
+    assert_sides_of(kernel, exponents)
     assert np.array_equal(kernel.coeffs, coeffs)
     assert kernel.ends == ends
     assert kernel.n == n_max
@@ -486,8 +497,68 @@ def test_kernel_reads_codes_wider_than_63_bits():
     exponents, coeffs, ends = decoded_kernel_arrays([potential.regular] + map_rows(potential))
     assert kernel.n == 12 and kernel.ends == ends
     assert ends[:2] == [4, 6] and ends[-1] - ends[-2] == 2
-    assert_support_of(kernel, exponents)
+    assert_sides_of(kernel, exponents)
     assert np.array_equal(kernel.coeffs, coeffs)
+    # at (13, 16) each half has 13 * 5 = 65 bits, past int64, and t_13^16 and
+    # tbar_13^16 fill its top bit: the sides too are split as Python ints,
+    # and every row matches the exact rational evaluation
+    policy = TruncationPolicy(13, 16)
+    terms = {
+        Monomial(3, ((13, False, 16),)): Fraction(1, 5),
+        Monomial(1, ((2, False, 1), (13, True, 16))): Fraction(-7, 3),
+        Monomial(2, ((2, False, 3), (13, False, 8), (4, True, 1), (13, True, 4))): Fraction(9, 13),
+        Monomial(4, ((1, False, 1), (13, False, 2), (1, True, 2))): Fraction(-2),
+    }
+    potential = PotentialSeries(TruncatedSeries(policy, terms))
+    assert potential.regular._tail.codec.half == 65
+    kernel = _Kernel(potential.regular._tail, [()] + map_lowerings(13))
+    rows = [potential.regular] + map_rows(potential)
+    exponents, coeffs, ends = decoded_kernel_arrays(rows)
+    assert kernel.n == 13 and kernel.ends == ends
+    assert_sides_of(kernel, exponents)
+    assert np.array_equal(kernel.coeffs, coeffs)
+    rng = random.Random(13)
+    t0 = Fraction(3, 4)
+    t = [tuple(Fraction(rng.randint(-(2**10), 2**10), 2**11) for _ in "ri") for _ in range(13)]
+    got = kernel(MomentVector(float(t0), tuple(complex(float(a), float(b)) for a, b in t)))
+    for i, row in enumerate(rows):
+        re, im = exact_value(row, t0, t)
+        exact = complex(float(re), float(im))
+        assert abs(got[i] - exact) <= 1e-13 * abs(exact), (i, got[i], exact)
+    # codes that fit in 63 bits under 65-bit halves are split as Python ints too
+    term = Monomial(0, ((1, False, 2),))
+    short = PotentialSeries(TruncatedSeries(policy, {term: Fraction(1, 3)}))
+    assert _Kernel(short.regular._tail, [()])(MomentVector(0.5, (0.25,))) == [0.25**2 / 3]
+
+
+def test_a_zero_moment_in_a_side_keeps_its_columns_zero_where_another_overflows():
+    # at t_1 = 1e100 the power t_1^4 overflows, so the side t_1^4 t_2
+    # multiplies out to inf * 0 = nan at t_2 = 0; its column holds a zero
+    # t_2 and reads +0, the side-level twin of the overflowing t0 power of
+    # test_disk_map_exact, while the column without t_2 stays non-finite
+    terms = {
+        Monomial(2, ((1, False, 4), (2, False, 1), (1, True, 1))): Fraction(3),
+        Monomial(2, ((1, False, 4), (1, True, 1))): Fraction(1, 2),
+    }
+    potential = PotentialSeries(TruncatedSeries(TruncationPolicy(2, 6), terms))
+    kernel = _Kernel(potential.regular._tail, [()])
+    values = kernel.monomials(MomentVector(0.5, (1e100, 0)))
+    assert not cmath.isfinite(values[0])
+    assert values[1] == 0
+    assert math.copysign(1, values[1].real) == math.copysign(1, values[1].imag) == 1
+
+
+def test_degree_term_sums_compile_f_once(monkeypatch):
+    # F's one-row kernel is held on the potential as the map's is: a second
+    # call compiles nothing, and the map compiles its own rows apart
+    potential, _ = build_potential(default_policy(3, 4))
+    compiles = count_compiles(monkeypatch)
+    m = MomentVector(t0=0.9, t=(0.01 + 0.02j, -0.003j, 0.001))
+    first = degree_term_sums(potential, m)
+    assert degree_term_sums(potential, m) == first
+    assert compiles == [[()]]
+    map_from_potential(potential, m, order=2)
+    assert compiles == [[()], map_lowerings(3)]
 
 
 @pytest.mark.parametrize("n_max, deg_max", [(6, 7), (8, 6)])
@@ -546,6 +617,16 @@ def test_non_finite_b_is_named():
     message = r"^B_1 = d0 d_1 F is not finite: .*convergence_gate"
     with pytest.raises(ValueError, match=message):
         map_from_potential(PotentialSeries(regular), m, order=0)
+
+
+def test_a_policy_without_indices_gives_the_disk_map():
+    # n_max = 0 leaves no t_k: the kernel's table of powers is its row 0 alone
+    empty = PotentialSeries(TruncatedSeries.zero(TruncationPolicy(0, 4)))
+    m = MomentVector(t0=0.7)
+    w = map_from_potential(empty, m, order=2)
+    assert w.p == 1 / math.sqrt(0.7)
+    assert all(c == 0 for c in w.tail) and w.closure == ()
+    assert degree_term_sums(empty, m) == {}
 
 
 def test_potential_without_terms_gives_the_disk_map():
