@@ -3,7 +3,8 @@
 Subcommands:
 
 ``coeffs``
-    dump the coefficient table for all keys up to a weight bound;
+    dump the coefficient table, one row per key of the potential at
+    ``(--imax, --degmax)`` of weight at most ``--imax``;
 ``potential``
     build the potential at a policy and emit it;
 ``map``
@@ -35,9 +36,10 @@ import argparse
 import json
 import sys
 import time
+from itertools import takewhile
 from math import isfinite
 
-from .coefficients import MemoCache, NKey, bounded_partitions, n2_coefficient
+from .coefficients import MemoCache, admissible_keys, n2_coefficient
 from .confmap import map_from_potential
 from .moments import MomentVector, curve_from_json, moments_from_curve, v_moments_from_curve
 from .potential import build_potential
@@ -149,23 +151,12 @@ def _cmd_coeffs(args) -> int:
         raise ValueError(f"--degmax must be >= 2, got {args.degmax}")
     rows = []
     cache = MemoCache()
-    for weight in range(1, args.imax + 1):
-        sides = list(bounded_partitions(weight, weight, args.degmax - 1))
-        for unbarred in sides:
-            for barred in sides:
-                deg = sum(m for _, m in unbarred) + sum(m for _, m in barred)
-                if deg > args.degmax:
-                    continue
-                value = n2_coefficient(NKey(unbarred, barred), cache)
-                rows.append(
-                    {
-                        "i": weight,
-                        "unbarred": unbarred,
-                        "barred": barred,
-                        "num": value.numerator,
-                        "den": value.denominator,
-                    }
-                )
+    # the keys come by weight ascending, so the walk stops past --imax
+    keys = admissible_keys(TruncationPolicy(args.imax, args.degmax))
+    for key, _ in takewhile(lambda pair: pair[0].i <= args.imax, keys):
+        value = n2_coefficient(key.oriented(), cache)
+        row = {"i": key.i, "unbarred": key.unbarred, "barred": key.barred}
+        rows.append(row | {"num": value.numerator, "den": value.denominator})
     _write_json(args.out, rows)
     return 0
 

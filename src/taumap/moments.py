@@ -188,14 +188,22 @@ def moments_from_curve(curve: BoundaryCurve, n: int) -> MomentVector:
 
 
 def v_moments_from_curve(curve: BoundaryCurve, n: int) -> list[complex]:
-    """Dual moments ``v_0..v_n`` (interior integrals of ``log|z|`` and ``z^k``)."""
+    """Dual moments ``v_0..v_n`` (interior integrals of ``log|z|`` and ``z^k``).
+
+    A moment that leaves the floating-point range raises ``ArithmeticError``,
+    named: scaling the curve by ``c`` scales ``v_k`` (``k >= 1``) by ``c^(k+2)``.
+    """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z, _, weight, (_, *sums) = _quadrature(curve, n, dual=True)
         # (2/pi) Im oint g conj(z) dz = 4 Re sum(g w)
         v0 = 4.0 * float(np.real(((0.5 * np.log(np.abs(z)) - 0.25) * weight).sum()))
     out = [complex(v0)] + sums
-    if not all(isfinite(v) for v in out):
-        raise ArithmeticError("non-finite quadrature result in dual moments")
+    for k, v in enumerate(out):
+        if not isfinite(v):
+            raise ArithmeticError(
+                f"non-finite quadrature result in dual moments: v{k} = {v:.6g} leaves the "
+                "floating-point range; scaling the curve by c scales v_k by c^(k+2)"
+            )
     return out
 
 

@@ -11,8 +11,8 @@ imports nothing from the builder.  Four layers:
   from :mod:`taumap.coefficients`, walked over the policy's keys
   (:func:`taumap.coefficients.admissible_keys`) and summed by
   :func:`recursion_terms`.  ``N`` is invariant under exchanging the two
-  sides of a key, but its cost is not; :func:`_oriented` names the cheap
-  orientation, in which the oracle evaluates each key;
+  sides of a key, but its cost is not; the oracle evaluates each key in
+  the cheap orientation :meth:`taumap.coefficients.NKey.oriented` names;
 * exact residuals of the two independent hierarchy constraints the potential
   must satisfy, expanded as Laurent tails in ``u = 1/z`` and ``v = 1/xi``
   whose coefficients are exact series (:func:`toda_residual_a`,
@@ -178,24 +178,6 @@ class CheckResult:
 # -- combinatorial formula oracle ---------------------------------------------
 
 
-def _oriented(key: NKey) -> NKey:
-    """The orientation of ``key`` the recursion oracle evaluates.
-
-    ``N`` is invariant under exchanging the two sides, but its cost is not:
-    the capacity contraction recurses over the unbarred list, ``k - 2``
-    levels deep, and the placements range over the barred one, whose
-    widths and block sums multiply the contraction's keys.  So the side
-    with more factors goes unbarred: the other way round, the oracle takes
-    2.7x as long at ``(6,8)`` and 5-6x at ``(6,9)``.  A tie puts the
-    larger side tuple unbarred.
-    """
-    k = sum(m for _, m in key.unbarred)
-    kbar = sum(m for _, m in key.barred)
-    if (k, key.unbarred) >= (kbar, key.barred):
-        return key
-    return key.swapped()
-
-
 def recursion_terms(
     keys: Iterable[tuple[NKey, int]], cache: MemoCache
 ) -> dict[Monomial, Fraction]:
@@ -203,13 +185,13 @@ def recursion_terms(
     by monomial.
 
     ``keys`` are ``(key, t0 exponent)`` pairs; ``N`` is evaluated in the
-    orientation :func:`_oriented` picks, on ``cache``.  ``pref`` is the
+    orientation :meth:`NKey.oriented` picks, on ``cache``.  ``pref`` is the
     product of ``index^mult / mult!`` over a side (see
     :mod:`taumap.potential`).
     """
     terms = {}
     for key, t0_power in keys:
-        coeff = n2_coefficient(_oriented(key), cache)
+        coeff = n2_coefficient(key.oriented(), cache)
         num, den = coeff.numerator, coeff.denominator
         for idx, mult in key.unbarred + key.barred:
             num *= idx**mult
@@ -526,7 +508,7 @@ def factorial_pattern_check(i_max: int) -> CheckResult:
     For every unbarred shape of weight ``i <= i_max`` the coefficient with
     barred side ``1^i`` is ``(i-1)!`` when the shape is the single index
     ``i`` and zero otherwise.  The coefficients are evaluated on a fresh
-    cache, each key in the orientation :func:`_oriented` picks.
+    cache, each key in the orientation :meth:`NKey.oriented` picks.
     """
     cache = MemoCache()
     violations = []
@@ -534,7 +516,7 @@ def factorial_pattern_check(i_max: int) -> CheckResult:
     for i in range(1, i_max + 1):
         for shape in bounded_partitions(i, i, i):
             checked += 1
-            value = n2_coefficient(_oriented(NKey(shape, ((1, i),))), cache)
+            value = n2_coefficient(NKey(shape, ((1, i),)).oriented(), cache)
             expected = Fraction(factorial(i - 1)) if shape == ((i, 1),) else Fraction(0)
             if value != expected:
                 violations.append(f"shape {shape} weight {i}: {value} != {expected}")

@@ -23,7 +23,7 @@ from math import factorial, prod
 
 from taumap.coefficients import MemoCache, admissible_keys, compositions
 from taumap.series import Monomial, PotentialSeries, TruncatedSeries, TruncationPolicy
-from taumap.verify import _oriented, recursion_terms
+from taumap.verify import recursion_terms
 
 WINDOW_WEIGHTS = ["linear", "multinomial"]
 
@@ -174,14 +174,14 @@ def reference_potential(policy: TruncationPolicy, rule: str) -> PotentialSeries:
     """The potential of ``policy`` from :func:`ref_n1` under ``rule``.
 
     Every key is evaluated in the orientation of
-    :func:`taumap.verify._oriented` and weighed by the prefactors of
+    :meth:`taumap.coefficients.NKey.oriented` and weighed by the prefactors of
     :func:`taumap.verify.recursion_terms`, so under ``"linear"`` this is
     :func:`recursion_potential`, term for term.
     """
     memo: dict = {}
     terms = {}
     for key, t0_power in admissible_keys(policy):
-        side = _oriented(key)
+        side = key.oriented()
         coeff = ref_n1(key.i, side.expanded_unbarred(), side.expanded_barred(), rule, memo)
         for idx, mult in key.unbarred + key.barred:
             coeff *= Fraction(idx**mult, factorial(mult))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from taumap import cli
+from taumap import cli, coefficients
 from taumap.cli import main
 
 
@@ -91,6 +91,21 @@ def test_coeffs_json_format(capsys):
     )
 
 
+def test_coeffs_evaluates_each_key_in_its_cheap_orientation(capsys, monkeypatch):
+    # N is symmetric under bar exchange, but cheap with the longer side unbarred
+    calls = []
+    n1 = coefficients.n1_coefficient
+
+    def recorded(i, unbarred, barred, cache=None):
+        calls.append((len(unbarred), len(barred)))
+        return n1(i, unbarred, barred, cache)
+
+    monkeypatch.setattr(coefficients, "n1_coefficient", recorded)
+    code, _, _ = run_cli(["coeffs", "--imax", "6", "--degmax", "8"], capsys)
+    assert code == 0 and calls
+    assert all(k >= kbar for k, kbar in calls)
+
+
 @pytest.mark.parametrize(
     "flag, value, bound",
     [("--imax", "-1", 1), ("--imax", "0", 1), ("--degmax", "-2", 2), ("--degmax", "0", 2),
@@ -151,6 +166,17 @@ def test_moments_dual_flag(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert "v" in payload and len(payload["v"]) == 3
+
+
+def test_moments_dual_names_the_moment_out_of_the_float_range(tmp_path, capsys):
+    # v_k scales as r^(k+2): at r = 1e100 the moments t_k fit, v_2 does not
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"r": 1e100}))
+    assert run_cli(["moments", "--in", str(curve), "--n", "4"], capsys)[0] == 0
+    code, out, err = run_cli(["moments", "--in", str(curve), "--n", "4", "--dual"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: non-finite quadrature result in dual moments: v2 = ")
+    assert "c^(k+2)" in err
 
 
 def test_moments_count_is_named_before_the_input_is_read(tmp_path, capsys):

@@ -547,6 +547,30 @@ def test_nkey_canonicalization():
         NKey(((1, 2), (2, 1)), ((1, 1),), 3)
 
 
+def test_oriented_puts_the_side_of_more_factors_unbarred():
+    short, long = ((2, 1),), ((1, 2),)
+    assert NKey(short, long).oriented() == NKey(long, short)
+    assert NKey(long, short).oriented() == NKey(long, short)
+    # a tie puts the larger side tuple unbarred
+    tie = NKey(((1, 1), (3, 1)), ((2, 2),))
+    assert tie.oriented() == tie.swapped() == NKey(((2, 2),), ((1, 1), (3, 1)))
+    assert NKey(long, long).oriented() == NKey(long, long)
+
+
+def test_pairs_past_the_t0_bound_are_zero():
+    # admissible_keys leaves out the pairs whose t0 exponent i - K + 2 would
+    # be negative: no potential has such a term, and N vanishes on them
+    cache = MemoCache()
+    checked = 0
+    for i in range(1, 7):
+        sides = [(side, sum(m for _, m in side)) for side in bounded_partitions(i, i, 7)]
+        for (a, k), (b, kbar) in itertools.product(sides, repeat=2):
+            if i + 2 < k + kbar <= 8:
+                checked += 1
+                assert n2_coefficient(NKey(a, b), cache) == 0, (a, b)
+    assert checked == 9
+
+
 def test_bar_exchange_symmetry_scan():
     cache = MemoCache()
     for w in range(1, 8):

@@ -23,10 +23,11 @@ def potential_46():
 
 
 def test_disk_map_exact(potential_46):
-    # at t0 = 1e40 the t0 powers of the rows overflow to inf; every monomial
-    # also holds a zero t_k, so each still reads 0 rather than inf * 0 = nan,
-    # and the closure and the B_k beyond n_max are exactly 0 too
-    for t0 in (0.25, 1.0, 2.0, 1e40):
+    # the largest t0 power in the rows is 7: at t0 = 1e50 it overflows
+    # (1e350) to inf, at 1e40 it does not (1e280).  Every monomial also
+    # holds a zero t_k, so each still reads 0 rather than inf * 0 = nan, and
+    # the closure and the B_k beyond n_max are exactly 0 too
+    for t0 in (0.25, 1.0, 2.0, 1e40, 1e50):
         m = MomentVector(t0=t0, t=(0, 0, 0, 0))
         w = map_from_potential(potential_46, m, order=8)
         assert abs(w.p - t0**-0.5) <= 1e-12

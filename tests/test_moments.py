@@ -157,7 +157,7 @@ def test_a_moment_out_of_the_float_range_is_named(curve):
 
 
 def test_dual_moments_out_of_the_float_range_warn_nothing():
-    # v_k scales as r^(k+2): at r = 1e100 the moments t_k fit, v_4 does not
+    # v_k scales as r^(k+2): at r = 1e100 the moments t_k fit, v_2 does not
     moments_from_curve(BoundaryCurve(r=1e100), 4)
     with pytest.raises(ArithmeticError, match="non-finite quadrature result in dual moments"):
         v_moments_from_curve(BoundaryCurve(r=1e100), 4)
