@@ -18,8 +18,9 @@ each imports only from the stages before it:
 * :mod:`taumap.confmap` -- the exterior map from the potential;
 * :mod:`taumap.verify` -- every self-check and its :class:`CheckResult`:
   the paper's combinatorial formula and the closed-form oracles (Cauchy
-  data, the ellipse family), hierarchy residuals, coefficient patterns,
-  convergence gate and the full roundtrip; it imports no builder;
+  data, the ellipse family), hierarchy residuals, the factorial
+  coefficient pattern, convergence gate and the full roundtrip; it
+  imports no builder;
 * :mod:`taumap.cli` -- the ``taumap`` command.
 """
 

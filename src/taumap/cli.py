@@ -13,9 +13,13 @@ Subcommands:
 ``moments``
     compute harmonic moments of a boundary-curve JSON;
 ``verify``
-    run the verification suite (nonzero exit on gated failure): the exact
-    oracles and residuals, the closed form of the two-moment (ellipse)
-    family when ``n_max >= 2``, and with ``--in`` the roundtrip on a curve.
+    run the verification suite (nonzero exit on gated failure): the
+    checks that this build is the potential -- the exact oracles and
+    residuals, the closed form of the two-moment (ellipse) family when
+    ``n_max >= 2`` -- and with ``--in`` the roundtrip that its map fits the
+    curve.  ``--seed`` is parsed and read by nothing: it is kept only
+    while the benchmark's ``verify`` workload passes it, and goes with
+    the next change to that workload.
     It validates its arguments, builds, calls each check of
     :mod:`taumap.verify` and writes their results; every judgement is made
     there.  ``--stats PATH`` (``-`` for standard error) also writes what
@@ -27,7 +31,7 @@ Subcommands:
 Every subcommand writes one JSON document with sorted keys, to ``--out`` or
 to standard output (there with a closing newline): exact values as integer
 ``num``/``den`` pairs, floats in ``repr`` round-trip form.  Outputs are
-deterministic for a fixed config and seed.
+deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -47,9 +51,7 @@ from .series import TruncationPolicy, series_to_json_terms
 from .verify import (
     cauchy_data_check,
     combinatorial_formula_check,
-    composition_count_bound_check,
     ellipse_oracle_check,
-    factorial_pattern_check,
     out_of_cone_maxima,
     roundtrip_check,
     toda_residual_a,
@@ -131,7 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None, help="residual order")
     p.add_argument("--in", dest="in_path", default=None, help="optional curve JSON")
     p.add_argument("--roundtrip-tol", type=float, help="sup-error bound, default 1e-3")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled bound checks")
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="ignored: kept only while the benchmark's verify workload passes it",
+    )
     p.add_argument("--out", default=None)
     p.add_argument(
         "--stats", default=None, metavar="PATH",
@@ -227,11 +232,9 @@ def _cmd_verify(args) -> int:
     if policy.n_max >= 2:
         runs.append(lambda: ellipse_oracle_check(potential))
     runs += [
-        lambda: factorial_pattern_check(min(6, policy.n_max + 2)),
         lambda: toda_residual_a(potential, order),
         lambda: toda_residual_c(potential, order),
         lambda: toda_residual_b(potential),
-        lambda: composition_count_bound_check(args.seed),
     ]
     if curve is not None:
         runs.append(lambda: roundtrip_check(curve, potential, tol))

@@ -39,7 +39,10 @@ these analytic integrands.  ``z`` and ``dz/du`` come from Horner's rule in
 ``1/u``; the weight ``conj(z) dz/du u / samples`` is formed once, and each
 moment is one running power of ``1/z`` (of ``z`` for ``v_k``) times it,
 summed, so memory stays linear in the sample count.  Sums run in a fixed
-order so results are bitwise reproducible for a fixed sample count.
+order so results are bitwise reproducible for a fixed sample count.  A
+curve of ``N`` samples gives moments up to ``n < N/2`` only: the rule
+folds ``u^N`` onto the constant term (the disk's ``t_N`` would read
+``1/N``), so a higher ``n`` is refused rather than aliased.
 """
 
 from __future__ import annotations
@@ -141,9 +144,15 @@ def _quadrature(curve: BoundaryCurve, n: int, dual: bool):
     """``z`` and ``u z'(u)`` on the grid, the trapezoid weight ``w`` with
     ``(1/(2 pi i)) oint f conj(z) dz = sum(f w)``, and ``sum(z^(+-k) w)`` for
     ``k = 0..n``: one running power of ``z`` (dual) or ``1/z`` and one
-    product-sum each."""
+    product-sum each.  ``2n >= samples`` raises ``ValueError``: the rule
+    would alias (module docstring)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if 2 * n >= curve.samples:
+        raise ValueError(
+            f"n = {n} moments need samples > 2n = {2 * n}, got samples = {curve.samples}: "
+            "the trapezoid rule aliases the higher moments"
+        )
     z, dz, u = curve.boundary()
     # oint g dz = int g z'(theta) dtheta with z'(theta) = dz/du * iu
     weight = np.conj(z) * dz * u / len(u)

@@ -33,10 +33,10 @@ imports nothing from the builder.  Four layers:
   cells and mirrors the rest, so on a built potential it checks that
   mirror step, and :func:`combinatorial_formula_check` still compares
   every mirrored term with the recursion;
-* exact coefficient patterns: the factorial vanishing pattern of
-  coefficients against an all-ones barred side
-  (:func:`factorial_pattern_check`) and a sampled bound on the composition
-  count (:func:`composition_count_bound_check`);
+* an exact coefficient pattern, a lemma about ``N`` that judges neither
+  a build nor a domain, so ``taumap verify`` does not run it: the
+  factorial vanishing pattern of coefficients against an all-ones barred
+  side (:func:`factorial_pattern_check`);
 * numeric checks: the domain -> moments -> potential -> map roundtrip
   (:func:`roundtrip`), which inverts the map's Laurent-polynomial closure
   by Newton and needs no map order, and whose sup error
@@ -87,10 +87,9 @@ and is the one place that tests a cell against the cone (``taumap verify
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import Iterable
 
 import numpy as np
@@ -99,7 +98,6 @@ from .coefficients import (
     MemoCache,
     NKey,
     admissible_keys,
-    bounded_compositions_count,
     bounded_partitions,
     n2_coefficient,
 )
@@ -125,7 +123,6 @@ __all__ = [
     "toda_residual_c",
     "out_of_cone_maxima",
     "factorial_pattern_check",
-    "composition_count_bound_check",
     "ConvergenceVerdict",
     "convergence_gate",
     "degree_term_sums",
@@ -521,28 +518,6 @@ def factorial_pattern_check(i_max: int) -> CheckResult:
             if value != expected:
                 violations.append(f"shape {shape} weight {i}: {value} != {expected}")
     return CheckResult("factorial_pattern", checked, violations)
-
-
-def composition_count_bound_check(seed: int) -> CheckResult:
-    """Sampled bound on the composition count: ``P <= C(i-1, m-1)``, counted
-    on a fresh cache."""
-    cache = MemoCache()
-    rng = random.Random(seed)
-    bad = []
-    checked = 0
-    for _ in range(200):
-        m = rng.randint(1, 5)
-        s = tuple(rng.randint(1, 8) for _ in range(m))
-        i = rng.randint(1, max(1, sum(s) - 1))
-        j = sum(s) - i
-        if j < 1:
-            continue
-        checked += 1
-        count = bounded_compositions_count(i, s, cache)
-        limit = min(comb(i - 1, m - 1), comb(j - 1, m - 1))
-        if count > limit:
-            bad.append(f"P({i},{s}) = {count} > {limit}")
-    return CheckResult("composition_count_bound", checked, bad)
 
 
 # -- convergence gate ---------------------------------------------------------

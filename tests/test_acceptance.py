@@ -82,6 +82,8 @@ def test_a02_cauchy_data_exact_through_weight_six():
 
 
 def test_a03_factorial_pattern():
+    # the one test of this lemma about N: `taumap verify` judges builds and
+    # domains, and runs no check of it
     report = factorial_pattern_check(6)
     gate_line("A3", "factorial pattern against all-ones barred side",
               report.ok, f"{report.checked} shapes")
@@ -135,6 +137,8 @@ def _random_composition(rng, total, parts):
 
 
 def test_a06_growth_bounds_on_random_keys():
+    # the one test of these bounds, the composition count's among them:
+    # `taumap verify` judges builds and domains, and samples none of them
     rng = random.Random(SEED)
     cache = MemoCache()
     draws = 10_000

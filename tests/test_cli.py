@@ -189,6 +189,18 @@ def test_moments_count_is_named_before_the_input_is_read(tmp_path, capsys):
     assert err == "error: --n must be >= 1, got 0\n"
 
 
+def test_moment_count_past_half_the_samples_is_refused(tmp_path, capsys, monkeypatch):
+    # 64 samples fold t_64 onto t0: the disk's t_64 would read 1/64, not 0.
+    # Both commands refuse n = 32 before any work; verify before its build
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"r": 1, "samples": 64}))
+    monkeypatch.setattr(cli, "build_potential", lambda policy: pytest.fail("built"))
+    for args in (["moments", "--n", "32"], ["verify", "--nmax", "32"]):
+        code, out, err = run_cli(args + ["--in", str(curve)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n = 32 moments need samples > 2n = 64, got samples = 64")
+
+
 def test_verify_passes_and_reports(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, err = run_cli(
@@ -201,8 +213,16 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     assert "PASS residual_c" in err
 
 
+# the entries of a verify report: the checks that the build is the potential,
+# and with --in the one that its map fits the curve; no lemma about the
+# coefficients alone
+BUILD_CHECKS = {
+    "combinatorial_formula", "cauchy_data", "ellipse_closed_form",
+    "residual_a", "residual_b_symmetry", "residual_c",
+}
+
 # sha256 of `taumap verify --nmax 5 --degmax 6 --order 4` stdout, no --in
-VERIFY_56_SHA256 = "071f7128a7d3a94933b5fda7d6489994b0e712cabeebea83b2736394d7005c22"
+VERIFY_56_SHA256 = "b7836c24d38cb2bc9b4a5ba24ebabc1dff2b80bbcabc412ec1d1ca022735b1f8"
 
 
 def test_verify_report_is_pinned(capsys):
@@ -213,6 +233,7 @@ def test_verify_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_56_SHA256
     # the combinatorial formula judges every key the build's report counts
     report = json.loads(out)
+    assert set(report["checks"]) == BUILD_CHECKS
     assert report["checks"]["combinatorial_formula"]["checked"] == 336
     assert report["build"]["keys_evaluated"] == 336
 
@@ -255,7 +276,7 @@ def test_verify_stats_leave_the_report_unchanged(tmp_path, capsys):
 # sha256 of `taumap verify --nmax 5 --degmax 6 --order 4 --in <A8 ellipse> --seed 3`
 # stdout, the run the benchmark's `verify` workload makes; its roundtrip
 # inverts the map's closure (sup error 3.77e-8)
-VERIFY_56_A8_SHA256 = "b89b4a95c3fa44c1e859e3bedc18f06d55b9a923b994fac98ccf9fece05b3516"
+VERIFY_56_A8_SHA256 = "232a7a715b4b9159370fbf8d4b172262a80d65455e6996fc61c0df21ce44152f"
 
 
 def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
@@ -273,15 +294,24 @@ def test_verify_report_with_curve_is_pinned(tmp_path, capsys):
     # the convergence gate is reported once, inside the roundtrip check, and
     # every entry of `checks` judges something
     checks = json.loads(out)["checks"]
+    assert set(checks) == BUILD_CHECKS | {"roundtrip"}
     assert "convergence_gate" not in checks
     assert all(entry["checked"] >= 1 for entry in checks.values()), checks
     assert set(checks["roundtrip"]["gate"]) == {"admissible", "bound", "offending"}
     assert checks["roundtrip"]["gate"]["admissible"] is False  # |t2| = 0.025
 
 
+def test_verify_reads_no_seed(capsys):
+    # --seed is still parsed, for callers that pass it, and changes nothing
+    args = ["verify", "--nmax", "3", "--degmax", "3"]
+    code, first, err = run_cli(args + ["--seed", "0"], capsys)
+    assert code == 0, err
+    assert run_cli(args + ["--seed", "2"], capsys) == (0, first, err)
+
+
 # sha256 of `taumap verify --nmax 3 --degmax 4 --order 2 --in <A8 ellipse>
 # --roundtrip-tol 1e-12` stdout, a run whose roundtrip fails
-VERIFY_34_A8_FAIL_SHA256 = "a258534738c2d3c6946ee7ff4b9b5fb37f81a6c0c3bf290f104f0aa689b1efd1"
+VERIFY_34_A8_FAIL_SHA256 = "f2a593da8c15626dbd635d3c7a572e71887cbd75b97d397c35efb56a47e6b70d"
 
 
 def test_verify_reports_a_failing_roundtrip(tmp_path, capsys):

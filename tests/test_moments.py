@@ -188,6 +188,15 @@ def test_moment_count_validation():
         v_moments_from_curve(ELLIPSE, 0)
 
 
+def test_moments_up_to_half_the_samples_do_not_alias():
+    # the disk's moments t_k all vanish; the last n the 64 samples allow is 31
+    disk = BoundaryCurve(r=1.0, a=(), samples=64)
+    assert max(abs(x) for x in moments_from_curve(disk, 31).t) <= 1e-15
+    for moments in (moments_from_curve, v_moments_from_curve):
+        with pytest.raises(ValueError, match="n = 32 .* got samples = 64"):
+            moments(disk, 32)
+
+
 def test_determinism_bitwise():
     m1 = moments_from_curve(ELLIPSE, 4)
     m2 = moments_from_curve(ELLIPSE, 4)
