@@ -174,7 +174,8 @@ def moments_from_curve(curve: BoundaryCurve, n: int) -> MomentVector:
     close to it for the samples to resolve, raises ``ValueError``.  So does
     a moment that leaves the floating-point range, named: scaling the curve
     by ``c`` scales ``t0`` by ``c^2`` and ``t_k`` by ``c^(2-k)``, so
-    ``t0 = r^2`` is the first to go.  Overflow raises no numpy warning.
+    ``t0 = r^2`` is the first to go.  An overflowed moment reads ``inf``,
+    never ``nan``, and raises no numpy warning.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z, slope, weight, (t0, *sums) = _quadrature(curve, n, dual=False)
@@ -189,8 +190,10 @@ def moments_from_curve(curve: BoundaryCurve, n: int) -> MomentVector:
     # t0, the area over pi, reads 0 only where it underflows
     for name, val in [("t0", t0.real)] + [(f"t{k}", v) for k, v in enumerate(t, 1)]:
         if not isfinite(val) or (name == "t0" and val == 0):
+            # a finite curve gives a non-finite sum only by overflow, which may read nan
+            shown = f"{val:.6g}" if isfinite(val) else "inf"
             raise ValueError(
-                f"the moment {name} = {val:.6g} leaves the floating-point range: "
+                f"the moment {name} = {shown} leaves the floating-point range: "
                 "scaling the curve by c scales t0 by c^2 and t_k by c^(2-k)"
             )
     return MomentVector(t0=t0.real, t=tuple(t))
@@ -200,7 +203,8 @@ def v_moments_from_curve(curve: BoundaryCurve, n: int) -> list[complex]:
     """Dual moments ``v_0..v_n`` (interior integrals of ``log|z|`` and ``z^k``).
 
     A moment that leaves the floating-point range raises ``ArithmeticError``,
-    named: scaling the curve by ``c`` scales ``v_k`` (``k >= 1``) by ``c^(k+2)``.
+    named and read as ``inf``: scaling the curve by ``c`` scales ``v_k``
+    (``k >= 1``) by ``c^(k+2)``.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z, _, weight, (_, *sums) = _quadrature(curve, n, dual=True)
@@ -209,8 +213,9 @@ def v_moments_from_curve(curve: BoundaryCurve, n: int) -> list[complex]:
     out = [complex(v0)] + sums
     for k, v in enumerate(out):
         if not isfinite(v):
+            # only overflow, which may read nan, takes a finite curve's v_k out of range
             raise ArithmeticError(
-                f"non-finite quadrature result in dual moments: v{k} = {v:.6g} leaves the "
+                f"non-finite quadrature result in dual moments: v{k} = inf leaves the "
                 "floating-point range; scaling the curve by c scales v_k by c^(k+2)"
             )
     return out

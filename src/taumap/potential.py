@@ -47,10 +47,13 @@ only the terms with no ``t_c``, ``c < a``, and no ``tbar_c``, ``c < b``,
 feed the read.  Every product of the solver adds cells and multiplies
 monomials, and the geometric sum only raises ``a`` and ``b``, so a term
 that fails this in its cell fails it in every cell it feeds, and the
-products of ``E_d`` and ``M_d`` and the geometric sum skip it.  The
-geometric sum builds its cells of ``M_d`` under this mask, and the mirror
-step below keeps it, so each term the read receives is live and the read
-itself tests no mask.
+products of ``E_d`` and ``M_d`` and the geometric sum skip it.  ``X_d`` is
+formed live: ``d_a F`` keeps every ``t_c``, ``c < a``, of a term, so each
+term of ``F_{d+1}`` is lowered only at its least unbarred and its least
+barred index (:meth:`taumap.series._Codec.least`), and a product whose
+masked right cell is empty forms nothing.  The geometric sum builds its
+cells of ``M_d`` under this mask, and the mirror step below keeps it, so
+each term the read receives is live and the read itself tests no mask.
 
 Bar exchange, ``t_k <-> tbar_k`` together with ``u <-> v``, leaves the
 equation invariant and maps the cell ``(a, b)`` of a slice onto ``(b, a)``
@@ -124,7 +127,8 @@ class _TodaSolver:
 
     ``_masks[a][b]`` is the code mask of ``t_1..t_{a-1}`` and
     ``tbar_1..tbar_{b-1}``, the one mask of the dead terms of the cell
-    ``(a, b)``.  The geometric sum skips the terms that meet it, and so do
+    ``(a, b)``.  :meth:`_sources` forms no term that meets it, the
+    geometric sum skips the terms that meet it, and so do
     the products of ``E_d`` and ``M_d``, through ``_dead(a, b)``: the mask
     for ``a <= b`` and ``None`` for ``a > b``, a cell they do not form and
     :meth:`_mirrored` fills from its twin (module docstring).  So
@@ -161,7 +165,7 @@ class _TodaSolver:
         f = {1: self._tail({})}
         for d in range(deg_max - 1):
             if d:
-                x.append(self._sources(f[d], f[d + 1]))
+                x.append(self._sources(d, f[d], f[d + 1]))
                 e.append(self._mirrored(one.graded_exp_slice(x, e, self._dead)))
                 # M_d = sum_{k >= 1} (u v t0)^k [E_d + (1/d) sum (d-j) E_j M_{d-j}]
                 inner = one.products(
@@ -175,15 +179,42 @@ class _TodaSolver:
         series = _Tail.box((0, 0), deg_max)
         return TruncatedSeries._of(_Tail.combination(series, [(1, 0, 0, t) for t in f.values()]))
 
-    def _sources(self, lo: _Tail, hi: _Tail) -> _Tail:
-        """``X_d``: ``d0^2 F_d``, and ``u^a d0 d_a F / a`` and
-        ``v^b d0 dbar_b F / b`` from ``F_{d+1}``."""
-        d0 = hi.diff_t0()
-        terms = [(1, 0, 0, lo.diff_t0().diff_t0())]
-        for a in range(1, self.policy.n_max + 1):
-            terms.append((Fraction(1, a), a, 0, d0.diff_t(a)))
-            terms.append((Fraction(1, a), 0, a, d0.diff_t(a, barred=True)))
-        return _Tail.combination(self.bound, terms)
+    def _sources(self, d: int, lo: _Tail, hi: _Tail) -> _Tail:
+        """``X_d`` without its dead terms: ``d0^2 F_d`` whole in the cell
+        ``(0, 0)``, and ``u^a d0 d_a F / a`` and ``v^b d0 dbar_b F / b``
+        from ``F_{d+1}``, each term lowered once on each side, at its least
+        index ``k``, into ``(k, 0)`` and ``(0, k)``.  Lowered at a higher
+        index, a term keeps its ``t_k`` (``tbar_k``) and is dead in its cell
+        (module docstring).  So the products of ``E_d`` meet only live terms
+        of ``X``, and a pair of cells whose masked right cell comes out
+        empty forms nothing (:meth:`taumap.series._Tail.products`)."""
+        codec, n, t0 = self.codec, self.policy.n_max, self.t0
+        # each term over den, lowered at k with the weight 1/k
+        den = lcm(lo.den, hi.den * lcm(*range(1, n + 1)))
+        weights = [0] + [den // (hi.den * k) for k in range(1, n + 1)]
+        units = [0] + [1 << codec.shift(k) for k in range(1, n + 1)]
+        bar_units = [0] + [1 << codec.shift(k, barred=True) for k in range(1, n + 1)]
+        w = den // lo.den
+        cells = {
+            (0, 0, d): {
+                code - 2 * t0: c * p * (p - 1) * w
+                for cell in lo.cells.values()
+                for code, c in cell.items()
+                if (p := code >> codec.t0_shift) > 1
+            }
+        }
+        # slot 0 takes a term with an empty half, of which F has none
+        unbarred, barred = [{} for _ in range(n + 1)], [{} for _ in range(n + 1)]
+        for k in range(1, n + 1):
+            cells[k, 0, d], cells[0, k, d] = unbarred[k], barred[k]
+        for cell in hi.cells.values():
+            for (code, c), (k, e, kbar, ebar) in zip(cell.items(), codec.least(cell)):
+                if p := code >> codec.t0_shift:
+                    code -= t0
+                    c *= p
+                    unbarred[k][code - units[k]] = c * e * weights[k]
+                    barred[kbar][code - bar_units[kbar]] = c * ebar * weights[kbar]
+        return self._tail(cells, den)
 
     def _mirrored(self, half: _Tail) -> _Tail:
         """``half``, which holds the cells ``a <= b`` of a slice, with each

@@ -29,7 +29,9 @@ Design points:
   power on top, so codes add under any admissible product; bar exchange
   swaps the unbarred and barred halves of a code (:meth:`_Codec.mirror`),
   a rule for the potential's Toda solver and its symmetry residual: the
-  ring itself never mirrors.
+  ring itself never mirrors.  :meth:`_Codec.least` reads the factor of
+  least index of each half, for a whole cell at once: the solver lowers
+  each term of its sources there.
 * A series is stored packed, as one :class:`_Tail` of orders ``(0, 0)``:
   its terms filed by factor degree (a value fixed when a monomial is
   built) as ``{code: numerator}`` over one common denominator.  Linear
@@ -47,10 +49,9 @@ Design points:
   ``deg_max`` for a series and the solver, the truncation cone for the
   residuals.  Every weighted sum of tails, each term shifted by its own
   ``u^a v^b`` -- a series' sum, difference and scalar multiple, the slices
-  of an exponential, the potential's degree slices and the solver's
-  sources, the weighted derivatives a residual's wider tail is built from,
-  a residual -- is one rule, :meth:`_Tail.combination`.  A tail's policy
-  is its codec's.
+  of an exponential, the potential's degree slices, the weighted
+  derivatives a residual's wider tail is built from, a residual -- is
+  one rule, :meth:`_Tail.combination`.  A tail's policy is its codec's.
 * Validation and decoding happen at the boundary.  ``Monomial(...)``
   checks canonical order, and ``TruncatedSeries(policy, terms)`` --
   through which :meth:`TruncatedSeries.filter` goes -- drops
@@ -222,6 +223,22 @@ class _Codec:
         swap = (code ^ code >> self.half) & self.low
         return code ^ (swap | swap << self.half)
 
+    def least(self, codes) -> list[tuple[int, int, int, int]]:
+        """``(k, e, kbar, ebar)`` for each of ``codes``: ``t_k^e`` the factor
+        of least index of its unbarred half and ``tbar_kbar^ebar`` that of its
+        barred half, ``(0, 0)`` for an empty half.  One call reads a cell."""
+        bits, mask, low, half = self.bits, self.mask, self.low, self.half
+        # the lowest set bit of a half -> its field's index and shift
+        at = {1 << j: (j // bits + 1, j - j % bits) for j in range(half)}
+        at[0] = (0, 0)
+        out = []
+        for code in codes:
+            lo, hi = code & low, code >> half & low
+            k, s = at[lo & -lo]
+            kbar, sbar = at[hi & -hi]
+            out.append((k, lo >> s & mask, kbar, hi >> sbar & mask))
+        return out
+
 
 class _Tail:
     """Polynomial in two tail variables ``u``, ``v`` and the moment variables.
@@ -340,8 +357,9 @@ class _Tail:
         denominator, each ``q`` folded into its left numerators, and the sum
         is reduced once.  ``dead(a, b)``, if given, is a code mask for the
         cell ``(a, b)`` of the result: a left or right term whose code meets
-        it is left out of that cell's products.  A cell whose mask reads
-        ``None`` is not formed.
+        it is left out of that cell's products, and a pair of cells whose
+        masked right cell comes out empty forms nothing.  A cell whose mask
+        reads ``None`` is not formed.
         """
         bound = self.bound
         amax, bmax = self.orders
@@ -361,6 +379,8 @@ class _Tail:
                     right_items = right.items()
                     if mask:
                         right_items = [(c, n) for c, n in right_items if not c & mask]
+                        if not right_items:
+                            continue
                     out = acc.setdefault((a, b, d), {})
                     get = out.get
                     for code1, n1 in left.items():

@@ -179,6 +179,33 @@ def test_moments_dual_names_the_moment_out_of_the_float_range(tmp_path, capsys):
     assert "c^(k+2)" in err
 
 
+@pytest.mark.parametrize(
+    "curve, options, want",
+    [
+        (
+            {"r": 1e100},
+            ["--dual"],
+            "error: non-finite quadrature result in dual moments: v2 = inf leaves the "
+            "floating-point range; scaling the curve by c scales v_k by c^(k+2)\n",
+        ),
+        (
+            {"r": 1e200, "a": [[0, 0], [1e199, 0]]},
+            [],
+            "error: the moment t0 = inf leaves the floating-point range: "
+            "scaling the curve by c scales t0 by c^2 and t_k by c^(2-k)\n",
+        ),
+    ],
+    ids=["dual-v2", "t0"],
+)
+def test_an_overflowed_moment_reads_inf_not_nan(tmp_path, capsys, curve, options, want):
+    # a finite curve gives a non-finite sum only by overflow, though the
+    # quadrature may read nan there (t0 is about 1e400 for the ellipse)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve))
+    code, out, err = run_cli(["moments", "--in", str(path), "--n", "4", *options], capsys)
+    assert (code, out, err) == (2, "", want)
+
+
 def test_moments_count_is_named_before_the_input_is_read(tmp_path, capsys):
     # the input does not exist here: --n is checked first, as --order is
     code, out, err = run_cli(
@@ -663,7 +690,7 @@ def test_map_far_outside_the_series_range_warns_nothing(tmp_path):
 
 @pytest.mark.parametrize(
     "curve, t0",
-    [({"r": 1e-300}, "0"), ({"r": 1e200, "a": [[0, 0], [1e199, 0]]}, "nan")],
+    [({"r": 1e-300}, "0"), ({"r": 1e200, "a": [[0, 0], [1e199, 0]]}, "inf")],
     ids=["tiny", "huge"],
 )
 def test_moments_out_of_the_float_range_are_named(tmp_path, curve, t0):

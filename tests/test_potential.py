@@ -353,6 +353,90 @@ def test_every_term_the_read_receives_is_live_in_its_cell(monkeypatch, n_max, de
     assert len(received) == len(potential.regular)
 
 
+def full_sources(solver, d, lo, hi):
+    """``X_d`` with its dead terms: ``d0^2 F_d``, and ``u^a d0 d_a F / a``
+    and ``v^b d0 dbar_b F / b`` from ``F_{d+1}`` at every index ``a, b``."""
+    d0 = hi.diff_t0()
+    terms = [(1, 0, 0, lo.diff_t0().diff_t0())]
+    for a in range(1, solver.policy.n_max + 1):
+        terms.append((Fraction(1, a), a, 0, d0.diff_t(a)))
+        terms.append((Fraction(1, a), 0, a, d0.diff_t(a, barred=True)))
+    return _Tail.combination(solver.bound, terms)
+
+
+def tail_contents(tail):
+    """The cells of ``tail`` as dicts, and its denominator."""
+    return {key: dict(cell) for key, cell in tail.cells.items()}, tail.den
+
+
+def recorded_solve(solver, mirrored):
+    """``F`` and every slice ``solver`` hands on (``E_d``, ``M_d``), as
+    :func:`tail_contents`, with ``mirrored`` as its mirror step."""
+    slices = []
+
+    def step(half):
+        out = mirrored(half)
+        slices.append(tail_contents(out))
+        return out
+
+    solver._mirrored = step
+    return tail_contents(solver.solve()._tail), slices
+
+
+def tail_values(tail, keep=lambda a, b, code: True):
+    """``{cell: {code: Fraction}}`` of the terms of ``tail`` that ``keep`` admits."""
+    out = {}
+    for (a, b, d), cell in tail.cells.items():
+        kept = {code: Fraction(n, tail.den) for code, n in cell.items() if keep(a, b, code)}
+        if kept:
+            out[a, b, d] = kept
+    return out
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(3, 5), (4, 6), (5, 6), (6, 7), (8, 6), (6, 4)])
+def test_every_source_term_the_products_receive_is_live_in_its_cell(
+    monkeypatch, n_max, deg_max
+):
+    # X_d lowers each term of F_{d+1} at its least indices only: it is the
+    # full derivative sources less the terms dead in their cell, which every
+    # product of E_d skips
+    sources = potential_module._TodaSolver._sources
+    handed, dropped = [], 0
+
+    def recording(solver, d, lo, hi):
+        nonlocal dropped
+        x, full = sources(solver, d, lo, hi), full_sources(solver, d, lo, hi)
+        handed.append((solver, x))
+        live = lambda a, b, code: not code & solver._masks[a][b]
+        assert tail_values(x) == tail_values(full, live)
+        dropped += sum(map(len, full.cells.values())) - sum(map(len, x.cells.values()))
+        return x
+
+    monkeypatch.setattr(potential_module._TodaSolver, "_sources", recording)
+    build_potential(default_policy(n_max, deg_max))
+    assert len(handed) == deg_max - 2
+    for solver, x in handed:
+        for (a, b, _), cell in x.cells.items():
+            assert all(not code & solver._masks[a][b] for code in cell)
+    # cells past (1, 0) and (0, 1) hold terms, and the full sources had dead ones
+    assert any(a > 1 or b > 1 for _, x in handed for a, b, _ in x.cells)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize(
+    "n_max, deg_max", [(3, 5), (5, 6), (6, 7), (8, 6), (6, 4), (4, 8), (3, 10)]
+)
+def test_live_sources_leave_every_slice_as_the_full_sources_make_it(n_max, deg_max):
+    # with the full derivative sources, dead terms and all, every E_d, M_d
+    # and F hold the same cells, codes, numerators and denominator
+    policy = default_policy(n_max, deg_max)
+    full, live = potential_module._TodaSolver(policy), potential_module._TodaSolver(policy)
+    full._sources = lambda d, lo, hi: full_sources(full, d, lo, hi)
+    runs = [recorded_solve(full, full._mirrored), recorded_solve(live, live._mirrored)]
+    assert runs[0] == runs[1]
+    assert len(runs[1][1]) == 2 * (deg_max - 2)
+
+
 @pytest.mark.parametrize("n_max, deg_max", [(3, 5), (5, 6), (6, 4), (4, 7)])
 def test_solver_forms_no_product_for_a_gt_b_and_hands_on_symmetric_slices(
     monkeypatch, n_max, deg_max
@@ -396,25 +480,11 @@ def test_mirrored_cells_leave_every_slice_as_the_full_products_make_it(n_max, de
     # codes, numerators and denominator that a solver forming every cell
     # under its dead mask and mirroring nothing gives, in another order (the
     # map sums in code order)
-    def contents(tail):
-        return {key: dict(cell) for key, cell in tail.cells.items()}, tail.den
-
-    def recorded(solver, mirrored):
-        slices = []
-
-        def step(half):
-            out = mirrored(half)
-            slices.append(contents(out))
-            return out
-
-        solver._mirrored = step
-        return contents(solver.solve()._tail), slices
-
     policy = default_policy(n_max, deg_max)
     full = potential_module._TodaSolver(policy)
     full._dead = lambda a, b: full._masks[a][b]
     half = potential_module._TodaSolver(policy)
-    runs = [recorded(full, lambda tail: tail), recorded(half, half._mirrored)]
+    runs = [recorded_solve(full, lambda tail: tail), recorded_solve(half, half._mirrored)]
     assert runs[0] == runs[1]
     # E_d and M_d for d = 1..deg_max - 2
     assert len(runs[1][1]) == 2 * (deg_max - 2)

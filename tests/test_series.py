@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from taumap.series import (
     Monomial,
@@ -936,6 +937,57 @@ def test_codec_mirror_exchanges_the_bars_and_is_additive(n_max, deg_max):
         c1 = rng.choice(by_degree[d1])
         c2 = rng.choice(by_degree[rng.randint(0, deg_max - d1)])
         assert codec.mirror(c1 + c2) == codec.mirror(c1) + codec.mirror(c2)
+
+
+@st.composite
+def policy_and_monomials(draw):
+    """A policy of up to 8 indices and degree 16, and monomials under it."""
+    policy = TruncationPolicy(draw(st.integers(0, 8)), draw(st.integers(0, 16)))
+    n, deg_max = policy.n_max, policy.deg_max
+    picks = st.tuples(st.integers(1, max(n, 1)), st.booleans(), st.integers(1, max(deg_max, 1)))
+    monomials = []
+    for _ in range(draw(st.integers(1, 6))):
+        exps, budget = {}, deg_max
+        for k, barred, e in draw(st.lists(picks, max_size=5)) if n else ():
+            e = min(e, budget)
+            budget -= e
+            if e:
+                exps[barred, k] = exps.get((barred, k), 0) + e
+        factors = tuple((k, barred, e) for (barred, k), e in sorted(exps.items()))
+        monomials.append(Monomial(draw(st.integers(0, 2**70)), factors))
+    return policy, monomials
+
+
+@given(policy_and_monomials())
+@example((TruncationPolicy(0, 3), [Monomial(4)]))
+@example((TruncationPolicy(1, 1), [Monomial(0, ((1, False, 1),)), Monomial(0, ((1, True, 1),))]))
+@example(
+    (
+        TruncationPolicy(3, 7),
+        [
+            Monomial(),
+            Monomial(2, ((3, False, 7),)),
+            Monomial(0, ((3, True, 7),)),
+            Monomial(1, ((1, False, 3), (3, False, 1), (3, True, 3))),
+            Monomial(5, ((2, True, 6), (3, True, 1))),
+        ],
+    )
+)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_codec_least_reads_the_factor_of_least_index_of_each_half(case):
+    # one call reads a whole cell; each code gives the first unbarred and
+    # the first barred factor its decoding lists, (0, 0) for an empty half.
+    # The examples hold empty halves, fields at the top of a half and
+    # deg_max exponents, all bits of a field set at deg_max 7
+    policy, monomials = case
+    codec = _Codec(policy)
+    codes = [codec.encode(m) for m in monomials]
+    expected = []
+    for code in codes:
+        factors = codec.decode(code).factors
+        sides = [[(k, e) for k, b, e in factors if b == barred] for barred in (False, True)]
+        expected.append(tuple(x for side in sides for x in (side or [(0, 0)])[0]))
+    assert codec.least(codes) == expected
 
 
 def random_bound(rng, orders, deg_max):
